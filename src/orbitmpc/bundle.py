@@ -2,15 +2,17 @@
 
 `design_controller` runs the whole offline chain for one plant and one
 horizon: modal decomposition, weight design (saturated or baseline-gain
-matched), fixed-point DARE terminal cost, setpoint map, observer gain,
-condensed QP and the iteration-bound bookkeeping.  The result round-trips
-through a directory of CSV / key=value files that the simulate, bench and
-check commands consume.
+matched), DARE terminal cost, setpoint map, observer gain, condensed QP
+and the iteration-bound bookkeeping.  The result round-trips through a
+directory of CSV / key=value files that the simulate, bench and check
+commands consume; `meta.txt` carries a fingerprint of the design inputs so
+a bundle designed from other inputs is never mistaken for a fresh one.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 
 import numpy as np
@@ -80,6 +82,26 @@ def default_imc_lambda(basis: ModalBasis) -> float:
     return 0.1 * float(basis.S[0] ** 2)
 
 
+def design_fingerprint(plant: PlantConfig, inputs: dict) -> str:
+    """sha256 over the canonical design inputs: every plant field (as
+    float64 bytes with its shape) and every design keyword of
+    `design_controller` (numbers at 17 significant digits, None as auto).
+    """
+    digest = hashlib.sha256()
+    for field in dataclasses.fields(plant):
+        value = np.ascontiguousarray(getattr(plant, field.name), dtype="<f8")
+        digest.update(f"{field.name}{value.shape}:".encode())
+        digest.update(value.tobytes())
+    for key in sorted(inputs):
+        value = inputs[key]
+        if value is None:
+            value = "auto"
+        elif not isinstance(value, str):
+            value = fileio.format_float(value)
+        digest.update(f"{key}={value};".encode())
+    return digest.hexdigest()
+
+
 def design_controller(
     plant: PlantConfig,
     horizon: int,
@@ -94,6 +116,11 @@ def design_controller(
     delta: float | None = None,
 ) -> DesignBundle:
     """Run the full offline design chain for one plant and horizon."""
+    fingerprint = design_fingerprint(plant, dict(
+        horizon=horizon, weights_mode=weights_mode, q_min=q_min, q_max=q_max,
+        imc_lambda=imc_lambda, sigma_v=sigma_v, sigma_w=sigma_w, sigma_m=sigma_m,
+        epsilon=epsilon, delta=delta,
+    ))
     ss = build_state_space(plant)
     basis = modal_decompose(ss.C)
     # representative scalar dynamics for the modal design; exact when all
@@ -113,7 +140,8 @@ def design_controller(
     else:
         raise ConfigError(f"unknown weights mode {weights_mode!r}")
 
-    terminal = design.solve_dare(ss.A, ss.B, w.Q, w.R_w)
+    dare_stats: dict = {}
+    terminal = design.solve_dare(ss.A, ss.B, w.Q, w.R_w, stats=dare_stats)
     if np.allclose(ss.A, a, rtol=0.0, atol=0.0):
         p_hat = np.array([
             design.solve_dare_modal(a, b, float(w.q_hat[i]), float(w.r_hat[i]))
@@ -122,7 +150,8 @@ def design_controller(
         terminal = design.TerminalCost(P=terminal.P, p_hat=p_hat)
 
     setpoint = design.setpoint_matrix(ss)
-    gain = design.kalman_gain(ss, sigma_v, sigma_w, sigma_m)
+    kalman_stats: dict = {}
+    gain = design.kalman_gain(ss, sigma_v, sigma_w, sigma_m, stats=kalman_stats)
     condensed = qp.build_condensed(ss, w, terminal, setpoint, horizon)
 
     cset0 = qp.ConstraintSet(alpha=plant.alpha, rho=plant.rho,
@@ -136,6 +165,7 @@ def design_controller(
     )
     meta = {
         "schema_version": SCHEMA_VERSION,
+        "design_fingerprint": fingerprint,
         "weights_mode": weights_mode,
         "horizon": horizon,
         "q_min": "" if q_min is None else q_min,
@@ -148,6 +178,10 @@ def design_controller(
         "modal_b": b,
         "setpoint_rank_deficient": int(setpoint.rank_deficient),
         "delta_is_default": int(delta_is_default),
+        "dare_doublings": dare_stats["doublings"],
+        "dare_residual": dare_stats["residual"],
+        "kalman_doublings": kalman_stats["doublings"],
+        "kalman_residual": kalman_stats["residual"],
     }
     return DesignBundle(
         plant=plant,
@@ -230,6 +264,9 @@ def save_bundle(bundle: DesignBundle, directory) -> None:
         fh.write(f"beta = {fileio.format_float(bundle.condensed.beta)}\n")
         fh.write(f"i_max_bound = {bundle.i_max_bound}\n")
         fh.write(f"dare_residual = {fileio.format_float(residual)}\n")
+        fh.write(f"dare_doublings = {bundle.meta['dare_doublings']}\n")
+        fh.write(f"kalman_residual = {fileio.format_float(bundle.meta['kalman_residual'])}\n")
+        fh.write(f"kalman_doublings = {bundle.meta['kalman_doublings']}\n")
         fh.write(f"delta = {fileio.format_float(bundle.delta)}"
                  f"{' (helper default)' if bundle.delta_is_default else ''}\n")
 

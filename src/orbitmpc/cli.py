@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import difflib
 import os
 import sys
 import time
@@ -22,6 +23,16 @@ from .errors import ConfigError, DimensionError, OrbitMpcError
 from .model import PlantConfig, load_plant_config, synthetic_plant
 
 BENCH_STAGES = fgm.SOLVE_STAGES
+
+CONFIG_KEYS = (
+    "schema_version", "seed", "plant",
+    "synthetic_n_y", "synthetic_n_u", "synthetic_kappa", "synthetic_dt", "synthetic_mu",
+    "synthetic_bandwidth_hz", "synthetic_alpha", "synthetic_rho",
+    "weights", "q_min", "q_max", "lambda", "horizon", "i_max",
+    "sigma_v", "sigma_w", "sigma_m", "epsilon", "delta",
+    "dist_kind", "dist_sigma", "dist_components", "dist_path",
+    "T", "n_workers", "output_dir", "imc_bandwidth_hz", "bench_cycles", "observer_dump",
+)
 
 
 @dataclasses.dataclass
@@ -64,8 +75,21 @@ def _parse_components(raw: str):
     return tuple(components)
 
 
+def _reject_unknown_keys(path, pairs: dict) -> None:
+    """A misspelled key would silently fall back to its default."""
+    unknown = [key for key in pairs if key not in CONFIG_KEYS]
+    if not unknown:
+        return
+    named = []
+    for key in unknown:
+        close = difflib.get_close_matches(key, CONFIG_KEYS, n=1)
+        named.append(f"'{key}'" + (f" (did you mean '{close[0]}'?)" if close else ""))
+    raise ConfigError(f"{path}: unknown config key {', '.join(named)}")
+
+
 def load_run_config(path, seed_override=None, workers_override=None, out_override=None) -> RunConfig:
     pairs = fileio.read_kv(path)
+    _reject_unknown_keys(path, pairs)
     version = fileio.kv_get(pairs, "schema_version", int, default=1)
     if version != 1:
         raise ConfigError(f"unsupported schema_version {version}")
@@ -138,9 +162,9 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
     )
 
 
-def _build_bundle(cfg: RunConfig, horizon: int) -> bundle_mod.DesignBundle:
-    return bundle_mod.design_controller(
-        cfg.plant,
+def _design_inputs(cfg: RunConfig, horizon: int) -> dict:
+    """The design keywords of `design_controller` for one horizon."""
+    return dict(
         horizon=horizon,
         weights_mode=cfg.weights_mode,
         q_min=cfg.q_min,
@@ -154,6 +178,19 @@ def _build_bundle(cfg: RunConfig, horizon: int) -> bundle_mod.DesignBundle:
     )
 
 
+def _build_bundle(cfg: RunConfig, horizon: int) -> bundle_mod.DesignBundle:
+    return bundle_mod.design_controller(cfg.plant, **_design_inputs(cfg, horizon))
+
+
+def _notice_i_max(i_max: int, bundles) -> None:
+    """One stdout line when the fixed budget is below a design's iteration bound."""
+    short = [b for b in bundles if i_max < b.i_max_bound]
+    if short:
+        bounds = ", ".join(f"N={b.condensed.N}: {b.i_max_bound}" for b in short)
+        print(f"notice: i_max = {i_max} is below the design's i_max_bound ({bounds}); "
+              f"the budget does not guarantee epsilon = {short[0].epsilon:g}")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -164,6 +201,7 @@ def cmd_design(cfg: RunConfig) -> int:
     print(f"design bundle written to {cfg.output_dir}")
     print(f"kappa(J) = {b.kappa:.6g}, beta = {b.condensed.beta:.6g}, "
           f"i_max_bound = {b.i_max_bound}")
+    _notice_i_max(cfg.i_max, [b])
     return 0
 
 
@@ -183,6 +221,7 @@ def _write_trace(path, trace: sim.SimTrace, seed: int) -> None:
 def cmd_simulate(cfg: RunConfig) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     bundles = {n: _build_bundle(cfg, n) for n in (1, 2)}
+    _notice_i_max(cfg.i_max, bundles.values())
     runs = {}
     runs["off"] = sim.simulate(cfg.plant, None, cfg.dist, cfg.T)
     imc = bundles[1].imc_controller(cfg.imc_bandwidth_hz, clip=False)
@@ -217,16 +256,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_bench(cfg: RunConfig) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     bundle_dir = os.path.join(cfg.output_dir, "bundle")
-    b = None
-    if os.path.exists(os.path.join(bundle_dir, "bounds.txt")):
+    fingerprint = bundle_mod.design_fingerprint(cfg.plant, _design_inputs(cfg, cfg.horizon))
+    meta_path = os.path.join(bundle_dir, "meta.txt")
+    if os.path.exists(meta_path) and fileio.read_kv(meta_path).get("design_fingerprint") == fingerprint:
         b = bundle_mod.load_bundle(bundle_dir)
-        stale = (b.plant.n_y, b.plant.n_u, b.plant.mu, b.condensed.N) != (
-            cfg.plant.n_y, cfg.plant.n_u, cfg.plant.mu, cfg.horizon)
-        if stale:
-            b = None
-    if b is None:
+        print(f"reusing the design bundle in {bundle_dir}")
+    else:
         b = _build_bundle(cfg, cfg.horizon)
         bundle_mod.save_bundle(b, bundle_dir)
+        print(f"design bundle written to {bundle_dir}")
+    _notice_i_max(cfg.i_max, [b])
     rng = np.random.default_rng(cfg.seed)
     rows = []
     totals = {}
@@ -253,7 +292,9 @@ def cmd_bench(cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "columns": "workers,stage,mean_us,max_us",
         "i_max": cfg.i_max,
+        "i_max_bound": b.i_max_bound,
         "horizon": b.condensed.N,
+        "design_fingerprint": fingerprint,
     }
     for workers, total in totals.items():
         header[f"total_mean_us_workers_{workers}"] = fileio.format_float(total)
@@ -273,6 +314,15 @@ def cmd_check(cfg: RunConfig, bundle_dir=None) -> int:
     directory = bundle_dir or cfg.output_dir
     b = bundle_mod.load_bundle(directory)
     results = bundle_mod.run_checks(b)
+    want = bundle_mod.design_fingerprint(cfg.plant, _design_inputs(cfg, cfg.horizon))
+    have = b.meta.get("design_fingerprint")
+    if have is None:
+        detail = "bundle records no design fingerprint"
+    elif have != want:
+        detail = f"bundle was designed from other inputs ({have[:12]}) than the config's ({want[:12]})"
+    else:
+        detail = f"design inputs match the config ({want[:12]})"
+    results.append(bundle_mod.CheckResult("design_fingerprint", have == want, detail))
     if b.plant.mu != cfg.mu_declared:
         results.append(bundle_mod.CheckResult(
             "mu_consistency", False,

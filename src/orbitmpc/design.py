@@ -6,9 +6,10 @@ that precondition the condensed Hessian, the regularized modal baseline
 gains, the setpoint map that folds disturbance estimates into the QP, and
 the steady-state observer gain for the delay-augmented plant.
 
-The DARE is solved by fixed-point iteration.  The plant's A matrix is
-diagonal and strictly stable, which makes the recursion contractive, and
-the diagonal structure keeps every iteration at one dense solve.
+Both Riccati equations, the control DARE for the terminal cost and the
+filter Riccati equation for the observer gain, are solved by one
+structure-preserving doubling kernel, which converges quadratically; the
+filter equation is solved on the reduced state [z_mu; d] only.
 """
 
 from __future__ import annotations
@@ -26,12 +27,8 @@ from .model import StateSpace
 # (zero singular value); keeps them quiescent without a root-find.
 R_HAT_MAX = 1e12
 
-_DARE_TOL = 1e-12
-_DARE_MAX_ITER = 10_000
-_DARE_RESIDUAL_TOL = 1e-8
-
-_KALMAN_TOL = 1e-10
-_KALMAN_MAX_ITER = 200_000
+_SDA_MAX_DOUBLINGS = 64
+_RICCATI_RESIDUAL_TOL = 1e-8
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -143,54 +140,90 @@ class PartitionedGain:
 # Riccati equations
 # ---------------------------------------------------------------------------
 
-def _dare_step(a, b, P, Q, R_w, diagonal: bool) -> np.ndarray:
-    if diagonal:
-        APA = P * np.outer(a, a)
-        APB = P * np.outer(a, b)
-        M = P * np.outer(b, b) + R_w
-        BPA = APB.T
-    else:
-        APA = a.T @ P @ a
-        APB = a.T @ P @ b
-        M = b.T @ P @ b + R_w
-        BPA = b.T @ P @ a
-    return APA - APB @ np.linalg.solve(M, BPA) + Q
+def _dense(M) -> np.ndarray:
+    """A matrix given as a 1-D diagonal or dense, as a dense float array."""
+    M = np.asarray(M, dtype=float)
+    return np.diag(M) if M.ndim == 1 else M
 
 
 def dare_residual(A, B, P, Q, R_w) -> float:
-    """|| f(P) - P || / ||P|| for the DARE fixed-point map f."""
-    A = np.asarray(A, dtype=float)
-    diagonal = A.ndim == 1
-    next_P = _dare_step(A, np.asarray(B, dtype=float), P, Q, R_w, diagonal)
+    """|| f(P) - P || / ||P|| for the DARE map
+    f(P) = A^T P A - A^T P B (B^T P B + R_w)^-1 B^T P A + Q.
+
+    A and B may each be 1-D (diagonals) or dense.
+    """
+    A, B = _dense(A), _dense(B)
+    next_P = A.T @ P @ A - A.T @ P @ B @ np.linalg.solve(B.T @ P @ B + R_w, B.T @ P @ A) + Q
     return float(np.linalg.norm(next_P - P) / max(np.linalg.norm(P), np.finfo(float).tiny))
 
 
-def solve_dare(A, B, Q, R_w) -> TerminalCost:
-    """Fixed-point DARE solve from P_0 = Q.
+def _doubling(A, G, H, what: str) -> tuple[np.ndarray, int]:
+    """Structure-preserving doubling for X = A^T X (I + G X)^-1 A + H.
 
-    A and B may be 1-D (diagonals) or dense.  Iterates until the relative
-    change drops below 1e-12 (at most 10,000 iterations), then verifies
-    the residual against a 1e-8 relative bound.
+    From A_0 = A, G_0 = G, H_0 = H each doubling computes
+        W = I + G_k H_k
+        A_{k+1} = A_k W^-1 A_k
+        G_{k+1} = G_k + A_k W^-1 G_k A_k^T
+        H_{k+1} = H_k + A_k^T H_k W^-1 A_k
+    and H_k converges quadratically to the stabilizing solution (Lin & Xu,
+    SIAM J. Matrix Anal. Appl. 28(1), 2006).  The H increment carries A_k
+    on both sides, so it vanishes with A_k instead of stalling at a
+    rounding floor.  Stops when A_k is exactly zero or the relative change
+    of H_k is at most machine epsilon; returns the solution and the
+    doubling count.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    change = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite iterates are rejected below
+        for k in range(1, _SDA_MAX_DOUBLINGS + 1):
+            if not np.any(A):
+                return H, k - 1
+            try:
+                W_inv_AG = np.linalg.solve(np.eye(A.shape[0]) + G @ H, np.hstack([A, G]))
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"{what}: doubling {k}: {exc}") from exc
+            W_inv_A, W_inv_G = np.hsplit(W_inv_AG, 2)
+            H_next = H + A.T @ H @ W_inv_A
+            H_next = 0.5 * (H_next + H_next.T)
+            G = G + A @ W_inv_G @ A.T
+            G = 0.5 * (G + G.T)
+            A = A @ W_inv_A
+            if not (np.all(np.isfinite(H_next)) and np.all(np.isfinite(G)) and np.all(np.isfinite(A))):
+                raise NumericalError(f"{what}: doubling {k} produced non-finite values")
+            change = np.linalg.norm(H_next - H) / max(np.linalg.norm(H_next), np.finfo(float).tiny)
+            H = H_next
+            if change <= np.finfo(float).eps:
+                return H, k
+    raise NumericalError(
+        f"{what}: no convergence after {_SDA_MAX_DOUBLINGS} doublings "
+        f"(last relative change {change:.3e})"
+    )
+
+
+def _solve_riccati(A, B, Q, R, what: str, stats: dict | None) -> np.ndarray:
+    """Stabilizing solution of the DARE (A, B, Q, R) by doubling from
+    G_0 = B R^-1 B^T and H_0 = Q, gated on a 1e-8 relative residual."""
+    B = _dense(B)
     Q = np.asarray(Q, dtype=float)
-    R_w = np.asarray(R_w, dtype=float)
-    diagonal = A.ndim == 1
-    P = Q.copy()
-    for _ in range(_DARE_MAX_ITER):
-        next_P = _dare_step(A, B, P, Q, R_w, diagonal)
-        next_P = 0.5 * (next_P + next_P.T)
-        if not np.all(np.isfinite(next_P)):
-            raise NumericalError("DARE iteration produced non-finite values")
-        change = np.linalg.norm(next_P - P) / max(np.linalg.norm(next_P), np.finfo(float).tiny)
-        P = next_P
-        if change < _DARE_TOL:
-            break
-    residual = dare_residual(A, B, P, Q, R_w)
-    if residual >= _DARE_RESIDUAL_TOL:
-        raise NumericalError(f"DARE residual {residual:.3e} exceeds {_DARE_RESIDUAL_TOL:.1e}")
-    return TerminalCost(P=P)
+    R = np.asarray(R, dtype=float)
+    G = B @ np.linalg.solve(R, B.T)
+    P, doublings = _doubling(_dense(A), 0.5 * (G + G.T), Q.copy(), what)
+    residual = dare_residual(A, B, P, Q, R)
+    if residual >= _RICCATI_RESIDUAL_TOL:
+        raise NumericalError(f"{what} residual {residual:.3e} exceeds {_RICCATI_RESIDUAL_TOL:.1e}")
+    if stats is not None:
+        stats["doublings"] = doublings
+        stats["residual"] = residual
+    return P
+
+
+def solve_dare(A, B, Q, R_w, *, stats: dict | None = None) -> TerminalCost:
+    """Terminal cost from the DARE, solved by doubling.
+
+    A and B may each be 1-D (diagonals) or dense.  The solution is
+    verified against a 1e-8 relative residual bound.  If `stats` is a
+    dict it receives the doubling count and the relative residual.
+    """
+    return TerminalCost(P=_solve_riccati(A, B, Q, R_w, "DARE", stats))
 
 
 def solve_dare_modal(a: float, b: float, q_hat_i: float, r_hat_i: float) -> float:
@@ -346,47 +379,6 @@ def setpoint_matrix(ss: StateSpace) -> SetpointMap:
 # Observer gain
 # ---------------------------------------------------------------------------
 
-def _riccati_predictor_step(ss: StateSpace, P, sigma_v, sigma_w, sigma_m):
-    """One filter-Riccati step on the delay-augmented system.
-
-    The augmented state is [x; z1..zmu; d] where z_i tracks x at delay i
-    and d holds the output disturbance (random-walk model).  F has a
-    diagonal A block, an identity shift chain, and identity on d, so
-    F P F^T reduces to row/column shuffles plus diagonal scaling.
-    """
-    n_u, n_y, mu = ss.n_u, ss.n_y, ss.mu
-    n = (mu + 1) * n_u + n_y
-    a = ss.A
-    d0 = (mu + 1) * n_u
-
-    def f_rows(Min):
-        out = np.empty_like(Min)
-        out[:n_u] = a[:, None] * Min[:n_u]
-        for i in range(mu):
-            out[(i + 1) * n_u : (i + 2) * n_u] = Min[i * n_u : (i + 1) * n_u]
-        out[d0:] = Min[d0:]
-        return out
-
-    FP = f_rows(P)
-    FPFt = f_rows(FP.T).T
-
-    # process noise: actuator states and disturbance drive only
-    Qn_diag = np.zeros(n)
-    Qn_diag[:n_u] = sigma_w ** 2
-    Qn_diag[d0:] = sigma_v ** 2
-
-    zmu = slice(mu * n_u, (mu + 1) * n_u)
-    HP = ss.C @ P[zmu] + P[d0:]                      # n_y x n
-    FPHt = FP[:, zmu] @ ss.C.T + FP[:, d0:]          # n x n_y
-    S_in = HP[:, zmu] @ ss.C.T + HP[:, d0:] + (sigma_m ** 2) * np.eye(n_y)
-    S_in = 0.5 * (S_in + S_in.T)
-    gain = np.linalg.solve(S_in, FPHt.T).T           # n x n_y 'FPHt S^-1'
-
-    P_next = FPFt - gain @ FPHt.T
-    P_next[np.diag_indices(n)] += Qn_diag
-    return 0.5 * (P_next + P_next.T), gain
-
-
 def _error_spectral_radius(ss: StateSpace, gain: PartitionedGain) -> float:
     """Spectral radius of the estimation-error transition F - L H."""
     n_u, n_y, mu = ss.n_u, ss.n_y, ss.mu
@@ -429,14 +421,30 @@ def kalman_gain(
     sigma_m: float = 1e-2,
     *,
     propagation_consistent: bool = True,
+    stats: dict | None = None,
 ) -> PartitionedGain:
     """Steady-state predictor gain for the delay-augmented plant.
 
-    Iterates the filter Riccati recursion until the covariance settles
-    (relative change < 1e-10), then partitions the gain.  By default the
-    z/x blocks are rebuilt from L_zmu so the fast partitioned observer
-    update is exact; pass propagation_consistent=False for the raw
-    Riccati blocks.  Raises if the error dynamics are not contractive.
+    The measurement y = C z_mu + d sees only the oldest delayed state
+    (x itself for mu = 0) and the disturbance, and the process noise that
+    has entered x since the sample z_mu holds is independent of every
+    measurement taken so far.  The optimal predictor of x and
+    z_1..z_(mu-1) is therefore the A^i-propagated predictor of z_mu, and
+    the filter Riccati equation is solved on the reduced state
+    s = [z_mu; d] only:
+        F = diag(A, I),  H = [C  I],
+        Q = diag(sigma_w^2 I, sigma_v^2 I),  R = sigma_m^2 I,
+    as the dual DARE (F^T = F, H^T) with the same doubling kernel and the
+    same 1e-8 relative residual gate as solve_dare.  The predictor gain
+    K = F P H^T (H P H^T + R)^-1 gives L_zmu and L_d; L_x and
+    L_z1..L_z(mu-1) come from PartitionedGain.propagation_consistent.
+
+    The optimal gain already has the propagation-consistent structure, so
+    propagation_consistent=False returns the same blocks as the default;
+    it stays for callers of the dense observer update.  If `stats` is a
+    dict it receives the doubling count and the relative residual.
+    Raises if the error dynamics of the full augmented loop are not
+    contractive.
     """
     if sigma_m <= 0.0:
         raise ConfigError("measurement noise sigma_m must be positive")
@@ -444,23 +452,16 @@ def kalman_gain(
         raise ConfigError("disturbance drive sigma_v must be positive")
     if sigma_w < 0.0:
         raise ConfigError("process noise sigma_w must be non-negative")
-    n_u, n_y, mu = ss.n_u, ss.n_y, ss.mu
-    n = (mu + 1) * n_u + n_y
-    P = np.eye(n)
-    gain_mat = None
-    for _ in range(_KALMAN_MAX_ITER):
-        P_next, gain_mat = _riccati_predictor_step(ss, P, sigma_v, sigma_w, sigma_m)
-        if not np.all(np.isfinite(P_next)):
-            raise NumericalError("observer Riccati iteration diverged")
-        change = np.linalg.norm(P_next - P) / max(np.linalg.norm(P_next), np.finfo(float).tiny)
-        P = P_next
-        if change < _KALMAN_TOL:
-            break
-    else:
-        raise NumericalError("observer Riccati iteration did not settle")
-    gain = PartitionedGain.from_full(gain_mat, n_u, n_y, mu)
-    if propagation_consistent:
-        gain = gain.propagation_consistent(ss.A)
+    n_u, n_y = ss.n_u, ss.n_y
+    f = np.concatenate([ss.A, np.ones(n_y)])
+    H = np.hstack([ss.C, np.eye(n_y)])
+    Qn = np.diag(np.concatenate([np.full(n_u, sigma_w ** 2), np.full(n_y, sigma_v ** 2)]))
+    Rn = (sigma_m ** 2) * np.eye(n_y)
+    P = _solve_riccati(f, H.T, Qn, Rn, "observer Riccati", stats)
+    S = H @ P @ H.T + Rn
+    K = np.linalg.solve(0.5 * (S + S.T), (H @ P) * f).T
+    L_zmu, L_d = K[:n_u], K[n_u:]
+    gain = PartitionedGain(L_x=L_zmu, L_z=(L_zmu,) * ss.mu, L_d=L_d).propagation_consistent(ss.A)
     rho = _error_spectral_radius(ss, gain)
     if rho >= 1.0:
         raise NumericalError(f"estimation-error spectral radius {rho:.6f} >= 1")

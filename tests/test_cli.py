@@ -234,3 +234,103 @@ class TestConfigValidation:
         ctrl = bundle.mpc_controller(i_max=5)
         u = ctrl.step(np.zeros(bundle.ss.n_y))
         assert u.shape == (bundle.ss.n_u,)
+
+
+class TestConfigKeys:
+    def test_misspelled_key_names_the_closest_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, extra="horizn = 2\n")
+        assert main(["design", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "'horizn'" in err and "did you mean 'horizon'" in err
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_unrelated_key_rejected_without_suggestion(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, extra="zzz = 1\n")
+        assert main(["design", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "'zzz'" in err and "did you mean" not in err
+
+
+def strip_fingerprint(bundle_dir):
+    meta = Path(bundle_dir, "meta.txt")
+    lines = meta.read_text().splitlines(keepends=True)
+    meta.write_text("".join(line for line in lines if not line.startswith("design_fingerprint")))
+
+
+class TestDesignFingerprint:
+    def test_bench_redesigns_when_the_design_inputs_change(self, tmp_path, capsys):
+        out = str(tmp_path / "bench")
+        bundle_dir = os.path.join(out, "bundle")
+        cfg = write_config(tmp_path)
+        assert main(["bench", "--config", cfg, "--out", out]) == 0
+        assert "design bundle written" in capsys.readouterr().out
+        assert main(["bench", "--config", cfg, "--out", out]) == 0
+        assert "reusing the design bundle" in capsys.readouterr().out
+        # same shape (n_y, n_u, mu, N), other weights: the old bundle is stale
+        cfg_imc = write_config(tmp_path, extra="weights = imc_matched\n")
+        assert main(["bench", "--config", cfg_imc, "--out", out]) == 0
+        assert "design bundle written" in capsys.readouterr().out
+        assert read_kv(os.path.join(bundle_dir, "meta.txt"))["weights_mode"] == "imc_matched"
+        with open(os.path.join(out, "timing.csv")) as fh:
+            header = fh.read()
+        assert read_kv(os.path.join(bundle_dir, "meta.txt"))["design_fingerprint"] in header
+
+    def test_bench_redesigns_a_bundle_without_fingerprint(self, tmp_path, capsys):
+        out = str(tmp_path / "bench")
+        bundle_dir = os.path.join(out, "bundle")
+        cfg = write_config(tmp_path)
+        assert main(["bench", "--config", cfg, "--out", out]) == 0
+        strip_fingerprint(bundle_dir)
+        capsys.readouterr()
+        assert main(["bench", "--config", cfg, "--out", out]) == 0
+        assert "design bundle written" in capsys.readouterr().out
+        assert "design_fingerprint" in read_kv(os.path.join(bundle_dir, "meta.txt"))
+
+    def test_check_fails_on_other_design_inputs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = str(tmp_path / "out")
+        main(["design", "--config", cfg, "--out", out])
+        cfg2 = write_config(tmp_path, extra="sigma_v = 0.5\n")
+        capsys.readouterr()
+        assert main(["check", "--config", cfg2, "--bundle", out]) == 3
+        assert "[FAIL] design_fingerprint" in capsys.readouterr().out
+
+    def test_check_fails_without_fingerprint(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = str(tmp_path / "out")
+        main(["design", "--config", cfg, "--out", out])
+        strip_fingerprint(out)
+        capsys.readouterr()
+        assert main(["check", "--config", cfg, "--bundle", out]) == 3
+        assert "no design fingerprint" in capsys.readouterr().out
+
+
+class TestDesignDiagnostics:
+    def test_riccati_doublings_and_residuals_recorded(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = str(tmp_path / "out")
+        assert main(["design", "--config", cfg, "--out", out]) == 0
+        meta = read_kv(os.path.join(out, "meta.txt"))
+        report = dict(line.split(" = ", 1)
+                      for line in Path(out, "report.txt").read_text().splitlines() if " = " in line)
+        for solve in ("dare", "kalman"):
+            assert 1 <= int(meta[f"{solve}_doublings"]) <= 64
+            assert float(meta[f"{solve}_residual"]) < 1e-8
+            assert report[f"{solve}_doublings"] == meta[f"{solve}_doublings"]
+        assert float(report["kalman_residual"]) == float(meta["kalman_residual"])
+
+    def test_i_max_below_bound_noticed(self, tmp_path, capsys):
+        # 8x8, N = 2: the design's bound is above the usual budget of 20
+        body = BASE_CONFIG.replace("synthetic_n_y = 5", "synthetic_n_y = 8") \
+                          .replace("synthetic_n_u = 5", "synthetic_n_u = 8") \
+                          .replace("synthetic_kappa = 100", "synthetic_kappa = 1e4") \
+                          .replace("horizon = 1", "horizon = 2")
+        for command in ("design", "simulate", "bench"):
+            cfg = write_config(tmp_path, body=body, extra="i_max = 1\n")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+            notices = [line for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("notice:")]
+            assert len(notices) == 1 and "i_max = 1 is below" in notices[0], command
+        cfg = write_config(tmp_path, body=body, extra="i_max = 100000\n")
+        assert main(["design", "--config", cfg, "--out", str(tmp_path / "ample")]) == 0
+        assert "notice:" not in capsys.readouterr().out

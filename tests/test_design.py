@@ -19,6 +19,7 @@ from orbitmpc import (
     setpoint_matrix,
     solve_dare,
     solve_dare_modal,
+    synthetic_plant,
 )
 from orbitmpc.design import _match_gain, dare_residual
 from orbitmpc.model import StateSpace
@@ -253,6 +254,53 @@ class TestKalmanGain:
         ss = build_state_space(small_plant)
         with pytest.raises(ConfigError):
             kalman_gain(ss, sigma_m=0.0)
+
+
+class TestRiccatiDoubling:
+    def test_unit_circle_pole_hits_the_doubling_cap(self):
+        # X = X + 1 has no solution: H_k doubles forever at relative change 1/2
+        with pytest.raises(NumericalError, match=r"DARE: no convergence after 64 doublings "
+                                                 r"\(last relative change 5\.000e-01\)"):
+            solve_dare(np.array([1.0]), np.array([0.0]), np.array([[1.0]]), np.array([[1.0]]))
+
+    def test_unstable_uncontrollable_rejected_as_non_finite(self):
+        with pytest.raises(NumericalError, match="DARE: doubling .* non-finite"):
+            solve_dare(np.array([2.0]), np.array([0.0]), np.array([[1.0]]), np.array([[1.0]]))
+
+    def test_stats_report_doublings_and_residual(self, small_plant):
+        ss = build_state_space(small_plant)
+        w = design_weights_saturated(modal_decompose(ss.C), 0.01, 1.0)
+        dare, kalman = {}, {}
+        solve_dare(ss.A, ss.B, w.Q, w.R_w, stats=dare)
+        kalman_gain(ss, sigma_v=1e-6, stats=kalman)
+        for stats in (dare, kalman):
+            assert 1 <= stats["doublings"] <= 64
+            assert 0.0 <= stats["residual"] < 1e-8
+
+    def test_zero_a_needs_no_doubling(self):
+        stats = {}
+        solve_dare(np.zeros(3), np.full(3, 0.5), np.eye(3), np.eye(3), stats=stats)
+        assert stats["doublings"] == 0
+
+
+class TestReducedKalmanGain:
+    # The dense oracle contracts at the rate of the slowest estimator pole,
+    # about 1 - sigma_v / sigma_m; sigma_m = 1e-3 lets it reach a 1e-14
+    # relative step within a second even at sigma_v = 1e-6.
+    SIGMA_W, SIGMA_M = 1e-4, 1e-3
+
+    @pytest.mark.parametrize("sigma_v", [1.0, 1e-6])
+    @pytest.mark.parametrize("mu", [0, 1, 2, 4])
+    def test_matches_augmented_oracle(self, mu, sigma_v):
+        # the reduced [z_mu; d] solve plus the A^i propagation must give the
+        # optimal gain of the full [x; z1..zmu; d] system: the optimal gain
+        # already has the propagation-consistent structure
+        plant = synthetic_plant(5, 5, 100.0, seed=10 + mu, mu=mu)
+        ss = build_state_space(plant)
+        gain = kalman_gain(ss, sigma_v=sigma_v, sigma_w=self.SIGMA_W, sigma_m=self.SIGMA_M)
+        L_ref, _, _ = kalman_predictor_gain_dense(ss.A, ss.C, mu, sigma_v, self.SIGMA_W,
+                                                  self.SIGMA_M, tol=1e-14)
+        assert np.max(np.abs(gain.full - L_ref)) <= 1e-8 * np.max(np.abs(L_ref))
 
 
 class TestConditionNumber:
