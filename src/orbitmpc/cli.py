@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bundle as bundle_mod
 from . import design, fgm, fileio, sim
-from .errors import ConfigError, DimensionError, OrbitMpcError
+from .errors import ConfigError, OrbitMpcError
 from .model import PlantConfig, load_plant_config, synthetic_plant
 
 BENCH_STAGES = fgm.SOLVE_STAGES
@@ -57,7 +57,6 @@ class RunConfig:
     output_dir: str
     imc_bandwidth_hz: float
     bench_cycles: int
-    mu_declared: int
     observer_dump: bool
 
 
@@ -157,7 +156,6 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
         output_dir=out_override or fileio.kv_get(pairs, "output_dir", str, default="out"),
         imc_bandwidth_hz=fileio.kv_get(pairs, "imc_bandwidth_hz", float, default=200.0),
         bench_cycles=fileio.kv_get(pairs, "bench_cycles", int, default=1000),
-        mu_declared=plant.mu,
         observer_dump=bool(fileio.kv_get(pairs, "observer_dump", int, default=0)),
     )
 
@@ -205,7 +203,8 @@ def cmd_design(cfg: RunConfig) -> int:
     return 0
 
 
-def _write_trace(path, trace: sim.SimTrace, seed: int) -> None:
+def _write_trace(path, trace: sim.SimTrace, seed: int, provenance: dict) -> None:
+    """Closed-loop trace, with the `provenance` keys after the standard header keys."""
     T, n_y = trace.y.shape
     n_u = trace.u.shape[1]
     cols = (["step"] + [f"y{i}" for i in range(n_y)] + [f"u{i}" for i in range(n_u)]
@@ -215,6 +214,7 @@ def _write_trace(path, trace: sim.SimTrace, seed: int) -> None:
         "schema_version": bundle_mod.SCHEMA_VERSION,
         "seed": seed,
         "columns": ",".join(cols),
+        **provenance,
     })
 
 
@@ -233,7 +233,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
         mpc_ctrls[n] = bundles[n].mpc_controller(cfg.i_max, cfg.n_workers)
         runs[f"mpc_n{n}"] = sim.simulate(cfg.plant, mpc_ctrls[n], cfg.dist, cfg.T)
 
-    _write_trace(os.path.join(cfg.output_dir, "trace.csv"), runs[f"mpc_n{cfg.horizon}"], cfg.seed)
+    _write_trace(os.path.join(cfg.output_dir, "trace.csv"), runs[f"mpc_n{cfg.horizon}"], cfg.seed, {
+        "i_max": cfg.i_max,
+        "i_max_bound": bundles[cfg.horizon].i_max_bound,
+        "design_fingerprint": bundles[cfg.horizon].meta["design_fingerprint"],
+    })
     if cfg.observer_dump:
         mpc_ctrls[cfg.horizon].observer.to_csv(os.path.join(cfg.output_dir, "observer_state.csv"))
 
@@ -248,6 +252,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "columns": "freq_hz,ibm_off,ibm_imc,ibm_imc_constr,ibm_mpc_n1,ibm_mpc_n2",
         "normalization": "sinusoid amplitude A integrates to A/sqrt(2) (RMS)",
+        "i_max": cfg.i_max,
+        "i_max_bound_n1": bundles[1].i_max_bound,
+        "i_max_bound_n2": bundles[2].i_max_bound,
     })
     print(f"trace.csv and ibm.csv written to {cfg.output_dir}")
     return 0
@@ -323,10 +330,10 @@ def cmd_check(cfg: RunConfig, bundle_dir=None) -> int:
     else:
         detail = f"design inputs match the config ({want[:12]})"
     results.append(bundle_mod.CheckResult("design_fingerprint", have == want, detail))
-    if b.plant.mu != cfg.mu_declared:
+    if b.plant.mu != cfg.plant.mu:
         results.append(bundle_mod.CheckResult(
             "mu_consistency", False,
-            f"config declares mu={cfg.mu_declared}, bundle has mu={b.plant.mu}"))
+            f"config declares mu={cfg.plant.mu}, bundle has mu={b.plant.mu}"))
     else:
         results.append(bundle_mod.CheckResult("mu_consistency", True,
                                               f"mu={b.plant.mu} matches"))
@@ -383,12 +390,6 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return cmd_bench(cfg)
         return cmd_check(cfg, bundle_dir=getattr(args, "bundle", None))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except DimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
     except OrbitMpcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -420,7 +420,6 @@ def kalman_gain(
     sigma_w: float = 1e-4,
     sigma_m: float = 1e-2,
     *,
-    propagation_consistent: bool = True,
     stats: dict | None = None,
 ) -> PartitionedGain:
     """Steady-state predictor gain for the delay-augmented plant.
@@ -439,12 +438,9 @@ def kalman_gain(
     K = F P H^T (H P H^T + R)^-1 gives L_zmu and L_d; L_x and
     L_z1..L_z(mu-1) come from PartitionedGain.propagation_consistent.
 
-    The optimal gain already has the propagation-consistent structure, so
-    propagation_consistent=False returns the same blocks as the default;
-    it stays for callers of the dense observer update.  If `stats` is a
-    dict it receives the doubling count and the relative residual.
-    Raises if the error dynamics of the full augmented loop are not
-    contractive.
+    If `stats` is a dict it receives the doubling count and the relative
+    residual.  Raises if the error dynamics of the full augmented loop are
+    not contractive.
     """
     if sigma_m <= 0.0:
         raise ConfigError("measurement noise sigma_m must be positive")

@@ -15,7 +15,9 @@ columns zero-padded to a multiple of four); every call allocates its own
 scratch, so concurrent solves on one QP do not interfere.
 
 The gradient step is the dominant cost and is the one parallelized
-operation: rows of W are sliced across a persistent worker pool.  Per-row
+operation: rows of W are sliced across the threads of a standard
+`concurrent.futures` thread pool, one per worker count, which every solve
+in the process shares and which is safe for concurrent solves.  Per-row
 arithmetic follows a frozen accumulation order (products summed in 4-wide
 groups left to right, group sums accumulated left to right), and every
 array operation involved treats rows independently, so the parallel
@@ -24,7 +26,7 @@ result is bit-identical to the serial reference for any worker count.
 
 from __future__ import annotations
 
-import atexit
+import concurrent.futures
 import dataclasses
 import threading
 import time
@@ -127,56 +129,34 @@ def _row_product(w: np.ndarray, v_padded: np.ndarray, q_scaled: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class WorkerPool:
-    """Persistent manager-worker thread pool with barrier handoff.
+    """One task per worker index on a standard thread pool.
 
-    A dispatch barrier releases the workers onto the current task and a
-    gather barrier blocks the manager until every worker is done; no
-    worker output is visible before the gather completes.
+    `run(task)` calls task(i) for every i in range(n_workers) and returns
+    only when all of them have finished, so no worker is still writing
+    when it returns or raises.  The executor is safe to share: concurrent
+    callers queue their tasks on the same threads.
     """
 
     def __init__(self, n_workers: int):
         self.n_workers = n_workers
-        self._dispatch = threading.Barrier(n_workers + 1)
-        self._gather = threading.Barrier(n_workers + 1)
-        self._task = None
-        self._errors: list[BaseException | None] = [None] * n_workers
-        self._closed = False
-        self._threads = [
-            threading.Thread(target=self._worker, args=(i,), daemon=True, name=f"fgm-worker-{i}")
-            for i in range(n_workers)
-        ]
-        for t in self._threads:
-            t.start()
-
-    def _worker(self, index: int) -> None:
-        while True:
-            self._dispatch.wait()
-            if self._closed:
-                return
-            try:
-                self._task(index)
-            except BaseException as exc:  # propagated to the manager
-                self._errors[index] = exc
-            self._gather.wait()
+        self._executor = concurrent.futures.ThreadPoolExecutor(
+            n_workers, thread_name_prefix="fgm-worker")
 
     def run(self, task) -> None:
-        if self._closed:
-            raise NumericalError("worker pool is closed")
-        self._errors = [None] * self.n_workers
-        self._task = task
-        self._dispatch.wait()
-        self._gather.wait()
-        for exc in self._errors:
+        futures = []
+        try:
+            for index in range(self.n_workers):
+                futures.append(self._executor.submit(task, index))
+        except RuntimeError as exc:  # submit after close
+            concurrent.futures.wait(futures)
+            raise NumericalError("worker pool is closed") from exc
+        errors = [future.exception() for future in futures]  # waits for every worker
+        for exc in errors:
             if exc is not None:
                 raise NumericalError(f"worker failed: {exc!r}") from exc
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._dispatch.wait()
-        for t in self._threads:
-            t.join(timeout=5.0)
+        self._executor.shutdown()
 
 
 _pools: dict[int, WorkerPool] = {}
@@ -198,9 +178,6 @@ def shutdown_pools() -> None:
         for pool in _pools.values():
             pool.close()
         _pools.clear()
-
-
-atexit.register(shutdown_pools)
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,19 @@ class ObserverState:
     z_hat: np.ndarray          # (mu, n_u); row i holds the estimate of x delayed i+1 samples
     d_hat: np.ndarray
     A_powers: np.ndarray       # (mu + 1, n_u); row k is the diagonal of A^k
+    gain_deviation: float      # gain's deviation from the A^i propagation, over 1 + max|L_zmu|
 
     @classmethod
     def initial(cls, ss: StateSpace, gain: PartitionedGain) -> "ObserverState":
-        """Cold start from a quiescent beam: all estimates zero."""
+        """Cold start from a quiescent beam: all estimates zero.
+
+        The gain's propagation-consistency deviation is measured here, once
+        per observer, because the gain is immutable.
+        """
         if gain.mu != ss.mu:
             raise DimensionError(f"gain has {gain.mu} delay blocks, plant has {ss.mu}")
         powers = np.vstack([ss.a_power(k) for k in range(ss.mu + 1)])
+        scale = (1.0 + float(np.max(np.abs(gain.L_z[-1])))) if ss.mu else 1.0
         return cls(
             ss=ss,
             gain=gain,
@@ -48,6 +54,7 @@ class ObserverState:
             z_hat=np.zeros((ss.mu, ss.n_u)),
             d_hat=np.zeros(ss.n_y),
             A_powers=powers,
+            gain_deviation=gain.consistency_error(ss.A) / scale,
         )
 
     @property
@@ -93,7 +100,8 @@ def update_fast(st: ObserverState, u_k: np.ndarray, y_k: np.ndarray) -> Observer
 
     Requires the gain to carry the propagation-consistent structure
     L_zi = A^(mu-i) L_zmu, L_x = A^mu L_zmu; rejects gains that deviate
-    beyond 1e-8 since the two paths would then silently disagree.
+    beyond 1e-8 (1 + max|L_zmu|), measured by `ObserverState.initial`,
+    since the two paths would then silently disagree.
     """
     ss = st.ss
     mu, n_u = ss.mu, ss.n_u
@@ -102,16 +110,11 @@ def update_fast(st: ObserverState, u_k: np.ndarray, y_k: np.ndarray) -> Observer
         x_new = ss.A * st.x_hat + ss.B * u_k + st.gain.L_x @ inn
         d_new = st.d_hat + st.gain.L_d @ inn
         return st._replace(x_new, st.z_hat, d_new)
-    if not st.gain.__dict__.get("_fast_validated"):
-        # gains are immutable; validate the structure once, not per sample
-        scale = 1.0 + float(np.max(np.abs(st.gain.L_z[-1])))
-        err = st.gain.consistency_error(ss.A)
-        if err > 1e-8 * scale:
-            raise ConfigError(
-                f"gain is not propagation-consistent (deviation {err:.3e}); "
-                "build it with PartitionedGain.propagation_consistent"
-            )
-        st.gain.__dict__["_fast_validated"] = True
+    if st.gain_deviation > 1e-8:
+        raise ConfigError(
+            f"gain is not propagation-consistent (relative deviation {st.gain_deviation:.3e}); "
+            "build it with PartitionedGain.propagation_consistent"
+        )
     dy = st.gain.L_z[-1] @ inn                      # innovation mapped into state units
     d_new = st.d_hat + st.gain.L_d @ inn
     shifted = np.vstack([st.x_hat, st.z_hat[:-1]])

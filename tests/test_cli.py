@@ -114,6 +114,33 @@ class TestSimulateCommand:
             header = fh.readline() + fh.readline() + fh.readline() + fh.readline()
         assert "ibm_mpc_n1" in header and "ibm_mpc_n2" in header
 
+    def test_output_headers_record_budget_and_design(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = str(tmp_path / "sim")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
+        bundles = {}
+        for n in (1, 2):
+            cfg_n = tmp_path / f"horizon{n}.cfg"
+            cfg_n.write_text(BASE_CONFIG + f"horizon = {n}\n")  # the later key wins
+            assert main(["design", "--config", str(cfg_n), "--out", str(tmp_path / f"b{n}")]) == 0
+            bundles[n] = load_bundle(str(tmp_path / f"b{n}"))
+
+        def header(name):
+            with open(os.path.join(out, name)) as fh:
+                lines = [line[1:].strip() for line in fh if line.startswith("#")]
+            return [tuple(line.split("=", 1)) for line in lines]
+
+        trace = header("trace.csv")
+        assert [key for key, _ in trace[:3]] == ["schema_version", "seed", "columns"]
+        assert trace[3:] == [("i_max", "15"),
+                             ("i_max_bound", str(bundles[1].i_max_bound)),
+                             ("design_fingerprint", bundles[1].meta["design_fingerprint"])]
+        ibm = header("ibm.csv")
+        assert [key for key, _ in ibm[:4]] == ["schema_version", "seed", "columns", "normalization"]
+        assert ibm[4:] == [("i_max", "15"),
+                           ("i_max_bound_n1", str(bundles[1].i_max_bound)),
+                           ("i_max_bound_n2", str(bundles[2].i_max_bound))]
+
     def test_observer_dump_flag(self, tmp_path):
         cfg = write_config(tmp_path, extra="observer_dump = 1\n")
         out = str(tmp_path / "sim")

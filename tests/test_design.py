@@ -232,8 +232,7 @@ class TestKalmanGain:
 
     def test_scalar_plant_matches_dense_recursion(self):
         ss = StateSpace(A=np.array([0.6]), B=np.array([0.4]), C=np.array([[2.0]]), mu=1)
-        gain = kalman_gain(ss, sigma_v=0.5, sigma_w=1e-3, sigma_m=0.1,
-                           propagation_consistent=False)
+        gain = kalman_gain(ss, sigma_v=0.5, sigma_w=1e-3, sigma_m=0.1)
         L_ref, _, _ = kalman_predictor_gain_dense(ss.A, ss.C, ss.mu, 0.5, 1e-3, 0.1)
         assert np.allclose(gain.full, L_ref, atol=1e-8)
 
@@ -246,7 +245,7 @@ class TestKalmanGain:
     def test_riccati_gain_is_propagation_consistent(self, small_plant):
         # the optimal predictor gain already carries the A^i structure
         ss = build_state_space(small_plant)
-        raw = kalman_gain(ss, propagation_consistent=False)
+        raw = kalman_gain(ss)
         scale = np.max(np.abs(raw.L_z[-1]))
         assert raw.consistency_error(ss.A) < 1e-6 * scale
 

@@ -253,6 +253,37 @@ class TestSolve:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_concurrent_parallel_solves_on_one_qp(self, rng):
+        # two threads share one QP and the process-wide 2-worker pool
+        n_u = 40
+        qp = qp_from_matrix(random_spd(rng, 2 * n_u), N=2)
+        csets = [ConstraintSet(alpha=np.ones(n_u), rho=np.full(n_u, 0.2),
+                               u_prev=rng.uniform(-0.5, 0.5, n_u), N=2) for _ in range(2)]
+        qs = [rng.standard_normal(2 * n_u) * 3 for _ in range(2)]
+        refs = [solve(qp, q, c, np.zeros(2 * n_u), i_max=300) for q, c in zip(qs, csets)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                start = threading.Barrier(2)
+                got = [None, None]
+
+                def run(k):
+                    start.wait(timeout=10.0)
+                    got[k] = solve(qp, qs[k], csets[k], np.zeros(2 * n_u), i_max=300, n_workers=2)
+
+                # daemon threads joined with a timeout: a wedged pool fails, not hangs
+                threads = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(2)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60.0)
+                assert not any(th.is_alive() for th in threads)
+                for k in range(2):
+                    assert got[k] is not None and np.array_equal(got[k], refs[k])
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestConvergedIterations:
     def test_warm_at_optimum_converges_immediately(self, rng):

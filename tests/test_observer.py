@@ -96,6 +96,16 @@ class TestUpdateFast:
         with pytest.raises(ConfigError, match="propagation-consistent"):
             update_fast(st, np.zeros(ss.n_u), np.zeros(ss.n_y))
 
+    def test_gain_left_untouched(self, stack, rng):
+        # the frozen gain carries no cache written by the fast update
+        ss, gain = stack
+        before = dict(gain.__dict__)
+        st = ObserverState.initial(ss, gain)
+        for _ in range(3):
+            st = update_fast(st, rng.standard_normal(ss.n_u), rng.standard_normal(ss.n_y))
+        assert gain.__dict__.keys() == before.keys()
+        assert all(gain.__dict__[key] is value for key, value in before.items())
+
     def test_constant_disturbance_estimate_converges(self, stack, rng):
         ss, gain = stack
         d_true = rng.standard_normal(ss.n_y)
