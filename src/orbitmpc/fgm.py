@@ -11,17 +11,25 @@ and returns the final projected iterate.  One iteration kernel serves the
 fixed-budget `solve` and the stopping rule of `converged_iterations`.
 
 The step matrix W = I - J / lambda_max lives on `CondensedQP` (built once,
-columns zero-padded to a multiple of four); every call allocates its own
-scratch, so concurrent solves on one QP do not interfere.
+rows zero-padded to a multiple of ROW_BLOCK = 4); every call allocates its
+own scratch, so concurrent solves on one QP do not interfere.
 
-The gradient step is the dominant cost and is the one parallelized
-operation: rows of W are sliced across the threads of a standard
-`concurrent.futures` thread pool, one per worker count, which every solve
-in the process shares and which is safe for concurrent solves.  Per-row
-arithmetic follows a frozen accumulation order (products summed in 4-wide
-groups left to right, group sums accumulated left to right), and every
-array operation involved treats rows independently, so the parallel
-result is bit-identical to the serial reference for any worker count.
+The gradient step is the one parallelized operation.  Each block of rows
+is one BLAS gemv, `np.dot(W[start:end4], v)` with `end4` the slice end
+rounded up to ROW_BLOCK, then an in-place shift by q / lambda_max.  Worker
+slices start on multiples of ROW_BLOCK, so every row runs through the same
+4-row gemv kernel path as in the full product and the sliced result is
+bit-identical to the serial one.  That is a property of the BLAS build,
+not a guarantee: with OpenBLAS running its own threads (2 on a 2-core
+host), the full gemv at 700 or 1000 rows splits its rows differently and
+4-aligned slices differ from it.  So every solve or `gradient_step_parallel`
+call with more than one worker first compares its slices with the full
+product on the actual W, and on a mismatch raises `NumericalError` naming
+the BLAS and the first differing slice; it never falls back silently.
+
+The slices run on a standard `concurrent.futures` thread pool, one per
+worker count, which every solve in the process shares and which is safe
+for concurrent solves.
 """
 
 from __future__ import annotations
@@ -34,11 +42,10 @@ import time
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericalError
-from .qp import MATVEC_GROUP, CondensedQP, ConstraintSet
+from .qp import ROW_BLOCK, CondensedQP, ConstraintSet
 
 DEFAULT_I_MAX = 20
 CONVERGENCE_CAP = 100_000
-ALIGNMENT_ROWS = 4
 
 SOLVE_STAGES = ("observer", "q_update", "set_update", "gradient", "projection", "momentum")
 
@@ -67,7 +74,7 @@ class WorkerPlan:
         return start + count
 
 
-def make_worker_plan(rows: int, n_workers: int, alignment_rows: int = ALIGNMENT_ROWS) -> WorkerPlan:
+def make_worker_plan(rows: int, n_workers: int, alignment_rows: int = ROW_BLOCK) -> WorkerPlan:
     """Near-equal slices whose lengths are multiples of the alignment unit.
 
     Each slice takes ceil(remaining / workers_left) rounded up to the
@@ -91,35 +98,24 @@ def make_worker_plan(rows: int, n_workers: int, alignment_rows: int = ALIGNMENT_
 
 
 # ---------------------------------------------------------------------------
-# Frozen-order row product
+# Row-block product
 # ---------------------------------------------------------------------------
 
-def _row_product(w: np.ndarray, v_padded: np.ndarray, q_scaled: np.ndarray,
-                 t: np.ndarray, start: int, stop: int):
-    """Callable writing t[start:stop] = (W v - q / lambda_max)[start:stop].
+def _row_product(w: np.ndarray, v: np.ndarray, q_scaled: np.ndarray,
+                 t_pad: np.ndarray, start: int, stop: int):
+    """Callable writing t_pad[start:stop] = (W v - q / lambda_max)[start:stop].
 
-    For each row the elementwise products are reduced as
-    ``((p0 + p1) + p2) + p3`` within each 4-group of (zero-padded)
-    columns, then group sums are accumulated left to right.  No step mixes
-    rows, so any row range reproduces the full computation bit for bit.
-    The views and scratch are made here, once, and reused by every call.
+    One gemv over rows start..end4 of the row-padded W, end4 being stop
+    rounded up to ROW_BLOCK (the padding rows of t_pad receive zeros),
+    then the shift in place.  `start` must be a multiple of ROW_BLOCK.
     """
-    rows = slice(start, stop)
-    w = w[rows]
-    prod = np.empty_like(w)
-    # flat strided views: 1-d ufunc calls cost less than 2-d ones
-    p0, p1, p2, p3 = (prod.reshape(-1)[k::MATVEC_GROUP] for k in range(MATVEC_GROUP))
-    gsum = np.empty((w.shape[0], w.shape[1] // MATVEC_GROUP))
-    cum = np.empty_like(gsum)
-    gsum_flat, last, q_rows, t_rows = gsum.reshape(-1), cum[:, -1], q_scaled[rows], t[rows]
+    end4 = stop + (-stop) % ROW_BLOCK if stop > start else stop
+    w_rows, t_rows = w[start:end4], t_pad[start:end4]
+    q_rows, t_out = q_scaled[start:stop], t_pad[start:stop]
 
     def apply() -> None:
-        np.multiply(w, v_padded, out=prod)
-        np.add(p0, p1, out=gsum_flat)
-        np.add(gsum_flat, p2, out=gsum_flat)
-        np.add(gsum_flat, p3, out=gsum_flat)
-        np.add.accumulate(gsum, axis=1, out=cum)
-        np.subtract(last, q_rows, out=t_rows)
+        np.dot(w_rows, v, out=t_rows)
+        np.subtract(t_out, q_rows, out=t_out)
 
     return apply
 
@@ -190,11 +186,45 @@ def _check_solve_inputs(qp: CondensedQP, v: np.ndarray) -> None:
         raise DimensionError(f"iterate shape {v.shape} != {(n,)}")
 
 
-def _gradient(qp: CondensedQP, v_padded: np.ndarray, q_scaled: np.ndarray,
-              t: np.ndarray, plan: WorkerPlan):
-    """Callable writing the gradient step for the iterate in v_padded into
-    t, one plan slice per worker of the shared pool (serial for one)."""
-    parts = [_row_product(qp.W, v_padded, q_scaled, t, start, start + count)
+def _blas_name() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy without a machine-readable config
+        return "unknown"
+    return f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
+
+
+def _check_slices(qp: CondensedQP, v: np.ndarray, q_scaled: np.ndarray,
+                  t_pad: np.ndarray, gradient, plan: WorkerPlan) -> None:
+    """Run the sliced `gradient` once and compare it with the full product
+    on qp.W.
+
+    Bit identity of row-block gemv slices is a property of the BLAS build
+    and its threading, so it is checked on the actual W rather than
+    assumed; a mismatch raises instead of falling back to serial.
+    """
+    full = np.empty_like(t_pad)
+    _row_product(qp.W, v, q_scaled, full, 0, v.shape[0])()
+    gradient()
+    for start, count in plan.row_slices:
+        rows = slice(start, start + count)
+        if not np.array_equal(t_pad[rows], full[rows], equal_nan=True):
+            raise NumericalError(
+                f"{plan.n_workers}-worker gradient: rows {start}:{start + count} of "
+                f"{v.shape[0]} differ from the full product under BLAS {_blas_name()}; "
+                "run with n_workers = 1, or single-threaded BLAS (OPENBLAS_NUM_THREADS=1)")
+
+
+def _gradient(qp: CondensedQP, v: np.ndarray, q_scaled: np.ndarray,
+              t_pad: np.ndarray, plan: WorkerPlan):
+    """Callable writing the gradient step for the iterate v into t_pad, one
+    plan slice per worker of the shared pool (serial for one).  A plan with
+    more than one worker is checked against the full product first."""
+    for start, count in plan.row_slices:
+        if count and start % ROW_BLOCK:
+            raise ConfigError(f"worker slice at row {start} does not start on a "
+                              f"multiple of {ROW_BLOCK} rows")
+    parts = [_row_product(qp.W, v, q_scaled, t_pad, start, start + count)
              for start, count in plan.row_slices]
     if plan.n_workers == 1:
         return parts[0]
@@ -203,14 +233,11 @@ def _gradient(qp: CondensedQP, v_padded: np.ndarray, q_scaled: np.ndarray,
     def task(index: int) -> None:
         parts[index]()
 
-    return lambda: pool.run(task)
+    def gradient() -> None:
+        pool.run(task)
 
-
-def _padded(qp: CondensedQP, v: np.ndarray) -> np.ndarray:
-    """Zero-padded copy of v matching the columns of qp.W."""
-    v_padded = np.zeros(qp.W.shape[1])
-    v_padded[: v.shape[0]] = v
-    return v_padded
+    _check_slices(qp, v, q_scaled, t_pad, gradient, plan)
+    return gradient
 
 
 def gradient_step(qp: CondensedQP, v: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -219,13 +246,15 @@ def gradient_step(qp: CondensedQP, v: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def gradient_step_parallel(qp: CondensedQP, v: np.ndarray, q: np.ndarray, plan: WorkerPlan) -> np.ndarray:
-    """Row-sliced gradient step; bit-identical to the serial reference."""
+    """Row-sliced gradient step, bit-identical to the serial reference;
+    raises NumericalError where the BLAS breaks that (see _check_slices)."""
+    v = np.ascontiguousarray(v, dtype=float)
     _check_solve_inputs(qp, v)
     if plan.rows != v.shape[0]:
         raise DimensionError(f"plan covers {plan.rows} rows, matrix has {v.shape[0]}")
-    t = np.empty(v.shape[0])
-    _gradient(qp, _padded(qp, v), q / qp.lambda_max, t, plan)()
-    return t
+    t_pad = np.empty(qp.W.shape[0])
+    _gradient(qp, v, q / qp.lambda_max, t_pad, plan)()
+    return t_pad[: v.shape[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +285,11 @@ def _iterate(qp: CondensedQP, q: np.ndarray, cset: ConstraintSet, warm: np.ndarr
         raise DimensionError("constraint set does not match the QP dimensions")
     _check_solve_inputs(qp, warm)
     p = cset.project(warm)
-    # the iterate v lives in the zero-padded vector the row product reads
-    v_padded = _padded(qp, p)
-    v = v_padded[:n]
-    t = np.empty(n)
-    gradient = _gradient(qp, v_padded, q / qp.lambda_max, t, make_worker_plan(n, n_workers))
+    v = np.array(p, dtype=float)
+    # t_pad matches the padded rows of W; the step itself is its first n rows
+    t_pad = np.empty(qp.W.shape[0])
+    t = t_pad[:n]
+    gradient = _gradient(qp, v, q / qp.lambda_max, t_pad, make_worker_plan(n, n_workers))
     beta, beta_1 = qp.beta, 1.0 + qp.beta
     beta_p = np.empty(n)
     for i in range(budget):

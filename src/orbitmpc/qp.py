@@ -32,7 +32,10 @@ from .errors import DimensionError, InfeasibleError, NumericalError
 from .model import StateSpace
 
 SUPPORTED_HORIZONS = (1, 2)
-MATVEC_GROUP = 4  # columns of CondensedQP.W are zero-padded to a multiple of this
+# Rows per block of the BLAS dgemv kernel (OpenBLAS's dgemv_t takes 4 rows
+# of W at a time): the rows of CondensedQP.W are zero-padded to a multiple
+# of this, and every worker slice starts on one.
+ROW_BLOCK = 4
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -50,8 +53,10 @@ class CondensedQP:
     """Hessian, linear-term maps and spectral data of the condensed QP.
 
     `W` is the fast-gradient step matrix I - J / lambda_max, built once
-    here with its columns zero-padded to a multiple of MATVEC_GROUP for
-    the frozen-order product in `fgm`.
+    here with its rows zero-padded to a multiple of ROW_BLOCK, shape
+    (n + (-n) % ROW_BLOCK, n).  `fgm` multiplies it by the iterate with
+    one BLAS gemv per block of rows starting on a multiple of ROW_BLOCK,
+    so every row runs through the same 4-row kernel path.
     """
 
     J: np.ndarray
@@ -66,8 +71,8 @@ class CondensedQP:
 
     def __post_init__(self):
         n = self.J.shape[0]
-        w = np.zeros((n, n + (-n) % MATVEC_GROUP))
-        w[:, :n] = -(self.J / self.lambda_max)
+        w = np.zeros((n + (-n) % ROW_BLOCK, n))
+        w[:n] = -(self.J / self.lambda_max)
         w[np.arange(n), np.arange(n)] += 1.0
         object.__setattr__(self, "W", w)
 

@@ -196,8 +196,11 @@ bench_cycles = 20
                     continue
                 _, stage, mean_us, _ = line.strip().split(",")
                 means[stage] = float(mean_us)
-        others = sum(v for k, v in means.items() if k != "gradient")
-        assert means["gradient"] > others
+        # the fast-gradient iterations (i_max-bounded stages) outweigh the
+        # stages that run once per sample
+        iterations = means["gradient"] + means["projection"] + means["momentum"]
+        per_sample = means["observer"] + means["q_update"] + means["set_update"]
+        assert iterations > per_sample
 
 
 class TestCheckCommand:
