@@ -4,9 +4,12 @@
 horizon: modal decomposition, weight design (saturated or baseline-gain
 matched), DARE terminal cost, setpoint map, observer gain, condensed QP
 and the iteration-bound bookkeeping.  The result round-trips through a
-directory of CSV / key=value files that the simulate, bench and check
-commands consume; `meta.txt` carries a fingerprint of the design inputs so
-a bundle designed from other inputs is never mistaken for a fresh one.
+bundle directory that the simulate, bench and check commands consume: one
+`.npy` file per array the controller reads, the plant as `plant.cfg` +
+`R.csv`, and `meta.txt`, `bounds.txt` and `report.txt` as key=value text.
+`meta.txt` carries the bundle's schema version and a fingerprint of the
+design inputs, so a bundle designed from other inputs or in another layout
+is never mistaken for a fresh one.
 """
 
 from __future__ import annotations
@@ -23,7 +26,10 @@ from .model import ModalBasis, PlantConfig, StateSpace, build_state_space, load_
 from .observer import ObserverState, update_fast, update_naive
 from .sim import ImcController, MpcController
 
-SCHEMA_VERSION = fileio.SCHEMA_VERSION
+# Version of the bundle layout, separate from fileio.SCHEMA_VERSION of the
+# text outputs; design_fingerprint hashes it, so bench redesigns a bundle of
+# another layout instead of loading it.
+SCHEMA_VERSION = 2
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -83,11 +89,12 @@ def default_imc_lambda(basis: ModalBasis) -> float:
 
 
 def design_fingerprint(plant: PlantConfig, inputs: dict) -> str:
-    """sha256 over the canonical design inputs: every plant field (as
-    float64 bytes with its shape) and every design keyword of
-    `design_controller` (numbers at 17 significant digits, None as auto).
+    """sha256 over the bundle's SCHEMA_VERSION and the canonical design
+    inputs: every plant field (as float64 bytes with its shape) and every
+    design keyword of `design_controller` (numbers at 17 significant
+    digits, None as auto).
     """
-    digest = hashlib.sha256()
+    digest = hashlib.sha256(f"schema_version={SCHEMA_VERSION};".encode())
     for field in dataclasses.fields(plant):
         value = np.ascontiguousarray(getattr(plant, field.name), dtype="<f8")
         digest.update(f"{field.name}{value.shape}:".encode())
@@ -142,12 +149,6 @@ def design_controller(
 
     dare_stats: dict = {}
     terminal = design.solve_dare(ss.A, ss.B, w.Q, w.R_w, stats=dare_stats)
-    if np.allclose(ss.A, a, rtol=0.0, atol=0.0):
-        p_hat = np.array([
-            design.solve_dare_modal(a, b, float(w.q_hat[i]), float(w.r_hat[i]))
-            for i in range(basis.r)
-        ])
-        terminal = design.TerminalCost(P=terminal.P, p_hat=p_hat)
 
     setpoint = design.setpoint_matrix(ss)
     kalman_stats: dict = {}
@@ -204,44 +205,69 @@ def design_controller(
 # Serialization
 # ---------------------------------------------------------------------------
 
-_HEADER = {"schema_version": SCHEMA_VERSION}
+def _gain_file(mu: int) -> str:
+    return "L_zmu" if mu else "L_x"
+
+
+def _arrays(b: DesignBundle) -> dict[str, np.ndarray]:
+    """The bundle's arrays by file stem; the observer gain is stored as its
+    measured block and L_d, from which the load rebuilds the rest."""
+    return {
+        "U": b.basis.U, "S": b.basis.S, "V": b.basis.V,
+        "Q": b.weights.Q, "R_w": b.weights.R_w, "q_hat": b.weights.q_hat, "r_hat": b.weights.r_hat,
+        "P": b.terminal.P,
+        _gain_file(b.ss.mu): b.gain.measured, "L_d": b.gain.L_d,
+        "M_setpoint": b.setpoint.M,
+        "J": b.condensed.J, "q_map_x0": b.condensed.q_map_x0, "q_map_d": b.condensed.q_map_d,
+    }
+
+
+def _array_shapes(ss: StateSpace, horizon: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every bundle array, from the plant and the horizon."""
+    n_u, n_y, r, n = ss.n_u, ss.n_y, min(ss.n_u, ss.n_y), horizon * ss.n_u
+    return {
+        "U": (n_y, r), "S": (r,), "V": (n_u, r),
+        "Q": (n_u, n_u), "R_w": (n_u, n_u), "q_hat": (r,), "r_hat": (n_u,),
+        "P": (n_u, n_u),
+        _gain_file(ss.mu): (n_u, n_y), "L_d": (n_y, n_y),
+        "M_setpoint": (2 * n_u, n_y),
+        "J": (n, n), "q_map_x0": (n, n_u), "q_map_d": (n, n_y),
+    }
+
+
+def _read_array(path, shape: tuple[int, ...]) -> np.ndarray:
+    try:
+        array = np.load(path, allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read bundle array {path}: {exc}") from exc
+    if array.dtype != np.float64:
+        raise ConfigError(f"{path}: dtype {array.dtype}, expected float64")
+    if array.shape != shape:
+        raise DimensionError(f"{path}: shape {array.shape}, expected {shape}")
+    return array
 
 
 def save_bundle(bundle: DesignBundle, directory) -> None:
+    """Write the bundle: one .npy file per array, the plant as plant.cfg +
+    R.csv, and meta.txt, bounds.txt and report.txt as text.
+
+    Raises ConfigError if the observer gain is not exactly the propagation
+    of its measured block, since only that block and L_d are stored.
+    """
+    error = bundle.gain.consistency_error(bundle.ss.A)
+    if error != 0.0:
+        raise ConfigError(
+            f"observer gain is not propagation-consistent (max deviation {error:.3e}); "
+            "a bundle stores only its measured block and L_d"
+        )
     os.makedirs(directory, exist_ok=True)
 
     def path(name):
         return os.path.join(directory, name)
 
     save_plant_config(bundle.plant, path("plant.cfg"))
-    fileio.write_matrix(path("U.csv"), bundle.basis.U, _HEADER)
-    fileio.write_vector(path("S.csv"), bundle.basis.S, _HEADER)
-    fileio.write_matrix(path("V.csv"), bundle.basis.V, _HEADER)
-    fileio.write_matrix(path("P.csv"), bundle.terminal.P, _HEADER)
-    if bundle.terminal.p_hat is not None:
-        fileio.write_vector(path("p_hat.csv"), bundle.terminal.p_hat, _HEADER)
-    fileio.write_matrix(path("Q.csv"), bundle.weights.Q, _HEADER)
-    fileio.write_matrix(path("R_w.csv"), bundle.weights.R_w, _HEADER)
-    fileio.write_vector(path("q_hat.csv"), bundle.weights.q_hat, _HEADER)
-    fileio.write_vector(path("r_hat.csv"), bundle.weights.r_hat, _HEADER)
-    fileio.write_matrix(path("L.csv"), bundle.gain.full, _HEADER)
-    n_u, n_y, mu = bundle.ss.n_u, bundle.ss.n_y, bundle.ss.mu
-    fileio.write_kv(
-        path("L_meta.txt"),
-        {
-            "n_u": n_u,
-            "n_y": n_y,
-            "mu": mu,
-            "offset_x": 0,
-            "offset_z1": n_u,
-            "offset_d": (mu + 1) * n_u,
-            "propagation_consistent": 1,
-        },
-    )
-    fileio.write_matrix(path("M_setpoint.csv"), bundle.setpoint.M, _HEADER)
-    fileio.write_matrix(path("J.csv"), bundle.condensed.J, _HEADER)
-    fileio.write_matrix(path("q_map_x0.csv"), bundle.condensed.q_map_x0, _HEADER)
-    fileio.write_matrix(path("q_map_d.csv"), bundle.condensed.q_map_d, _HEADER)
+    for name, array in _arrays(bundle).items():
+        np.save(path(f"{name}.npy"), array, allow_pickle=False)
     fileio.write_kv(
         path("bounds.txt"),
         {
@@ -255,15 +281,12 @@ def save_bundle(bundle: DesignBundle, directory) -> None:
         },
     )
     fileio.write_kv(path("meta.txt"), bundle.meta)
-    residual = design.dare_residual(
-        bundle.ss.A, bundle.ss.B, bundle.terminal.P, bundle.weights.Q, bundle.weights.R_w
-    )
     with open(path("report.txt"), "w") as fh:
         fh.write("design report\n")
         fh.write(f"kappa(J) = {fileio.format_float(bundle.kappa)}\n")
         fh.write(f"beta = {fileio.format_float(bundle.condensed.beta)}\n")
         fh.write(f"i_max_bound = {bundle.i_max_bound}\n")
-        fh.write(f"dare_residual = {fileio.format_float(residual)}\n")
+        fh.write(f"dare_residual = {fileio.format_float(bundle.meta['dare_residual'])}\n")
         fh.write(f"dare_doublings = {bundle.meta['dare_doublings']}\n")
         fh.write(f"kalman_residual = {fileio.format_float(bundle.meta['kalman_residual'])}\n")
         fh.write(f"kalman_doublings = {bundle.meta['kalman_doublings']}\n")
@@ -272,65 +295,49 @@ def save_bundle(bundle: DesignBundle, directory) -> None:
 
 
 def load_bundle(directory) -> DesignBundle:
+    """Read a bundle written by `save_bundle`, checking its schema version
+    and the dtype and shape of every array."""
     def path(name):
         return os.path.join(directory, name)
 
+    meta = fileio.read_kv(path("meta.txt"))
+    version = meta.get("schema_version", "none")
+    if version != str(SCHEMA_VERSION):
+        raise ConfigError(
+            f"{directory}: design bundle schema_version {version} is not {SCHEMA_VERSION}; "
+            "design it again"
+        )
     plant = load_plant_config(path("plant.cfg"))
     ss = build_state_space(plant)
-    basis = ModalBasis(
-        U=fileio.read_matrix(path("U.csv")),
-        S=fileio.read_vector(path("S.csv")),
-        V=fileio.read_matrix(path("V.csv")),
-    )
-    p_hat = fileio.read_vector(path("p_hat.csv")) if os.path.exists(path("p_hat.csv")) else None
-    terminal = design.TerminalCost(P=fileio.read_matrix(path("P.csv")), p_hat=p_hat)
-    weights = design.Weights(
-        q_hat=fileio.read_vector(path("q_hat.csv")),
-        r_hat=fileio.read_vector(path("r_hat.csv")),
-        Q=fileio.read_matrix(path("Q.csv")),
-        R_w=fileio.read_matrix(path("R_w.csv")),
-    )
-    meta = fileio.read_kv(path("meta.txt"))
-    l_meta = fileio.read_kv(path("L_meta.txt"))
-    mu = fileio.kv_get(l_meta, "mu", int)
-    n_u = fileio.kv_get(l_meta, "n_u", int)
-    n_y = fileio.kv_get(l_meta, "n_y", int)
-    if (mu, n_u, n_y) != (ss.mu, ss.n_u, ss.n_y):
-        raise DimensionError(
-            f"observer gain was designed for (mu={mu}, n_u={n_u}, n_y={n_y}) but the "
-            f"plant has (mu={ss.mu}, n_u={ss.n_u}, n_y={ss.n_y})"
-        )
-    gain = design.PartitionedGain.from_full(fileio.read_matrix(path("L.csv")), n_u, n_y, mu)
-    setpoint = design.SetpointMap(
-        M=fileio.read_matrix(path("M_setpoint.csv")),
-        n_u=n_u,
-        n_y=n_y,
-        rank_deficient=bool(int(meta.get("setpoint_rank_deficient", "0"))),
-    )
-    bounds = fileio.read_kv(path("bounds.txt"))
     horizon = fileio.kv_get(meta, "horizon", int)
-    J = fileio.read_matrix(path("J.csv"))
-    if J.shape != (horizon * n_u, horizon * n_u):
-        raise DimensionError(f"J.csv shape {J.shape} does not match horizon {horizon}")
-    condensed = qp.CondensedQP(
-        J=J,
-        q_map_x0=fileio.read_matrix(path("q_map_x0.csv")),
-        q_map_d=fileio.read_matrix(path("q_map_d.csv")),
-        lambda_min=fileio.kv_get(bounds, "lambda_min", float),
-        lambda_max=fileio.kv_get(bounds, "lambda_max", float),
-        beta=fileio.kv_get(bounds, "beta", float),
-        N=horizon,
-        n_u=n_u,
-    )
+    arrays = {name: _read_array(path(f"{name}.npy"), shape)
+              for name, shape in _array_shapes(ss, horizon).items()}
+    bounds = fileio.read_kv(path("bounds.txt"))
     return DesignBundle(
         plant=plant,
         ss=ss,
-        basis=basis,
-        weights=weights,
-        terminal=terminal,
-        setpoint=setpoint,
-        gain=gain,
-        condensed=condensed,
+        basis=ModalBasis(U=arrays["U"], S=arrays["S"], V=arrays["V"]),
+        weights=design.Weights(q_hat=arrays["q_hat"], r_hat=arrays["r_hat"],
+                               Q=arrays["Q"], R_w=arrays["R_w"]),
+        terminal=design.TerminalCost(P=arrays["P"]),
+        setpoint=design.SetpointMap(
+            M=arrays["M_setpoint"],
+            n_u=ss.n_u,
+            n_y=ss.n_y,
+            rank_deficient=bool(int(meta.get("setpoint_rank_deficient", "0"))),
+        ),
+        gain=design.PartitionedGain.propagation_consistent(
+            arrays[_gain_file(ss.mu)], arrays["L_d"], ss.A, ss.mu),
+        condensed=qp.CondensedQP(
+            J=arrays["J"],
+            q_map_x0=arrays["q_map_x0"],
+            q_map_d=arrays["q_map_d"],
+            lambda_min=fileio.kv_get(bounds, "lambda_min", float),
+            lambda_max=fileio.kv_get(bounds, "lambda_max", float),
+            beta=fileio.kv_get(bounds, "beta", float),
+            N=horizon,
+            n_u=ss.n_u,
+        ),
         epsilon=fileio.kv_get(bounds, "epsilon", float),
         delta=fileio.kv_get(bounds, "delta", float),
         delta_is_default=bool(int(meta.get("delta_is_default", "0"))),

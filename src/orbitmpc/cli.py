@@ -38,7 +38,6 @@ CONFIG_KEYS = (
 @dataclasses.dataclass
 class RunConfig:
     plant: PlantConfig
-    plant_is_synthetic: bool
     weights_mode: str
     q_min: float | None
     q_max: float | None
@@ -107,13 +106,11 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
             alpha=fileio.kv_get(pairs, "synthetic_alpha", float, default=1.0),
             rho=fileio.kv_get(pairs, "synthetic_rho", float, default=0.1),
         )
-        synthetic = True
     else:
         plant_path = fileio.resolve_path(path, plant_key)
         if not os.path.exists(plant_path):
             raise ConfigError(f"plant config not found: {plant_path}")
         plant = load_plant_config(plant_path)
-        synthetic = False
 
     lam_raw = fileio.kv_get(pairs, "lambda", str, default="auto")
     delta_raw = fileio.kv_get(pairs, "delta", str, default="auto")
@@ -137,7 +134,6 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
         raise ConfigError("n_workers must be >= 1")
     return RunConfig(
         plant=plant,
-        plant_is_synthetic=synthetic,
         weights_mode=fileio.kv_get(pairs, "weights", str, default="saturated"),
         q_min=fileio.kv_get(pairs, "q_min", float, default=None) if "q_min" in pairs else None,
         q_max=fileio.kv_get(pairs, "q_max", float, default=None) if "q_max" in pairs else None,
@@ -211,7 +207,7 @@ def _write_trace(path, trace: sim.SimTrace, seed: int, provenance: dict) -> None
             + [f"d{i}" for i in range(n_y)])
     body = np.column_stack([np.arange(T), trace.y, trace.u, trace.d])
     fileio.write_matrix(path, body, header={
-        "schema_version": bundle_mod.SCHEMA_VERSION,
+        "schema_version": fileio.SCHEMA_VERSION,
         "seed": seed,
         "columns": ",".join(cols),
         **provenance,
@@ -248,7 +244,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     body = np.column_stack([freqs, curves["off"], curves["imc"], curves["imc_constr"],
                             curves["mpc_n1"], curves["mpc_n2"]])
     fileio.write_matrix(os.path.join(cfg.output_dir, "ibm.csv"), body, header={
-        "schema_version": bundle_mod.SCHEMA_VERSION,
+        "schema_version": fileio.SCHEMA_VERSION,
         "seed": cfg.seed,
         "columns": "freq_hz,ibm_off,ibm_imc,ibm_imc_constr,ibm_mpc_n1,ibm_mpc_n2",
         "normalization": "sinusoid amplitude A integrates to A/sqrt(2) (RMS)",
@@ -295,7 +291,7 @@ def cmd_bench(cfg: RunConfig) -> int:
             rows.append((workers, stage, float(values.mean()), float(values.max())))
         totals[workers] = float(np.mean(cycle_totals) / 1e3)
     header = {
-        "schema_version": bundle_mod.SCHEMA_VERSION,
+        "schema_version": fileio.SCHEMA_VERSION,
         "seed": cfg.seed,
         "columns": "workers,stage,mean_us,max_us",
         "i_max": cfg.i_max,

@@ -47,10 +47,9 @@ class Weights:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class TerminalCost:
-    """Stabilizing terminal cost P, plus its modal values when available."""
+    """Stabilizing terminal cost P."""
 
     P: np.ndarray
-    p_hat: np.ndarray | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,34 +105,31 @@ class PartitionedGain:
     def full(self) -> np.ndarray:
         return np.vstack([self.L_x, *self.L_z, self.L_d])
 
+    @property
+    def measured(self) -> np.ndarray:
+        """The block the measurement sees: L_zmu, or L_x when mu = 0."""
+        return self.L_z[-1] if self.L_z else self.L_x
+
     @classmethod
-    def from_full(cls, L: np.ndarray, n_u: int, n_y: int, mu: int) -> "PartitionedGain":
-        expected = (mu + 1) * n_u + n_y
-        if L.shape != (expected, n_y):
-            raise ConfigError(f"gain shape {L.shape} != {(expected, n_y)}")
-        blocks = [L[i * n_u : (i + 1) * n_u] for i in range(mu + 1)]
-        return cls(L_x=blocks[0], L_z=tuple(blocks[1:]), L_d=L[(mu + 1) * n_u :])
+    def propagation_consistent(cls, measured: np.ndarray, L_d: np.ndarray, A: np.ndarray,
+                               mu: int) -> "PartitionedGain":
+        """Build L_x and L_z1..L_zmu from the measured block via diagonal powers.
 
-    def propagation_consistent(self, A: np.ndarray) -> "PartitionedGain":
-        """Rebuild L_x and L_z1..L_z(mu-1) from L_zmu via diagonal powers.
-
-        The fast observer update propagates the innovation forward with
-        A^(mu-i); this constructor makes that propagation exact.
+        L_zi = A^(mu-i) L_zmu and L_x = A^mu L_zmu: the fast observer
+        update propagates the innovation forward with these powers, and
+        this constructor makes that propagation exact.  Both blocks are
+        stored C-contiguous, so a gain built from designed and from loaded
+        arrays multiplies bit-identically.
         """
-        mu = self.mu
-        if mu == 0:
-            return self
-        L_zmu = self.L_z[-1]
-        L_z = tuple((A ** (mu - i))[:, None] * L_zmu for i in range(1, mu + 1))
-        return PartitionedGain(L_x=(A ** mu)[:, None] * L_zmu, L_z=L_z, L_d=self.L_d)
+        measured = np.ascontiguousarray(measured)
+        L_z = tuple((A ** (mu - i))[:, None] * measured for i in range(1, mu + 1))
+        return cls(L_x=(A ** mu)[:, None] * measured, L_z=L_z, L_d=np.ascontiguousarray(L_d))
 
     def consistency_error(self, A: np.ndarray) -> float:
         """Max deviation from the propagation-consistent structure."""
-        ref = self.propagation_consistent(A)
-        err = np.max(np.abs(self.L_x - ref.L_x)) if self.mu else 0.0
-        for got, want in zip(self.L_z, ref.L_z):
-            err = max(err, np.max(np.abs(got - want)))
-        return float(err)
+        ref = PartitionedGain.propagation_consistent(self.measured, self.L_d, A, self.mu)
+        return float(max(np.max(np.abs(got - want))
+                         for got, want in zip((self.L_x, *self.L_z), (ref.L_x, *ref.L_z))))
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +452,7 @@ def kalman_gain(
     P = _solve_riccati(f, H.T, Qn, Rn, "observer Riccati", stats)
     S = H @ P @ H.T + Rn
     K = np.linalg.solve(0.5 * (S + S.T), (H @ P) * f).T
-    L_zmu, L_d = K[:n_u], K[n_u:]
-    gain = PartitionedGain(L_x=L_zmu, L_z=(L_zmu,) * ss.mu, L_d=L_d).propagation_consistent(ss.A)
+    gain = PartitionedGain.propagation_consistent(K[:n_u], K[n_u:], ss.A, ss.mu)
     rho = _error_spectral_radius(ss, gain)
     if rho >= 1.0:
         raise NumericalError(f"estimation-error spectral radius {rho:.6f} >= 1")

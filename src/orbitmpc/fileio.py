@@ -1,13 +1,18 @@
-"""Text file formats shared by the CLI and the design bundle.
+"""Text file formats shared by the CLI, the plant config and the design bundle.
 
 Two formats only:
 
 * matrix CSV — one row per line, comma separated, no column header,
   decimals printed with 17 significant digits so values round-trip
   bit-exactly.  Lines starting with ``#`` are metadata comments
-  (``# key=value``) and are skipped on read.
+  (``# key=value``) and are skipped on read.  The response matrix
+  ``R.csv``, disturbance files and the simulate/bench outputs use it;
+  ``SCHEMA_VERSION`` is the version their headers record.
 * flat key=value config — one ``key = value`` pair per line, ``#``
   comments allowed, no sections.
+
+The design bundle stores its arrays as ``.npy`` files instead (see
+``bundle``).
 """
 
 from __future__ import annotations
@@ -55,15 +60,6 @@ def read_matrix(path) -> np.ndarray:
     if any(len(r) != width for r in rows):
         raise ConfigError(f"{path}: ragged rows")
     return np.asarray(rows, dtype=float)
-
-
-def write_vector(path, v, header: dict | None = None) -> None:
-    write_matrix(path, np.asarray(v, dtype=float).reshape(1, -1), header)
-
-
-def read_vector(path) -> np.ndarray:
-    m = read_matrix(path)
-    return m.reshape(-1)
 
 
 def write_kv(path, pairs: dict) -> None:

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import numpy as np
 
+from orbitmpc import bundle as bundle_mod
 from orbitmpc import load_bundle, save_plant_config, synthetic_plant
 from orbitmpc.cli import main
-from orbitmpc.fileio import read_kv, read_matrix, write_matrix
+from orbitmpc.fileio import read_kv, read_matrix
 
 BASE_CONFIG = """
 schema_version = 1
@@ -47,9 +48,9 @@ class TestDesignCommand:
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")
         assert main(["design", "--config", cfg, "--out", out]) == 0
-        for name in ("plant.cfg", "R.csv", "P.csv", "Q.csv", "q_hat.csv", "r_hat.csv",
-                     "L.csv", "L_meta.txt", "M_setpoint.csv", "J.csv", "q_map_x0.csv",
-                     "q_map_d.csv", "bounds.txt", "report.txt"):
+        for name in ("plant.cfg", "R.csv", "P.npy", "Q.npy", "q_hat.npy", "r_hat.npy",
+                     "L_zmu.npy", "L_d.npy", "M_setpoint.npy", "J.npy", "q_map_x0.npy",
+                     "q_map_d.npy", "bounds.txt", "report.txt"):
             assert os.path.exists(os.path.join(out, name)), name
         bounds = read_kv(os.path.join(out, "bounds.txt"))
         assert {"lambda_min", "lambda_max", "beta", "kappa", "i_max"} <= bounds.keys()
@@ -215,10 +216,10 @@ class TestCheckCommand:
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")
         main(["design", "--config", cfg, "--out", out])
-        p_path = os.path.join(out, "P.csv")
-        P = read_matrix(p_path)
+        p_path = os.path.join(out, "P.npy")
+        P = np.load(p_path)
         P[0, 0] *= 3.0
-        write_matrix(p_path, P)
+        np.save(p_path, P)
         assert main(["check", "--config", cfg, "--bundle", out]) == 3
         assert "dare_residual" in capsys.readouterr().out
 
@@ -315,6 +316,19 @@ class TestDesignFingerprint:
         assert main(["bench", "--config", cfg, "--out", out]) == 0
         assert "design bundle written" in capsys.readouterr().out
         assert "design_fingerprint" in read_kv(os.path.join(bundle_dir, "meta.txt"))
+
+    def test_bench_redesigns_a_bundle_of_another_schema(self, tmp_path, capsys, monkeypatch):
+        out = str(tmp_path / "bench")
+        bundle_dir = os.path.join(out, "bundle")
+        cfg = write_config(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(bundle_mod, "SCHEMA_VERSION", 1)
+            assert main(["bench", "--config", cfg, "--out", out]) == 0
+        assert read_kv(os.path.join(bundle_dir, "meta.txt"))["schema_version"] == "1"
+        capsys.readouterr()
+        assert main(["bench", "--config", cfg, "--out", out]) == 0
+        assert "design bundle written" in capsys.readouterr().out
+        assert read_kv(os.path.join(bundle_dir, "meta.txt"))["schema_version"] == str(bundle_mod.SCHEMA_VERSION)
 
     def test_check_fails_on_other_design_inputs(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
