@@ -249,17 +249,7 @@ def _read_array(path, shape: tuple[int, ...]) -> np.ndarray:
 
 def save_bundle(bundle: DesignBundle, directory) -> None:
     """Write the bundle: one .npy file per array, the plant as plant.cfg +
-    R.csv, and meta.txt, bounds.txt and report.txt as text.
-
-    Raises ConfigError if the observer gain is not exactly the propagation
-    of its measured block, since only that block and L_d are stored.
-    """
-    error = bundle.gain.consistency_error(bundle.ss.A)
-    if error != 0.0:
-        raise ConfigError(
-            f"observer gain is not propagation-consistent (max deviation {error:.3e}); "
-            "a bundle stores only its measured block and L_d"
-        )
+    R.csv, and meta.txt, bounds.txt and report.txt as text."""
     os.makedirs(directory, exist_ok=True)
 
     def path(name):
@@ -326,8 +316,7 @@ def load_bundle(directory) -> DesignBundle:
             n_y=ss.n_y,
             rank_deficient=bool(int(meta.get("setpoint_rank_deficient", "0"))),
         ),
-        gain=design.PartitionedGain.propagation_consistent(
-            arrays[_gain_file(ss.mu)], arrays["L_d"], ss.A, ss.mu),
+        gain=design.PartitionedGain(arrays[_gain_file(ss.mu)], arrays["L_d"], ss.A, ss.mu),
         condensed=qp.CondensedQP(
             J=arrays["J"],
             q_map_x0=arrays["q_map_x0"],
@@ -384,18 +373,15 @@ def run_checks(bundle: DesignBundle, probe_steps: int = 100, seed: int = 0) -> l
     st_fast = ObserverState.initial(ss, bundle.gain)
     st_naive = ObserverState.initial(ss, bundle.gain)
     gap = 0.0
-    try:
-        for _ in range(probe_steps):
-            u = rng.standard_normal(ss.n_u)
-            y = rng.standard_normal(ss.n_y)
-            st_fast = update_fast(st_fast, u, y)
-            st_naive = update_naive(st_naive, u, y)
-            gap = max(gap, float(np.max(np.abs(st_fast.x_hat - st_naive.x_hat))),
-                      float(np.max(np.abs(st_fast.d_hat - st_naive.d_hat))))
-        results.append(CheckResult("observer_fast_vs_naive", gap < 1e-10,
-                                   f"max deviation {gap:.3e} over {probe_steps} steps (tolerance 1e-10)"))
-    except ConfigError as exc:
-        results.append(CheckResult("observer_fast_vs_naive", False, str(exc)))
+    for _ in range(probe_steps):
+        u = rng.standard_normal(ss.n_u)
+        y = rng.standard_normal(ss.n_y)
+        st_fast = update_fast(st_fast, u, y)
+        st_naive = update_naive(st_naive, u, y)
+        gap = max(gap, float(np.max(np.abs(st_fast.x_hat - st_naive.x_hat))),
+                  float(np.max(np.abs(st_fast.d_hat - st_naive.d_hat))))
+    results.append(CheckResult("observer_fast_vs_naive", gap < 1e-10,
+                               f"max deviation {gap:.3e} over {probe_steps} steps (tolerance 1e-10)"))
 
     lmin, lmax, _ = qp.spectral_bounds(bundle.condensed.J)
     drift = max(

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import difflib
 import os
+import shutil
 import sys
 import time
 
@@ -21,8 +22,6 @@ from . import bundle as bundle_mod
 from . import design, fgm, fileio, sim
 from .errors import ConfigError, OrbitMpcError
 from .model import PlantConfig, load_plant_config, synthetic_plant
-
-BENCH_STAGES = fgm.SOLVE_STAGES
 
 CONFIG_KEYS = (
     "schema_version", "seed", "plant",
@@ -266,6 +265,8 @@ def cmd_bench(cfg: RunConfig) -> int:
         print(f"reusing the design bundle in {bundle_dir}")
     else:
         b = _build_bundle(cfg, cfg.horizon)
+        if os.path.isdir(bundle_dir):  # bench owns it: drop files of another layout
+            shutil.rmtree(bundle_dir)
         bundle_mod.save_bundle(b, bundle_dir)
         print(f"design bundle written to {bundle_dir}")
     _notice_i_max(cfg.i_max, [b])
@@ -277,16 +278,16 @@ def cmd_bench(cfg: RunConfig) -> int:
         y_probe = rng.normal(0.0, 1.0, (64, b.ss.n_y))
         for k in range(50):  # warm-up: pools, caches, branch predictors
             ctrl.step(y_probe[k % 64])
-        per_stage = {stage: [] for stage in BENCH_STAGES}
+        per_stage = {stage: [] for stage in fgm.SOLVE_STAGES}
         cycle_totals = []
         for k in range(cfg.bench_cycles):
             timers: dict = {}
             t0 = time.perf_counter_ns()
             ctrl.step(y_probe[k % 64], timers=timers)
             cycle_totals.append(time.perf_counter_ns() - t0)
-            for stage in BENCH_STAGES:
+            for stage in fgm.SOLVE_STAGES:
                 per_stage[stage].append(timers.get(stage, 0))
-        for stage in BENCH_STAGES:
+        for stage in fgm.SOLVE_STAGES:
             values = np.asarray(per_stage[stage], dtype=float) / 1e3
             rows.append((workers, stage, float(values.mean()), float(values.max())))
         totals[workers] = float(np.mean(cycle_totals) / 1e3)

@@ -8,8 +8,10 @@ the steady-state observer gain for the delay-augmented plant.
 
 Both Riccati equations, the control DARE for the terminal cost and the
 filter Riccati equation for the observer gain, are solved by one
-structure-preserving doubling kernel, which converges quadratically; the
-filter equation is solved on the reduced state [z_mu; d] only.
+structure-preserving doubling kernel, which converges quadratically.  The
+filter equation is solved on the reduced state [z_mu; d] only, and the
+observer gain is built from that solve's blocks alone, so the contraction
+check of the estimation error runs exactly on the same reduced loop.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .model import StateSpace
+from .qp import spectral_bounds
 
 # Sentinel input weight for modes that cannot influence the output
 # (zero singular value); keeps them quiescent without a root-find.
@@ -91,45 +94,36 @@ class SetpointMap:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PartitionedGain:
-    """Observer gain partitioned as [L_x; L_z1; ...; L_zmu; L_d]."""
+    """Observer gain [L_x; L_z1; ...; L_zmu; L_d], built from its measured block.
 
-    L_x: np.ndarray
-    L_z: tuple[np.ndarray, ...]
+    `measured` is the block the measurement sees (L_zmu, or L_x when
+    mu = 0); the others are its propagation through the diagonal plant
+    powers, L_zi = A^(mu-i) L_zmu and L_x = A^mu L_zmu.  The fast observer
+    update propagates the innovation forward with the same powers, so a
+    gain of this structure is the only kind it serves, and the only kind
+    that can be built.  Every block is stored C-contiguous, so a gain built
+    from designed and from loaded arrays multiplies bit-identically.
+    """
+
+    measured: np.ndarray
     L_d: np.ndarray
+    A: np.ndarray
+    mu: int
+    L_x: np.ndarray = dataclasses.field(init=False)
+    L_z: tuple[np.ndarray, ...] = dataclasses.field(init=False)
 
-    @property
-    def mu(self) -> int:
-        return len(self.L_z)
+    def __post_init__(self):
+        measured = np.ascontiguousarray(self.measured)
+        A, mu = self.A, self.mu
+        object.__setattr__(self, "measured", measured)
+        object.__setattr__(self, "L_d", np.ascontiguousarray(self.L_d))
+        object.__setattr__(self, "L_x", (A ** mu)[:, None] * measured)
+        object.__setattr__(self, "L_z", tuple((A ** (mu - i))[:, None] * measured
+                                              for i in range(1, mu + 1)))
 
     @property
     def full(self) -> np.ndarray:
         return np.vstack([self.L_x, *self.L_z, self.L_d])
-
-    @property
-    def measured(self) -> np.ndarray:
-        """The block the measurement sees: L_zmu, or L_x when mu = 0."""
-        return self.L_z[-1] if self.L_z else self.L_x
-
-    @classmethod
-    def propagation_consistent(cls, measured: np.ndarray, L_d: np.ndarray, A: np.ndarray,
-                               mu: int) -> "PartitionedGain":
-        """Build L_x and L_z1..L_zmu from the measured block via diagonal powers.
-
-        L_zi = A^(mu-i) L_zmu and L_x = A^mu L_zmu: the fast observer
-        update propagates the innovation forward with these powers, and
-        this constructor makes that propagation exact.  Both blocks are
-        stored C-contiguous, so a gain built from designed and from loaded
-        arrays multiplies bit-identically.
-        """
-        measured = np.ascontiguousarray(measured)
-        L_z = tuple((A ** (mu - i))[:, None] * measured for i in range(1, mu + 1))
-        return cls(L_x=(A ** mu)[:, None] * measured, L_z=L_z, L_d=np.ascontiguousarray(L_d))
-
-    def consistency_error(self, A: np.ndarray) -> float:
-        """Max deviation from the propagation-consistent structure."""
-        ref = PartitionedGain.propagation_consistent(self.measured, self.L_d, A, self.mu)
-        return float(max(np.max(np.abs(got - want))
-                         for got, want in zip((self.L_x, *self.L_z), (ref.L_x, *ref.L_z))))
 
 
 # ---------------------------------------------------------------------------
@@ -376,38 +370,20 @@ def setpoint_matrix(ss: StateSpace) -> SetpointMap:
 # ---------------------------------------------------------------------------
 
 def _error_spectral_radius(ss: StateSpace, gain: PartitionedGain) -> float:
-    """Spectral radius of the estimation-error transition F - L H."""
-    n_u, n_y, mu = ss.n_u, ss.n_y, ss.mu
-    n = (mu + 1) * n_u + n_y
-    L = gain.full
-    d0 = (mu + 1) * n_u
-    zmu = slice(mu * n_u, (mu + 1) * n_u)
+    """Spectral radius of the estimation-error transition, computed exactly
+    on the reduced loop diag(A, I) - [L_zmu; L_d] [C  I] of [z_mu; d].
 
-    def apply(v_block):
-        # (F - L H) V for a block of column vectors
-        out = np.empty_like(v_block)
-        out[:n_u] = ss.A[:, None] * v_block[:n_u]
-        for i in range(mu):
-            out[(i + 1) * n_u : (i + 2) * n_u] = v_block[i * n_u : (i + 1) * n_u]
-        out[d0:] = v_block[d0:]
-        out -= L @ (ss.C @ v_block[zmu] + v_block[d0:])
-        return out
-
-    if n <= 600:
-        F_cl = apply(np.eye(n))
-        return float(np.max(np.abs(np.linalg.eigvals(F_cl))))
-    # orthogonal (subspace) iteration, enough to flag instability at sizes
-    # where a dense eigensolve would be wasteful
-    rng = np.random.default_rng(0)
-    V, _ = np.linalg.qr(rng.standard_normal((n, 4)))
-    rho = 0.0
-    for _ in range(500):
-        W = apply(V)
-        V, R = np.linalg.qr(W)
-        rho = float(np.max(np.abs(np.diag(R))))
-        if rho < 1e-300:
-            return 0.0
-    return rho
+    Take the errors of x and z_1..z_(mu-1) relative to the A^i propagation
+    of the z_mu error.  With the propagated blocks of `gain` the innovation
+    cancels from them, and the shift chain alone moves them: after mu
+    samples every delayed state is the propagation of the oldest, so they
+    form a nilpotent block.  The full (mu+1) n_u + n_y loop is block
+    triangular in these coordinates, and its nonzero eigenvalues are those
+    of the reduced n_u + n_y loop.
+    """
+    F = np.diag(np.concatenate([ss.A, np.ones(ss.n_y)]))
+    F_cl = F - np.vstack([gain.measured, gain.L_d]) @ np.hstack([ss.C, np.eye(ss.n_y)])
+    return float(np.max(np.abs(np.linalg.eigvals(F_cl))))
 
 
 def kalman_gain(
@@ -431,12 +407,11 @@ def kalman_gain(
         Q = diag(sigma_w^2 I, sigma_v^2 I),  R = sigma_m^2 I,
     as the dual DARE (F^T = F, H^T) with the same doubling kernel and the
     same 1e-8 relative residual gate as solve_dare.  The predictor gain
-    K = F P H^T (H P H^T + R)^-1 gives L_zmu and L_d; L_x and
-    L_z1..L_z(mu-1) come from PartitionedGain.propagation_consistent.
+    K = F P H^T (H P H^T + R)^-1 gives L_zmu and L_d, from which
+    PartitionedGain builds L_x and L_z1..L_z(mu-1).
 
     If `stats` is a dict it receives the doubling count and the relative
-    residual.  Raises if the error dynamics of the full augmented loop are
-    not contractive.
+    residual.  Raises if the estimation error does not contract.
     """
     if sigma_m <= 0.0:
         raise ConfigError("measurement noise sigma_m must be positive")
@@ -452,7 +427,7 @@ def kalman_gain(
     P = _solve_riccati(f, H.T, Qn, Rn, "observer Riccati", stats)
     S = H @ P @ H.T + Rn
     K = np.linalg.solve(0.5 * (S + S.T), (H @ P) * f).T
-    gain = PartitionedGain.propagation_consistent(K[:n_u], K[n_u:], ss.A, ss.mu)
+    gain = PartitionedGain(K[:n_u], K[n_u:], ss.A, ss.mu)
     rho = _error_spectral_radius(ss, gain)
     if rho >= 1.0:
         raise NumericalError(f"estimation-error spectral radius {rho:.6f} >= 1")
@@ -464,11 +439,10 @@ def kalman_gain(
 # ---------------------------------------------------------------------------
 
 def condition_number(J: np.ndarray) -> float:
-    """lambda_max / lambda_min of a symmetric positive-definite matrix."""
-    eigs = np.linalg.eigvalsh(0.5 * (J + J.T))
-    if eigs[0] <= 0.0:
-        raise NumericalError(f"matrix is not positive definite (lambda_min = {eigs[0]:.3e})")
-    return float(eigs[-1] / eigs[0])
+    """lambda_max / lambda_min of a symmetric positive-definite matrix, from
+    qp.spectral_bounds (which rejects a matrix that is not)."""
+    lmin, lmax, _ = spectral_bounds(J)
+    return lmax / lmin
 
 
 def iteration_bound(p: IterationBoundParams) -> int:

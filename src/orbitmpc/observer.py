@@ -8,8 +8,9 @@ output-disturbance estimate (random-walk model, identity transition).
 Two update paths are provided.  `update_naive` multiplies the innovation
 by the full dense gain.  `update_fast` applies the innovation to the most
 delayed state and the disturbance only, then propagates it forward
-through the diagonal plant powers A^(mu-i); with a propagation-consistent
-gain both paths coincide (up to rounding), at a fraction of the work.
+through the diagonal plant powers A^(mu-i).  Every PartitionedGain is
+built by that same propagation from its measured block, so both paths
+coincide (up to rounding) for every gain, at a fraction of the work.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import fileio
 from .design import PartitionedGain
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 from .model import StateSpace
 
 
@@ -34,19 +35,19 @@ class ObserverState:
     z_hat: np.ndarray          # (mu, n_u); row i holds the estimate of x delayed i+1 samples
     d_hat: np.ndarray
     A_powers: np.ndarray       # (mu + 1, n_u); row k is the diagonal of A^k
-    gain_deviation: float      # gain's deviation from the A^i propagation, over 1 + max|L_zmu|
 
     @classmethod
     def initial(cls, ss: StateSpace, gain: PartitionedGain) -> "ObserverState":
         """Cold start from a quiescent beam: all estimates zero.
 
-        The gain's propagation-consistency deviation is measured here, once
-        per observer, because the gain is immutable.
+        The gain must have been built for this plant's delay and diagonal A,
+        since its blocks are propagated with the powers the fast update uses.
         """
         if gain.mu != ss.mu:
             raise DimensionError(f"gain has {gain.mu} delay blocks, plant has {ss.mu}")
+        if not np.array_equal(gain.A, ss.A):
+            raise DimensionError("gain was propagated with another A than the plant's")
         powers = np.vstack([ss.a_power(k) for k in range(ss.mu + 1)])
-        scale = (1.0 + float(np.max(np.abs(gain.L_z[-1])))) if ss.mu else 1.0
         return cls(
             ss=ss,
             gain=gain,
@@ -54,7 +55,6 @@ class ObserverState:
             z_hat=np.zeros((ss.mu, ss.n_u)),
             d_hat=np.zeros(ss.n_y),
             A_powers=powers,
-            gain_deviation=gain.consistency_error(ss.A) / scale,
         )
 
     @property
@@ -98,25 +98,17 @@ def update_naive(st: ObserverState, u_k: np.ndarray, y_k: np.ndarray) -> Observe
 def update_fast(st: ObserverState, u_k: np.ndarray, y_k: np.ndarray) -> ObserverState:
     """Partitioned update: correct z_mu and d, propagate with A powers.
 
-    Requires the gain to carry the propagation-consistent structure
-    L_zi = A^(mu-i) L_zmu, L_x = A^mu L_zmu; rejects gains that deviate
-    beyond 1e-8 (1 + max|L_zmu|), measured by `ObserverState.initial`,
-    since the two paths would then silently disagree.
+    Uses only the gain's measured block and L_d; the propagation with
+    A_powers reproduces L_zi = A^(mu-i) L_zmu and L_x = A^mu L_zmu.
     """
     ss = st.ss
-    mu, n_u = ss.mu, ss.n_u
+    mu = ss.mu
     inn = st.innovation(y_k)
-    if mu == 0:
-        x_new = ss.A * st.x_hat + ss.B * u_k + st.gain.L_x @ inn
-        d_new = st.d_hat + st.gain.L_d @ inn
-        return st._replace(x_new, st.z_hat, d_new)
-    if st.gain_deviation > 1e-8:
-        raise ConfigError(
-            f"gain is not propagation-consistent (relative deviation {st.gain_deviation:.3e}); "
-            "build it with PartitionedGain.propagation_consistent"
-        )
-    dy = st.gain.L_z[-1] @ inn                      # innovation mapped into state units
+    dy = st.gain.measured @ inn                     # innovation mapped into state units
     d_new = st.d_hat + st.gain.L_d @ inn
+    if mu == 0:
+        x_new = ss.A * st.x_hat + ss.B * u_k + dy
+        return st._replace(x_new, st.z_hat, d_new)
     shifted = np.vstack([st.x_hat, st.z_hat[:-1]])
     z_new = shifted + st.A_powers[mu - 1 :: -1] * dy
     x_new = ss.A * st.x_hat + ss.B * u_k + st.A_powers[mu] * dy

@@ -204,20 +204,17 @@ class MpcController:
         tic = time.perf_counter_ns() if timers is not None else 0
         q_vec = self.qp.linear_term(self.observer.x_hat, self.observer.d_hat)
         if timers is not None:
-            now = time.perf_counter_ns()
-            timers["q_update"] = timers.get("q_update", 0) + (now - tic)
-            tic = now
+            tic = fgm._add_ns(timers, "q_update", tic)
         self.cset = qp.update_constraint_set(self.cset, self.u_prev)
         if timers is not None:
-            now = time.perf_counter_ns()
-            timers["set_update"] = timers.get("set_update", 0) + (now - tic)
+            fgm._add_ns(timers, "set_update", tic)
         u_plan = fgm.solve(self.qp, q_vec, self.cset, self.warm,
                            i_max=self.i_max, n_workers=self.n_workers, timers=timers)
         u_k = u_plan[: self.ss.n_u].copy()
         tic = time.perf_counter_ns() if timers is not None else 0
         self.observer = update_fast(self.observer, u_k, y_k)
         if timers is not None:
-            timers["observer"] = timers.get("observer", 0) + (time.perf_counter_ns() - tic)
+            fgm._add_ns(timers, "observer", tic)
         self.warm = u_plan
         self.u_prev = u_k
         return u_k

@@ -325,10 +325,15 @@ class TestDesignFingerprint:
             patch.setattr(bundle_mod, "SCHEMA_VERSION", 1)
             assert main(["bench", "--config", cfg, "--out", out]) == 0
         assert read_kv(os.path.join(bundle_dir, "meta.txt"))["schema_version"] == "1"
+        fresh = set(os.listdir(bundle_dir))
+        for stale in ("L.csv", "L_meta.txt", "p_hat.csv"):  # files of the CSV layout
+            Path(bundle_dir, stale).write_text("0\n")
         capsys.readouterr()
         assert main(["bench", "--config", cfg, "--out", out]) == 0
         assert "design bundle written" in capsys.readouterr().out
         assert read_kv(os.path.join(bundle_dir, "meta.txt"))["schema_version"] == str(bundle_mod.SCHEMA_VERSION)
+        assert set(os.listdir(bundle_dir)) == fresh
+        assert len(fresh) == 19
 
     def test_check_fails_on_other_design_inputs(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -21,7 +21,7 @@ from orbitmpc import (
     solve_dare_modal,
     synthetic_plant,
 )
-from orbitmpc.design import _match_gain, dare_residual
+from orbitmpc.design import _error_spectral_radius, _match_gain, dare_residual
 from orbitmpc.model import StateSpace
 
 from oracles import kalman_predictor_gain_dense, augmented_observer_matrices
@@ -242,12 +242,15 @@ class TestKalmanGain:
         weak = kalman_gain(ss, sigma_v=1e-6)
         assert np.linalg.norm(weak.L_d) < 1e-2 * np.linalg.norm(strong.L_d)
 
-    def test_riccati_gain_is_propagation_consistent(self, small_plant):
-        # the optimal predictor gain already carries the A^i structure
-        ss = build_state_space(small_plant)
-        raw = kalman_gain(ss)
-        scale = np.max(np.abs(raw.L_z[-1]))
-        assert raw.consistency_error(ss.A) < 1e-6 * scale
+    @pytest.mark.parametrize("n, mu", [(5, 0), (5, 1), (6, 2), (5, 4), (120, 4)])
+    def test_reduced_loop_radius_matches_full_loop(self, n, mu):
+        # the reduced [z_mu; d] loop carries every nonzero eigenvalue of the
+        # full loop; (120, 4) has 720 full-loop states
+        ss = build_state_space(synthetic_plant(n, n, 50.0, seed=20 + mu, mu=mu))
+        gain = kalman_gain(ss)
+        F, H = augmented_observer_matrices(ss.A, ss.C, ss.mu)
+        full = np.max(np.abs(np.linalg.eigvals(F - gain.full @ H)))
+        assert _error_spectral_radius(ss, gain) == pytest.approx(full, rel=0, abs=1e-12)
 
     def test_bad_noise_rejected(self, small_plant):
         ss = build_state_space(small_plant)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from orbitmpc import (
-    ConfigError,
+    DimensionError,
     build_state_space,
     kalman_gain,
     synthetic_plant,
@@ -87,14 +87,13 @@ class TestUpdateFast:
             assert np.max(np.abs(fast.z_hat - naive.z_hat)) < 1e-10
             assert np.max(np.abs(fast.d_hat - naive.d_hat)) < 1e-10
 
-    def test_inconsistent_gain_rejected(self, stack, rng):
+    def test_gain_of_another_a_rejected(self, stack):
+        # the fast update propagates with the plant's powers of A, so a gain
+        # propagated with any other A is refused before the first update
         ss, gain = stack
-        blocks = list(gain.L_z)
-        blocks[0] = blocks[0] + 0.1  # break the propagation structure
-        bad = PartitionedGain(L_x=gain.L_x, L_z=tuple(blocks), L_d=gain.L_d)
-        st = ObserverState.initial(ss, bad)
-        with pytest.raises(ConfigError, match="propagation-consistent"):
-            update_fast(st, np.zeros(ss.n_u), np.zeros(ss.n_y))
+        other = PartitionedGain(gain.measured, gain.L_d, ss.A * (1.0 - 1e-12), ss.mu)
+        with pytest.raises(DimensionError, match="another A"):
+            ObserverState.initial(ss, other)
 
     def test_gain_left_untouched(self, stack, rng):
         # the frozen gain carries no cache written by the fast update
