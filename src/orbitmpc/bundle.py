@@ -249,14 +249,22 @@ def _read_array(path, shape: tuple[int, ...]) -> np.ndarray:
 
 def save_bundle(bundle: DesignBundle, directory) -> None:
     """Write the bundle: one .npy file per array, the plant as plant.cfg +
-    R.csv, and meta.txt, bounds.txt and report.txt as text."""
+    R.csv, and meta.txt, bounds.txt and report.txt as text.  A directory
+    holding any entry the bundle would not write is refused before any write."""
+    arrays = _arrays(bundle)
+    if os.path.isdir(directory):
+        written = {"plant.cfg", "R.csv", "bounds.txt", "meta.txt", "report.txt"}
+        foreign = sorted(set(os.listdir(directory)) - written - {f"{name}.npy" for name in arrays})
+        if foreign:
+            raise ConfigError(f"{directory} holds entries that are not part of this design bundle: "
+                              f"{', '.join(foreign)}; write it to an empty directory")
     os.makedirs(directory, exist_ok=True)
 
     def path(name):
         return os.path.join(directory, name)
 
     save_plant_config(bundle.plant, path("plant.cfg"))
-    for name, array in _arrays(bundle).items():
+    for name, array in arrays.items():
         np.save(path(f"{name}.npy"), array, allow_pickle=False)
     fileio.write_kv(
         path("bounds.txt"),

@@ -149,7 +149,8 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
         n_workers=n_workers,
         seed=seed,
         output_dir=out_override or fileio.kv_get(pairs, "output_dir", str, default="out"),
-        imc_bandwidth_hz=fileio.kv_get(pairs, "imc_bandwidth_hz", float, default=200.0),
+        # 10 Hz at dt = 1 ms: the baseline integrates 2 pi 0.01 per sample at any dt
+        imc_bandwidth_hz=fileio.kv_get(pairs, "imc_bandwidth_hz", float, default=0.01 / plant.dt),
         bench_cycles=fileio.kv_get(pairs, "bench_cycles", int, default=1000),
         observer_dump=bool(fileio.kv_get(pairs, "observer_dump", int, default=0)),
     )

@@ -6,6 +6,9 @@ that precondition the condensed Hessian, the regularized modal baseline
 gains, the setpoint map that folds disturbance estimates into the QP, and
 the steady-state observer gain for the delay-augmented plant.
 
+The setpoint map and the matched modal input weights are closed forms of
+the modal structure (see setpoint_matrix and _match_gain).
+
 Both Riccati equations, the control DARE for the terminal cost and the
 filter Riccati equation for the observer gain, are solved by one
 structure-preserving doubling kernel, which converges quadratically.  The
@@ -27,7 +30,7 @@ from .model import StateSpace
 from .qp import spectral_bounds
 
 # Sentinel input weight for modes that cannot influence the output
-# (zero singular value); keeps them quiescent without a root-find.
+# (zero singular value), whose matched gain is zero; keeps them quiescent.
 R_HAT_MAX = 1e12
 
 _SDA_MAX_DOUBLINGS = 64
@@ -289,27 +292,19 @@ def design_weights_saturated(basis, q_min: float, q_max: float) -> Weights:
 
 
 def _match_gain(a: float, b: float, q_hat_i: float, target: float, mode: int) -> float:
-    """Bisect on the modal input weight until the LQR gain hits `target`."""
-    lo, hi = 1e-12, R_HAT_MAX
+    """The modal input weight whose scalar LQR gain is `target`, in closed form.
 
-    def gain(r):
-        return lqr_gain_modal(a, b, solve_dare_modal(a, b, q_hat_i, r), r)
-
-    g_lo, g_hi = gain(lo), gain(hi)
-    if not (g_hi <= target <= g_lo):
+    With k = a b p / (r + b^2 p) the scalar DARE reads p = a^2 p - k a b p + q,
+    so p = q / (1 - a^2 + a b k) and r = b p (a/k - b), which is positive
+    exactly when k < a/b (the gain's supremum as r -> 0).
+    """
+    if not target < a / b:
         raise NumericalError(
             f"mode {mode}: IMC gain {target:.6g} not achievable by any input weight "
-            f"(achievable range [{g_hi:.3g}, {g_lo:.6g}], supremum a/b = {a / b:.6g})"
+            f"(supremum a/b = {a / b:.6g})"
         )
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if gain(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-10 * hi:
-            break
-    return hi  # ties toward the larger (more conservative) weight
+    p = q_hat_i / (1.0 - a * a + a * b * target)
+    return b * p * (a / target - b)
 
 
 def design_weights_imc_matched(basis, a: float, b: float, lam: float) -> Weights:
@@ -343,25 +338,24 @@ def design_weights_imc_matched(basis, a: float, b: float, lam: float) -> Weights
 def setpoint_matrix(ss: StateSpace) -> SetpointMap:
     """Solve the steady-state conditions for (x, u) given a disturbance.
 
-    Builds S = [[I - A, -B], [-C, 0]] and keeps the last n_y columns of
-    its pseudoinverse: the steady state is then (x, u) = M d for a
-    disturbance estimate d, with C x = -d cancelling it at the output.
-    Rank deficiency degrades to least-squares semantics and is flagged.
+    The steady state (x, u) = M d is the minimum-norm least-squares solution
+    of S [x; u] = [0; d], S = [[I - A, -B], [-C, 0]], with C x = -d cancelling
+    d at the output.  As B = I - A bit for bit and A_ii < 1, the first block
+    row forces x = u, so M = pinv(S)[:, n_u:] = -[C^+; C^+] exactly.  S has
+    row rank n_u + rank C; rank C < n_y gives least-squares semantics and
+    is flagged.
     """
     n_u, n_y = ss.n_u, ss.n_y
-    S = np.zeros((n_u + n_y, 2 * n_u))
-    S[:n_u, :n_u] = np.diag(1.0 - ss.A)
-    S[:n_u, n_u:] = -np.diag(ss.B)
-    S[n_u:, :n_u] = -ss.C
-    rank = np.linalg.matrix_rank(S)
-    deficient = rank < S.shape[0]
+    rank = np.linalg.matrix_rank(ss.C)
+    deficient = rank < n_y
     if deficient:
         warnings.warn(
-            f"setpoint system has row rank {rank} < {S.shape[0]}: setpoints take "
+            f"setpoint system has row rank {n_u + rank} < {n_u + n_y}: setpoints take "
             "least-squares semantics",
             stacklevel=2,
         )
-    M = np.linalg.pinv(S)[:, n_u:]
+    C_pinv = np.linalg.pinv(ss.C)
+    M = -np.vstack([C_pinv, C_pinv])
     return SetpointMap(M=M, n_u=n_u, n_y=n_y, rank_deficient=bool(deficient))
 
 

@@ -127,7 +127,7 @@ class ImcController:
     usual anti-windup guard.
     """
 
-    def __init__(self, basis, k_imc, dt: float, bandwidth_hz: float = 200.0,
+    def __init__(self, basis, k_imc, dt: float, bandwidth_hz: float,
                  clip: bool = False, alpha=None, rho=None):
         self.U = basis.U
         self.V = basis.V
@@ -224,19 +224,13 @@ class MpcController:
 # Simulation loop
 # ---------------------------------------------------------------------------
 
-def simulate(plant: PlantConfig, controller, dist: DisturbanceSpec, T: int,
-             u_override: np.ndarray | None = None) -> SimTrace:
+def simulate(plant: PlantConfig, controller, dist: DisturbanceSpec, T: int) -> SimTrace:
     """Run the closed loop for T steps and collect the trace.
 
-    `controller` may be None (uncontrolled); `u_override` drives the
-    plant open-loop with a prescribed input sequence instead.
+    `controller` may be None (uncontrolled).
     """
     ss = build_state_space(plant)
     d = disturbance(dist, T, plant.n_y, dt=plant.dt)
-    if u_override is not None:
-        u_override = np.asarray(u_override, dtype=float)
-        if u_override.shape != (T, plant.n_u):
-            raise DimensionError(f"u_override shape {u_override.shape} != {(T, plant.n_u)}")
     if controller is not None and hasattr(controller, "reset"):
         controller.reset()
     mu = plant.mu
@@ -251,8 +245,6 @@ def simulate(plant: PlantConfig, controller, dist: DisturbanceSpec, T: int,
                 u_k = controller.step(y_k)
             except NumericalError as exc:
                 raise NumericalError(f"controller failed at simulation step {k}: {exc}") from exc
-        elif u_override is not None:
-            u_k = u_override[k]
         else:
             u_k = np.zeros(plant.n_u)
         if not (np.all(np.isfinite(u_k)) and np.all(np.isfinite(y_k))):

@@ -197,6 +197,17 @@ def kalman_predictor_gain_dense(A_diag, C, mu, sigma_v, sigma_w, sigma_m,
     return F @ P @ H.T @ np.linalg.inv(S), F, H
 
 
+def setpoint_map_pinv(A_diag, B_diag, C):
+    """Last n_y columns of pinv(S), S = [[I - A, -B], [-C, 0]], and whether S
+    is row-rank deficient: the steady-state map by its definition."""
+    n_u, n_y = len(A_diag), C.shape[0]
+    S = np.zeros((n_u + n_y, 2 * n_u))
+    S[:n_u, :n_u] = np.diag(1.0 - A_diag)
+    S[:n_u, n_u:] = -np.diag(B_diag)
+    S[n_u:, :n_u] = -C
+    return np.linalg.pinv(S)[:, n_u:], bool(np.linalg.matrix_rank(S) < n_u + n_y)
+
+
 def mpc_objective(ss_A, ss_B, Q, R_w, P, N, x0, x_bar, u_bar, u_seq):
     """0.5 * horizon cost of the original (uncondensed) problem."""
     n_u = len(ss_A)

@@ -77,6 +77,21 @@ class TestDesignCommand:
         assert main(["design", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_foreign_files_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = str(tmp_path / "out")
+        assert main(["design", "--config", cfg, "--out", out]) == 0
+        assert main(["design", "--config", cfg, "--out", out]) == 0  # redesign in place
+        foreign = tmp_path / "foreign"
+        foreign.mkdir()
+        (foreign / "L.csv").write_text("0\n")  # a file of the CSV layout
+        capsys.readouterr()
+        assert main(["design", "--config", cfg, "--out", str(foreign)]) == 2
+        err = capsys.readouterr().err
+        assert str(foreign) in err and "L.csv" in err
+        assert os.listdir(foreign) == ["L.csv"]
+        assert (foreign / "L.csv").read_text() == "0\n"
+
     def test_saturated_report_kappa_far_below_matched(self, tmp_path):
         base = BASE_CONFIG.replace("synthetic_kappa = 100", "synthetic_kappa = 1e4") \
                           .replace("synthetic_n_y = 5", "synthetic_n_y = 8") \
@@ -96,6 +111,14 @@ class TestDesignCommand:
 
 
 class TestSimulateCommand:
+    def test_default_baseline_stays_bounded(self, tmp_path):
+        cfg = write_config(tmp_path)  # sets no imc_bandwidth_hz
+        out = str(tmp_path / "sim")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
+        ibm = read_matrix(os.path.join(out, "ibm.csv"))
+        ibm_off, ibm_imc = ibm[-1, 1], ibm[-1, 2]
+        assert ibm_imc <= 2.0 * ibm_off
+
     def test_zero_disturbance_zero_ibm(self, tmp_path):
         cfg = write_config(tmp_path, extra="dist_sigma = 0\n")
         out = str(tmp_path / "sim")

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from orbitmpc import (
 from orbitmpc.design import _error_spectral_radius, _match_gain, dare_residual
 from orbitmpc.model import StateSpace
 
-from oracles import kalman_predictor_gain_dense, augmented_observer_matrices
+from oracles import kalman_predictor_gain_dense, augmented_observer_matrices, setpoint_map_pinv
 
 
 class TestSolveDare:
@@ -185,8 +187,41 @@ class TestWeightDesigns:
         r_found = [_match_gain(a, b, q, t, 0) for t in targets]
         assert all(r_found[i] > r_found[i + 1] for i in range(len(r_found) - 1))
 
+    def test_match_gain_hits_target_on_random_modes(self, rng):
+        for case in range(1000):
+            a = rng.uniform(1e-4, 0.9999)
+            b = 1.0 - a
+            q = 10.0 ** rng.uniform(-8.0, 4.0)
+            target = rng.uniform(1e-6, 0.9999) * a / b
+            r = _match_gain(a, b, q, target, 0)
+            achieved = lqr_gain_modal(a, b, solve_dare_modal(a, b, q, r), r)
+            assert abs(achieved - target) <= 1e-12 * target, (case, a, q, target)
+
 
 class TestSetpointMatrix:
+    def test_state_and_input_setpoints_equal(self, small_plant):
+        sp = setpoint_matrix(build_state_space(small_plant))
+        assert np.array_equal(sp.M_x, sp.M_u)
+
+    @pytest.mark.parametrize("n_y, n_u, rank", [(5, 5, 5), (6, 4, 4), (4, 6, 4), (5, 5, 3), (3, 8, 1)])
+    def test_matches_pinv_oracle(self, n_y, n_u, rank, rng):
+        a = rng.uniform(0.3, 0.9, n_u)
+        C = rng.standard_normal((n_y, rank)) @ rng.standard_normal((rank, n_u))
+        ss = StateSpace(A=a, B=1.0 - a, C=C, mu=1)
+        M_ref, deficient_ref = setpoint_map_pinv(ss.A, ss.B, ss.C)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            sp = setpoint_matrix(ss)
+        assert np.max(np.abs(sp.M - M_ref)) <= 1e-10 * np.max(np.abs(M_ref))
+        assert sp.rank_deficient == deficient_ref
+
+    def test_matches_pinv_oracle_on_ill_conditioned_plant(self):
+        ss = build_state_space(synthetic_plant(40, 41, 1e4, seed=5))
+        M_ref, deficient_ref = setpoint_map_pinv(ss.A, ss.B, ss.C)
+        sp = setpoint_matrix(ss)
+        assert np.max(np.abs(sp.M - M_ref)) <= 1e-10 * np.max(np.abs(M_ref))
+        assert sp.rank_deficient == deficient_ref
+
     def test_zero_disturbance_maps_to_zero(self, small_plant):
         sp = setpoint_matrix(build_state_space(small_plant))
         assert np.allclose(sp.M @ np.zeros(small_plant.n_y), 0.0)

@@ -89,8 +89,13 @@ class TestSimulate:
         u_seq = np.zeros((T, plant.n_u))
         j = 1
         u_seq[:, j] = 1.0
-        tr = simulate(plant, None, DisturbanceSpec(kind="white", sigma=0.0), T,
-                      u_override=u_seq)
+        inputs = iter(u_seq)
+
+        class OpenLoop:
+            def step(self, y):
+                return next(inputs)
+
+        tr = simulate(plant, OpenLoop(), DisturbanceSpec(kind="white", sigma=0.0), T)
         a = ss.A[j]
         for k in range(T):
             if k <= plant.mu:
