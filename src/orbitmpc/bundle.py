@@ -150,7 +150,7 @@ def design_controller(
     dare_stats: dict = {}
     terminal = design.solve_dare(ss.A, ss.B, w.Q, w.R_w, stats=dare_stats)
 
-    setpoint = design.setpoint_matrix(ss)
+    setpoint = design.setpoint_matrix(ss, basis)
     kalman_stats: dict = {}
     gain = design.kalman_gain(ss, sigma_v, sigma_w, sigma_m, stats=kalman_stats)
     condensed = qp.build_condensed(ss, w, terminal, setpoint, horizon)

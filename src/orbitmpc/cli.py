@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import bundle as bundle_mod
-from . import design, fgm, fileio, sim
+from . import fgm, fileio, qp, sim
 from .errors import ConfigError, OrbitMpcError
 from .model import PlantConfig, load_plant_config, synthetic_plant
 
@@ -126,11 +126,15 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
         dt=plant.dt,
     )
     horizon = fileio.kv_get(pairs, "horizon", int, default=1)
-    if horizon not in (1, 2):
-        raise ConfigError(f"horizon must be 1 or 2, got {horizon}")
+    if horizon not in qp.SUPPORTED_HORIZONS:
+        raise ConfigError(f"horizon must be one of {qp.SUPPORTED_HORIZONS}, got {horizon}")
     n_workers = workers_override if workers_override is not None else fileio.kv_get(pairs, "n_workers", int, default=1)
-    if n_workers < 1:
-        raise ConfigError("n_workers must be >= 1")
+    i_max = fileio.kv_get(pairs, "i_max", int, default=fgm.DEFAULT_I_MAX)
+    bench_cycles = fileio.kv_get(pairs, "bench_cycles", int, default=1000)
+    for key, value, least in (("n_workers", n_workers, 1), ("i_max", i_max, 0),
+                              ("bench_cycles", bench_cycles, 1)):
+        if value < least:
+            raise ConfigError(f"{key} must be >= {least}, got {value}")
     return RunConfig(
         plant=plant,
         weights_mode=fileio.kv_get(pairs, "weights", str, default="saturated"),
@@ -138,7 +142,7 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
         q_max=fileio.kv_get(pairs, "q_max", float, default=None) if "q_max" in pairs else None,
         imc_lambda=None if lam_raw == "auto" else float(lam_raw),
         horizon=horizon,
-        i_max=fileio.kv_get(pairs, "i_max", int, default=fgm.DEFAULT_I_MAX),
+        i_max=i_max,
         sigma_v=fileio.kv_get(pairs, "sigma_v", float, default=1.0),
         sigma_w=fileio.kv_get(pairs, "sigma_w", float, default=1e-4),
         sigma_m=fileio.kv_get(pairs, "sigma_m", float, default=1e-2),
@@ -151,7 +155,7 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
         output_dir=out_override or fileio.kv_get(pairs, "output_dir", str, default="out"),
         # 10 Hz at dt = 1 ms: the baseline integrates 2 pi 0.01 per sample at any dt
         imc_bandwidth_hz=fileio.kv_get(pairs, "imc_bandwidth_hz", float, default=0.01 / plant.dt),
-        bench_cycles=fileio.kv_get(pairs, "bench_cycles", int, default=1000),
+        bench_cycles=bench_cycles,
         observer_dump=bool(fileio.kv_get(pairs, "observer_dump", int, default=0)),
     )
 

@@ -7,7 +7,8 @@ gains, the setpoint map that folds disturbance estimates into the QP, and
 the steady-state observer gain for the delay-augmented plant.
 
 The setpoint map and the matched modal input weights are closed forms of
-the modal structure (see setpoint_matrix and _match_gain).
+the modal structure (see setpoint_matrix and _match_gain), read from the
+one SVD of C that the weight designs use.
 
 Both Riccati equations, the control DARE for the terminal cost and the
 filter Riccati equation for the observer gain, are solved by one
@@ -26,7 +27,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import StateSpace
+from .model import ModalBasis, StateSpace
 from .qp import spectral_bounds
 
 # Sentinel input weight for modes that cannot influence the output
@@ -77,8 +78,8 @@ class IterationBoundParams:
 class SetpointMap:
     """Maps a disturbance estimate to steady-state (x, u) setpoints.
 
-    M is the last n_y columns of the pseudoinverse of the steady-state
-    coefficient matrix; M_x / M_u are its state / input row blocks.
+    M = -[C^+; C^+], with C^+ formed from the modal basis (see
+    setpoint_matrix); M_x / M_u are its state / input row blocks.
     """
 
     M: np.ndarray
@@ -335,18 +336,21 @@ def design_weights_imc_matched(basis, a: float, b: float, lam: float) -> Weights
 # Setpoints
 # ---------------------------------------------------------------------------
 
-def setpoint_matrix(ss: StateSpace) -> SetpointMap:
-    """Solve the steady-state conditions for (x, u) given a disturbance.
+def setpoint_matrix(ss: StateSpace, basis: ModalBasis) -> SetpointMap:
+    """Steady-state (x, u) setpoints for a disturbance, from the modal basis of C.
 
     The steady state (x, u) = M d is the minimum-norm least-squares solution
     of S [x; u] = [0; d], S = [[I - A, -B], [-C, 0]], with C x = -d cancelling
     d at the output.  As B = I - A bit for bit and A_ii < 1, the first block
-    row forces x = u, so M = pinv(S)[:, n_u:] = -[C^+; C^+] exactly.  S has
-    row rank n_u + rank C; rank C < n_y gives least-squares semantics and
-    is flagged.
+    row forces x = u, so M = -[C^+; C^+], with C^+ = V diag(1/sigma) U^T
+    from `basis` by numpy's pseudo-inverse arithmetic and cutoff (modes at or
+    below 1e-15 sigma_0 get 0).  S has row rank n_u + rank C, rank C counting
+    the modes above numpy's rank tolerance sigma_0 max(n_y, n_u) eps; rank
+    C < n_y gives least-squares semantics and is flagged.
     """
     n_u, n_y = ss.n_u, ss.n_y
-    rank = np.linalg.matrix_rank(ss.C)
+    sigma = basis.S
+    rank = np.count_nonzero(sigma > sigma[0] * (max(n_y, n_u) * np.finfo(float).eps))
     deficient = rank < n_y
     if deficient:
         warnings.warn(
@@ -354,8 +358,9 @@ def setpoint_matrix(ss: StateSpace) -> SetpointMap:
             "least-squares semantics",
             stacklevel=2,
         )
-    C_pinv = np.linalg.pinv(ss.C)
-    M = -np.vstack([C_pinv, C_pinv])
+    s_inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 1e-15 * sigma[0])
+    C_plus = basis.V @ (s_inv[:, None] * basis.U.T)
+    M = -np.vstack([C_plus, C_plus])
     return SetpointMap(M=M, n_u=n_u, n_y=n_y, rank_deficient=bool(deficient))
 
 

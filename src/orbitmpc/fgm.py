@@ -62,6 +62,8 @@ class WorkerPlan:
     row_slices: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.n_workers < 1 or len(self.row_slices) != self.n_workers:
+            raise DimensionError(f"{len(self.row_slices)} row slices for {self.n_workers} workers")
         pos = 0
         for start, count in self.row_slices:
             if start != pos or count < 0:

@@ -60,7 +60,7 @@ class PlantConfig:
             raise ConfigError("need n_y >= 1 and n_s + n_f >= 1")
         if self.n_s < 0 or self.n_f < 0:
             raise ConfigError("actuator counts must be non-negative")
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.mu < 0:
             raise ConfigError(f"mu must be non-negative, got {self.mu}")
@@ -70,12 +70,12 @@ class PlantConfig:
         object.__setattr__(self, "a_f", _per_actuator(self.a_f, self.n_f, "a_f"))
         object.__setattr__(self, "alpha", _per_actuator(self.alpha, self.n_u, "alpha"))
         object.__setattr__(self, "rho", _per_actuator(self.rho, self.n_u, "rho"))
-        if np.any(self.a_s <= 0.0) or np.any(self.a_f <= 0.0):
-            raise ConfigError("actuator bandwidths must be positive")
-        if np.any(self.alpha <= 0.0):
-            raise ConfigError("amplitude limits must be positive")
-        if np.any(self.rho <= 0.0):
-            raise ConfigError("slew-rate limits must be positive")
+        for name, what in (("a_s", "actuator bandwidth"), ("a_f", "actuator bandwidth"),
+                           ("alpha", "amplitude limit"), ("rho", "slew-rate limit")):
+            value = getattr(self, name)
+            bad = np.flatnonzero(~(value > 0.0))  # NaN fails `> 0` too
+            if bad.size:
+                raise ConfigError(f"{name}[{bad[0]}] = {value[bad[0]]}: {what} must be positive")
         if not (np.all(np.isfinite(self.R_s)) and np.all(np.isfinite(self.R_f))):
             raise ConfigError("orbit response matrix has non-finite entries")
 

@@ -183,7 +183,10 @@ class ConstraintSet:
     box bounds of the stacked iterate (stage-0 interval, and [-alpha,
     alpha] for stage 1) and, for N = 2, the widened band half-width and the
     u0 limits of the segments u1 = u0 + rho and u1 = u0 - rho inside the
-    box.  An infeasible set can be built; projecting onto it raises.
+    box: [lo, min(hi, alpha - rho)] and [max(lo, rho - alpha), hi].  Their
+    other two limits, -alpha - rho and alpha + rho, never bind, since
+    fl(-alpha - rho) <= -alpha <= lo and hi <= alpha <= fl(alpha + rho).
+    An infeasible set can be built; projecting onto it raises.
     """
 
     alpha: np.ndarray
@@ -213,8 +216,8 @@ class ConstraintSet:
             lower, upper = np.concatenate([lo, -alpha]), np.concatenate([hi, alpha])
             band = rho + 1e-12 * (1.0 + alpha + rho)
             segments = (
-                np.stack([np.maximum(lo, -alpha - rho), np.minimum(hi, alpha - rho)]),
-                np.stack([np.maximum(lo, rho - alpha), np.minimum(hi, alpha + rho)]),
+                np.stack([lo, np.minimum(hi, alpha - rho)]),
+                np.stack([np.maximum(lo, rho - alpha), hi]),
             )
         for name, value in (("alpha", alpha), ("rho", rho), ("u_prev", u_prev),
                             ("_lower", lower), ("_upper", upper),
@@ -248,14 +251,21 @@ class ConstraintSet:
         return _project_stacked(t, self)
 
     def diameter_sq(self) -> float:
-        """Squared Euclidean diameter of U_N (for the iteration-bound Delta)."""
-        if self.N == 1:
-            lo, hi = self.stage0_bounds()
-            return float(np.sum((hi - lo) ** 2))
-        verts = _stage_vertices(self)
-        diff = verts[:, :, None, :] - verts[:, None, :, :]
-        per_act = np.max(np.sum(diff ** 2, axis=-1), axis=(1, 2))
-        return float(np.sum(per_act))
+        """Squared Euclidean diameter of U_N (for the iteration-bound Delta).
+
+        U_N is a product of per-actuator sets, so D^2 sums their squared
+        diameters.  For N = 2 an actuator's u0 spans [lo, hi] and its u1
+        spans [max(-alpha, lo - rho), min(alpha, hi + rho)]; the corners
+        (lo, max(-alpha, lo - rho)) and (hi, min(alpha, hi + rho)) are both
+        feasible and span both ranges, so they attain the diameter.
+        """
+        lo, hi = self.stage0_bounds()
+        sq = (hi - lo) ** 2
+        if self.N == 2:
+            self.check_feasible()
+            alpha, rho = self.alpha, self.rho
+            sq = sq + (np.minimum(alpha, hi + rho) - np.maximum(-alpha, lo - rho)) ** 2
+        return float(np.sum(sq))
 
 
 def _clip(x, lo, hi, out=None):
@@ -268,31 +278,6 @@ def project_stage_n1(t: np.ndarray, cset: ConstraintSet) -> np.ndarray:
     """Component-wise clip to the stage-0 interval."""
     cset.check_feasible()
     return _clip(t, cset._lower, cset._upper)
-
-
-def _stage_vertices(cset: ConstraintSet) -> np.ndarray:
-    """(n, 6, 2) vertices of each actuator's stage polytope, unordered.
-
-    Candidates are the corners at u0 = lo and u0 = hi plus the two
-    band/amplitude breakpoints; an invalid breakpoint is replaced by the
-    first corner, so vertices may repeat.
-    """
-    cset.check_feasible()
-    alpha, rho = cset.alpha, cset.rho
-    lo, hi = cset.stage0_bounds()
-    bp_up, bp_dn = alpha - rho, rho - alpha
-    cand = np.stack([
-        np.stack([lo, np.maximum(-alpha, lo - rho)], axis=1),
-        np.stack([lo, np.minimum(alpha, lo + rho)], axis=1),
-        np.stack([hi, np.maximum(-alpha, hi - rho)], axis=1),
-        np.stack([hi, np.minimum(alpha, hi + rho)], axis=1),
-        np.stack([bp_up, alpha], axis=1),
-        np.stack([bp_dn, -alpha], axis=1),
-    ], axis=1)
-    valid = np.ones(cand.shape[:2], dtype=bool)
-    valid[:, 4] = (lo <= bp_up) & (bp_up <= hi)
-    valid[:, 5] = (lo <= bp_dn) & (bp_dn <= hi)
-    return np.where(valid[:, :, None], cand, cand[:, :1])
 
 
 def _project_stacked(t: np.ndarray, cset: ConstraintSet) -> np.ndarray:

@@ -3,6 +3,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from orbitmpc import bundle as bundle_mod
 from orbitmpc import load_bundle, save_plant_config, synthetic_plant
@@ -266,6 +267,14 @@ class TestConfigValidation:
     def test_bad_horizon_rejected(self, tmp_path):
         cfg = write_config(tmp_path, extra="horizon = 3\n")
         assert main(["design", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("key, value", [("i_max", -3), ("bench_cycles", 0)])
+    def test_out_of_range_count_rejected_on_read(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, extra=f"{key} = {value}\n")
+        out = tmp_path / "bench"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{key} must be >= " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_weights_rejected(self, tmp_path):
         cfg = write_config(tmp_path, extra="weights = fancy\n")

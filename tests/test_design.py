@@ -11,6 +11,7 @@ from orbitmpc import (
     NumericalError,
     build_state_space,
     condition_number,
+    design_controller,
     design_weights_imc_matched,
     design_weights_saturated,
     imc_gain,
@@ -200,7 +201,7 @@ class TestWeightDesigns:
 
 class TestSetpointMatrix:
     def test_state_and_input_setpoints_equal(self, small_plant):
-        sp = setpoint_matrix(build_state_space(small_plant))
+        sp = setpoint_matrix(build_state_space(small_plant), modal_decompose(small_plant.R))
         assert np.array_equal(sp.M_x, sp.M_u)
 
     @pytest.mark.parametrize("n_y, n_u, rank", [(5, 5, 5), (6, 4, 4), (4, 6, 4), (5, 5, 3), (3, 8, 1)])
@@ -211,24 +212,24 @@ class TestSetpointMatrix:
         M_ref, deficient_ref = setpoint_map_pinv(ss.A, ss.B, ss.C)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            sp = setpoint_matrix(ss)
+            sp = setpoint_matrix(ss, modal_decompose(ss.C))
         assert np.max(np.abs(sp.M - M_ref)) <= 1e-10 * np.max(np.abs(M_ref))
         assert sp.rank_deficient == deficient_ref
 
     def test_matches_pinv_oracle_on_ill_conditioned_plant(self):
         ss = build_state_space(synthetic_plant(40, 41, 1e4, seed=5))
         M_ref, deficient_ref = setpoint_map_pinv(ss.A, ss.B, ss.C)
-        sp = setpoint_matrix(ss)
+        sp = setpoint_matrix(ss, modal_decompose(ss.C))
         assert np.max(np.abs(sp.M - M_ref)) <= 1e-10 * np.max(np.abs(M_ref))
         assert sp.rank_deficient == deficient_ref
 
     def test_zero_disturbance_maps_to_zero(self, small_plant):
-        sp = setpoint_matrix(build_state_space(small_plant))
+        sp = setpoint_matrix(build_state_space(small_plant), modal_decompose(small_plant.R))
         assert np.allclose(sp.M @ np.zeros(small_plant.n_y), 0.0)
 
     def test_residual_on_random_disturbances(self, small_plant, rng):
         ss = build_state_space(small_plant)
-        sp = setpoint_matrix(ss)
+        sp = setpoint_matrix(ss, modal_decompose(ss.C))
         n_u, n_y = ss.n_u, ss.n_y
         S = np.zeros((n_u + n_y, 2 * n_u))
         S[:n_u, :n_u] = np.diag(1.0 - ss.A)
@@ -242,7 +243,7 @@ class TestSetpointMatrix:
 
     def test_steady_output_cancels_disturbance(self, small_plant, rng):
         ss = build_state_space(small_plant)
-        sp = setpoint_matrix(ss)
+        sp = setpoint_matrix(ss, modal_decompose(ss.C))
         d = rng.standard_normal(ss.n_y)
         x_bar = sp.M_x @ d
         assert np.allclose(ss.C @ x_bar, -d, atol=1e-8 * np.linalg.norm(d))
@@ -253,8 +254,34 @@ class TestSetpointMatrix:
         ss = StateSpace(A=np.array([0.5, 0.6]), B=np.array([0.5, 0.4]),
                         C=rng.standard_normal((4, 2)), mu=1)
         with pytest.warns(UserWarning, match="least-squares"):
-            sp = setpoint_matrix(ss)
+            sp = setpoint_matrix(ss, modal_decompose(ss.C))
         assert sp.rank_deficient
+
+    @pytest.mark.parametrize("n_y, n_u, rank", [
+        (6, 6, 6), (9, 5, 5), (5, 9, 5), (7, 7, 4), (8, 5, 2), (4, 9, 3),
+    ])
+    def test_equals_numpy_pseudo_inverse_bitwise(self, n_y, n_u, rank):
+        rng = np.random.default_rng(1000 * n_y + 10 * n_u + rank)
+        for _ in range(20):
+            a = rng.uniform(0.3, 0.9, n_u)
+            C = rng.standard_normal((n_y, rank)) @ rng.standard_normal((rank, n_u))
+            ss = StateSpace(A=a, B=1.0 - a, C=C, mu=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                sp = setpoint_matrix(ss, modal_decompose(C))
+            C_plus = np.linalg.pinv(C)
+            assert np.array_equal(sp.M, -np.vstack([C_plus, C_plus]))
+            assert sp.rank_deficient == (np.linalg.matrix_rank(C) < n_y)
+
+    def test_design_decomposes_the_response_matrix_once(self, small_plant, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the design must reuse its modal basis")
+
+        monkeypatch.setattr(np.linalg, "pinv", refuse)
+        monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+        for horizon in (1, 2):
+            b = design_controller(small_plant, horizon)
+            assert b.setpoint.M.shape == (2 * small_plant.n_u, small_plant.n_y)
 
 
 class TestKalmanGain:

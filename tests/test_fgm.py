@@ -7,6 +7,7 @@ import pytest
 from orbitmpc import (
     ConfigError,
     ConstraintSet,
+    DimensionError,
     NumericalError,
     converged_iterations,
     design_controller,
@@ -83,6 +84,16 @@ class TestWorkerPlan:
             make_worker_plan(0, 1)
         with pytest.raises(ConfigError):
             make_worker_plan(10, 0)
+
+    @pytest.mark.parametrize("n_workers, row_slices", [
+        (1, ((0, 4), (4, 4))),
+        (3, ((0, 4), (4, 4))),
+        (0, ()),
+    ])
+    def test_one_slice_per_worker(self, n_workers, row_slices):
+        with pytest.raises(DimensionError,
+                           match=f"{len(row_slices)} row slices for {n_workers} workers"):
+            fgm.WorkerPlan(n_workers=n_workers, row_slices=row_slices)
 
 
 class TestGradientStep:

@@ -69,6 +69,14 @@ class TestBuildStateSpace:
         with pytest.raises(ConfigError):
             make_plant(a=0.0)
 
+    @pytest.mark.parametrize("field", ["dt", "a_s", "a_f", "alpha", "rho"])
+    def test_nan_parameters_rejected(self, field):
+        kwargs = dict(n_y=2, n_s=1, n_f=1, R_s=np.ones((2, 1)), R_f=np.ones((2, 1)),
+                      a_s=10.0, a_f=100.0, dt=1e-3, mu=1, alpha=1.0, rho=0.1)
+        kwargs[field] = np.nan
+        with pytest.raises(ConfigError, match=field):
+            PlantConfig(**kwargs)
+
 
 class TestModalDecompose:
     def test_identity(self):
@@ -142,6 +150,16 @@ class TestPlantConfigIO:
         assert loaded.dt == flat_plant.dt
         assert loaded.mu == flat_plant.mu
         assert np.array_equal(loaded.bandwidths, flat_plant.bandwidths)
+
+    def test_nan_alpha_in_file_rejected(self, tmp_path, flat_plant):
+        path = os.path.join(tmp_path, "plant.cfg")
+        save_plant_config(flat_plant, path)
+        with open(path) as fh:
+            lines = ["alpha = nan\n" if line.startswith("alpha") else line for line in fh]
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        with pytest.raises(ConfigError, match="alpha"):
+            load_plant_config(path)
 
     def test_missing_matrix_file(self, tmp_path, flat_plant):
         path = os.path.join(tmp_path, "plant.cfg")

@@ -39,7 +39,7 @@ def design_parts(ss):
     basis = modal_decompose(ss.C)
     w = design_weights_saturated(basis, 1e-3, 1e3)
     terminal = solve_dare(ss.A, ss.B, w.Q, w.R_w)
-    sp = setpoint_matrix(ss)
+    sp = setpoint_matrix(ss, basis)
     return w, terminal, sp
 
 
@@ -368,3 +368,35 @@ class TestBuildCondensedAndDelta:
             diff = pts[:, None, :] - pts[None, :, :]
             total += np.max(np.sum(diff ** 2, axis=-1))
         assert delta == pytest.approx(0.5 * total, rel=1e-9)
+
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("alpha, rho, u_prev", [
+        (1.0, 0.1, 1.0),            # u_prev at +alpha
+        (1.0, 0.1, -1.0),           # u_prev at -alpha
+        (2.0, 0.7, 2.0),
+        (1.0, 2.0, 0.3),            # rho = 2 alpha: the band never binds
+        (1.0, 5.0, -1.0),
+        (1.0, 1e-6, 0.25),          # rho << alpha
+        (3.0, 1e-4, -3.0),
+        (1.0, 0.5, 1.5),            # u_prev = alpha + rho: lo == hi == alpha
+        (2.0, 0.25, -2.25),         # lo == hi == -alpha
+    ])
+    def test_default_delta_matches_vertex_scan_on_edge_sets(self, N, alpha, rho, u_prev):
+        cset = ConstraintSet(alpha=np.array([alpha]), rho=np.array([rho]),
+                             u_prev=np.array([u_prev]), N=N)
+        A, b = stage_halfplanes(u_prev, alpha, rho)
+        pts = []
+        for r in range(8):
+            for s in range(r + 1, 8):
+                M = np.array([A[r], A[s]])
+                if abs(np.linalg.det(M)) < 1e-12:
+                    continue
+                v = np.linalg.solve(M, np.array([b[r], b[s]]))
+                if np.all(A @ v <= b + 1e-9 * (1.0 + alpha + rho)):
+                    pts.append(v)
+        pts = np.array(pts)
+        if N == 1:  # the stage-0 interval is the polygon's u0 range
+            want = np.ptp(pts[:, 0]) ** 2
+        else:
+            want = np.max(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+        assert default_delta(2.0, cset) == pytest.approx(want, rel=1e-9, abs=1e-24)

@@ -69,6 +69,11 @@ class TestDisturbance:
         with pytest.raises(ConfigError):
             disturbance(DisturbanceSpec(kind="file", path=str(tmp_path / "nope.csv")), 4, 3)
 
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ConfigError, match="sigma"):
+            DisturbanceSpec(kind="white", sigma=sigma)
+
     def test_mode_shapes_orthonormal(self):
         shapes = np.array([spatial_mode_shape(m, 7) for m in range(7)])
         assert np.allclose(shapes @ shapes.T, np.eye(7), atol=1e-12)
