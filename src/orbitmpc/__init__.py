@@ -11,7 +11,6 @@ from .bundle import DesignBundle, design_controller, load_bundle, run_checks, sa
 from .design import (
     IterationBoundParams,
     PartitionedGain,
-    SetpointMap,
     TerminalCost,
     Weights,
     condition_number,

@@ -2,8 +2,8 @@
 
 `design_controller` runs the whole offline chain for one plant and one
 horizon: modal decomposition, weight design (saturated or baseline-gain
-matched), DARE terminal cost, setpoint map, observer gain, condensed QP
-and the iteration-bound bookkeeping.  The result round-trips through a
+matched), DARE terminal cost, steady-state target map, observer gain,
+condensed QP and the iteration-bound bookkeeping.  The result round-trips through a
 bundle directory that the simulate, bench and check commands consume: one
 `.npy` file per array the controller reads, the plant as `plant.cfg` +
 `R.csv`, and `meta.txt`, `bounds.txt` and `report.txt` as key=value text.
@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+import warnings
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .sim import ImcController, MpcController
 # Version of the bundle layout, separate from fileio.SCHEMA_VERSION of the
 # text outputs; design_fingerprint hashes it, so bench redesigns a bundle of
 # another layout instead of loading it.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -41,7 +42,6 @@ class DesignBundle:
     basis: ModalBasis
     weights: design.Weights
     terminal: design.TerminalCost
-    setpoint: design.SetpointMap
     gain: design.PartitionedGain
     condensed: qp.CondensedQP
     epsilon: float
@@ -150,10 +150,10 @@ def design_controller(
     dare_stats: dict = {}
     terminal = design.solve_dare(ss.A, ss.B, w.Q, w.R_w, stats=dare_stats)
 
-    setpoint = design.setpoint_matrix(ss, basis)
+    M_s = design.setpoint_matrix(ss, basis)
     kalman_stats: dict = {}
     gain = design.kalman_gain(ss, sigma_v, sigma_w, sigma_m, stats=kalman_stats)
-    condensed = qp.build_condensed(ss, w, terminal, setpoint, horizon)
+    condensed = qp.build_condensed(ss, w, terminal, M_s, horizon)
 
     cset0 = qp.ConstraintSet(alpha=plant.alpha, rho=plant.rho,
                              u_prev=np.zeros(plant.n_u), N=horizon)
@@ -177,7 +177,6 @@ def design_controller(
         "sigma_m": sigma_m,
         "modal_a": a,
         "modal_b": b,
-        "setpoint_rank_deficient": int(setpoint.rank_deficient),
         "delta_is_default": int(delta_is_default),
         "dare_doublings": dare_stats["doublings"],
         "dare_residual": dare_stats["residual"],
@@ -190,7 +189,6 @@ def design_controller(
         basis=basis,
         weights=w,
         terminal=terminal,
-        setpoint=setpoint,
         gain=gain,
         condensed=condensed,
         epsilon=epsilon,
@@ -217,7 +215,6 @@ def _arrays(b: DesignBundle) -> dict[str, np.ndarray]:
         "Q": b.weights.Q, "R_w": b.weights.R_w, "q_hat": b.weights.q_hat, "r_hat": b.weights.r_hat,
         "P": b.terminal.P,
         _gain_file(b.ss.mu): b.gain.measured, "L_d": b.gain.L_d,
-        "M_setpoint": b.setpoint.M,
         "J": b.condensed.J, "q_map_x0": b.condensed.q_map_x0, "q_map_d": b.condensed.q_map_d,
     }
 
@@ -230,7 +227,6 @@ def _array_shapes(ss: StateSpace, horizon: int) -> dict[str, tuple[int, ...]]:
         "Q": (n_u, n_u), "R_w": (n_u, n_u), "q_hat": (r,), "r_hat": (n_u,),
         "P": (n_u, n_u),
         _gain_file(ss.mu): (n_u, n_y), "L_d": (n_y, n_y),
-        "M_setpoint": (2 * n_u, n_y),
         "J": (n, n), "q_map_x0": (n, n_u), "q_map_d": (n, n_y),
     }
 
@@ -318,12 +314,6 @@ def load_bundle(directory) -> DesignBundle:
         weights=design.Weights(q_hat=arrays["q_hat"], r_hat=arrays["r_hat"],
                                Q=arrays["Q"], R_w=arrays["R_w"]),
         terminal=design.TerminalCost(P=arrays["P"]),
-        setpoint=design.SetpointMap(
-            M=arrays["M_setpoint"],
-            n_u=ss.n_u,
-            n_y=ss.n_y,
-            rank_deficient=bool(int(meta.get("setpoint_rank_deficient", "0"))),
-        ),
         gain=design.PartitionedGain(arrays[_gain_file(ss.mu)], arrays["L_d"], ss.A, ss.mu),
         condensed=qp.CondensedQP(
             J=arrays["J"],
@@ -355,8 +345,14 @@ class CheckResult:
 
 
 def run_checks(bundle: DesignBundle, probe_steps: int = 100, seed: int = 0) -> list[CheckResult]:
-    """Bundle self-consistency: DARE residual, setpoint residual,
-    fast-vs-naive observer agreement, spectral-bound agreement."""
+    """Bundle self-consistency: DARE residual, steady-state target,
+    fast-vs-naive observer agreement, spectral-bound agreement.
+
+    The target check forms M_s from the stored modal basis and tests the
+    least-squares condition C^T (C M_s d + d) = 0 against the plant's own
+    C, scaled by the plant's own sigma_0 = ||C||_2.  It holds on every
+    plant shape and fails for stored factors that are not the plant's.
+    """
     results = []
     rng = np.random.default_rng(seed)
     ss = bundle.ss
@@ -365,18 +361,18 @@ def run_checks(bundle: DesignBundle, probe_steps: int = 100, seed: int = 0) -> l
     results.append(CheckResult("dare_residual", residual < 1e-8,
                                f"relative residual {residual:.3e} (tolerance 1e-08)"))
 
-    S = np.zeros((ss.n_u + ss.n_y, 2 * ss.n_u))
-    S[: ss.n_u, : ss.n_u] = np.diag(1.0 - ss.A)
-    S[: ss.n_u, ss.n_u :] = -np.diag(ss.B)
-    S[ss.n_u :, : ss.n_u] = -ss.C
-    worst = 0.0
-    for _ in range(100):
-        d = rng.standard_normal(ss.n_y)
-        rhs = np.concatenate([np.zeros(ss.n_u), d])
-        err = np.linalg.norm(S @ (bundle.setpoint.M @ d) - rhs) / np.linalg.norm(d)
-        worst = max(worst, err)
+    with warnings.catch_warnings():  # design already said so for rank C < n_y
+        warnings.simplefilter("ignore", UserWarning)
+        M_s = design.setpoint_matrix(ss, bundle.basis)
+    D = rng.standard_normal((ss.n_y, 100))
+    X = M_s @ D
+    sigma_0 = np.linalg.norm(ss.C, 2)
+    normal = np.linalg.norm(ss.C.T @ (ss.C @ X + D), axis=0)
+    scale = sigma_0 * (sigma_0 * np.linalg.norm(X, axis=0) + np.linalg.norm(D, axis=0))
+    worst = float(np.max(normal / scale))
     results.append(CheckResult("setpoint_residual", worst < 1e-8,
-                               f"max relative residual {worst:.3e} over 100 draws (tolerance 1e-08)"))
+                               f"max relative least-squares residual {worst:.3e} "
+                               "over 100 draws (tolerance 1e-08)"))
 
     st_fast = ObserverState.initial(ss, bundle.gain)
     st_naive = ObserverState.initial(ss, bundle.gain)

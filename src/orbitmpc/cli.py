@@ -58,17 +58,21 @@ class RunConfig:
     observer_dump: bool
 
 
-def _parse_components(raw: str):
-    """'freq:amp:mode;freq:amp:mode' triples for the sinusoid mix."""
+def _parse_components(raw: str, n_y: int):
+    """'freq:amp:mode;freq:amp:mode' triples for the sinusoid mix, each
+    spatial mode one of the n_y monitor shapes."""
     components = []
     for token in raw.split(";"):
         token = token.strip()
         if not token:
             continue
-        parts = token.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"bad disturbance component {token!r}, expected freq:amp:mode")
-        components.append((float(parts[0]), float(parts[1]), int(parts[2])))
+        try:
+            freq_hz, amplitude, mode = token.split(":")
+            components.append((float(freq_hz), float(amplitude), int(mode)))
+        except ValueError:
+            raise ConfigError(f"dist_components: bad component {token!r}, expected "
+                              "freq:amp:mode with an integer mode") from None
+    sim.check_components(components, n_y)
     return tuple(components)
 
 
@@ -121,7 +125,7 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
         kind=dist_kind,
         sigma=fileio.kv_get(pairs, "dist_sigma", float, default=1.0),
         seed=seed,
-        components=_parse_components(pairs.get("dist_components", "")),
+        components=_parse_components(pairs.get("dist_components", ""), plant.n_y),
         path=dist_path,
         dt=plant.dt,
     )

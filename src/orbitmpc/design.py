@@ -3,12 +3,12 @@
 Everything the online controller consumes is produced here: the terminal
 cost from the discrete-time Riccati equation (DARE), modal weight designs
 that precondition the condensed Hessian, the regularized modal baseline
-gains, the setpoint map that folds disturbance estimates into the QP, and
-the steady-state observer gain for the delay-augmented plant.
+gains, the steady-state target map that folds disturbance estimates into
+the QP, and the steady-state observer gain for the delay-augmented plant.
 
-The setpoint map and the matched modal input weights are closed forms of
-the modal structure (see setpoint_matrix and _match_gain), read from the
-one SVD of C that the weight designs use.
+The steady-state target map M_s = -C^+ and the matched modal input weights
+are closed forms of the modal structure (see setpoint_matrix and
+_match_gain), read from the one SVD of C that the weight designs use.
 
 Both Riccati equations, the control DARE for the terminal cost and the
 filter Riccati equation for the observer gain, are solved by one
@@ -29,10 +29,6 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .model import ModalBasis, StateSpace
 from .qp import spectral_bounds
-
-# Sentinel input weight for modes that cannot influence the output
-# (zero singular value), whose matched gain is zero; keeps them quiescent.
-R_HAT_MAX = 1e12
 
 _SDA_MAX_DOUBLINGS = 64
 _RICCATI_RESIDUAL_TOL = 1e-8
@@ -72,28 +68,6 @@ class IterationBoundParams:
             raise ConfigError("Delta must be non-negative")
         if self.kappa < 1.0:
             raise ConfigError("kappa must be >= 1")
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class SetpointMap:
-    """Maps a disturbance estimate to steady-state (x, u) setpoints.
-
-    M = -[C^+; C^+], with C^+ formed from the modal basis (see
-    setpoint_matrix); M_x / M_u are its state / input row blocks.
-    """
-
-    M: np.ndarray
-    n_u: int
-    n_y: int
-    rank_deficient: bool = False
-
-    @property
-    def M_x(self) -> np.ndarray:
-        return self.M[: self.n_u]
-
-    @property
-    def M_u(self) -> np.ndarray:
-        return self.M[self.n_u :]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -312,56 +286,59 @@ def design_weights_imc_matched(basis, a: float, b: float, lam: float) -> Weights
     """Choose modal input weights so each mode's LQR gain equals the
     regularized-inverse baseline gain sigma/(sigma^2 + lambda).
 
-    State weights are fixed at sigma^2.  Modes with sigma = 0 get the
-    R_HAT_MAX sentinel (gain 0).  Raises when a target gain exceeds the
-    supremum a/b reachable by the scalar LQR.
+    State weights are fixed at sigma^2.  Modes that cannot influence the
+    output, sigma = 0 modes and the n_u - r null-space directions of a
+    wide plant, have no gain to match; they take the largest matched
+    weight, which keeps them the most heavily damped without stretching
+    the spread of R_w beyond the matched ones.  Raises when a target gain
+    exceeds the supremum a/b reachable by the scalar LQR.
     """
     sigma = basis.S
     q_hat = sigma ** 2
     k_imc = imc_gain(sigma, lam)
-    r_hat_modes = np.empty(basis.r)
-    for i in range(basis.r):
-        if sigma[i] == 0.0:
-            r_hat_modes[i] = R_HAT_MAX
-        else:
-            r_hat_modes[i] = _match_gain(a, b, q_hat[i], float(k_imc[i]), i)
+    live = sigma > 0.0
+    if not np.any(live):
+        raise ConfigError("response matrix has no nonzero singular value")
+    r_hat_modes = np.zeros(basis.r)
+    for i in np.flatnonzero(live):
+        r_hat_modes[i] = _match_gain(a, b, q_hat[i], float(k_imc[i]), int(i))
+    r_null = float(np.max(r_hat_modes))
+    r_hat_modes[~live] = r_null
     n_u = basis.V.shape[0]
-    r_hat = np.concatenate([r_hat_modes, np.full(n_u - basis.r, R_HAT_MAX)])
+    r_hat = np.concatenate([r_hat_modes, np.full(n_u - basis.r, r_null)])
     Q = _dense_weights(basis.V, q_hat, 0.0)
-    R_w = _dense_weights(basis.V, r_hat_modes, R_HAT_MAX)
+    R_w = _dense_weights(basis.V, r_hat_modes, r_null)
     return Weights(q_hat=q_hat, r_hat=r_hat, Q=Q, R_w=R_w)
 
 
 # ---------------------------------------------------------------------------
-# Setpoints
+# Steady-state target
 # ---------------------------------------------------------------------------
 
-def setpoint_matrix(ss: StateSpace, basis: ModalBasis) -> SetpointMap:
-    """Steady-state (x, u) setpoints for a disturbance, from the modal basis of C.
+def setpoint_matrix(ss: StateSpace, basis: ModalBasis) -> np.ndarray:
+    """The n_u x n_y steady-state target map M_s = -C^+, from the modal basis of C.
 
-    The steady state (x, u) = M d is the minimum-norm least-squares solution
-    of S [x; u] = [0; d], S = [[I - A, -B], [-C, 0]], with C x = -d cancelling
-    d at the output.  As B = I - A bit for bit and A_ii < 1, the first block
-    row forces x = u, so M = -[C^+; C^+], with C^+ = V diag(1/sigma) U^T
-    from `basis` by numpy's pseudo-inverse arithmetic and cutoff (modes at or
-    below 1e-15 sigma_0 get 0).  S has row rank n_u + rank C, rank C counting
-    the modes above numpy's rank tolerance sigma_0 max(n_y, n_u) eps; rank
-    C < n_y gives least-squares semantics and is flagged.
+    The steady state (x_s, u_s) for a disturbance d is the minimum-norm
+    least-squares solution of S [x; u] = [0; d], S = [[I - A, -B], [-C, 0]],
+    with C x = -d cancelling d at the output.  As B = I - A bit for bit and
+    A_ii < 1, the first block row forces x = u, so x_s = u_s = M_s d.  C^+ =
+    V diag(1/sigma) U^T is formed from `basis` by numpy's pseudo-inverse
+    arithmetic and cutoff (modes at or below 1e-15 sigma_0 get 0).  When
+    rank C < n_y, rank C counting the modes above numpy's rank tolerance
+    sigma_0 max(n_y, n_u) eps, no input cancels every disturbance: the
+    target takes least-squares semantics and a warning says so.
     """
     n_u, n_y = ss.n_u, ss.n_y
     sigma = basis.S
     rank = np.count_nonzero(sigma > sigma[0] * (max(n_y, n_u) * np.finfo(float).eps))
-    deficient = rank < n_y
-    if deficient:
+    if rank < n_y:
         warnings.warn(
-            f"setpoint system has row rank {n_u + rank} < {n_u + n_y}: setpoints take "
-            "least-squares semantics",
+            f"response matrix has rank {rank} < n_y = {n_y}: the steady-state target "
+            "takes least-squares semantics",
             stacklevel=2,
         )
     s_inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 1e-15 * sigma[0])
-    C_plus = basis.V @ (s_inv[:, None] * basis.U.T)
-    M = -np.vstack([C_plus, C_plus])
-    return SetpointMap(M=M, n_u=n_u, n_y=n_y, rank_deficient=bool(deficient))
+    return -(basis.V @ (s_inv[:, None] * basis.U.T))
 
 
 # ---------------------------------------------------------------------------

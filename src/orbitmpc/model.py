@@ -185,7 +185,7 @@ def synthetic_plant(
     min(n_y, n_u) == 1 there is a single singular value and kappa_target
     is ignored.  ``rho`` defaults to alpha/10.
     """
-    if kappa_target < 1.0:
+    if not kappa_target >= 1.0:  # NaN fails `>=` too
         raise ConfigError(f"kappa_target must be >= 1, got {kappa_target}")
     rng = np.random.default_rng(seed)
     r = min(n_y, n_u)

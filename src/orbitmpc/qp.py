@@ -6,8 +6,8 @@ the prediction matrices G (input-to-state) and H (initial-state), giving
     min_u 0.5 u^T J u + q^T u    s.t.  u in U_N,
 
 with J = G^T ((I_N (x) Q) (+) P) G + I_N (x) R and q affine in the current
-state estimate and the disturbance estimate (the steady-state setpoint
-relation is folded into the q maps so no setpoints are computed online).
+state estimate and the disturbance estimate (the steady-state target
+relation is folded into the q maps so no target is computed online).
 
 U_N couples amplitude and slew-rate limits.  For N = 1 each coordinate is
 clipped to an interval.  For N = 2 each actuator's stage pair lies in the
@@ -119,12 +119,13 @@ def build_hessian(pred: Prediction, weights, terminal, N: int) -> np.ndarray:
     return J
 
 
-def build_linear_maps(pred: Prediction, weights, terminal, setpoint_map, N: int):
+def build_linear_maps(pred: Prediction, weights, terminal, M_s: np.ndarray, N: int):
     """Affine maps from (x0, d_bar) to the QP linear term q.
 
-    q = (G^T Omega H) x0 - (G^T Omega 1_(N+1)(x)I M_x + 1_N(x)R M_u) d_bar,
-    i.e. the steady-state setpoints (x, u) = M d_bar are substituted so the
-    online update is two matrix-vector products.
+    q = (G^T Omega H) x0 - (G^T Omega 1_(N+1)(x)I M_s + 1_N(x)R M_s) d_bar,
+    i.e. the steady-state target x_s = u_s = M_s d_bar (see
+    design.setpoint_matrix) is substituted so the online update is two
+    matrix-vector products.
     """
     n_u = pred.n_u
     omega = _stage_cost_blockdiag(weights, terminal, N)
@@ -132,7 +133,7 @@ def build_linear_maps(pred: Prediction, weights, terminal, setpoint_map, N: int)
     q_map_x0 = gt_omega @ pred.H
     stack_x = np.tile(np.eye(n_u), (N + 1, 1))
     stack_r = np.tile(weights.R_w, (N, 1))
-    q_map_d = -(gt_omega @ stack_x @ setpoint_map.M_x + stack_r @ setpoint_map.M_u)
+    q_map_d = -(gt_omega @ stack_x @ M_s + stack_r @ M_s)
     return q_map_x0, q_map_d
 
 
@@ -146,13 +147,13 @@ def spectral_bounds(J: np.ndarray):
     return lmin, lmax, float(beta)
 
 
-def build_condensed(ss: StateSpace, weights, terminal, setpoint_map, N: int) -> CondensedQP:
+def build_condensed(ss: StateSpace, weights, terminal, M_s: np.ndarray, N: int) -> CondensedQP:
     """Assemble the full CondensedQP for one horizon."""
     if N not in SUPPORTED_HORIZONS:
         raise DimensionError(f"horizon must be one of {SUPPORTED_HORIZONS}, got {N}")
     pred = build_prediction(ss, N)
     J = build_hessian(pred, weights, terminal, N)
-    q_map_x0, q_map_d = build_linear_maps(pred, weights, terminal, setpoint_map, N)
+    q_map_x0, q_map_d = build_linear_maps(pred, weights, terminal, M_s, N)
     lmin, lmax, beta = spectral_bounds(J)
     return CondensedQP(
         J=J,

@@ -79,6 +79,19 @@ def spatial_mode_shape(mode: int, n_y: int) -> np.ndarray:
     return np.sqrt(2.0 / n_y) * np.cos(np.pi * mode * (2 * j + 1) / (2 * n_y))
 
 
+def check_components(components, n_y: int) -> None:
+    """Reject a sinusoid-mix component with a non-finite frequency or
+    amplitude, or whose spatial mode is not one of the n_y monitor shapes
+    (a mode past n_y - 1 would alias onto another)."""
+    for freq_hz, amplitude, mode in components:
+        if not (np.isfinite(freq_hz) and np.isfinite(amplitude)):
+            raise ConfigError(f"disturbance component {freq_hz}:{amplitude}:{mode}: frequency "
+                              "and amplitude must be finite")
+        if not 0 <= mode < n_y:
+            raise ConfigError(f"disturbance component {freq_hz}:{amplitude}:{mode}: spatial mode "
+                              f"{mode} is outside 0..{n_y - 1} for {n_y} monitors")
+
+
 def disturbance(spec: DisturbanceSpec, T: int, n_y: int, dt: float | None = None) -> np.ndarray:
     """Generate a T x n_y disturbance series, deterministic per seed."""
     if T < 1:
@@ -93,6 +106,7 @@ def disturbance(spec: DisturbanceSpec, T: int, n_y: int, dt: float | None = None
     if spec.kind == "sinusoid_mix":
         if dt is None:
             raise ConfigError("sinusoid_mix needs the sampling time")
+        check_components(spec.components, n_y)
         out = rng.normal(0.0, spec.sigma, (T, n_y)) if spec.sigma > 0 else np.zeros((T, n_y))
         t = np.arange(T) * dt
         for freq_hz, amplitude, mode in spec.components:

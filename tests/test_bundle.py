@@ -19,7 +19,7 @@ from orbitmpc.fileio import read_kv, write_kv
 
 TEXT_FILES = {"plant.cfg", "R.csv", "meta.txt", "bounds.txt", "report.txt"}
 ARRAY_FILES = {"U", "S", "V", "P", "Q", "R_w", "q_hat", "r_hat", "L_d",
-               "M_setpoint", "J", "q_map_x0", "q_map_d"}
+               "J", "q_map_x0", "q_map_d"}
 
 
 def designed(mu, horizon):
@@ -32,7 +32,7 @@ def arrays(b):
         "U": b.basis.U, "S": b.basis.S, "V": b.basis.V,
         "P": b.terminal.P, "Q": b.weights.Q, "R_w": b.weights.R_w,
         "q_hat": b.weights.q_hat, "r_hat": b.weights.r_hat,
-        "L_x": b.gain.L_x, "L_d": b.gain.L_d, "M": b.setpoint.M,
+        "L_x": b.gain.L_x, "L_d": b.gain.L_d,
         "J": b.condensed.J, "q_map_x0": b.condensed.q_map_x0, "q_map_d": b.condensed.q_map_d,
     }
     named.update({f"L_z{i + 1}": block for i, block in enumerate(b.gain.L_z)})

@@ -1,5 +1,7 @@
 import hashlib
 import os
+import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +52,10 @@ class TestDesignCommand:
         out = str(tmp_path / "out")
         assert main(["design", "--config", cfg, "--out", out]) == 0
         for name in ("plant.cfg", "R.csv", "P.npy", "Q.npy", "q_hat.npy", "r_hat.npy",
-                     "L_zmu.npy", "L_d.npy", "M_setpoint.npy", "J.npy", "q_map_x0.npy",
+                     "L_zmu.npy", "L_d.npy", "J.npy", "q_map_x0.npy",
                      "q_map_d.npy", "bounds.txt", "report.txt"):
             assert os.path.exists(os.path.join(out, name)), name
+        assert len(os.listdir(out)) == 18
         bounds = read_kv(os.path.join(out, "bounds.txt"))
         assert {"lambda_min", "lambda_max", "beta", "kappa", "i_max"} <= bounds.keys()
 
@@ -255,6 +258,37 @@ class TestCheckCommand:
         assert main(["check", "--config", cfg2, "--bundle", out]) == 3
         assert "mu" in capsys.readouterr().out
 
+    def test_tall_plant_passes_without_warning(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, extra="synthetic_n_y = 6\nsynthetic_n_u = 4\n")
+        out = str(tmp_path / "out")
+        with pytest.warns(UserWarning, match="least-squares"):
+            assert main(["design", "--config", cfg, "--out", out]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--config", cfg, "--bundle", out]) == 0
+        assert "[PASS] setpoint_residual" in capsys.readouterr().out
+
+    def test_basis_of_another_plant_fails(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out, other = str(tmp_path / "out"), str(tmp_path / "other")
+        main(["design", "--config", cfg, "--out", out])
+        main(["design", "--config", cfg, "--out", other, "--seed", "12"])
+        shutil.copyfile(os.path.join(other, "U.npy"), os.path.join(out, "U.npy"))
+        capsys.readouterr()
+        assert main(["check", "--config", cfg, "--bundle", out]) == 3
+        assert "[FAIL] setpoint_residual" in capsys.readouterr().out
+
+    def test_scaled_singular_values_fail(self, tmp_path, capsys):
+        # the check's scale is the plant's own sigma_0, not the stored one
+        cfg = write_config(tmp_path)
+        out = str(tmp_path / "out")
+        main(["design", "--config", cfg, "--out", out])
+        s_path = os.path.join(out, "S.npy")
+        np.save(s_path, 1e9 * np.load(s_path))
+        capsys.readouterr()
+        assert main(["check", "--config", cfg, "--bundle", out]) == 3
+        assert "[FAIL] setpoint_residual" in capsys.readouterr().out
+
     def test_dimension_mismatch_exit_3(self, tmp_path):
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")
@@ -274,6 +308,28 @@ class TestConfigValidation:
         out = tmp_path / "bench"
         assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
         assert f"{key} must be >= " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_synthetic_kappa_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, extra="synthetic_kappa = nan\n")
+        assert main(["design", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "kappa_target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("component", ["2:abc:0", "2:1", "2:1:0.5"])
+    def test_malformed_dist_component_rejected(self, tmp_path, capsys, component):
+        cfg = write_config(tmp_path, extra=f"dist_kind = sinusoid_mix\ndist_components = {component}\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "dist_components" in err and repr(component) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", [5, 9, -1])
+    def test_dist_component_mode_outside_monitors_rejected(self, tmp_path, capsys, mode):
+        cfg = write_config(tmp_path, extra=f"dist_kind = sinusoid_mix\ndist_components = 2:1:{mode}\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert f"component 2.0:1.0:{mode}: spatial mode {mode}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_weights_rejected(self, tmp_path):
@@ -365,7 +421,7 @@ class TestDesignFingerprint:
         assert "design bundle written" in capsys.readouterr().out
         assert read_kv(os.path.join(bundle_dir, "meta.txt"))["schema_version"] == str(bundle_mod.SCHEMA_VERSION)
         assert set(os.listdir(bundle_dir)) == fresh
-        assert len(fresh) == 19
+        assert len(fresh) == 18
 
     def test_check_fails_on_other_design_inputs(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import mpmath
@@ -167,13 +168,36 @@ class TestWeightDesigns:
             achieved = lqr_gain_modal(a, b, p, float(w.r_hat[i]))
             assert achieved == pytest.approx(float(targets[i]), rel=1e-6)
 
-    def test_imc_matched_zero_mode_sentinel(self):
-        from orbitmpc.design import R_HAT_MAX
+    def test_imc_matched_zero_mode_takes_largest_weight(self):
         from orbitmpc.model import ModalBasis
         # rank-1 response: second singular value is exactly zero
         basis = ModalBasis(U=np.eye(2), S=np.array([2.0, 0.0]), V=np.eye(2))
         w = design_weights_imc_matched(basis, 0.6, 0.4, 0.5)
-        assert w.r_hat[1] == R_HAT_MAX
+        assert w.r_hat[1] == w.r_hat[0]
+
+    def test_imc_matched_without_a_visible_mode_rejected(self):
+        from orbitmpc.model import ModalBasis
+        basis = ModalBasis(U=np.eye(2), S=np.zeros(2), V=np.eye(2))
+        with pytest.raises(ConfigError, match="no nonzero singular value"):
+            design_weights_imc_matched(basis, 0.6, 0.4, 0.5)
+
+    @pytest.mark.parametrize("n_y, n_u", [(4, 5), (40, 41)])
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_imc_matched_wide_plant_matches_transposed_tall_plant(self, n_y, n_u, horizon):
+        # the wide plant's n_u - n_y null-space directions take the largest
+        # matched weight; its Hessian conditioning is that of its transpose,
+        # which has no null space
+        wide = synthetic_plant(n_y, n_u, 1e2, seed=7)
+        tall = dataclasses.replace(wide, n_y=n_u, n_s=n_y, R_s=wide.R_s.T, R_f=np.zeros((n_u, 0)),
+                                   a_s=wide.a_s[:n_y], alpha=wide.alpha[:n_y], rho=wide.rho[:n_y])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # tall: least-squares target
+            kappa_tall = design_controller(tall, horizon, weights_mode="imc_matched").kappa
+        b = design_controller(wide, horizon, weights_mode="imc_matched")
+        assert b.meta["dare_residual"] < 1e-8
+        r = b.basis.r
+        assert np.all(b.weights.r_hat[r:] == np.max(b.weights.r_hat[:r]))
+        assert b.kappa == pytest.approx(kappa_tall, rel=1e-10)
 
     def test_imc_matched_unreachable_gain_names_mode(self):
         from orbitmpc.model import ModalBasis
@@ -200,36 +224,36 @@ class TestWeightDesigns:
 
 
 class TestSetpointMatrix:
-    def test_state_and_input_setpoints_equal(self, small_plant):
-        sp = setpoint_matrix(build_state_space(small_plant), modal_decompose(small_plant.R))
-        assert np.array_equal(sp.M_x, sp.M_u)
-
     @pytest.mark.parametrize("n_y, n_u, rank", [(5, 5, 5), (6, 4, 4), (4, 6, 4), (5, 5, 3), (3, 8, 1)])
     def test_matches_pinv_oracle(self, n_y, n_u, rank, rng):
         a = rng.uniform(0.3, 0.9, n_u)
         C = rng.standard_normal((n_y, rank)) @ rng.standard_normal((rank, n_u))
         ss = StateSpace(A=a, B=1.0 - a, C=C, mu=1)
         M_ref, deficient_ref = setpoint_map_pinv(ss.A, ss.B, ss.C)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            sp = setpoint_matrix(ss, modal_decompose(ss.C))
-        assert np.max(np.abs(sp.M - M_ref)) <= 1e-10 * np.max(np.abs(M_ref))
-        assert sp.rank_deficient == deficient_ref
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            M_s = setpoint_matrix(ss, modal_decompose(ss.C))
+        assert M_s.shape == (n_u, n_y)
+        # the state and the input target rows of the block oracle are both M_s
+        for block in (M_ref[:n_u], M_ref[n_u:]):
+            assert np.max(np.abs(M_s - block)) <= 1e-10 * np.max(np.abs(M_ref))
+        assert bool(caught) == deficient_ref
 
     def test_matches_pinv_oracle_on_ill_conditioned_plant(self):
         ss = build_state_space(synthetic_plant(40, 41, 1e4, seed=5))
         M_ref, deficient_ref = setpoint_map_pinv(ss.A, ss.B, ss.C)
-        sp = setpoint_matrix(ss, modal_decompose(ss.C))
-        assert np.max(np.abs(sp.M - M_ref)) <= 1e-10 * np.max(np.abs(M_ref))
-        assert sp.rank_deficient == deficient_ref
+        M_s = setpoint_matrix(ss, modal_decompose(ss.C))
+        for block in (M_ref[: ss.n_u], M_ref[ss.n_u :]):
+            assert np.max(np.abs(M_s - block)) <= 1e-10 * np.max(np.abs(M_ref))
+        assert not deficient_ref
 
     def test_zero_disturbance_maps_to_zero(self, small_plant):
-        sp = setpoint_matrix(build_state_space(small_plant), modal_decompose(small_plant.R))
-        assert np.allclose(sp.M @ np.zeros(small_plant.n_y), 0.0)
+        M_s = setpoint_matrix(build_state_space(small_plant), modal_decompose(small_plant.R))
+        assert np.allclose(M_s @ np.zeros(small_plant.n_y), 0.0)
 
     def test_residual_on_random_disturbances(self, small_plant, rng):
         ss = build_state_space(small_plant)
-        sp = setpoint_matrix(ss, modal_decompose(ss.C))
+        M_s = setpoint_matrix(ss, modal_decompose(ss.C))
         n_u, n_y = ss.n_u, ss.n_y
         S = np.zeros((n_u + n_y, 2 * n_u))
         S[:n_u, :n_u] = np.diag(1.0 - ss.A)
@@ -238,24 +262,23 @@ class TestSetpointMatrix:
         for _ in range(100):
             d = rng.standard_normal(n_y)
             target = np.concatenate([np.zeros(n_u), d])
-            err = np.linalg.norm(S @ (sp.M @ d) - target)
+            x_s = M_s @ d
+            err = np.linalg.norm(S @ np.concatenate([x_s, x_s]) - target)
             assert err < 1e-8 * np.linalg.norm(d)
 
     def test_steady_output_cancels_disturbance(self, small_plant, rng):
         ss = build_state_space(small_plant)
-        sp = setpoint_matrix(ss, modal_decompose(ss.C))
+        M_s = setpoint_matrix(ss, modal_decompose(ss.C))
         d = rng.standard_normal(ss.n_y)
-        x_bar = sp.M_x @ d
-        assert np.allclose(ss.C @ x_bar, -d, atol=1e-8 * np.linalg.norm(d))
+        assert np.allclose(ss.C @ (M_s @ d), -d, atol=1e-8 * np.linalg.norm(d))
 
-    def test_rank_deficient_flagged(self):
+    def test_rank_deficient_warns(self):
         # n_y > n_u makes the steady-state system overdetermined
         rng = np.random.default_rng(0)
         ss = StateSpace(A=np.array([0.5, 0.6]), B=np.array([0.5, 0.4]),
                         C=rng.standard_normal((4, 2)), mu=1)
         with pytest.warns(UserWarning, match="least-squares"):
-            sp = setpoint_matrix(ss, modal_decompose(ss.C))
-        assert sp.rank_deficient
+            setpoint_matrix(ss, modal_decompose(ss.C))
 
     @pytest.mark.parametrize("n_y, n_u, rank", [
         (6, 6, 6), (9, 5, 5), (5, 9, 5), (7, 7, 4), (8, 5, 2), (4, 9, 3),
@@ -266,12 +289,11 @@ class TestSetpointMatrix:
             a = rng.uniform(0.3, 0.9, n_u)
             C = rng.standard_normal((n_y, rank)) @ rng.standard_normal((rank, n_u))
             ss = StateSpace(A=a, B=1.0 - a, C=C, mu=1)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                sp = setpoint_matrix(ss, modal_decompose(C))
-            C_plus = np.linalg.pinv(C)
-            assert np.array_equal(sp.M, -np.vstack([C_plus, C_plus]))
-            assert sp.rank_deficient == (np.linalg.matrix_rank(C) < n_y)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                M_s = setpoint_matrix(ss, modal_decompose(C))
+            assert np.array_equal(M_s, -np.linalg.pinv(C))
+            assert len(caught) == int(np.linalg.matrix_rank(C) < n_y)
 
     def test_design_decomposes_the_response_matrix_once(self, small_plant, monkeypatch):
         def refuse(*args, **kwargs):
@@ -281,7 +303,7 @@ class TestSetpointMatrix:
         monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
         for horizon in (1, 2):
             b = design_controller(small_plant, horizon)
-            assert b.setpoint.M.shape == (2 * small_plant.n_u, small_plant.n_y)
+            assert b.condensed.q_map_d.shape == (horizon * small_plant.n_u, small_plant.n_y)
 
 
 class TestKalmanGain:

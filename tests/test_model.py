@@ -138,6 +138,10 @@ class TestSyntheticPlant:
         with pytest.raises(ConfigError):
             synthetic_plant(4, 4, 0.5, seed=0)
 
+    def test_nan_kappa_rejected_by_name(self):
+        with pytest.raises(ConfigError, match="kappa_target"):
+            synthetic_plant(4, 4, float("nan"), seed=0)
+
 
 class TestPlantConfigIO:
     def test_round_trip_exact(self, tmp_path, flat_plant):

@@ -39,8 +39,8 @@ def design_parts(ss):
     basis = modal_decompose(ss.C)
     w = design_weights_saturated(basis, 1e-3, 1e3)
     terminal = solve_dare(ss.A, ss.B, w.Q, w.R_w)
-    sp = setpoint_matrix(ss, basis)
-    return w, terminal, sp
+    M_s = setpoint_matrix(ss, basis)
+    return w, terminal, M_s
 
 
 class TestPrediction:
@@ -116,21 +116,21 @@ class TestHessian:
 class TestLinearMaps:
     def test_zero_inputs_give_zero(self, rng):
         ss = small_ss(rng)
-        w, terminal, sp = design_parts(ss)
+        w, terminal, M_s = design_parts(ss)
         pred = build_prediction(ss, 2)
-        q_x0, q_d = build_linear_maps(pred, w, terminal, sp, 2)
+        q_x0, q_d = build_linear_maps(pred, w, terminal, M_s, 2)
         assert np.allclose(q_x0 @ np.zeros(ss.n_u) + q_d @ np.zeros(ss.n_y), 0.0)
 
     def test_matches_two_step_computation(self, rng):
         ss = small_ss(rng)
-        w, terminal, sp = design_parts(ss)
+        w, terminal, M_s = design_parts(ss)
         N = 2
         pred = build_prediction(ss, N)
-        q_x0, q_d = build_linear_maps(pred, w, terminal, sp, N)
+        q_x0, q_d = build_linear_maps(pred, w, terminal, M_s, N)
         x0 = rng.standard_normal(ss.n_u)
         d = rng.standard_normal(ss.n_y)
         # explicit route: setpoints first, then the textbook linear term
-        x_bar, u_bar = sp.M_x @ d, sp.M_u @ d
+        x_bar = u_bar = M_s @ d
         omega = scipy.linalg.block_diag(w.Q, w.Q, terminal.P)
         stack_q = np.vstack([w.Q, w.Q, terminal.P])
         q_ref = (pred.G.T @ omega @ pred.H @ x0
@@ -143,14 +143,14 @@ class TestLinearMaps:
     def test_q_is_gradient_at_zero(self, rng):
         # finite differences of the uncondensed objective at u = 0
         ss = small_ss(rng, n_u=2, n_y=2, mu=1)
-        w, terminal, sp = design_parts(ss)
+        w, terminal, M_s = design_parts(ss)
         N = 1
         pred = build_prediction(ss, N)
-        q_x0, q_d = build_linear_maps(pred, w, terminal, sp, N)
+        q_x0, q_d = build_linear_maps(pred, w, terminal, M_s, N)
         x0 = rng.standard_normal(2)
         d = rng.standard_normal(2)
         q = q_x0 @ x0 + q_d @ d
-        x_bar, u_bar = sp.M_x @ d, sp.M_u @ d
+        x_bar = u_bar = M_s @ d
         h = 1e-6
         for j in range(N * ss.n_u):
             e = np.zeros(N * ss.n_u)
@@ -334,14 +334,14 @@ class TestConstraintSetUpdates:
 class TestBuildCondensedAndDelta:
     def test_build_condensed_round(self, rng):
         ss = small_ss(rng)
-        w, terminal, sp = design_parts(ss)
-        cq = build_condensed(ss, w, terminal, sp, 2)
+        w, terminal, M_s = design_parts(ss)
+        cq = build_condensed(ss, w, terminal, M_s, 2)
         assert cq.beta == pytest.approx(
             (np.sqrt(cq.lambda_max) - np.sqrt(cq.lambda_min))
             / (np.sqrt(cq.lambda_max) + np.sqrt(cq.lambda_min)))
         assert 0.0 <= cq.beta < 1.0
         with pytest.raises(DimensionError):
-            build_condensed(ss, w, terminal, sp, 3)
+            build_condensed(ss, w, terminal, M_s, 3)
 
     def test_default_delta_box(self):
         cset = ConstraintSet(alpha=np.array([1.0, 1.0]), rho=np.array([10.0, 10.0]),

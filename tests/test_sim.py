@@ -56,6 +56,19 @@ class TestDisturbance:
         with pytest.raises(ConfigError, match="Nyquist"):
             disturbance(spec, 32, 2)
 
+    @pytest.mark.parametrize("mode", [4, 9, -1])
+    def test_sinusoid_mode_outside_monitors_rejected(self, mode):
+        # on 4 monitors mode 9 would alias onto another shape and -1 onto mode 1
+        spec = DisturbanceSpec(kind="sinusoid_mix", components=((2.0, 1.0, mode),), dt=1e-3)
+        with pytest.raises(ConfigError, match=rf"component 2\.0:1\.0:{mode}: spatial mode"):
+            disturbance(spec, 16, 4)
+
+    @pytest.mark.parametrize("freq_hz, amplitude", [(np.nan, 1.0), (2.0, np.inf)])
+    def test_sinusoid_non_finite_component_rejected(self, freq_hz, amplitude):
+        spec = DisturbanceSpec(kind="sinusoid_mix", components=((freq_hz, amplitude, 0),), dt=1e-3)
+        with pytest.raises(ConfigError, match="must be finite"):
+            disturbance(spec, 16, 4)
+
     def test_file_roundtrip_and_errors(self, tmp_path):
         data = np.arange(12.0).reshape(4, 3)
         path = tmp_path / "d.csv"
