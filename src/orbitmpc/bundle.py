@@ -130,16 +130,17 @@ def design_controller(
     ))
     ss = build_state_space(plant)
     basis = modal_decompose(ss.C)
-    # representative scalar dynamics for the modal design; exact when all
-    # actuators share one bandwidth
+    modal = design.one_bandwidth(ss)
+    # representative scalar dynamics for the modal weight design; exact on
+    # a plant of one bandwidth
     a = float(np.median(ss.A))
     b = 1.0 - a
     if imc_lambda is None:
         imc_lambda = default_imc_lambda(basis)
     if weights_mode == "saturated":
-        if q_min is None or q_max is None:
-            sig_sq = basis.S ** 2
-            q_max = float(sig_sq[0])
+        if q_max is None:
+            q_max = float(basis.S[0] ** 2)
+        if q_min is None:
             q_min = q_max / 100.0
         w = design.design_weights_saturated(basis, q_min, q_max)
     elif weights_mode == "imc_matched":
@@ -148,11 +149,12 @@ def design_controller(
         raise ConfigError(f"unknown weights mode {weights_mode!r}")
 
     dare_stats: dict = {}
-    terminal = design.solve_dare(ss.A, ss.B, w.Q, w.R_w, stats=dare_stats)
+    terminal = design.solve_dare(ss.A, ss.B, w.Q, w.R_w, modes=(basis, w) if modal else None,
+                                 stats=dare_stats)
 
     M_s = design.setpoint_matrix(ss, basis)
     kalman_stats: dict = {}
-    gain = design.kalman_gain(ss, sigma_v, sigma_w, sigma_m, stats=kalman_stats)
+    gain = design.kalman_gain(ss, sigma_v, sigma_w, sigma_m, basis=basis, stats=kalman_stats)
     condensed = qp.build_condensed(ss, w, terminal, M_s, horizon)
 
     cset0 = qp.ConstraintSet(alpha=plant.alpha, rho=plant.rho,
@@ -177,6 +179,7 @@ def design_controller(
         "sigma_m": sigma_m,
         "modal_a": a,
         "modal_b": b,
+        "riccati_form": "modal" if modal else "dense",
         "delta_is_default": int(delta_is_default),
         "dare_doublings": dare_stats["doublings"],
         "dare_residual": dare_stats["residual"],
@@ -280,6 +283,7 @@ def save_bundle(bundle: DesignBundle, directory) -> None:
         fh.write(f"kappa(J) = {fileio.format_float(bundle.kappa)}\n")
         fh.write(f"beta = {fileio.format_float(bundle.condensed.beta)}\n")
         fh.write(f"i_max_bound = {bundle.i_max_bound}\n")
+        fh.write(f"riccati_form = {bundle.meta['riccati_form']}\n")
         fh.write(f"dare_residual = {fileio.format_float(bundle.meta['dare_residual'])}\n")
         fh.write(f"dare_doublings = {bundle.meta['dare_doublings']}\n")
         fh.write(f"kalman_residual = {fileio.format_float(bundle.meta['kalman_residual'])}\n")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import difflib
+import math
 import os
 import shutil
 import sys
@@ -88,6 +89,23 @@ def _reject_unknown_keys(path, pairs: dict) -> None:
     raise ConfigError(f"{path}: unknown config key {', '.join(named)}")
 
 
+def _auto_float(pairs: dict, key: str) -> float | None:
+    """A float key whose absence or value 'auto' means None (derived by the design)."""
+    if pairs.get(key, "auto") == "auto":
+        return None
+    return fileio.kv_get(pairs, key, float)
+
+
+def _check_finite(key: str, value: float | None, positive: bool) -> None:
+    """Reject a non-finite or out-of-range float config value by its key;
+    None (not given) passes.  The comparisons are written so that NaN fails."""
+    if value is None:
+        return
+    if not (0.0 < value < math.inf if positive else 0.0 <= value < math.inf):
+        raise ConfigError(f"config key '{key}' must be finite and "
+                          f"{'positive' if positive else 'non-negative'}, got {value}")
+
+
 def load_run_config(path, seed_override=None, workers_override=None, out_override=None) -> RunConfig:
     pairs = fileio.read_kv(path)
     _reject_unknown_keys(path, pairs)
@@ -115,15 +133,28 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
             raise ConfigError(f"plant config not found: {plant_path}")
         plant = load_plant_config(plant_path)
 
-    lam_raw = fileio.kv_get(pairs, "lambda", str, default="auto")
-    delta_raw = fileio.kv_get(pairs, "delta", str, default="auto")
+    floats = {
+        "sigma_v": fileio.kv_get(pairs, "sigma_v", float, default=1.0),
+        "sigma_w": fileio.kv_get(pairs, "sigma_w", float, default=1e-4),
+        "sigma_m": fileio.kv_get(pairs, "sigma_m", float, default=1e-2),
+        "epsilon": fileio.kv_get(pairs, "epsilon", float, default=1e-3),
+        "delta": _auto_float(pairs, "delta"),
+        "dist_sigma": fileio.kv_get(pairs, "dist_sigma", float, default=1.0),
+        "q_min": fileio.kv_get(pairs, "q_min", float) if "q_min" in pairs else None,
+        "q_max": fileio.kv_get(pairs, "q_max", float) if "q_max" in pairs else None,
+        "lambda": _auto_float(pairs, "lambda"),
+    }
+    for key in ("sigma_v", "sigma_m", "epsilon", "q_min", "q_max"):
+        _check_finite(key, floats[key], positive=True)
+    for key in ("sigma_w", "delta", "dist_sigma", "lambda"):
+        _check_finite(key, floats[key], positive=False)
     dist_kind = fileio.kv_get(pairs, "dist_kind", str, default="white")
     dist_path = pairs.get("dist_path")
     if dist_path is not None:
         dist_path = fileio.resolve_path(path, dist_path)
     dist = sim.DisturbanceSpec(
         kind=dist_kind,
-        sigma=fileio.kv_get(pairs, "dist_sigma", float, default=1.0),
+        sigma=floats["dist_sigma"],
         seed=seed,
         components=_parse_components(pairs.get("dist_components", ""), plant.n_y),
         path=dist_path,
@@ -142,16 +173,16 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
     return RunConfig(
         plant=plant,
         weights_mode=fileio.kv_get(pairs, "weights", str, default="saturated"),
-        q_min=fileio.kv_get(pairs, "q_min", float, default=None) if "q_min" in pairs else None,
-        q_max=fileio.kv_get(pairs, "q_max", float, default=None) if "q_max" in pairs else None,
-        imc_lambda=None if lam_raw == "auto" else float(lam_raw),
+        q_min=floats["q_min"],
+        q_max=floats["q_max"],
+        imc_lambda=floats["lambda"],
         horizon=horizon,
         i_max=i_max,
-        sigma_v=fileio.kv_get(pairs, "sigma_v", float, default=1.0),
-        sigma_w=fileio.kv_get(pairs, "sigma_w", float, default=1e-4),
-        sigma_m=fileio.kv_get(pairs, "sigma_m", float, default=1e-2),
-        epsilon=fileio.kv_get(pairs, "epsilon", float, default=1e-3),
-        delta=None if delta_raw == "auto" else float(delta_raw),
+        sigma_v=floats["sigma_v"],
+        sigma_w=floats["sigma_w"],
+        sigma_m=floats["sigma_m"],
+        epsilon=floats["epsilon"],
+        delta=floats["delta"],
         dist=dist,
         T=fileio.kv_get(pairs, "T", int, default=65536),  # 2**16 for spectral runs
         n_workers=n_workers,

@@ -11,11 +11,17 @@ are closed forms of the modal structure (see setpoint_matrix and
 _match_gain), read from the one SVD of C that the weight designs use.
 
 Both Riccati equations, the control DARE for the terminal cost and the
-filter Riccati equation for the observer gain, are solved by one
-structure-preserving doubling kernel, which converges quadratically.  The
-filter equation is solved on the reduced state [z_mu; d] only, and the
-observer gain is built from that solve's blocks alone, so the contraction
-check of the estimation error runs exactly on the same reduced loop.
+filter Riccati equation for the observer gain, are solved on the reduced
+state [z_mu; d] of the observer, and the observer gain is built from that
+solve's blocks alone.  On a plant whose actuators share one bandwidth
+(A = a I, see one_bandwidth) both decouple in the modal basis of C: the
+terminal cost is a scalar closed form per mode, and the filter equation
+is one stack of 2 x 2 problems plus scalar closed forms, with the
+contraction check of the estimation error taken from the same blocks.
+Mixed-bandwidth plants solve both dense.  One structure-preserving
+doubling kernel, which converges quadratically, serves the dense
+equations and the 2 x 2 stack; every solution is gated on the same 1e-8
+relative residual of the whole equation.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import ModalBasis, StateSpace
+from .model import ModalBasis, StateSpace, modal_decompose
 from .qp import spectral_bounds
 
 _SDA_MAX_DOUBLINGS = 64
@@ -62,12 +68,13 @@ class IterationBoundParams:
     kappa: float
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ConfigError("epsilon must be positive")
-        if self.Delta < 0.0:
-            raise ConfigError("Delta must be non-negative")
-        if self.kappa < 1.0:
-            raise ConfigError("kappa must be >= 1")
+        # the comparisons are written so that NaN fails them
+        if not 0.0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 0.0 <= self.Delta < math.inf:
+            raise ConfigError(f"Delta must be non-negative and finite, got {self.Delta}")
+        if not 1.0 <= self.kappa < math.inf:
+            raise ConfigError(f"kappa must be >= 1 and finite, got {self.kappa}")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -108,10 +115,29 @@ class PartitionedGain:
 # Riccati equations
 # ---------------------------------------------------------------------------
 
+def one_bandwidth(ss: StateSpace) -> bool:
+    """Whether every actuator shares one bandwidth, A = a I exactly.
+
+    Then B = (1 - a) I too, Q and R_w of the modal weight designs and the
+    observer's noise covariances are diagonal in the modal basis of C, and
+    both Riccati equations decouple mode by mode.
+    """
+    return bool(np.all(ss.A == ss.A[0]))
+
+
 def _dense(M) -> np.ndarray:
     """A matrix given as a 1-D diagonal or dense, as a dense float array."""
     M = np.asarray(M, dtype=float)
     return np.diag(M) if M.ndim == 1 else M
+
+
+def _riccati_gap(A, B, P, Q, R) -> tuple[np.ndarray, np.ndarray]:
+    """Frobenius norms of f(P) - P and of P for the DARE map
+    f(P) = A^T P A - A^T P B (B^T P B + R)^-1 B^T P A + Q,
+    per problem of a stack (..., n, n) of dense matrices."""
+    At, Bt = np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2)
+    next_P = At @ P @ A - At @ P @ B @ np.linalg.solve(Bt @ P @ B + R, Bt @ P @ A) + Q
+    return np.linalg.norm(next_P - P, axis=(-2, -1)), np.linalg.norm(P, axis=(-2, -1))
 
 
 def dare_residual(A, B, P, Q, R_w) -> float:
@@ -120,13 +146,13 @@ def dare_residual(A, B, P, Q, R_w) -> float:
 
     A and B may each be 1-D (diagonals) or dense.
     """
-    A, B = _dense(A), _dense(B)
-    next_P = A.T @ P @ A - A.T @ P @ B @ np.linalg.solve(B.T @ P @ B + R_w, B.T @ P @ A) + Q
-    return float(np.linalg.norm(next_P - P) / max(np.linalg.norm(P), np.finfo(float).tiny))
+    gap, size = _riccati_gap(_dense(A), _dense(B), P, Q, R_w)
+    return float(gap / max(size, np.finfo(float).tiny))
 
 
 def _doubling(A, G, H, what: str) -> tuple[np.ndarray, int]:
-    """Structure-preserving doubling for X = A^T X (I + G X)^-1 A + H.
+    """Structure-preserving doubling for X = A^T X (I + G X)^-1 A + H, on one
+    problem (n x n) or a stack of problems (..., n, n) solved together.
 
     From A_0 = A, G_0 = G, H_0 = H each doubling computes
         W = I + G_k H_k
@@ -136,28 +162,31 @@ def _doubling(A, G, H, what: str) -> tuple[np.ndarray, int]:
     and H_k converges quadratically to the stabilizing solution (Lin & Xu,
     SIAM J. Matrix Anal. Appl. 28(1), 2006).  The H increment carries A_k
     on both sides, so it vanishes with A_k instead of stalling at a
-    rounding floor.  Stops when A_k is exactly zero or the relative change
-    of H_k is at most machine epsilon; returns the solution and the
-    doubling count.
+    rounding floor.  Stops when every A_k is exactly zero or the largest
+    relative change of an H_k is at most machine epsilon; returns the
+    solution and the doubling count.
     """
+    eye = np.eye(A.shape[-1])
     change = math.inf
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite iterates are rejected below
         for k in range(1, _SDA_MAX_DOUBLINGS + 1):
             if not np.any(A):
                 return H, k - 1
+            At = np.swapaxes(A, -1, -2)
             try:
-                W_inv_AG = np.linalg.solve(np.eye(A.shape[0]) + G @ H, np.hstack([A, G]))
+                W_inv_AG = np.linalg.solve(eye + G @ H, np.concatenate([A, G], axis=-1))
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"{what}: doubling {k}: {exc}") from exc
-            W_inv_A, W_inv_G = np.hsplit(W_inv_AG, 2)
-            H_next = H + A.T @ H @ W_inv_A
-            H_next = 0.5 * (H_next + H_next.T)
-            G = G + A @ W_inv_G @ A.T
-            G = 0.5 * (G + G.T)
+            W_inv_A, W_inv_G = np.split(W_inv_AG, 2, axis=-1)
+            H_next = H + At @ H @ W_inv_A
+            H_next = 0.5 * (H_next + np.swapaxes(H_next, -1, -2))
+            G = G + A @ W_inv_G @ At
+            G = 0.5 * (G + np.swapaxes(G, -1, -2))
             A = A @ W_inv_A
             if not (np.all(np.isfinite(H_next)) and np.all(np.isfinite(G)) and np.all(np.isfinite(A))):
                 raise NumericalError(f"{what}: doubling {k} produced non-finite values")
-            change = np.linalg.norm(H_next - H) / max(np.linalg.norm(H_next), np.finfo(float).tiny)
+            change = float(np.max(np.linalg.norm(H_next - H, axis=(-2, -1))
+                                  / np.maximum(np.linalg.norm(H_next, axis=(-2, -1)), np.finfo(float).tiny)))
             H = H_next
             if change <= np.finfo(float).eps:
                 return H, k
@@ -167,41 +196,64 @@ def _doubling(A, G, H, what: str) -> tuple[np.ndarray, int]:
     )
 
 
+def _accept(what: str, residual: float, doublings: int, stats: dict | None) -> None:
+    """Gate a Riccati solution on its 1e-8 relative residual (NaN fails too)
+    and report the doubling count and the residual into `stats`."""
+    if not residual < _RICCATI_RESIDUAL_TOL:
+        raise NumericalError(f"{what} residual {residual:.3e} exceeds {_RICCATI_RESIDUAL_TOL:.1e}")
+    if stats is not None:
+        stats["doublings"] = doublings
+        stats["residual"] = residual
+
+
 def _solve_riccati(A, B, Q, R, what: str, stats: dict | None) -> np.ndarray:
-    """Stabilizing solution of the DARE (A, B, Q, R) by doubling from
+    """Stabilizing solution of the DARE (A, B, Q, R) by dense doubling from
     G_0 = B R^-1 B^T and H_0 = Q, gated on a 1e-8 relative residual."""
     B = _dense(B)
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
     G = B @ np.linalg.solve(R, B.T)
     P, doublings = _doubling(_dense(A), 0.5 * (G + G.T), Q.copy(), what)
-    residual = dare_residual(A, B, P, Q, R)
-    if residual >= _RICCATI_RESIDUAL_TOL:
-        raise NumericalError(f"{what} residual {residual:.3e} exceeds {_RICCATI_RESIDUAL_TOL:.1e}")
-    if stats is not None:
-        stats["doublings"] = doublings
-        stats["residual"] = residual
+    _accept(what, dare_residual(A, B, P, Q, R), doublings, stats)
     return P
 
 
-def solve_dare(A, B, Q, R_w, *, stats: dict | None = None) -> TerminalCost:
-    """Terminal cost from the DARE, solved by doubling.
+def solve_dare(A, B, Q, R_w, *, modes: tuple[ModalBasis, Weights] | None = None,
+               stats: dict | None = None) -> TerminalCost:
+    """Terminal cost from the DARE.
 
-    A and B may each be 1-D (diagonals) or dense.  The solution is
-    verified against a 1e-8 relative residual bound.  If `stats` is a
-    dict it receives the doubling count and the relative residual.
+    A and B may each be 1-D (diagonals) or dense.  Without `modes` the DARE
+    is solved by doubling.  With `modes = (basis, weights)` for a plant of
+    one bandwidth (see one_bandwidth; A and B 1-D), where Q = V diag(q_hat)
+    V^T and R_w is diag(r_hat) in V, the DARE decouples: P = V diag(p_i)
+    V^T with p_i from the scalar closed form solve_dare_modal, and 0 on
+    the n_u - r null-space modes, whose state weight is 0.  Either way the
+    solution is verified against a 1e-8 relative residual bound on the
+    dense equation.  If `stats` is a dict it receives the doubling count
+    (0 for the closed form) and the relative residual.
     """
-    return TerminalCost(P=_solve_riccati(A, B, Q, R_w, "DARE", stats))
+    if modes is None:
+        return TerminalCost(P=_solve_riccati(A, B, Q, R_w, "DARE", stats))
+    basis, w = modes
+    a, b = float(A[0]), float(B[0])
+    p = np.array([solve_dare_modal(a, b, float(q), float(r))
+                  for q, r in zip(w.q_hat, w.r_hat[:basis.r])])
+    P = (basis.V * p) @ basis.V.T
+    P = 0.5 * (P + P.T)
+    _accept("DARE", dare_residual(A, B, P, Q, R_w), 0, stats)
+    return TerminalCost(P=P)
 
 
 def solve_dare_modal(a: float, b: float, q_hat_i: float, r_hat_i: float) -> float:
     """Closed-form scalar DARE solution for one decoupled mode.
 
     With xi = r(1 - a^2) - b^2 q the solution is
-    p = (-xi + sqrt(xi^2 + 4 b^2 q r)) / (2 b^2).  b == 0 degenerates to
-    the Lyapunov limit p = q / (1 - a^2).  The a == 0 and q == 0 branches
-    are returned directly so the algebraic identities p = q and p = 0
-    hold without rounding.
+    p = (-xi + sqrt(xi^2 + 4 b^2 q r)) / (2 b^2), evaluated for xi > 0 as
+    p = 2 q r / (xi + sqrt(xi^2 + 4 b^2 q r)), the same root without the
+    cancellation that costs the first form its digits when q r << xi^2.
+    b == 0 degenerates to the Lyapunov limit p = q / (1 - a^2).  The a == 0
+    and q == 0 branches are returned directly so the algebraic identities
+    p = q and p = 0 hold without rounding.
     """
     if r_hat_i <= 0.0:
         raise ConfigError("modal input weight must be positive")
@@ -216,8 +268,10 @@ def solve_dare_modal(a: float, b: float, q_hat_i: float, r_hat_i: float) -> floa
     if a == 0.0:
         return float(q_hat_i)
     xi = r_hat_i * (1.0 - a * a) - b * b * q_hat_i
-    p = (-xi + math.sqrt(xi * xi + 4.0 * b * b * q_hat_i * r_hat_i)) / (2.0 * b * b)
-    return float(max(p, 0.0))
+    root = math.sqrt(xi * xi + 4.0 * b * b * q_hat_i * r_hat_i)
+    if xi > 0.0:
+        return float(2.0 * q_hat_i * r_hat_i / (xi + root))
+    return float((root - xi) / (2.0 * b * b))
 
 
 def lqr_gain_modal(a: float, b: float, p_hat_i: float, r_hat_i: float) -> float:
@@ -231,8 +285,8 @@ def lqr_gain_modal(a: float, b: float, p_hat_i: float, r_hat_i: float) -> float:
 def imc_gain(sigma, lam: float):
     """Regularized pseudo-inverse gain sigma / (sigma^2 + lambda) per mode."""
     sigma = np.asarray(sigma, dtype=float)
-    if lam < 0.0:
-        raise ConfigError("regularization must be non-negative")
+    if not 0.0 <= lam < math.inf:  # NaN fails too
+        raise ConfigError(f"regularization must be non-negative and finite, got {lam}")
     if lam == 0.0 and np.any(sigma == 0.0):
         raise ConfigError("unregularized zero singular value: need lambda > 0")
     return sigma / (sigma * sigma + lam)
@@ -362,12 +416,84 @@ def _error_spectral_radius(ss: StateSpace, gain: PartitionedGain) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(F_cl))))
 
 
+def _dense_filter(ss: StateSpace, q_w: float, q_v: float, r_m: float,
+                  stats: dict | None) -> tuple[PartitionedGain, float]:
+    """The predictor gain from the dense filter Riccati equation on [z_mu; d],
+    and the spectral radius of its estimation error."""
+    n_u, n_y = ss.n_u, ss.n_y
+    f = np.concatenate([ss.A, np.ones(n_y)])
+    H = np.hstack([ss.C, np.eye(n_y)])
+    Qn = np.diag(np.concatenate([np.full(n_u, q_w), np.full(n_y, q_v)]))
+    Rn = r_m * np.eye(n_y)
+    P = _solve_riccati(f, H.T, Qn, Rn, "observer Riccati", stats)
+    S = H @ P @ H.T + Rn
+    K = np.linalg.solve(0.5 * (S + S.T), (H @ P) * f).T
+    gain = PartitionedGain(K[:n_u], K[n_u:], ss.A, ss.mu)
+    return gain, _error_spectral_radius(ss, gain)
+
+
+def _modal_filter(ss: StateSpace, basis: ModalBasis, q_w: float, q_v: float, r_m: float,
+                  stats: dict | None) -> tuple[PartitionedGain, float]:
+    """The predictor gain of a one-bandwidth plant, mode by mode, and the
+    spectral radius of its estimation error.
+
+    In the coordinates (V^T z_mu, U^T d), with U and V completed to
+    orthogonal bases, F = diag(a I, I) and both noise covariances keep
+    their form and H = [diag(sigma), I], so the filter equation splits:
+    - r coupled modes (z_i, d_i) with H_i = [sigma_i, 1], solved together
+      as one stack of 2 x 2 problems by the doubling kernel;
+    - n_y - r modes that hold only a disturbance (F = H = 1), with the
+      scalar closed form p_0 = solve_dare_modal(1, 1, q_v, r_m) and gain
+      k_0 = p_0 / (p_0 + r_m);
+    - n_u - r unmeasured modes (H = 0), whose gain is zero and whose
+      covariance is the Lyapunov solution q_w / (1 - a^2).
+    So L_zmu = V diag(k_z) U^T and L_d = U diag(k_d) U^T + k_0 (I - U U^T).
+    The residual gate takes the relative Frobenius residual over all the
+    modal blocks, which by orthogonal invariance equals the dense one, and
+    the error loop's spectrum is the union of the blocks' closed loops:
+    the 2 x 2 ones, 1 - k_0 and a.
+    """
+    n_u, n_y, r = ss.n_u, ss.n_y, basis.r
+    a = float(ss.A[0])
+    what = "observer Riccati"
+    F = np.broadcast_to(np.diag([a, 1.0]), (r, 2, 2))
+    h = np.stack([basis.S, np.ones(r)], axis=-1)[:, :, None]
+    ht = np.swapaxes(h, -1, -2)
+    Qn = np.diag([q_w, q_v])
+    P, doublings = _doubling(F, (h @ ht) / r_m, np.tile(Qn, (r, 1, 1)), what)
+    K = (F @ P @ h) / (ht @ P @ h + r_m)
+    k_z, k_d = K[:, 0, 0], K[:, 1, 0]
+
+    p_0 = solve_dare_modal(1.0, 1.0, q_v, r_m)
+    k_0 = p_0 / (p_0 + r_m)
+    p_u = solve_dare_modal(a, 0.0, q_w, r_m) if n_u > r else 0.0
+    gap, size = _riccati_gap(F, h, P, Qn, np.array([[r_m]]))
+    scalar_gap, scalar_size = _riccati_gap(
+        np.array([[[1.0]], [[a]]]), np.array([[[1.0]], [[0.0]]]), np.array([[[p_0]], [[p_u]]]),
+        np.array([[[q_v]], [[q_w]]]), np.array([[r_m]]))
+    count = np.array([n_y - r, n_u - r])
+    residual = math.sqrt((np.sum(gap ** 2) + count @ scalar_gap ** 2)
+                         / max(np.sum(size ** 2) + count @ scalar_size ** 2, np.finfo(float).tiny))
+    _accept(what, residual, doublings, stats)
+
+    L_zmu = (basis.V * k_z) @ basis.U.T
+    L_d = (basis.U * k_d) @ basis.U.T
+    if n_y > r:
+        L_d = L_d + k_0 * (np.eye(n_y) - basis.U @ basis.U.T)
+    radii = np.abs(np.linalg.eigvals(F - K @ ht)).ravel()
+    rho = float(max(np.max(radii),
+                    abs(1.0 - k_0) if n_y > r else 0.0,
+                    abs(a) if n_u > r else 0.0))
+    return PartitionedGain(L_zmu, L_d, ss.A, ss.mu), rho
+
+
 def kalman_gain(
     ss: StateSpace,
     sigma_v: float = 1.0,
     sigma_w: float = 1e-4,
     sigma_m: float = 1e-2,
     *,
+    basis: ModalBasis | None = None,
     stats: dict | None = None,
 ) -> PartitionedGain:
     """Steady-state predictor gain for the delay-augmented plant.
@@ -380,32 +506,31 @@ def kalman_gain(
     the filter Riccati equation is solved on the reduced state
     s = [z_mu; d] only:
         F = diag(A, I),  H = [C  I],
-        Q = diag(sigma_w^2 I, sigma_v^2 I),  R = sigma_m^2 I,
-    as the dual DARE (F^T = F, H^T) with the same doubling kernel and the
-    same 1e-8 relative residual gate as solve_dare.  The predictor gain
-    K = F P H^T (H P H^T + R)^-1 gives L_zmu and L_d, from which
-    PartitionedGain builds L_x and L_z1..L_z(mu-1).
+        Q = diag(sigma_w^2 I, sigma_v^2 I),  R = sigma_m^2 I.
+    On a plant of one bandwidth (see one_bandwidth) it is solved mode by
+    mode in the modal basis of C (`basis`, which must be the SVD of ss.C,
+    or one SVD of ss.C when none is given); otherwise as the dense dual DARE (F^T = F, H^T) by doubling.
+    Both gate the solution on the same 1e-8 relative residual as
+    solve_dare.  The predictor gain K = F P H^T (H P H^T + R)^-1 gives
+    L_zmu and L_d, from which PartitionedGain builds L_x and
+    L_z1..L_z(mu-1).
 
     If `stats` is a dict it receives the doubling count and the relative
     residual.  Raises if the estimation error does not contract.
     """
-    if sigma_m <= 0.0:
-        raise ConfigError("measurement noise sigma_m must be positive")
-    if sigma_v <= 0.0:
-        raise ConfigError("disturbance drive sigma_v must be positive")
-    if sigma_w < 0.0:
-        raise ConfigError("process noise sigma_w must be non-negative")
-    n_u, n_y = ss.n_u, ss.n_y
-    f = np.concatenate([ss.A, np.ones(n_y)])
-    H = np.hstack([ss.C, np.eye(n_y)])
-    Qn = np.diag(np.concatenate([np.full(n_u, sigma_w ** 2), np.full(n_y, sigma_v ** 2)]))
-    Rn = (sigma_m ** 2) * np.eye(n_y)
-    P = _solve_riccati(f, H.T, Qn, Rn, "observer Riccati", stats)
-    S = H @ P @ H.T + Rn
-    K = np.linalg.solve(0.5 * (S + S.T), (H @ P) * f).T
-    gain = PartitionedGain(K[:n_u], K[n_u:], ss.A, ss.mu)
-    rho = _error_spectral_radius(ss, gain)
-    if rho >= 1.0:
+    # the comparisons are written so that NaN fails them
+    if not 0.0 < sigma_m < math.inf:
+        raise ConfigError(f"measurement noise sigma_m must be positive and finite, got {sigma_m}")
+    if not 0.0 < sigma_v < math.inf:
+        raise ConfigError(f"disturbance drive sigma_v must be positive and finite, got {sigma_v}")
+    if not 0.0 <= sigma_w < math.inf:
+        raise ConfigError(f"process noise sigma_w must be non-negative and finite, got {sigma_w}")
+    noise = (sigma_w ** 2, sigma_v ** 2, sigma_m ** 2)
+    if one_bandwidth(ss):
+        gain, rho = _modal_filter(ss, modal_decompose(ss.C) if basis is None else basis, *noise, stats)
+    else:
+        gain, rho = _dense_filter(ss, *noise, stats)
+    if not rho < 1.0:
         raise NumericalError(f"estimation-error spectral radius {rho:.6f} >= 1")
     return gain
 

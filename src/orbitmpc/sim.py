@@ -67,8 +67,8 @@ class DisturbanceSpec:
     def __post_init__(self):
         if self.kind not in DISTURBANCE_KINDS:
             raise ConfigError(f"unknown disturbance kind {self.kind!r}")
-        if not self.sigma >= 0.0:
-            raise ConfigError(f"sigma must be non-negative, got {self.sigma}")
+        if not 0.0 <= self.sigma < np.inf:  # NaN fails too
+            raise ConfigError(f"disturbance sigma must be non-negative and finite, got {self.sigma}")
 
 
 def spatial_mode_shape(mode: int, n_y: int) -> np.ndarray:

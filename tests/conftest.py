@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -24,3 +25,12 @@ def small_plant():
 def flat_plant():
     """8x8 strongly ill-conditioned plant (kappa = 1e4)."""
     return synthetic_plant(8, 8, 1e4, seed=2)
+
+
+@pytest.fixture
+def mixed_plant():
+    """5x(3+2) plant whose two fast correctors have their own bandwidth, so
+    neither Riccati equation decouples by mode."""
+    plant = synthetic_plant(5, 5, 100.0, seed=11, mu=2)
+    return dataclasses.replace(plant, n_s=3, n_f=2, R_s=plant.R[:, :3], R_f=plant.R[:, 3:],
+                               a_s=2.0 * np.pi * 70.0, a_f=2.0 * np.pi * 300.0)

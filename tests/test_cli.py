@@ -332,6 +332,31 @@ class TestConfigValidation:
         assert f"component 2.0:1.0:{mode}: spatial mode {mode}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("sigma_v", "nan"), ("sigma_w", "inf"), ("sigma_m", "inf"), ("epsilon", "nan"),
+        ("delta", "nan"), ("dist_sigma", "inf"), ("q_min", "nan"), ("q_max", "inf"),
+        ("lambda", "nan"),
+    ])
+    def test_non_finite_float_rejected_on_read(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, extra=f"{key} = {value}\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config key '{key}' must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("q_min", 0.5), ("q_max", 0.5)])
+    def test_lone_weight_bound_honored(self, tmp_path, key, value):
+        cfg = write_config(tmp_path, extra=f"{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["design", "--config", cfg, "--out", str(out)]) == 0
+        meta = read_kv(out / "meta.txt")
+        sigma_0_sq = float(np.load(out / "S.npy")[0]) ** 2
+        q_max = value if key == "q_max" else sigma_0_sq
+        q_min = value if key == "q_min" else q_max / 100.0
+        assert float(meta["q_min"]) == q_min and float(meta["q_max"]) == q_max
+        q_hat = np.load(out / "q_hat.npy")
+        assert q_hat.min() == q_min and q_hat.max() <= q_max
+
     def test_unknown_weights_rejected(self, tmp_path):
         cfg = write_config(tmp_path, extra="weights = fancy\n")
         assert main(["design", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -443,18 +468,37 @@ class TestDesignFingerprint:
 
 
 class TestDesignDiagnostics:
-    def test_riccati_doublings_and_residuals_recorded(self, tmp_path):
-        cfg = write_config(tmp_path)
-        out = str(tmp_path / "out")
+    @staticmethod
+    def design_records(cfg, out):
         assert main(["design", "--config", cfg, "--out", out]) == 0
         meta = read_kv(os.path.join(out, "meta.txt"))
         report = dict(line.split(" = ", 1)
                       for line in Path(out, "report.txt").read_text().splitlines() if " = " in line)
         for solve in ("dare", "kalman"):
-            assert 1 <= int(meta[f"{solve}_doublings"]) <= 64
             assert float(meta[f"{solve}_residual"]) < 1e-8
             assert report[f"{solve}_doublings"] == meta[f"{solve}_doublings"]
         assert float(report["kalman_residual"]) == float(meta["kalman_residual"])
+        assert report["riccati_form"] == meta["riccati_form"]
+        return meta
+
+    def test_riccati_doublings_and_residuals_recorded(self, tmp_path):
+        # one bandwidth: the terminal cost is a closed form per mode, the
+        # filter equation one stack of 2 x 2 doublings
+        meta = self.design_records(write_config(tmp_path), str(tmp_path / "out"))
+        assert meta["riccati_form"] == "modal"
+        assert int(meta["dare_doublings"]) == 0
+        assert 1 <= int(meta["kalman_doublings"]) <= 64
+
+    def test_mixed_bandwidth_records_dense_doublings(self, tmp_path, mixed_plant):
+        save_plant_config(mixed_plant, str(tmp_path / "plant.cfg"))
+        cfg = write_config(tmp_path, body=BASE_CONFIG.replace("plant = synthetic",
+                                                              f"plant = {tmp_path / 'plant.cfg'}"))
+        out = str(tmp_path / "out")
+        meta = self.design_records(cfg, out)
+        assert meta["riccati_form"] == "dense"
+        for solve in ("dare", "kalman"):
+            assert 1 <= int(meta[f"{solve}_doublings"]) <= 64
+        assert main(["check", "--config", cfg, "--bundle", out]) == 0
 
     def test_i_max_below_bound_noticed(self, tmp_path, capsys):
         # 8x8, N = 2: the design's bound is above the usual budget of 20

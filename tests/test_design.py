@@ -25,8 +25,16 @@ from orbitmpc import (
     solve_dare_modal,
     synthetic_plant,
 )
-from orbitmpc.design import _error_spectral_radius, _match_gain, dare_residual
-from orbitmpc.model import StateSpace
+from orbitmpc import design as design_mod
+from orbitmpc.design import (
+    _dense_filter,
+    _error_spectral_radius,
+    _match_gain,
+    _modal_filter,
+    dare_residual,
+    one_bandwidth,
+)
+from orbitmpc.model import ModalBasis, StateSpace
 
 from oracles import kalman_predictor_gain_dense, augmented_observer_matrices, setpoint_map_pinv
 
@@ -86,6 +94,16 @@ class TestSolveDareModal:
     def test_zero_b_lyapunov_limit(self):
         # p = q / (1 - a^2)
         assert solve_dare_modal(0.5, 0.0, 3.0, 1.0) == pytest.approx(4.0, rel=1e-14)
+
+    @pytest.mark.parametrize("q, r", [(1e-8, 1e8), (1e-4, 1e6), (1e-6, 1e3)])
+    def test_weak_modes_keep_their_digits(self, q, r):
+        # q r << xi^2 cancels in -xi + sqrt(xi^2 + 4 b^2 q r); compare with
+        # the root computed in 50-digit arithmetic
+        a, b = 0.6, 0.4
+        with mpmath.workdps(50):
+            xi = mpmath.mpf(r) * (1 - mpmath.mpf(a) ** 2) - mpmath.mpf(b) ** 2 * q
+            exact = (-xi + mpmath.sqrt(xi ** 2 + 4 * mpmath.mpf(b) ** 2 * q * r)) / (2 * mpmath.mpf(b) ** 2)
+            assert abs(solve_dare_modal(a, b, q, r) / exact - 1) < 1e-14
 
     def test_modal_agrees_with_generic_on_scalar_dynamics(self, rng):
         # A = aI, B = bI: P = V diag(p_hat) V^T
@@ -387,6 +405,87 @@ class TestReducedKalmanGain:
         L_ref, _, _ = kalman_predictor_gain_dense(ss.A, ss.C, mu, sigma_v, self.SIGMA_W,
                                                   self.SIGMA_M, tol=1e-14)
         assert np.max(np.abs(gain.full - L_ref)) <= 1e-8 * np.max(np.abs(L_ref))
+
+
+def rank_deficient_plant(n_y, n_u, mu, seed):
+    """A one-bandwidth plant whose thin SVD has exact sigma = 0 modes, with
+    the basis it was built from."""
+    rng = np.random.default_rng(seed)
+    r = min(n_y, n_u)
+    U = np.linalg.qr(rng.standard_normal((n_y, r)))[0]
+    V = np.linalg.qr(rng.standard_normal((n_u, r)))[0]
+    basis = ModalBasis(U=U, S=np.concatenate([[1.0, 0.3, 0.05], np.zeros(r - 3)]), V=V)
+    a = float(np.exp(-2.0 * np.pi * 70.0 * 1e-3))
+    return StateSpace(A=np.full(n_u, a), B=np.full(n_u, 1.0 - a), C=basis.reconstruct(), mu=mu), basis
+
+
+def relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestModalRiccati:
+    # one-bandwidth plants: square, wide, tall, and with sigma = 0 modes
+    PLANTS = [("synthetic", 6, 6), ("synthetic", 4, 7), ("synthetic", 7, 4),
+              ("deficient", 6, 6), ("deficient", 5, 8), ("deficient", 8, 5)]
+
+    @staticmethod
+    def plant(kind, n_y, n_u, mu):
+        if kind == "deficient":
+            return rank_deficient_plant(n_y, n_u, mu, seed=n_y + n_u)
+        ss = build_state_space(synthetic_plant(n_y, n_u, 100.0, seed=n_y + n_u, mu=mu))
+        return ss, modal_decompose(ss.C)
+
+    @pytest.mark.parametrize("kind, n_y, n_u", PLANTS)
+    def test_terminal_cost_matches_doubling(self, kind, n_y, n_u):
+        ss, basis = self.plant(kind, n_y, n_u, mu=1)
+        a = float(ss.A[0])
+        for w in (design_weights_saturated(basis, 0.01, 1.0),
+                  design_weights_imc_matched(basis, a, 1.0 - a, 0.1)):
+            stats = {}
+            modal = solve_dare(ss.A, ss.B, w.Q, w.R_w, modes=(basis, w), stats=stats)
+            dense = solve_dare(ss.A, ss.B, w.Q, w.R_w)
+            assert relative_gap(modal.P, dense.P) <= 1e-10
+            assert stats["doublings"] == 0 and stats["residual"] < 1e-8
+
+    @pytest.mark.parametrize("sigma_v", [1.0, 1e-6])
+    @pytest.mark.parametrize("mu", [0, 2])
+    @pytest.mark.parametrize("kind, n_y, n_u", PLANTS)
+    def test_gain_and_radius_match_dense_filter(self, kind, n_y, n_u, mu, sigma_v):
+        ss, basis = self.plant(kind, n_y, n_u, mu)
+        noise = (1e-4 ** 2, sigma_v ** 2, 1e-2 ** 2)
+        modal_stats, dense_stats = {}, {}
+        modal, modal_rho = _modal_filter(ss, basis, *noise, modal_stats)
+        dense, _ = _dense_filter(ss, *noise, dense_stats)
+        assert relative_gap(modal.full, dense.full) <= 1e-10
+        assert modal_rho == pytest.approx(_error_spectral_radius(ss, modal), rel=0, abs=1e-12)
+        assert modal_stats["residual"] < 1e-8
+
+    def test_mixed_bandwidth_takes_the_dense_form(self, mixed_plant):
+        b = design_controller(mixed_plant, 1, sigma_m=1e-3)
+        assert not one_bandwidth(b.ss)
+        assert b.meta["riccati_form"] == "dense"
+        assert b.meta["dare_doublings"] >= 1
+        L_ref, _, _ = kalman_predictor_gain_dense(b.ss.A, b.ss.C, b.ss.mu, 1.0, 1e-4, 1e-3, tol=1e-14)
+        assert np.max(np.abs(b.gain.full - L_ref)) <= 1e-8 * np.max(np.abs(L_ref))
+
+    def test_ring_shape_design_never_runs_a_dense_solve(self, monkeypatch):
+        # the storage-ring shape: 172 monitors, 173 correctors of one bandwidth
+        doubling = design_mod._doubling
+
+        def stacked_2x2_only(A, G, H, what):
+            if A.shape[-1] > 2:
+                raise AssertionError(f"{what}: dense {A.shape[-1]}-state doubling")
+            return doubling(A, G, H, what)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense error-loop eigensolve")
+
+        monkeypatch.setattr(design_mod, "_doubling", stacked_2x2_only)
+        monkeypatch.setattr(design_mod, "_error_spectral_radius", refuse)
+        plant = synthetic_plant(172, 173, 1e4, seed=1, mu=2, dt=1e-4, bandwidth=2.0 * np.pi * 700.0)
+        b = design_controller(plant, 2)
+        assert b.meta["riccati_form"] == "modal"
+        assert b.meta["dare_doublings"] == 0
 
 
 class TestConditionNumber:
