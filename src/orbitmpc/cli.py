@@ -96,14 +96,19 @@ def _auto_float(pairs: dict, key: str) -> float | None:
     return fileio.kv_get(pairs, key, float)
 
 
+def _require(key: str, value, ok: bool, what: str) -> None:
+    """Reject a config value by its key unless `ok` holds."""
+    if not ok:
+        raise ConfigError(f"config key '{key}' must be {what}, got {value}")
+
+
 def _check_finite(key: str, value: float | None, positive: bool) -> None:
     """Reject a non-finite or out-of-range float config value by its key;
     None (not given) passes.  The comparisons are written so that NaN fails."""
     if value is None:
         return
-    if not (0.0 < value < math.inf if positive else 0.0 <= value < math.inf):
-        raise ConfigError(f"config key '{key}' must be finite and "
-                          f"{'positive' if positive else 'non-negative'}, got {value}")
+    _require(key, value, 0.0 < value < math.inf if positive else 0.0 <= value < math.inf,
+             f"finite and {'positive' if positive else 'non-negative'}")
 
 
 def load_run_config(path, seed_override=None, workers_override=None, out_override=None) -> RunConfig:
@@ -113,6 +118,7 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
     if version != 1:
         raise ConfigError(f"unsupported schema_version {version}")
     seed = seed_override if seed_override is not None else fileio.kv_get(pairs, "seed", int, default=0)
+    _require("seed", seed, seed >= 0, "non-negative")
 
     plant_key = fileio.kv_get(pairs, "plant", str, default="synthetic")
     if plant_key == "synthetic":
@@ -166,6 +172,11 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
     n_workers = workers_override if workers_override is not None else fileio.kv_get(pairs, "n_workers", int, default=1)
     i_max = fileio.kv_get(pairs, "i_max", int, default=fgm.DEFAULT_I_MAX)
     bench_cycles = fileio.kv_get(pairs, "bench_cycles", int, default=1000)
+    # 10 Hz at dt = 1 ms: the baseline integrates 2 pi 0.01 per sample at any dt
+    imc_bandwidth_hz = fileio.kv_get(pairs, "imc_bandwidth_hz", float, default=0.01 / plant.dt)
+    nyquist_hz = 0.5 / plant.dt
+    _require("imc_bandwidth_hz", imc_bandwidth_hz, 0.0 < imc_bandwidth_hz < nyquist_hz,
+             f"positive and below the Nyquist frequency 0.5 / dt = {nyquist_hz:g} Hz")
     for key, value, least in (("n_workers", n_workers, 1), ("i_max", i_max, 0),
                               ("bench_cycles", bench_cycles, 1)):
         if value < least:
@@ -188,8 +199,7 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
         n_workers=n_workers,
         seed=seed,
         output_dir=out_override or fileio.kv_get(pairs, "output_dir", str, default="out"),
-        # 10 Hz at dt = 1 ms: the baseline integrates 2 pi 0.01 per sample at any dt
-        imc_bandwidth_hz=fileio.kv_get(pairs, "imc_bandwidth_hz", float, default=0.01 / plant.dt),
+        imc_bandwidth_hz=imc_bandwidth_hz,
         bench_cycles=bench_cycles,
         observer_dump=bool(fileio.kv_get(pairs, "observer_dump", int, default=0)),
     )

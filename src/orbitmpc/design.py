@@ -86,29 +86,26 @@ class PartitionedGain:
     powers, L_zi = A^(mu-i) L_zmu and L_x = A^mu L_zmu.  The fast observer
     update propagates the innovation forward with the same powers, so a
     gain of this structure is the only kind it serves, and the only kind
-    that can be built.  Every block is stored C-contiguous, so a gain built
-    from designed and from loaded arrays multiplies bit-identically.
+    that can be built.  Only `measured` and `L_d` are stored, C-contiguous,
+    so a gain built from designed and from loaded arrays multiplies
+    bit-identically; `full` forms the other blocks when asked.
     """
 
     measured: np.ndarray
     L_d: np.ndarray
     A: np.ndarray
     mu: int
-    L_x: np.ndarray = dataclasses.field(init=False)
-    L_z: tuple[np.ndarray, ...] = dataclasses.field(init=False)
 
     def __post_init__(self):
-        measured = np.ascontiguousarray(self.measured)
-        A, mu = self.A, self.mu
-        object.__setattr__(self, "measured", measured)
+        object.__setattr__(self, "measured", np.ascontiguousarray(self.measured))
         object.__setattr__(self, "L_d", np.ascontiguousarray(self.L_d))
-        object.__setattr__(self, "L_x", (A ** mu)[:, None] * measured)
-        object.__setattr__(self, "L_z", tuple((A ** (mu - i))[:, None] * measured
-                                              for i in range(1, mu + 1)))
 
     @property
     def full(self) -> np.ndarray:
-        return np.vstack([self.L_x, *self.L_z, self.L_d])
+        """The dense gain [L_x; L_z1; ...; L_zmu; L_d]."""
+        A, mu = self.A, self.mu
+        return np.vstack([(A ** (mu - i))[:, None] * self.measured for i in range(mu + 1)]
+                         + [self.L_d])
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +509,8 @@ def kalman_gain(
     or one SVD of ss.C when none is given); otherwise as the dense dual DARE (F^T = F, H^T) by doubling.
     Both gate the solution on the same 1e-8 relative residual as
     solve_dare.  The predictor gain K = F P H^T (H P H^T + R)^-1 gives
-    L_zmu and L_d, from which PartitionedGain builds L_x and
-    L_z1..L_z(mu-1).
+    L_zmu and L_d, whose A^i propagation gives L_x and L_z1..L_z(mu-1)
+    (see PartitionedGain).
 
     If `stats` is a dict it receives the doubling count and the relative
     residual.  Raises if the estimation error does not contract.

@@ -14,7 +14,7 @@ class NumericalError(OrbitMpcError):
 
 
 class InfeasibleError(NumericalError):
-    """Empty constraint set encountered during projection or a solve."""
+    """Empty or NaN constraint set, or an applied input beyond its limits."""
 
     exit_code = 1
 

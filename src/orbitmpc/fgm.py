@@ -56,7 +56,11 @@ SOLVE_STAGES = ("observer", "q_update", "set_update", "gradient", "projection", 
 
 @dataclasses.dataclass(frozen=True)
 class WorkerPlan:
-    """Disjoint row slices covering a matrix, one slice per worker."""
+    """Disjoint row slices covering a matrix, one slice per worker.
+
+    Every non-empty slice starts on a multiple of ROW_BLOCK, so that each
+    row runs through the same gemv kernel path as in the full product.
+    """
 
     n_workers: int
     row_slices: tuple[tuple[int, int], ...]
@@ -68,6 +72,9 @@ class WorkerPlan:
         for start, count in self.row_slices:
             if start != pos or count < 0:
                 raise DimensionError("row slices must be contiguous and non-negative")
+            if count and start % ROW_BLOCK:
+                raise ConfigError(f"worker slice at row {start} does not start on a "
+                                  f"multiple of {ROW_BLOCK} rows")
             pos = start + count
 
     @property
@@ -76,14 +83,14 @@ class WorkerPlan:
         return start + count
 
 
-def make_worker_plan(rows: int, n_workers: int, alignment_rows: int = ROW_BLOCK) -> WorkerPlan:
-    """Near-equal slices whose lengths are multiples of the alignment unit.
+def make_worker_plan(rows: int, n_workers: int) -> WorkerPlan:
+    """Near-equal slices whose lengths are multiples of ROW_BLOCK.
 
-    Each slice takes ceil(remaining / workers_left) rounded up to the
-    alignment; the last slice absorbs whatever remains.
+    Each slice takes ceil(remaining / workers_left) rounded up to
+    ROW_BLOCK; the last slice absorbs whatever remains.
     """
-    if rows < 1 or n_workers < 1 or alignment_rows < 1:
-        raise ConfigError("rows, n_workers and alignment_rows must all be >= 1")
+    if rows < 1 or n_workers < 1:
+        raise ConfigError("rows and n_workers must both be >= 1")
     slices = []
     start, remaining = 0, rows
     for w in range(n_workers):
@@ -92,7 +99,7 @@ def make_worker_plan(rows: int, n_workers: int, alignment_rows: int = ROW_BLOCK)
             size = remaining
         else:
             per = -(-remaining // left)            # ceil divide
-            size = min(remaining, -(-per // alignment_rows) * alignment_rows)
+            size = min(remaining, -(-per // ROW_BLOCK) * ROW_BLOCK)
         slices.append((start, size))
         start += size
         remaining -= size
@@ -109,7 +116,8 @@ def _row_product(w: np.ndarray, v: np.ndarray, q_scaled: np.ndarray,
 
     One gemv over rows start..end4 of the row-padded W, end4 being stop
     rounded up to ROW_BLOCK (the padding rows of t_pad receive zeros),
-    then the shift in place.  `start` must be a multiple of ROW_BLOCK.
+    then the shift in place.  `start` is a multiple of ROW_BLOCK (see
+    WorkerPlan).
     """
     end4 = stop + (-stop) % ROW_BLOCK if stop > start else stop
     w_rows, t_rows = w[start:end4], t_pad[start:end4]
@@ -222,10 +230,6 @@ def _gradient(qp: CondensedQP, v: np.ndarray, q_scaled: np.ndarray,
     """Callable writing the gradient step for the iterate v into t_pad, one
     plan slice per worker of the shared pool (serial for one).  A plan with
     more than one worker is checked against the full product first."""
-    for start, count in plan.row_slices:
-        if count and start % ROW_BLOCK:
-            raise ConfigError(f"worker slice at row {start} does not start on a "
-                              f"multiple of {ROW_BLOCK} rows")
     parts = [_row_product(qp.W, v, q_scaled, t_pad, start, start + count)
              for start, count in plan.row_slices]
     if plan.n_workers == 1:
@@ -270,8 +274,7 @@ def _add_ns(timers: dict, stage: str, tic: int) -> int:
 
 
 def _iterate(qp: CondensedQP, q: np.ndarray, cset: ConstraintSet, warm: np.ndarray,
-             budget: int, n_workers: int = 1, record: list | None = None,
-             timers: dict | None = None, stop=None):
+             budget: int, n_workers: int = 1, timers: dict | None = None, stop=None):
     """The fast-gradient kernel: run up to `budget` iterations.
 
     `stop(p_new, p)`, when given, is asked after every iteration whether to
@@ -310,8 +313,6 @@ def _iterate(qp: CondensedQP, q: np.ndarray, cset: ConstraintSet, warm: np.ndarr
         np.subtract(v, beta_p, out=v)
         if timers is not None:
             _add_ns(timers, "momentum", tic)
-        if record is not None:
-            record.append(p_new.copy())
         if stop is not None and stop(p_new, p):
             return p_new, i + 1
         p = p_new
@@ -325,17 +326,15 @@ def solve(
     warm: np.ndarray,
     i_max: int = DEFAULT_I_MAX,
     n_workers: int = 1,
-    record: list | None = None,
     timers: dict | None = None,
 ) -> np.ndarray:
     """Run exactly i_max fast-gradient iterations and return the final
     projected iterate.
 
-    `record`, when given, collects every projected iterate.  `timers`,
-    when given, accumulates per-stage nanoseconds under the keys
+    `timers`, when given, accumulates per-stage nanoseconds under the keys
     'gradient', 'projection' and 'momentum' (used by the benchmark).
     """
-    p, _ = _iterate(qp, q, cset, warm, i_max, n_workers=n_workers, record=record, timers=timers)
+    p, _ = _iterate(qp, q, cset, warm, i_max, n_workers=n_workers, timers=timers)
     return p
 
 

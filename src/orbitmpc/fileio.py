@@ -8,8 +8,9 @@ Two formats only:
   (``# key=value``) and are skipped on read.  The response matrix
   ``R.csv``, disturbance files and the simulate/bench outputs use it;
   ``SCHEMA_VERSION`` is the version their headers record.
-* flat key=value config — one ``key = value`` pair per line, ``#``
-  comments allowed, no sections.
+* flat key=value config — one ``key = value`` pair per line, no sections.
+  A line starting with ``#`` is a comment, and so is the rest of a line
+  from a ``#`` that follows whitespace.  A key may appear only once.
 
 The design bundle stores its arrays as ``.npy`` files instead (see
 ``bundle``).
@@ -18,12 +19,15 @@ The design bundle stores its arrays as ``.npy`` files instead (see
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
+# a comment that follows whitespace ends a key = value line
+_TRAILING_COMMENT = re.compile(r"\s#.*")
 
 
 def format_float(x: float) -> str:
@@ -75,13 +79,16 @@ def read_kv(path) -> dict[str, str]:
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
-                line = line.strip()
+                line = _TRAILING_COMMENT.sub("", line).strip()
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, _, value = line.partition("=")
-                pairs[key.strip()] = value.strip()
+                key = key.strip()
+                if key in pairs:
+                    raise ConfigError(f"{path}:{lineno}: key '{key}' given twice")
+                pairs[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return pairs

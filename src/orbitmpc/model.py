@@ -60,8 +60,8 @@ class PlantConfig:
             raise ConfigError("need n_y >= 1 and n_s + n_f >= 1")
         if self.n_s < 0 or self.n_f < 0:
             raise ConfigError("actuator counts must be non-negative")
-        if not self.dt > 0.0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < np.inf:  # NaN fails too
+            raise ConfigError(f"dt must be finite and positive, got {self.dt}")
         if self.mu < 0:
             raise ConfigError(f"mu must be non-negative, got {self.mu}")
         object.__setattr__(self, "R_s", np.asarray(self.R_s, dtype=float).reshape(self.n_y, self.n_s))
@@ -185,8 +185,8 @@ def synthetic_plant(
     min(n_y, n_u) == 1 there is a single singular value and kappa_target
     is ignored.  ``rho`` defaults to alpha/10.
     """
-    if not kappa_target >= 1.0:  # NaN fails `>=` too
-        raise ConfigError(f"kappa_target must be >= 1, got {kappa_target}")
+    if not 1.0 <= kappa_target < np.inf:  # NaN fails too
+        raise ConfigError(f"kappa_target must be finite and >= 1, got {kappa_target}")
     rng = np.random.default_rng(seed)
     r = min(n_y, n_u)
     if r > 1:

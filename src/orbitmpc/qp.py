@@ -187,7 +187,8 @@ class ConstraintSet:
     box: [lo, min(hi, alpha - rho)] and [max(lo, rho - alpha), hi].  Their
     other two limits, -alpha - rho and alpha + rho, never bind, since
     fl(-alpha - rho) <= -alpha <= lo and hi <= alpha <= fl(alpha + rho).
-    An infeasible set can be built; projecting onto it raises.
+    A set whose stage-0 interval is empty or NaN for some actuator cannot
+    be built, so the projections and the diameter take feasibility as given.
     """
 
     alpha: np.ndarray
@@ -196,7 +197,6 @@ class ConstraintSet:
     N: int
     _lower: np.ndarray = dataclasses.field(init=False, repr=False)
     _upper: np.ndarray = dataclasses.field(init=False, repr=False)
-    _feasible: bool = dataclasses.field(init=False, repr=False)
     # N = 2 only: rho + tolerance, and per band side (+rho, -rho) the
     # (2, n_u) u0 limits [lower; upper] of that side's segment inside the box
     _band: np.ndarray | None = dataclasses.field(init=False, repr=False)
@@ -212,6 +212,12 @@ class ConstraintSet:
             raise DimensionError("alpha, rho, u_prev must share one shape")
         lo = np.maximum(-alpha, u_prev - rho)
         hi = np.minimum(alpha, u_prev + rho)
+        if np.count_nonzero(lo <= hi) < lo.shape[0]:  # NaN fails `<=` too
+            bad = np.flatnonzero(~(lo <= hi))
+            raise InfeasibleError(
+                f"empty stage set for actuator(s) {bad.tolist()}: "
+                "|u_prev| exceeds alpha + rho, or a limit or u_prev is NaN"
+            )
         lower, upper, band, segments = lo, hi, None, None
         if self.N == 2:
             lower, upper = np.concatenate([lo, -alpha]), np.concatenate([hi, alpha])
@@ -222,7 +228,6 @@ class ConstraintSet:
             )
         for name, value in (("alpha", alpha), ("rho", rho), ("u_prev", u_prev),
                             ("_lower", lower), ("_upper", upper),
-                            ("_feasible", not np.count_nonzero(lo > hi)),
                             ("_band", band), ("_segments", segments)):
             object.__setattr__(self, name, value)
 
@@ -233,15 +238,6 @@ class ConstraintSet:
     def stage0_bounds(self):
         n = self.n_u
         return self._lower[:n], self._upper[:n]
-
-    def check_feasible(self) -> None:
-        if not self._feasible:
-            lo, hi = self.stage0_bounds()
-            bad = np.nonzero(lo > hi)[0]
-            raise InfeasibleError(
-                f"empty stage set for actuator(s) {bad.tolist()}: "
-                "|u_prev| exceeds alpha + rho"
-            )
 
     def project(self, t: np.ndarray) -> np.ndarray:
         """Euclidean projection of a stage-major stacked iterate onto U_N."""
@@ -263,7 +259,6 @@ class ConstraintSet:
         lo, hi = self.stage0_bounds()
         sq = (hi - lo) ** 2
         if self.N == 2:
-            self.check_feasible()
             alpha, rho = self.alpha, self.rho
             sq = sq + (np.minimum(alpha, hi + rho) - np.maximum(-alpha, lo - rho)) ** 2
         return float(np.sum(sq))
@@ -277,7 +272,6 @@ def _clip(x, lo, hi, out=None):
 
 def project_stage_n1(t: np.ndarray, cset: ConstraintSet) -> np.ndarray:
     """Component-wise clip to the stage-0 interval."""
-    cset.check_feasible()
     return _clip(t, cset._lower, cset._upper)
 
 
@@ -289,7 +283,6 @@ def _project_stacked(t: np.ndarray, cset: ConstraintSet) -> np.ndarray:
     s = sign(u1 - u0) of the clipped pair is active, and step 2 projects
     onto the segment of the line u1 = u0 + s rho inside the box.
     """
-    cset.check_feasible()
     n = cset.n_u
     out = _clip(t, cset._lower, cset._upper)
     u0, u1 = out[:n], out[n:]
@@ -338,13 +331,14 @@ def project_stage_n2(t_pairs: np.ndarray, cset: ConstraintSet) -> np.ndarray:
 
 
 def update_constraint_set(cset: ConstraintSet, u_applied: np.ndarray) -> ConstraintSet:
-    """New set centred on the applied input (must respect amplitude limits)."""
+    """New set centred on the applied input, which must be finite and within
+    the amplitude limits (up to 1e-9)."""
     u_applied = np.asarray(u_applied, dtype=float)
     if u_applied.shape != (cset.n_u,):
         raise DimensionError(f"applied input shape {u_applied.shape} != {(cset.n_u,)}")
     excess = np.abs(u_applied) - cset.alpha
-    if np.any(excess > 1e-9):
-        worst = int(np.argmax(excess))
+    if np.count_nonzero(excess <= 1e-9) < excess.shape[0]:  # NaN fails `<=` too
+        worst = int(np.argmax(excess))  # the first NaN, if any
         raise InfeasibleError(
             f"applied input {u_applied[worst]:.6g} outside amplitude limit "
             f"{cset.alpha[worst]:.6g} on actuator {worst}"

@@ -28,15 +28,15 @@ def designed(mu, horizon):
 
 
 def arrays(b):
-    named = {
+    return {
         "U": b.basis.U, "S": b.basis.S, "V": b.basis.V,
         "P": b.terminal.P, "Q": b.weights.Q, "R_w": b.weights.R_w,
         "q_hat": b.weights.q_hat, "r_hat": b.weights.r_hat,
-        "L_x": b.gain.L_x, "L_d": b.gain.L_d,
+        "measured": b.gain.measured, "L_d": b.gain.L_d,
+        # every block of the gain, including the A^i propagation of `measured`
+        "gain": b.gain.full,
         "J": b.condensed.J, "q_map_x0": b.condensed.q_map_x0, "q_map_d": b.condensed.q_map_d,
     }
-    named.update({f"L_z{i + 1}": block for i, block in enumerate(b.gain.L_z)})
-    return named
 
 
 def bounds(b):

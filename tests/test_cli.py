@@ -9,7 +9,7 @@ import pytest
 
 from orbitmpc import bundle as bundle_mod
 from orbitmpc import load_bundle, save_plant_config, synthetic_plant
-from orbitmpc.cli import main
+from orbitmpc.cli import load_run_config, main
 from orbitmpc.fileio import read_kv, read_matrix
 
 BASE_CONFIG = """
@@ -31,10 +31,26 @@ bench_cycles = 30
 """
 
 
+def config_text(body=BASE_CONFIG, extra=""):
+    """`body` followed by `extra`, whose keys replace the body's lines of the
+    same key (a config may not give a key twice)."""
+    given = {line.partition("=")[0].strip() for line in extra.splitlines() if "=" in line}
+    kept = [line for line in body.splitlines() if line.partition("=")[0].strip() not in given]
+    return "\n".join(kept) + "\n" + extra
+
+
 def write_config(tmp_path, extra="", body=BASE_CONFIG):
     path = tmp_path / "run.cfg"
-    path.write_text(body + extra)
+    path.write_text(config_text(body, extra))
     return str(path)
+
+
+def readme_config():
+    """The README's example config (its one ini block)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```ini\n")[1:]
+    assert len(blocks) == 1
+    return blocks[0].split("```")[0]
 
 
 def tree_digest(directory):
@@ -104,7 +120,7 @@ class TestDesignCommand:
         out_sat = str(tmp_path / "sat")
         assert main(["design", "--config", cfg_sat, "--out", out_sat]) == 0
         cfg_imc = (tmp_path / "imc.cfg")
-        cfg_imc.write_text(base + "weights = imc_matched\n")
+        cfg_imc.write_text(config_text(base, "weights = imc_matched\n"))
         out_imc = str(tmp_path / "imc")
         assert main(["design", "--config", str(cfg_imc), "--out", out_imc]) == 0
         kappa_sat = float(read_kv(os.path.join(out_sat, "bounds.txt"))["kappa"])
@@ -149,7 +165,7 @@ class TestSimulateCommand:
         bundles = {}
         for n in (1, 2):
             cfg_n = tmp_path / f"horizon{n}.cfg"
-            cfg_n.write_text(BASE_CONFIG + f"horizon = {n}\n")  # the later key wins
+            cfg_n.write_text(config_text(extra=f"horizon = {n}\n"))
             assert main(["design", "--config", str(cfg_n), "--out", str(tmp_path / f"b{n}")]) == 0
             bundles[n] = load_bundle(str(tmp_path / f"b{n}"))
 
@@ -357,6 +373,46 @@ class TestConfigValidation:
         q_hat = np.load(out / "q_hat.npy")
         assert q_hat.min() == q_min and q_hat.max() <= q_max
 
+    @pytest.mark.parametrize("extra, argv", [("seed = -1\n", []), ("", ["--seed", "-3"])])
+    def test_negative_seed_rejected(self, tmp_path, capsys, extra, argv):
+        cfg = write_config(tmp_path, extra=extra)
+        out = tmp_path / "o"
+        assert main(["design", "--config", cfg, "--out", str(out), *argv]) == 2
+        assert "config key 'seed' must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-5", "0", "500", "1e9", "inf"])
+    def test_baseline_bandwidth_outside_nyquist_rejected(self, tmp_path, capsys, value):
+        # dt = 1e-3: the baseline's lag filter needs 0 < f < 500 Hz
+        cfg = write_config(tmp_path, extra=f"imc_bandwidth_hz = {value}\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert ("config key 'imc_bandwidth_hz' must be positive and below the Nyquist "
+                "frequency 0.5 / dt = 500 Hz") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_synthetic_dt_rejected(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, extra=f"synthetic_dt = {value}\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "dt must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_plant_file_dt_rejected(self, tmp_path, capsys):
+        save_plant_config(synthetic_plant(4, 4, 10.0, seed=0), str(tmp_path / "plant.cfg"))
+        text = (tmp_path / "plant.cfg").read_text()
+        (tmp_path / "plant.cfg").write_text(text.replace("dt = 0.001", "dt = inf"))
+        cfg = write_config(tmp_path, body=f"plant = {tmp_path / 'plant.cfg'}\n")
+        assert main(["design", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "dt must be finite and positive, got inf" in capsys.readouterr().err
+
+    def test_infinite_synthetic_kappa_rejected(self, tmp_path, capsys):
+        # an infinite spread would design a rank-deficient plant
+        cfg = write_config(tmp_path, extra="synthetic_kappa = inf\n")
+        assert main(["design", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "kappa_target must be finite" in capsys.readouterr().err
+
     def test_unknown_weights_rejected(self, tmp_path):
         cfg = write_config(tmp_path, extra="weights = fancy\n")
         assert main(["design", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -386,6 +442,26 @@ class TestConfigKeys:
         assert main(["design", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "'horizn'" in err and "did you mean 'horizon'" in err
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_readme_example_loads(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(readme_config())
+        run = load_run_config(str(cfg))
+        assert run.plant.n_y == run.plant.n_u == 8 and run.plant.mu == 3
+        assert (run.weights_mode, run.horizon, run.i_max, run.T) == ("saturated", 2, 20, 65536)
+        assert (run.q_min, run.q_max, run.imc_lambda, run.delta) == (0.01, 1.0, None, None)
+        assert run.dist.components == ((2.0, 1.0, 0), (5.0, 0.4, 1))
+        assert run.imc_bandwidth_hz == 10.0 and not run.observer_dump
+
+    def test_trailing_comment_needs_whitespace(self, tmp_path):
+        cfg = write_config(tmp_path, extra="output_dir = out#1\t# a comment\n")
+        assert load_run_config(cfg).output_dir == "out#1"
+
+    def test_repeated_key_names_the_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, body="plant = synthetic\nhorizon = 1\n\nhorizon = 2\n")
+        assert main(["design", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"{cfg}:4: key 'horizon' given twice" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
 
     def test_unrelated_key_rejected_without_suggestion(self, tmp_path, capsys):

@@ -20,7 +20,7 @@ from orbitmpc import (
 )
 from orbitmpc import fgm
 from orbitmpc.fgm import WorkerPool, get_pool
-from orbitmpc.qp import CondensedQP
+from orbitmpc.qp import ROW_BLOCK, CondensedQP
 
 from oracles import OracleStageProjector, projected_gradient_qp
 
@@ -46,38 +46,48 @@ def free_set(n, N=1):
 
 class TestWorkerPlan:
     def test_aligned_blocks(self):
-        plan = make_worker_plan(192, 6, 32)
-        assert plan.row_slices == tuple((32 * i, 32) for i in range(6))
+        plan = make_worker_plan(24 * ROW_BLOCK, 6)
+        assert plan.row_slices == tuple((4 * ROW_BLOCK * i, 4 * ROW_BLOCK) for i in range(6))
 
     def test_remainder_absorbed(self):
-        plan = make_worker_plan(100, 3, 8)
-        assert plan.row_slices == ((0, 40), (40, 32), (72, 28))
+        plan = make_worker_plan(100, 3)
+        assert plan.row_slices == ((0, 36), (36, 32), (68, 32))
+        plan = make_worker_plan(102, 4)
+        assert plan.row_slices == ((0, 28), (28, 28), (56, 24), (80, 22))
 
     def test_single_worker(self):
         assert make_worker_plan(57, 1).row_slices == ((0, 57),)
 
     def test_more_workers_than_rows(self):
-        plan = make_worker_plan(5, 4, 2)
-        assert plan.rows == 5
-        starts = [s for s, _ in plan.row_slices]
-        assert starts == sorted(starts)
+        plan = make_worker_plan(5, 4)
+        assert plan.row_slices == ((0, 4), (4, 1), (5, 0), (5, 0))
 
     def test_random_plans_cover_rows(self, rng):
         for _ in range(100):
             rows = int(rng.integers(1, 400))
             workers = int(rng.integers(1, 9))
-            align = int(rng.integers(1, 33))
-            plan = make_worker_plan(rows, workers, align)
+            plan = make_worker_plan(rows, workers)
             assert plan.rows == rows
             assert len(plan.row_slices) == workers
             covered = []
-            last_nonzero = max(i for i, (_, c) in enumerate(plan.row_slices) if c) \
-                if rows else 0
+            last_nonzero = max(i for i, (_, c) in enumerate(plan.row_slices) if c)
             for i, (start, count) in enumerate(plan.row_slices):
                 covered.extend(range(start, start + count))
+                if count:
+                    assert start % ROW_BLOCK == 0
                 if i < last_nonzero:  # the absorbing slice takes the remainder
-                    assert count % align == 0
+                    assert count % ROW_BLOCK == 0
             assert covered == list(range(rows))
+
+    @pytest.mark.parametrize("row_slices, row", [
+        (((0, 6), (6, 6)), 6),
+        (((0, 4), (4, 3), (7, 5)), 7),
+        (((0, 1), (1, 0), (1, 3)), 1),
+    ])
+    def test_misaligned_plan_rejected(self, row_slices, row):
+        with pytest.raises(ConfigError, match=rf"slice at row {row} does not start on a "
+                                              rf"multiple of {ROW_BLOCK} rows"):
+            fgm.WorkerPlan(n_workers=len(row_slices), row_slices=row_slices)
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ConfigError):
@@ -154,11 +164,6 @@ class TestGradientStep:
             gradient_step_parallel(qp, v, q, make_worker_plan(24, 2))
         with pytest.raises(NumericalError, match="rows 12:24"):
             solve(qp, q, free_set(24), np.zeros(24), n_workers=2)
-
-    def test_misaligned_plan_rejected(self, rng):
-        qp = qp_from_matrix(random_spd(rng, 12))
-        with pytest.raises(ConfigError, match="row 6"):
-            gradient_step_parallel(qp, np.zeros(12), np.zeros(12), make_worker_plan(12, 2, 3))
 
     def test_worker_failure_propagates(self):
         pool = WorkerPool(2)
@@ -251,9 +256,9 @@ class TestSolve:
         q = rng.standard_normal(8) * 3
         cset = ConstraintSet(alpha=np.ones(8), rho=np.full(8, 0.4),
                              u_prev=np.zeros(8), N=1)
-        record = []
-        solve(qp, q, cset, np.zeros(8), i_max=120, record=record)
-        f = [0.5 * p @ J @ p + q @ p for p in record]
+        # the k-iteration solve returns the k-th iterate of the 120-iteration run
+        f = [0.5 * p @ J @ p + q @ p
+             for p in (solve(qp, q, cset, np.zeros(8), i_max=k) for k in range(1, 121))]
         for i in range(len(f) - 10):
             assert f[i + 10] <= f[i] + 1e-9
 

@@ -210,11 +210,12 @@ class TestStageProjectionN1:
             hi = np.minimum(cset.alpha, cset.u_prev + cset.rho)
             assert np.array_equal(got, np.minimum(np.maximum(t, lo), hi))
 
-    def test_empty_interval_rejected(self):
-        cset = ConstraintSet(alpha=np.array([1.0]), rho=np.array([0.1]),
-                             u_prev=np.array([1.5]), N=1)
-        with pytest.raises(InfeasibleError):
-            project_stage_n1(np.array([0.0]), cset)
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_empty_interval_rejected(self, N):
+        # the set cannot be built, so no projection ever meets an empty interval
+        with pytest.raises(InfeasibleError, match=r"actuator\(s\) \[0\]"):
+            ConstraintSet(alpha=np.array([1.0]), rho=np.array([0.1]),
+                          u_prev=np.array([1.5]), N=N)
 
 
 class TestStageProjectionN2:
@@ -276,10 +277,18 @@ class TestStageProjectionN2:
                 assert lhs <= np.linalg.norm(a - b) + 1e-12
 
     def test_infeasible_names_actuator(self):
-        cset = ConstraintSet(alpha=np.array([1.0, 1.0]), rho=np.array([0.1, 0.1]),
-                             u_prev=np.array([0.0, 2.0]), N=2)
-        with pytest.raises(InfeasibleError, match=r"\[1\]"):
-            project_stage_n2(np.zeros((2, 2)), cset)
+        with pytest.raises(InfeasibleError, match=r"actuator\(s\) \[1, 3\]"):
+            ConstraintSet(alpha=np.ones(4), rho=np.full(4, 0.1),
+                          u_prev=np.array([0.0, 2.0, 0.5, -1.2]), N=2)
+
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("field", ["u_prev", "alpha", "rho"])
+    def test_nan_centre_or_limit_rejected(self, N, field):
+        # NaN fails every `lo > hi` test, and its set would project to NaN
+        values = {"alpha": np.ones(3), "rho": np.full(3, 0.1), "u_prev": np.zeros(3)}
+        values[field][1] = np.nan
+        with pytest.raises(InfeasibleError, match=r"actuator\(s\) \[1\]"):
+            ConstraintSet(**values, N=N)
 
 
 @settings(max_examples=60, deadline=None)
@@ -320,6 +329,12 @@ class TestConstraintSetUpdates:
         cset = make_set(rng)
         with pytest.raises(InfeasibleError):
             update_constraint_set(cset, cset.alpha + 1e-3)
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_nan_applied_input_rejected(self, rng, N):
+        cset = make_set(rng, N=N, n_u=3)
+        with pytest.raises(InfeasibleError, match="applied input nan .* on actuator 1"):
+            update_constraint_set(cset, np.array([0.0, np.nan, 0.0]))
 
     def test_endpoint_invariant_over_random_sequence(self, rng):
         cset = make_set(rng, u_prev=np.zeros(5))
