@@ -5,11 +5,10 @@ horizon: modal decomposition, weight design (saturated or baseline-gain
 matched), DARE terminal cost, steady-state target map, observer gain,
 condensed QP and the iteration-bound bookkeeping.  The result round-trips through a
 bundle directory that the simulate, bench and check commands consume: one
-`.npy` file per array the controller reads, the plant as `plant.cfg` +
-`R.csv`, and `meta.txt`, `bounds.txt` and `report.txt` as key=value text.
-`meta.txt` carries the bundle's schema version and a fingerprint of the
-design inputs, so a bundle designed from other inputs or in another layout
-is never mistaken for a fresh one.
+`.npy` file per array (the plant's among them) and every scalar in
+`meta.txt` as key=value text.  `meta.txt` carries the bundle's schema
+version and a fingerprint of the design inputs, so a bundle designed from
+other inputs or in another layout is never mistaken for a fresh one.
 """
 
 from __future__ import annotations
@@ -23,14 +22,14 @@ import numpy as np
 
 from . import design, fileio, qp
 from .errors import ConfigError, DimensionError
-from .model import ModalBasis, PlantConfig, StateSpace, build_state_space, load_plant_config, modal_decompose, save_plant_config
+from .model import ModalBasis, PlantConfig, StateSpace, build_state_space, modal_decompose
 from .observer import ObserverState, update_fast, update_naive
 from .sim import ImcController, MpcController
 
 # Version of the bundle layout, separate from fileio.SCHEMA_VERSION of the
 # text outputs; design_fingerprint hashes it, so bench redesigns a bundle of
 # another layout instead of loading it.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -211,9 +210,11 @@ def _gain_file(mu: int) -> str:
 
 
 def _arrays(b: DesignBundle) -> dict[str, np.ndarray]:
-    """The bundle's arrays by file stem; the observer gain is stored as its
-    measured block and L_d, from which the load rebuilds the rest."""
+    """The bundle's arrays by file stem, the plant's first; the observer
+    gain is stored as its measured block and L_d, from which the load
+    rebuilds the rest."""
     return {
+        "R": b.plant.R, "bandwidths": b.plant.bandwidths, "alpha": b.plant.alpha, "rho": b.plant.rho,
         "U": b.basis.U, "S": b.basis.S, "V": b.basis.V,
         "Q": b.weights.Q, "R_w": b.weights.R_w, "q_hat": b.weights.q_hat, "r_hat": b.weights.r_hat,
         "P": b.terminal.P,
@@ -222,15 +223,28 @@ def _arrays(b: DesignBundle) -> dict[str, np.ndarray]:
     }
 
 
-def _array_shapes(ss: StateSpace, horizon: int) -> dict[str, tuple[int, ...]]:
-    """The shape of every bundle array, from the plant and the horizon."""
-    n_u, n_y, r, n = ss.n_u, ss.n_y, min(ss.n_u, ss.n_y), horizon * ss.n_u
+def _array_shapes(n_y: int, n_u: int, mu: int, horizon: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every bundle array, from the plant's sizes and the horizon."""
+    r, n = min(n_u, n_y), horizon * n_u
     return {
+        "R": (n_y, n_u), "bandwidths": (n_u,), "alpha": (n_u,), "rho": (n_u,),
         "U": (n_y, r), "S": (r,), "V": (n_u, r),
         "Q": (n_u, n_u), "R_w": (n_u, n_u), "q_hat": (r,), "r_hat": (n_u,),
         "P": (n_u, n_u),
-        _gain_file(ss.mu): (n_u, n_y), "L_d": (n_y, n_y),
+        _gain_file(mu): (n_u, n_y), "L_d": (n_y, n_y),
         "J": (n, n), "q_map_x0": (n, n_u), "q_map_d": (n, n_y),
+    }
+
+
+def _scalars(b: DesignBundle) -> dict:
+    """The plant's sizes and sampling, and the QP's bounds, that meta.txt
+    holds after the design record; kappa is written for the reader, the
+    load derives it."""
+    p, c = b.plant, b.condensed
+    return {
+        "n_y": p.n_y, "n_s": p.n_s, "n_f": p.n_f, "dt": p.dt, "mu": p.mu,
+        "lambda_min": c.lambda_min, "lambda_max": c.lambda_max, "beta": c.beta, "kappa": b.kappa,
+        "i_max_bound": b.i_max_bound, "epsilon": b.epsilon, "delta": b.delta,
     }
 
 
@@ -247,70 +261,44 @@ def _read_array(path, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def save_bundle(bundle: DesignBundle, directory) -> None:
-    """Write the bundle: one .npy file per array, the plant as plant.cfg +
-    R.csv, and meta.txt, bounds.txt and report.txt as text.  A directory
-    holding any entry the bundle would not write is refused before any write."""
+    """Write the bundle: one .npy file per array and every scalar in
+    meta.txt.  A directory holding any entry the bundle would not write is
+    refused before any write."""
     arrays = _arrays(bundle)
     if os.path.isdir(directory):
-        written = {"plant.cfg", "R.csv", "bounds.txt", "meta.txt", "report.txt"}
-        foreign = sorted(set(os.listdir(directory)) - written - {f"{name}.npy" for name in arrays})
+        foreign = sorted(set(os.listdir(directory)) - {"meta.txt"} - {f"{name}.npy" for name in arrays})
         if foreign:
             raise ConfigError(f"{directory} holds entries that are not part of this design bundle: "
                               f"{', '.join(foreign)}; write it to an empty directory")
     os.makedirs(directory, exist_ok=True)
-
-    def path(name):
-        return os.path.join(directory, name)
-
-    save_plant_config(bundle.plant, path("plant.cfg"))
     for name, array in arrays.items():
-        np.save(path(f"{name}.npy"), array, allow_pickle=False)
-    fileio.write_kv(
-        path("bounds.txt"),
-        {
-            "lambda_min": bundle.condensed.lambda_min,
-            "lambda_max": bundle.condensed.lambda_max,
-            "beta": bundle.condensed.beta,
-            "kappa": bundle.kappa,
-            "i_max": bundle.i_max_bound,
-            "epsilon": bundle.epsilon,
-            "delta": bundle.delta,
-        },
-    )
-    fileio.write_kv(path("meta.txt"), bundle.meta)
-    with open(path("report.txt"), "w") as fh:
-        fh.write("design report\n")
-        fh.write(f"kappa(J) = {fileio.format_float(bundle.kappa)}\n")
-        fh.write(f"beta = {fileio.format_float(bundle.condensed.beta)}\n")
-        fh.write(f"i_max_bound = {bundle.i_max_bound}\n")
-        fh.write(f"riccati_form = {bundle.meta['riccati_form']}\n")
-        fh.write(f"dare_residual = {fileio.format_float(bundle.meta['dare_residual'])}\n")
-        fh.write(f"dare_doublings = {bundle.meta['dare_doublings']}\n")
-        fh.write(f"kalman_residual = {fileio.format_float(bundle.meta['kalman_residual'])}\n")
-        fh.write(f"kalman_doublings = {bundle.meta['kalman_doublings']}\n")
-        fh.write(f"delta = {fileio.format_float(bundle.delta)}"
-                 f"{' (helper default)' if bundle.delta_is_default else ''}\n")
+        np.save(os.path.join(directory, f"{name}.npy"), array, allow_pickle=False)
+    fileio.write_kv(os.path.join(directory, "meta.txt"), {**bundle.meta, **_scalars(bundle)})
 
 
 def load_bundle(directory) -> DesignBundle:
-    """Read a bundle written by `save_bundle`, checking its schema version
-    and the dtype and shape of every array."""
-    def path(name):
-        return os.path.join(directory, name)
-
-    meta = fileio.read_kv(path("meta.txt"))
+    """Read a bundle written by `save_bundle`, checking its schema version,
+    the dtype and shape of every array, and the plant (by building it)."""
+    meta = fileio.read_kv(os.path.join(directory, "meta.txt"))
     version = meta.get("schema_version", "none")
     if version != str(SCHEMA_VERSION):
         raise ConfigError(
             f"{directory}: design bundle schema_version {version} is not {SCHEMA_VERSION}; "
             "design it again"
         )
-    plant = load_plant_config(path("plant.cfg"))
+    n_y, n_s, n_f, mu, horizon = (fileio.kv_get(meta, key, int)
+                                  for key in ("n_y", "n_s", "n_f", "mu", "horizon"))
+    arrays = {name: _read_array(os.path.join(directory, f"{name}.npy"), shape)
+              for name, shape in _array_shapes(n_y, n_s + n_f, mu, horizon).items()}
+    R, bandwidths = arrays["R"], arrays["bandwidths"]
+    try:
+        plant = PlantConfig(n_y=n_y, n_s=n_s, n_f=n_f, R_s=R[:, :n_s], R_f=R[:, n_s:],
+                            a_s=bandwidths[:n_s], a_f=bandwidths[n_s:],
+                            dt=fileio.kv_get(meta, "dt", float), mu=mu,
+                            alpha=arrays["alpha"], rho=arrays["rho"])
+    except ConfigError as exc:
+        raise ConfigError(f"{directory}: {exc}") from exc
     ss = build_state_space(plant)
-    horizon = fileio.kv_get(meta, "horizon", int)
-    arrays = {name: _read_array(path(f"{name}.npy"), shape)
-              for name, shape in _array_shapes(ss, horizon).items()}
-    bounds = fileio.read_kv(path("bounds.txt"))
     return DesignBundle(
         plant=plant,
         ss=ss,
@@ -318,21 +306,21 @@ def load_bundle(directory) -> DesignBundle:
         weights=design.Weights(q_hat=arrays["q_hat"], r_hat=arrays["r_hat"],
                                Q=arrays["Q"], R_w=arrays["R_w"]),
         terminal=design.TerminalCost(P=arrays["P"]),
-        gain=design.PartitionedGain(arrays[_gain_file(ss.mu)], arrays["L_d"], ss.A, ss.mu),
+        gain=design.PartitionedGain(arrays[_gain_file(mu)], arrays["L_d"], ss.A, mu),
         condensed=qp.CondensedQP(
             J=arrays["J"],
             q_map_x0=arrays["q_map_x0"],
             q_map_d=arrays["q_map_d"],
-            lambda_min=fileio.kv_get(bounds, "lambda_min", float),
-            lambda_max=fileio.kv_get(bounds, "lambda_max", float),
-            beta=fileio.kv_get(bounds, "beta", float),
+            lambda_min=fileio.kv_get(meta, "lambda_min", float),
+            lambda_max=fileio.kv_get(meta, "lambda_max", float),
+            beta=fileio.kv_get(meta, "beta", float),
             N=horizon,
             n_u=ss.n_u,
         ),
-        epsilon=fileio.kv_get(bounds, "epsilon", float),
-        delta=fileio.kv_get(bounds, "delta", float),
+        epsilon=fileio.kv_get(meta, "epsilon", float),
+        delta=fileio.kv_get(meta, "delta", float),
         delta_is_default=bool(int(meta.get("delta_is_default", "0"))),
-        i_max_bound=fileio.kv_get(bounds, "i_max", int),
+        i_max_bound=fileio.kv_get(meta, "i_max_bound", int),
         meta=meta,
     )
 

@@ -76,6 +76,11 @@ class PlantConfig:
             bad = np.flatnonzero(~(value > 0.0))  # NaN fails `> 0` too
             if bad.size:
                 raise ConfigError(f"{name}[{bad[0]}] = {value[bad[0]]}: {what} must be positive")
+        unbounded = np.flatnonzero(np.isinf(self.alpha) & np.isinf(self.rho))
+        if unbounded.size:
+            i = unbounded[0]
+            raise ConfigError(f"alpha[{i}] = rho[{i}] = inf: actuator {i} needs a finite "
+                              "amplitude or slew-rate limit")
         if not (np.all(np.isfinite(self.R_s)) and np.all(np.isfinite(self.R_f))):
             raise ConfigError("orbit response matrix has non-finite entries")
 
@@ -217,11 +222,11 @@ def _fmt_vec(v: np.ndarray) -> str:
     return ",".join(fileio.format_float(x) for x in np.atleast_1d(v))
 
 
-def save_plant_config(cfg: PlantConfig, path, r_filename: str = "R.csv") -> None:
-    """Write plant config + response matrix next to each other on disk."""
+def save_plant_config(cfg: PlantConfig, path) -> None:
+    """Write plant config + its response matrix `R.csv` next to each other on disk."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fileio.write_matrix(os.path.join(directory, r_filename), cfg.R,
+    fileio.write_matrix(os.path.join(directory, "R.csv"), cfg.R,
                         header={"schema_version": fileio.SCHEMA_VERSION})
     fileio.write_kv(
         path,
@@ -235,7 +240,7 @@ def save_plant_config(cfg: PlantConfig, path, r_filename: str = "R.csv") -> None
             "a_f": _fmt_vec(cfg.a_f) if cfg.n_f else "0",
             "alpha": _fmt_vec(cfg.alpha),
             "rho": _fmt_vec(cfg.rho),
-            "R_path": r_filename,
+            "R_path": "R.csv",
         },
     )
 

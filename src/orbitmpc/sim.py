@@ -143,6 +143,10 @@ class ImcController:
 
     def __init__(self, basis, k_imc, dt: float, bandwidth_hz: float,
                  clip: bool = False, alpha=None, rho=None):
+        nyquist_hz = 0.5 / dt
+        if not 0.0 < bandwidth_hz < nyquist_hz:  # NaN fails too
+            raise ConfigError(f"baseline bandwidth must be positive and below the Nyquist frequency "
+                              f"0.5 / dt = {nyquist_hz:g} Hz, got {bandwidth_hz}")
         self.U = basis.U
         self.V = basis.V
         self.k_imc = np.asarray(k_imc, dtype=float)

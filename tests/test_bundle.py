@@ -1,6 +1,7 @@
 """The design bundle on disk: a bit-exact round trip, and the checks a load
 makes."""
 
+import dataclasses
 import os
 import re
 
@@ -10,6 +11,7 @@ import pytest
 from orbitmpc import (
     ConfigError,
     DimensionError,
+    PlantConfig,
     design_controller,
     load_bundle,
     save_bundle,
@@ -17,14 +19,26 @@ from orbitmpc import (
 )
 from orbitmpc.fileio import read_kv, write_kv
 
-TEXT_FILES = {"plant.cfg", "R.csv", "meta.txt", "bounds.txt", "report.txt"}
-ARRAY_FILES = {"U", "S", "V", "P", "Q", "R_w", "q_hat", "r_hat", "L_d",
+ARRAY_FILES = {"R", "bandwidths", "alpha", "rho",
+               "U", "S", "V", "P", "Q", "R_w", "q_hat", "r_hat", "L_d",
                "J", "q_map_x0", "q_map_d"}
 
 
-def designed(mu, horizon):
+def wide_plant(mu):
     # n_y < n_u, so the modal factors are not square
-    return design_controller(synthetic_plant(5, 6, 50.0, seed=3, mu=mu), horizon)
+    return synthetic_plant(5, 6, 50.0, seed=3, mu=mu)
+
+
+def mixed_plant():
+    """5x(3+3) plant with its own bandwidth, amplitude and slew limit per actuator."""
+    plant = wide_plant(2)
+    return dataclasses.replace(plant, n_s=3, n_f=3, R_s=plant.R[:, :3], R_f=plant.R[:, 3:],
+                               a_s=[400.0, 440.0, 480.0], a_f=[1800.0, 2000.0, 2200.0],
+                               alpha=[1.0, 0.8, 1.2, 0.5, 0.7, 0.9], rho=[0.1, 0.05, 0.2, 0.3, 0.08, 0.15])
+
+
+def designed(mu, horizon):
+    return design_controller(wide_plant(mu), horizon)
 
 
 def arrays(b):
@@ -45,12 +59,16 @@ def bounds(b):
             b.delta_is_default)
 
 
-@pytest.mark.parametrize("mu, horizon", [(0, 1), (2, 2)])
-def test_round_trip_is_bit_exact(tmp_path, mu, horizon):
-    ours = designed(mu, horizon)
+@pytest.mark.parametrize("plant, horizon", [
+    pytest.param(wide_plant(0), 1, id="0-1"),
+    pytest.param(wide_plant(2), 2, id="2-2"),
+    pytest.param(mixed_plant(), 2, id="mixed-2"),
+])
+def test_round_trip_is_bit_exact(tmp_path, plant, horizon):
+    ours = design_controller(plant, horizon)
     save_bundle(ours, tmp_path)
-    gain_file = "L_zmu" if mu else "L_x"
-    assert set(os.listdir(tmp_path)) == TEXT_FILES | {f"{name}.npy" for name in ARRAY_FILES | {gain_file}}
+    gain_file = "L_zmu" if plant.mu else "L_x"
+    assert set(os.listdir(tmp_path)) == {"meta.txt"} | {f"{name}.npy" for name in ARRAY_FILES | {gain_file}}
     theirs = load_bundle(tmp_path)
 
     want, got = arrays(ours), arrays(theirs)
@@ -59,6 +77,10 @@ def test_round_trip_is_bit_exact(tmp_path, mu, horizon):
         assert got[name].dtype == want[name].dtype == np.float64, name
         assert got[name].shape == want[name].shape, name
         assert got[name].tobytes() == want[name].tobytes(), name
+    for field in dataclasses.fields(PlantConfig):  # the sizes and sampling too
+        mine, yours = (np.asarray(getattr(b.plant, field.name)) for b in (ours, theirs))
+        assert yours.dtype == mine.dtype and yours.shape == mine.shape, field.name
+        assert yours.tobytes() == mine.tobytes(), field.name
     assert bounds(theirs) == bounds(ours)
 
     rng = np.random.default_rng(5)
@@ -95,3 +117,20 @@ def test_wrong_dtype_names_the_file(saved):
     with pytest.raises(ConfigError, match=r"P\.npy.*float32"):
         load_bundle(saved)
 
+
+
+def test_zero_limit_names_the_actuator(saved):
+    # the load builds the plant, so a limit no design could have used fails it
+    alpha = np.load(saved / "alpha.npy")
+    alpha[3] = 0.0
+    np.save(saved / "alpha.npy", alpha)
+    with pytest.raises(ConfigError, match=rf"{re.escape(str(saved))}.*alpha\[3\] = 0\.0"):
+        load_bundle(saved)
+
+
+def test_edited_size_names_the_response_matrix(saved):
+    meta = read_kv(saved / "meta.txt")
+    meta["n_y"] = "6"
+    write_kv(saved / "meta.txt", meta)
+    with pytest.raises(DimensionError, match=r"R\.npy: shape \(5, 6\), expected \(6, 6\)"):
+        load_bundle(saved)

@@ -67,13 +67,14 @@ class TestDesignCommand:
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")
         assert main(["design", "--config", cfg, "--out", out]) == 0
-        for name in ("plant.cfg", "R.csv", "P.npy", "Q.npy", "q_hat.npy", "r_hat.npy",
-                     "L_zmu.npy", "L_d.npy", "J.npy", "q_map_x0.npy",
-                     "q_map_d.npy", "bounds.txt", "report.txt"):
+        for name in ("R.npy", "bandwidths.npy", "alpha.npy", "rho.npy", "P.npy", "Q.npy",
+                     "q_hat.npy", "r_hat.npy", "L_zmu.npy", "L_d.npy", "J.npy", "q_map_x0.npy",
+                     "q_map_d.npy", "meta.txt"):
             assert os.path.exists(os.path.join(out, name)), name
         assert len(os.listdir(out)) == 18
-        bounds = read_kv(os.path.join(out, "bounds.txt"))
-        assert {"lambda_min", "lambda_max", "beta", "kappa", "i_max"} <= bounds.keys()
+        meta = read_kv(os.path.join(out, "meta.txt"))
+        assert {"n_y", "n_s", "n_f", "dt", "mu", "lambda_min", "lambda_max", "beta", "kappa",
+                "i_max_bound", "epsilon", "delta"} <= meta.keys()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -123,11 +124,10 @@ class TestDesignCommand:
         cfg_imc.write_text(config_text(base, "weights = imc_matched\n"))
         out_imc = str(tmp_path / "imc")
         assert main(["design", "--config", str(cfg_imc), "--out", out_imc]) == 0
-        kappa_sat = float(read_kv(os.path.join(out_sat, "bounds.txt"))["kappa"])
-        kappa_imc = float(read_kv(os.path.join(out_imc, "bounds.txt"))["kappa"])
-        assert kappa_sat <= kappa_imc / 100.0
-        report = Path(out_sat, "report.txt").read_text()
-        assert "kappa(J)" in report and "dare_residual" in report
+        meta_sat = read_kv(os.path.join(out_sat, "meta.txt"))
+        kappa_imc = float(read_kv(os.path.join(out_imc, "meta.txt"))["kappa"])
+        assert float(meta_sat["kappa"]) <= kappa_imc / 100.0
+        assert "dare_residual" in meta_sat
 
 
 class TestSimulateCommand:
@@ -423,8 +423,8 @@ class TestConfigValidation:
         out_b = str(tmp_path / "b")
         main(["design", "--config", cfg, "--out", out_a])
         main(["design", "--config", cfg, "--out", out_b, "--seed", "99"])
-        assert not np.array_equal(read_matrix(os.path.join(out_a, "R.csv")),
-                                  read_matrix(os.path.join(out_b, "R.csv")))
+        assert not np.array_equal(np.load(os.path.join(out_a, "R.npy")),
+                                  np.load(os.path.join(out_b, "R.npy")))
 
     def test_bundle_round_trip_drives_controller(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -548,13 +548,8 @@ class TestDesignDiagnostics:
     def design_records(cfg, out):
         assert main(["design", "--config", cfg, "--out", out]) == 0
         meta = read_kv(os.path.join(out, "meta.txt"))
-        report = dict(line.split(" = ", 1)
-                      for line in Path(out, "report.txt").read_text().splitlines() if " = " in line)
         for solve in ("dare", "kalman"):
             assert float(meta[f"{solve}_residual"]) < 1e-8
-            assert report[f"{solve}_doublings"] == meta[f"{solve}_doublings"]
-        assert float(report["kalman_residual"]) == float(meta["kalman_residual"])
-        assert report["riccati_form"] == meta["riccati_form"]
         return meta
 
     def test_riccati_doublings_and_residuals_recorded(self, tmp_path):

@@ -537,6 +537,13 @@ class TestIterationBound:
         p = IterationBoundParams(epsilon=1e-2, Delta=1.0, kappa=1.0)
         assert iteration_bound(p) == int(np.ceil(2 * np.sqrt(100.0) - 2))
 
+    @pytest.mark.parametrize("horizon", [1, 2])
+    @pytest.mark.parametrize("alpha, rho", [(np.inf, 0.1), (1.0, np.inf)], ids=["slew-only", "box-only"])
+    def test_one_infinite_limit_gives_a_finite_bound(self, alpha, rho, horizon):
+        # the finite limit keeps the set's diameter, and so Delta, finite
+        b = design_controller(synthetic_plant(4, 4, 10.0, seed=7, alpha=alpha, rho=rho), horizon)
+        assert 0.0 < b.delta < np.inf and b.i_max_bound >= 1
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigError):
             IterationBoundParams(epsilon=0.0, Delta=1.0, kappa=2.0)

@@ -77,6 +77,15 @@ class TestBuildStateSpace:
         with pytest.raises(ConfigError, match=field):
             PlantConfig(**kwargs)
 
+    def test_actuator_without_any_finite_limit_rejected(self):
+        # one infinite limit is a box or a slew bound; two leave the set unbounded
+        with pytest.raises(ConfigError, match=r"alpha\[0\] = rho\[0\] = inf"):
+            synthetic_plant(4, 4, 10.0, seed=7, alpha=np.inf, rho=np.inf)
+        with pytest.raises(ConfigError, match=r"alpha\[2\] = rho\[2\] = inf"):
+            PlantConfig(n_y=2, n_s=3, n_f=0, R_s=np.ones((2, 3)), R_f=np.zeros((2, 0)),
+                        a_s=10.0, a_f=1.0, dt=1e-3, mu=1,
+                        alpha=[1.0, np.inf, np.inf], rho=[np.inf, 0.1, np.inf])
+
 
 class TestModalDecompose:
     def test_identity(self):

@@ -140,6 +140,13 @@ class TestImcController:
         ctrl = b.imc_controller(bandwidth_hz=20.0, clip=False)
         assert np.all(ctrl.step(np.zeros(plant.n_y)) == 0.0)
 
+    @pytest.mark.parametrize("bandwidth_hz", [-5.0, 0.0, np.nan, 500.0, 1e9])
+    def test_bandwidth_outside_nyquist_rejected(self, bandwidth_hz):
+        # dt = 1e-3: the lag filter needs 0 < f < 0.5 / dt = 500 Hz
+        b = design_controller(synthetic_plant(8, 8, 1e4, seed=7), horizon=1)
+        with pytest.raises(ConfigError, match=r"Nyquist frequency 0\.5 / dt = 500 Hz"):
+            b.imc_controller(bandwidth_hz, clip=False)
+
     def test_integral_action_on_single_mode(self):
         # scalar plant: one mode, constant disturbance driven to zero
         plant = synthetic_plant(1, 1, 1.0, seed=0, dt=1e-3, mu=1)
