@@ -47,11 +47,7 @@ from .observer import ObserverState, update_fast, update_naive
 from .qp import (
     CondensedQP,
     ConstraintSet,
-    Prediction,
     build_condensed,
-    build_hessian,
-    build_linear_maps,
-    build_prediction,
     default_delta,
     project_stage_n1,
     project_stage_n2,

@@ -172,13 +172,15 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
     n_workers = workers_override if workers_override is not None else fileio.kv_get(pairs, "n_workers", int, default=1)
     i_max = fileio.kv_get(pairs, "i_max", int, default=fgm.DEFAULT_I_MAX)
     bench_cycles = fileio.kv_get(pairs, "bench_cycles", int, default=1000)
+    T = fileio.kv_get(pairs, "T", int, default=65536)  # 2**16 for spectral runs
     # 10 Hz at dt = 1 ms: the baseline integrates 2 pi 0.01 per sample at any dt
     imc_bandwidth_hz = fileio.kv_get(pairs, "imc_bandwidth_hz", float, default=0.01 / plant.dt)
     nyquist_hz = 0.5 / plant.dt
     _require("imc_bandwidth_hz", imc_bandwidth_hz, 0.0 < imc_bandwidth_hz < nyquist_hz,
              f"positive and below the Nyquist frequency 0.5 / dt = {nyquist_hz:g} Hz")
+    # T >= 2: a run's integrated-motion spectrum needs two samples
     for key, value, least in (("n_workers", n_workers, 1), ("i_max", i_max, 0),
-                              ("bench_cycles", bench_cycles, 1)):
+                              ("bench_cycles", bench_cycles, 1), ("T", T, 2)):
         if value < least:
             raise ConfigError(f"{key} must be >= {least}, got {value}")
     return RunConfig(
@@ -195,7 +197,7 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
         epsilon=floats["epsilon"],
         delta=floats["delta"],
         dist=dist,
-        T=fileio.kv_get(pairs, "T", int, default=65536),  # 2**16 for spectral runs
+        T=T,
         n_workers=n_workers,
         seed=seed,
         output_dir=out_override or fileio.kv_get(pairs, "output_dir", str, default="out"),

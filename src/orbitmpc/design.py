@@ -548,14 +548,15 @@ def iteration_bound(p: IterationBoundParams) -> int:
 
     max{0, min{ceil((ln eps - ln Delta)/ln(1 - sqrt(1/kappa))),
                ceil(2 sqrt(Delta/eps) - 2)}}, with the log branch skipped
-    at kappa = 1 where the contraction factor degenerates.
+    at kappa = 1 where the contraction factor degenerates.  ln(1 - x) is
+    log1p(-x): 1 - x rounds to 1.0, and its log to 0, once kappa > ~1e32.
     """
     if p.Delta <= p.epsilon:
         return 0
     sqrt_branch = math.ceil(2.0 * math.sqrt(p.Delta / p.epsilon) - 2.0)
     if p.kappa > 1.0:
         log_branch = math.ceil(
-            (math.log(p.epsilon) - math.log(p.Delta)) / math.log(1.0 - math.sqrt(1.0 / p.kappa))
+            (math.log(p.epsilon) - math.log(p.Delta)) / math.log1p(-math.sqrt(1.0 / p.kappa))
         )
         bound = min(log_branch, sqrt_branch)
     else:

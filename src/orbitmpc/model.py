@@ -7,8 +7,8 @@ actuator lag per corrector and a transport delay of ``mu`` samples,
     x[k+1] = A x[k] + B u[k],      y[k] = C x[k - mu] + d[k],
 
 with A = diag(exp(-a_i * dt)), B = I - A and C = R.  A and B are kept as
-vectors: every downstream consumer (prediction matrices, observer) relies
-on them being diagonal.
+vectors: every downstream consumer (the block-by-block condensed QP
+build, the observer) relies on them being diagonal.
 """
 
 from __future__ import annotations

@@ -1,13 +1,22 @@
 """Condensed QP construction and the constraint-set projections.
 
-States are eliminated from the horizon-N optimal control problem through
-the prediction matrices G (input-to-state) and H (initial-state), giving
+Eliminating the states from the horizon-N optimal control problem gives
 
     min_u 0.5 u^T J u + q^T u    s.t.  u in U_N,
 
-with J = G^T ((I_N (x) Q) (+) P) G + I_N (x) R and q affine in the current
-state estimate and the disturbance estimate (the steady-state target
-relation is folded into the q maps so no target is computed online).
+with q = q_map_x0 x0 + q_map_d d_bar affine in the current state and
+disturbance estimates.  A and B are diagonal: input j moves state k > j
+through the diagonal g_kj = A^(k-1-j) B, and state k is weighted by
+Omega_k = Q for 1 <= k < N and Omega_N = P, so every block is a diagonal
+scaling of Q, P or R_w and is formed directly, without prediction matrices:
+
+    J_ij       = sum_{k > max(i,j)} diag(g_ki) Omega_k diag(g_kj) + delta_ij R_w
+    q_map_x0_i = sum_{k > i} diag(g_ki) Omega_k diag(A^k)
+    q_map_d_i  = -(sum_{k > i} diag(g_ki) Omega_k + R_w) M_s
+
+q is the gradient at u = 0 with the steady-state target x_s = u_s =
+M_s d_bar (design.setpoint_matrix) folded in, so no target is computed
+online.
 
 U_N couples amplitude and slew-rate limits.  For N = 1 each coordinate is
 clipped to an interval.  For N = 2 each actuator's stage pair lies in the
@@ -19,7 +28,8 @@ inside the box.  This is exact because a band constraint inactive at the
 optimum would make the box projection optimal, and by convexity the
 active side is the one the box projection violates.  The projection is
 unique, so no tie-break exists; a 1e-12 (1 + alpha + rho) band tolerance
-keeps it exactly idempotent.
+(|u_prev| + 2 rho in place of an infinite alpha) keeps it exactly
+idempotent.
 """
 
 from __future__ import annotations
@@ -36,16 +46,6 @@ SUPPORTED_HORIZONS = (1, 2)
 # of W at a time): the rows of CondensedQP.W are zero-padded to a multiple
 # of this, and every worker slice starts on one.
 ROW_BLOCK = 4
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class Prediction:
-    """Block prediction maps: x_stack = G u_stack + H x0."""
-
-    G: np.ndarray
-    H: np.ndarray
-    N: int
-    n_u: int
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -80,65 +80,11 @@ class CondensedQP:
         return self.q_map_x0 @ x0 + self.q_map_d @ d_bar
 
 
-def build_prediction(ss: StateSpace, N: int) -> Prediction:
-    """Stack A^i powers into the G and H block maps (diagonal A, B)."""
-    if N < 1:
-        raise DimensionError(f"horizon must be >= 1, got {N}")
-    n_u = ss.n_u
-    G = np.zeros(((N + 1) * n_u, N * n_u))
-    H = np.zeros(((N + 1) * n_u, n_u))
-    idx = np.arange(n_u)
-    for i in range(N + 1):
-        H[i * n_u + idx, idx] = ss.a_power(i)
-        for j in range(i):
-            G[i * n_u + idx, j * n_u + idx] = ss.a_power(i - 1 - j) * ss.B
-    return Prediction(G=G, H=H, N=N, n_u=n_u)
-
-
-def _stage_cost_blockdiag(weights, terminal, N: int) -> np.ndarray:
-    """(I_N (x) Q) (+) P."""
-    n_u = weights.Q.shape[0]
-    omega = np.zeros(((N + 1) * n_u, (N + 1) * n_u))
-    for i in range(N):
-        omega[i * n_u : (i + 1) * n_u, i * n_u : (i + 1) * n_u] = weights.Q
-    omega[N * n_u :, N * n_u :] = terminal.P
-    return omega
-
-
-def build_hessian(pred: Prediction, weights, terminal, N: int) -> np.ndarray:
-    """J = G^T ((I_N (x) Q) (+) P) G + I_N (x) R, verified positive definite."""
-    if N != pred.N:
-        raise DimensionError("horizon mismatch between prediction and request")
-    omega = _stage_cost_blockdiag(weights, terminal, N)
-    J = pred.G.T @ omega @ pred.G + np.kron(np.eye(N), weights.R_w)
-    J = 0.5 * (J + J.T)
-    try:
-        np.linalg.cholesky(J)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("condensed Hessian is not positive definite") from exc
-    return J
-
-
-def build_linear_maps(pred: Prediction, weights, terminal, M_s: np.ndarray, N: int):
-    """Affine maps from (x0, d_bar) to the QP linear term q.
-
-    q = (G^T Omega H) x0 - (G^T Omega 1_(N+1)(x)I M_s + 1_N(x)R M_s) d_bar,
-    i.e. the steady-state target x_s = u_s = M_s d_bar (see
-    design.setpoint_matrix) is substituted so the online update is two
-    matrix-vector products.
-    """
-    n_u = pred.n_u
-    omega = _stage_cost_blockdiag(weights, terminal, N)
-    gt_omega = pred.G.T @ omega
-    q_map_x0 = gt_omega @ pred.H
-    stack_x = np.tile(np.eye(n_u), (N + 1, 1))
-    stack_r = np.tile(weights.R_w, (N, 1))
-    q_map_d = -(gt_omega @ stack_x @ M_s + stack_r @ M_s)
-    return q_map_x0, q_map_d
-
-
 def spectral_bounds(J: np.ndarray):
-    """(lambda_min, lambda_max, beta) from a full symmetric eigensolve."""
+    """(lambda_min, lambda_max, beta) from a full symmetric eigensolve; a J
+    that is not finite and positive definite raises NumericalError."""
+    if not np.all(np.isfinite(J)):
+        raise NumericalError("Hessian not positive definite: it has non-finite entries")
     eigs = np.linalg.eigvalsh(0.5 * (J + J.T))
     lmin, lmax = float(eigs[0]), float(eigs[-1])
     if lmin <= 0.0:
@@ -148,12 +94,28 @@ def spectral_bounds(J: np.ndarray):
 
 
 def build_condensed(ss: StateSpace, weights, terminal, M_s: np.ndarray, N: int) -> CondensedQP:
-    """Assemble the full CondensedQP for one horizon."""
+    """The condensed QP of one horizon, its blocks formed as the module
+    docstring states; spectral_bounds is its one positive-definiteness check."""
     if N not in SUPPORTED_HORIZONS:
         raise DimensionError(f"horizon must be one of {SUPPORTED_HORIZONS}, got {N}")
-    pred = build_prediction(ss, N)
-    J = build_hessian(pred, weights, terminal, N)
-    q_map_x0, q_map_d = build_linear_maps(pred, weights, terminal, M_s, N)
+    n = ss.n_u
+    block = [slice(i * n, (i + 1) * n) for i in range(N)]
+    g = [ss.a_power(m) * ss.B for m in range(N)]  # g_kj = g[k - 1 - j]
+    J = np.zeros((N * n, N * n))
+    q_map_x0 = np.zeros((N * n, n))
+    weighted = np.zeros((N * n, n))  # block i: sum_{k > i} diag(g_ki) Omega_k
+    for k in range(1, N + 1):
+        omega = terminal.P if k == N else weights.Q
+        for i in range(k):
+            g_omega = g[k - 1 - i][:, None] * omega
+            weighted[block[i]] += g_omega
+            q_map_x0[block[i]] += g_omega * ss.a_power(k)
+            for j in range(k):
+                J[block[i], block[j]] += g_omega * g[k - 1 - j]
+    for b in block:
+        J[b, b] += weights.R_w
+    J = 0.5 * (J + J.T)
+    q_map_d = -(weighted @ M_s + np.tile(weights.R_w @ M_s, (N, 1)))
     lmin, lmax, beta = spectral_bounds(J)
     return CondensedQP(
         J=J,
@@ -163,7 +125,7 @@ def build_condensed(ss: StateSpace, weights, terminal, M_s: np.ndarray, N: int) 
         lambda_max=lmax,
         beta=beta,
         N=N,
-        n_u=ss.n_u,
+        n_u=n,
     )
 
 
@@ -221,7 +183,9 @@ class ConstraintSet:
         lower, upper, band, segments = lo, hi, None, None
         if self.N == 2:
             lower, upper = np.concatenate([lo, -alpha]), np.concatenate([hi, alpha])
-            band = rho + 1e-12 * (1.0 + alpha + rho)
+            # |u_prev| + 2 rho, the farthest u1 reaches, stands in for alpha = inf
+            scale = np.where(np.isinf(alpha), np.abs(u_prev) + 2.0 * rho, alpha)
+            band = rho + 1e-12 * (1.0 + scale + rho)
             segments = (
                 np.stack([lo, np.minimum(hi, alpha - rho)]),
                 np.stack([np.maximum(lo, rho - alpha), hi]),
@@ -310,7 +274,8 @@ def project_stage_n2(t_pairs: np.ndarray, cset: ConstraintSet) -> np.ndarray:
     |u1 - u0| <= rho.  Two steps give the projection:
 
     1. Clip to the box.  If the clipped pair lies in the band (within
-       tol = 1e-12 (1 + alpha + rho)), it is the answer.
+       tol = 1e-12 (1 + alpha + rho), with |u_prev| + 2 rho in place of
+       an infinite alpha), it is the answer.
     2. Otherwise the band side s = sign(u1 - u0) of the clipped pair is
        active: u0* = clip((t0 + t1 - s rho) / 2, max(lo, -alpha - s rho),
        min(hi, alpha - s rho)) and u1* = clip(u0* + s rho, -alpha, alpha).

@@ -208,6 +208,47 @@ def setpoint_map_pinv(A_diag, B_diag, C):
     return np.linalg.pinv(S)[:, n_u:], bool(np.linalg.matrix_rank(S) < n_u + n_y)
 
 
+def prediction_by_stepping(A_diag, B_diag, N):
+    """(G, H) with x_stack = G u_stack + H x0, x_stack = [x_0; ...; x_N]:
+    column by column, the state recursion x <- A x + B u driven by one
+    unit input (G) or started from one unit state (H)."""
+    n = len(A_diag)
+    A, B = np.diag(A_diag), np.diag(B_diag)
+    G = np.zeros(((N + 1) * n, N * n))
+    H = np.zeros(((N + 1) * n, n))
+    for col in range(N * n):
+        u = np.zeros(N * n)
+        u[col] = 1.0
+        x = np.zeros(n)
+        for k in range(N):
+            x = A @ x + B @ u[k * n : (k + 1) * n]
+            G[(k + 1) * n : (k + 2) * n, col] = x
+    for col in range(n):
+        x = np.zeros(n)
+        x[col] = 1.0
+        for k in range(N + 1):
+            H[k * n : (k + 1) * n, col] = x
+            x = A @ x
+    return G, H
+
+
+def condensed_qp_dense(A_diag, B_diag, Q, R_w, P, M_s, N):
+    """(J, q_map_x0, q_map_d) of the horizon-N problem by dense algebra:
+    J = G^T Omega G + I_N (x) R_w with Omega = (I_N (x) Q) (+) P, and the
+    gradient at u = 0 with the target x_s = u_s = M_s d substituted,
+    q = G^T Omega (H x0 - 1_(N+1) (x) x_s) - 1_N (x) R_w u_s."""
+    n = len(A_diag)
+    G, H = prediction_by_stepping(A_diag, B_diag, N)
+    omega = np.zeros(((N + 1) * n, (N + 1) * n))
+    for k in range(N + 1):
+        omega[k * n : (k + 1) * n, k * n : (k + 1) * n] = P if k == N else Q
+    J = G.T @ omega @ G + np.kron(np.eye(N), R_w)
+    q_map_x0 = G.T @ omega @ H
+    q_map_d = -(G.T @ omega @ np.kron(np.ones((N + 1, 1)), np.eye(n))
+                + np.kron(np.ones((N, 1)), R_w)) @ M_s
+    return J, q_map_x0, q_map_d
+
+
 def mpc_objective(ss_A, ss_B, Q, R_w, P, N, x0, x_bar, u_bar, u_seq):
     """0.5 * horizon cost of the original (uncondensed) problem."""
     n_u = len(ss_A)

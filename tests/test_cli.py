@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from orbitmpc import bundle as bundle_mod
 from orbitmpc import load_bundle, save_plant_config, synthetic_plant
-from orbitmpc.cli import load_run_config, main
+from orbitmpc.cli import CONFIG_KEYS, load_run_config, main
 from orbitmpc.fileio import read_kv, read_matrix
 
 BASE_CONFIG = """
@@ -326,6 +327,14 @@ class TestConfigValidation:
         assert f"{key} must be >= " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("T", [1, 0, -5])
+    def test_run_too_short_for_a_spectrum_rejected_on_read(self, tmp_path, capsys, T):
+        cfg = write_config(tmp_path, extra=f"T = {T}\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert f"T must be >= 2, got {T}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_synthetic_kappa_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra="synthetic_kappa = nan\n")
         assert main(["design", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -453,6 +462,12 @@ class TestConfigKeys:
         assert (run.q_min, run.q_max, run.imc_lambda, run.delta) == (0.01, 1.0, None, None)
         assert run.dist.components == ((2.0, 1.0, 0), (5.0, 0.4, 1))
         assert run.imc_bandwidth_hz == 10.0 and not run.observer_dump
+
+    def test_every_key_is_in_the_readme(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        missing = [key for key in CONFIG_KEYS
+                   if not re.search(rf"(?<![\w]){re.escape(key)}(?![\w])", readme)]
+        assert missing == []
 
     def test_trailing_comment_needs_whitespace(self, tmp_path):
         cfg = write_config(tmp_path, extra="output_dir = out#1\t# a comment\n")

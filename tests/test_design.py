@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import mpmath
@@ -536,6 +537,20 @@ class TestIterationBound:
     def test_kappa_one_uses_sqrt_branch(self):
         p = IterationBoundParams(epsilon=1e-2, Delta=1.0, kappa=1.0)
         assert iteration_bound(p) == int(np.ceil(2 * np.sqrt(100.0) - 2))
+
+    @pytest.mark.parametrize("kappa", [1e33, 1e300])
+    def test_huge_kappa_takes_the_sqrt_branch(self, kappa):
+        # 1 - sqrt(1/kappa) rounds to 1.0 here, so ln of it would be 0
+        p = IterationBoundParams(epsilon=1e-3, Delta=100.0, kappa=kappa)
+        assert iteration_bound(p) == math.ceil(2 * math.sqrt(1e5) - 2)
+
+    def test_huge_kappa_log_branch_high_precision(self):
+        # Delta / eps = 1e39 makes the log branch the smaller one at kappa = 1e33
+        with mpmath.workdps(50):
+            log_branch = mpmath.ceil(mpmath.log(mpmath.mpf("1e-39"))
+                                     / mpmath.log(1 - mpmath.sqrt(1 / mpmath.mpf("1e33"))))
+        p = IterationBoundParams(epsilon=1e-3, Delta=1e36, kappa=1e33)
+        assert iteration_bound(p) == pytest.approx(int(log_branch), rel=1e-12)
 
     @pytest.mark.parametrize("horizon", [1, 2])
     @pytest.mark.parametrize("alpha, rho", [(np.inf, 0.1), (1.0, np.inf)], ids=["slew-only", "box-only"])

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,9 +9,6 @@ from orbitmpc import (
     InfeasibleError,
     NumericalError,
     build_condensed,
-    build_hessian,
-    build_linear_maps,
-    build_prediction,
     build_state_space,
     default_delta,
     design_weights_saturated,
@@ -27,7 +23,13 @@ from orbitmpc import (
 from orbitmpc.design import TerminalCost, Weights
 from orbitmpc.model import StateSpace
 
-from oracles import mpc_objective, polygon_project_oracle, stage_halfplanes
+from oracles import (
+    condensed_qp_dense,
+    mpc_objective,
+    polygon_project_oracle,
+    prediction_by_stepping,
+    stage_halfplanes,
+)
 
 
 def small_ss(rng, n_u=4, n_y=4, mu=2):
@@ -43,100 +45,149 @@ def design_parts(ss):
     return w, terminal, M_s
 
 
+# (n_y, n_u) of the random plants; "mixed" is the two-bandwidth plant fixture
+SHAPES = {"square": (4, 4), "wide": (3, 5), "tall": (6, 4), "mixed": None}
+
+
+@pytest.fixture(params=sorted(SHAPES))
+def plant_ss(request, rng):
+    if request.param == "mixed":
+        return build_state_space(request.getfixturevalue("mixed_plant"))
+    n_y, n_u = SHAPES[request.param]
+    return small_ss(rng, n_u=n_u, n_y=n_y)
+
+
+def random_parts(rng, ss):
+    """Generic SPD Q, R_w, P and a dense M_s: no weight is diagonal or I."""
+    def spd(n):
+        M = rng.standard_normal((n, n))
+        return M @ M.T + 0.1 * np.eye(n)
+    w = Weights(q_hat=np.ones(ss.n_u), r_hat=np.ones(ss.n_u), Q=spd(ss.n_u), R_w=spd(ss.n_u))
+    return w, TerminalCost(P=spd(ss.n_u)), rng.standard_normal((ss.n_u, ss.n_y))
+
+
+def condensed_and_reference(rng, ss, N):
+    w, terminal, M_s = random_parts(rng, ss)
+    cq = build_condensed(ss, w, terminal, M_s, N)
+    return cq, condensed_qp_dense(ss.A, ss.B, w.Q, w.R_w, terminal.P, M_s, N)
+
+
+def assert_rel_close(got, want, rel=1e-13):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
 class TestPrediction:
+    """The condensed QP is the horizon cost of the state recursion."""
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_matches_step_recursion(self, rng, plant_ss, N):
+        # f(u) - f(0) = 0.5 u^T J u + q^T u for the uncondensed cost f
+        ss = plant_ss
+        w, terminal, M_s = random_parts(rng, ss)
+        cq = build_condensed(ss, w, terminal, M_s, N)
+        x0 = rng.standard_normal(ss.n_u)
+        d = rng.standard_normal(ss.n_y)
+        u = rng.standard_normal(N * ss.n_u)
+        x_bar = u_bar = M_s @ d
+        f = [mpc_objective(ss.A, ss.B, w.Q, w.R_w, terminal.P, N, x0, x_bar, u_bar, v)
+             for v in (u, np.zeros_like(u))]
+        want = f[0] - f[1]
+        got = 0.5 * u @ cq.J @ u + cq.linear_term(x0, d) @ u
+        assert got == pytest.approx(want, rel=1e-11, abs=1e-12)
+
     def test_horizon_one_blocks(self, rng):
         ss = small_ss(rng)
-        pred = build_prediction(ss, 1)
-        n = ss.n_u
-        assert np.array_equal(pred.G[:n], np.zeros((n, n)))
-        assert np.array_equal(pred.G[n:], np.diag(ss.B))
-        assert np.array_equal(pred.H[:n], np.eye(n))
-        assert np.array_equal(pred.H[n:], np.diag(ss.A))
+        w, terminal, M_s = design_parts(ss)
+        cq = build_condensed(ss, w, terminal, M_s, 1)
+        B, A = np.diag(ss.B), np.diag(ss.A)
+        assert_rel_close(cq.J, B @ terminal.P @ B + w.R_w, rel=1e-15)
+        assert_rel_close(cq.q_map_x0, B @ terminal.P @ A, rel=1e-15)
+        assert_rel_close(cq.q_map_d, -(B @ terminal.P + w.R_w) @ M_s)
 
     def test_horizon_two_blocks(self, rng):
         ss = small_ss(rng)
-        pred = build_prediction(ss, 2)
+        w, terminal, M_s = design_parts(ss)
+        cq = build_condensed(ss, w, terminal, M_s, 2)
         n = ss.n_u
         B, AB = np.diag(ss.B), np.diag(ss.A * ss.B)
-        assert np.array_equal(pred.G[n : 2 * n, :n], B)
-        assert np.array_equal(pred.G[n : 2 * n, n:], np.zeros((n, n)))
-        assert np.array_equal(pred.G[2 * n :, :n], AB)
-        assert np.array_equal(pred.G[2 * n :, n:], B)
-
-    def test_matches_step_recursion(self, rng):
-        ss = small_ss(rng)
-        N = 2
-        pred = build_prediction(ss, N)
-        x0 = rng.standard_normal(ss.n_u)
-        u = rng.standard_normal(N * ss.n_u)
-        stacked = pred.G @ u + pred.H @ x0
-        x = x0.copy()
-        for i in range(N):
-            assert np.allclose(stacked[i * ss.n_u : (i + 1) * ss.n_u], x, atol=1e-13)
-            x = ss.A * x + ss.B * u[i * ss.n_u : (i + 1) * ss.n_u]
-        assert np.allclose(stacked[N * ss.n_u :], x, atol=1e-13)
+        A, A2 = np.diag(ss.A), np.diag(ss.A ** 2)
+        Q, P, R = w.Q, terminal.P, w.R_w
+        assert_rel_close(cq.J[:n, :n], B @ Q @ B + AB @ P @ AB + R)
+        assert_rel_close(cq.J[:n, n:], AB @ P @ B)
+        assert_rel_close(cq.J[n:, n:], B @ P @ B + R)
+        assert_rel_close(cq.q_map_x0[:n], B @ Q @ A + AB @ P @ A2)
+        assert_rel_close(cq.q_map_x0[n:], B @ P @ A2)
+        assert_rel_close(cq.q_map_d[:n], -(B @ Q + AB @ P + R) @ M_s)
+        assert_rel_close(cq.q_map_d[n:], -(B @ P + R) @ M_s)
 
 
 class TestHessian:
-    def test_horizon_one_identity(self, rng):
-        ss = small_ss(rng)
-        w, terminal, _ = design_parts(ss)
-        pred = build_prediction(ss, 1)
-        J = build_hessian(pred, w, terminal, 1)
-        B = np.diag(ss.B)
-        J_direct = B.T @ terminal.P @ B + w.R_w
-        assert np.allclose(J, J_direct, rtol=1e-14, atol=0)
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_matches_dense_reference(self, rng, plant_ss, N):
+        cq, (J_ref, _, _) = condensed_and_reference(rng, plant_ss, N)
+        assert_rel_close(cq.J, J_ref)
+        assert np.array_equal(cq.J, cq.J.T)
 
     def test_degenerate_weights_identity(self):
         ss = StateSpace(A=np.ones(3), B=np.zeros(3), C=np.eye(3), mu=0)
         w = Weights(q_hat=np.zeros(3), r_hat=np.ones(3), Q=np.zeros((3, 3)), R_w=np.eye(3))
         terminal = TerminalCost(P=np.eye(3))
-        pred = build_prediction(ss, 1)
-        assert np.array_equal(build_hessian(pred, w, terminal, 1), np.eye(3))
-
-    def test_horizon_two_matches_dense_formula(self, rng):
-        ss = small_ss(rng, n_u=3, n_y=3)
-        w, terminal, _ = design_parts(ss)
-        pred = build_prediction(ss, 2)
-        J = build_hessian(pred, w, terminal, 2)
-        omega = scipy.linalg.block_diag(w.Q, w.Q, terminal.P)
-        J_ref = pred.G.T @ omega @ pred.G + np.kron(np.eye(2), w.R_w)
-        assert np.allclose(J, J_ref, rtol=1e-12)
+        cq = build_condensed(ss, w, terminal, np.zeros((3, 3)), 1)
+        assert np.array_equal(cq.J, np.eye(3))
+        assert (cq.lambda_min, cq.lambda_max, cq.beta) == (1.0, 1.0, 0.0)
 
     def test_indefinite_rejected(self, rng):
         ss = small_ss(rng)
         w = Weights(q_hat=np.zeros(4), r_hat=np.ones(4), Q=np.zeros((4, 4)),
                     R_w=-np.eye(4))
         terminal = TerminalCost(P=np.zeros((4, 4)))
-        pred = build_prediction(ss, 1)
-        with pytest.raises(NumericalError):
-            build_hessian(pred, w, terminal, 1)
+        for N in (1, 2):
+            with pytest.raises(NumericalError, match="not positive definite"):
+                build_condensed(ss, w, terminal, np.zeros((4, 4)), N)
+
+    def test_non_finite_weight_rejected(self, rng):
+        # eigvalsh would return NaN eigenvalues or fail to converge
+        ss = small_ss(rng)
+        w, terminal, M_s = design_parts(ss)
+        Q = w.Q.copy()
+        Q[0, 1] = Q[1, 0] = np.nan
+        w = Weights(q_hat=w.q_hat, r_hat=w.r_hat, Q=Q, R_w=w.R_w)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            build_condensed(ss, w, terminal, M_s, 2)
 
 
 class TestLinearMaps:
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_matches_dense_reference(self, rng, plant_ss, N):
+        cq, (_, q_x0_ref, q_d_ref) = condensed_and_reference(rng, plant_ss, N)
+        assert_rel_close(cq.q_map_x0, q_x0_ref)
+        assert_rel_close(cq.q_map_d, q_d_ref)
+
     def test_zero_inputs_give_zero(self, rng):
         ss = small_ss(rng)
         w, terminal, M_s = design_parts(ss)
-        pred = build_prediction(ss, 2)
-        q_x0, q_d = build_linear_maps(pred, w, terminal, M_s, 2)
-        assert np.allclose(q_x0 @ np.zeros(ss.n_u) + q_d @ np.zeros(ss.n_y), 0.0)
+        cq = build_condensed(ss, w, terminal, M_s, 2)
+        assert np.array_equal(cq.linear_term(np.zeros(ss.n_u), np.zeros(ss.n_y)),
+                              np.zeros(2 * ss.n_u))
 
     def test_matches_two_step_computation(self, rng):
         ss = small_ss(rng)
         w, terminal, M_s = design_parts(ss)
         N = 2
-        pred = build_prediction(ss, N)
-        q_x0, q_d = build_linear_maps(pred, w, terminal, M_s, N)
+        cq = build_condensed(ss, w, terminal, M_s, N)
+        G, H = prediction_by_stepping(ss.A, ss.B, N)
         x0 = rng.standard_normal(ss.n_u)
         d = rng.standard_normal(ss.n_y)
         # explicit route: setpoints first, then the textbook linear term
         x_bar = u_bar = M_s @ d
-        omega = scipy.linalg.block_diag(w.Q, w.Q, terminal.P)
+        Z = np.zeros_like(w.Q)
+        omega = np.block([[w.Q, Z, Z], [Z, w.Q, Z], [Z, Z, terminal.P]])
         stack_q = np.vstack([w.Q, w.Q, terminal.P])
-        q_ref = (pred.G.T @ omega @ pred.H @ x0
-                 - pred.G.T @ stack_q @ x_bar
+        q_ref = (G.T @ omega @ H @ x0
+                 - G.T @ stack_q @ x_bar
                  - np.tile(w.R_w @ u_bar, N))
-        q_got = q_x0 @ x0 + q_d @ d
+        q_got = cq.linear_term(x0, d)
         scale = max(1.0, np.linalg.norm(q_ref))
         assert np.linalg.norm(q_got - q_ref) < 1e-10 * scale
 
@@ -144,21 +195,19 @@ class TestLinearMaps:
         # finite differences of the uncondensed objective at u = 0
         ss = small_ss(rng, n_u=2, n_y=2, mu=1)
         w, terminal, M_s = design_parts(ss)
-        N = 1
-        pred = build_prediction(ss, N)
-        q_x0, q_d = build_linear_maps(pred, w, terminal, M_s, N)
         x0 = rng.standard_normal(2)
         d = rng.standard_normal(2)
-        q = q_x0 @ x0 + q_d @ d
         x_bar = u_bar = M_s @ d
         h = 1e-6
-        for j in range(N * ss.n_u):
-            e = np.zeros(N * ss.n_u)
-            e[j] = h
-            f_plus = mpc_objective(ss.A, ss.B, w.Q, w.R_w, terminal.P, N, x0, x_bar, u_bar, e)
-            f_minus = mpc_objective(ss.A, ss.B, w.Q, w.R_w, terminal.P, N, x0, x_bar, u_bar, -e)
-            grad_j = (f_plus - f_minus) / (2 * h)
-            assert grad_j == pytest.approx(q[j], abs=1e-4)
+        for N in (1, 2):
+            q = build_condensed(ss, w, terminal, M_s, N).linear_term(x0, d)
+            for j in range(N * ss.n_u):
+                e = np.zeros(N * ss.n_u)
+                e[j] = h
+                f_plus = mpc_objective(ss.A, ss.B, w.Q, w.R_w, terminal.P, N, x0, x_bar, u_bar, e)
+                f_minus = mpc_objective(ss.A, ss.B, w.Q, w.R_w, terminal.P, N, x0, x_bar, u_bar, -e)
+                grad_j = (f_plus - f_minus) / (2 * h)
+                assert grad_j == pytest.approx(q[j], abs=1e-4)
 
 
 class TestSpectralBounds:
@@ -248,6 +297,24 @@ class TestStageProjectionN2:
             A, b = stage_halfplanes(u_prev, alpha, rho)
             want = polygon_project_oracle(t[0], A, b)
             assert np.allclose(got, want, atol=1e-8)
+
+    def test_infinite_amplitude_limit_keeps_the_slew_band(self, rng):
+        # the band tolerance must stay finite when alpha is; a finite alpha
+        # too large to bind gives the same set to the oracle
+        cset = ConstraintSet(alpha=np.array([np.inf]), rho=np.array([0.1]),
+                             u_prev=np.array([0.0]), N=2)
+        assert np.allclose(project_stage_n2(np.array([[0.05, 1.0]]), cset), [[0.1, 0.2]],
+                           atol=1e-12)
+        for _ in range(300):
+            rho = rng.uniform(0.02, 2.0)
+            u_prev = rng.uniform(-3.0, 3.0)
+            cset = ConstraintSet(alpha=np.array([np.inf]), rho=np.array([rho]),
+                                 u_prev=np.array([u_prev]), N=2)
+            t = rng.uniform(-10.0, 10.0, (1, 2))
+            got = project_stage_n2(t, cset)
+            A, b = stage_halfplanes(u_prev, 1e6, rho)
+            assert np.allclose(got[0], polygon_project_oracle(t[0], A, b), atol=1e-8)
+            assert np.array_equal(project_stage_n2(got, cset), got)
 
     def test_projected_point_feasible(self, rng):
         for _ in range(100):
