@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from . import design, fileio, qp
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, NumericalError
 from .model import ModalBasis, PlantConfig, StateSpace, build_state_space, modal_decompose
 from .observer import ObserverState, update_fast, update_naive
 from .sim import ImcController, MpcController
@@ -29,7 +29,7 @@ from .sim import ImcController, MpcController
 # Version of the bundle layout, separate from fileio.SCHEMA_VERSION of the
 # text outputs; design_fingerprint hashes it, so bench redesigns a bundle of
 # another layout instead of loading it.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -238,11 +238,11 @@ def _array_shapes(n_y: int, n_u: int, mu: int, horizon: int) -> dict[str, tuple[
 
 def _scalars(b: DesignBundle) -> dict:
     """The plant's sizes and sampling, and the QP's bounds, that meta.txt
-    holds after the design record; kappa is written for the reader, the
-    load derives it."""
+    holds after the design record; beta and kappa are written for the
+    reader, the load derives them."""
     p, c = b.plant, b.condensed
     return {
-        "n_y": p.n_y, "n_s": p.n_s, "n_f": p.n_f, "dt": p.dt, "mu": p.mu,
+        "n_y": p.n_y, "n_u": p.n_u, "dt": p.dt, "mu": p.mu,
         "lambda_min": c.lambda_min, "lambda_max": c.lambda_max, "beta": c.beta, "kappa": b.kappa,
         "i_max_bound": b.i_max_bound, "epsilon": b.epsilon, "delta": b.delta,
     }
@@ -278,7 +278,8 @@ def save_bundle(bundle: DesignBundle, directory) -> None:
 
 def load_bundle(directory) -> DesignBundle:
     """Read a bundle written by `save_bundle`, checking its schema version,
-    the dtype and shape of every array, and the plant (by building it)."""
+    the dtype and shape of every array, the plant (by building it) and the
+    Hessian bounds (by deriving beta from them)."""
     meta = fileio.read_kv(os.path.join(directory, "meta.txt"))
     version = meta.get("schema_version", "none")
     if version != str(SCHEMA_VERSION):
@@ -286,17 +287,16 @@ def load_bundle(directory) -> DesignBundle:
             f"{directory}: design bundle schema_version {version} is not {SCHEMA_VERSION}; "
             "design it again"
         )
-    n_y, n_s, n_f, mu, horizon = (fileio.kv_get(meta, key, int)
-                                  for key in ("n_y", "n_s", "n_f", "mu", "horizon"))
+    n_y, n_u, mu, horizon = (fileio.kv_get(meta, key, int) for key in ("n_y", "n_u", "mu", "horizon"))
     arrays = {name: _read_array(os.path.join(directory, f"{name}.npy"), shape)
-              for name, shape in _array_shapes(n_y, n_s + n_f, mu, horizon).items()}
-    R, bandwidths = arrays["R"], arrays["bandwidths"]
+              for name, shape in _array_shapes(n_y, n_u, mu, horizon).items()}
+    lambda_min, lambda_max = (fileio.kv_get(meta, key, float) for key in ("lambda_min", "lambda_max"))
     try:
-        plant = PlantConfig(n_y=n_y, n_s=n_s, n_f=n_f, R_s=R[:, :n_s], R_f=R[:, n_s:],
-                            a_s=bandwidths[:n_s], a_f=bandwidths[n_s:],
+        plant = PlantConfig(R=arrays["R"], bandwidths=arrays["bandwidths"],
                             dt=fileio.kv_get(meta, "dt", float), mu=mu,
                             alpha=arrays["alpha"], rho=arrays["rho"])
-    except ConfigError as exc:
+        beta = qp.momentum(lambda_min, lambda_max)
+    except (ConfigError, NumericalError) as exc:
         raise ConfigError(f"{directory}: {exc}") from exc
     ss = build_state_space(plant)
     return DesignBundle(
@@ -311,9 +311,9 @@ def load_bundle(directory) -> DesignBundle:
             J=arrays["J"],
             q_map_x0=arrays["q_map_x0"],
             q_map_d=arrays["q_map_d"],
-            lambda_min=fileio.kv_get(meta, "lambda_min", float),
-            lambda_max=fileio.kv_get(meta, "lambda_max", float),
-            beta=fileio.kv_get(meta, "beta", float),
+            lambda_min=lambda_min,
+            lambda_max=lambda_max,
+            beta=beta,
             N=horizon,
             n_u=ss.n_u,
         ),

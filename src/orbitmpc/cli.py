@@ -120,15 +120,28 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
     seed = seed_override if seed_override is not None else fileio.kv_get(pairs, "seed", int, default=0)
     _require("seed", seed, seed >= 0, "non-negative")
 
+    n_workers = workers_override if workers_override is not None else fileio.kv_get(pairs, "n_workers", int, default=1)
+    i_max = fileio.kv_get(pairs, "i_max", int, default=fgm.DEFAULT_I_MAX)
+    bench_cycles = fileio.kv_get(pairs, "bench_cycles", int, default=1000)
+    T = fileio.kv_get(pairs, "T", int, default=65536)  # 2**16 for spectral runs
+    n_y, n_u, mu = (fileio.kv_get(pairs, key, int, default=default)
+                    for key, default in (("synthetic_n_y", 8), ("synthetic_n_u", 8), ("synthetic_mu", 3)))
+    # T >= 2: a run's integrated-motion spectrum needs two samples
+    for key, value, least in (("n_workers", n_workers, 1), ("i_max", i_max, 0),
+                              ("bench_cycles", bench_cycles, 1), ("T", T, 2),
+                              ("synthetic_n_y", n_y, 1), ("synthetic_n_u", n_u, 1), ("synthetic_mu", mu, 0)):
+        if value < least:
+            raise ConfigError(f"{key} must be >= {least}, got {value}")
+
     plant_key = fileio.kv_get(pairs, "plant", str, default="synthetic")
     if plant_key == "synthetic":
         plant = synthetic_plant(
-            n_y=fileio.kv_get(pairs, "synthetic_n_y", int, default=8),
-            n_u=fileio.kv_get(pairs, "synthetic_n_u", int, default=8),
+            n_y=n_y,
+            n_u=n_u,
             kappa_target=fileio.kv_get(pairs, "synthetic_kappa", float, default=1e4),
             seed=seed,
             dt=fileio.kv_get(pairs, "synthetic_dt", float, default=1e-3),
-            mu=fileio.kv_get(pairs, "synthetic_mu", int, default=3),
+            mu=mu,
             bandwidth=2.0 * np.pi * fileio.kv_get(pairs, "synthetic_bandwidth_hz", float, default=70.0),
             alpha=fileio.kv_get(pairs, "synthetic_alpha", float, default=1.0),
             rho=fileio.kv_get(pairs, "synthetic_rho", float, default=0.1),
@@ -169,20 +182,11 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
     horizon = fileio.kv_get(pairs, "horizon", int, default=1)
     if horizon not in qp.SUPPORTED_HORIZONS:
         raise ConfigError(f"horizon must be one of {qp.SUPPORTED_HORIZONS}, got {horizon}")
-    n_workers = workers_override if workers_override is not None else fileio.kv_get(pairs, "n_workers", int, default=1)
-    i_max = fileio.kv_get(pairs, "i_max", int, default=fgm.DEFAULT_I_MAX)
-    bench_cycles = fileio.kv_get(pairs, "bench_cycles", int, default=1000)
-    T = fileio.kv_get(pairs, "T", int, default=65536)  # 2**16 for spectral runs
     # 10 Hz at dt = 1 ms: the baseline integrates 2 pi 0.01 per sample at any dt
     imc_bandwidth_hz = fileio.kv_get(pairs, "imc_bandwidth_hz", float, default=0.01 / plant.dt)
     nyquist_hz = 0.5 / plant.dt
     _require("imc_bandwidth_hz", imc_bandwidth_hz, 0.0 < imc_bandwidth_hz < nyquist_hz,
              f"positive and below the Nyquist frequency 0.5 / dt = {nyquist_hz:g} Hz")
-    # T >= 2: a run's integrated-motion spectrum needs two samples
-    for key, value, least in (("n_workers", n_workers, 1), ("i_max", i_max, 0),
-                              ("bench_cycles", bench_cycles, 1), ("T", T, 2)):
-        if value < least:
-            raise ConfigError(f"{key} must be >= {least}, got {value}")
     return RunConfig(
         plant=plant,
         weights_mode=fileio.kv_get(pairs, "weights", str, default="saturated"),

@@ -5,7 +5,8 @@ Two formats only:
 * matrix CSV — one row per line, comma separated, no column header,
   decimals printed with 17 significant digits so values round-trip
   bit-exactly.  Lines starting with ``#`` are metadata comments
-  (``# key=value``) and are skipped on read.  The response matrix
+  (``# key=value``) and are skipped on read; an entry that is not a
+  finite number is refused.  The response matrix
   ``R.csv``, disturbance files and the simulate/bench outputs use it;
   ``SCHEMA_VERSION`` is the version their headers record.
 * flat key=value config — one ``key = value`` pair per line, no sections.
@@ -45,7 +46,9 @@ def write_matrix(path, m, header: dict | None = None) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    rows = []
+    """A matrix CSV as a float array; a ragged, non-numeric or non-finite
+    entry raises ConfigError naming path:line."""
+    rows, linenos = [], []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -56,6 +59,7 @@ def read_matrix(path) -> np.ndarray:
                     rows.append([float(tok) for tok in line.split(",")])
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+                linenos.append(lineno)
     except OSError as exc:
         raise ConfigError(f"cannot read matrix file {path}: {exc}") from exc
     if not rows:
@@ -63,7 +67,12 @@ def read_matrix(path) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ConfigError(f"{path}: ragged rows")
-    return np.asarray(rows, dtype=float)
+    m = np.asarray(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        i, j = bad[0]
+        raise ConfigError(f"{path}:{linenos[i]}: non-finite entry {m[i, j]} in column {j + 1}")
+    return m
 
 
 def write_kv(path, pairs: dict) -> None:

@@ -1,8 +1,8 @@
 """Plant description and its discrete state-space / modal representations.
 
 The plant is a cross-directional system: a static orbit response matrix
-``R = [R_s R_f]`` (monitors x correctors) in series with one first-order
-actuator lag per corrector and a transport delay of ``mu`` samples,
+``R`` (monitors x correctors) in series with one first-order actuator lag
+per corrector and a transport delay of ``mu`` samples,
 
     x[k+1] = A x[k] + B u[k],      y[k] = C x[k - mu] + d[k],
 
@@ -36,43 +36,36 @@ def _per_actuator(value, n: int, name: str) -> np.ndarray:
 class PlantConfig:
     """Physical parameters of one plane of the stabilization plant.
 
-    ``R_s``/``R_f`` are the slow/fast columns of the orbit response matrix
-    (dimensionless gains), ``a_s``/``a_f`` the actuator bandwidths in
-    rad/s (scalar or one value per actuator of that type), ``dt`` the
-    sampling time, ``mu`` the transport delay in samples, and ``alpha``/
-    ``rho`` the per-actuator amplitude and per-sample slew-rate limits.
+    ``R`` is the orbit response matrix, n_y monitors x n_u correctors
+    (dimensionless gains); ``bandwidths`` the actuator bandwidths in rad/s,
+    in R's column order; ``dt`` the sampling time; ``mu`` the transport
+    delay in samples; ``alpha``/``rho`` the per-actuator amplitude and
+    per-sample slew-rate limits.  Each per-actuator vector may be given as
+    a scalar.
     """
 
-    n_y: int
-    n_s: int
-    n_f: int
-    R_s: np.ndarray
-    R_f: np.ndarray
-    a_s: np.ndarray
-    a_f: np.ndarray
+    R: np.ndarray
+    bandwidths: np.ndarray
     dt: float
     mu: int
     alpha: np.ndarray
     rho: np.ndarray
 
     def __post_init__(self):
-        if self.n_y < 1 or self.n_s + self.n_f < 1:
-            raise ConfigError("need n_y >= 1 and n_s + n_f >= 1")
-        if self.n_s < 0 or self.n_f < 0:
-            raise ConfigError("actuator counts must be non-negative")
+        R = np.array(self.R, dtype=float)
+        if R.ndim != 2 or R.size == 0:
+            raise ConfigError(f"orbit response matrix must be a non-empty 2-D array, got shape {R.shape}")
+        if not np.all(np.isfinite(R)):
+            raise ConfigError("orbit response matrix has non-finite entries")
         if not 0.0 < self.dt < np.inf:  # NaN fails too
             raise ConfigError(f"dt must be finite and positive, got {self.dt}")
         if self.mu < 0:
             raise ConfigError(f"mu must be non-negative, got {self.mu}")
-        object.__setattr__(self, "R_s", np.asarray(self.R_s, dtype=float).reshape(self.n_y, self.n_s))
-        object.__setattr__(self, "R_f", np.asarray(self.R_f, dtype=float).reshape(self.n_y, self.n_f))
-        object.__setattr__(self, "a_s", _per_actuator(self.a_s, self.n_s, "a_s"))
-        object.__setattr__(self, "a_f", _per_actuator(self.a_f, self.n_f, "a_f"))
-        object.__setattr__(self, "alpha", _per_actuator(self.alpha, self.n_u, "alpha"))
-        object.__setattr__(self, "rho", _per_actuator(self.rho, self.n_u, "rho"))
-        for name, what in (("a_s", "actuator bandwidth"), ("a_f", "actuator bandwidth"),
+        object.__setattr__(self, "R", R)
+        for name, what in (("bandwidths", "actuator bandwidth"),
                            ("alpha", "amplitude limit"), ("rho", "slew-rate limit")):
-            value = getattr(self, name)
+            value = _per_actuator(getattr(self, name), self.n_u, name)
+            object.__setattr__(self, name, value)
             bad = np.flatnonzero(~(value > 0.0))  # NaN fails `> 0` too
             if bad.size:
                 raise ConfigError(f"{name}[{bad[0]}] = {value[bad[0]]}: {what} must be positive")
@@ -81,22 +74,14 @@ class PlantConfig:
             i = unbounded[0]
             raise ConfigError(f"alpha[{i}] = rho[{i}] = inf: actuator {i} needs a finite "
                               "amplitude or slew-rate limit")
-        if not (np.all(np.isfinite(self.R_s)) and np.all(np.isfinite(self.R_f))):
-            raise ConfigError("orbit response matrix has non-finite entries")
+
+    @property
+    def n_y(self) -> int:
+        return self.R.shape[0]
 
     @property
     def n_u(self) -> int:
-        return self.n_s + self.n_f
-
-    @property
-    def R(self) -> np.ndarray:
-        """Full orbit response matrix [R_s R_f], n_y x n_u."""
-        return np.hstack([self.R_s, self.R_f])
-
-    @property
-    def bandwidths(self) -> np.ndarray:
-        """Per-actuator bandwidth vector, slow block first."""
-        return np.concatenate([self.a_s, self.a_f])
+        return self.R.shape[1]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -185,11 +170,13 @@ def synthetic_plant(
     Singular values decay geometrically from 1 down to 1/kappa_target over
     the min(n_y, n_u) modes, mimicking the ill-conditioned regime of real
     storage-ring response matrices.  Orthogonal factors are drawn from
-    `seed`; the same seed always yields the same plant.  All actuators are
-    a single medium-bandwidth type (n_s = n_u, n_f = 0).  If
-    min(n_y, n_u) == 1 there is a single singular value and kappa_target
-    is ignored.  ``rho`` defaults to alpha/10.
+    `seed`; the same seed always yields the same plant.  All actuators
+    share one medium bandwidth.  If min(n_y, n_u) == 1 there is a single
+    singular value and kappa_target is ignored.  ``rho`` defaults to
+    alpha/10.
     """
+    if n_y < 1 or n_u < 1:
+        raise ConfigError(f"need n_y >= 1 and n_u >= 1, got n_y = {n_y}, n_u = {n_u}")
     if not 1.0 <= kappa_target < np.inf:  # NaN fails too
         raise ConfigError(f"kappa_target must be finite and >= 1, got {kappa_target}")
     rng = np.random.default_rng(seed)
@@ -203,19 +190,7 @@ def synthetic_plant(
     R = (U * sigma) @ V.T
     if rho is None:
         rho = alpha / 10.0
-    return PlantConfig(
-        n_y=n_y,
-        n_s=n_u,
-        n_f=0,
-        R_s=R,
-        R_f=np.zeros((n_y, 0)),
-        a_s=bandwidth,
-        a_f=bandwidth,
-        dt=dt,
-        mu=mu,
-        alpha=alpha,
-        rho=rho,
-    )
+    return PlantConfig(R=R, bandwidths=bandwidth, dt=dt, mu=mu, alpha=alpha, rho=rho)
 
 
 def _fmt_vec(v: np.ndarray) -> str:
@@ -223,7 +198,8 @@ def _fmt_vec(v: np.ndarray) -> str:
 
 
 def save_plant_config(cfg: PlantConfig, path) -> None:
-    """Write plant config + its response matrix `R.csv` next to each other on disk."""
+    """Write plant config + its response matrix `R.csv` next to each other
+    on disk; every actuator goes in the slow block (n_f = 0)."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fileio.write_matrix(os.path.join(directory, "R.csv"), cfg.R,
@@ -232,12 +208,11 @@ def save_plant_config(cfg: PlantConfig, path) -> None:
         path,
         {
             "n_y": cfg.n_y,
-            "n_s": cfg.n_s,
-            "n_f": cfg.n_f,
+            "n_s": cfg.n_u,
+            "n_f": 0,
             "dt": cfg.dt,
             "mu": cfg.mu,
-            "a_s": _fmt_vec(cfg.a_s) if cfg.n_s else "0",
-            "a_f": _fmt_vec(cfg.a_f) if cfg.n_f else "0",
+            "a_s": _fmt_vec(cfg.bandwidths),
             "alpha": _fmt_vec(cfg.alpha),
             "rho": _fmt_vec(cfg.rho),
             "R_path": "R.csv",
@@ -246,24 +221,25 @@ def save_plant_config(cfg: PlantConfig, path) -> None:
 
 
 def load_plant_config(path) -> PlantConfig:
+    """Read a plant config.  The file lists its actuators in two blocks, n_s
+    slow then n_f fast, with bandwidths a_s and a_f (a scalar or one value
+    per actuator of the block); R.csv's columns follow the same order."""
     pairs = fileio.read_kv(path)
-    n_y = fileio.kv_get(pairs, "n_y", int)
-    n_s = fileio.kv_get(pairs, "n_s", int)
-    n_f = fileio.kv_get(pairs, "n_f", int)
+    n_y, n_s, n_f = (fileio.kv_get(pairs, key, int) for key in ("n_y", "n_s", "n_f"))
+    for key, count in (("n_s", n_s), ("n_f", n_f)):
+        if count < 0:
+            raise ConfigError(f"{path}: {key} must be >= 0, got {count}")
     r_path = fileio.resolve_path(path, fileio.kv_get(pairs, "R_path", str))
     if not os.path.exists(r_path):
         raise ConfigError(f"response matrix file not found: {r_path}")
     R = fileio.read_matrix(r_path)
     if R.shape != (n_y, n_s + n_f):
         raise ConfigError(f"{r_path}: expected shape {(n_y, n_s + n_f)}, got {R.shape}")
+    blocks = [_per_actuator(fileio.kv_get(pairs, key, fileio.parse_float_list), count, key)
+              for key, count in (("a_s", n_s), ("a_f", n_f)) if count]
     return PlantConfig(
-        n_y=n_y,
-        n_s=n_s,
-        n_f=n_f,
-        R_s=R[:, :n_s],
-        R_f=R[:, n_s:],
-        a_s=fileio.kv_get(pairs, "a_s", fileio.parse_float_list) if n_s else np.zeros(0),
-        a_f=fileio.kv_get(pairs, "a_f", fileio.parse_float_list) if n_f else np.zeros(0),
+        R=R,
+        bandwidths=np.concatenate(blocks),
         dt=fileio.kv_get(pairs, "dt", float),
         mu=fileio.kv_get(pairs, "mu", int),
         alpha=fileio.kv_get(pairs, "alpha", fileio.parse_float_list),

@@ -80,6 +80,19 @@ class CondensedQP:
         return self.q_map_x0 @ x0 + self.q_map_d @ d_bar
 
 
+def momentum(lmin: float, lmax: float) -> float:
+    """The fast gradient method's momentum (sqrt(lmax) - sqrt(lmin)) /
+    (sqrt(lmax) + sqrt(lmin)) for Hessian bounds 0 < lmin <= lmax < inf;
+    bounds outside that range, NaN among them, raise NumericalError naming
+    the bound."""
+    if not lmin > 0.0:
+        raise NumericalError(f"Hessian not positive definite (lambda_min = {lmin:.3e})")
+    if not lmin <= lmax < np.inf:
+        raise NumericalError(f"lambda_max = {lmax:.3e} is not finite and >= lambda_min = {lmin:.3e}")
+    beta = (np.sqrt(lmax) - np.sqrt(lmin)) / (np.sqrt(lmax) + np.sqrt(lmin))
+    return float(beta)
+
+
 def spectral_bounds(J: np.ndarray):
     """(lambda_min, lambda_max, beta) from a full symmetric eigensolve; a J
     that is not finite and positive definite raises NumericalError."""
@@ -87,10 +100,7 @@ def spectral_bounds(J: np.ndarray):
         raise NumericalError("Hessian not positive definite: it has non-finite entries")
     eigs = np.linalg.eigvalsh(0.5 * (J + J.T))
     lmin, lmax = float(eigs[0]), float(eigs[-1])
-    if lmin <= 0.0:
-        raise NumericalError(f"Hessian not positive definite (lambda_min = {lmin:.3e})")
-    beta = (np.sqrt(lmax) - np.sqrt(lmin)) / (np.sqrt(lmax) + np.sqrt(lmin))
-    return lmin, lmax, float(beta)
+    return lmin, lmax, momentum(lmin, lmax)
 
 
 def build_condensed(ss: StateSpace, weights, terminal, M_s: np.ndarray, N: int) -> CondensedQP:

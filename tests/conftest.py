@@ -32,5 +32,4 @@ def mixed_plant():
     """5x(3+2) plant whose two fast correctors have their own bandwidth, so
     neither Riccati equation decouples by mode."""
     plant = synthetic_plant(5, 5, 100.0, seed=11, mu=2)
-    return dataclasses.replace(plant, n_s=3, n_f=2, R_s=plant.R[:, :3], R_f=plant.R[:, 3:],
-                               a_s=2.0 * np.pi * 70.0, a_f=2.0 * np.pi * 300.0)
+    return dataclasses.replace(plant, bandwidths=2.0 * np.pi * np.array([70.0, 70.0, 70.0, 300.0, 300.0]))

@@ -32,8 +32,7 @@ def wide_plant(mu):
 def mixed_plant():
     """5x(3+3) plant with its own bandwidth, amplitude and slew limit per actuator."""
     plant = wide_plant(2)
-    return dataclasses.replace(plant, n_s=3, n_f=3, R_s=plant.R[:, :3], R_f=plant.R[:, 3:],
-                               a_s=[400.0, 440.0, 480.0], a_f=[1800.0, 2000.0, 2200.0],
+    return dataclasses.replace(plant, bandwidths=[400.0, 440.0, 480.0, 1800.0, 2000.0, 2200.0],
                                alpha=[1.0, 0.8, 1.2, 0.5, 0.7, 0.9], rho=[0.1, 0.05, 0.2, 0.3, 0.08, 0.15])
 
 
@@ -77,7 +76,7 @@ def test_round_trip_is_bit_exact(tmp_path, plant, horizon):
         assert got[name].dtype == want[name].dtype == np.float64, name
         assert got[name].shape == want[name].shape, name
         assert got[name].tobytes() == want[name].tobytes(), name
-    for field in dataclasses.fields(PlantConfig):  # the sizes and sampling too
+    for field in dataclasses.fields(PlantConfig):  # the response matrix and sampling too
         mine, yours = (np.asarray(getattr(b.plant, field.name)) for b in (ours, theirs))
         assert yours.dtype == mine.dtype and yours.shape == mine.shape, field.name
         assert yours.tobytes() == mine.tobytes(), field.name
@@ -133,4 +132,30 @@ def test_edited_size_names_the_response_matrix(saved):
     meta["n_y"] = "6"
     write_kv(saved / "meta.txt", meta)
     with pytest.raises(DimensionError, match=r"R\.npy: shape \(5, 6\), expected \(6, 6\)"):
+        load_bundle(saved)
+
+
+def edit_meta(directory, **values):
+    meta = read_kv(directory / "meta.txt")
+    meta.update(values)
+    write_kv(directory / "meta.txt", meta)
+
+
+def test_momentum_and_conditioning_are_derived_on_load(saved):
+    # meta.txt writes beta and kappa for the reader; the load derives both
+    # from the Hessian bounds, bit-exactly as the design did
+    designed = load_bundle(saved)
+    edit_meta(saved, beta="5", kappa="7")
+    loaded = load_bundle(saved)
+    assert loaded.condensed.beta == designed.condensed.beta != 5.0
+    assert loaded.kappa == designed.kappa != 7.0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lambda_min", "-1"), ("lambda_min", "0"), ("lambda_min", "nan"),
+    ("lambda_max", "0"), ("lambda_max", "inf"), ("lambda_max", "nan"),
+])
+def test_hessian_bound_out_of_range_names_the_key(saved, key, value):
+    edit_meta(saved, **{key: value})
+    with pytest.raises(ConfigError, match=rf"{re.escape(str(saved))}.*{key} = "):
         load_bundle(saved)

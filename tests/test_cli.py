@@ -11,7 +11,7 @@ import pytest
 from orbitmpc import bundle as bundle_mod
 from orbitmpc import load_bundle, save_plant_config, synthetic_plant
 from orbitmpc.cli import CONFIG_KEYS, load_run_config, main
-from orbitmpc.fileio import read_kv, read_matrix
+from orbitmpc.fileio import read_kv, read_matrix, write_kv, write_matrix
 
 BASE_CONFIG = """
 schema_version = 1
@@ -74,7 +74,7 @@ class TestDesignCommand:
             assert os.path.exists(os.path.join(out, name)), name
         assert len(os.listdir(out)) == 18
         meta = read_kv(os.path.join(out, "meta.txt"))
-        assert {"n_y", "n_s", "n_f", "dt", "mu", "lambda_min", "lambda_max", "beta", "kappa",
+        assert {"n_y", "n_u", "dt", "mu", "lambda_min", "lambda_max", "beta", "kappa",
                 "i_max_bound", "epsilon", "delta"} <= meta.keys()
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -94,6 +94,19 @@ class TestDesignCommand:
         code = main(["design", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "R.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_response_matrix_names_the_line(self, tmp_path, capsys, token):
+        save_plant_config(synthetic_plant(4, 4, 10.0, seed=0), str(tmp_path / "plant.cfg"))
+        r_path = tmp_path / "R.csv"
+        lines = r_path.read_text().splitlines(keepends=True)
+        lines[2] = token + lines[2][lines[2].index(","):]
+        r_path.write_text("".join(lines))
+        cfg = write_config(tmp_path, body=f"plant = {tmp_path / 'plant.cfg'}\n")
+        out = tmp_path / "o"
+        assert main(["design", "--config", cfg, "--out", str(out)]) == 2
+        assert f"R.csv:3: non-finite entry {float(token)} in column 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unreadable_config_exit_2(self, tmp_path):
         assert main(["design", "--config", str(tmp_path / "nope.cfg"),
@@ -335,6 +348,27 @@ class TestConfigValidation:
         assert f"T must be >= 2, got {T}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_disturbance_file_names_the_line(self, tmp_path, capsys, token):
+        rows = np.random.default_rng(0).standard_normal((256, 5))
+        rows[9, 4] = float(token)  # line 10: the file has no header
+        write_matrix(tmp_path / "dist.csv", rows)
+        cfg = write_config(tmp_path, extra="dist_kind = file\ndist_path = dist.csv\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert f"dist.csv:10: non-finite entry {float(token)} in column 5" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("key, value, least", [
+        ("synthetic_n_y", 0, 1), ("synthetic_n_u", -2, 1), ("synthetic_mu", -1, 0),
+    ])
+    def test_synthetic_plant_size_rejected_by_key(self, tmp_path, capsys, key, value, least):
+        cfg = write_config(tmp_path, extra=f"{key} = {value}\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{key} must be >= {least}, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_synthetic_kappa_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra="synthetic_kappa = nan\n")
         assert main(["design", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -538,6 +572,18 @@ class TestDesignFingerprint:
         assert read_kv(os.path.join(bundle_dir, "meta.txt"))["schema_version"] == str(bundle_mod.SCHEMA_VERSION)
         assert set(os.listdir(bundle_dir)) == fresh
         assert len(fresh) == 18
+
+    def test_bench_refuses_a_bundle_with_an_edited_hessian_bound(self, tmp_path, capsys):
+        out = str(tmp_path / "bench")
+        meta_path = os.path.join(out, "bundle", "meta.txt")
+        cfg = write_config(tmp_path)
+        assert main(["bench", "--config", cfg, "--out", out]) == 0
+        meta = read_kv(meta_path)
+        meta["lambda_max"] = "0"  # the fingerprint still matches
+        write_kv(meta_path, meta)
+        capsys.readouterr()
+        assert main(["bench", "--config", cfg, "--out", out]) == 2
+        assert "lambda_max = 0.000e+00" in capsys.readouterr().err
 
     def test_check_fails_on_other_design_inputs(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

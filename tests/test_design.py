@@ -207,8 +207,8 @@ class TestWeightDesigns:
         # matched weight; its Hessian conditioning is that of its transpose,
         # which has no null space
         wide = synthetic_plant(n_y, n_u, 1e2, seed=7)
-        tall = dataclasses.replace(wide, n_y=n_u, n_s=n_y, R_s=wide.R_s.T, R_f=np.zeros((n_u, 0)),
-                                   a_s=wide.a_s[:n_y], alpha=wide.alpha[:n_y], rho=wide.rho[:n_y])
+        tall = dataclasses.replace(wide, R=wide.R.T, bandwidths=wide.bandwidths[:n_y],
+                                   alpha=wide.alpha[:n_y], rho=wide.rho[:n_y])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # tall: least-squares target
             kappa_tall = design_controller(tall, horizon, weights_mode="imc_matched").kappa

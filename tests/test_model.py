@@ -1,13 +1,17 @@
+import dataclasses
 import os
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
+from orbitmpc import fileio
 from orbitmpc import (
     ConfigError,
     PlantConfig,
     build_state_space,
+    design_controller,
     load_plant_config,
     modal_decompose,
     save_plant_config,
@@ -17,11 +21,7 @@ from orbitmpc import (
 
 def make_plant(a=100.0, dt=1e-3, mu=2, n_y=3, n_u=3, seed=0):
     rng = np.random.default_rng(seed)
-    return PlantConfig(
-        n_y=n_y, n_s=n_u, n_f=0,
-        R_s=rng.standard_normal((n_y, n_u)), R_f=np.zeros((n_y, 0)),
-        a_s=a, a_f=1.0, dt=dt, mu=mu, alpha=1.0, rho=0.1,
-    )
+    return PlantConfig(R=rng.standard_normal((n_y, n_u)), bandwidths=a, dt=dt, mu=mu, alpha=1.0, rho=0.1)
 
 
 class TestBuildStateSpace:
@@ -59,8 +59,7 @@ class TestBuildStateSpace:
 
     @pytest.mark.parametrize("field,value", [("dt", 0.0), ("dt", -1e-3), ("mu", -1)])
     def test_bad_scalars_rejected(self, field, value):
-        kwargs = dict(n_y=2, n_s=2, n_f=0, R_s=np.eye(2), R_f=np.zeros((2, 0)),
-                      a_s=10.0, a_f=1.0, dt=1e-3, mu=1, alpha=1.0, rho=0.1)
+        kwargs = dict(R=np.eye(2), bandwidths=10.0, dt=1e-3, mu=1, alpha=1.0, rho=0.1)
         kwargs[field] = value
         with pytest.raises(ConfigError):
             PlantConfig(**kwargs)
@@ -69,10 +68,9 @@ class TestBuildStateSpace:
         with pytest.raises(ConfigError):
             make_plant(a=0.0)
 
-    @pytest.mark.parametrize("field", ["dt", "a_s", "a_f", "alpha", "rho"])
+    @pytest.mark.parametrize("field", ["dt", "bandwidths", "alpha", "rho"])
     def test_nan_parameters_rejected(self, field):
-        kwargs = dict(n_y=2, n_s=1, n_f=1, R_s=np.ones((2, 1)), R_f=np.ones((2, 1)),
-                      a_s=10.0, a_f=100.0, dt=1e-3, mu=1, alpha=1.0, rho=0.1)
+        kwargs = dict(R=np.ones((2, 2)), bandwidths=[10.0, 100.0], dt=1e-3, mu=1, alpha=1.0, rho=0.1)
         kwargs[field] = np.nan
         with pytest.raises(ConfigError, match=field):
             PlantConfig(**kwargs)
@@ -82,9 +80,34 @@ class TestBuildStateSpace:
         with pytest.raises(ConfigError, match=r"alpha\[0\] = rho\[0\] = inf"):
             synthetic_plant(4, 4, 10.0, seed=7, alpha=np.inf, rho=np.inf)
         with pytest.raises(ConfigError, match=r"alpha\[2\] = rho\[2\] = inf"):
-            PlantConfig(n_y=2, n_s=3, n_f=0, R_s=np.ones((2, 3)), R_f=np.zeros((2, 0)),
-                        a_s=10.0, a_f=1.0, dt=1e-3, mu=1,
+            PlantConfig(R=np.ones((2, 3)), bandwidths=10.0, dt=1e-3, mu=1,
                         alpha=[1.0, np.inf, np.inf], rho=[np.inf, 0.1, np.inf])
+
+
+class TestPlantConfig:
+    KWARGS = dict(bandwidths=10.0, dt=1e-3, mu=1, alpha=1.0, rho=0.1)
+
+    def test_sizes_are_the_response_matrix_shape(self):
+        plant = PlantConfig(R=np.ones((2, 3)), **self.KWARGS)
+        assert (plant.n_y, plant.n_u) == (2, 3)
+        assert np.array_equal(plant.bandwidths, [10.0, 10.0, 10.0])
+        assert [f.name for f in dataclasses.fields(PlantConfig)] == \
+            ["R", "bandwidths", "dt", "mu", "alpha", "rho"]
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 0), (0, 2), (2, 2, 2)], ids=["1-D", "no-column", "no-row", "3-D"])
+    def test_response_matrix_not_a_nonempty_matrix_rejected(self, shape):
+        with pytest.raises(ConfigError, match=rf"non-empty 2-D array, got shape {re.escape(str(shape))}"):
+            PlantConfig(R=np.ones(shape), **self.KWARGS)
+
+    def test_wrong_length_bandwidths_rejected_by_name(self):
+        with pytest.raises(ConfigError, match=r"bandwidths: expected scalar or 3 values, got shape \(2,\)"):
+            PlantConfig(R=np.ones((2, 3)), **{**self.KWARGS, "bandwidths": [10.0, 20.0]})
+
+    def test_non_finite_response_matrix_rejected(self):
+        R = np.ones((2, 3))
+        R[1, 2] = np.inf
+        with pytest.raises(ConfigError, match="non-finite"):
+            PlantConfig(R=R, **self.KWARGS)
 
 
 class TestModalDecompose:
@@ -147,12 +170,91 @@ class TestSyntheticPlant:
         with pytest.raises(ConfigError):
             synthetic_plant(4, 4, 0.5, seed=0)
 
+    @pytest.mark.parametrize("n_y, n_u", [(0, 4), (4, 0), (4, -2)])
+    def test_empty_plant_rejected(self, n_y, n_u):
+        with pytest.raises(ConfigError, match=rf"need n_y >= 1 and n_u >= 1, got n_y = {n_y}, n_u = {n_u}"):
+            synthetic_plant(n_y, n_u, 10.0, seed=0)
+
     def test_nan_kappa_rejected_by_name(self):
         with pytest.raises(ConfigError, match="kappa_target"):
             synthetic_plant(4, 4, float("nan"), seed=0)
 
 
+TWO_BLOCKS = """
+n_y = 5
+n_s = 3
+n_f = 2
+dt = 0.001
+mu = 2
+a_s = 400,440,480
+a_f = 1900
+alpha = 1
+rho = 0.1
+R_path = R.csv
+"""
+
+
+def write_plant_file(tmp_path, text, R):
+    fileio.write_matrix(tmp_path / "R.csv", R)
+    (tmp_path / "plant.cfg").write_text(text)
+    return str(tmp_path / "plant.cfg")
+
+
 class TestPlantConfigIO:
+    def test_slow_then_fast_block_in_column_order(self, tmp_path, rng):
+        R = rng.standard_normal((5, 5))
+        plant = load_plant_config(write_plant_file(tmp_path, TWO_BLOCKS, R))
+        assert plant.bandwidths.tolist() == [400.0, 440.0, 480.0, 1900.0, 1900.0]
+        assert np.array_equal(plant.R, R)
+        # two bandwidths: neither Riccati equation decouples by mode
+        assert design_controller(plant, 1).meta["riccati_form"] == "dense"
+
+    # the counts still add up to R's five columns
+    @pytest.mark.parametrize("sizes, message", [
+        pytest.param("n_s = 6\nn_f = -1", "n_f must be >= 0, got -1", id="n_f"),
+        pytest.param("n_s = -2\nn_f = 7", "n_s must be >= 0, got -2", id="n_s"),
+    ])
+    def test_negative_block_size_rejected_by_key(self, tmp_path, rng, sizes, message):
+        text = TWO_BLOCKS.replace("n_s = 3\nn_f = 2", sizes)
+        with pytest.raises(ConfigError, match=message):
+            load_plant_config(write_plant_file(tmp_path, text, rng.standard_normal((5, 5))))
+
+    @pytest.mark.parametrize("line, message", [
+        pytest.param("a_s = 400,440", "a_s: expected scalar or 3 values", id="a_s"),
+        pytest.param("a_f = 1900,2000,2100", "a_f: expected scalar or 2 values", id="a_f"),
+    ])
+    def test_block_bandwidths_of_wrong_length_rejected_by_key(self, tmp_path, rng, line, message):
+        key = line.split(" = ")[0]
+        text = "\n".join(line if row.startswith(key) else row for row in TWO_BLOCKS.splitlines())
+        with pytest.raises(ConfigError, match=message):
+            load_plant_config(write_plant_file(tmp_path, text, rng.standard_normal((5, 5))))
+
+    def test_save_writes_every_actuator_in_the_slow_block(self, tmp_path, mixed_plant):
+        path = str(tmp_path / "plant.cfg")
+        save_plant_config(mixed_plant, path)
+        pairs = fileio.read_kv(path)
+        assert (pairs["n_s"], pairs["n_f"]) == ("5", "0")
+        assert "a_f" not in pairs
+        loaded = load_plant_config(path)
+        for field in dataclasses.fields(PlantConfig):
+            mine, yours = (np.asarray(getattr(p, field.name)) for p in (mixed_plant, loaded))
+            assert yours.tobytes() == mine.tobytes(), field.name
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_response_entry_names_the_line(self, tmp_path, flat_plant, token):
+        path = os.path.join(tmp_path, "plant.cfg")
+        save_plant_config(flat_plant, path)
+        r_path = tmp_path / "R.csv"
+        lines = r_path.read_text().splitlines(keepends=True)
+        assert lines[0].startswith("#")
+        row = lines[3].split(",")
+        row[4] = token
+        lines[3] = ",".join(row)
+        r_path.write_text("".join(lines))
+        entry = re.escape(str(float(token)))
+        with pytest.raises(ConfigError, match=rf"R\.csv:4: non-finite entry {entry} in column 5"):
+            load_plant_config(path)
+
     def test_round_trip_exact(self, tmp_path, flat_plant):
         path = os.path.join(tmp_path, "plant.cfg")
         save_plant_config(flat_plant, path)
