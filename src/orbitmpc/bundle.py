@@ -278,8 +278,12 @@ def save_bundle(bundle: DesignBundle, directory) -> None:
 
 def load_bundle(directory) -> DesignBundle:
     """Read a bundle written by `save_bundle`, checking its schema version,
-    the dtype and shape of every array, the plant (by building it) and the
-    Hessian bounds (by deriving beta from them)."""
+    the dtype and shape of every array, the plant (by building it), the
+    Hessian (by building the condensed QP, which refuses an asymmetric J),
+    the Hessian bounds (by deriving beta from them) and the iteration
+    bookkeeping: epsilon and delta must lie where the design accepts them,
+    and i_max_bound is derived from them and kappa as the design derives
+    it."""
     meta = fileio.read_kv(os.path.join(directory, "meta.txt"))
     version = meta.get("schema_version", "none")
     if version != str(SCHEMA_VERSION):
@@ -290,14 +294,31 @@ def load_bundle(directory) -> DesignBundle:
     n_y, n_u, mu, horizon = (fileio.kv_get(meta, key, int) for key in ("n_y", "n_u", "mu", "horizon"))
     arrays = {name: _read_array(os.path.join(directory, f"{name}.npy"), shape)
               for name, shape in _array_shapes(n_y, n_u, mu, horizon).items()}
-    lambda_min, lambda_max = (fileio.kv_get(meta, key, float) for key in ("lambda_min", "lambda_max"))
+    lambda_min, lambda_max, epsilon, delta = (
+        fileio.kv_get(meta, key, float) for key in ("lambda_min", "lambda_max", "epsilon", "delta"))
+    stored_bound = fileio.kv_get(meta, "i_max_bound", int)
     try:
         plant = PlantConfig(R=arrays["R"], bandwidths=arrays["bandwidths"],
                             dt=fileio.kv_get(meta, "dt", float), mu=mu,
                             alpha=arrays["alpha"], rho=arrays["rho"])
-        beta = qp.momentum(lambda_min, lambda_max)
+        condensed = qp.CondensedQP(
+            J=arrays["J"],
+            q_map_x0=arrays["q_map_x0"],
+            q_map_d=arrays["q_map_d"],
+            lambda_min=lambda_min,
+            lambda_max=lambda_max,
+            beta=qp.momentum(lambda_min, lambda_max),
+            N=horizon,
+            n_u=n_u,
+        )
+        bound_params = design.IterationBoundParams(epsilon=epsilon, Delta=delta,
+                                                   kappa=lambda_max / lambda_min)
     except (ConfigError, NumericalError) as exc:
         raise ConfigError(f"{directory}: {exc}") from exc
+    i_max_bound = design.iteration_bound(bound_params)
+    if stored_bound != i_max_bound:
+        raise ConfigError(f"{directory}: meta.txt key 'i_max_bound' = {stored_bound} is not "
+                          f"{i_max_bound}, the bound of its epsilon, delta and kappa")
     ss = build_state_space(plant)
     return DesignBundle(
         plant=plant,
@@ -307,20 +328,11 @@ def load_bundle(directory) -> DesignBundle:
                                Q=arrays["Q"], R_w=arrays["R_w"]),
         terminal=design.TerminalCost(P=arrays["P"]),
         gain=design.PartitionedGain(arrays[_gain_file(mu)], arrays["L_d"], ss.A, mu),
-        condensed=qp.CondensedQP(
-            J=arrays["J"],
-            q_map_x0=arrays["q_map_x0"],
-            q_map_d=arrays["q_map_d"],
-            lambda_min=lambda_min,
-            lambda_max=lambda_max,
-            beta=beta,
-            N=horizon,
-            n_u=ss.n_u,
-        ),
-        epsilon=fileio.kv_get(meta, "epsilon", float),
-        delta=fileio.kv_get(meta, "delta", float),
+        condensed=condensed,
+        epsilon=epsilon,
+        delta=delta,
         delta_is_default=bool(int(meta.get("delta_is_default", "0"))),
-        i_max_bound=fileio.kv_get(meta, "i_max_bound", int),
+        i_max_bound=i_max_bound,
         meta=meta,
     )
 

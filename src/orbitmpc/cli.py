@@ -355,6 +355,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         "i_max_bound": b.i_max_bound,
         "horizon": b.condensed.N,
         "design_fingerprint": fingerprint,
+        "solve_kernel": fgm.solve_kernel(),
     }
     for workers, total in totals.items():
         header[f"total_mean_us_workers_{workers}"] = fileio.format_float(total)
@@ -365,6 +366,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         for workers, stage, mean_us, max_us in rows:
             fh.write(f"{workers},{stage},{fileio.format_float(mean_us)},{fileio.format_float(max_us)}\n")
     print(f"timing.csv written to {cfg.output_dir}")
+    print(f"  solve_kernel={header['solve_kernel']}")
     for workers, total in totals.items():
         print(f"  workers={workers}: total {total:.1f} us/sample")
     return 0

@@ -7,25 +7,41 @@ The real-time solve runs exactly I_max iterations of
     v+  = (1 + beta) p+ - beta p
 
 warm-started from the previous solution (projected onto the current set)
-and returns the final projected iterate.  One iteration kernel serves the
-fixed-budget `solve` and the stopping rule of `converged_iterations`.
+and returns the final projected iterate.
 
 The step matrix W = I - J / lambda_max lives on `CondensedQP` (built once,
 rows zero-padded to a multiple of ROW_BLOCK = 4); every call allocates its
 own scratch, so concurrent solves on one QP do not interfere.
 
-The gradient step is the one parallelized operation.  Each block of rows
-is one BLAS gemv, `np.dot(W[start:end4], v)` with `end4` the slice end
-rounded up to ROW_BLOCK, then an in-place shift by q / lambda_max.  Worker
-slices start on multiples of ROW_BLOCK, so every row runs through the same
-4-row gemv kernel path as in the full product and the sliced result is
-bit-identical to the serial one.  That is a property of the BLAS build,
-not a guarantee: with OpenBLAS running its own threads (2 on a 2-core
-host), the full gemv at 700 or 1000 rows splits its rows differently and
-4-aligned slices differ from it.  So every solve or `gradient_step_parallel`
-call with more than one worker first compares its slices with the full
-product on the actual W, and on a mismatch raises `NumericalError` naming
-the BLAS and the first differing slice; it never falls back silently.
+Two implementations run the loop.  The compiled one, `fgm_kernel.c`, runs
+the whole fixed-budget solve in C: warm-start projection, gradient step,
+finiteness check, the N = 1 and N = 2 projections written step for step
+as `qp._project_stacked`, and momentum.  It is built with the system
+compiler (`$CC`, else `cc`) once per process, into a temporary directory
+removed once `ctypes` has loaded it: `sim.MpcController` builds it while
+it is set up, so no control sample pays for the build, and otherwise the
+first solve does.  A serial `solve` uses it.  The numpy loop below is the
+reference: it runs multi-worker solves and `converged_iterations`, and
+every solve when the kernel cannot be built, which one line on stderr
+reports.
+
+The gradient step is the one parallelized operation.  With the kernel,
+`_row_product` calls its `step_rows`, which forms each element as the sum
+of W[j, i] v[j] in ascending j, the order the compiled solve uses.  No
+element depends on the rows asked for, so row slices, `gradient_step`
+and the multi-worker loop are bit-identical to the compiled serial solve
+by construction (W is exactly symmetric, so column i is read as row i).
+Without the kernel, each block of rows is one BLAS gemv,
+`np.dot(W[start:end4], v)` with `end4` the slice end rounded up to
+ROW_BLOCK, then an in-place shift by q / lambda_max.  Worker slices start
+on multiples of ROW_BLOCK, so every row runs through the same 4-row gemv
+kernel path as in the full product; that is a property of the BLAS build,
+not a guarantee (with OpenBLAS running its own threads, the full gemv at
+700 or 1000 rows splits its rows differently).  So every solve or
+`gradient_step_parallel` call with more than one worker first compares
+its slices with the full product on the actual W, and on a mismatch
+raises `NumericalError` naming the BLAS and the first differing slice; it
+never falls back silently.
 
 The slices run on a standard `concurrent.futures` thread pool, one per
 worker count, which every solve in the process shares and which is safe
@@ -35,9 +51,17 @@ for concurrent solves.
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
 import dataclasses
+import operator
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -107,6 +131,78 @@ def make_worker_plan(rows: int, n_workers: int) -> WorkerPlan:
 
 
 # ---------------------------------------------------------------------------
+# Compiled kernel
+# ---------------------------------------------------------------------------
+
+_KERNEL_SOURCE = Path(__file__).with_name("fgm_kernel.c")
+# IEEE rounding: no contraction into fused multiply-adds, no -ffast-math
+_KERNEL_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+_BUILD_TIMEOUT_S = 120.0
+_POINTER, _INT = ctypes.c_void_p, ctypes.c_int64
+
+_UNBUILT = object()
+_kernel = _UNBUILT
+_kernel_lock = threading.Lock()
+
+
+def _build_kernel():
+    """Compile fgm_kernel.c with `$CC` (else `cc`) and load it; None, with
+    one line on stderr, when that fails."""
+    cc = shlex.split(os.environ.get("CC") or "cc")
+    with tempfile.TemporaryDirectory(prefix="orbitmpc-fgm-") as tmp:
+        library = os.path.join(tmp, "fgm_kernel.so")
+        try:
+            subprocess.run([*cc, *_KERNEL_FLAGS, "-o", library, str(_KERNEL_SOURCE), "-lm"],
+                           check=True, capture_output=True, text=True, errors="replace",
+                           timeout=_BUILD_TIMEOUT_S)
+            kernel = ctypes.CDLL(library)
+        except subprocess.CalledProcessError as exc:
+            lines = exc.stderr.strip().splitlines() or [f"exit status {exc.returncode}"]
+            reason = next((line for line in lines if "error" in line), lines[0])
+        except (OSError, subprocess.TimeoutExpired) as exc:
+            reason = str(exc)
+        else:
+            reason = None
+    if reason is not None:
+        print(f"orbitmpc: cannot build the compiled FGM kernel with {' '.join(cc)} ({reason}); "
+              "solving with numpy", file=sys.stderr)
+        return None
+    kernel.step_rows.argtypes = [_POINTER, _INT, _POINTER, _POINTER, _POINTER, _INT, _INT]
+    kernel.step_rows.restype = None
+    kernel.fgm_solve.argtypes = [_POINTER, _INT, _INT, ctypes.c_double, _INT, _POINTER, _INT]
+    kernel.fgm_solve.restype = _INT
+    return kernel
+
+
+def _load_kernel():
+    """The compiled kernel, built at the first call in the process; None
+    where it cannot be built."""
+    global _kernel
+    with _kernel_lock:
+        if _kernel is _UNBUILT:
+            _kernel = _build_kernel()
+        return _kernel
+
+
+def solve_kernel() -> str:
+    """'compiled' when a serial `solve` runs the compiled kernel, else
+    'numpy'; builds the kernel if it is not built yet."""
+    return "numpy" if _load_kernel() is None else "compiled"
+
+
+def _address(array: np.ndarray) -> int:
+    """Address of a C-contiguous float64 array, checked before C reads it.
+
+    A writable array's comes through the buffer protocol, about three
+    times cheaper than `array.ctypes.data`."""
+    if array.dtype != np.float64 or not array.flags.c_contiguous:
+        raise DimensionError(f"compiled kernel needs C-contiguous float64 data, got {array.dtype}")
+    if array.flags.writeable and array.size:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    return array.ctypes.data
+
+
+# ---------------------------------------------------------------------------
 # Row-block product
 # ---------------------------------------------------------------------------
 
@@ -114,11 +210,25 @@ def _row_product(w: np.ndarray, v: np.ndarray, q_scaled: np.ndarray,
                  t_pad: np.ndarray, start: int, stop: int):
     """Callable writing t_pad[start:stop] = (W v - q / lambda_max)[start:stop].
 
-    One gemv over rows start..end4 of the row-padded W, end4 being stop
+    With the compiled kernel, its `step_rows` over those rows.  Without,
+    one gemv over rows start..end4 of the row-padded W, end4 being stop
     rounded up to ROW_BLOCK (the padding rows of t_pad receive zeros),
     then the shift in place.  `start` is a multiple of ROW_BLOCK (see
     WorkerPlan).
     """
+    kernel = _load_kernel()
+    if kernel is not None:
+        n = v.size
+        if not (w.shape[0] >= w.shape[1] == n and 0 <= start <= stop <= min(q_scaled.size, t_pad.size, n)):
+            raise DimensionError(f"rows {start}:{stop} do not fit W {w.shape}, v {v.shape}, "
+                                 f"q {q_scaled.shape} and t {t_pad.shape}")
+        args = (_address(w), n, _address(v), _address(q_scaled), _address(t_pad), start, stop)
+
+        def step_rows() -> None:
+            kernel.step_rows(*args)
+
+        step_rows.buffers = (w, v, q_scaled, t_pad)  # alive while C may use them
+        return step_rows
     end4 = stop + (-stop) % ROW_BLOCK if stop > start else stop
     w_rows, t_rows = w[start:end4], t_pad[start:end4]
     q_rows, t_out = q_scaled[start:stop], t_pad[start:stop]
@@ -196,6 +306,14 @@ def _check_solve_inputs(qp: CondensedQP, v: np.ndarray) -> None:
         raise DimensionError(f"iterate shape {v.shape} != {(n,)}")
 
 
+def _checked_linear_term(qp: CondensedQP, q) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    n = qp.N * qp.n_u
+    if q.shape != (n,):
+        raise DimensionError(f"linear term shape {q.shape} != {(n,)}")
+    return q
+
+
 def _blas_name() -> str:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -221,8 +339,9 @@ def _check_slices(qp: CondensedQP, v: np.ndarray, q_scaled: np.ndarray,
         if not np.array_equal(t_pad[rows], full[rows], equal_nan=True):
             raise NumericalError(
                 f"{plan.n_workers}-worker gradient: rows {start}:{start + count} of "
-                f"{v.shape[0]} differ from the full product under BLAS {_blas_name()}; "
-                "run with n_workers = 1, or single-threaded BLAS (OPENBLAS_NUM_THREADS=1)")
+                f"{v.shape[0]} differ from the full {solve_kernel()} row product under "
+                f"BLAS {_blas_name()}; run with n_workers = 1, or single-threaded BLAS "
+                "(OPENBLAS_NUM_THREADS=1)")
 
 
 def _gradient(qp: CondensedQP, v: np.ndarray, q_scaled: np.ndarray,
@@ -256,6 +375,7 @@ def gradient_step_parallel(qp: CondensedQP, v: np.ndarray, q: np.ndarray, plan: 
     raises NumericalError where the BLAS breaks that (see _check_slices)."""
     v = np.ascontiguousarray(v, dtype=float)
     _check_solve_inputs(qp, v)
+    q = _checked_linear_term(qp, q)
     if plan.rows != v.shape[0]:
         raise DimensionError(f"plan covers {plan.rows} rows, matrix has {v.shape[0]}")
     t_pad = np.empty(qp.W.shape[0])
@@ -273,22 +393,26 @@ def _add_ns(timers: dict, stage: str, tic: int) -> int:
     return now
 
 
+def _check_iterate_inputs(qp: CondensedQP, q, cset: ConstraintSet, warm):
+    """(q, warm) as float arrays of the QP's size, warm C-contiguous."""
+    q = _checked_linear_term(qp, q)
+    warm = np.ascontiguousarray(warm, dtype=float)
+    if cset.N != qp.N or cset.n_u != qp.n_u:
+        raise DimensionError("constraint set does not match the QP dimensions")
+    _check_solve_inputs(qp, warm)
+    return q, warm
+
+
 def _iterate(qp: CondensedQP, q: np.ndarray, cset: ConstraintSet, warm: np.ndarray,
              budget: int, n_workers: int = 1, timers: dict | None = None, stop=None):
-    """The fast-gradient kernel: run up to `budget` iterations.
+    """The numpy fast-gradient loop: run up to `budget` iterations.
 
     `stop(p_new, p)`, when given, is asked after every iteration whether to
     end there.  Returns (p, count): the last projected iterate, and the
     number of iterations run if `stop` ended the loop, else None.
     """
-    q = np.asarray(q, dtype=float)
-    warm = np.asarray(warm, dtype=float)
+    q, warm = _check_iterate_inputs(qp, q, cset, warm)
     n = qp.N * qp.n_u
-    if q.shape != (n,):
-        raise DimensionError(f"linear term shape {q.shape} != {(n,)}")
-    if cset.N != qp.N or cset.n_u != qp.n_u:
-        raise DimensionError("constraint set does not match the QP dimensions")
-    _check_solve_inputs(qp, warm)
     p = cset.project(warm)
     v = np.array(p, dtype=float)
     # t_pad matches the padded rows of W; the step itself is its first n rows
@@ -319,6 +443,34 @@ def _iterate(qp: CondensedQP, q: np.ndarray, cset: ConstraintSet, warm: np.ndarr
     return p, None
 
 
+_KERNEL_STAGES = ("gradient", "projection", "momentum")
+
+
+def _solve_compiled(kernel, qp: CondensedQP, q: np.ndarray, cset: ConstraintSet,
+                    warm: np.ndarray, budget: int, timers: dict | None) -> np.ndarray:
+    """The fixed-budget loop of `_iterate` in the compiled kernel."""
+    q, warm = _check_iterate_inputs(qp, q, cset, warm)
+    n = qp.N * qp.n_u
+    # the kernel's one buffer, laid out as fgm_solve documents it: fetching
+    # an address costs about as much as a small solve, so a call makes two
+    parts = [q / qp.lambda_max, warm, cset._lower, cset._upper]
+    if cset.N == 2:
+        parts += [cset._band, cset.rho, *(segment.ravel() for segment in cset._segments)]
+    head = sum(part.size for part in parts)
+    data = np.empty(head + len(_KERNEL_STAGES) + 4 * n)
+    np.concatenate(parts, out=data[:head])
+    stage_ns = data[head:head + len(_KERNEL_STAGES)]
+    stage_ns[:] = 0.0
+    failed = kernel.fgm_solve(_address(qp.W), qp.n_u, qp.N, qp.beta, budget,
+                              _address(data), timers is not None)
+    if failed >= 0:
+        raise NumericalError(f"non-finite iterate at iteration {failed}")
+    if timers is not None:
+        for stage, ns in zip(_KERNEL_STAGES, stage_ns.tolist()):
+            timers[stage] = timers.get(stage, 0) + int(ns)
+    return data[n:2 * n]
+
+
 def solve(
     qp: CondensedQP,
     q: np.ndarray,
@@ -329,12 +481,17 @@ def solve(
     timers: dict | None = None,
 ) -> np.ndarray:
     """Run exactly i_max fast-gradient iterations and return the final
-    projected iterate.
+    projected iterate: in the compiled kernel for one worker, where it
+    builds, else in the numpy loop.
 
     `timers`, when given, accumulates per-stage nanoseconds under the keys
     'gradient', 'projection' and 'momentum' (used by the benchmark).
     """
-    p, _ = _iterate(qp, q, cset, warm, i_max, n_workers=n_workers, timers=timers)
+    budget = operator.index(i_max)
+    kernel = _load_kernel() if n_workers == 1 else None
+    if kernel is not None:
+        return _solve_compiled(kernel, qp, q, cset, warm, budget, timers)
+    p, _ = _iterate(qp, q, cset, warm, budget, n_workers=n_workers, timers=timers)
     return p
 
 

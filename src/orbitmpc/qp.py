@@ -54,9 +54,11 @@ class CondensedQP:
 
     `W` is the fast-gradient step matrix I - J / lambda_max, built once
     here with its rows zero-padded to a multiple of ROW_BLOCK, shape
-    (n + (-n) % ROW_BLOCK, n).  `fgm` multiplies it by the iterate with
-    one BLAS gemv per block of rows starting on a multiple of ROW_BLOCK,
-    so every row runs through the same 4-row kernel path.
+    (n + (-n) % ROW_BLOCK, n).  `fgm` multiplies it by the iterate in its
+    compiled kernel, which reads column i of W as row i, or else with one
+    BLAS gemv per block of rows starting on a multiple of ROW_BLOCK, so
+    every row runs through the same 4-row kernel path.  So `J` must be
+    exactly symmetric, as `build_condensed` makes it; any other is refused.
     """
 
     J: np.ndarray
@@ -71,6 +73,13 @@ class CondensedQP:
 
     def __post_init__(self):
         n = self.J.shape[0]
+        if self.J.shape != (n, n):
+            raise DimensionError(f"Hessian shape {self.J.shape} is not square")
+        if not np.array_equal(self.J, self.J.T):  # a NaN entry fails it too
+            gap = np.abs(self.J - self.J.T)
+            i, j = np.unravel_index(np.argmax(np.nan_to_num(gap, nan=np.inf)), gap.shape)
+            raise NumericalError(f"Hessian not exactly symmetric: J[{i}, {j}] = {self.J[i, j]!r} "
+                                 f"but J[{j}, {i}] = {self.J[j, i]!r}")
         w = np.zeros((n + (-n) % ROW_BLOCK, n))
         w[:n] = -(self.J / self.lambda_max)
         w[np.arange(n), np.arange(n)] += 1.0

@@ -209,6 +209,7 @@ class MpcController:
         self.rho = np.asarray(rho, dtype=float)
         self.i_max = i_max
         self.n_workers = n_workers
+        fgm.solve_kernel()  # builds the compiled kernel here, not inside the first sample
         self.reset()
 
     def reset(self):

@@ -151,6 +151,24 @@ def test_momentum_and_conditioning_are_derived_on_load(saved):
     assert loaded.kappa == designed.kappa != 7.0
 
 
+@pytest.mark.parametrize("key, value", [("epsilon", "nan"), ("delta", "-1"), ("i_max_bound", "-3")])
+def test_edited_iteration_bookkeeping_names_the_key(saved, key, value):
+    # epsilon and delta must lie where the design accepts them, and
+    # i_max_bound is derived from them and kappa as the design derives it
+    edit_meta(saved, **{key: value})
+    with pytest.raises(ConfigError, match=rf"(?i){re.escape(str(saved))}: .*\b{key}\b"):
+        load_bundle(saved)
+
+
+def test_zero_delta_round_trips(tmp_path):
+    # Delta = 0 is a valid design input, whose iteration bound is 0
+    b = design_controller(wide_plant(2), 2, delta=0.0)
+    assert (b.delta, b.i_max_bound) == (0.0, 0)
+    save_bundle(b, tmp_path / "bundle")
+    loaded = load_bundle(tmp_path / "bundle")
+    assert bounds(loaded) == bounds(b)
+
+
 @pytest.mark.parametrize("key, value", [
     ("lambda_min", "-1"), ("lambda_min", "0"), ("lambda_min", "nan"),
     ("lambda_max", "0"), ("lambda_max", "inf"), ("lambda_max", "nan"),

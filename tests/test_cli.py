@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from orbitmpc import bundle as bundle_mod
-from orbitmpc import load_bundle, save_plant_config, synthetic_plant
+from orbitmpc import fgm, load_bundle, save_plant_config, synthetic_plant
 from orbitmpc.cli import CONFIG_KEYS, load_run_config, main
 from orbitmpc.fileio import read_kv, read_matrix, write_kv, write_matrix
 
@@ -647,3 +647,42 @@ class TestDesignDiagnostics:
         cfg = write_config(tmp_path, body=body, extra="i_max = 100000\n")
         assert main(["design", "--config", cfg, "--out", str(tmp_path / "ample")]) == 0
         assert "notice:" not in capsys.readouterr().out
+
+
+class TestBenchRecordsTheSolveKernel:
+    @pytest.mark.parametrize("force_numpy", [False, True])
+    def test_timing_header_and_output(self, tmp_path, capsys, monkeypatch, force_numpy):
+        if force_numpy:
+            monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
+        kernel = fgm.solve_kernel()
+        assert kernel == "numpy" if force_numpy else kernel in ("compiled", "numpy")
+        out = str(tmp_path / "bench")
+        assert main(["bench", "--config", write_config(tmp_path), "--out", out]) == 0
+        assert f"solve_kernel={kernel}\n" in capsys.readouterr().out
+        with open(os.path.join(out, "timing.csv")) as fh:
+            header = [line for line in fh if line.startswith("#")]
+        assert f"# solve_kernel={kernel}\n" in header
+
+
+@pytest.mark.parametrize("key, value", [("epsilon", "nan"), ("delta", "-1"), ("i_max_bound", "-3")])
+def test_bench_refuses_a_bundle_with_edited_iteration_bookkeeping(tmp_path, capsys, key, value):
+    out = str(tmp_path / "bench")
+    cfg = write_config(tmp_path)
+    assert main(["bench", "--config", cfg, "--out", out]) == 0
+    meta_path = os.path.join(out, "bundle", "meta.txt")
+    meta = read_kv(meta_path)
+    meta[key] = value
+    write_kv(meta_path, meta)
+    capsys.readouterr()
+    assert main(["bench", "--config", cfg, "--out", out]) == 2
+    assert re.search(rf"(?i)\b{key}\b( must|' = )", capsys.readouterr().err)
+
+
+def test_zero_delta_design_passes_check(tmp_path, capsys):
+    # Delta = 0 is a valid design input: the bundle it writes loads and checks
+    cfg = write_config(tmp_path, extra="delta = 0\n")
+    out = str(tmp_path / "out")
+    assert main(["design", "--config", cfg, "--out", out]) == 0
+    assert read_kv(os.path.join(out, "meta.txt"))["i_max_bound"] == "0"
+    assert main(["check", "--config", cfg, "--bundle", out]) == 0
+    assert "all checks passed" in capsys.readouterr().out

@@ -367,3 +367,105 @@ class TestPoolLifecycle:
         pool.close()
         with pytest.raises(NumericalError):
             pool.run(lambda i: None)
+
+
+@pytest.fixture
+def kernel():
+    """The compiled kernel; its tests skip where it cannot be built."""
+    built = fgm._load_kernel()
+    if built is None:
+        pytest.skip("the compiled FGM kernel cannot be built here")
+    return built
+
+
+def numpy_solve(monkeypatch, *args, **kwargs):
+    """`solve` with the compiled kernel unavailable: the numpy loop."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fgm, "_load_kernel", lambda: None)
+        return solve(*args, **kwargs)
+
+
+def random_instance(rng, N, saturated):
+    """A random QP and set: saturated has a large q, a random last input and
+    warm start; otherwise q is scaled by 1e-3 around u_prev = 0, warm 0."""
+    n_u = int(rng.integers(3, 40))
+    qp = qp_from_matrix(random_spd(rng, N * n_u), N=N)
+    u_prev = rng.uniform(-0.4, 0.4, n_u) if saturated else np.zeros(n_u)
+    cset = ConstraintSet(alpha=rng.uniform(0.5, 1.5, n_u), rho=rng.uniform(0.05, 0.5, n_u),
+                         u_prev=u_prev, N=N)
+    q = rng.standard_normal(N * n_u) * (30.0 if saturated else 30e-3)
+    warm = rng.uniform(-1.0, 1.0, N * n_u) if saturated else np.zeros(N * n_u)
+    return qp, q, cset, warm
+
+
+class TestCompiledKernel:
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("saturated", [True, False])
+    def test_matches_numpy_solve(self, kernel, rng, monkeypatch, N, saturated):
+        for _ in range(4):
+            qp, q, cset, warm = random_instance(rng, N, saturated)
+            lo, hi = cset.stage0_bounds()
+            for i_max in (0, 1, 20, 300):
+                got = solve(qp, q, cset, warm, i_max=i_max)
+                ref = numpy_solve(monkeypatch, qp, q, cset, warm, i_max=i_max)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+                if i_max == 300:
+                    at_bound = np.count_nonzero((ref[:qp.n_u] == lo) | (ref[:qp.n_u] == hi))
+                    assert (at_bound > 0) == saturated
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_workers_bit_identical_to_compiled_serial(self, kernel, rng, N):
+        # 29 and 58 rows leave a last slice shorter than ROW_BLOCK
+        qp = qp_from_matrix(random_spd(rng, N * 29), N=N)
+        cset = ConstraintSet(alpha=np.ones(29), rho=np.full(29, 0.2),
+                             u_prev=rng.uniform(-0.5, 0.5, 29), N=N)
+        q = rng.standard_normal(N * 29) * 3
+        ref = solve(qp, q, cset, np.zeros(N * 29), i_max=60)
+        for workers in range(2, 9):
+            got = solve(qp, q, cset, np.zeros(N * 29), i_max=60, n_workers=workers)
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_non_finite_input_raises_at_iteration_0(self, kernel, rng, N):
+        qp = qp_from_matrix(random_spd(rng, N * 3), N=N)
+        cset = ConstraintSet(alpha=np.ones(3), rho=np.full(3, 0.2), u_prev=np.zeros(3), N=N)
+        warm = np.zeros(N * 3)
+        warm[-1] = np.nan
+        with pytest.raises(NumericalError, match="iteration 0"):
+            solve(qp, rng.standard_normal(N * 3), cset, warm, i_max=5)
+        q = rng.standard_normal(N * 3)
+        q[1] = np.inf
+        with pytest.raises(NumericalError, match="iteration 0"):
+            solve(qp, q, cset, np.zeros(N * 3), i_max=5)
+
+    def test_timers_accumulate_every_iteration_stage(self, kernel, rng):
+        qp, q, cset, warm = random_instance(rng, 2, saturated=True)
+        timers = {"gradient": 7, "observer": 3}
+        solve(qp, q, cset, warm, i_max=20, timers=timers)
+        assert timers["gradient"] > 7 and timers["projection"] > 0 and timers["momentum"] > 0
+        assert timers["observer"] == 3
+
+    def test_failed_build_falls_back_to_numpy_once(self, rng, monkeypatch, capsys):
+        qp, q, cset, warm = random_instance(rng, 2, saturated=True)
+        ref = numpy_solve(monkeypatch, qp, q, cset, warm, i_max=20)
+        monkeypatch.setenv("CC", "/bin/false")
+        monkeypatch.setattr(fgm, "_kernel", fgm._UNBUILT)
+        capsys.readouterr()
+        got = [solve(qp, q, cset, warm, i_max=20) for _ in range(2)]
+        assert fgm.solve_kernel() == "numpy"
+        assert all(np.array_equal(g, ref) for g in got)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "cannot build the compiled FGM kernel with /bin/false" in err
+        assert err.endswith("solving with numpy\n")
+
+    def test_controller_set_up_builds_the_kernel(self, monkeypatch):
+        # the build happens while the controller is set up, not in its first sample
+        b = design_controller(synthetic_plant(4, 4, 30.0, seed=1), horizon=2)
+        builds = []
+        monkeypatch.setattr(fgm, "_kernel", fgm._UNBUILT)
+        monkeypatch.setattr(fgm, "_build_kernel", lambda: builds.append("built"))
+        ctrl = b.mpc_controller(5)
+        assert builds == ["built"]
+        ctrl.step(np.zeros(4))
+        assert builds == ["built"]

@@ -22,6 +22,7 @@ from orbitmpc import (
 )
 from orbitmpc.design import TerminalCost, Weights
 from orbitmpc.model import StateSpace
+from orbitmpc.qp import CondensedQP
 
 from oracles import (
     condensed_qp_dense,
@@ -155,6 +156,19 @@ class TestHessian:
         w = Weights(q_hat=w.q_hat, r_hat=w.r_hat, Q=Q, R_w=w.R_w)
         with pytest.raises(NumericalError, match="not positive definite"):
             build_condensed(ss, w, terminal, M_s, 2)
+
+    def test_one_ulp_asymmetry_refused(self, rng):
+        # fgm's compiled kernel reads column i of W = I - J / lambda_max as row i
+        M = rng.standard_normal((6, 6))
+        J = M @ M.T + 6.0 * np.eye(6)
+        lmin, lmax, beta = spectral_bounds(J)
+        maps = dict(q_map_x0=np.zeros((6, 3)), q_map_d=np.zeros((6, 3)),
+                    lambda_min=lmin, lambda_max=lmax, beta=beta, N=2, n_u=3)
+        CondensedQP(J=J, **maps)
+        J[1, 4] = np.nextafter(J[1, 4], np.inf)
+        with pytest.raises(NumericalError, match=r"not exactly symmetric: J\[1, 4\] = .* "
+                                                 r"but J\[4, 1\] = "):
+            CondensedQP(J=J, **maps)
 
 
 class TestLinearMaps:
