@@ -13,35 +13,30 @@ The step matrix W = I - J / lambda_max lives on `CondensedQP` (built once,
 rows zero-padded to a multiple of ROW_BLOCK = 4); every call allocates its
 own scratch, so concurrent solves on one QP do not interfere.
 
-Two implementations run the loop.  The compiled one, `fgm_kernel.c`, runs
-the whole fixed-budget solve in C: warm-start projection, gradient step,
-finiteness check, the N = 1 and N = 2 projections written step for step
-as `qp._project_stacked`, and momentum.  It is built with the system
-compiler (`$CC`, else `cc`) once per process, into a temporary directory
-removed once `ctypes` has loaded it: `sim.MpcController` builds it while
-it is set up, so no control sample pays for the build, and otherwise the
-first solve does.  A serial `solve` uses it.  The numpy loop below is the
-reference: it runs multi-worker solves and `converged_iterations`, and
-every solve when the kernel cannot be built, which one line on stderr
-reports.
+Which loop runs depends only on whether the compiled kernel is built.
+`fgm_kernel.c` runs the whole fixed-budget solve in C: warm-start
+projection, gradient step, finiteness check, the N = 1 and N = 2
+projections written step for step as `qp._project_stacked`, and momentum.
+It is built with the system compiler (`$CC`, else `cc`) once per process,
+into a temporary directory removed once `ctypes` has loaded it:
+`sim.MpcController` builds it while it is set up, so no control sample
+pays for the build, and otherwise the first solve does.  Where it is
+built, every `solve` runs it, whatever `n_workers` is, so results do not
+depend on the worker count.  Where it cannot be built, which one line on
+stderr reports, every solve runs the numpy loop below, which stays the
+reference and also runs `converged_iterations`.
 
-The gradient step is the one parallelized operation.  With the kernel,
-`_row_product` calls its `step_rows`, which forms each element as the sum
-of W[j, i] v[j] in ascending j, the order the compiled solve uses.  No
-element depends on the rows asked for, so row slices, `gradient_step`
-and the multi-worker loop are bit-identical to the compiled serial solve
-by construction (W is exactly symmetric, so column i is read as row i).
-Without the kernel, each block of rows is one BLAS gemv,
-`np.dot(W[start:end4], v)` with `end4` the slice end rounded up to
-ROW_BLOCK, then an in-place shift by q / lambda_max.  Worker slices start
-on multiples of ROW_BLOCK, so every row runs through the same 4-row gemv
-kernel path as in the full product; that is a property of the BLAS build,
-not a guarantee (with OpenBLAS running its own threads, the full gemv at
-700 or 1000 rows splits its rows differently).  So every solve or
-`gradient_step_parallel` call with more than one worker first compares
-its slices with the full product on the actual W, and on a mismatch
-raises `NumericalError` naming the BLAS and the first differing slice; it
-never falls back silently.
+In the numpy loop the gradient step is the one parallelized operation.
+Each block of rows is one BLAS gemv, `np.dot(W[start:end4], v)` with
+`end4` the slice end rounded up to ROW_BLOCK, then an in-place shift by
+q / lambda_max.  Worker slices start on multiples of ROW_BLOCK, so every
+row runs through the same 4-row gemv kernel path as in the full product;
+that is a property of the BLAS build, not a guarantee (with OpenBLAS
+running its own threads, the full gemv at 700 or 1000 rows splits its
+rows differently).  So every numpy solve or `gradient_step_parallel` call
+with more than one worker first compares its slices with the full
+product on the actual W, and on a mismatch raises `NumericalError` naming
+the BLAS and the first differing slice; it never falls back silently.
 
 The slices run on a standard `concurrent.futures` thread pool, one per
 worker count, which every solve in the process shares and which is safe
@@ -167,8 +162,6 @@ def _build_kernel():
         print(f"orbitmpc: cannot build the compiled FGM kernel with {' '.join(cc)} ({reason}); "
               "solving with numpy", file=sys.stderr)
         return None
-    kernel.step_rows.argtypes = [_POINTER, _INT, _POINTER, _POINTER, _POINTER, _INT, _INT]
-    kernel.step_rows.restype = None
     kernel.fgm_solve.argtypes = [_POINTER, _INT, _INT, ctypes.c_double, _INT, _POINTER, _INT]
     kernel.fgm_solve.restype = _INT
     return kernel
@@ -185,8 +178,8 @@ def _load_kernel():
 
 
 def solve_kernel() -> str:
-    """'compiled' when a serial `solve` runs the compiled kernel, else
-    'numpy'; builds the kernel if it is not built yet."""
+    """'compiled' when `solve` runs the compiled kernel, else 'numpy';
+    builds the kernel if it is not built yet."""
     return "numpy" if _load_kernel() is None else "compiled"
 
 
@@ -210,25 +203,11 @@ def _row_product(w: np.ndarray, v: np.ndarray, q_scaled: np.ndarray,
                  t_pad: np.ndarray, start: int, stop: int):
     """Callable writing t_pad[start:stop] = (W v - q / lambda_max)[start:stop].
 
-    With the compiled kernel, its `step_rows` over those rows.  Without,
-    one gemv over rows start..end4 of the row-padded W, end4 being stop
+    One gemv over rows start..end4 of the row-padded W, end4 being stop
     rounded up to ROW_BLOCK (the padding rows of t_pad receive zeros),
     then the shift in place.  `start` is a multiple of ROW_BLOCK (see
     WorkerPlan).
     """
-    kernel = _load_kernel()
-    if kernel is not None:
-        n = v.size
-        if not (w.shape[0] >= w.shape[1] == n and 0 <= start <= stop <= min(q_scaled.size, t_pad.size, n)):
-            raise DimensionError(f"rows {start}:{stop} do not fit W {w.shape}, v {v.shape}, "
-                                 f"q {q_scaled.shape} and t {t_pad.shape}")
-        args = (_address(w), n, _address(v), _address(q_scaled), _address(t_pad), start, stop)
-
-        def step_rows() -> None:
-            kernel.step_rows(*args)
-
-        step_rows.buffers = (w, v, q_scaled, t_pad)  # alive while C may use them
-        return step_rows
     end4 = stop + (-stop) % ROW_BLOCK if stop > start else stop
     w_rows, t_rows = w[start:end4], t_pad[start:end4]
     q_rows, t_out = q_scaled[start:stop], t_pad[start:stop]
@@ -339,9 +318,8 @@ def _check_slices(qp: CondensedQP, v: np.ndarray, q_scaled: np.ndarray,
         if not np.array_equal(t_pad[rows], full[rows], equal_nan=True):
             raise NumericalError(
                 f"{plan.n_workers}-worker gradient: rows {start}:{start + count} of "
-                f"{v.shape[0]} differ from the full {solve_kernel()} row product under "
-                f"BLAS {_blas_name()}; run with n_workers = 1, or single-threaded BLAS "
-                "(OPENBLAS_NUM_THREADS=1)")
+                f"{v.shape[0]} differ from the full product under BLAS {_blas_name()}; "
+                "run with n_workers = 1, or single-threaded BLAS (OPENBLAS_NUM_THREADS=1)")
 
 
 def _gradient(qp: CondensedQP, v: np.ndarray, q_scaled: np.ndarray,
@@ -471,6 +449,14 @@ def _solve_compiled(kernel, qp: CondensedQP, q: np.ndarray, cset: ConstraintSet,
     return data[n:2 * n]
 
 
+def _worker_count(n_workers) -> int:
+    """n_workers as an int, refused below 1 with a ConfigError naming it."""
+    count = operator.index(n_workers)
+    if count < 1:
+        raise ConfigError(f"n_workers must be >= 1, got {count}")
+    return count
+
+
 def solve(
     qp: CondensedQP,
     q: np.ndarray,
@@ -481,14 +467,15 @@ def solve(
     timers: dict | None = None,
 ) -> np.ndarray:
     """Run exactly i_max fast-gradient iterations and return the final
-    projected iterate: in the compiled kernel for one worker, where it
-    builds, else in the numpy loop.
+    projected iterate: in the compiled kernel where it builds, else in the
+    numpy loop, whose gradient step `n_workers` row-slices.
 
     `timers`, when given, accumulates per-stage nanoseconds under the keys
     'gradient', 'projection' and 'momentum' (used by the benchmark).
     """
     budget = operator.index(i_max)
-    kernel = _load_kernel() if n_workers == 1 else None
+    n_workers = _worker_count(n_workers)
+    kernel = _load_kernel()
     if kernel is not None:
         return _solve_compiled(kernel, qp, q, cset, warm, budget, timers)
     p, _ = _iterate(qp, q, cset, warm, budget, n_workers=n_workers, timers=timers)

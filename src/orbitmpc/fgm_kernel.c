@@ -2,23 +2,19 @@
  * Compiled fixed-budget fast-gradient solve of the condensed QP.
  *
  * fgm.py states the iteration, builds this file with the system compiler
- * once per process and calls it through ctypes; its numpy loop stays the
- * reference and the fallback.  Two entry points:
+ * once per process and calls its one entry point, fgm_solve, through
+ * ctypes; its numpy loop stays the reference and the fallback.  fgm_solve
+ * runs the whole loop: warm-start projection, then per iteration the
+ * gradient step, its finiteness check, the exact N = 1 or N = 2
+ * projection and the momentum update.
  *
- *   fgm_solve  the whole fixed-budget loop: warm-start projection, then per
- *              iteration the gradient step, its finiteness check, the exact
- *              N = 1 or N = 2 projection and the momentum update;
- *   step_rows  the gradient step (W v - q / lambda_max) for a range of rows,
- *              the product behind fgm._row_product.
- *
- * fgm_solve computes its gradient step with step_rows, which forms each
- * element as 0.0 + W[0][i] v[0] + W[1][i] v[1] + ... in ascending j and
- * then subtracts q_i / lambda_max.  No element depends on the row range
- * asked for, so row-sliced products are bit-identical to the full one by
- * construction.  W = I - J / lambda_max is exactly symmetric (CondensedQP
- * refuses a J that is not), so column i of W is read as row i: the sweep
- * runs over contiguous rows of W and keeps a block of output elements in
- * registers, which vectorizes without reordering any sum.
+ * The gradient step forms each element of W v - q / lambda_max as
+ * 0.0 + W[0][i] v[0] + W[1][i] v[1] + ... in ascending j, then subtracts
+ * q_i / lambda_max.  W = I - J / lambda_max is exactly symmetric
+ * (CondensedQP refuses a J that is not), so column i of W is read as
+ * row i: the sweep runs over contiguous rows of W and keeps a block of
+ * output elements in registers, which vectorizes without reordering any
+ * sum.
  *
  * Build with -ffp-contract=off and without -ffast-math: every element is
  * then the same sequence of IEEE double operations as in the numpy loop,
@@ -54,17 +50,19 @@ static inline void row_block(const double *restrict w, int64_t n, const double *
         t[i + k] = acc[k] - q_scaled[i + k];
 }
 
-/* t[start:stop] = (W v - q / lambda_max)[start:stop] for the n x n leading
-   block of the row-major W. */
-void step_rows(const double *w, int64_t n, const double *v, const double *q_scaled,
-               double *t, int64_t start, int64_t stop)
+/* t = W v - q / lambda_max for the n x n leading block of the row-major W.
+   Kept out of line: inlined into fgm_solve, gcc 12 -O3 makes the ring-size
+   (346-row) solve ~15% slower. */
+__attribute__((noinline))
+static void gradient_step(const double *w, int64_t n, const double *v, const double *q_scaled,
+                          double *t)
 {
-    int64_t i = start;
-    for (; i + BLOCK <= stop; i += BLOCK)
+    int64_t i = 0;
+    for (; i + BLOCK <= n; i += BLOCK)
         row_block(w, n, v, q_scaled, t, i, BLOCK);
-    for (; i + 4 <= stop; i += 4)
+    for (; i + 4 <= n; i += 4)
         row_block(w, n, v, q_scaled, t, i, 4);
-    for (; i < stop; i++)
+    for (; i < n; i++)
         row_block(w, n, v, q_scaled, t, i, 1);
 }
 
@@ -169,7 +167,7 @@ int64_t fgm_solve(const double *w, int64_t n_u, int64_t horizon, double beta, in
     for (int64_t it = 0; it < budget; it++) {
         if (timed)
             tic = now_ns();
-        step_rows(w, n, v, q_scaled, t, 0, n);
+        gradient_step(w, n, v, q_scaled, t);
         for (int64_t i = 0; i < n; i++)
             if (!isfinite(t[i]))
                 return it;

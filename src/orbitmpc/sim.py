@@ -196,6 +196,11 @@ class MpcController:
     applied input, run the fixed-budget fast-gradient solve warm-started
     at the previous solution, apply the first stage, then advance the
     observer with the applied input and this sample's measurement.
+
+    `n_workers` (>= 1) row-slices the gradient step of the numpy solve,
+    which runs only where the compiled kernel cannot be built; the
+    compiled solve is one serial loop whatever it is.  Either way the
+    applied inputs do not depend on it (see `fgm`).
     """
 
     def __init__(self, ss: StateSpace, condensed: qp.CondensedQP, gain,
@@ -208,7 +213,7 @@ class MpcController:
         self.alpha = np.asarray(alpha, dtype=float)
         self.rho = np.asarray(rho, dtype=float)
         self.i_max = i_max
-        self.n_workers = n_workers
+        self.n_workers = fgm._worker_count(n_workers)
         fgm.solve_kernel()  # builds the compiled kernel here, not inside the first sample
         self.reset()
 

@@ -163,7 +163,7 @@ class TestGradientStep:
         with pytest.raises(NumericalError, match=r"rows 12:24 of 24 .*BLAS \S+"):
             gradient_step_parallel(qp, v, q, make_worker_plan(24, 2))
         with pytest.raises(NumericalError, match="rows 12:24"):
-            solve(qp, q, free_set(24), np.zeros(24), n_workers=2)
+            numpy_solve(monkeypatch, qp, q, free_set(24), np.zeros(24), n_workers=2)
 
     def test_worker_failure_propagates(self):
         pool = WorkerPool(2)
@@ -262,6 +262,17 @@ class TestSolve:
         for i in range(len(f) - 10):
             assert f[i + 10] <= f[i] + 1e-9
 
+    @pytest.mark.parametrize("kernel_off", [False, True], ids=["kernel", "kernel-off"])
+    def test_worker_count_below_one_refused(self, rng, monkeypatch, kernel_off):
+        if kernel_off:
+            monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
+        qp = qp_from_matrix(random_spd(rng, 4))
+        for n_workers in (0, -2):
+            with pytest.raises(ConfigError, match=f"n_workers must be >= 1, got {n_workers}"):
+                solve(qp, np.ones(4), free_set(4), np.zeros(4), n_workers=n_workers)
+        with pytest.raises(TypeError):
+            solve(qp, np.ones(4), free_set(4), np.zeros(4), n_workers=2.0)
+
     def test_non_finite_raises_with_index(self, rng):
         qp = qp_from_matrix(np.eye(3))
         q = np.array([np.inf, 0.0, 0.0])
@@ -269,10 +280,16 @@ class TestSolve:
             solve(qp, q, free_set(3), np.zeros(3), i_max=5)
 
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_concurrent_solves_on_one_qp(self, rng, n_workers):
-        # two threads share one CondensedQP (and, for 2 workers, the
-        # process-wide pool); each must get its serial result
+    @pytest.mark.parametrize("n_workers, kernel_off", [
+        pytest.param(1, False, id="1"),
+        pytest.param(2, False, id="2"),
+        pytest.param(2, True, id="2-kernel-off"),
+    ])
+    def test_concurrent_solves_on_one_qp(self, rng, monkeypatch, n_workers, kernel_off):
+        # two threads share one CondensedQP (and, for 2 workers of the
+        # numpy loop, the process-wide pool); each must get its serial result
+        if kernel_off:
+            monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
         n_u = 40
         qp = qp_from_matrix(random_spd(rng, 2 * n_u), N=2)
         csets = [ConstraintSet(alpha=np.ones(n_u), rho=np.full(n_u, 0.2),
@@ -424,6 +441,21 @@ class TestCompiledKernel:
         for workers in range(2, 9):
             got = solve(qp, q, cset, np.zeros(N * 29), i_max=60, n_workers=workers)
             assert np.array_equal(got, ref)
+
+    def test_multi_worker_solves_never_reach_the_pool(self, kernel, rng, monkeypatch):
+        # with the kernel built, every solve runs it, whatever n_workers is
+        def no_pool(n_workers):
+            raise AssertionError(f"{n_workers}-worker pool requested")
+
+        qp, q, cset, warm = random_instance(rng, 2, saturated=True)
+        ref = solve(qp, q, cset, warm, i_max=20)
+        b = design_controller(synthetic_plant(6, 6, 30.0, seed=2), horizon=2)
+        serial = b.mpc_controller(20)
+        monkeypatch.setattr(fgm, "get_pool", no_pool)
+        assert np.array_equal(solve(qp, q, cset, warm, i_max=20, n_workers=3), ref)
+        pooled = b.mpc_controller(20, n_workers=2)
+        for y_k in rng.standard_normal((20, 6)):
+            assert np.array_equal(pooled.step(y_k), serial.step(y_k))
 
     @pytest.mark.parametrize("N", [1, 2])
     def test_non_finite_input_raises_at_iteration_0(self, kernel, rng, N):

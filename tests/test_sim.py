@@ -243,6 +243,12 @@ class TestClosedLoopMpc:
         du = np.diff(tr.u, axis=0)
         assert np.all(np.abs(du) <= plant.rho + 1e-9)
 
+    @pytest.mark.parametrize("n_workers", [0, -1])
+    def test_worker_count_below_one_refused_at_construction(self, plant, n_workers):
+        b = design_controller(plant, horizon=1)
+        with pytest.raises(ConfigError, match="n_workers"):
+            b.mpc_controller(20, n_workers=n_workers)
+
     def test_clipping_degrades_low_frequency_rejection(self):
         # saturating baseline loses low-frequency attenuation vs unclipped
         plant = synthetic_plant(8, 8, 10.0, seed=4, dt=1e-3, mu=3,
