@@ -6,7 +6,9 @@ matched), DARE terminal cost, steady-state target map, observer gain,
 condensed QP and the iteration-bound bookkeeping.  The result round-trips through a
 bundle directory that the simulate, bench and check commands consume: one
 `.npy` file per array (the plant's among them) and every scalar in
-`meta.txt` as key=value text.  `meta.txt` carries the bundle's schema
+`meta.txt` as key=value text.  On a one-bandwidth plant the load rebuilds
+the Hessian's modal form from the stored q_hat, r_hat and the square
+[V, V_perp] in V.npy, with the function the design uses.  `meta.txt` carries the bundle's schema
 version and a fingerprint of the design inputs, so a bundle designed from
 other inputs or in another layout is never mistaken for a fresh one.
 """
@@ -29,7 +31,7 @@ from .sim import ImcController, MpcController
 # Version of the bundle layout, separate from fileio.SCHEMA_VERSION of the
 # text outputs; design_fingerprint hashes it, so bench redesigns a bundle of
 # another layout instead of loading it.
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -154,7 +156,8 @@ def design_controller(
     M_s = design.setpoint_matrix(ss, basis)
     kalman_stats: dict = {}
     gain = design.kalman_gain(ss, sigma_v, sigma_w, sigma_m, basis=basis, stats=kalman_stats)
-    condensed = qp.build_condensed(ss, w, terminal, M_s, horizon)
+    form = design.modal_hessian(ss, basis, w, horizon) if modal else None
+    condensed = qp.build_condensed(ss, w, terminal, M_s, horizon, modal=form)
 
     cset0 = qp.ConstraintSet(alpha=plant.alpha, rho=plant.rho,
                              u_prev=np.zeros(plant.n_u), N=horizon)
@@ -215,7 +218,7 @@ def _arrays(b: DesignBundle) -> dict[str, np.ndarray]:
     rebuilds the rest."""
     return {
         "R": b.plant.R, "bandwidths": b.plant.bandwidths, "alpha": b.plant.alpha, "rho": b.plant.rho,
-        "U": b.basis.U, "S": b.basis.S, "V": b.basis.V,
+        "U": b.basis.U, "S": b.basis.S, "V": b.basis.V_full,
         "Q": b.weights.Q, "R_w": b.weights.R_w, "q_hat": b.weights.q_hat, "r_hat": b.weights.r_hat,
         "P": b.terminal.P,
         _gain_file(b.ss.mu): b.gain.measured, "L_d": b.gain.L_d,
@@ -228,7 +231,7 @@ def _array_shapes(n_y: int, n_u: int, mu: int, horizon: int) -> dict[str, tuple[
     r, n = min(n_u, n_y), horizon * n_u
     return {
         "R": (n_y, n_u), "bandwidths": (n_u,), "alpha": (n_u,), "rho": (n_u,),
-        "U": (n_y, r), "S": (r,), "V": (n_u, r),
+        "U": (n_y, r), "S": (r,), "V": (n_u, n_u),
         "Q": (n_u, n_u), "R_w": (n_u, n_u), "q_hat": (r,), "r_hat": (n_u,),
         "P": (n_u, n_u),
         _gain_file(mu): (n_u, n_y), "L_d": (n_y, n_y),
@@ -236,15 +239,23 @@ def _array_shapes(n_y: int, n_u: int, mu: int, horizon: int) -> dict[str, tuple[
     }
 
 
+def _hessian_record(c: qp.CondensedQP) -> dict:
+    """The Hessian form the compiled solve iterates on, and |K|, the modes
+    whose block differs from the shared one (empty without a modal form)."""
+    modes = c.factored_modes
+    return {"hessian_form": c.hessian_form, "hessian_distinct_modes": "" if modes is None else modes}
+
+
 def _scalars(b: DesignBundle) -> dict:
-    """The plant's sizes and sampling, and the QP's bounds, that meta.txt
-    holds after the design record; beta and kappa are written for the
-    reader, the load derives them."""
+    """The plant's sizes and sampling, and the QP's bounds and form, that
+    meta.txt holds after the design record; beta, kappa and the form are
+    written for the reader, the load derives them."""
     p, c = b.plant, b.condensed
     return {
         "n_y": p.n_y, "n_u": p.n_u, "dt": p.dt, "mu": p.mu,
         "lambda_min": c.lambda_min, "lambda_max": c.lambda_max, "beta": c.beta, "kappa": b.kappa,
         "i_max_bound": b.i_max_bound, "epsilon": b.epsilon, "delta": b.delta,
+        **_hessian_record(c),
     }
 
 
@@ -279,11 +290,13 @@ def save_bundle(bundle: DesignBundle, directory) -> None:
 def load_bundle(directory) -> DesignBundle:
     """Read a bundle written by `save_bundle`, checking its schema version,
     the dtype and shape of every array, the plant (by building it), the
-    Hessian (by building the condensed QP, which refuses an asymmetric J),
-    the Hessian bounds (by deriving beta from them) and the iteration
-    bookkeeping: epsilon and delta must lie where the design accepts them,
-    and i_max_bound is derived from them and kappa as the design derives
-    it."""
+    Hessian (by building the condensed QP, which refuses an asymmetric J
+    and, on a one-bandwidth plant, a J that disagrees with the modal form
+    rebuilt from q_hat, r_hat and V), the Hessian bounds (by deriving beta
+    from them) and the iteration bookkeeping: epsilon and delta must lie
+    where the design accepts them, and i_max_bound is derived from them
+    and kappa as the design derives it.  The recorded Hessian form and its
+    number of distinct modes must be the ones derived on load."""
     meta = fileio.read_kv(os.path.join(directory, "meta.txt"))
     version = meta.get("schema_version", "none")
     if version != str(SCHEMA_VERSION):
@@ -297,10 +310,16 @@ def load_bundle(directory) -> DesignBundle:
     lambda_min, lambda_max, epsilon, delta = (
         fileio.kv_get(meta, key, float) for key in ("lambda_min", "lambda_max", "epsilon", "delta"))
     stored_bound = fileio.kv_get(meta, "i_max_bound", int)
+    r = min(n_y, n_u)
+    basis = ModalBasis(U=arrays["U"], S=arrays["S"], V=arrays["V"][:, :r], V_perp=arrays["V"][:, r:])
+    weights = design.Weights(q_hat=arrays["q_hat"], r_hat=arrays["r_hat"],
+                             Q=arrays["Q"], R_w=arrays["R_w"])
     try:
         plant = PlantConfig(R=arrays["R"], bandwidths=arrays["bandwidths"],
                             dt=fileio.kv_get(meta, "dt", float), mu=mu,
                             alpha=arrays["alpha"], rho=arrays["rho"])
+        ss = build_state_space(plant)
+        form = design.modal_hessian(ss, basis, weights, horizon) if design.one_bandwidth(ss) else None
         condensed = qp.CondensedQP(
             J=arrays["J"],
             q_map_x0=arrays["q_map_x0"],
@@ -310,6 +329,7 @@ def load_bundle(directory) -> DesignBundle:
             beta=qp.momentum(lambda_min, lambda_max),
             N=horizon,
             n_u=n_u,
+            modal=form,
         )
         bound_params = design.IterationBoundParams(epsilon=epsilon, Delta=delta,
                                                    kappa=lambda_max / lambda_min)
@@ -319,13 +339,15 @@ def load_bundle(directory) -> DesignBundle:
     if stored_bound != i_max_bound:
         raise ConfigError(f"{directory}: meta.txt key 'i_max_bound' = {stored_bound} is not "
                           f"{i_max_bound}, the bound of its epsilon, delta and kappa")
-    ss = build_state_space(plant)
+    for key, value in _hessian_record(condensed).items():
+        if meta.get(key) != str(value):
+            raise ConfigError(f"{directory}: meta.txt key '{key}' = {meta.get(key)} is not "
+                              f"{value}, the value of its Hessian")
     return DesignBundle(
         plant=plant,
         ss=ss,
-        basis=ModalBasis(U=arrays["U"], S=arrays["S"], V=arrays["V"]),
-        weights=design.Weights(q_hat=arrays["q_hat"], r_hat=arrays["r_hat"],
-                               Q=arrays["Q"], R_w=arrays["R_w"]),
+        basis=basis,
+        weights=weights,
         terminal=design.TerminalCost(P=arrays["P"]),
         gain=design.PartitionedGain(arrays[_gain_file(mu)], arrays["L_d"], ss.A, mu),
         condensed=condensed,

@@ -356,6 +356,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         "horizon": b.condensed.N,
         "design_fingerprint": fingerprint,
         "solve_kernel": fgm.solve_kernel(),
+        "hessian_form": fgm.hessian_form(b.condensed),
     }
     for workers, total in totals.items():
         header[f"total_mean_us_workers_{workers}"] = fileio.format_float(total)
@@ -367,6 +368,7 @@ def cmd_bench(cfg: RunConfig) -> int:
             fh.write(f"{workers},{stage},{fileio.format_float(mean_us)},{fileio.format_float(max_us)}\n")
     print(f"timing.csv written to {cfg.output_dir}")
     print(f"  solve_kernel={header['solve_kernel']}")
+    print(f"  hessian_form={header['hessian_form']}")
     for workers, total in totals.items():
         print(f"  workers={workers}: total {total:.1f} us/sample")
     return 0

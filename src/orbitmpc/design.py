@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .model import ModalBasis, StateSpace, modal_decompose
-from .qp import spectral_bounds
+from .qp import SUPPORTED_HORIZONS, ModalHessian, spectral_bounds
 
 _SDA_MAX_DOUBLINGS = 64
 _RICCATI_RESIDUAL_TOL = 1e-8
@@ -269,6 +269,33 @@ def solve_dare_modal(a: float, b: float, q_hat_i: float, r_hat_i: float) -> floa
     if xi > 0.0:
         return float(2.0 * q_hat_i * r_hat_i / (xi + root))
     return float((root - xi) / (2.0 * b * b))
+
+
+def modal_hessian(ss: StateSpace, basis: ModalBasis, weights: Weights, horizon: int) -> ModalHessian:
+    """The condensed Hessian of a one-bandwidth plant (see one_bandwidth) by
+    mode, in closed form (see qp's module docstring).
+
+    In the basis [V, V_perp] mode i has the state weight q_i (q_hat, 0 on
+    the n_u - r null-space modes), the input weight r_i (r_hat) and the
+    terminal cost p_i = solve_dare_modal(a, b, q_i, r_i), 0 where q_i = 0,
+    as solve_dare forms P.  Its block is b^2 p + r for N = 1, and for N = 2
+    [[b^2 q + a^2 b^2 p + r, a b^2 p], [a b^2 p, b^2 p + r]].
+    """
+    if horizon not in SUPPORTED_HORIZONS:
+        raise ConfigError(f"horizon must be one of {SUPPORTED_HORIZONS}, got {horizon}")
+    a, b = float(ss.A[0]), float(ss.B[0])
+    q = np.concatenate([weights.q_hat, np.zeros(ss.n_u - basis.r)])
+    r = weights.r_hat
+    p = np.array([solve_dare_modal(a, b, float(q_i), float(r_i)) for q_i, r_i in zip(q, r)])
+    b2p = b * b * p
+    if horizon == 1:
+        blocks = (b2p + r)[:, None, None]
+    else:
+        blocks = np.empty((ss.n_u, 2, 2))
+        blocks[:, 0, 0] = b * b * q + a * a * b2p + r
+        blocks[:, 0, 1] = blocks[:, 1, 0] = a * b2p
+        blocks[:, 1, 1] = b2p + r
+    return ModalHessian(blocks=blocks, basis=basis.V_full)
 
 
 def lqr_gain_modal(a: float, b: float, p_hat_i: float, r_hat_i: float) -> float:

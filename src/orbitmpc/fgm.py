@@ -10,8 +10,10 @@ warm-started from the previous solution (projected onto the current set)
 and returns the final projected iterate.
 
 The step matrix W = I - J / lambda_max lives on `CondensedQP` (built once,
-rows zero-padded to a multiple of ROW_BLOCK = 4); every call allocates its
-own scratch, so concurrent solves on one QP do not interfere.
+rows zero-padded to a multiple of ROW_BLOCK = 4), and so does its
+factored form where the QP's flop rule picks it (see qp); every call
+allocates its own scratch, so concurrent solves on one QP do not
+interfere.
 
 Which loop runs depends only on whether the compiled kernel is built.
 `fgm_kernel.c` runs the whole fixed-budget solve in C: warm-start
@@ -24,7 +26,10 @@ pays for the build, and otherwise the first solve does.  Where it is
 built, every `solve` runs it, whatever `n_workers` is, so results do not
 depend on the worker count.  Where it cannot be built, which one line on
 stderr reports, every solve runs the numpy loop below, which stays the
-reference and also runs `converged_iterations`.
+reference and also runs `converged_iterations`.  The kernel's gradient
+step runs on the factored form of J where `CondensedQP` holds one
+(`hessian_form` 'factored'), else on the dense W, which the numpy loop
+always runs (see `hessian_form`).
 
 In the numpy loop the gradient step is the one parallelized operation.
 Each block of rows is one BLAS gemv, `np.dot(W[start:end4], v)` with
@@ -162,7 +167,7 @@ def _build_kernel():
         print(f"orbitmpc: cannot build the compiled FGM kernel with {' '.join(cc)} ({reason}); "
               "solving with numpy", file=sys.stderr)
         return None
-    kernel.fgm_solve.argtypes = [_POINTER, _INT, _INT, ctypes.c_double, _INT, _POINTER, _INT]
+    kernel.fgm_solve.argtypes = [_POINTER, _INT, _INT, _INT, ctypes.c_double, _INT, _POINTER, _INT]
     kernel.fgm_solve.restype = _INT
     return kernel
 
@@ -435,11 +440,16 @@ def _solve_compiled(kernel, qp: CondensedQP, q: np.ndarray, cset: ConstraintSet,
     if cset.N == 2:
         parts += [cset._band, cset.rho, *(segment.ravel() for segment in cset._segments)]
     head = sum(part.size for part in parts)
-    data = np.empty(head + len(_KERNEL_STAGES) + 4 * n)
+    if qp.factors is None:
+        matrix, n_k, scratch = qp.W, -1, 4 * n
+    else:
+        matrix, n_k = qp.factors, qp.factored_modes
+        scratch = 4 * n + 2 * qp.N * n_k
+    data = np.empty(head + len(_KERNEL_STAGES) + scratch)
     np.concatenate(parts, out=data[:head])
     stage_ns = data[head:head + len(_KERNEL_STAGES)]
     stage_ns[:] = 0.0
-    failed = kernel.fgm_solve(_address(qp.W), qp.n_u, qp.N, qp.beta, budget,
+    failed = kernel.fgm_solve(_address(matrix), n_k, qp.n_u, qp.N, qp.beta, budget,
                               _address(data), timers is not None)
     if failed >= 0:
         raise NumericalError(f"non-finite iterate at iteration {failed}")
@@ -457,6 +467,20 @@ def _worker_count(n_workers) -> int:
     return count
 
 
+def _iteration_budget(i_max) -> int:
+    """i_max as an int, refused below 0 with a ConfigError naming it."""
+    budget = operator.index(i_max)
+    if budget < 0:
+        raise ConfigError(f"i_max must be >= 0, got {budget}")
+    return budget
+
+
+def hessian_form(qp: CondensedQP) -> str:
+    """The form of J that `solve` iterates on: 'factored' where the
+    compiled kernel runs and the QP has a factored form, else 'dense'."""
+    return "dense" if _load_kernel() is None else qp.hessian_form
+
+
 def solve(
     qp: CondensedQP,
     q: np.ndarray,
@@ -468,12 +492,13 @@ def solve(
 ) -> np.ndarray:
     """Run exactly i_max fast-gradient iterations and return the final
     projected iterate: in the compiled kernel where it builds, else in the
-    numpy loop, whose gradient step `n_workers` row-slices.
+    numpy loop, whose gradient step `n_workers` row-slices.  An i_max
+    below 0 or an n_workers below 1 is refused with a ConfigError.
 
     `timers`, when given, accumulates per-stage nanoseconds under the keys
     'gradient', 'projection' and 'momentum' (used by the benchmark).
     """
-    budget = operator.index(i_max)
+    budget = _iteration_budget(i_max)
     n_workers = _worker_count(n_workers)
     kernel = _load_kernel()
     if kernel is not None:

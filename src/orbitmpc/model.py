@@ -19,7 +19,7 @@ import os
 import numpy as np
 
 from . import fileio
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DimensionError, NumericalError
 
 
 def _per_actuator(value, n: int, name: str) -> np.ndarray:
@@ -113,15 +113,29 @@ class StateSpace:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ModalBasis:
-    """Thin SVD of the response matrix: C = U diag(S) V^T."""
+    """Thin SVD of the response matrix, C = U diag(S) V^T, and the
+    orthonormal completion V_perp of V (n_u x (n_u - r)), which spans the
+    null space of a wide C; `modal_decompose` fills it, and a basis built
+    without it has none."""
 
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
+    V_perp: np.ndarray | None = None
 
     @property
     def r(self) -> int:
         return self.S.shape[0]
+
+    @property
+    def V_full(self) -> np.ndarray:
+        """The square orthonormal [V, V_perp], column-major like V."""
+        if self.V.shape[0] == self.r:
+            return self.V
+        if self.V_perp is None:
+            raise DimensionError(f"modal basis of rank {self.r} < n_u = {self.V.shape[0]} "
+                                 "has no null-space completion")
+        return np.asfortranarray(np.hstack([self.V, self.V_perp]))
 
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.S) @ self.V.T
@@ -136,7 +150,10 @@ def build_state_space(cfg: PlantConfig) -> StateSpace:
 
 
 def modal_decompose(C: np.ndarray) -> ModalBasis:
-    """Thin SVD with singular values in descending order."""
+    """Thin SVD with singular values in descending order, and the null-space
+    completion of V (see _null_completion).  The thin SVD is the one
+    np.linalg.pinv takes, so C^+ formed from the basis is pinv's bit for
+    bit; a full SVD rounds V differently."""
     C = np.asarray(C, dtype=float)
     if not np.all(np.isfinite(C)):
         raise NumericalError("cannot decompose a matrix with non-finite entries")
@@ -144,9 +161,24 @@ def modal_decompose(C: np.ndarray) -> ModalBasis:
         U, S, Vt = np.linalg.svd(C, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    return ModalBasis(U=U, S=S, V=Vt.T)
+    return ModalBasis(U=U, S=S, V=Vt.T, V_perp=_null_completion(Vt.T))
 
 
+def _null_completion(V: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the complement of the orthonormal V's
+    range, column-major: fixed pseudo-random vectors projected off V and
+    orthonormalized, twice, so that both their orthogonality to V and to
+    each other hold to rounding (two passes of projection suffice, as in
+    Gram-Schmidt with reorthogonalization).  O(n_u r (n_u - r)), against
+    O(n_u^3) for a complete QR of V."""
+    n_u, r = V.shape
+    if r == n_u:
+        return np.zeros((n_u, 0), order="F")
+    X = np.random.default_rng(0).standard_normal((n_u, n_u - r))
+    for _ in range(2):
+        X -= V @ (V.T @ X)
+        X = np.linalg.qr(X)[0]
+    return np.asfortranarray(X)
 def _random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish orthogonal factor via QR with a canonical sign convention."""
     q, r = np.linalg.qr(rng.standard_normal((n, n)))

@@ -18,6 +18,28 @@ q is the gradient at u = 0 with the steady-state target x_s = u_s =
 M_s d_bar (design.setpoint_matrix) folded in, so no target is computed
 online.
 
+On a plant whose actuators share one bandwidth (A = a I, B = b I) the
+weights Q, R_w and P are diagonal in one orthonormal basis [V, V_perp] of
+the inputs, with modal values q_i, r_i and p_i, so J is block diagonal
+in it: J = sum_i B_i (x) v_i v_i^T, one N x N block per mode, with (x)
+taken in the stage-major order of the stacked iterate.  The blocks are
+closed forms (design.modal_hessian builds them): b^2 p + r for N = 1, and
+
+    [[b^2 q + a^2 b^2 p + r,  a b^2 p],
+     [a b^2 p,                b^2 p + r]]    for N = 2.
+
+`ModalHessian` holds them.  Its spectral bounds are those of the stacked
+blocks, so no dense eigensolve is needed.  Most modes of a saturated
+design share one bit-equal block B_s (every mode whose q is clamped), and
+
+    J v = (B_s (x) I) v + sum_{k in K} ((B_k - B_s) (x) v_k v_k^T) v
+
+over the set K of the other modes costs N^2 n_u + 2 N |K| n_u + N^2 |K|
+multiplies instead of the dense (N n_u)^2.  The compiled solve iterates
+on this factored form whenever it needs fewer multiplies (the flop rule,
+`CondensedQP.hessian_form`); the dense J and W stay the reference, which
+the numpy loop runs, and mixed-bandwidth plants have no modal form.
+
 U_N couples amplitude and slew-rate limits.  For N = 1 each coordinate is
 clipped to an interval.  For N = 2 each actuator's stage pair lies in the
 box [lo, hi] x [-alpha, alpha] (lo, hi from the previously applied input)
@@ -34,6 +56,7 @@ idempotent.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -46,6 +69,74 @@ SUPPORTED_HORIZONS = (1, 2)
 # of W at a time): the rows of CondensedQP.W are zero-padded to a multiple
 # of this, and every worker slice starts on one.
 ROW_BLOCK = 4
+# Largest relative gap allowed between J and its modal form in one probe product
+MODAL_FORM_TOLERANCE = 1e-13
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class ModalHessian:
+    """The condensed Hessian of a one-bandwidth plant by mode (see the
+    module docstring): `blocks` (n_u, N, N) holds mode i's block, column i
+    of the orthonormal `basis` (n_u, n_u) is v_i.
+
+    The shared block is the most common one among the bit-equal blocks
+    (the first such on a tie); `modes` lists the others, K, with their
+    columns `V_K` (n_u, |K|) and differences `deltas` (|K|, N, N) from it.
+    """
+
+    blocks: np.ndarray
+    basis: np.ndarray
+    shared: np.ndarray = dataclasses.field(init=False, repr=False)
+    modes: np.ndarray = dataclasses.field(init=False, repr=False)
+    V_K: np.ndarray = dataclasses.field(init=False, repr=False)
+    deltas: np.ndarray = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        n_u, N = self.blocks.shape[0], self.blocks.shape[-1]
+        if N not in SUPPORTED_HORIZONS or self.blocks.shape != (n_u, N, N):
+            raise DimensionError(f"modal blocks of shape {self.blocks.shape} are not (n_u, N, N) "
+                                 f"with N in {SUPPORTED_HORIZONS}")
+        if self.basis.shape != (n_u, n_u):
+            raise DimensionError(f"modal basis shape {self.basis.shape} != {(n_u, n_u)}")
+        keys = [block.tobytes() for block in self.blocks]
+        common = collections.Counter(keys).most_common(1)[0][0]
+        shared = self.blocks[keys.index(common)]
+        modes = np.array([i for i, key in enumerate(keys) if key != common], dtype=np.intp)
+        for name, value in (("shared", shared), ("modes", modes),
+                            ("V_K", np.ascontiguousarray(self.basis[:, modes])),
+                            ("deltas", self.blocks[modes] - shared)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def N(self) -> int:
+        return self.blocks.shape[-1]
+
+    @property
+    def n_u(self) -> int:
+        return self.blocks.shape[0]
+
+    def multiplies(self) -> int:
+        """Multiplies of one factored product: the shared block on every
+        mode, |K| projections and expansions per stage, and the mixing."""
+        N, n_u, k = self.N, self.n_u, self.modes.shape[0]
+        return N * N * n_u + 2 * N * k * n_u + N * N * k
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """J v for a stage-major stacked v, in the factored form."""
+        x = np.asarray(v, dtype=float).reshape(self.N, self.n_u)
+        c = x @ self.V_K                                # (N, |K|): v_k^T x_s
+        d = np.einsum("kst,tk->sk", self.deltas, c)      # (N, |K|)
+        return (self.shared @ x + d @ self.V_K.T).ravel()
+
+    def spectral_bounds(self):
+        """(lambda_min, lambda_max, beta) from the eigenvalues of the
+        stacked blocks; a block that is not finite and positive definite
+        raises NumericalError."""
+        if not np.all(np.isfinite(self.blocks)):
+            raise NumericalError("Hessian not positive definite: a modal block has non-finite entries")
+        eigs = self.blocks[:, 0, 0] if self.N == 1 else np.linalg.eigvalsh(self.blocks)
+        lmin, lmax = float(np.min(eigs)), float(np.max(eigs))
+        return lmin, lmax, momentum(lmin, lmax)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -59,6 +150,13 @@ class CondensedQP:
     BLAS gemv per block of rows starting on a multiple of ROW_BLOCK, so
     every row runs through the same 4-row kernel path.  So `J` must be
     exactly symmetric, as `build_condensed` makes it; any other is refused.
+
+    `modal`, on one-bandwidth plants, is J by mode.  A form whose product
+    with a fixed probe vector differs from J's by more than
+    MODAL_FORM_TOLERANCE relative is refused.  Where the factored product
+    needs fewer multiplies than the dense one, `factors` holds it for the
+    compiled kernel, laid out as `fgm_kernel.c` documents: I - B_s /
+    lambda_max, the -(B_k - B_s) / lambda_max, V_K and V_K^T.
     """
 
     J: np.ndarray
@@ -69,7 +167,9 @@ class CondensedQP:
     beta: float
     N: int
     n_u: int
+    modal: ModalHessian | None = None
     W: np.ndarray = dataclasses.field(init=False, repr=False)
+    factors: np.ndarray | None = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.J.shape[0]
@@ -84,6 +184,41 @@ class CondensedQP:
         w[:n] = -(self.J / self.lambda_max)
         w[np.arange(n), np.arange(n)] += 1.0
         object.__setattr__(self, "W", w)
+        object.__setattr__(self, "factors", None if self.modal is None else self._factor())
+
+    def _factor(self) -> np.ndarray | None:
+        """Check the modal form against J; the kernel's factored step
+        matrix where the flop rule picks it, else None."""
+        modal, n = self.modal, self.J.shape[0]
+        if (modal.N, modal.n_u) != (self.N, self.n_u):
+            raise DimensionError(f"modal form of horizon {modal.N} and {modal.n_u} inputs for a "
+                                 f"QP of horizon {self.N} and {self.n_u} inputs")
+        probe = np.sin(np.arange(1.0, n + 1.0))  # fixed, with no entry repeated
+        want = self.J @ probe
+        gap = float(np.linalg.norm(modal.matvec(probe) - want) / np.linalg.norm(want))
+        if not gap <= MODAL_FORM_TOLERANCE:  # NaN fails too
+            raise NumericalError(
+                f"Hessian J disagrees with its modal blocks (built from q_hat, r_hat, the "
+                f"terminal cost and the basis V): a probe product differs by {gap:.1e} "
+                f"relative, tolerance {MODAL_FORM_TOLERANCE:.0e}")
+        if modal.multiplies() >= n * n:
+            return None
+        lam = self.lambda_max
+        return np.concatenate([(np.eye(self.N) - modal.shared / lam).ravel(),
+                               (-(modal.deltas / lam)).ravel(),
+                               modal.V_K.ravel(), modal.V_K.T.ravel()])
+
+    @property
+    def hessian_form(self) -> str:
+        """'factored' where the compiled solve iterates on the factored
+        form, else 'dense'."""
+        return "dense" if self.factors is None else "factored"
+
+    @property
+    def factored_modes(self) -> int | None:
+        """|K|, the modes whose block differs from the shared one; None
+        without a modal form."""
+        return None if self.modal is None else int(self.modal.modes.shape[0])
 
     def linear_term(self, x0: np.ndarray, d_bar: np.ndarray) -> np.ndarray:
         return self.q_map_x0 @ x0 + self.q_map_d @ d_bar
@@ -112,9 +247,12 @@ def spectral_bounds(J: np.ndarray):
     return lmin, lmax, momentum(lmin, lmax)
 
 
-def build_condensed(ss: StateSpace, weights, terminal, M_s: np.ndarray, N: int) -> CondensedQP:
+def build_condensed(ss: StateSpace, weights, terminal, M_s: np.ndarray, N: int,
+                    modal: ModalHessian | None = None) -> CondensedQP:
     """The condensed QP of one horizon, its blocks formed as the module
-    docstring states; spectral_bounds is its one positive-definiteness check."""
+    docstring states.  The spectral bounds are its one positive-definiteness
+    check: those of the modal blocks where `modal` is given, else
+    spectral_bounds of J."""
     if N not in SUPPORTED_HORIZONS:
         raise DimensionError(f"horizon must be one of {SUPPORTED_HORIZONS}, got {N}")
     n = ss.n_u
@@ -135,7 +273,7 @@ def build_condensed(ss: StateSpace, weights, terminal, M_s: np.ndarray, N: int) 
         J[b, b] += weights.R_w
     J = 0.5 * (J + J.T)
     q_map_d = -(weighted @ M_s + np.tile(weights.R_w @ M_s, (N, 1)))
-    lmin, lmax, beta = spectral_bounds(J)
+    lmin, lmax, beta = spectral_bounds(J) if modal is None else modal.spectral_bounds()
     return CondensedQP(
         J=J,
         q_map_x0=q_map_x0,
@@ -145,6 +283,7 @@ def build_condensed(ss: StateSpace, weights, terminal, M_s: np.ndarray, N: int) 
         beta=beta,
         N=N,
         n_u=n,
+        modal=modal,
     )
 
 

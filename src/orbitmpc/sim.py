@@ -212,7 +212,7 @@ class MpcController:
         self.gain = gain
         self.alpha = np.asarray(alpha, dtype=float)
         self.rho = np.asarray(rho, dtype=float)
-        self.i_max = i_max
+        self.i_max = fgm._iteration_budget(i_max)
         self.n_workers = fgm._worker_count(n_workers)
         fgm.solve_kernel()  # builds the compiled kernel here, not inside the first sample
         self.reset()

@@ -177,3 +177,49 @@ def test_hessian_bound_out_of_range_names_the_key(saved, key, value):
     edit_meta(saved, **{key: value})
     with pytest.raises(ConfigError, match=rf"{re.escape(str(saved))}.*{key} = "):
         load_bundle(saved)
+
+
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_null_space_completion_and_modal_form_round_trip(tmp_path, horizon):
+    # V.npy holds the square [V, V_perp]; the load rebuilds the form from it,
+    # q_hat and r_hat with the function the design uses
+    ours = design_controller(synthetic_plant(20, 23, 1e3, seed=4), horizon)
+    save_bundle(ours, tmp_path)
+    assert np.load(tmp_path / "V.npy").shape == (23, 23)
+    theirs = load_bundle(tmp_path)
+    assert ours.basis.V_perp.shape == (23, 3)
+    assert theirs.basis.V_perp.tobytes() == ours.basis.V_perp.tobytes()
+    assert theirs.basis.V.tobytes() == ours.basis.V.tobytes()
+    mine, yours = ours.condensed, theirs.condensed
+    for name in ("blocks", "basis", "shared", "modes", "V_K", "deltas"):
+        assert getattr(yours.modal, name).tobytes() == getattr(mine.modal, name).tobytes(), name
+    assert yours.factors.tobytes() == mine.factors.tobytes()
+    assert (yours.hessian_form, yours.factored_modes) == (mine.hessian_form, mine.factored_modes)
+    meta = read_kv(tmp_path / "meta.txt")
+    assert meta["hessian_form"] == "factored"
+    assert meta["hessian_distinct_modes"] == str(mine.factored_modes)
+
+
+def test_mixed_bandwidth_bundle_records_the_dense_form(tmp_path):
+    save_bundle(design_controller(mixed_plant(), 2), tmp_path)
+    meta = read_kv(tmp_path / "meta.txt")
+    assert (meta["hessian_form"], meta["hessian_distinct_modes"]) == ("dense", "")
+    assert load_bundle(tmp_path).condensed.modal is None
+
+
+@pytest.mark.parametrize("name", ["q_hat", "r_hat"])
+def test_edited_modal_weight_refused_naming_the_array(saved, name):
+    weight = np.load(saved / f"{name}.npy")
+    weight[1] *= 1.5
+    np.save(saved / f"{name}.npy", weight)
+    with pytest.raises(ConfigError, match=rf"{re.escape(str(saved))}: .*disagrees with .*\b{name}\b"):
+        load_bundle(saved)
+
+
+@pytest.mark.parametrize("key, value", [("hessian_form", "dense"), ("hessian_distinct_modes", "1")])
+def test_edited_hessian_record_names_the_key(saved, key, value):
+    meta = read_kv(saved / "meta.txt")
+    assert (meta["hessian_form"], meta["hessian_distinct_modes"]) == ("factored", "4")
+    edit_meta(saved, **{key: value})
+    with pytest.raises(ConfigError, match=rf"{re.escape(str(saved))}: meta.txt key '{key}' = {value} is not"):
+        load_bundle(saved)

@@ -247,18 +247,26 @@ bench_cycles = 20
         cfg = write_config(tmp_path, body=body)
         out = str(tmp_path / "bench_big")
         assert main(["bench", "--config", cfg, "--out", out]) == 0
-        means = {}
+        means, header = {}, []
         with open(os.path.join(out, "timing.csv")) as fh:
             for line in fh:
                 if line.startswith("#"):
+                    header.append(line)
                     continue
                 _, stage, mean_us, _ = line.strip().split(",")
                 means[stage] = float(mean_us)
-        # the fast-gradient iterations (i_max-bounded stages) outweigh the
-        # stages that run once per sample
-        iterations = means["gradient"] + means["projection"] + means["momentum"]
-        per_sample = means["observer"] + means["q_update"] + means["set_update"]
-        assert iterations > per_sample
+        # the compiled solve iterates on the factored Hessian at ring size,
+        # where the gradient step still outweighs the other iteration
+        # stages; the numpy loop's dense iterations outweigh the stages that
+        # run once per sample
+        form = "factored" if fgm.solve_kernel() == "compiled" else "dense"
+        assert f"# hessian_form={form}\n" in header
+        if form == "factored":
+            assert means["gradient"] > max(means["projection"], means["momentum"])
+        else:
+            iterations = means["gradient"] + means["projection"] + means["momentum"]
+            per_sample = means["observer"] + means["q_update"] + means["set_update"]
+            assert iterations > per_sample
 
 
 class TestCheckCommand:
@@ -662,6 +670,26 @@ class TestBenchRecordsTheSolveKernel:
         with open(os.path.join(out, "timing.csv")) as fh:
             header = [line for line in fh if line.startswith("#")]
         assert f"# solve_kernel={kernel}\n" in header
+
+
+    @pytest.mark.parametrize("force_numpy", [False, True])
+    def test_timing_header_and_output_record_the_hessian_form(self, tmp_path, capsys, monkeypatch,
+                                                              force_numpy):
+        # a 5x6 plant with saturated weights at N = 2: the factored product
+        # needs fewer multiplies, and only the compiled solve runs it
+        if force_numpy:
+            monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
+        form = "factored" if fgm.solve_kernel() == "compiled" else "dense"
+        body = BASE_CONFIG.replace("synthetic_n_u = 5", "synthetic_n_u = 6") \
+                          .replace("horizon = 1", "horizon = 2")
+        out = str(tmp_path / "bench")
+        assert main(["bench", "--config", write_config(tmp_path, body=body), "--out", out]) == 0
+        assert f"hessian_form={form}\n" in capsys.readouterr().out
+        with open(os.path.join(out, "timing.csv")) as fh:
+            header = [line for line in fh if line.startswith("#")]
+        assert f"# hessian_form={form}\n" in header
+        meta = read_kv(os.path.join(out, "bundle", "meta.txt"))
+        assert meta["hessian_form"] == "factored" and int(meta["hessian_distinct_modes"]) < 6
 
 
 @pytest.mark.parametrize("key, value", [("epsilon", "nan"), ("delta", "-1"), ("i_max_bound", "-3")])

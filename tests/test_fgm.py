@@ -273,6 +273,17 @@ class TestSolve:
         with pytest.raises(TypeError):
             solve(qp, np.ones(4), free_set(4), np.zeros(4), n_workers=2.0)
 
+    @pytest.mark.parametrize("kernel_off", [False, True], ids=["kernel", "kernel-off"])
+    def test_negative_budget_refused(self, rng, monkeypatch, kernel_off):
+        if kernel_off:
+            monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
+        qp = qp_from_matrix(random_spd(rng, 4))
+        for i_max in (-1, -3):
+            with pytest.raises(ConfigError, match=f"i_max must be >= 0, got {i_max}"):
+                solve(qp, np.ones(4), free_set(4), np.zeros(4), i_max=i_max)
+        with pytest.raises(TypeError):
+            solve(qp, np.ones(4), free_set(4), np.zeros(4), i_max=2.5)
+
     def test_non_finite_raises_with_index(self, rng):
         qp = qp_from_matrix(np.eye(3))
         q = np.array([np.inf, 0.0, 0.0])
@@ -415,7 +426,41 @@ def random_instance(rng, N, saturated):
     return qp, q, cset, warm
 
 
+def ring_like_instance(rng, N, saturated):
+    """A designed QP of a 40x41 one-bandwidth plant with saturated weights,
+    whose Hessian the compiled solve takes in factored form, and a set and
+    linear term as random_instance draws them."""
+    b = design_controller(synthetic_plant(40, 41, 1e4, seed=int(rng.integers(1000))), horizon=N)
+    qp, n_u = b.condensed, 41
+    u_prev = rng.uniform(-0.4, 0.4, n_u) if saturated else np.zeros(n_u)
+    cset = ConstraintSet(alpha=np.ones(n_u), rho=np.full(n_u, 0.2), u_prev=u_prev, N=N)
+    q = rng.standard_normal(N * n_u) * qp.lambda_max * (3.0 if saturated else 3e-3)
+    warm = rng.uniform(-1.0, 1.0, N * n_u) if saturated else np.zeros(N * n_u)
+    return qp, q, cset, warm
+
+
 class TestCompiledKernel:
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("saturated", [True, False])
+    def test_factored_solve_matches_numpy_dense_solve(self, kernel, rng, monkeypatch, N, saturated):
+        for _ in range(2):
+            qp, q, cset, warm = ring_like_instance(rng, N, saturated)
+            assert qp.hessian_form == fgm.hessian_form(qp) == "factored"
+            lo, hi = cset.stage0_bounds()
+            for i_max in (0, 1, 20, 300):
+                got = solve(qp, q, cset, warm, i_max=i_max)
+                ref = numpy_solve(monkeypatch, qp, q, cset, warm, i_max=i_max)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+                if i_max == 300:
+                    at_bound = np.count_nonzero((ref[:qp.n_u] == lo) | (ref[:qp.n_u] == hi))
+                    assert (at_bound > 0) == saturated
+
+    def test_numpy_loop_runs_the_dense_form(self, rng, monkeypatch):
+        qp, _, _, _ = ring_like_instance(rng, 2, saturated=True)
+        monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
+        assert qp.hessian_form == "factored" and fgm.hessian_form(qp) == "dense"
+
+
     @pytest.mark.parametrize("N", [1, 2])
     @pytest.mark.parametrize("saturated", [True, False])
     def test_matches_numpy_solve(self, kernel, rng, monkeypatch, N, saturated):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,20 +11,24 @@ from orbitmpc import (
     InfeasibleError,
     NumericalError,
     build_condensed,
+    IterationBoundParams,
     build_state_space,
     default_delta,
+    design_controller,
     design_weights_saturated,
+    iteration_bound,
     modal_decompose,
     project_stage_n1,
     project_stage_n2,
     setpoint_matrix,
     solve_dare,
     spectral_bounds,
+    synthetic_plant,
     update_constraint_set,
 )
 from orbitmpc.design import TerminalCost, Weights
 from orbitmpc.model import StateSpace
-from orbitmpc.qp import CondensedQP
+from orbitmpc.qp import CondensedQP, ModalHessian
 
 from oracles import (
     condensed_qp_dense,
@@ -496,3 +502,119 @@ class TestBuildCondensedAndDelta:
         else:
             want = np.max(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
         assert default_delta(2.0, cset) == pytest.approx(want, rel=1e-9, abs=1e-24)
+
+
+# One-bandwidth plants of the shapes the modal form has to handle; a wide
+# plant has one null-space mode, whose block takes q = p = 0
+MODAL_PLANTS = {
+    "wide": lambda: synthetic_plant(40, 41, 1e4, seed=7),
+    "tall": lambda: synthetic_plant(41, 40, 1e4, seed=7),
+}
+
+
+def modal_design(shape, N, weights="saturated"):
+    with warnings.catch_warnings():  # a tall plant's target is least squares
+        warnings.simplefilter("ignore", UserWarning)
+        return design_controller(MODAL_PLANTS[shape](), N, weights_mode=weights)
+
+
+class TestModalHessian:
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("shape, weights", [("wide", "saturated"), ("tall", "saturated"),
+                                                ("wide", "imc_matched")])
+    def test_factored_product_matches_dense(self, rng, N, shape, weights):
+        b = modal_design(shape, N, weights)
+        cq, modal = b.condensed, b.condensed.modal
+        norm_J = np.linalg.norm(cq.J, 2)
+        for _ in range(5):
+            v = rng.standard_normal(N * cq.n_u)
+            gap = np.linalg.norm(modal.matvec(v) - cq.J @ v)
+            assert gap <= 1e-14 * norm_J * np.linalg.norm(v)
+
+    def test_null_space_mode_is_one_of_the_distinct_modes(self):
+        b = modal_design("wide", 2)
+        modal = b.condensed.modal
+        assert b.basis.V_perp.shape == (41, 1)
+        assert np.array_equal(modal.basis[:, 40], b.basis.V_perp[:, 0])
+        # q = p = 0 leaves the input weight r = 1 on both stages
+        assert np.array_equal(modal.blocks[40], np.eye(2))
+        assert 40 in modal.modes
+        assert np.allclose(b.basis.V_full.T @ b.basis.V_full, np.eye(41), rtol=0, atol=1e-14)
+        assert np.max(np.abs(b.ss.C @ b.basis.V_perp)) <= 1e-15 * b.basis.S[0]
+
+    def test_shared_block_is_the_most_common_bit_equal_block(self):
+        blocks = np.array([[[2.0]], [[1.0]], [[2.0]], [[np.nextafter(2.0, 3.0)]], [[3.0]]])
+        modal = ModalHessian(blocks=blocks, basis=np.eye(5))
+        assert np.array_equal(modal.shared, [[2.0]])
+        assert modal.modes.tolist() == [1, 3, 4]  # one ulp apart is apart
+        assert np.array_equal(modal.V_K, np.eye(5)[:, [1, 3, 4]])
+        assert modal.multiplies() == 1 * 5 + 2 * 3 * 5 + 3
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_flop_rule_picks_factored_on_a_saturated_ring_like_design(self, N):
+        cq = modal_design("wide", N).condensed
+        assert cq.hessian_form == "factored"
+        assert cq.modal.multiplies() < (N * cq.n_u) ** 2
+        assert cq.factored_modes == cq.modal.modes.shape[0] < cq.n_u // 2
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_flop_rule_picks_dense_when_every_mode_differs(self, N):
+        # matched weights give every live mode its own block
+        cq = modal_design("wide", N, "imc_matched").condensed
+        assert cq.modal is not None and cq.factored_modes >= 40
+        assert cq.hessian_form == "dense" and cq.factors is None
+
+    def test_mixed_bandwidth_plant_has_no_modal_form(self, mixed_plant):
+        cq = design_controller(mixed_plant, 2).condensed
+        assert cq.modal is None and cq.factored_modes is None
+        assert cq.hessian_form == "dense"
+
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("shape", ["wide", "tall"])
+    def test_bounds_from_blocks_match_the_dense_eigensolve(self, N, shape):
+        b = modal_design(shape, N)
+        cq = b.condensed
+        lmin, lmax, beta = spectral_bounds(cq.J)
+        assert cq.lambda_min == pytest.approx(lmin, rel=1e-13, abs=0)
+        assert cq.lambda_max == pytest.approx(lmax, rel=1e-13, abs=0)
+        assert cq.beta == pytest.approx(beta, rel=1e-13, abs=0)
+        assert b.i_max_bound == iteration_bound(
+            IterationBoundParams(epsilon=b.epsilon, Delta=b.delta, kappa=lmax / lmin))
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_bounds_from_blocks_of_an_ill_conditioned_design(self, N):
+        # kappa ~ 1e5: a dense eigensolve's lambda_min is only good to about
+        # eps lambda_max, which the blocks' agree with
+        b = modal_design("wide", N, "imc_matched")
+        cq = b.condensed
+        lmin, lmax, beta = spectral_bounds(cq.J)
+        assert cq.lambda_max / cq.lambda_min > 1e4
+        assert abs(cq.lambda_min - lmin) <= 1e-13 * lmax
+        assert cq.lambda_max == pytest.approx(lmax, rel=1e-13, abs=0)
+        assert cq.beta == pytest.approx(beta, rel=1e-13, abs=0)
+        assert b.i_max_bound == iteration_bound(
+            IterationBoundParams(epsilon=b.epsilon, Delta=b.delta, kappa=lmax / lmin))
+
+    @pytest.mark.parametrize("bad", [-0.5, 0.0, np.nan, np.inf])
+    def test_block_not_positive_definite_or_finite_refused(self, bad):
+        blocks = np.tile(np.eye(2), (3, 1, 1))
+        blocks[1, 1, 1] = bad
+        with pytest.raises(NumericalError, match="positive definite"):
+            ModalHessian(blocks=blocks, basis=np.eye(3)).spectral_bounds()
+
+    def test_form_that_disagrees_with_J_refused(self):
+        cq = modal_design("wide", 2).condensed
+        blocks = cq.modal.blocks.copy()
+        blocks[3, 0, 0] *= 1.0 + 1e-9
+        with pytest.raises(NumericalError, match="disagrees with its modal blocks"):
+            CondensedQP(J=cq.J, q_map_x0=cq.q_map_x0, q_map_d=cq.q_map_d,
+                        lambda_min=cq.lambda_min, lambda_max=cq.lambda_max, beta=cq.beta,
+                        N=2, n_u=cq.n_u, modal=ModalHessian(blocks=blocks, basis=cq.modal.basis))
+
+    def test_form_of_another_horizon_refused(self):
+        cq = modal_design("wide", 2).condensed
+        other = modal_design("wide", 1).condensed.modal
+        with pytest.raises(DimensionError, match="horizon 1"):
+            CondensedQP(J=cq.J, q_map_x0=cq.q_map_x0, q_map_d=cq.q_map_d,
+                        lambda_min=cq.lambda_min, lambda_max=cq.lambda_max, beta=cq.beta,
+                        N=2, n_u=cq.n_u, modal=other)

@@ -249,6 +249,17 @@ class TestClosedLoopMpc:
         with pytest.raises(ConfigError, match="n_workers"):
             b.mpc_controller(20, n_workers=n_workers)
 
+    @pytest.mark.parametrize("i_max", [-1, -3])
+    def test_negative_budget_refused_at_construction(self, plant, i_max):
+        b = design_controller(plant, horizon=1)
+        with pytest.raises(ConfigError, match=f"i_max must be >= 0, got {i_max}"):
+            b.mpc_controller(i_max)
+
+    def test_non_integer_budget_refused_at_construction(self, plant):
+        b = design_controller(plant, horizon=1)
+        with pytest.raises(TypeError):
+            b.mpc_controller(2.5)
+
     def test_clipping_degrades_low_frequency_rejection(self):
         # saturating baseline loses low-frequency attenuation vs unclipped
         plant = synthetic_plant(8, 8, 10.0, seed=4, dt=1e-3, mu=3,
