@@ -27,6 +27,7 @@ from .design import (
 from .errors import ConfigError, DimensionError, InfeasibleError, NumericalError, OrbitMpcError
 from .fgm import (
     WorkerPlan,
+    Workspace,
     converged_iterations,
     gradient_step,
     gradient_step_parallel,
@@ -43,7 +44,7 @@ from .model import (
     save_plant_config,
     synthetic_plant,
 )
-from .observer import ObserverState, update_fast, update_naive
+from .observer import ObserverBuffers, ObserverState, update_fast, update_naive
 from .qp import (
     CondensedQP,
     ConstraintSet,

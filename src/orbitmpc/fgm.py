@@ -11,9 +11,10 @@ and returns the final projected iterate.
 
 The step matrix W = I - J / lambda_max lives on `CondensedQP` (built once,
 rows zero-padded to a multiple of ROW_BLOCK = 4), and so does its
-factored form where the QP's flop rule picks it (see qp); every call
-allocates its own scratch, so concurrent solves on one QP do not
-interfere.
+factored form where the QP's flop rule picks it (see qp).  The compiled
+solve runs in a `Workspace` of the QP: the caller's, which a controller
+builds once, or else a new one per call, so concurrent solves on one QP
+do not interfere; the numpy loop allocates its own scratch.
 
 Which loop runs depends only on whether the compiled kernel is built.
 `fgm_kernel.c` runs the whole fixed-budget solve in C: warm-start
@@ -167,7 +168,8 @@ def _build_kernel():
         print(f"orbitmpc: cannot build the compiled FGM kernel with {' '.join(cc)} ({reason}); "
               "solving with numpy", file=sys.stderr)
         return None
-    kernel.fgm_solve.argtypes = [_POINTER, _INT, _INT, _INT, ctypes.c_double, _INT, _POINTER, _INT]
+    kernel.fgm_solve.argtypes = [_POINTER, _INT, _INT, _INT, ctypes.c_double, _INT, _POINTER,
+                                 _POINTER, _INT]
     kernel.fgm_solve.restype = _INT
     return kernel
 
@@ -429,34 +431,57 @@ def _iterate(qp: CondensedQP, q: np.ndarray, cset: ConstraintSet, warm: np.ndarr
 _KERNEL_STAGES = ("gradient", "projection", "momentum")
 
 
-def _solve_compiled(kernel, qp: CondensedQP, q: np.ndarray, cset: ConstraintSet,
-                    warm: np.ndarray, budget: int, timers: dict | None) -> np.ndarray:
-    """The fixed-budget loop of `_iterate` in the compiled kernel."""
-    q, warm = _check_iterate_inputs(qp, q, cset, warm)
-    n = qp.N * qp.n_u
-    # the kernel's one buffer, laid out as fgm_solve documents it: fetching
-    # an address costs about as much as a small solve, so a call makes two
-    parts = [q / qp.lambda_max, warm, cset._lower, cset._upper]
-    if cset.N == 2:
-        parts += [cset._band, cset.rho, *(segment.ravel() for segment in cset._segments)]
-    head = sum(part.size for part in parts)
-    if qp.factors is None:
-        matrix, n_k, scratch = qp.W, -1, 4 * n
-    else:
-        matrix, n_k = qp.factors, qp.factored_modes
-        scratch = 4 * n + 2 * qp.N * n_k
-    data = np.empty(head + len(_KERNEL_STAGES) + scratch)
-    np.concatenate(parts, out=data[:head])
-    stage_ns = data[head:head + len(_KERNEL_STAGES)]
-    stage_ns[:] = 0.0
-    failed = kernel.fgm_solve(_address(matrix), n_k, qp.n_u, qp.N, qp.beta, budget,
-                              _address(data), timers is not None)
-    if failed >= 0:
-        raise NumericalError(f"non-finite iterate at iteration {failed}")
-    if timers is not None:
-        for stage, ns in zip(_KERNEL_STAGES, stage_ns.tolist()):
-            timers[stage] = timers.get(stage, 0) + int(ns)
-    return data[n:2 * n]
+class Workspace:
+    """The compiled solve's buffers for one QP, built once.
+
+    `data` is the kernel's workspace, laid out as `fgm_solve` documents
+    it: q / lambda_max, the iterate, the stage timers and the scratch.
+    The addresses of `data` and of the QP's step matrix (its factored form
+    where it has one, else W) are fetched here, so a solve fetches only
+    the constraint set's.  A solve writes all of `data`, so one workspace
+    serves one solve at a time; the iterate it returns is overwritten by
+    the next.
+    """
+
+    def __init__(self, qp: CondensedQP):
+        n = qp.N * qp.n_u
+        if qp.factors is None:
+            matrix, n_k, scratch = qp.W, -1, 4 * n
+        else:
+            matrix, n_k = qp.factors, qp.factored_modes
+            scratch = 4 * n + 2 * qp.N * n_k
+        self.qp = qp
+        self.data = np.empty(2 * n + len(_KERNEL_STAGES) + scratch)
+        self.q_scaled = self.data[:n]
+        self.iterate = self.data[n:2 * n]
+        self.stage_ns = self.data[2 * n:2 * n + len(_KERNEL_STAGES)]
+        self._matrix = matrix  # keeps the address below valid
+        self._head = (_address(matrix), n_k, qp.n_u, qp.N, qp.beta)
+        self._data_address = _address(self.data)
+
+    def solve(self, kernel, q, cset: ConstraintSet, warm, budget: int,
+              timers: dict | None) -> np.ndarray:
+        """The fixed-budget loop of `_iterate` in the compiled kernel; returns
+        the iterate, a view of `data`."""
+        qp = self.qp
+        q = _checked_linear_term(qp, q)
+        if cset.N != qp.N or cset.n_u != qp.n_u:
+            raise DimensionError("constraint set does not match the QP dimensions")
+        if np.shape(warm) != self.iterate.shape:
+            raise DimensionError(f"iterate shape {np.shape(warm)} != {self.iterate.shape}")
+        np.divide(q, qp.lambda_max, out=self.q_scaled)
+        if warm is not self.iterate:
+            np.copyto(self.iterate, warm)
+        if timers is not None:
+            self.stage_ns.fill(0.0)
+        failed = kernel.fgm_solve(*self._head, budget, _address(cset._packed),
+                                  self._data_address, timers is not None)
+        if failed >= 0:
+            raise NumericalError(f"non-finite iterate at iteration {failed}")
+        if timers is not None:
+            for stage, ns in zip(_KERNEL_STAGES, self.stage_ns.tolist()):
+                timers[stage] = timers.get(stage, 0) + int(ns)
+        return self.iterate
 
 
 def _worker_count(n_workers) -> int:
@@ -489,20 +514,28 @@ def solve(
     i_max: int = DEFAULT_I_MAX,
     n_workers: int = 1,
     timers: dict | None = None,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Run exactly i_max fast-gradient iterations and return the final
     projected iterate: in the compiled kernel where it builds, else in the
     numpy loop, whose gradient step `n_workers` row-slices.  An i_max
     below 0 or an n_workers below 1 is refused with a ConfigError.
 
+    The compiled solve runs in `workspace`, a `Workspace` of this QP, and
+    returns a view of it that the next solve in it overwrites; without
+    one it runs in a new workspace, so concurrent solves do not interfere.
+    The numpy loop does not use it.
+
     `timers`, when given, accumulates per-stage nanoseconds under the keys
     'gradient', 'projection' and 'momentum' (used by the benchmark).
     """
     budget = _iteration_budget(i_max)
     n_workers = _worker_count(n_workers)
+    if workspace is not None and workspace.qp is not qp:
+        raise DimensionError("the workspace was built for another QP")
     kernel = _load_kernel()
     if kernel is not None:
-        return _solve_compiled(kernel, qp, q, cset, warm, budget, timers)
+        return (workspace or Workspace(qp)).solve(kernel, q, cset, warm, budget, timers)
     p, _ = _iterate(qp, q, cset, warm, budget, n_workers=n_workers, timers=timers)
     return p
 

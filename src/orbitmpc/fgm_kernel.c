@@ -246,14 +246,16 @@ static void lap(double *stage, int64_t *tic)
  * Runs `budget` iterations from the projection of the warm start onto the
  * set, n = horizon n_u.  With n_k < 0, `w` is the dense W, row-major with
  * n columns; otherwise it is the factored form over n_k modes, laid out
- * as factored_step_h states.  `data` is one buffer, so that a call passes
- * two addresses; it holds, in order:
+ * as factored_step_h states.  `set` is the array qp.ConstraintSet packs:
  *
- *   q_scaled          n      q / lambda_max
- *   iterate           n      the warm start; on return, the last projected iterate
  *   lower, upper      n each the box bounds of the stacked iterate
  *   band, rho         n_u each                   (horizon 2 only)
  *   seg_up, seg_down  2 n_u each, [lower; upper] (horizon 2 only)
+ *
+ * `data` is the caller's workspace; it holds, in order:
+ *
+ *   q_scaled          n      q / lambda_max
+ *   iterate           n      the warm start; on return, the last projected iterate
  *   stage_ns          3      zeros
  *   scratch           4 n, and 2 horizon n_k more for the factored form
  *
@@ -264,22 +266,20 @@ static void lap(double *stage, int64_t *tic)
  * a bound.
  */
 int64_t fgm_solve(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, double beta,
-                  int64_t budget, double *data, int64_t timed)
+                  int64_t budget, const double *set, double *data, int64_t timed)
 {
     const int64_t n = horizon * n_u;
     const double *q_scaled = data;
     double *iterate = data + n;
-    struct set s = {n_u, horizon, data + 2 * n, data + 3 * n, NULL, NULL, NULL, NULL};
-    double *tail = data + 4 * n;
+    struct set s = {n_u, horizon, set, set + n, NULL, NULL, NULL, NULL};
     if (horizon == 2) {
-        s.band = tail;
-        s.rho = tail + n_u;
-        s.seg_up = tail + 2 * n_u;
-        s.seg_down = tail + 4 * n_u;
-        tail += 6 * n_u;
+        s.band = set + 2 * n;
+        s.rho = s.band + n_u;
+        s.seg_up = s.rho + n_u;
+        s.seg_down = s.seg_up + 2 * n_u;
     }
-    double *stage_ns = tail;
-    double *p = tail + 3, *p_new = p + n, *v = p + 2 * n, *t = p + 3 * n;
+    double *stage_ns = data + 2 * n;
+    double *p = stage_ns + 3, *p_new = p + n, *v = p + 2 * n, *t = p + 3 * n;
     double *const modes = p + 4 * n;
     const double beta_1 = 1.0 + beta;
     int64_t tic = 0;

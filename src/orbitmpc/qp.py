@@ -220,8 +220,15 @@ class CondensedQP:
         without a modal form."""
         return None if self.modal is None else int(self.modal.modes.shape[0])
 
-    def linear_term(self, x0: np.ndarray, d_bar: np.ndarray) -> np.ndarray:
-        return self.q_map_x0 @ x0 + self.q_map_d @ d_bar
+    def linear_term(self, x0: np.ndarray, d_bar: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """q = q_map_x0 x0 + q_map_d d_bar.  With `out`, an (2, N n_u)
+        array, row 1 receives the disturbance term and row 0 q, which is
+        returned; the products and the sum are the same operations."""
+        if out is None:
+            return self.q_map_x0 @ x0 + self.q_map_d @ d_bar
+        q, d_term = out[0], out[1]  # unpacking the array itself costs ~3 us
+        np.matmul(self.q_map_x0, x0, out=q)
+        return np.add(q, np.matmul(self.q_map_d, d_bar, out=d_term), out=q)
 
 
 def momentum(lmin: float, lmax: float) -> float:
@@ -292,6 +299,29 @@ def build_condensed(ss: StateSpace, weights, terminal, M_s: np.ndarray, N: int,
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True, eq=False)
+class _Recentring:
+    """What recentring a set on a new input needs that depends only on
+    alpha and rho: -alpha, alpha - rho and rho - alpha, and a set array
+    (see ConstraintSet) whose entries that do not depend on u_prev are
+    filled in: for N = 2 the stage-1 box, the band half-widths where alpha
+    is finite, and rho.  `infinite` lists the actuators whose alpha is
+    infinite, whose band half-width depends on u_prev."""
+
+    neg_alpha: np.ndarray
+    alpha_minus_rho: np.ndarray
+    rho_minus_alpha: np.ndarray
+    template: np.ndarray
+    infinite: np.ndarray
+
+
+def _band(alpha, rho, u_prev):
+    """rho + tolerance; |u_prev| + 2 rho, the farthest u1 reaches, stands
+    in for an infinite alpha."""
+    scale = np.where(np.isinf(alpha), np.abs(u_prev) + 2.0 * rho, alpha)
+    return rho + 1e-12 * (1.0 + scale + rho)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class ConstraintSet:
     """Per-actuator amplitude/slew-rate limits around the last applied input.
 
@@ -300,27 +330,37 @@ class ConstraintSet:
     |u1 - u0| <= rho and |u1| <= alpha.  The set is laid out stage-major:
     a horizon-N iterate stacks N blocks of n_u entries.
 
-    Everything the projection needs is computed here, once per set: the
-    box bounds of the stacked iterate (stage-0 interval, and [-alpha,
-    alpha] for stage 1) and, for N = 2, the widened band half-width and the
-    u0 limits of the segments u1 = u0 + rho and u1 = u0 - rho inside the
-    box: [lo, min(hi, alpha - rho)] and [max(lo, rho - alpha), hi].  Their
-    other two limits, -alpha - rho and alpha + rho, never bind, since
-    fl(-alpha - rho) <= -alpha <= lo and hi <= alpha <= fl(alpha + rho).
-    A set whose stage-0 interval is empty or NaN for some actuator cannot
-    be built, so the projections and the diameter take feasibility as given.
+    Everything the projection needs is computed here, once per set, into
+    one array, `_packed`, in the layout `fgm_kernel.c` reads: the box
+    bounds of the stacked iterate, lower then upper (stage-0 interval, and
+    [-alpha, alpha] for stage 1), and for N = 2 the widened band
+    half-width, rho, and the u0 limits [lower; upper] of the segments
+    u1 = u0 + rho and u1 = u0 - rho inside the box: [lo, min(hi, alpha -
+    rho)] and [max(lo, rho - alpha), hi].  Their other two limits, -alpha
+    - rho and alpha + rho, never bind, since fl(-alpha - rho) <= -alpha <=
+    lo and hi <= alpha <= fl(alpha + rho).  `_lower`, `_upper`, `_band`
+    and `_segments` are views of it, and nothing writes it after the set
+    is built.  A set whose stage-0 interval is empty or NaN for some
+    actuator cannot be built, so the projections and the diameter take
+    feasibility as given.
+
+    `update_constraint_set` recentres a set on a new input from the parts
+    that depend only on alpha and rho, computed once when the first set
+    of a sequence is built.
     """
 
     alpha: np.ndarray
     rho: np.ndarray
     u_prev: np.ndarray
     N: int
+    _packed: np.ndarray = dataclasses.field(init=False, repr=False)
     _lower: np.ndarray = dataclasses.field(init=False, repr=False)
     _upper: np.ndarray = dataclasses.field(init=False, repr=False)
     # N = 2 only: rho + tolerance, and per band side (+rho, -rho) the
     # (2, n_u) u0 limits [lower; upper] of that side's segment inside the box
     _band: np.ndarray | None = dataclasses.field(init=False, repr=False)
     _segments: tuple | None = dataclasses.field(init=False, repr=False)
+    _recentring: _Recentring = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
@@ -328,30 +368,61 @@ class ConstraintSet:
         u_prev = np.atleast_1d(np.asarray(self.u_prev, dtype=float))
         if self.N not in SUPPORTED_HORIZONS:
             raise DimensionError(f"horizon must be one of {SUPPORTED_HORIZONS}")
-        if not (alpha.shape == rho.shape == u_prev.shape):
+        if not (alpha.shape == rho.shape == u_prev.shape) or alpha.ndim != 1:
             raise DimensionError("alpha, rho, u_prev must share one shape")
-        lo = np.maximum(-alpha, u_prev - rho)
-        hi = np.minimum(alpha, u_prev + rho)
-        if np.count_nonzero(lo <= hi) < lo.shape[0]:  # NaN fails `<=` too
+        n = alpha.shape[0]
+        template = np.zeros(2 * n if self.N == 1 else 10 * n)
+        infinite = np.flatnonzero(np.isinf(alpha))
+        if self.N == 2:
+            template[n:2 * n] = -alpha
+            template[3 * n:4 * n] = alpha
+            template[4 * n:5 * n] = _band(alpha, rho, np.zeros(n))
+            template[5 * n:6 * n] = rho
+        recentring = _Recentring(neg_alpha=-alpha, alpha_minus_rho=alpha - rho,
+                                 rho_minus_alpha=rho - alpha, template=template, infinite=infinite)
+        for name, value in (("alpha", alpha), ("rho", rho), ("_recentring", recentring)):
+            object.__setattr__(self, name, value)
+        self._centre(u_prev)
+
+    def _centre(self, u_prev: np.ndarray) -> None:
+        """Fill a new set array centred on u_prev and set the fields that
+        depend on it; raises InfeasibleError on an empty stage-0 interval."""
+        alpha, rho, r = self.alpha, self.rho, self._recentring
+        n = alpha.shape[0]
+        packed = r.template.copy()
+        lo, hi = packed[:n], packed[self.N * n:(self.N + 1) * n]
+        np.maximum(r.neg_alpha, np.subtract(u_prev, rho, out=lo), out=lo)
+        np.minimum(alpha, np.add(u_prev, rho, out=hi), out=hi)
+        if np.count_nonzero(lo <= hi) < n:  # NaN fails `<=` too
             bad = np.flatnonzero(~(lo <= hi))
             raise InfeasibleError(
                 f"empty stage set for actuator(s) {bad.tolist()}: "
                 "|u_prev| exceeds alpha + rho, or a limit or u_prev is NaN"
             )
-        lower, upper, band, segments = lo, hi, None, None
+        band = segments = None
         if self.N == 2:
-            lower, upper = np.concatenate([lo, -alpha]), np.concatenate([hi, alpha])
-            # |u_prev| + 2 rho, the farthest u1 reaches, stands in for alpha = inf
-            scale = np.where(np.isinf(alpha), np.abs(u_prev) + 2.0 * rho, alpha)
-            band = rho + 1e-12 * (1.0 + scale + rho)
-            segments = (
-                np.stack([lo, np.minimum(hi, alpha - rho)]),
-                np.stack([np.maximum(lo, rho - alpha), hi]),
-            )
-        for name, value in (("alpha", alpha), ("rho", rho), ("u_prev", u_prev),
-                            ("_lower", lower), ("_upper", upper),
+            band = packed[4 * n:5 * n]
+            if r.infinite.size:
+                band[r.infinite] = _band(alpha, rho, u_prev)[r.infinite]
+            seg_up, seg_down = packed[6 * n:8 * n], packed[8 * n:]
+            seg_up[:n] = lo
+            np.minimum(hi, r.alpha_minus_rho, out=seg_up[n:])
+            np.maximum(lo, r.rho_minus_alpha, out=seg_down[:n])
+            seg_down[n:] = hi
+            segments = (seg_up.reshape(2, n), seg_down.reshape(2, n))
+        for name, value in (("u_prev", u_prev), ("_packed", packed),
+                            ("_lower", packed[:self.N * n]), ("_upper", packed[self.N * n:2 * self.N * n]),
                             ("_band", band), ("_segments", segments)):
             object.__setattr__(self, name, value)
+
+    def _recentred(self, u_prev: np.ndarray) -> "ConstraintSet":
+        """The set with the same limits centred on u_prev (a float array of
+        shape (n_u,)), built from this one's alpha- and rho-only parts."""
+        new = object.__new__(ConstraintSet)
+        for name in ("alpha", "rho", "N", "_recentring"):
+            object.__setattr__(new, name, getattr(self, name))
+        new._centre(u_prev)
+        return new
 
     @property
     def n_u(self) -> int:
@@ -466,7 +537,7 @@ def update_constraint_set(cset: ConstraintSet, u_applied: np.ndarray) -> Constra
             f"applied input {u_applied[worst]:.6g} outside amplitude limit "
             f"{cset.alpha[worst]:.6g} on actuator {worst}"
         )
-    return ConstraintSet(alpha=cset.alpha, rho=cset.rho, u_prev=u_applied, N=cset.N)
+    return cset._recentred(u_applied)
 
 
 def default_delta(lambda_max: float, cset: ConstraintSet) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 from . import fgm, fileio, qp
 from .errors import ConfigError, DimensionError, NumericalError
 from .model import PlantConfig, StateSpace, build_state_space
-from .observer import ObserverState, update_fast
+from .observer import ObserverBuffers, ObserverState, update_fast
 
 DISTURBANCE_KINDS = ("white", "random_walk", "sinusoid_mix", "file")
 
@@ -197,6 +197,16 @@ class MpcController:
     at the previous solution, apply the first stage, then advance the
     observer with the applied input and this sample's measurement.
 
+    The controller owns its per-sample buffers, built once: the observer
+    estimates, updated in place with `ObserverBuffers`; two linear-term
+    buffers, used in turn, so the q a sample passed to the solve is still
+    intact after the next sample; and the compiled solve's `Workspace`.
+    Each sample recentres the set into one new array, from the alpha- and
+    rho-only parts its first set computed, so no set is written after the
+    solve that took it.  The applied inputs are bit for bit those of the
+    reference functions (`linear_term`, `update_constraint_set`,
+    `fgm.solve` and `update_fast` without buffers).
+
     `n_workers` (>= 1) row-slices the gradient step of the numpy solve,
     which runs only where the compiled kernel cannot be built; the
     compiled solve is one serial loop whatever it is.  Either way the
@@ -210,33 +220,39 @@ class MpcController:
         self.ss = ss
         self.qp = condensed
         self.gain = gain
-        self.alpha = np.asarray(alpha, dtype=float)
-        self.rho = np.asarray(rho, dtype=float)
+        self.alpha = np.array(alpha, dtype=float)
+        self.rho = np.array(rho, dtype=float)
         self.i_max = fgm._iteration_budget(i_max)
         self.n_workers = fgm._worker_count(n_workers)
         fgm.solve_kernel()  # builds the compiled kernel here, not inside the first sample
+        self._cset0 = qp.ConstraintSet(alpha=self.alpha, rho=self.rho,
+                                       u_prev=np.zeros(ss.n_u), N=condensed.N)
+        self._workspace = fgm.Workspace(condensed)
+        self._q_buffers = (np.empty((2, condensed.N * ss.n_u)), np.empty((2, condensed.N * ss.n_u)))
         self.reset()
 
     def reset(self):
         self.observer = ObserverState.initial(self.ss, self.gain)
-        self.u_prev = np.zeros(self.ss.n_u)
+        self._observer_buffers = ObserverBuffers.for_state(self.observer)
+        self.cset = self._cset0
+        self.u_prev = self.cset.u_prev
         self.warm = np.zeros(self.qp.N * self.ss.n_u)
-        self.cset = qp.ConstraintSet(alpha=self.alpha, rho=self.rho,
-                                     u_prev=self.u_prev, N=self.qp.N)
 
     def step(self, y_k: np.ndarray, timers: dict | None = None) -> np.ndarray:
         tic = time.perf_counter_ns() if timers is not None else 0
-        q_vec = self.qp.linear_term(self.observer.x_hat, self.observer.d_hat)
+        q_out, spare = self._q_buffers
+        self._q_buffers = (spare, q_out)
+        q_vec = self.qp.linear_term(self.observer.x_hat, self.observer.d_hat, out=q_out)
         if timers is not None:
             tic = fgm._add_ns(timers, "q_update", tic)
         self.cset = qp.update_constraint_set(self.cset, self.u_prev)
         if timers is not None:
             fgm._add_ns(timers, "set_update", tic)
-        u_plan = fgm.solve(self.qp, q_vec, self.cset, self.warm,
-                           i_max=self.i_max, n_workers=self.n_workers, timers=timers)
+        u_plan = fgm.solve(self.qp, q_vec, self.cset, self.warm, i_max=self.i_max,
+                           n_workers=self.n_workers, timers=timers, workspace=self._workspace)
         u_k = u_plan[: self.ss.n_u].copy()
         tic = time.perf_counter_ns() if timers is not None else 0
-        self.observer = update_fast(self.observer, u_k, y_k)
+        self.observer = update_fast(self.observer, u_k, y_k, buffers=self._observer_buffers)
         if timers is not None:
             fgm._add_ns(timers, "observer", tic)
         self.warm = u_plan
@@ -267,8 +283,8 @@ def simulate(plant: PlantConfig, controller, dist: DisturbanceSpec, T: int) -> S
         if controller is not None:
             try:
                 u_k = controller.step(y_k)
-            except NumericalError as exc:
-                raise NumericalError(f"controller failed at simulation step {k}: {exc}") from exc
+            except NumericalError as exc:  # InfeasibleError stays one
+                raise type(exc)(f"controller failed at simulation step {k}: {exc}") from exc
         else:
             u_k = np.zeros(plant.n_u)
         if not (np.all(np.isfinite(u_k)) and np.all(np.isfinite(y_k))):

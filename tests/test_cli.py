@@ -671,6 +671,24 @@ class TestBenchRecordsTheSolveKernel:
             header = [line for line in fh if line.startswith("#")]
         assert f"# solve_kernel={kernel}\n" in header
 
+    def test_timing_header_records_the_time_outside_the_stages(self, tmp_path):
+        out = str(tmp_path / "bench")
+        cfg = write_config(tmp_path, extra="n_workers = 2\n")
+        assert main(["bench", "--config", cfg, "--out", out]) == 0
+        header, means = {}, {1: 0.0, 2: 0.0}
+        with open(os.path.join(out, "timing.csv")) as fh:
+            for line in fh:
+                if line.startswith("# "):
+                    key, _, value = line[2:].strip().partition("=")
+                    header[key] = value
+                else:
+                    workers, _, mean_us, _ = line.strip().split(",")
+                    means[int(workers)] += float(mean_us)
+        for workers in (1, 2):
+            total = float(header[f"total_mean_us_workers_{workers}"])
+            untimed = float(header[f"untimed_mean_us_workers_{workers}"])
+            assert 0.0 < untimed < total
+            assert untimed == pytest.approx(total - means[workers], rel=1e-9, abs=1e-6)
 
     @pytest.mark.parametrize("force_numpy", [False, True])
     def test_timing_header_and_output_record_the_hessian_form(self, tmp_path, capsys, monkeypatch,

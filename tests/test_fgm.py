@@ -546,3 +546,39 @@ class TestCompiledKernel:
         assert builds == ["built"]
         ctrl.step(np.zeros(4))
         assert builds == ["built"]
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("kernel_off", [False, True], ids=["kernel", "kernel-off"])
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("instance", [random_instance, ring_like_instance])
+    def test_solve_in_a_workspace_bit_identical(self, rng, monkeypatch, kernel_off, N, instance):
+        if kernel_off:
+            monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
+        qp, _, _, _ = instance(rng, N, saturated=True)
+        n_u = qp.n_u
+        workspace = fgm.Workspace(qp)
+        warm = np.zeros(N * n_u)
+        for k in range(6):
+            # sets and linear terms of both kinds the instances draw, on one QP
+            saturated = k % 2 == 0
+            u_prev = rng.uniform(-0.4, 0.4, n_u) if saturated else np.zeros(n_u)
+            cset = ConstraintSet(alpha=rng.uniform(0.5, 1.5, n_u), rho=rng.uniform(0.05, 0.5, n_u),
+                                 u_prev=u_prev, N=N)
+            q = rng.standard_normal(N * n_u) * qp.lambda_max * (3.0 if saturated else 3e-3)
+            want = solve(qp, q, cset, warm, i_max=20)
+            timers = {}
+            got = solve(qp, q, cset, warm, i_max=20, timers=timers, workspace=workspace)
+            assert got.tobytes() == want.tobytes()
+            assert set(timers) == {"gradient", "projection", "momentum"}
+            # as in the controller, the last iterate is the next warm start
+            warm = got
+
+    @pytest.mark.parametrize("kernel_off", [False, True], ids=["kernel", "kernel-off"])
+    def test_workspace_of_another_qp_refused(self, rng, monkeypatch, kernel_off):
+        if kernel_off:
+            monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
+        qp, q, cset, warm = random_instance(rng, 1, saturated=False)
+        other = qp_from_matrix(qp.J.copy(), N=1)
+        with pytest.raises(DimensionError, match="another QP"):
+            solve(qp, q, cset, warm, workspace=fgm.Workspace(other))

@@ -211,6 +211,18 @@ class TestLinearMaps:
         scale = max(1.0, np.linalg.norm(q_ref))
         assert np.linalg.norm(q_got - q_ref) < 1e-10 * scale
 
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_written_into_a_buffer_bit_identical(self, rng, N):
+        ss = small_ss(rng)
+        w, terminal, M_s = design_parts(ss)
+        cq = build_condensed(ss, w, terminal, M_s, N)
+        out = np.full((2, N * ss.n_u), np.nan)
+        for _ in range(20):
+            x0, d = rng.standard_normal(ss.n_u), rng.standard_normal(ss.n_y) * 1e3
+            q = cq.linear_term(x0, d, out=out)
+            assert np.shares_memory(q, out)
+            assert q.tobytes() == cq.linear_term(x0, d).tobytes()
+
     def test_q_is_gradient_at_zero(self, rng):
         # finite differences of the uncondensed objective at u = 0
         ss = small_ss(rng, n_u=2, n_y=2, mu=1)
@@ -397,6 +409,53 @@ def test_projection_properties_hypothesis(t0, t1, alpha, rho_frac, prev_frac):
     want = polygon_project_oracle(np.array([t0, t1]), A, b)
     assert np.allclose(np.array([p[0], p[1]]), want, atol=1e-8)
 
+
+def set_arrays_by_formula(alpha, rho, u_prev, N):
+    """The projection data of a set, each entry by its defining formula."""
+    lo = np.maximum(-alpha, u_prev - rho)
+    hi = np.minimum(alpha, u_prev + rho)
+    if N == 1:
+        return {"_lower": lo, "_upper": hi, "_packed": np.concatenate([lo, hi])}
+    scale = np.where(np.isinf(alpha), np.abs(u_prev) + 2.0 * rho, alpha)
+    band = rho + 1e-12 * (1.0 + scale + rho)
+    seg_up = np.stack([lo, np.minimum(hi, alpha - rho)])
+    seg_down = np.stack([np.maximum(lo, rho - alpha), hi])
+    lower, upper = np.concatenate([lo, -alpha]), np.concatenate([hi, alpha])
+    return {"_lower": lower, "_upper": upper, "_band": band, "seg_up": seg_up, "seg_down": seg_down,
+            "_packed": np.concatenate([lower, upper, band, rho, seg_up.ravel(), seg_down.ravel()])}
+
+
+class TestConstraintSetRecentring:
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_recentred_set_bit_identical_to_its_formulas(self, rng, N):
+        # one actuator without an amplitude limit, whose band depends on u_prev
+        n_u = 6
+        alpha = rng.uniform(0.5, 1.5, n_u)
+        alpha[2] = np.inf
+        rho = rng.uniform(0.01, 2.0, n_u)
+        cset = ConstraintSet(alpha=alpha, rho=rho, u_prev=np.zeros(n_u), N=N)
+        first = cset
+        for _ in range(50):
+            u = np.clip(rng.uniform(-3.0, 3.0, n_u), -np.minimum(alpha, 3.0), np.minimum(alpha, 3.0))
+            cset = update_constraint_set(cset, u)
+            want = set_arrays_by_formula(alpha, rho, u, N)
+            got = {"_lower": cset._lower, "_upper": cset._upper, "_packed": cset._packed}
+            if N == 2:
+                got.update(_band=cset._band, seg_up=cset._segments[0], seg_down=cset._segments[1])
+                for name in ("_lower", "_upper", "_band", "seg_up", "seg_down"):
+                    assert np.shares_memory(got[name], cset._packed)
+            assert got.keys() == want.keys()
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), name
+            assert not np.shares_memory(cset._packed, first._packed)
+            assert cset.alpha is first.alpha and cset.rho is first.rho
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_recentring_keeps_the_empty_set_check(self, N):
+        # recentring skips update_constraint_set's amplitude check, not this one
+        cset = ConstraintSet(alpha=np.ones(3), rho=np.full(3, 0.1), u_prev=np.zeros(3), N=N)
+        with pytest.raises(InfeasibleError, match=r"actuator\(s\) \[1\]"):
+            cset._recentred(np.array([0.0, 1.5, 0.0]))
 
 class TestConstraintSetUpdates:
     def test_same_input_keeps_bounds(self, rng):

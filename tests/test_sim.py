@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from orbitmpc import (
     ConfigError,
+    ConstraintSet,
     DisturbanceSpec,
+    InfeasibleError,
     NumericalError,
+    ObserverState,
     build_state_space,
     design_controller,
     disturbance,
@@ -12,7 +17,10 @@ from orbitmpc import (
     ibm_at,
     simulate,
     synthetic_plant,
+    update_constraint_set,
+    update_fast,
 )
+from orbitmpc import fgm
 from orbitmpc.fileio import write_matrix
 from orbitmpc.sim import ibm_from_signal, spatial_mode_shape
 
@@ -276,3 +284,129 @@ class TestClosedLoopMpc:
         freqs, curve_free = ibm(tr_free)
         _, curve_clip = ibm(tr_clip)
         assert ibm_at(freqs, curve_clip, 4.0) >= ibm_at(freqs, curve_free, 4.0)
+
+
+class _Raises:
+    """A controller whose every step raises the given error."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def step(self, y_k):
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [InfeasibleError, NumericalError])
+def test_controller_error_keeps_its_class_and_names_the_step(plant, error):
+    with pytest.raises(error, match="controller failed at simulation step 0: stub") as info:
+        simulate(plant, _Raises(error("stub")), DisturbanceSpec(sigma=0.0), 5)
+    assert type(info.value) is error
+
+
+class _ReferenceController:
+    """The online stack written with the reference functions only: a new
+    linear term, constraint set and observer state every sample, and a
+    solve in its own workspace."""
+
+    def __init__(self, b, i_max):
+        self.b, self.i_max = b, i_max
+
+    def reset(self):
+        b = self.b
+        self.observer = ObserverState.initial(b.ss, b.gain)
+        self.u_prev = np.zeros(b.ss.n_u)
+        self.warm = np.zeros(b.condensed.N * b.ss.n_u)
+        self.cset = ConstraintSet(alpha=b.plant.alpha, rho=b.plant.rho, u_prev=self.u_prev,
+                                  N=b.condensed.N)
+
+    def step(self, y_k):
+        q = self.b.condensed.linear_term(self.observer.x_hat, self.observer.d_hat)
+        self.cset = update_constraint_set(self.cset, self.u_prev)
+        u_plan = fgm.solve(self.b.condensed, q, self.cset, self.warm, i_max=self.i_max)
+        u_k = u_plan[: self.b.ss.n_u].copy()
+        self.observer = update_fast(self.observer, u_k, y_k)
+        self.warm, self.u_prev = u_plan, u_k
+        return u_k
+
+
+BUFFER_PLANTS = {
+    "4x4-n1": lambda: design_controller(synthetic_plant(4, 4, 50.0, seed=5, mu=3, alpha=0.3,
+                                                        rho=0.05), horizon=1),
+    "8x8-n2": lambda: design_controller(synthetic_plant(8, 8, 1e3, seed=2, mu=2, alpha=0.3,
+                                                        rho=0.05), horizon=2),
+    "40x41-n2-factored": lambda: design_controller(synthetic_plant(40, 41, 1e4, seed=7, alpha=0.3,
+                                                                   rho=0.05), horizon=2),
+}
+
+
+def owned_arrays(ctrl):
+    """The arrays an MpcController writes or hands to the solve per sample."""
+    st, ws = ctrl.observer, ctrl._workspace
+    return [ctrl.alpha, ctrl.rho, ctrl.warm, ctrl.u_prev, st.x_hat, st.z_hat, st.d_hat,
+            *dataclasses.astuple(ctrl._observer_buffers), *ctrl._q_buffers, ws.data,
+            ctrl.cset._packed, ctrl.cset.u_prev]
+
+
+class TestControllerBuffers:
+    @pytest.mark.parametrize("kernel_off", [False, True], ids=["kernel", "kernel-off"])
+    @pytest.mark.parametrize("shape", sorted(BUFFER_PLANTS))
+    def test_inputs_bit_identical_to_the_reference_functions(self, monkeypatch, shape, kernel_off):
+        if kernel_off:
+            monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
+        b = BUFFER_PLANTS[shape]()
+        if shape.endswith("factored"):
+            assert b.condensed.hessian_form == "factored"
+        dist = DisturbanceSpec(kind="white", sigma=2.0, seed=3)
+        got = simulate(b.plant, b.mpc_controller(i_max=20), dist, 400)
+        want = simulate(b.plant, _ReferenceController(b, 20), dist, 400)
+        assert got.u.tobytes() == want.u.tobytes()
+        # both limits bind somewhere, so every branch of the projection ran
+        assert np.any(np.abs(got.u) >= b.plant.alpha - 1e-12)
+        assert np.any(np.abs(np.diff(got.u, axis=0)) >= b.plant.rho - 1e-12)
+
+    @pytest.mark.parametrize("kernel_off", [False, True], ids=["kernel", "kernel-off"])
+    def test_controllers_of_one_bundle_share_no_buffer(self, monkeypatch, kernel_off):
+        if kernel_off:
+            monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
+        b = BUFFER_PLANTS["8x8-n2"]()
+        rng = np.random.default_rng(4)
+        ys = [rng.normal(0.0, 2.0, (300, b.ss.n_y)) for _ in range(2)]
+
+        def alone(y):
+            ctrl = b.mpc_controller(i_max=20)
+            return np.array([ctrl.step(y_k) for y_k in y])
+
+        want = [alone(y) for y in ys]
+        pair = [b.mpc_controller(i_max=20) for _ in range(2)]
+        got = [[], []]
+        for k in range(300):
+            for i, ctrl in enumerate(pair):
+                got[i].append(ctrl.step(ys[i][k]))
+        for i in range(2):
+            assert np.array(got[i]).tobytes() == want[i].tobytes()
+        for mine in owned_arrays(pair[0]):
+            for theirs in owned_arrays(pair[1]):
+                assert not np.shares_memory(mine, theirs)
+
+    @pytest.mark.parametrize("kernel_off", [False, True], ids=["kernel", "kernel-off"])
+    def test_solve_inputs_intact_after_the_next_sample(self, monkeypatch, kernel_off):
+        if kernel_off:
+            monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
+        b = BUFFER_PLANTS["8x8-n2"]()
+        ctrl = b.mpc_controller(i_max=20)
+        seen = []
+        solve = fgm.solve
+
+        def recording_solve(qp_, q, cset, warm, **kwargs):
+            arrays = (q, cset.u_prev, cset._packed, *cset._segments)
+            seen.append((arrays, [np.array(a) for a in arrays]))
+            return solve(qp_, q, cset, warm, **kwargs)
+
+        monkeypatch.setattr(fgm, "solve", recording_solve)
+        rng = np.random.default_rng(5)
+        for k in range(100):
+            ctrl.step(rng.normal(0.0, 2.0, b.ss.n_y))
+            if k:
+                arrays, copies = seen[k - 1]
+                for array, copy in zip(arrays, copies):
+                    assert array.tobytes() == copy.tobytes()
