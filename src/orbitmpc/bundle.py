@@ -8,7 +8,8 @@ bundle directory that the simulate, bench and check commands consume: one
 `.npy` file per array (the plant's among them) and every scalar in
 `meta.txt` as key=value text.  On a one-bandwidth plant the load rebuilds
 the Hessian's modal form from the stored q_hat, r_hat and the square
-[V, V_perp] in V.npy, with the function the design uses.  `meta.txt` carries the bundle's schema
+[V, V_perp] in V.npy, with the function the design uses, and from it and
+the stored gain the observer's and linear term's modal record.  `meta.txt` carries the bundle's schema
 version and a fingerprint of the design inputs, so a bundle designed from
 other inputs or in another layout is never mistaken for a fresh one.
 """
@@ -16,6 +17,7 @@ other inputs or in another layout is never mistaken for a fresh one.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import os
 import warnings
@@ -25,7 +27,8 @@ import numpy as np
 from . import design, fileio, qp
 from .errors import ConfigError, DimensionError, NumericalError
 from .model import ModalBasis, PlantConfig, StateSpace, build_state_space, modal_decompose
-from .observer import ObserverState, update_fast, update_naive
+from .observer import (MODAL_RECORD_TOLERANCE, ModalRecord, ObserverState, modal_record, update_fast,
+                       update_naive)
 from .sim import ImcController, MpcController
 
 # Version of the bundle layout, separate from fileio.SCHEMA_VERSION of the
@@ -55,6 +58,16 @@ class DesignBundle:
     def kappa(self) -> float:
         return self.condensed.lambda_max / self.condensed.lambda_min
 
+    @functools.cached_property
+    def modal_record(self) -> ModalRecord | None:
+        """The online maps by mode, checked against the dense ones (see
+        observer.modal_record), on a one-bandwidth plant; else None.  Built
+        at the first read: load_bundle reads it, a designed bundle's first
+        controller does."""
+        if self.condensed.modal is None:
+            return None
+        return modal_record(self.ss, self.basis, self.gain, self.condensed)
+
     def mpc_controller(self, i_max: int, n_workers: int = 1) -> MpcController:
         return MpcController(
             ss=self.ss,
@@ -64,6 +77,7 @@ class DesignBundle:
             rho=self.plant.rho,
             i_max=i_max,
             n_workers=n_workers,
+            modes=self.modal_record,
         )
 
     def imc_controller(self, bandwidth_hz: float, clip: bool) -> ImcController:
@@ -287,7 +301,7 @@ def save_bundle(bundle: DesignBundle, directory) -> None:
     fileio.write_kv(os.path.join(directory, "meta.txt"), {**bundle.meta, **_scalars(bundle)})
 
 
-def load_bundle(directory) -> DesignBundle:
+def load_bundle(directory, diagnose: bool = False) -> DesignBundle:
     """Read a bundle written by `save_bundle`, checking its schema version,
     the dtype and shape of every array, the plant (by building it), the
     Hessian (by building the condensed QP, which refuses an asymmetric J
@@ -296,7 +310,11 @@ def load_bundle(directory) -> DesignBundle:
     from them) and the iteration bookkeeping: epsilon and delta must lie
     where the design accepts them, and i_max_bound is derived from them
     and kappa as the design derives it.  The recorded Hessian form and its
-    number of distinct modes must be the ones derived on load."""
+    number of distinct modes must be the ones derived on load.  On a
+    one-bandwidth plant the modal record is built from the loaded arrays,
+    which refuses a gain or linear-term map that is not diagonal by mode
+    (see observer.modal_record); with `diagnose`, as the check command
+    loads, such a bundle is returned for run_checks to report instead."""
     meta = fileio.read_kv(os.path.join(directory, "meta.txt"))
     version = meta.get("schema_version", "none")
     if version != str(SCHEMA_VERSION):
@@ -343,7 +361,7 @@ def load_bundle(directory) -> DesignBundle:
         if meta.get(key) != str(value):
             raise ConfigError(f"{directory}: meta.txt key '{key}' = {meta.get(key)} is not "
                               f"{value}, the value of its Hessian")
-    return DesignBundle(
+    loaded = DesignBundle(
         plant=plant,
         ss=ss,
         basis=basis,
@@ -357,6 +375,12 @@ def load_bundle(directory) -> DesignBundle:
         i_max_bound=i_max_bound,
         meta=meta,
     )
+    if not diagnose:
+        try:
+            loaded.modal_record  # built here, so a record that disagrees is refused on load
+        except NumericalError as exc:
+            raise ConfigError(f"{directory}: {exc}") from exc
+    return loaded
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +396,9 @@ class CheckResult:
 
 def run_checks(bundle: DesignBundle, probe_steps: int = 100, seed: int = 0) -> list[CheckResult]:
     """Bundle self-consistency: DARE residual, steady-state target,
-    fast-vs-naive observer agreement, spectral-bound agreement.
+    fast-vs-naive observer agreement, spectral-bound agreement, and the
+    modal record's probe gap against the dense maps (not applicable on a
+    mixed-bandwidth plant, which has none).
 
     The target check forms M_s from the stored modal basis and tests the
     least-squares condition C^T (C M_s d + d) = 0 against the plant's own
@@ -420,4 +446,17 @@ def run_checks(bundle: DesignBundle, probe_steps: int = 100, seed: int = 0) -> l
     )
     results.append(CheckResult("spectral_bounds", drift < 1e-8,
                                f"relative drift {drift:.3e} (tolerance 1e-08)"))
+
+    try:
+        record = bundle.modal_record
+    except NumericalError as exc:
+        results.append(CheckResult("modal_record", False, str(exc)))
+    else:
+        if record is None:
+            results.append(CheckResult("modal_record", True,
+                                       "not applicable: the actuators do not share one bandwidth"))
+        else:
+            results.append(CheckResult("modal_record", True,
+                                       f"probe gap {record.probe_gap:.3e} against the dense maps "
+                                       f"(tolerance {MODAL_RECORD_TOLERANCE:.0e})"))
     return results

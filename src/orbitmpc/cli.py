@@ -360,6 +360,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         "design_fingerprint": fingerprint,
         "solve_kernel": fgm.solve_kernel(),
         "hessian_form": fgm.hessian_form(b.condensed),
+        "observer_form": ctrl.observer_form,
     }
     for workers, total in totals.items():
         header[f"total_mean_us_workers_{workers}"] = fileio.format_float(total)
@@ -373,6 +374,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     print(f"timing.csv written to {cfg.output_dir}")
     print(f"  solve_kernel={header['solve_kernel']}")
     print(f"  hessian_form={header['hessian_form']}")
+    print(f"  observer_form={header['observer_form']}")
     for workers, total in totals.items():
         print(f"  workers={workers}: total {total:.1f} us/sample, "
               f"{untimed[workers]:.1f} of it outside the six stages")
@@ -381,7 +383,7 @@ def cmd_bench(cfg: RunConfig) -> int:
 
 def cmd_check(cfg: RunConfig, bundle_dir=None) -> int:
     directory = bundle_dir or cfg.output_dir
-    b = bundle_mod.load_bundle(directory)
+    b = bundle_mod.load_bundle(directory, diagnose=True)
     results = bundle_mod.run_checks(b)
     want = bundle_mod.design_fingerprint(cfg.plant, _design_inputs(cfg, cfg.horizon))
     have = b.meta.get("design_fingerprint")

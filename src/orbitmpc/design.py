@@ -295,7 +295,30 @@ def modal_hessian(ss: StateSpace, basis: ModalBasis, weights: Weights, horizon: 
         blocks[:, 0, 0] = b * b * q + a * a * b2p + r
         blocks[:, 0, 1] = blocks[:, 1, 0] = a * b2p
         blocks[:, 1, 1] = b2p + r
-    return ModalHessian(blocks=blocks, basis=basis.V_full)
+    return ModalHessian(blocks=blocks, basis=basis.V_full, costs=np.stack([q, r, p]))
+
+
+def modal_linear_term(ss: StateSpace, basis: ModalBasis, form: ModalHessian) -> tuple[np.ndarray, np.ndarray]:
+    """The linear-term maps of a one-bandwidth plant by mode, in closed form:
+    (alpha, beta), (N, n_u) and (N, r), with q_map_x0's stage-s block
+    [V, V_perp] diag(alpha_s) [V, V_perp]^T and q_map_d's V diag(beta_s) U^T.
+
+    From the block formulas of qp with g_m = a^m b, mode i's weights
+    (q_i, r_i, p_i) from `form.costs` and M_s = -V diag(1/sigma) U^T (see
+    setpoint_matrix): for N = 1, alpha_0 = a b p and beta_0 = (b p + r) /
+    sigma; for N = 2, alpha_0 = a b q + a^3 b p, alpha_1 = a^2 b p,
+    beta_0 = (b q + a b p + r) / sigma and beta_1 = (b p + r) / sigma, with
+    1/sigma taken as setpoint_matrix takes it.
+    """
+    a, b = float(ss.A[0]), float(ss.B[0])
+    q, r, p = form.costs
+    if form.N == 1:
+        alpha = (a * b * p)[None]
+        weighted = (b * p + r)[None]
+    else:
+        alpha = np.stack([a * b * q + a ** 3 * b * p, a * a * b * p])
+        weighted = np.stack([b * q + a * b * p + r, b * p + r])
+    return alpha, weighted[:, :basis.r] * _inverse_sigma(basis.S)
 
 
 def lqr_gain_modal(a: float, b: float, p_hat_i: float, r_hat_i: float) -> float:
@@ -415,8 +438,12 @@ def setpoint_matrix(ss: StateSpace, basis: ModalBasis) -> np.ndarray:
             "takes least-squares semantics",
             stacklevel=2,
         )
-    s_inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 1e-15 * sigma[0])
-    return -(basis.V @ (s_inv[:, None] * basis.U.T))
+    return -(basis.V @ (_inverse_sigma(sigma)[:, None] * basis.U.T))
+
+
+def _inverse_sigma(sigma: np.ndarray) -> np.ndarray:
+    """1 / sigma with numpy's pseudo-inverse cutoff: 0 at or below 1e-15 sigma_0."""
+    return np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 1e-15 * sigma[0])
 
 
 # ---------------------------------------------------------------------------

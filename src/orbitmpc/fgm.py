@@ -20,6 +20,8 @@ Which loop runs depends only on whether the compiled kernel is built.
 `fgm_kernel.c` runs the whole fixed-budget solve in C: warm-start
 projection, gradient step, finiteness check, the N = 1 and N = 2
 projections written step for step as `qp._project_stacked`, and momentum.
+It also holds the per-mode observer update and linear term that
+`sim.MpcController` runs on one-bandwidth plants (see observer.ModalRecord).
 It is built with the system compiler (`$CC`, else `cc`) once per process,
 into a temporary directory removed once `ctypes` has loaded it:
 `sim.MpcController` builds it while it is set up, so no control sample
@@ -171,6 +173,10 @@ def _build_kernel():
     kernel.fgm_solve.argtypes = [_POINTER, _INT, _INT, _INT, ctypes.c_double, _INT, _POINTER,
                                  _POINTER, _INT]
     kernel.fgm_solve.restype = _INT
+    kernel.modal_linear_term.argtypes = [_POINTER, _INT, _INT, _INT, _INT, _POINTER, _POINTER]
+    kernel.modal_linear_term.restype = None
+    kernel.modal_observe.argtypes = [_POINTER, _INT, _INT, _INT, _INT, _POINTER, _POINTER, _POINTER]
+    kernel.modal_observe.restype = _INT
     return kernel
 
 

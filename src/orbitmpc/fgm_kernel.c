@@ -30,6 +30,14 @@
  * expansion the rows of V_K^T with a block of outputs in registers, so
  * both vectorize without reordering a sum, as the dense sweep does.
  *
+ * Two more entry points run the rest of a control sample on one-bandwidth
+ * plants, where the observer's estimates are kept by mode (see
+ * observer.ModalRecord): modal_observe advances them with a measurement
+ * and the applied input, and modal_linear_term forms the QP's linear
+ * term from them.  Their three products, U^T y, [V, V_perp]^T u and
+ * [V, V_perp] q~, run the dense gradient step's sweep (both stage columns
+ * of q~ in one sweep where n_u >= 32); the rest is elementwise by mode.
+ *
  * Build with -ffp-contract=off and without -ffast-math: every operation
  * is then an IEEE double operation in the stated order, the projections
  * compare and select exactly as qp._clip and qp._project_stacked do, and
@@ -52,15 +60,15 @@
    about half the speed. */
 #define BLOCK 32
 
-static inline void row_block(const double *restrict w, int64_t n, const double *restrict v,
-                             const double *restrict q_scaled, double *restrict t,
-                             int64_t i, int width)
+static inline void row_block(const double *restrict w, int64_t rows, int64_t cols,
+                             const double *restrict v, const double *restrict q_scaled,
+                             double *restrict t, int64_t i, int width)
 {
     double acc[BLOCK];
     for (int k = 0; k < width; k++)
         acc[k] = 0.0;
-    for (int64_t j = 0; j < n; j++) {
-        const double *restrict row = w + j * n + i;
+    for (int64_t j = 0; j < rows; j++) {
+        const double *restrict row = w + j * cols + i;
         const double vj = v[j];
         for (int k = 0; k < width; k++)
             acc[k] += row[k] * vj;
@@ -69,20 +77,30 @@ static inline void row_block(const double *restrict w, int64_t n, const double *
         t[i + k] = acc[k] - q_scaled[i + k];
 }
 
-/* t = W v - q / lambda_max for the n x n leading block of the row-major W.
-   Kept out of line: inlined into fgm_solve, gcc 12 -O3 makes the ring-size
-   (346-row) solve ~15% slower. */
+/* t = W^T v - q for the row-major rows x cols matrix W, one block of
+   outputs per sweep over its rows: with W = I - J / lambda_max (square and
+   symmetric) and q / lambda_max, the gradient step; the modal entry
+   points pass q = 0.  Past the first block, the last one ends on the last
+   output and overlaps the one before, whose outputs it writes again with
+   the same bits: one sweep, where blocks of 4 and 1, each bound by the
+   latency of its additions, would take up to 3 + 3.  Kept out of line:
+   inlined into fgm_solve, gcc 12 -O3 makes the ring-size (346-row) solve
+   ~15% slower. */
 __attribute__((noinline))
-static void gradient_step(const double *w, int64_t n, const double *v, const double *q_scaled,
-                          double *t)
+static void gradient_step(const double *w, int64_t rows, int64_t cols, const double *v,
+                          const double *q_scaled, double *t)
 {
     int64_t i = 0;
-    for (; i + BLOCK <= n; i += BLOCK)
-        row_block(w, n, v, q_scaled, t, i, BLOCK);
-    for (; i + 4 <= n; i += 4)
-        row_block(w, n, v, q_scaled, t, i, 4);
-    for (; i < n; i++)
-        row_block(w, n, v, q_scaled, t, i, 1);
+    for (; i + BLOCK <= cols; i += BLOCK)
+        row_block(w, rows, cols, v, q_scaled, t, i, BLOCK);
+    if (i < cols && i > 0) {
+        row_block(w, rows, cols, v, q_scaled, t, cols - BLOCK, BLOCK);
+        return;
+    }
+    for (; i + 4 <= cols; i += 4)
+        row_block(w, rows, cols, v, q_scaled, t, i, 4);
+    for (; i < cols; i++)
+        row_block(w, rows, cols, v, q_scaled, t, i, 1);
 }
 
 /* c[s n_k + k0 + m] = v_(k0 + m) . x_s for the `width` modes from k0:
@@ -290,7 +308,7 @@ int64_t fgm_solve(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, do
         if (timed)
             tic = now_ns();
         if (n_k < 0)
-            gradient_step(w, n, v, q_scaled, t);
+            gradient_step(w, n, n, v, q_scaled, t);
         else
             factored_step(w, n_k, n_u, horizon, v, q_scaled, t, modes);
         for (int64_t i = 0; i < n; i++)
@@ -310,5 +328,174 @@ int64_t fgm_solve(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, do
         p_new = swap;
     }
     memcpy(iterate, p, (size_t)n * sizeof *iterate);
+    return -1;
+}
+
+/* q0 = W^T x0 and q1 = W^T x1 for the row-major n x n W, n >= BLOCK,
+   each summed as gradient_step sums it, in one sweep over W for both:
+   blocks of BLOCK outputs, the last one ending on the last output. */
+__attribute__((noinline))
+static void stage_pair_product(const double *w, int64_t n, const double *x0, const double *x1,
+                               double *q0, double *q1)
+{
+    for (int64_t i = 0;; i += BLOCK) {
+        if (i + BLOCK > n)
+            i = n - BLOCK;
+        double acc0[BLOCK], acc1[BLOCK];
+        for (int k = 0; k < BLOCK; k++)
+            acc0[k] = acc1[k] = 0.0;
+        for (int64_t j = 0; j < n; j++) {
+            const double *restrict row = w + j * n + i;
+            const double a0 = x0[j], a1 = x1[j];
+            for (int k = 0; k < BLOCK; k++) {
+                acc0[k] += row[k] * a0;
+                acc1[k] += row[k] * a1;
+            }
+        }
+        for (int k = 0; k < BLOCK; k++) {
+            q0[i + k] = acc0[k];
+            q1[i + k] = acc1[k];
+        }
+        if (i + BLOCK == n)
+            return;
+    }
+}
+
+/* The record observer.ModalRecord packs, for n_u inputs, n_y outputs,
+   r = min(n_u, n_y) modes of C, the delay mu and the horizon:
+
+     w       n_u n_u     [V, V_perp], row-major
+     wt      n_u n_u     its transpose, row-major
+     u       n_y r       U, row-major
+     sigma   r           singular values of C
+     k_z     r           gain of the delayed state, mode by mode
+     k_d     r           gain of the disturbance, mode by mode
+     alpha   horizon n_u linear-term coefficients of x~, stage by stage
+     beta    horizon r   linear-term coefficients of d~, stage by stage
+     powers  mu + 1      a^mu, a^(mu - 1), ..., 1
+     a, b, k_0           the plant's one pole and input gain, and the gain
+                         of the disturbance outside range(C)
+     zeros   n_u         the zero shift of the products (gradient_step)
+
+   and the estimates with their scratch, in the controller's state array:
+
+     x       n_u         x~ = [V, V_perp]^T x^
+     z       mu n_u      z~_i = [V, V_perp]^T z^_i, i = 1..mu
+     d       r           d~ = U^T d^
+     s       n_y         tall plants only: (I - U U^T) s is d^'s part
+                         outside range(U)
+     y~      r           scratch: U^T y
+     u~      n_u         scratch: [V, V_perp]^T u
+     dy      n_u         scratch: the delayed state's correction
+     q~      horizon n_u scratch: the linear term by mode */
+struct modal {
+    int64_t r;
+    const double *restrict w, *restrict wt, *restrict u, *restrict sigma, *restrict k_z,
+        *restrict k_d, *restrict alpha, *restrict beta, *restrict powers, *restrict zeros;
+    double a, b, k_0;
+    double *restrict x, *restrict z, *restrict d, *restrict s, *restrict yt, *restrict ut,
+        *restrict dy, *restrict qt;
+};
+
+static struct modal unpack(const double *record, int64_t n_u, int64_t n_y, int64_t mu,
+                           int64_t horizon, double *state)
+{
+    struct modal m;
+    m.r = n_u < n_y ? n_u : n_y;
+    m.w = record;
+    m.wt = m.w + n_u * n_u;
+    m.u = m.wt + n_u * n_u;
+    m.sigma = m.u + n_y * m.r;
+    m.k_z = m.sigma + m.r;
+    m.k_d = m.k_z + m.r;
+    m.alpha = m.k_d + m.r;
+    m.beta = m.alpha + horizon * n_u;
+    m.powers = m.beta + horizon * m.r;
+    m.a = m.powers[mu + 1];
+    m.b = m.powers[mu + 2];
+    m.k_0 = m.powers[mu + 3];
+    m.zeros = m.powers + mu + 4;
+    m.x = state;
+    m.z = m.x + n_u;
+    m.d = m.z + mu * n_u;
+    m.s = m.d + m.r;
+    m.yt = m.s + (n_y > m.r ? n_y : 0);
+    m.ut = m.yt + m.r;
+    m.dy = m.ut + n_u;
+    m.qt = m.dy + n_u;
+    return m;
+}
+
+/*
+ * q = [V, V_perp] q~_s stage by stage, with q~_s = alpha_s x~ + beta_s d~
+ * mode by mode (alpha_s x~ alone on the n_u - r modes outside range(C^T)).
+ * `q` receives horizon n_u values, stage-major.
+ */
+void modal_linear_term(const double *record, int64_t n_u, int64_t n_y, int64_t mu,
+                       int64_t horizon, double *state, double *q)
+{
+    const struct modal m = unpack(record, n_u, n_y, mu, horizon, state);
+    for (int64_t s = 0; s < horizon; s++) {
+        const double *alpha = m.alpha + s * n_u, *beta = m.beta + s * m.r;
+        double *qt = m.qt + s * n_u;
+        for (int64_t i = 0; i < m.r; i++)
+            qt[i] = alpha[i] * m.x[i] + beta[i] * m.d[i];
+        for (int64_t i = m.r; i < n_u; i++)
+            qt[i] = alpha[i] * m.x[i];
+    }
+    if (horizon == 2 && n_u >= BLOCK)
+        stage_pair_product(m.wt, n_u, m.qt, m.qt + n_u, q, q + n_u);
+    else
+        for (int64_t s = 0; s < horizon; s++)
+            gradient_step(m.wt, n_u, n_u, m.qt + s * n_u, m.zeros, q + s * n_u);
+}
+
+/*
+ * One observer update by mode, observer.update_fast in the coordinates of
+ * the state array: with y~ = U^T y the innovation of mode i < r is
+ * y~_i - sigma_i z~_mu,i - d~_i (z~_mu is x~ for mu = 0); it corrects d~_i
+ * by k_d,i times itself and, as dy_i = k_z,i times itself, the delay chain
+ * and x~ through the powers of a:
+ *
+ *     z~_(l+1) = z~_l + a^(mu-1-l) dy   (z~_0 = x~),
+ *     x~       = a x~ + b [V, V_perp]^T u + a^mu dy.
+ *
+ * On a tall plant s becomes (1 - k_0) s + k_0 y.  Returns -1, or the
+ * index of the first non-finite entry of y, found when U^T y is not
+ * finite; the estimates are then left as they were.
+ */
+int64_t modal_observe(const double *record, int64_t n_u, int64_t n_y, int64_t mu,
+                      int64_t horizon, double *state, const double *u, const double *y)
+{
+    const struct modal m = unpack(record, n_u, n_y, mu, horizon, state);
+    gradient_step(m.u, n_y, m.r, y, m.zeros, m.yt);
+    /* a non-finite y_j makes every U^T y entry non-finite */
+    if (!isfinite(m.yt[0]))
+        for (int64_t j = 0; j < n_y; j++)
+            if (!isfinite(y[j]))
+                return j;
+    if (n_y > m.r)
+        for (int64_t j = 0; j < n_y; j++)
+            m.s[j] = (1.0 - m.k_0) * m.s[j] + m.k_0 * y[j];
+    gradient_step(m.w, n_u, n_u, u, m.zeros, m.ut);
+    const double *z_mu = mu ? m.z + (mu - 1) * n_u : m.x;
+    for (int64_t i = 0; i < m.r; i++) {
+        const double innovation = m.yt[i] - m.sigma[i] * z_mu[i] - m.d[i];
+        m.dy[i] = m.k_z[i] * innovation;
+        m.d[i] += m.k_d[i] * innovation;
+    }
+    for (int64_t i = m.r; i < n_u; i++)
+        m.dy[i] = 0.0;
+    for (int64_t l = mu - 1; l > 0; l--) {
+        double *z = m.z + l * n_u;
+        const double *prev = z - n_u, p = m.powers[1 + l];
+        for (int64_t i = 0; i < n_u; i++)
+            z[i] = prev[i] + p * m.dy[i];
+    }
+    if (mu)
+        for (int64_t i = 0; i < n_u; i++)
+            m.z[i] = m.x[i] + m.powers[1] * m.dy[i];
+    for (int64_t i = 0; i < n_u; i++)
+        m.x[i] = m.a * m.x[i] + m.b * m.ut[i] + m.powers[0] * m.dy[i];
     return -1;
 }

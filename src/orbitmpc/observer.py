@@ -15,6 +15,17 @@ coincide (up to rounding) for every gain, at a fraction of the work.
 `update_fast` returns a new state; given `ObserverBuffers`, it instead
 overwrites the estimates of the state it is passed, with the same
 floating-point operations in the same order, so both give the same bits.
+
+On a plant whose actuators share one bandwidth every online map is
+diagonal by mode: C = U diag(sigma) V^T, L_zmu = V diag(k_z) U^T, L_d =
+U diag(k_d) U^T + k_0 (I - U U^T), and the linear-term maps (see
+design.modal_linear_term).  `ModalRecord` holds them by mode, checked
+against the dense maps, for the compiled kernel, which keeps the
+estimates in the coordinates x~ = [V, V_perp]^T x, z~ = [V, V_perp]^T z
+and d~ = U^T d (see `fgm_kernel.c`, modal_observe).  On a tall plant
+(n_y > r) the part of d outside range(U) never reaches the inputs; the
+kernel carries it as s <- (1 - k_0) s + k_0 y, whose projection
+(I - U U^T) s it is exactly.
 """
 
 from __future__ import annotations
@@ -23,10 +34,20 @@ import dataclasses
 
 import numpy as np
 
-from . import fileio
+from . import design, fileio
 from .design import PartitionedGain
-from .errors import DimensionError
-from .model import StateSpace
+from .errors import DimensionError, NumericalError
+from .model import ModalBasis, StateSpace
+from .qp import CondensedQP
+
+# Largest relative gap allowed between a dense online map and its modal
+# record in one probe product.  The closed forms round differently from
+# the dense maps built from Q, R_w, P and M_s: 2e-15 on the storage-ring
+# design, 3e-13 and 7e-13 on the 4x4 and 8x8 matched-weight designs
+# (q_map_d, whose modes are scaled by 1/sigma over a 1e4 spread), while
+# one entry of 1e-6 of a map's largest, added off its modes, shows at
+# 2.5e-8 (172x173) to 3.5e-7 (4x4).
+MODAL_RECORD_TOLERANCE = 1e-9
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -166,3 +187,116 @@ def update_fast(st: ObserverState, u_k: np.ndarray, y_k: np.ndarray,
     z_new = shifted + st.A_powers[mu - 1 :: -1] * dy
     x_new = ss.A * st.x_hat + ss.B * u_k + st.A_powers[mu] * dy
     return st._replace(x_new, z_new, d_new)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class ModalRecord:
+    """The online maps of a one-bandwidth plant by mode (see the module
+    docstring): the square orthonormal [V, V_perp] `W`, U and sigma of C,
+    the gains k_z and k_d (and k_0 on a tall plant), the linear-term
+    coefficients `alpha` (N, n_u) and `beta` (N, r), and the plant's pole
+    a and input gain b.  `packed` lays them out as `fgm_kernel.c` reads
+    them; `probe_gap` is the largest relative gap its maps showed against
+    the dense ones (see `modal_record`).  W and U are views of `packed`."""
+
+    W: np.ndarray
+    U: np.ndarray
+    sigma: np.ndarray
+    k_z: np.ndarray
+    k_d: np.ndarray
+    k_0: float
+    alpha: np.ndarray
+    beta: np.ndarray
+    a: float
+    b: float
+    mu: int
+    probe_gap: float
+    packed: np.ndarray = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        n_u, n_y, r = self.W.shape[0], self.U.shape[0], self.U.shape[1]
+        powers = self.a ** np.arange(self.mu, -1, -1)
+        packed = np.concatenate([self.W.ravel(), self.W.T.ravel(), self.U.ravel(), self.sigma,
+                                 self.k_z, self.k_d, self.alpha.ravel(), self.beta.ravel(), powers,
+                                 [self.a, self.b, self.k_0], np.zeros(n_u)])
+        for name, value in (("packed", packed), ("W", packed[:n_u * n_u].reshape(n_u, n_u)),
+                            ("U", packed[2 * n_u * n_u:2 * n_u * n_u + n_y * r].reshape(n_y, r))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def n_u(self) -> int:
+        return self.W.shape[0]
+
+    @property
+    def n_y(self) -> int:
+        return self.U.shape[0]
+
+    @property
+    def N(self) -> int:
+        return self.alpha.shape[0]
+
+    def _sizes(self) -> tuple[int, ...]:
+        """Lengths of the state array's parts, in the kernel's order: x~, the
+        mu z~, d~, s (tall plants only), and the scratch U^T y, u~, dy, q~."""
+        n_u, n_y, r = self.n_u, self.n_y, self.sigma.shape[0]
+        return (n_u, self.mu * n_u, r, n_y if n_y > r else 0, r, n_u, n_u, self.N * n_u)
+
+    def new_state(self) -> np.ndarray:
+        """A zero state array: every estimate of a quiescent beam."""
+        return np.zeros(sum(self._sizes()))
+
+    def plant_estimates(self, state: np.ndarray, initial: ObserverState) -> ObserverState:
+        """The estimates of `state` in plant coordinates, as `initial` (a
+        state of this plant) with x^ = W x~, z^_i = W z~_i and d^ = U d~
+        + (I - U U^T) s."""
+        x, z, d, s = np.split(state, np.cumsum(self._sizes()))[:4]
+        d_hat = self.U @ d
+        if s.size:
+            d_hat += s - self.U @ (self.U.T @ s)
+        return initial._replace(self.W @ x, z.reshape(self.mu, self.n_u) @ self.W.T, d_hat)
+
+
+def modal_record(ss: StateSpace, basis: ModalBasis, gain: PartitionedGain,
+                 condensed: CondensedQP) -> ModalRecord:
+    """The modal record of a one-bandwidth plant's design, checked against
+    its dense maps.
+
+    The gains are read from `gain`: k_z = diag(V^T L_zmu U), k_d =
+    diag(U^T L_d U) and, on a tall plant, k_0 = (trace L_d - sum k_d) /
+    (n_y - r); the linear-term coefficients are the closed forms of
+    design.modal_linear_term from the costs of `condensed.modal`.  The
+    products of C, the gain's measured block, L_d, q_map_x0 and q_map_d
+    with a fixed probe vector are compared with the record's; one that
+    differs by more than MODAL_RECORD_TOLERANCE relative raises
+    NumericalError naming the map.
+    """
+    U, V, W, r = basis.U, basis.V, condensed.modal.basis, basis.r
+    n_y = ss.n_y
+    k_z = np.einsum("ij,ij->j", V, gain.measured @ U)
+    k_d = np.einsum("ij,ij->j", U, gain.L_d @ U)
+    k_0 = float(np.trace(gain.L_d) - np.sum(k_d)) / (n_y - r) if n_y > r else 0.0
+    alpha, beta = design.modal_linear_term(ss, basis, condensed.modal)
+    x = np.sin(np.arange(1.0, ss.n_u + 1.0))  # fixed probes, with no entry repeated
+    y = np.sin(np.arange(1.0, n_y + 1.0))
+    y_modes = U.T @ y
+    x_modes = W.T @ x
+    beyond = k_0 * (y - U @ y_modes)
+    pairs = (
+        ("C", ss.C @ x, U @ (basis.S * x_modes[:r])),
+        ("L_zmu" if ss.mu else "L_x", gain.measured @ y, V @ (k_z * y_modes)),
+        ("L_d", gain.L_d @ y, U @ (k_d * y_modes) + beyond),
+        ("q_map_x0", condensed.q_map_x0 @ x, (alpha * x_modes) @ W.T),
+        ("q_map_d", condensed.q_map_d @ y, (beta * y_modes) @ V.T),
+    )
+    gap = 0.0
+    for name, want, got in pairs:
+        map_gap = float(np.linalg.norm(got.ravel() - want)
+                        / max(np.linalg.norm(want), np.finfo(float).tiny))
+        if not map_gap <= MODAL_RECORD_TOLERANCE:  # NaN fails too
+            raise NumericalError(
+                f"{name} disagrees with its modal record (U, sigma and [V, V_perp], the gains "
+                f"by mode and the closed-form linear term): a probe product differs by "
+                f"{map_gap:.1e} relative, tolerance {MODAL_RECORD_TOLERANCE:.0e}")
+        gap = max(gap, map_gap)
+    return ModalRecord(W=W, U=U, sigma=basis.S, k_z=k_z, k_d=k_d, k_0=k_0, alpha=alpha, beta=beta,
+                       a=float(ss.A[0]), b=float(ss.B[0]), mu=ss.mu, probe_gap=gap)

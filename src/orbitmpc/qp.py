@@ -82,10 +82,14 @@ class ModalHessian:
     The shared block is the most common one among the bit-equal blocks
     (the first such on a tie); `modes` lists the others, K, with their
     columns `V_K` (n_u, |K|) and differences `deltas` (|K|, N, N) from it.
+    `costs`, where the design gives it, holds the per-mode state weight,
+    input weight and terminal cost (q_i, r_i, p_i) the blocks were formed
+    from, as rows of a (3, n_u) array.
     """
 
     blocks: np.ndarray
     basis: np.ndarray
+    costs: np.ndarray | None = None
     shared: np.ndarray = dataclasses.field(init=False, repr=False)
     modes: np.ndarray = dataclasses.field(init=False, repr=False)
     V_K: np.ndarray = dataclasses.field(init=False, repr=False)

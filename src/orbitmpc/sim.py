@@ -21,6 +21,7 @@ full curve endpoint then equals the time-domain RMS, by Parseval).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from . import fgm, fileio, qp
 from .errors import ConfigError, DimensionError, NumericalError
 from .model import PlantConfig, StateSpace, build_state_space
-from .observer import ObserverBuffers, ObserverState, update_fast
+from .observer import ModalRecord, ObserverBuffers, ObserverState, update_fast
 
 DISTURBANCE_KINDS = ("white", "random_walk", "sinusoid_mix", "file")
 
@@ -195,16 +196,26 @@ class MpcController:
     disturbance estimates, recentre the constraint set on the previously
     applied input, run the fixed-budget fast-gradient solve warm-started
     at the previous solution, apply the first stage, then advance the
-    observer with the applied input and this sample's measurement.
+    observer with the applied input and this sample's measurement.  The
+    measurement must be a float64 array of shape (n_y,) (else
+    DimensionError) and finite (else NumericalError naming the monitor).
 
     The controller owns its per-sample buffers, built once: the observer
-    estimates, updated in place with `ObserverBuffers`; two linear-term
-    buffers, used in turn, so the q a sample passed to the solve is still
-    intact after the next sample; and the compiled solve's `Workspace`.
-    Each sample recentres the set into one new array, from the alpha- and
-    rho-only parts its first set computed, so no set is written after the
-    solve that took it.  The applied inputs are bit for bit those of the
-    reference functions (`linear_term`, `update_constraint_set`,
+    estimates; two linear-term buffers, used in turn, so the q a sample
+    passed to the solve is still intact after the next sample; and the
+    compiled solve's `Workspace`.  Each sample recentres the set into one
+    new array, from the alpha- and rho-only parts its first set computed,
+    so no set is written after the solve that took it.
+
+    Given the `ModalRecord` of a one-bandwidth plant (`modes`), and where
+    the compiled kernel builds, the estimates are kept by mode in one
+    state array, and the kernel's modal_observe and modal_linear_term
+    advance them and form q (`observer_form` 'modal'); `observer` forms
+    the plant-coordinate estimates when read.  The applied inputs agree
+    with the dense reference functions to rounding.  Otherwise
+    (`observer_form` 'dense') the observer is updated in place with
+    `ObserverBuffers`, and the applied inputs are bit for bit those of
+    the reference functions (`linear_term`, `update_constraint_set`,
     `fgm.solve` and `update_fast` without buffers).
 
     `n_workers` (>= 1) row-slices the gradient step of the numpy solve,
@@ -214,7 +225,8 @@ class MpcController:
     """
 
     def __init__(self, ss: StateSpace, condensed: qp.CondensedQP, gain,
-                 alpha, rho, i_max: int = fgm.DEFAULT_I_MAX, n_workers: int = 1):
+                 alpha, rho, i_max: int = fgm.DEFAULT_I_MAX, n_workers: int = 1,
+                 modes: ModalRecord | None = None):
         if condensed.n_u != ss.n_u:
             raise DimensionError("condensed QP does not match the plant dimensions")
         self.ss = ss
@@ -224,25 +236,72 @@ class MpcController:
         self.rho = np.array(rho, dtype=float)
         self.i_max = fgm._iteration_budget(i_max)
         self.n_workers = fgm._worker_count(n_workers)
-        fgm.solve_kernel()  # builds the compiled kernel here, not inside the first sample
+        kernel = fgm._load_kernel()  # builds the compiled kernel here, not inside the first sample
         self._cset0 = qp.ConstraintSet(alpha=self.alpha, rho=self.rho,
                                        u_prev=np.zeros(ss.n_u), N=condensed.N)
         self._workspace = fgm.Workspace(condensed)
-        self._q_buffers = (np.empty((2, condensed.N * ss.n_u)), np.empty((2, condensed.N * ss.n_u)))
+        n = condensed.N * ss.n_u
+        self._modes = modes if kernel is not None else None
+        if self._modes is None:
+            self._q_buffers = (np.empty((2, n)), np.empty((2, n)))
+        else:
+            if (modes.n_u, modes.n_y, modes.mu, modes.N) != (ss.n_u, ss.n_y, ss.mu, condensed.N):
+                raise DimensionError("modal record does not match the plant and QP dimensions")
+            self._initial = ObserverState.initial(ss, gain)  # checks the gain, as reset does
+            self._modal_state = modes.new_state()
+            self._u, self._y = np.empty(ss.n_u), np.empty(ss.n_y)
+            self._q_buffers = np.empty((2, n))
+            self._q_slots = [(q, fgm._address(q)) for q in self._q_buffers]
+            head = (fgm._address(modes.packed), ss.n_u, ss.n_y, ss.mu, condensed.N,
+                    fgm._address(self._modal_state))
+            self._modal_linear_term = functools.partial(kernel.modal_linear_term, *head)
+            self._modal_observe = functools.partial(kernel.modal_observe, *head)
+            self._observe_addresses = (fgm._address(self._u), fgm._address(self._y))
         self.reset()
 
+    @property
+    def observer_form(self) -> str:
+        """'modal' where the estimates are kept by mode, else 'dense'."""
+        return "dense" if self._modes is None else "modal"
+
+    @property
+    def observer(self) -> ObserverState:
+        """The estimates in plant coordinates; on the modal path a new
+        state formed from the modal one."""
+        if self._modes is None:
+            return self._observer
+        return self._modes.plant_estimates(self._modal_state, self._initial)
+
     def reset(self):
-        self.observer = ObserverState.initial(self.ss, self.gain)
-        self._observer_buffers = ObserverBuffers.for_state(self.observer)
+        if self._modes is None:
+            self._observer = ObserverState.initial(self.ss, self.gain)
+            self._observer_buffers = ObserverBuffers.for_state(self._observer)
+        else:
+            self._modal_state.fill(0.0)
         self.cset = self._cset0
         self.u_prev = self.cset.u_prev
         self.warm = np.zeros(self.qp.N * self.ss.n_u)
 
+    def _measurement(self, y_k) -> np.ndarray:
+        """y_k as a float64 array of shape (n_y,); any other shape or dtype
+        raises DimensionError."""
+        y = np.asarray(y_k)
+        if y.dtype != np.float64 or y.shape != (self.ss.n_y,):
+            raise DimensionError(f"measurement of shape {y.shape} and dtype {y.dtype}: expected "
+                                 f"float64 of shape ({self.ss.n_y},)")
+        return y
+
     def step(self, y_k: np.ndarray, timers: dict | None = None) -> np.ndarray:
+        y_k = self._measurement(y_k)
         tic = time.perf_counter_ns() if timers is not None else 0
-        q_out, spare = self._q_buffers
-        self._q_buffers = (spare, q_out)
-        q_vec = self.qp.linear_term(self.observer.x_hat, self.observer.d_hat, out=q_out)
+        if self._modes is None:
+            q_out, spare = self._q_buffers
+            self._q_buffers = (spare, q_out)
+            q_vec = self.qp.linear_term(self._observer.x_hat, self._observer.d_hat, out=q_out)
+        else:
+            self._q_slots.reverse()
+            q_vec, address = self._q_slots[0]
+            self._modal_linear_term(address)
         if timers is not None:
             tic = fgm._add_ns(timers, "q_update", tic)
         self.cset = qp.update_constraint_set(self.cset, self.u_prev)
@@ -252,7 +311,18 @@ class MpcController:
                            n_workers=self.n_workers, timers=timers, workspace=self._workspace)
         u_k = u_plan[: self.ss.n_u].copy()
         tic = time.perf_counter_ns() if timers is not None else 0
-        self.observer = update_fast(self.observer, u_k, y_k, buffers=self._observer_buffers)
+        if self._modes is None:
+            if np.count_nonzero(np.isfinite(y_k)) < y_k.shape[0]:
+                bad = int(np.flatnonzero(~np.isfinite(y_k))[0])
+            else:
+                bad = -1
+                self._observer = update_fast(self._observer, u_k, y_k, buffers=self._observer_buffers)
+        else:
+            np.copyto(self._u, u_k)
+            np.copyto(self._y, y_k)
+            bad = self._modal_observe(*self._observe_addresses)
+        if bad >= 0:
+            raise NumericalError(f"non-finite measurement {y_k[bad]} at monitor {bad}")
         if timers is not None:
             fgm._add_ns(timers, "observer", tic)
         self.warm = u_plan
@@ -285,6 +355,9 @@ def simulate(plant: PlantConfig, controller, dist: DisturbanceSpec, T: int) -> S
                 u_k = controller.step(y_k)
             except NumericalError as exc:  # InfeasibleError stays one
                 raise type(exc)(f"controller failed at simulation step {k}: {exc}") from exc
+            if np.shape(u_k) != (plant.n_u,):
+                raise DimensionError(f"controller output at simulation step {k} has shape "
+                                     f"{np.shape(u_k)}, expected ({plant.n_u},)")
         else:
             u_k = np.zeros(plant.n_u)
         if not (np.all(np.isfinite(u_k)) and np.all(np.isfinite(y_k))):

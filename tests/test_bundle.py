@@ -223,3 +223,35 @@ def test_edited_hessian_record_names_the_key(saved, key, value):
     edit_meta(saved, **{key: value})
     with pytest.raises(ConfigError, match=rf"{re.escape(str(saved))}: meta.txt key '{key}' = {value} is not"):
         load_bundle(saved)
+
+
+@pytest.mark.parametrize("name", ["L_d", "L_zmu", "q_map_x0", "q_map_d"])
+def test_edited_online_map_refused_naming_it(saved, name):
+    # one off-diagonal entry added, 1e-6 of the map's largest: the map is no
+    # longer diagonal by mode, and its probe product shows it
+    array = np.load(saved / f"{name}.npy")
+    array[0, 1] += 1e-6 * np.max(np.abs(array))
+    np.save(saved / f"{name}.npy", array)
+    refusal = rf"{re.escape(str(saved))}: {name} disagrees with its modal record"
+    with pytest.raises(ConfigError, match=refusal):
+        load_bundle(saved)
+    assert load_bundle(saved, diagnose=True).condensed.modal is not None
+
+
+@pytest.mark.filterwarnings("ignore:response matrix has rank")
+@pytest.mark.parametrize("n_y, n_u, mu, horizon", [(5, 6, 2, 2), (6, 4, 0, 1), (6, 4, 3, 2), (4, 4, 1, 1)])
+def test_modal_record_round_trips(tmp_path, n_y, n_u, mu, horizon):
+    ours = design_controller(synthetic_plant(n_y, n_u, 50.0, seed=3, mu=mu), horizon)
+    save_bundle(ours, tmp_path)
+    mine, yours = ours.modal_record, load_bundle(tmp_path).modal_record
+    assert mine.packed.tobytes() == yours.packed.tobytes()
+    assert mine.probe_gap == yours.probe_gap <= 1e-12
+    r = min(n_y, n_u)  # [V, V_perp] twice, U, sigma, k_z, k_d, alpha, beta, powers, a, b, k_0, zeros
+    assert mine.packed.shape == (2 * n_u * n_u + n_y * r + 3 * r + horizon * (n_u + r) + mu + 4 + n_u,)
+
+
+def test_mixed_bandwidth_bundle_has_no_modal_record(tmp_path):
+    save_bundle(design_controller(mixed_plant(), 2), tmp_path)
+    loaded = load_bundle(tmp_path)
+    assert loaded.modal_record is None
+    assert loaded.mpc_controller(i_max=5).observer_form == "dense"

@@ -277,6 +277,41 @@ class TestCheckCommand:
         assert main(["check", "--config", cfg, "--bundle", out]) == 0
         assert "all checks passed" in capsys.readouterr().out
 
+    def test_modal_record_line_reports_its_probe_gap(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = str(tmp_path / "out")
+        main(["design", "--config", cfg, "--out", out])
+        capsys.readouterr()
+        assert main(["check", "--config", cfg, "--bundle", out]) == 0
+        line = re.search(r"^\[PASS\] modal_record: probe gap (\S+) against the dense maps "
+                         r"\(tolerance 1e-09\)$", capsys.readouterr().out, re.MULTILINE)
+        assert line and float(line.group(1)) <= 1e-12
+
+    def test_modal_record_not_applicable_on_a_mixed_bandwidth_plant(self, tmp_path, capsys):
+        plant = synthetic_plant(4, 4, 10.0, seed=0)
+        plant = type(plant)(R=plant.R, bandwidths=[440.0, 440.0, 1900.0, 2100.0], dt=plant.dt,
+                            mu=plant.mu, alpha=plant.alpha, rho=plant.rho)
+        save_plant_config(plant, str(tmp_path / "plant.cfg"))
+        cfg = write_config(tmp_path, body=f"plant = {tmp_path / 'plant.cfg'}\n")
+        out = str(tmp_path / "out")
+        assert main(["design", "--config", cfg, "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["check", "--config", cfg, "--bundle", out]) == 0
+        assert ("[PASS] modal_record: not applicable: the actuators do not share one bandwidth"
+                in capsys.readouterr().out)
+
+    def test_gain_off_its_modes_fails_the_modal_record(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = str(tmp_path / "out")
+        main(["design", "--config", cfg, "--out", out])
+        path = os.path.join(out, "L_d.npy")
+        L_d = np.load(path)
+        L_d[0, 1] += 1e-6 * np.max(np.abs(L_d))
+        np.save(path, L_d)
+        capsys.readouterr()
+        assert main(["check", "--config", cfg, "--bundle", out]) == 3
+        assert "[FAIL] modal_record: L_d disagrees with its modal record" in capsys.readouterr().out
+
     def test_corrupted_terminal_cost_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")
@@ -708,6 +743,22 @@ class TestBenchRecordsTheSolveKernel:
         assert f"# hessian_form={form}\n" in header
         meta = read_kv(os.path.join(out, "bundle", "meta.txt"))
         assert meta["hessian_form"] == "factored" and int(meta["hessian_distinct_modes"]) < 6
+
+
+    @pytest.mark.parametrize("force_numpy", [False, True])
+    def test_timing_header_and_output_record_the_observer_form(self, tmp_path, capsys, monkeypatch,
+                                                               force_numpy):
+        # the synthetic plant shares one bandwidth: the compiled kernel keeps
+        # the estimates by mode
+        if force_numpy:
+            monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
+        form = "modal" if fgm.solve_kernel() == "compiled" else "dense"
+        out = str(tmp_path / "bench")
+        assert main(["bench", "--config", write_config(tmp_path), "--out", out]) == 0
+        assert f"observer_form={form}\n" in capsys.readouterr().out
+        with open(os.path.join(out, "timing.csv")) as fh:
+            header = [line for line in fh if line.startswith("#")]
+        assert f"# observer_form={form}\n" in header
 
 
 @pytest.mark.parametrize("key, value", [("epsilon", "nan"), ("delta", "-1"), ("i_max_bound", "-3")])

@@ -6,6 +6,7 @@ import pytest
 from orbitmpc import (
     ConfigError,
     ConstraintSet,
+    DimensionError,
     DisturbanceSpec,
     InfeasibleError,
     NumericalError,
@@ -21,6 +22,7 @@ from orbitmpc import (
     update_fast,
 )
 from orbitmpc import fgm
+from orbitmpc import sim as sim_module
 from orbitmpc.fileio import write_matrix
 from orbitmpc.sim import ibm_from_signal, spatial_mode_shape
 
@@ -329,6 +331,13 @@ class _ReferenceController:
         return u_k
 
 
+def _mixed_bandwidth_plant():
+    """A 6x6 plant whose last two correctors have their own bandwidth: no
+    modal form, so the dense path runs with the kernel too."""
+    plant = synthetic_plant(6, 6, 100.0, seed=11, mu=2, alpha=0.3, rho=0.05)
+    return dataclasses.replace(plant, bandwidths=2.0 * np.pi * np.array([70.0] * 4 + [300.0] * 2))
+
+
 BUFFER_PLANTS = {
     "4x4-n1": lambda: design_controller(synthetic_plant(4, 4, 50.0, seed=5, mu=3, alpha=0.3,
                                                         rho=0.05), horizon=1),
@@ -336,20 +345,28 @@ BUFFER_PLANTS = {
                                                         rho=0.05), horizon=2),
     "40x41-n2-factored": lambda: design_controller(synthetic_plant(40, 41, 1e4, seed=7, alpha=0.3,
                                                                    rho=0.05), horizon=2),
+    "6x6-n2-mixed": lambda: design_controller(_mixed_bandwidth_plant(), horizon=2),
 }
+# With the kernel built, a one-bandwidth controller keeps its estimates by
+# mode, which rounds differently (TestModalController); the dense path runs
+# on a mixed-bandwidth plant, and everywhere without the kernel.
+BIT_IDENTICAL_CASES = [(shape, kernel_off) for shape in sorted(BUFFER_PLANTS)
+                       for kernel_off in (False, True) if kernel_off or shape.endswith("mixed")]
 
 
 def owned_arrays(ctrl):
     """The arrays an MpcController writes or hands to the solve per sample."""
     st, ws = ctrl.observer, ctrl._workspace
+    observer = (dataclasses.astuple(ctrl._observer_buffers) if ctrl.observer_form == "dense"
+                else (ctrl._modal_state, ctrl._u, ctrl._y))
     return [ctrl.alpha, ctrl.rho, ctrl.warm, ctrl.u_prev, st.x_hat, st.z_hat, st.d_hat,
-            *dataclasses.astuple(ctrl._observer_buffers), *ctrl._q_buffers, ws.data,
-            ctrl.cset._packed, ctrl.cset.u_prev]
+            *observer, *ctrl._q_buffers, ws.data, ctrl.cset._packed, ctrl.cset.u_prev]
 
 
 class TestControllerBuffers:
-    @pytest.mark.parametrize("kernel_off", [False, True], ids=["kernel", "kernel-off"])
-    @pytest.mark.parametrize("shape", sorted(BUFFER_PLANTS))
+    @pytest.mark.parametrize("shape, kernel_off", BIT_IDENTICAL_CASES,
+                             ids=[f"{shape}-{'kernel-off' if off else 'kernel'}"
+                                  for shape, off in BIT_IDENTICAL_CASES])
     def test_inputs_bit_identical_to_the_reference_functions(self, monkeypatch, shape, kernel_off):
         if kernel_off:
             monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
@@ -410,3 +427,138 @@ class TestControllerBuffers:
                 arrays, copies = seen[k - 1]
                 for array, copy in zip(arrays, copies):
                     assert array.tobytes() == copy.tobytes()
+
+
+def _workload_like(n_y, n_u, horizon, mu, weights="saturated", **plant):
+    """A plant and design of one of the benchmark's shapes."""
+    if n_y > 100:  # the storage ring's sampling and corrector bandwidth
+        plant.update(dt=1e-4, bandwidth=2.0 * np.pi * 700.0)
+    sigma_v = plant.pop("sigma_v", 1.0)
+    return design_controller(synthetic_plant(n_y, n_u, 1e4, seed=1, mu=mu, **plant), horizon,
+                             weights_mode=weights, sigma_v=sigma_v)
+
+
+def _tones(dt, tones, sigma):
+    """The benchmark's disturbance of a workload: tones on a noise floor."""
+    return DisturbanceSpec(kind="sinusoid_mix", sigma=sigma, seed=1, components=tones, dt=dt)
+
+
+_RING_TONES = _tones(1e-4, ((40.0, 1.0, 0), (96.0, 0.4, 1)), 0.02)
+_SMALL_TONES = _tones(1e-3, ((2.0, 1.0, 0), (5.0, 0.4, 1)), 0.1)
+_WHITE = DisturbanceSpec(kind="white", sigma=0.05, seed=3)
+# name -> (bundle, disturbance); the benchmark's three shapes with their own
+# disturbance, the 8x8 also under white noise, and a wide and a tall plant
+MODAL_PLANTS = {
+    "ring-172x173-n2": (lambda: _workload_like(172, 173, 2, 2), _RING_TONES),
+    "small-4x4-n1": (lambda: _workload_like(4, 4, 1, 3, "imc_matched", sigma_v=1e-6), _SMALL_TONES),
+    "small-8x8-n2": (lambda: _workload_like(8, 8, 2, 3, "imc_matched"), _SMALL_TONES),
+    "small-8x8-n2-white": (lambda: _workload_like(8, 8, 2, 3, "imc_matched"),
+                           DisturbanceSpec(kind="white", sigma=1.0, seed=3)),
+    "wide-40x41-n1": (lambda: _workload_like(40, 41, 1, 3, alpha=0.3, rho=0.05), _WHITE),
+    "wide-40x41-n2": (lambda: _workload_like(40, 41, 2, 3, alpha=0.3, rho=0.05), _WHITE),
+    "tall-41x40-n1-mu0": (lambda: _workload_like(41, 40, 1, 0, alpha=0.3, rho=0.05), _WHITE),
+    "tall-41x40-n2": (lambda: _workload_like(41, 40, 2, 3, alpha=0.3, rho=0.05), _WHITE),
+}
+
+
+def _relative_gap(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.filterwarnings("ignore:response matrix has rank")
+class TestModalController:
+    """On one-bandwidth plants, where the kernel builds, the controller keeps
+    its estimates by mode; it agrees with the dense reference to rounding."""
+
+    @pytest.mark.parametrize("shape", sorted(MODAL_PLANTS))
+    def test_inputs_within_1e_9_of_the_reference_functions(self, shape):
+        make, dist = MODAL_PLANTS[shape]
+        b = make()
+        ctrl = b.mpc_controller(i_max=20)
+        assert ctrl.observer_form == ("modal" if fgm.solve_kernel() == "compiled" else "dense")
+        got = simulate(b.plant, ctrl, dist, 400)
+        reference = _ReferenceController(b, 20)
+        want = simulate(b.plant, reference, dist, 400)
+        assert _relative_gap(got.u, want.u) <= 1e-9
+        # the amplitude limit binds somewhere, but not on every input
+        assert 0.0 < np.mean(np.abs(got.u) >= b.plant.alpha - 1e-12) < 0.9
+        if shape.startswith("tall"):  # the estimates, d^ outside range(C) among them
+            mine, theirs = ctrl.observer, reference.observer
+            for name in ("x_hat", "z_hat", "d_hat"):
+                if getattr(theirs, name).size:
+                    assert _relative_gap(getattr(mine, name), getattr(theirs, name)) <= 1e-9, name
+
+    def test_reset_clears_the_modal_estimates(self):
+        b = BUFFER_PLANTS["8x8-n2"]()
+        ctrl = b.mpc_controller(i_max=20)
+        y = np.random.default_rng(2).normal(0.0, 1.0, (30, b.ss.n_y))
+        first = np.array([ctrl.step(y_k) for y_k in y])
+        assert np.any(ctrl.observer.x_hat != 0.0)
+        ctrl.reset()
+        for name in ("x_hat", "z_hat", "d_hat"):
+            assert not np.any(getattr(ctrl.observer, name)), name
+        assert np.array([ctrl.step(y_k) for y_k in y]).tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("kernel_off", [False, True], ids=["kernel", "kernel-off"])
+class TestMeasurementChecks:
+    @pytest.fixture
+    def ctrl(self, monkeypatch, kernel_off):
+        if kernel_off:
+            monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
+        return BUFFER_PLANTS["8x8-n2"]().mpc_controller(i_max=20)
+
+    @pytest.mark.parametrize("y", [np.zeros(7), np.zeros(9), np.zeros((8, 1)), np.zeros(8, np.float32),
+                                   np.zeros(8, int), 0.0])
+    def test_bad_shape_or_dtype_refused(self, ctrl, y):
+        with pytest.raises(DimensionError, match=r"measurement of shape .* expected float64 of shape \(8,\)"):
+            ctrl.step(y)
+
+    @pytest.mark.parametrize("monitor", [0, 5, 7])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_refused_at_its_sample_naming_the_monitor(self, ctrl, bad, monitor):
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            ctrl.step(rng.normal(0.0, 1.0, 8))
+        names = ("x_hat", "z_hat", "d_hat")
+        before = [getattr(ctrl.observer, name).copy() for name in names]
+        y = rng.normal(0.0, 1.0, 8)
+        y[monitor] = bad
+        with pytest.raises(NumericalError, match=f"non-finite measurement .* at monitor {monitor}"):
+            ctrl.step(y)
+        for name, was in zip(names, before):  # the estimates are left as they were
+            assert getattr(ctrl.observer, name).tobytes() == was.tobytes(), name
+
+    def test_strided_measurement_accepted(self, ctrl):
+        y = np.random.default_rng(7).normal(0.0, 1.0, (8, 2))
+        u = ctrl.step(y[:, 0])
+        ctrl.reset()
+        assert ctrl.step(np.ascontiguousarray(y[:, 0])).tobytes() == u.tobytes()
+
+    def test_simulate_names_the_step(self, ctrl, monkeypatch):
+        b = BUFFER_PLANTS["8x8-n2"]()
+        d = disturbance(DisturbanceSpec(kind="white", sigma=1.0, seed=2), 20, b.ss.n_y)
+        d[12, 3] = np.nan
+        monkeypatch.setattr(sim_module, "disturbance", lambda *args, **kwargs: d)
+        refusal = "simulation step 12: non-finite measurement nan at monitor 3"
+        with pytest.raises(NumericalError, match=refusal):
+            simulate(b.plant, ctrl, DisturbanceSpec(sigma=0.0), 20)
+
+
+class TestSimulateChecksTheControllerOutput:
+    class _Fixed:
+        def __init__(self, u):
+            self.u = u
+
+        def step(self, y):
+            return self.u
+
+    @pytest.mark.parametrize("u, shape", [(0.5, r"\(\)"), (np.zeros(3), r"\(3,\)"),
+                                          (np.zeros(5), r"\(5,\)"), (np.zeros((4, 1)), r"\(4, 1\)")])
+    def test_wrong_shape_names_the_step_and_the_shape(self, plant, u, shape):
+        with pytest.raises(DimensionError, match=rf"simulation step 0 has shape {shape}, expected \(4,\)"):
+            simulate(plant, self._Fixed(u), DisturbanceSpec(sigma=0.0), 5)
+
+    def test_right_shape_runs(self, plant):
+        tr = simulate(plant, self._Fixed(np.zeros(4)), DisturbanceSpec(sigma=0.0), 5)
+        assert tr.u.shape == (5, 4)
