@@ -331,36 +331,6 @@ int64_t fgm_solve(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, do
     return -1;
 }
 
-/* q0 = W^T x0 and q1 = W^T x1 for the row-major n x n W, n >= BLOCK,
-   each summed as gradient_step sums it, in one sweep over W for both:
-   blocks of BLOCK outputs, the last one ending on the last output. */
-__attribute__((noinline))
-static void stage_pair_product(const double *w, int64_t n, const double *x0, const double *x1,
-                               double *q0, double *q1)
-{
-    for (int64_t i = 0;; i += BLOCK) {
-        if (i + BLOCK > n)
-            i = n - BLOCK;
-        double acc0[BLOCK], acc1[BLOCK];
-        for (int k = 0; k < BLOCK; k++)
-            acc0[k] = acc1[k] = 0.0;
-        for (int64_t j = 0; j < n; j++) {
-            const double *restrict row = w + j * n + i;
-            const double a0 = x0[j], a1 = x1[j];
-            for (int k = 0; k < BLOCK; k++) {
-                acc0[k] += row[k] * a0;
-                acc1[k] += row[k] * a1;
-            }
-        }
-        for (int k = 0; k < BLOCK; k++) {
-            q0[i + k] = acc0[k];
-            q1[i + k] = acc1[k];
-        }
-        if (i + BLOCK == n)
-            return;
-    }
-}
-
 /* The record observer.ModalRecord packs, for n_u inputs, n_y outputs,
    r = min(n_u, n_y) modes of C, the delay mu and the horizon:
 
@@ -443,11 +413,8 @@ void modal_linear_term(const double *record, int64_t n_u, int64_t n_y, int64_t m
         for (int64_t i = m.r; i < n_u; i++)
             qt[i] = alpha[i] * m.x[i];
     }
-    if (horizon == 2 && n_u >= BLOCK)
-        stage_pair_product(m.wt, n_u, m.qt, m.qt + n_u, q, q + n_u);
-    else
-        for (int64_t s = 0; s < horizon; s++)
-            gradient_step(m.wt, n_u, n_u, m.qt + s * n_u, m.zeros, q + s * n_u);
+    for (int64_t s = 0; s < horizon; s++)
+        gradient_step(m.wt, n_u, n_u, m.qt + s * n_u, m.zeros, q + s * n_u);
 }
 
 /*

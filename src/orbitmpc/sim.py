@@ -207,8 +207,9 @@ class MpcController:
     new array, from the alpha- and rho-only parts its first set computed,
     so no set is written after the solve that took it.
 
-    Given the `ModalRecord` of a one-bandwidth plant (`modes`), and where
-    the compiled kernel builds, the estimates are kept by mode in one
+    Given the `ModalRecord` of a one-bandwidth plant (`modes`) that is
+    `within_tolerance`, and where the compiled kernel builds, the
+    estimates are kept by mode in one
     state array, and the kernel's modal_observe and modal_linear_term
     advance them and form q (`observer_form` 'modal'); `observer` forms
     the plant-coordinate estimates when read.  The applied inputs agree
@@ -241,7 +242,8 @@ class MpcController:
                                        u_prev=np.zeros(ss.n_u), N=condensed.N)
         self._workspace = fgm.Workspace(condensed)
         n = condensed.N * ss.n_u
-        self._modes = modes if kernel is not None else None
+        usable = modes is not None and modes.within_tolerance
+        self._modes = modes if kernel is not None and usable else None
         if self._modes is None:
             self._q_buffers = (np.empty((2, n)), np.empty((2, n)))
         else:

@@ -18,6 +18,7 @@ from orbitmpc import (
     synthetic_plant,
 )
 from orbitmpc.fileio import read_kv, write_kv
+from orbitmpc.observer import MODAL_RECORD_TOLERANCE, Q_MAP_D_ROUNDING
 
 ARRAY_FILES = {"R", "bandwidths", "alpha", "rho",
                "U", "S", "V", "P", "Q", "R_w", "q_hat", "r_hat", "L_d",
@@ -255,3 +256,36 @@ def test_mixed_bandwidth_bundle_has_no_modal_record(tmp_path):
     loaded = load_bundle(tmp_path)
     assert loaded.modal_record is None
     assert loaded.mpc_controller(i_max=5).observer_form == "dense"
+
+
+def ill_conditioned(horizon):
+    """A matched-weight design at kappa(C) = 1e8, whose dense q_map_d, formed
+    through 1/sigma, rounds above MODAL_RECORD_TOLERANCE."""
+    return design_controller(synthetic_plant(8, 8, 1e8, seed=0, mu=2), horizon,
+                             weights_mode="imc_matched")
+
+
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_ill_conditioned_design_runs_the_dense_maps(tmp_path, horizon):
+    ours = ill_conditioned(horizon)
+    record, S = ours.modal_record, ours.basis.S
+    rounding = Q_MAP_D_ROUNDING * np.finfo(float).eps * S[0] / S[-1]
+    assert MODAL_RECORD_TOLERANCE < record.probe_gap <= rounding
+    assert not record.within_tolerance
+    assert ours.mpc_controller(i_max=5).observer_form == "dense"
+    save_bundle(ours, tmp_path)
+    loaded = load_bundle(tmp_path)
+    assert loaded.modal_record.probe_gap == record.probe_gap
+    assert loaded.mpc_controller(i_max=5).observer_form == "dense"
+
+
+@pytest.mark.parametrize("name, relative", [("L_d", 1e-6), ("L_zmu", 1e-6), ("q_map_x0", 1e-6),
+                                            ("q_map_d", 1e-4)])
+def test_ill_conditioned_design_with_an_edited_map_refused(tmp_path, name, relative):
+    # only q_map_d's gap is allowed the rounding of kappa(C) = 1e8, 1.4e-6
+    save_bundle(ill_conditioned(2), tmp_path)
+    array = np.load(tmp_path / f"{name}.npy")
+    array[0, 1] += relative * np.max(np.abs(array))
+    np.save(tmp_path / f"{name}.npy", array)
+    with pytest.raises(ConfigError, match=f"{name} disagrees with its modal record"):
+        load_bundle(tmp_path)

@@ -300,6 +300,23 @@ class TestCheckCommand:
         assert ("[PASS] modal_record: not applicable: the actuators do not share one bandwidth"
                 in capsys.readouterr().out)
 
+    def test_ill_conditioned_design_passes_on_the_dense_maps(self, tmp_path, capsys):
+        # at kappa(C) = 1e8 the dense q_map_d of a matched-weight design
+        # rounds through 1/sigma above the tolerance: check passes, and the
+        # controller runs the dense maps even with the kernel built
+        cfg = write_config(tmp_path, extra="synthetic_n_y = 8\nsynthetic_n_u = 8\nsynthetic_kappa = 1e8\n"
+                                           "weights = imc_matched\nseed = 0\nhorizon = 2\n")
+        out = str(tmp_path / "out")
+        assert main(["design", "--config", cfg, "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["check", "--config", cfg, "--bundle", out]) == 0
+        line = re.search(r"^\[PASS\] modal_record: probe gap (\S+) on q_map_d, above the tolerance "
+                         r"1e-09 but within its rounding through 1/sigma: the controller runs the "
+                         r"dense maps$", capsys.readouterr().out, re.MULTILINE)
+        assert line and float(line.group(1)) > 1e-9
+        assert main(["bench", "--config", cfg, "--out", str(tmp_path / "bench")]) == 0
+        assert "observer_form=dense\n" in capsys.readouterr().out
+
     def test_gain_off_its_modes_fails_the_modal_record(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")

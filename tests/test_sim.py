@@ -500,6 +500,22 @@ class TestModalController:
         assert np.array([ctrl.step(y_k) for y_k in y]).tobytes() == first.tobytes()
 
 
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_ill_conditioned_design_runs_the_dense_path_bit_identically(horizon):
+    # at kappa(C) = 1e8 the modal record of a matched-weight design is
+    # outside MODAL_RECORD_TOLERANCE (q_map_d rounds through 1/sigma), so
+    # the controller keeps the dense estimates even with the kernel built
+    b = design_controller(synthetic_plant(8, 8, 1e8, seed=0, mu=2), horizon,
+                          weights_mode="imc_matched")
+    ctrl = b.mpc_controller(i_max=20)
+    assert not b.modal_record.within_tolerance
+    assert ctrl.observer_form == "dense"
+    got = simulate(b.plant, ctrl, _SMALL_TONES, 400)
+    want = simulate(b.plant, _ReferenceController(b, 20), _SMALL_TONES, 400)
+    assert got.u.tobytes() == want.u.tobytes()
+    assert np.any(got.u)
+
+
 @pytest.mark.parametrize("kernel_off", [False, True], ids=["kernel", "kernel-off"])
 class TestMeasurementChecks:
     @pytest.fixture
