@@ -209,9 +209,9 @@ class MpcController:
 
     Given the `ModalRecord` of a one-bandwidth plant (`modes`) that is
     `within_tolerance`, and where the compiled kernel builds, the
-    estimates are kept by mode in one
-    state array, and the kernel's modal_observe and modal_linear_term
-    advance them and form q (`observer_form` 'modal'); `observer` forms
+    estimates are kept by mode in one state array, and the kernel's
+    modal_observe and modal_linear_term advance them and form q
+    (`observer_form` 'modal'); `observer` forms
     the plant-coordinate estimates when read.  The applied inputs agree
     with the dense reference functions to rounding.  Otherwise
     (`observer_form` 'dense') the observer is updated in place with

@@ -346,12 +346,19 @@ BUFFER_PLANTS = {
     "40x41-n2-factored": lambda: design_controller(synthetic_plant(40, 41, 1e4, seed=7, alpha=0.3,
                                                                    rho=0.05), horizon=2),
     "6x6-n2-mixed": lambda: design_controller(_mixed_bandwidth_plant(), horizon=2),
+    # kappa(C) = 1e8: the dense q_map_d of a matched-weight design rounds
+    # through 1/sigma above the modal record's tolerance
+    "8x8-n2-ill-conditioned": lambda: design_controller(
+        synthetic_plant(8, 8, 1e8, seed=0, mu=2, alpha=0.3, rho=0.05), horizon=2,
+        weights_mode="imc_matched"),
 }
 # With the kernel built, a one-bandwidth controller keeps its estimates by
 # mode, which rounds differently (TestModalController); the dense path runs
-# on a mixed-bandwidth plant, and everywhere without the kernel.
+# on a mixed-bandwidth plant, on an ill-conditioned design whose modal
+# record is not within tolerance, and everywhere without the kernel.
 BIT_IDENTICAL_CASES = [(shape, kernel_off) for shape in sorted(BUFFER_PLANTS)
-                       for kernel_off in (False, True) if kernel_off or shape.endswith("mixed")]
+                       for kernel_off in (False, True)
+                       if kernel_off or shape.endswith(("mixed", "ill-conditioned"))]
 
 
 def owned_arrays(ctrl):
@@ -373,6 +380,9 @@ class TestControllerBuffers:
         b = BUFFER_PLANTS[shape]()
         if shape.endswith("factored"):
             assert b.condensed.hessian_form == "factored"
+        if shape.endswith("ill-conditioned"):
+            assert not b.modal_record.within_tolerance
+            assert b.mpc_controller(i_max=20).observer_form == "dense"
         dist = DisturbanceSpec(kind="white", sigma=2.0, seed=3)
         got = simulate(b.plant, b.mpc_controller(i_max=20), dist, 400)
         want = simulate(b.plant, _ReferenceController(b, 20), dist, 400)
@@ -498,22 +508,6 @@ class TestModalController:
         for name in ("x_hat", "z_hat", "d_hat"):
             assert not np.any(getattr(ctrl.observer, name)), name
         assert np.array([ctrl.step(y_k) for y_k in y]).tobytes() == first.tobytes()
-
-
-@pytest.mark.parametrize("horizon", [1, 2])
-def test_ill_conditioned_design_runs_the_dense_path_bit_identically(horizon):
-    # at kappa(C) = 1e8 the modal record of a matched-weight design is
-    # outside MODAL_RECORD_TOLERANCE (q_map_d rounds through 1/sigma), so
-    # the controller keeps the dense estimates even with the kernel built
-    b = design_controller(synthetic_plant(8, 8, 1e8, seed=0, mu=2), horizon,
-                          weights_mode="imc_matched")
-    ctrl = b.mpc_controller(i_max=20)
-    assert not b.modal_record.within_tolerance
-    assert ctrl.observer_form == "dense"
-    got = simulate(b.plant, ctrl, _SMALL_TONES, 400)
-    want = simulate(b.plant, _ReferenceController(b, 20), _SMALL_TONES, 400)
-    assert got.u.tobytes() == want.u.tobytes()
-    assert np.any(got.u)
 
 
 @pytest.mark.parametrize("kernel_off", [False, True], ids=["kernel", "kernel-off"])
