@@ -44,7 +44,7 @@ from .model import (
     save_plant_config,
     synthetic_plant,
 )
-from .observer import ModalRecord, ObserverBuffers, ObserverState, modal_record, update_fast, update_naive
+from .observer import ModalRecord, ObserverState, modal_record, update_fast, update_naive
 from .qp import (
     CondensedQP,
     ConstraintSet,

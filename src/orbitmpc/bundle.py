@@ -36,6 +36,15 @@ from .sim import ImcController, MpcController
 # another layout instead of loading it.
 SCHEMA_VERSION = 6
 
+# A dense eigensolve of the n x n Hessian finds lambda_min only to within a
+# few eps lambda_max (up to 5.9 eps lambda_max, and 1.05 n eps lambda_max
+# at n = 4, over some 2000 synthetic designs with n = 1 to 82), so the
+# check holds the stored lambda_min to this many n eps lambda_max.  A
+# drift relative to lambda_min itself grows with kappa(J) (3e-8 on an
+# 8 x 8 matched-weight design at kappa(C) = 1e8) and failed bundles the
+# design had just written.
+LAMBDA_MIN_ROUNDING = 4
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DesignBundle:
@@ -396,7 +405,9 @@ class CheckResult:
 
 def run_checks(bundle: DesignBundle, probe_steps: int = 100, seed: int = 0) -> list[CheckResult]:
     """Bundle self-consistency: DARE residual, steady-state target,
-    fast-vs-naive observer agreement, spectral-bound agreement, and the
+    fast-vs-naive observer agreement, spectral-bound agreement (lambda_max
+    to 1e-8 relative, lambda_min to LAMBDA_MIN_ROUNDING n eps lambda_max
+    for the n x n Hessian), and the
     modal record's probe gap against the dense maps (not applicable on a
     mixed-bandwidth plant, which has none).
 
@@ -439,13 +450,15 @@ def run_checks(bundle: DesignBundle, probe_steps: int = 100, seed: int = 0) -> l
     results.append(CheckResult("observer_fast_vs_naive", gap < 1e-10,
                                f"max deviation {gap:.3e} over {probe_steps} steps (tolerance 1e-10)"))
 
-    lmin, lmax, _ = qp.spectral_bounds(bundle.condensed.J)
-    drift = max(
-        abs(lmin - bundle.condensed.lambda_min) / lmin,
-        abs(lmax - bundle.condensed.lambda_max) / lmax,
-    )
-    results.append(CheckResult("spectral_bounds", drift < 1e-8,
-                               f"relative drift {drift:.3e} (tolerance 1e-08)"))
+    J = bundle.condensed.J
+    lmin, lmax, _ = qp.spectral_bounds(J)
+    min_drift = abs(lmin - bundle.condensed.lambda_min) / lmax
+    max_drift = abs(lmax - bundle.condensed.lambda_max) / lmax
+    min_tolerance = LAMBDA_MIN_ROUNDING * J.shape[0] * np.finfo(float).eps
+    results.append(CheckResult("spectral_bounds", min_drift <= min_tolerance and max_drift < 1e-8,
+                               f"lambda_min drift {min_drift:.3e} of lambda_max (tolerance "
+                               f"{min_tolerance:.1e}), lambda_max drift {max_drift:.3e} relative "
+                               "(tolerance 1e-08)"))
 
     try:
         record = bundle.modal_record

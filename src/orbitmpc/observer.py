@@ -12,9 +12,7 @@ through the diagonal plant powers A^(mu-i).  Every PartitionedGain is
 built by that same propagation from its measured block, so both paths
 coincide (up to rounding) for every gain, at a fraction of the work.
 
-`update_fast` returns a new state; given `ObserverBuffers`, it instead
-overwrites the estimates of the state it is passed, with the same
-floating-point operations in the same order, so both give the same bits.
+Both return a new state and leave the one they are passed intact.
 
 On a plant whose actuators share one bandwidth every online map is
 diagonal by mode: C = U diag(sigma) V^T, L_zmu = V diag(k_z) U^T, L_d =
@@ -129,61 +127,12 @@ def update_naive(st: ObserverState, u_k: np.ndarray, y_k: np.ndarray) -> Observe
     return st._replace(x_new, z_new, d_new)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class ObserverBuffers:
-    """Scratch for the in-place `update_fast` of states of one plant:
-    the innovation, an output-sized product, the state-unit innovation,
-    the propagated steps (row 0 for x, row 1 + i for z_(i+1)), an
-    input-sized product, and the A powers in the steps' order."""
-
-    innovation: np.ndarray
-    y_work: np.ndarray
-    dy: np.ndarray
-    steps: np.ndarray
-    x_work: np.ndarray
-    powers: np.ndarray
-
-    @classmethod
-    def for_state(cls, st: ObserverState) -> "ObserverBuffers":
-        n_u, n_y, mu = st.ss.n_u, st.ss.n_y, st.ss.mu
-        return cls(innovation=np.empty(n_y), y_work=np.empty(n_y), dy=np.empty(n_u),
-                   steps=np.empty((mu + 1, n_u)), x_work=np.empty(n_u),
-                   powers=np.ascontiguousarray(st.A_powers[::-1]))
-
-
-def _update_in_place(st: ObserverState, u_k: np.ndarray, y_k: np.ndarray,
-                     b: ObserverBuffers) -> ObserverState:
-    """update_fast written into st's own arrays, operation for operation."""
-    ss = st.ss
-    x_hat, z_hat, d_hat = st.x_hat, st.z_hat, st.d_hat
-    np.matmul(ss.C, st.delayed_state, out=b.y_work)
-    np.subtract(y_k, b.y_work, out=b.innovation)
-    np.subtract(b.innovation, d_hat, out=b.innovation)
-    np.matmul(st.gain.measured, b.innovation, out=b.dy)
-    np.matmul(st.gain.L_d, b.innovation, out=b.y_work)
-    np.add(d_hat, b.y_work, out=d_hat)
-    steps = np.multiply(b.powers, b.dy, out=b.steps)  # row 0: A^mu dy, row 1 + i: A^(mu-1-i) dy
-    if ss.mu:
-        np.add(z_hat[:-1], steps[2:], out=steps[2:])
-        np.add(x_hat, steps[1], out=steps[1])
-        np.copyto(z_hat, steps[1:])
-    np.multiply(ss.A, x_hat, out=x_hat)
-    np.add(x_hat, np.multiply(ss.B, u_k, out=b.x_work), out=x_hat)
-    np.add(x_hat, steps[0], out=x_hat)
-    return st
-
-
-def update_fast(st: ObserverState, u_k: np.ndarray, y_k: np.ndarray,
-                buffers: ObserverBuffers | None = None) -> ObserverState:
+def update_fast(st: ObserverState, u_k: np.ndarray, y_k: np.ndarray) -> ObserverState:
     """Partitioned update: correct z_mu and d, propagate with A powers.
 
     Uses only the gain's measured block and L_d; the propagation with
     A_powers reproduces L_zi = A^(mu-i) L_zmu and L_x = A^mu L_zmu.
-    With `buffers` (ObserverBuffers.for_state of a state of this plant),
-    the estimates of `st` are overwritten and `st` is returned.
     """
-    if buffers is not None:
-        return _update_in_place(st, u_k, y_k, buffers)
     ss = st.ss
     mu = ss.mu
     inn = st.innovation(y_k)

@@ -224,15 +224,9 @@ class CondensedQP:
         without a modal form."""
         return None if self.modal is None else int(self.modal.modes.shape[0])
 
-    def linear_term(self, x0: np.ndarray, d_bar: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """q = q_map_x0 x0 + q_map_d d_bar.  With `out`, an (2, N n_u)
-        array, row 1 receives the disturbance term and row 0 q, which is
-        returned; the products and the sum are the same operations."""
-        if out is None:
-            return self.q_map_x0 @ x0 + self.q_map_d @ d_bar
-        q, d_term = out[0], out[1]  # unpacking the array itself costs ~3 us
-        np.matmul(self.q_map_x0, x0, out=q)
-        return np.add(q, np.matmul(self.q_map_d, d_bar, out=d_term), out=q)
+    def linear_term(self, x0: np.ndarray, d_bar: np.ndarray) -> np.ndarray:
+        """q = q_map_x0 x0 + q_map_d d_bar, as a new array."""
+        return self.q_map_x0 @ x0 + self.q_map_d @ d_bar
 
 
 def momentum(lmin: float, lmax: float) -> float:

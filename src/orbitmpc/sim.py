@@ -29,7 +29,7 @@ import numpy as np
 from . import fgm, fileio, qp
 from .errors import ConfigError, DimensionError, NumericalError
 from .model import PlantConfig, StateSpace, build_state_space
-from .observer import ModalRecord, ObserverBuffers, ObserverState, update_fast
+from .observer import ModalRecord, ObserverState, update_fast
 
 DISTURBANCE_KINDS = ("white", "random_walk", "sinusoid_mix", "file")
 
@@ -130,6 +130,25 @@ def disturbance(spec: DisturbanceSpec, T: int, n_y: int, dt: float | None = None
 # Controllers
 # ---------------------------------------------------------------------------
 
+def checked_measurement(y_k, n_y: int, finite: bool = True) -> np.ndarray:
+    """y_k as a float64 array of shape (n_y,).  Another shape or dtype
+    raises DimensionError; unless `finite` is False (the caller checks it
+    itself), a non-finite entry raises NumericalError naming the monitor."""
+    y = np.asarray(y_k)
+    if y.dtype != np.float64 or y.shape != (n_y,):
+        raise DimensionError(f"measurement of shape {y.shape} and dtype {y.dtype}: expected "
+                             f"float64 of shape ({n_y},)")
+    if finite and np.count_nonzero(np.isfinite(y)) < n_y:
+        raise _non_finite_measurement(y)
+    return y
+
+
+def _non_finite_measurement(y: np.ndarray) -> NumericalError:
+    """The error for a measurement with a non-finite entry, naming the first."""
+    bad = int(np.flatnonzero(~np.isfinite(y))[0])
+    return NumericalError(f"non-finite measurement {y[bad]} at monitor {bad}")
+
+
 class ImcController:
     """Modal regularized-inverse controller with an integrating filter.
 
@@ -139,7 +158,8 @@ class ImcController:
     crossover of a well-regularized mode near the configured bandwidth.
     With clip=True outputs are clamped to the amplitude/slew-rate box and
     the affected modes' integrators hold (conditional integration), the
-    usual anti-windup guard.
+    usual anti-windup guard.  The measurement is checked as
+    MpcController's is (`checked_measurement`).
     """
 
     def __init__(self, basis, k_imc, dt: float, bandwidth_hz: float,
@@ -168,7 +188,7 @@ class ImcController:
         self.u_prev = np.zeros(self.V.shape[0])
 
     def step(self, y_k: np.ndarray) -> np.ndarray:
-        y_modal = self.U.T @ y_k
+        y_modal = self.U.T @ checked_measurement(y_k, self.U.shape[0])
         self.lag = self.phi * self.lag + (1.0 - self.phi) * y_modal
         integ_prev = self.integ.copy()
         self.integ = self.integ + self.lag
@@ -197,27 +217,27 @@ class MpcController:
     applied input, run the fixed-budget fast-gradient solve warm-started
     at the previous solution, apply the first stage, then advance the
     observer with the applied input and this sample's measurement.  The
-    measurement must be a float64 array of shape (n_y,) (else
-    DimensionError) and finite (else NumericalError naming the monitor).
+    measurement is checked by `checked_measurement`: a float64 array of
+    shape (n_y,) (else DimensionError) and finite (else NumericalError
+    naming the monitor, with the estimates left as they were).
 
-    The controller owns its per-sample buffers, built once: the observer
-    estimates; two linear-term buffers, used in turn, so the q a sample
-    passed to the solve is still intact after the next sample; and the
-    compiled solve's `Workspace`.  Each sample recentres the set into one
-    new array, from the alpha- and rho-only parts its first set computed,
-    so no set is written after the solve that took it.
+    The controller owns the compiled solve's `Workspace`, built once.
+    Each sample recentres the set into one new array, from the alpha- and
+    rho-only parts its first set computed, so no set is written after the
+    solve that took it.
 
     Given the `ModalRecord` of a one-bandwidth plant (`modes`) that is
     `within_tolerance`, and where the compiled kernel builds, the
     estimates are kept by mode in one state array, and the kernel's
-    modal_observe and modal_linear_term advance them and form q
-    (`observer_form` 'modal'); `observer` forms
-    the plant-coordinate estimates when read.  The applied inputs agree
-    with the dense reference functions to rounding.  Otherwise
-    (`observer_form` 'dense') the observer is updated in place with
-    `ObserverBuffers`, and the applied inputs are bit for bit those of
-    the reference functions (`linear_term`, `update_constraint_set`,
-    `fgm.solve` and `update_fast` without buffers).
+    modal_observe and modal_linear_term advance them and form q into two
+    buffers, used in turn, so the q a sample passed to the solve is still
+    intact after the next sample (`observer_form` 'modal'); `observer`
+    forms the plant-coordinate estimates when read.  The applied inputs
+    agree with the dense reference functions to rounding.  Otherwise
+    (`observer_form` 'dense') each sample calls the reference functions
+    themselves (`linear_term`, `update_constraint_set`, `fgm.solve` and
+    `update_fast`), each of which returns new arrays, so the applied
+    inputs are bit for bit theirs.
 
     `n_workers` (>= 1) row-slices the gradient step of the numpy solve,
     which runs only where the compiled kernel cannot be built; the
@@ -241,18 +261,15 @@ class MpcController:
         self._cset0 = qp.ConstraintSet(alpha=self.alpha, rho=self.rho,
                                        u_prev=np.zeros(ss.n_u), N=condensed.N)
         self._workspace = fgm.Workspace(condensed)
-        n = condensed.N * ss.n_u
         usable = modes is not None and modes.within_tolerance
         self._modes = modes if kernel is not None and usable else None
-        if self._modes is None:
-            self._q_buffers = (np.empty((2, n)), np.empty((2, n)))
-        else:
+        if self._modes is not None:
             if (modes.n_u, modes.n_y, modes.mu, modes.N) != (ss.n_u, ss.n_y, ss.mu, condensed.N):
                 raise DimensionError("modal record does not match the plant and QP dimensions")
             self._initial = ObserverState.initial(ss, gain)  # checks the gain, as reset does
             self._modal_state = modes.new_state()
             self._u, self._y = np.empty(ss.n_u), np.empty(ss.n_y)
-            self._q_buffers = np.empty((2, n))
+            self._q_buffers = np.empty((2, condensed.N * ss.n_u))
             self._q_slots = [(q, fgm._address(q)) for q in self._q_buffers]
             head = (fgm._address(modes.packed), ss.n_u, ss.n_y, ss.mu, condensed.N,
                     fgm._address(self._modal_state))
@@ -277,29 +294,18 @@ class MpcController:
     def reset(self):
         if self._modes is None:
             self._observer = ObserverState.initial(self.ss, self.gain)
-            self._observer_buffers = ObserverBuffers.for_state(self._observer)
         else:
             self._modal_state.fill(0.0)
         self.cset = self._cset0
         self.u_prev = self.cset.u_prev
         self.warm = np.zeros(self.qp.N * self.ss.n_u)
 
-    def _measurement(self, y_k) -> np.ndarray:
-        """y_k as a float64 array of shape (n_y,); any other shape or dtype
-        raises DimensionError."""
-        y = np.asarray(y_k)
-        if y.dtype != np.float64 or y.shape != (self.ss.n_y,):
-            raise DimensionError(f"measurement of shape {y.shape} and dtype {y.dtype}: expected "
-                                 f"float64 of shape ({self.ss.n_y},)")
-        return y
-
     def step(self, y_k: np.ndarray, timers: dict | None = None) -> np.ndarray:
-        y_k = self._measurement(y_k)
+        # the modal kernel checks finiteness itself, in modal_observe
+        y_k = checked_measurement(y_k, self.ss.n_y, finite=self._modes is None)
         tic = time.perf_counter_ns() if timers is not None else 0
         if self._modes is None:
-            q_out, spare = self._q_buffers
-            self._q_buffers = (spare, q_out)
-            q_vec = self.qp.linear_term(self._observer.x_hat, self._observer.d_hat, out=q_out)
+            q_vec = self.qp.linear_term(self._observer.x_hat, self._observer.d_hat)
         else:
             self._q_slots.reverse()
             q_vec, address = self._q_slots[0]
@@ -314,17 +320,12 @@ class MpcController:
         u_k = u_plan[: self.ss.n_u].copy()
         tic = time.perf_counter_ns() if timers is not None else 0
         if self._modes is None:
-            if np.count_nonzero(np.isfinite(y_k)) < y_k.shape[0]:
-                bad = int(np.flatnonzero(~np.isfinite(y_k))[0])
-            else:
-                bad = -1
-                self._observer = update_fast(self._observer, u_k, y_k, buffers=self._observer_buffers)
+            self._observer = update_fast(self._observer, u_k, y_k)
         else:
             np.copyto(self._u, u_k)
             np.copyto(self._y, y_k)
-            bad = self._modal_observe(*self._observe_addresses)
-        if bad >= 0:
-            raise NumericalError(f"non-finite measurement {y_k[bad]} at monitor {bad}")
+            if self._modal_observe(*self._observe_addresses) >= 0:
+                raise _non_finite_measurement(y_k)
         if timers is not None:
             fgm._add_ns(timers, "observer", tic)
         self.warm = u_plan

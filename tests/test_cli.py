@@ -317,6 +317,36 @@ class TestCheckCommand:
         assert main(["bench", "--config", cfg, "--out", str(tmp_path / "bench")]) == 0
         assert "observer_form=dense\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kappa, seed", [("1e8", 0), ("1e9", 11), ("1e10", 11)])
+    def test_ill_conditioned_one_stage_design_passes_the_spectral_bounds(self, tmp_path, capsys,
+                                                                          kappa, seed):
+        # kappa(J) ~ 1e9 to 1e11: the dense eigensolve's lambda_min drifts
+        # from the modal one by ~3e-8 to 3e-7 of lambda_min, ~1e-17 of lambda_max
+        cfg = write_config(tmp_path, extra=f"synthetic_n_y = 8\nsynthetic_n_u = 8\n"
+                                           f"synthetic_kappa = {kappa}\nweights = imc_matched\n"
+                                           f"seed = {seed}\nhorizon = 1\n")
+        out = str(tmp_path / "out")
+        assert main(["design", "--config", cfg, "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["check", "--config", cfg, "--bundle", out]) == 0
+        assert re.search(r"^\[PASS\] spectral_bounds: lambda_min drift \S+ of lambda_max \(tolerance "
+                         r"7\.1e-15\), lambda_max drift \S+ relative \(tolerance 1e-08\)$",
+                         capsys.readouterr().out, re.MULTILINE)
+
+    @pytest.mark.parametrize("key, factor", [("lambda_min", 1.0 + 1e-11), ("lambda_max", 1.0 + 1e-7)])
+    def test_stored_hessian_bound_off_fails_the_spectral_bounds(self, tmp_path, capsys, key, factor):
+        # kappa(J) ~ 1.2: lambda_min is held to 4 n eps lambda_max = 3.6e-15
+        # of lambda_max (n = 5), not the 1e-8 of lambda_max's own drift
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        main(["design", "--config", cfg, "--out", str(out)])
+        meta = read_kv(out / "meta.txt")
+        meta[key] = repr(float(meta[key]) * factor)
+        write_kv(out / "meta.txt", meta)
+        capsys.readouterr()
+        assert main(["check", "--config", cfg, "--bundle", str(out)]) == 3
+        assert "[FAIL] spectral_bounds: lambda_min drift" in capsys.readouterr().out
+
     def test_gain_off_its_modes_fails_the_modal_record(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")

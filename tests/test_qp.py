@@ -211,18 +211,6 @@ class TestLinearMaps:
         scale = max(1.0, np.linalg.norm(q_ref))
         assert np.linalg.norm(q_got - q_ref) < 1e-10 * scale
 
-    @pytest.mark.parametrize("N", [1, 2])
-    def test_written_into_a_buffer_bit_identical(self, rng, N):
-        ss = small_ss(rng)
-        w, terminal, M_s = design_parts(ss)
-        cq = build_condensed(ss, w, terminal, M_s, N)
-        out = np.full((2, N * ss.n_u), np.nan)
-        for _ in range(20):
-            x0, d = rng.standard_normal(ss.n_u), rng.standard_normal(ss.n_y) * 1e3
-            q = cq.linear_term(x0, d, out=out)
-            assert np.shares_memory(q, out)
-            assert q.tobytes() == cq.linear_term(x0, d).tobytes()
-
     def test_q_is_gradient_at_zero(self, rng):
         # finite differences of the uncondensed objective at u = 0
         ss = small_ss(rng, n_u=2, n_y=2, mu=1)

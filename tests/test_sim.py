@@ -188,6 +188,39 @@ class TestImcController:
         assert np.all(np.abs(u) <= plant.alpha + 1e-15)
         assert np.any(np.abs(np.abs(u) - plant.alpha) < 1e-12)
 
+    @pytest.mark.parametrize("clip", [False, True])
+    @pytest.mark.parametrize("y", [np.zeros(3), np.zeros(5), np.zeros((4, 1)), np.zeros(4, np.float32),
+                                   np.zeros(4, int), 0.0])
+    def test_bad_measurement_shape_or_dtype_refused(self, plant, clip, y):
+        ctrl = design_controller(plant, horizon=1).imc_controller(bandwidth_hz=20.0, clip=clip)
+        with pytest.raises(DimensionError, match=r"measurement of shape .* expected float64 of shape \(4,\)"):
+            ctrl.step(y)
+
+    @pytest.mark.parametrize("clip", [False, True])
+    @pytest.mark.parametrize("monitor", [0, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_measurement_refused_naming_the_monitor(self, plant, clip, monitor, bad):
+        ctrl = design_controller(plant, horizon=1).imc_controller(bandwidth_hz=20.0, clip=clip)
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            ctrl.step(rng.normal(0.0, 1.0, 4))
+        before = [ctrl.lag.copy(), ctrl.integ.copy(), ctrl.u_prev.copy()]
+        y = rng.normal(0.0, 1.0, 4)
+        y[monitor] = bad
+        with pytest.raises(NumericalError, match=f"non-finite measurement .* at monitor {monitor}"):
+            ctrl.step(y)
+        for now, was in zip((ctrl.lag, ctrl.integ, ctrl.u_prev), before):
+            assert now.tobytes() == was.tobytes()
+
+    def test_simulate_names_the_step_and_the_monitor(self, plant, monkeypatch):
+        d = disturbance(DisturbanceSpec(kind="white", sigma=1.0, seed=2), 20, plant.n_y)
+        d[12, 3] = np.nan
+        monkeypatch.setattr(sim_module, "disturbance", lambda *args, **kwargs: d)
+        ctrl = design_controller(plant, horizon=1).imc_controller(bandwidth_hz=20.0, clip=True)
+        refusal = "simulation step 12: non-finite measurement nan at monitor 3"
+        with pytest.raises(NumericalError, match=refusal):
+            simulate(plant, ctrl, DisturbanceSpec(sigma=0.0), 20)
+
 
 class TestIbm:
     def test_zero_signal(self):
@@ -362,12 +395,13 @@ BIT_IDENTICAL_CASES = [(shape, kernel_off) for shape in sorted(BUFFER_PLANTS)
 
 
 def owned_arrays(ctrl):
-    """The arrays an MpcController writes or hands to the solve per sample."""
+    """The arrays an MpcController writes or hands to the solve per sample;
+    the dense path's estimates and q are new arrays each sample, the modal
+    path's live in its state array and its two q buffers."""
     st, ws = ctrl.observer, ctrl._workspace
-    observer = (dataclasses.astuple(ctrl._observer_buffers) if ctrl.observer_form == "dense"
-                else (ctrl._modal_state, ctrl._u, ctrl._y))
+    modal = (ctrl._modal_state, ctrl._u, ctrl._y, *ctrl._q_buffers) if ctrl.observer_form == "modal" else ()
     return [ctrl.alpha, ctrl.rho, ctrl.warm, ctrl.u_prev, st.x_hat, st.z_hat, st.d_hat,
-            *observer, *ctrl._q_buffers, ws.data, ctrl.cset._packed, ctrl.cset.u_prev]
+            *modal, ws.data, ctrl.cset._packed, ctrl.cset.u_prev]
 
 
 class TestControllerBuffers:
