@@ -2,16 +2,17 @@
 
 `design_controller` runs the whole offline chain for one plant and one
 horizon: modal decomposition, weight design (saturated or baseline-gain
-matched), DARE terminal cost, steady-state target map, observer gain,
-condensed QP and the iteration-bound bookkeeping.  The result round-trips through a
-bundle directory that the simulate, bench and check commands consume: one
-`.npy` file per array (the plant's among them) and every scalar in
-`meta.txt` as key=value text.  On a one-bandwidth plant the load rebuilds
-the Hessian's modal form from the stored q_hat, r_hat and the square
-[V, V_perp] in V.npy, with the function the design uses, and from it and
-the stored gain the observer's and linear term's modal record.  `meta.txt` carries the bundle's schema
-version and a fingerprint of the design inputs, so a bundle designed from
-other inputs or in another layout is never mistaken for a fresh one.
+matched), DARE terminal cost, observer gain, and then `_assemble`: the
+steady-state target map, condensed QP and iteration-bound bookkeeping.
+The result round-trips through a bundle directory that the simulate, bench
+and check commands consume: one `.npy` file per array the design solves
+for (the plant's among them) and every scalar in `meta.txt` as key=value
+text.  The load repeats `_assemble` on the arrays it reads, so the
+condensed QP is stored nowhere, and refuses recorded scalars it derives
+otherwise.  On a one-bandwidth plant it also builds the observer's and
+linear term's modal record.  `meta.txt` carries the bundle's schema version
+and a fingerprint of the design inputs, so a bundle designed from other
+inputs or in another layout is never mistaken for a fresh one.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .sim import ImcController, MpcController
 # Version of the bundle layout, separate from fileio.SCHEMA_VERSION of the
 # text outputs; design_fingerprint hashes it, so bench redesigns a bundle of
 # another layout instead of loading it.
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 # A dense eigensolve of the n x n Hessian finds lambda_min only to within a
 # few eps lambda_max (up to 5.9 eps lambda_max, and 1.05 n eps lambda_max
@@ -154,6 +155,9 @@ def design_controller(
     ))
     ss = build_state_space(plant)
     basis = modal_decompose(ss.C)
+    if basis.rank < plant.n_y:
+        warnings.warn(f"response matrix has rank {basis.rank} < n_y = {plant.n_y}: the steady-state "
+                      "target takes least-squares semantics", stacklevel=2)
     modal = design.one_bandwidth(ss)
     # representative scalar dynamics for the modal weight design; exact on
     # a plant of one bandwidth
@@ -175,22 +179,8 @@ def design_controller(
     dare_stats: dict = {}
     terminal = design.solve_dare(ss.A, ss.B, w.Q, w.R_w, modes=(basis, w) if modal else None,
                                  stats=dare_stats)
-
-    M_s = design.setpoint_matrix(ss, basis)
     kalman_stats: dict = {}
     gain = design.kalman_gain(ss, sigma_v, sigma_w, sigma_m, basis=basis, stats=kalman_stats)
-    form = design.modal_hessian(ss, basis, w, horizon) if modal else None
-    condensed = qp.build_condensed(ss, w, terminal, M_s, horizon, modal=form)
-
-    cset0 = qp.ConstraintSet(alpha=plant.alpha, rho=plant.rho,
-                             u_prev=np.zeros(plant.n_u), N=horizon)
-    delta_is_default = delta is None
-    if delta is None:
-        delta = qp.default_delta(condensed.lambda_max, cset0)
-    kappa = condensed.lambda_max / condensed.lambda_min
-    i_max_bound = design.iteration_bound(
-        design.IterationBoundParams(epsilon=epsilon, Delta=delta, kappa=kappa)
-    )
     meta = {
         "schema_version": SCHEMA_VERSION,
         "design_fingerprint": fingerprint,
@@ -205,17 +195,36 @@ def design_controller(
         "modal_a": a,
         "modal_b": b,
         "riccati_form": "modal" if modal else "dense",
-        "delta_is_default": int(delta_is_default),
+        "delta_is_default": int(delta is None),
         "dare_doublings": dare_stats["doublings"],
         "dare_residual": dare_stats["residual"],
         "kalman_doublings": kalman_stats["doublings"],
         "kalman_residual": kalman_stats["residual"],
     }
+    return _assemble(plant, ss, basis, w, terminal, gain, horizon, epsilon, delta, meta)
+
+
+def _assemble(plant: PlantConfig, ss: StateSpace, basis: ModalBasis, weights: design.Weights,
+              terminal: design.TerminalCost, gain: design.PartitionedGain, horizon: int,
+              epsilon: float, delta: float | None, meta: dict) -> DesignBundle:
+    """The design's last step, which load_bundle repeats on the arrays it
+    reads: the steady-state target map, the Hessian's modal form on a
+    one-bandwidth plant, the condensed QP with its spectral bounds, the
+    default delta where `delta` is None, and the iteration bound."""
+    form = design.modal_hessian(ss, basis, weights, horizon) if design.one_bandwidth(ss) else None
+    condensed = qp.build_condensed(ss, weights, terminal, design.setpoint_matrix(basis), horizon,
+                                   modal=form)
+    delta_is_default = delta is None
+    if delta_is_default:
+        cset0 = qp.ConstraintSet(alpha=plant.alpha, rho=plant.rho, u_prev=np.zeros(plant.n_u), N=horizon)
+        delta = qp.default_delta(condensed.lambda_max, cset0)
+    i_max_bound = design.iteration_bound(design.IterationBoundParams(
+        epsilon=epsilon, Delta=delta, kappa=condensed.lambda_max / condensed.lambda_min))
     return DesignBundle(
         plant=plant,
         ss=ss,
         basis=basis,
-        weights=w,
+        weights=weights,
         terminal=terminal,
         gain=gain,
         condensed=condensed,
@@ -245,41 +254,46 @@ def _arrays(b: DesignBundle) -> dict[str, np.ndarray]:
         "Q": b.weights.Q, "R_w": b.weights.R_w, "q_hat": b.weights.q_hat, "r_hat": b.weights.r_hat,
         "P": b.terminal.P,
         _gain_file(b.ss.mu): b.gain.measured, "L_d": b.gain.L_d,
-        "J": b.condensed.J, "q_map_x0": b.condensed.q_map_x0, "q_map_d": b.condensed.q_map_d,
     }
 
 
-def _array_shapes(n_y: int, n_u: int, mu: int, horizon: int) -> dict[str, tuple[int, ...]]:
-    """The shape of every bundle array, from the plant's sizes and the horizon."""
-    r, n = min(n_u, n_y), horizon * n_u
+def _array_shapes(n_y: int, n_u: int, mu: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every bundle array, from the plant's sizes."""
+    r = min(n_u, n_y)
     return {
         "R": (n_y, n_u), "bandwidths": (n_u,), "alpha": (n_u,), "rho": (n_u,),
         "U": (n_y, r), "S": (r,), "V": (n_u, n_u),
         "Q": (n_u, n_u), "R_w": (n_u, n_u), "q_hat": (r,), "r_hat": (n_u,),
         "P": (n_u, n_u),
         _gain_file(mu): (n_u, n_y), "L_d": (n_y, n_y),
-        "J": (n, n), "q_map_x0": (n, n_u), "q_map_d": (n, n_y),
     }
 
 
-def _hessian_record(c: qp.CondensedQP) -> dict:
-    """The Hessian form the compiled solve iterates on, and |K|, the modes
-    whose block differs from the shared one (empty without a modal form)."""
-    modes = c.factored_modes
-    return {"hessian_form": c.hessian_form, "hessian_distinct_modes": "" if modes is None else modes}
-
-
 def _scalars(b: DesignBundle) -> dict:
-    """The plant's sizes and sampling, and the QP's bounds and form, that
-    meta.txt holds after the design record; beta, kappa and the form are
-    written for the reader, the load derives them."""
+    """The plant's sizes and sampling, and the QP's bounds, iteration
+    bookkeeping and Hessian form (see CondensedQP.hessian_form and
+    factored_modes), that meta.txt holds after the design record."""
     p, c = b.plant, b.condensed
+    modes = c.factored_modes
     return {
         "n_y": p.n_y, "n_u": p.n_u, "dt": p.dt, "mu": p.mu,
         "lambda_min": c.lambda_min, "lambda_max": c.lambda_max, "beta": c.beta, "kappa": b.kappa,
         "i_max_bound": b.i_max_bound, "epsilon": b.epsilon, "delta": b.delta,
-        **_hessian_record(c),
+        "hessian_form": c.hessian_form, "hessian_distinct_modes": "" if modes is None else modes,
     }
+
+
+def _derived_from(b: DesignBundle) -> dict[str, str]:
+    """What each scalar of _scalars that the load derives comes from, by key."""
+    if b.condensed.modal is None:  # Q enters J from the second stage on
+        hessian = f"the Hessian J, built from P, {'Q, ' if b.condensed.N > 1 else ''}R_w and the plant"
+    else:
+        hessian = "the Hessian's modal blocks, built from q_hat, r_hat and the plant"
+    sources = dict.fromkeys(["lambda_min", "lambda_max", "beta", "kappa", "hessian_form",
+                             "hessian_distinct_modes"], hessian)
+    if b.delta_is_default:
+        sources["delta"] = "lambda_max and the plant's alpha and rho"
+    return {**sources, "i_max_bound": "epsilon, delta and kappa"}
 
 
 def _read_array(path, shape: tuple[int, ...]) -> np.ndarray:
@@ -311,19 +325,20 @@ def save_bundle(bundle: DesignBundle, directory) -> None:
 
 
 def load_bundle(directory, diagnose: bool = False) -> DesignBundle:
-    """Read a bundle written by `save_bundle`, checking its schema version,
-    the dtype and shape of every array, the plant (by building it), the
-    Hessian (by building the condensed QP, which refuses an asymmetric J
-    and, on a one-bandwidth plant, a J that disagrees with the modal form
-    rebuilt from q_hat, r_hat and V), the Hessian bounds (by deriving beta
-    from them) and the iteration bookkeeping: epsilon and delta must lie
-    where the design accepts them, and i_max_bound is derived from them
-    and kappa as the design derives it.  The recorded Hessian form and its
-    number of distinct modes must be the ones derived on load.  On a
-    one-bandwidth plant the modal record is built from the loaded arrays,
-    which refuses a gain or linear-term map that is not diagonal by mode
-    (see observer.modal_record); with `diagnose`, as the check command
-    loads, such a bundle is returned for run_checks to report instead."""
+    """Read a bundle written by `save_bundle`, checking its schema version
+    and the dtype and shape of every array, and rebuild the rest with the
+    design's own last step (_assemble): the plant (a plant that a plant
+    config would refuse fails the load), the target map, the condensed QP
+    (on a one-bandwidth plant its J, from P, Q and R_w, must agree with the
+    modal form rebuilt from q_hat, r_hat and V), the Hessian bounds, the
+    default delta and the iteration bound.  epsilon and a given delta must
+    lie where the design accepts them.  Every scalar the load derives must
+    be the one meta.txt records (_derived_from); another is refused, naming
+    the key and what it is derived from.  On a one-bandwidth plant the
+    modal record is built from the loaded arrays, which refuses a gain that
+    is not diagonal by mode (see observer.modal_record); with `diagnose`,
+    as the check command loads, such a bundle is returned for run_checks to
+    report instead."""
     meta = fileio.read_kv(os.path.join(directory, "meta.txt"))
     version = meta.get("schema_version", "none")
     if version != str(SCHEMA_VERSION):
@@ -333,57 +348,32 @@ def load_bundle(directory, diagnose: bool = False) -> DesignBundle:
         )
     n_y, n_u, mu, horizon = (fileio.kv_get(meta, key, int) for key in ("n_y", "n_u", "mu", "horizon"))
     arrays = {name: _read_array(os.path.join(directory, f"{name}.npy"), shape)
-              for name, shape in _array_shapes(n_y, n_u, mu, horizon).items()}
-    lambda_min, lambda_max, epsilon, delta = (
-        fileio.kv_get(meta, key, float) for key in ("lambda_min", "lambda_max", "epsilon", "delta"))
-    stored_bound = fileio.kv_get(meta, "i_max_bound", int)
+              for name, shape in _array_shapes(n_y, n_u, mu).items()}
+    epsilon = fileio.kv_get(meta, "epsilon", float)
+    delta = None if fileio.kv_get(meta, "delta_is_default", int, 0) else fileio.kv_get(meta, "delta", float)
     r = min(n_y, n_u)
-    basis = ModalBasis(U=arrays["U"], S=arrays["S"], V=arrays["V"][:, :r], V_perp=arrays["V"][:, r:])
-    weights = design.Weights(q_hat=arrays["q_hat"], r_hat=arrays["r_hat"],
-                             Q=arrays["Q"], R_w=arrays["R_w"])
     try:
         plant = PlantConfig(R=arrays["R"], bandwidths=arrays["bandwidths"],
                             dt=fileio.kv_get(meta, "dt", float), mu=mu,
                             alpha=arrays["alpha"], rho=arrays["rho"])
         ss = build_state_space(plant)
-        form = design.modal_hessian(ss, basis, weights, horizon) if design.one_bandwidth(ss) else None
-        condensed = qp.CondensedQP(
-            J=arrays["J"],
-            q_map_x0=arrays["q_map_x0"],
-            q_map_d=arrays["q_map_d"],
-            lambda_min=lambda_min,
-            lambda_max=lambda_max,
-            beta=qp.momentum(lambda_min, lambda_max),
-            N=horizon,
-            n_u=n_u,
-            modal=form,
+        loaded = _assemble(
+            plant, ss,
+            ModalBasis(U=arrays["U"], S=arrays["S"], V=arrays["V"][:, :r], V_perp=arrays["V"][:, r:]),
+            design.Weights(q_hat=arrays["q_hat"], r_hat=arrays["r_hat"], Q=arrays["Q"], R_w=arrays["R_w"]),
+            design.TerminalCost(P=arrays["P"]),
+            design.PartitionedGain(arrays[_gain_file(mu)], arrays["L_d"], ss.A, mu),
+            horizon, epsilon, delta, meta,
         )
-        bound_params = design.IterationBoundParams(epsilon=epsilon, Delta=delta,
-                                                   kappa=lambda_max / lambda_min)
     except (ConfigError, NumericalError) as exc:
         raise ConfigError(f"{directory}: {exc}") from exc
-    i_max_bound = design.iteration_bound(bound_params)
-    if stored_bound != i_max_bound:
-        raise ConfigError(f"{directory}: meta.txt key 'i_max_bound' = {stored_bound} is not "
-                          f"{i_max_bound}, the bound of its epsilon, delta and kappa")
-    for key, value in _hessian_record(condensed).items():
-        if meta.get(key) != str(value):
-            raise ConfigError(f"{directory}: meta.txt key '{key}' = {meta.get(key)} is not "
-                              f"{value}, the value of its Hessian")
-    loaded = DesignBundle(
-        plant=plant,
-        ss=ss,
-        basis=basis,
-        weights=weights,
-        terminal=design.TerminalCost(P=arrays["P"]),
-        gain=design.PartitionedGain(arrays[_gain_file(mu)], arrays["L_d"], ss.A, mu),
-        condensed=condensed,
-        epsilon=epsilon,
-        delta=delta,
-        delta_is_default=bool(int(meta.get("delta_is_default", "0"))),
-        i_max_bound=i_max_bound,
-        meta=meta,
-    )
+    scalars = _scalars(loaded)
+    for key, source in _derived_from(loaded).items():
+        value = scalars[key]
+        text = fileio.format_float(value) if isinstance(value, float) else str(value)
+        if meta.get(key) != text:
+            raise ConfigError(f"{directory}: meta.txt key '{key}' = {meta.get(key)} is not {text}, "
+                              f"derived from {source}")
     if not diagnose:
         try:
             loaded.modal_record  # built here, so a record that disagrees is refused on load
@@ -405,11 +395,12 @@ class CheckResult:
 
 def run_checks(bundle: DesignBundle, probe_steps: int = 100, seed: int = 0) -> list[CheckResult]:
     """Bundle self-consistency: DARE residual, steady-state target,
-    fast-vs-naive observer agreement, spectral-bound agreement (lambda_max
-    to 1e-8 relative, lambda_min to LAMBDA_MIN_ROUNDING n eps lambda_max
-    for the n x n Hessian), and the
-    modal record's probe gap against the dense maps (not applicable on a
-    mixed-bandwidth plant, which has none).
+    fast-vs-naive observer agreement, the modal bounds against a dense
+    eigensolve of J (lambda_max to 1e-8 relative, lambda_min to
+    LAMBDA_MIN_ROUNDING n eps lambda_max for the n x n Hessian), and the
+    modal record's probe gap against the dense maps.  The last two are not
+    applicable on a mixed-bandwidth plant, which has no modal form: its
+    bounds are that eigensolve.
 
     The target check forms M_s from the stored modal basis and tests the
     least-squares condition C^T (C M_s d + d) = 0 against the plant's own
@@ -424,9 +415,7 @@ def run_checks(bundle: DesignBundle, probe_steps: int = 100, seed: int = 0) -> l
     results.append(CheckResult("dare_residual", residual < 1e-8,
                                f"relative residual {residual:.3e} (tolerance 1e-08)"))
 
-    with warnings.catch_warnings():  # design already said so for rank C < n_y
-        warnings.simplefilter("ignore", UserWarning)
-        M_s = design.setpoint_matrix(ss, bundle.basis)
+    M_s = design.setpoint_matrix(bundle.basis)
     D = rng.standard_normal((ss.n_y, 100))
     X = M_s @ D
     sigma_0 = np.linalg.norm(ss.C, 2)
@@ -450,15 +439,19 @@ def run_checks(bundle: DesignBundle, probe_steps: int = 100, seed: int = 0) -> l
     results.append(CheckResult("observer_fast_vs_naive", gap < 1e-10,
                                f"max deviation {gap:.3e} over {probe_steps} steps (tolerance 1e-10)"))
 
-    J = bundle.condensed.J
-    lmin, lmax, _ = qp.spectral_bounds(J)
-    min_drift = abs(lmin - bundle.condensed.lambda_min) / lmax
-    max_drift = abs(lmax - bundle.condensed.lambda_max) / lmax
-    min_tolerance = LAMBDA_MIN_ROUNDING * J.shape[0] * np.finfo(float).eps
-    results.append(CheckResult("spectral_bounds", min_drift <= min_tolerance and max_drift < 1e-8,
-                               f"lambda_min drift {min_drift:.3e} of lambda_max (tolerance "
-                               f"{min_tolerance:.1e}), lambda_max drift {max_drift:.3e} relative "
-                               "(tolerance 1e-08)"))
+    if bundle.condensed.modal is None:
+        results.append(CheckResult("spectral_bounds", True, "not applicable: the bounds are the "
+                                   "dense eigensolve of J, derived on load"))
+    else:
+        J = bundle.condensed.J
+        lmin, lmax, _ = qp.spectral_bounds(J)
+        min_drift = abs(lmin - bundle.condensed.lambda_min) / lmax
+        max_drift = abs(lmax - bundle.condensed.lambda_max) / lmax
+        min_tolerance = LAMBDA_MIN_ROUNDING * J.shape[0] * np.finfo(float).eps
+        results.append(CheckResult("spectral_bounds", min_drift <= min_tolerance and max_drift < 1e-8,
+                                   f"lambda_min drift {min_drift:.3e} of lambda_max (tolerance "
+                                   f"{min_tolerance:.1e}), lambda_max drift {max_drift:.3e} relative "
+                                   "(tolerance 1e-08)"))
 
     try:
         record = bundle.modal_record

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 
@@ -416,7 +415,7 @@ def design_weights_imc_matched(basis, a: float, b: float, lam: float) -> Weights
 # Steady-state target
 # ---------------------------------------------------------------------------
 
-def setpoint_matrix(ss: StateSpace, basis: ModalBasis) -> np.ndarray:
+def setpoint_matrix(basis: ModalBasis) -> np.ndarray:
     """The n_u x n_y steady-state target map M_s = -C^+, from the modal basis of C.
 
     The steady state (x_s, u_s) for a disturbance d is the minimum-norm
@@ -425,20 +424,10 @@ def setpoint_matrix(ss: StateSpace, basis: ModalBasis) -> np.ndarray:
     A_ii < 1, the first block row forces x = u, so x_s = u_s = M_s d.  C^+ =
     V diag(1/sigma) U^T is formed from `basis` by numpy's pseudo-inverse
     arithmetic and cutoff (modes at or below 1e-15 sigma_0 get 0).  When
-    rank C < n_y, rank C counting the modes above numpy's rank tolerance
-    sigma_0 max(n_y, n_u) eps, no input cancels every disturbance: the
-    target takes least-squares semantics and a warning says so.
+    rank C < n_y (ModalBasis.rank) no input cancels every disturbance, and
+    the target takes least-squares semantics; design_controller says so.
     """
-    n_u, n_y = ss.n_u, ss.n_y
-    sigma = basis.S
-    rank = np.count_nonzero(sigma > sigma[0] * (max(n_y, n_u) * np.finfo(float).eps))
-    if rank < n_y:
-        warnings.warn(
-            f"response matrix has rank {rank} < n_y = {n_y}: the steady-state target "
-            "takes least-squares semantics",
-            stacklevel=2,
-        )
-    return -(basis.V @ (_inverse_sigma(sigma)[:, None] * basis.U.T))
+    return -(basis.V @ (_inverse_sigma(basis.S)[:, None] * basis.U.T))
 
 
 def _inverse_sigma(sigma: np.ndarray) -> np.ndarray:

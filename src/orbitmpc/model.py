@@ -128,6 +128,13 @@ class ModalBasis:
         return self.S.shape[0]
 
     @property
+    def rank(self) -> int:
+        """rank C as np.linalg.matrix_rank counts it: the modes above
+        sigma_0 max(n_y, n_u) eps."""
+        n_y, n_u = self.U.shape[0], self.V.shape[0]
+        return int(np.count_nonzero(self.S > self.S[0] * (max(n_y, n_u) * np.finfo(float).eps)))
+
+    @property
     def V_full(self) -> np.ndarray:
         """The square orthonormal [V, V_perp], column-major like V."""
         if self.V.shape[0] == self.r:

@@ -202,9 +202,10 @@ class CondensedQP:
         gap = float(np.linalg.norm(modal.matvec(probe) - want) / np.linalg.norm(want))
         if not gap <= MODAL_FORM_TOLERANCE:  # NaN fails too
             raise NumericalError(
-                f"Hessian J disagrees with its modal blocks (built from q_hat, r_hat, the "
-                f"terminal cost and the basis V): a probe product differs by {gap:.1e} "
-                f"relative, tolerance {MODAL_FORM_TOLERANCE:.0e}")
+                f"Hessian J disagrees with its modal blocks: a probe product differs by "
+                f"{gap:.1e} relative, tolerance {MODAL_FORM_TOLERANCE:.0e}; J is built from the "
+                f"weights Q and R_w and the terminal cost P, the blocks from q_hat, r_hat and "
+                f"the basis V")
         if modal.multiplies() >= n * n:
             return None
         lam = self.lambda_max

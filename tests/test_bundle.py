@@ -4,6 +4,7 @@ makes."""
 import dataclasses
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,13 +22,17 @@ from orbitmpc.fileio import read_kv, write_kv
 from orbitmpc.observer import MODAL_RECORD_TOLERANCE, Q_MAP_D_ROUNDING
 
 ARRAY_FILES = {"R", "bandwidths", "alpha", "rho",
-               "U", "S", "V", "P", "Q", "R_w", "q_hat", "r_hat", "L_d",
-               "J", "q_map_x0", "q_map_d"}
+               "U", "S", "V", "P", "Q", "R_w", "q_hat", "r_hat", "L_d"}
 
 
 def wide_plant(mu):
     # n_y < n_u, so the modal factors are not square
     return synthetic_plant(5, 6, 50.0, seed=3, mu=mu)
+
+
+def tall_plant():
+    # n_y > n_u: the target is least squares, and the observer carries k_0
+    return synthetic_plant(6, 4, 50.0, seed=3, mu=2)
 
 
 def mixed_plant():
@@ -59,16 +64,25 @@ def bounds(b):
             b.delta_is_default)
 
 
-@pytest.mark.parametrize("plant, horizon", [
-    pytest.param(wide_plant(0), 1, id="0-1"),
-    pytest.param(wide_plant(2), 2, id="2-2"),
-    pytest.param(mixed_plant(), 2, id="mixed-2"),
+@pytest.mark.parametrize("plant, horizon, weights", [
+    pytest.param(wide_plant(0), 1, "saturated", id="0-1"),
+    pytest.param(wide_plant(2), 2, "saturated", id="2-2"),
+    pytest.param(mixed_plant(), 2, "saturated", id="mixed-2"),
+    pytest.param(tall_plant(), 1, "saturated", id="tall-1"),
+    pytest.param(tall_plant(), 2, "saturated", id="tall-2"),
+    pytest.param(wide_plant(2), 1, "imc_matched", id="imc_matched-1"),
+    pytest.param(wide_plant(2), 2, "imc_matched", id="imc_matched-2"),
 ])
-def test_round_trip_is_bit_exact(tmp_path, plant, horizon):
-    ours = design_controller(plant, horizon)
+def test_round_trip_is_bit_exact(tmp_path, plant, horizon, weights):
+    # J, q_map_x0, q_map_d and the scalars derived from them are not stored:
+    # the load rebuilds them, and without a warning on a tall plant
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # tall: least-squares target
+        ours = design_controller(plant, horizon, weights_mode=weights)
     save_bundle(ours, tmp_path)
     gain_file = "L_zmu" if plant.mu else "L_x"
     assert set(os.listdir(tmp_path)) == {"meta.txt"} | {f"{name}.npy" for name in ARRAY_FILES | {gain_file}}
+    assert len(os.listdir(tmp_path)) == 15
     theirs = load_bundle(tmp_path)
 
     want, got = arrays(ours), arrays(theirs)
@@ -105,9 +119,9 @@ def test_other_schema_version_rejected(saved):
 
 
 def test_wrong_shape_names_the_file(saved):
-    J = np.load(saved / "J.npy")
-    np.save(saved / "J.npy", J[:-1])
-    with pytest.raises(DimensionError, match=r"J\.npy.*shape"):
+    Q = np.load(saved / "Q.npy")
+    np.save(saved / "Q.npy", Q[:-1])
+    with pytest.raises(DimensionError, match=r"Q\.npy.*shape"):
         load_bundle(saved)
 
 
@@ -142,14 +156,16 @@ def edit_meta(directory, **values):
     write_kv(directory / "meta.txt", meta)
 
 
-def test_momentum_and_conditioning_are_derived_on_load(saved):
-    # meta.txt writes beta and kappa for the reader; the load derives both
-    # from the Hessian bounds, bit-exactly as the design did
-    designed = load_bundle(saved)
-    edit_meta(saved, beta="5", kappa="7")
-    loaded = load_bundle(saved)
-    assert loaded.condensed.beta == designed.condensed.beta != 5.0
-    assert loaded.kappa == designed.kappa != 7.0
+@pytest.mark.parametrize("key", ["beta", "kappa"])
+def test_momentum_and_conditioning_are_derived_on_load(saved, key):
+    # the load derives beta and kappa from the rebuilt Hessian, bit-exactly
+    # as the design did, and refuses a meta.txt that records other values
+    derived = read_kv(saved / "meta.txt")[key]
+    edit_meta(saved, **{key: "5"})
+    refusal = (rf"{re.escape(str(saved))}: meta.txt key '{key}' = 5 is not {re.escape(derived)}, "
+               r"derived from the Hessian's modal blocks, built from q_hat, r_hat and the plant$")
+    with pytest.raises(ConfigError, match=refusal):
+        load_bundle(saved)
 
 
 @pytest.mark.parametrize("key, value", [("epsilon", "nan"), ("delta", "-1"), ("i_max_bound", "-3")])
@@ -176,7 +192,7 @@ def test_zero_delta_round_trips(tmp_path):
 ])
 def test_hessian_bound_out_of_range_names_the_key(saved, key, value):
     edit_meta(saved, **{key: value})
-    with pytest.raises(ConfigError, match=rf"{re.escape(str(saved))}.*{key} = "):
+    with pytest.raises(ConfigError, match=rf"{re.escape(str(saved))}: meta.txt key '{key}' = {value} is not "):
         load_bundle(saved)
 
 
@@ -226,7 +242,7 @@ def test_edited_hessian_record_names_the_key(saved, key, value):
         load_bundle(saved)
 
 
-@pytest.mark.parametrize("name", ["L_d", "L_zmu", "q_map_x0", "q_map_d"])
+@pytest.mark.parametrize("name", ["L_d", "L_zmu"])
 def test_edited_online_map_refused_naming_it(saved, name):
     # one off-diagonal entry added, 1e-6 of the map's largest: the map is no
     # longer diagonal by mode, and its probe product shows it
@@ -237,6 +253,31 @@ def test_edited_online_map_refused_naming_it(saved, name):
     with pytest.raises(ConfigError, match=refusal):
         load_bundle(saved)
     assert load_bundle(saved, diagnose=True).condensed.modal is not None
+
+
+@pytest.mark.parametrize("name", ["P", "Q", "R_w"])
+def test_edited_hessian_array_refused_naming_it(saved, name):
+    # J and both linear-term maps are rebuilt from these on load; an edit
+    # moves J off the modal blocks, which the check command's load refuses too
+    array = np.load(saved / f"{name}.npy")
+    array[0, 1] += 1e-6 * np.max(np.abs(array))
+    np.save(saved / f"{name}.npy", array)
+    refusal = rf"{re.escape(str(saved))}: Hessian J disagrees with its modal blocks: .*\b{name}\b"
+    for diagnose in (False, True):
+        with pytest.raises(ConfigError, match=refusal):
+            load_bundle(saved, diagnose=diagnose)
+
+
+def test_edited_weight_on_a_mixed_plant_refused_naming_the_bound(tmp_path):
+    # without a modal form the bounds are J's eigensolve, which the load
+    # repeats on the J it rebuilds
+    save_bundle(design_controller(mixed_plant(), 2), tmp_path)
+    R_w = np.load(tmp_path / "R_w.npy")
+    R_w[0, 1] += 1e-6 * np.max(np.abs(R_w))
+    np.save(tmp_path / "R_w.npy", R_w)
+    with pytest.raises(ConfigError, match=r"meta.txt key 'lambda_min' = \S+ is not \S+, derived from "
+                                          r"the Hessian J, built from P, Q, R_w and the plant$"):
+        load_bundle(tmp_path)
 
 
 @pytest.mark.filterwarnings("ignore:response matrix has rank")
@@ -279,13 +320,20 @@ def test_ill_conditioned_design_runs_the_dense_maps(tmp_path, horizon):
     assert loaded.mpc_controller(i_max=5).observer_form == "dense"
 
 
-@pytest.mark.parametrize("name, relative", [("L_d", 1e-6), ("L_zmu", 1e-6), ("q_map_x0", 1e-6),
-                                            ("q_map_d", 1e-4)])
-def test_ill_conditioned_design_with_an_edited_map_refused(tmp_path, name, relative):
-    # only q_map_d's gap is allowed the rounding of kappa(C) = 1e8, 1.4e-6
+@pytest.mark.parametrize("name, refusal", [
+    pytest.param(name, refusal, id=name) for name, refusal in [
+        ("L_d", "L_d disagrees with its modal record"), ("L_zmu", "L_zmu disagrees with its modal record"),
+        ("P", r"disagrees with its modal blocks: .*\bP\b"), ("Q", r"disagrees with its modal blocks: .*\bQ\b"),
+        ("R_w", r"disagrees with its modal blocks: .*\bR_w\b"),
+    ]
+])
+def test_ill_conditioned_design_with_an_edited_map_refused(tmp_path, name, refusal):
+    # q_map_d's rounding allowance at kappa(C) = 1e8 (1.4e-6) covers no
+    # edit: the maps are rebuilt from P, Q, R_w and the basis, and an edit
+    # of 1e-6 of the largest entry shows against the modal forms
     save_bundle(ill_conditioned(2), tmp_path)
     array = np.load(tmp_path / f"{name}.npy")
-    array[0, 1] += relative * np.max(np.abs(array))
+    array[0, 1] += 1e-6 * np.max(np.abs(array))
     np.save(tmp_path / f"{name}.npy", array)
-    with pytest.raises(ConfigError, match=f"{name} disagrees with its modal record"):
+    with pytest.raises(ConfigError, match=refusal):
         load_bundle(tmp_path)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from orbitmpc import bundle as bundle_mod
-from orbitmpc import fgm, load_bundle, save_plant_config, synthetic_plant
+from orbitmpc import ConfigError, fgm, load_bundle, save_plant_config, synthetic_plant
 from orbitmpc.cli import CONFIG_KEYS, load_run_config, main
 from orbitmpc.fileio import read_kv, read_matrix, write_kv, write_matrix
 
@@ -69,10 +69,11 @@ class TestDesignCommand:
         out = str(tmp_path / "out")
         assert main(["design", "--config", cfg, "--out", out]) == 0
         for name in ("R.npy", "bandwidths.npy", "alpha.npy", "rho.npy", "P.npy", "Q.npy",
-                     "q_hat.npy", "r_hat.npy", "L_zmu.npy", "L_d.npy", "J.npy", "q_map_x0.npy",
-                     "q_map_d.npy", "meta.txt"):
+                     "q_hat.npy", "r_hat.npy", "L_zmu.npy", "L_d.npy", "meta.txt"):
             assert os.path.exists(os.path.join(out, name)), name
-        assert len(os.listdir(out)) == 18
+        assert len(os.listdir(out)) == 15
+        for name in ("J.npy", "q_map_x0.npy", "q_map_d.npy"):  # rebuilt on load
+            assert not os.path.exists(os.path.join(out, name)), name
         meta = read_kv(os.path.join(out, "meta.txt"))
         assert {"n_y", "n_u", "dt", "mu", "lambda_min", "lambda_max", "beta", "kappa",
                 "i_max_bound", "epsilon", "delta"} <= meta.keys()
@@ -287,12 +288,16 @@ class TestCheckCommand:
                          r"\(tolerance 1e-09\)$", capsys.readouterr().out, re.MULTILINE)
         assert line and float(line.group(1)) <= 1e-12
 
-    def test_modal_record_not_applicable_on_a_mixed_bandwidth_plant(self, tmp_path, capsys):
+    @staticmethod
+    def mixed_bandwidth_config(tmp_path):
         plant = synthetic_plant(4, 4, 10.0, seed=0)
         plant = type(plant)(R=plant.R, bandwidths=[440.0, 440.0, 1900.0, 2100.0], dt=plant.dt,
                             mu=plant.mu, alpha=plant.alpha, rho=plant.rho)
         save_plant_config(plant, str(tmp_path / "plant.cfg"))
-        cfg = write_config(tmp_path, body=f"plant = {tmp_path / 'plant.cfg'}\n")
+        return write_config(tmp_path, body=f"plant = {tmp_path / 'plant.cfg'}\n")
+
+    def test_modal_record_not_applicable_on_a_mixed_bandwidth_plant(self, tmp_path, capsys):
+        cfg = self.mixed_bandwidth_config(tmp_path)
         out = str(tmp_path / "out")
         assert main(["design", "--config", cfg, "--out", out]) == 0
         capsys.readouterr()
@@ -335,17 +340,18 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("key, factor", [("lambda_min", 1.0 + 1e-11), ("lambda_max", 1.0 + 1e-7)])
     def test_stored_hessian_bound_off_fails_the_spectral_bounds(self, tmp_path, capsys, key, factor):
-        # kappa(J) ~ 1.2: lambda_min is held to 4 n eps lambda_max = 3.6e-15
-        # of lambda_max (n = 5), not the 1e-8 of lambda_max's own drift
+        # the load derives both bounds from the rebuilt Hessian and refuses
+        # a meta.txt that records others, however close
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         main(["design", "--config", cfg, "--out", str(out)])
         meta = read_kv(out / "meta.txt")
-        meta[key] = repr(float(meta[key]) * factor)
+        derived, meta[key] = meta[key], repr(float(meta[key]) * factor)
         write_kv(out / "meta.txt", meta)
         capsys.readouterr()
-        assert main(["check", "--config", cfg, "--bundle", str(out)]) == 3
-        assert "[FAIL] spectral_bounds: lambda_min drift" in capsys.readouterr().out
+        assert main(["check", "--config", cfg, "--bundle", str(out)]) == 2
+        assert (f"meta.txt key '{key}' = {meta[key]} is not {derived}, derived from the Hessian's "
+                "modal blocks, built from q_hat, r_hat and the plant" in capsys.readouterr().err)
 
     def test_gain_off_its_modes_fails_the_modal_record(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -360,6 +366,8 @@ class TestCheckCommand:
         assert "[FAIL] modal_record: L_d disagrees with its modal record" in capsys.readouterr().out
 
     def test_corrupted_terminal_cost_fails(self, tmp_path, capsys):
+        # on a plant of one bandwidth the load rebuilds J from P and finds it
+        # off the modal blocks
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")
         main(["design", "--config", cfg, "--out", out])
@@ -367,8 +375,36 @@ class TestCheckCommand:
         P = np.load(p_path)
         P[0, 0] *= 3.0
         np.save(p_path, P)
-        assert main(["check", "--config", cfg, "--bundle", out]) == 3
-        assert "dare_residual" in capsys.readouterr().out
+        assert main(["check", "--config", cfg, "--bundle", out]) == 2
+        assert re.search(r"Hessian J disagrees with its modal blocks: .*the terminal cost P\b",
+                         capsys.readouterr().err)
+
+    def test_corrupted_terminal_cost_on_a_mixed_bandwidth_plant_fails(self, tmp_path, capsys):
+        # no modal form: the bounds of the J rebuilt from P differ from the
+        # recorded ones, and with those recorded too the DARE residual fails
+        cfg = self.mixed_bandwidth_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["design", "--config", cfg, "--out", str(out)]) == 0
+        P = np.load(out / "P.npy")
+        P[0, 0] *= 3.0
+        np.save(out / "P.npy", P)
+        capsys.readouterr()
+        assert main(["check", "--config", cfg, "--bundle", str(out)]) == 2
+        assert re.search(r"meta.txt key 'lambda_min' = \S+ is not \S+, derived from the Hessian J, "
+                         r"built from P, R_w and the plant$", capsys.readouterr().err, re.MULTILINE)
+        for _ in range(10):  # record every scalar the load derives, as the refusals name them
+            try:
+                load_bundle(out)
+                break
+            except ConfigError as exc:
+                key, value = re.search(r"meta.txt key '(\w+)' = \S* is not (\S*), derived", str(exc)).groups()
+                meta = read_kv(out / "meta.txt")
+                meta[key] = value
+                write_kv(out / "meta.txt", meta)
+        assert main(["check", "--config", cfg, "--bundle", str(out)]) == 3
+        report = capsys.readouterr().out
+        assert "[FAIL] dare_residual" in report
+        assert "[PASS] spectral_bounds: not applicable" in report
 
     def test_mu_mismatch_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -387,6 +423,13 @@ class TestCheckCommand:
             warnings.simplefilter("error")
             assert main(["check", "--config", cfg, "--bundle", out]) == 0
         assert "[PASS] setpoint_residual" in capsys.readouterr().out
+        bench = str(tmp_path / "bench")
+        with pytest.warns(UserWarning, match="least-squares"):
+            assert main(["bench", "--config", cfg, "--out", bench]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bench", "--config", cfg, "--out", bench]) == 0  # loads the bundle
+        assert "reusing the design bundle" in capsys.readouterr().out
 
     def test_basis_of_another_plant_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -661,7 +704,7 @@ class TestDesignFingerprint:
         assert "design bundle written" in capsys.readouterr().out
         assert read_kv(os.path.join(bundle_dir, "meta.txt"))["schema_version"] == str(bundle_mod.SCHEMA_VERSION)
         assert set(os.listdir(bundle_dir)) == fresh
-        assert len(fresh) == 18
+        assert len(fresh) == 15
 
     def test_bench_refuses_a_bundle_with_an_edited_hessian_bound(self, tmp_path, capsys):
         out = str(tmp_path / "bench")
@@ -673,7 +716,7 @@ class TestDesignFingerprint:
         write_kv(meta_path, meta)
         capsys.readouterr()
         assert main(["bench", "--config", cfg, "--out", out]) == 2
-        assert "lambda_max = 0.000e+00" in capsys.readouterr().err
+        assert "meta.txt key 'lambda_max' = 0 is not " in capsys.readouterr().err
 
     def test_check_fails_on_other_design_inputs(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

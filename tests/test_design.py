@@ -249,30 +249,29 @@ class TestSetpointMatrix:
         C = rng.standard_normal((n_y, rank)) @ rng.standard_normal((rank, n_u))
         ss = StateSpace(A=a, B=1.0 - a, C=C, mu=1)
         M_ref, deficient_ref = setpoint_map_pinv(ss.A, ss.B, ss.C)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            M_s = setpoint_matrix(ss, modal_decompose(ss.C))
+        basis = modal_decompose(ss.C)
+        M_s = setpoint_matrix(basis)  # silent: design_controller warns on rank C < n_y
         assert M_s.shape == (n_u, n_y)
         # the state and the input target rows of the block oracle are both M_s
         for block in (M_ref[:n_u], M_ref[n_u:]):
             assert np.max(np.abs(M_s - block)) <= 1e-10 * np.max(np.abs(M_ref))
-        assert bool(caught) == deficient_ref
+        assert (basis.rank < n_y) == deficient_ref
 
     def test_matches_pinv_oracle_on_ill_conditioned_plant(self):
         ss = build_state_space(synthetic_plant(40, 41, 1e4, seed=5))
         M_ref, deficient_ref = setpoint_map_pinv(ss.A, ss.B, ss.C)
-        M_s = setpoint_matrix(ss, modal_decompose(ss.C))
+        M_s = setpoint_matrix(modal_decompose(ss.C))
         for block in (M_ref[: ss.n_u], M_ref[ss.n_u :]):
             assert np.max(np.abs(M_s - block)) <= 1e-10 * np.max(np.abs(M_ref))
         assert not deficient_ref
 
     def test_zero_disturbance_maps_to_zero(self, small_plant):
-        M_s = setpoint_matrix(build_state_space(small_plant), modal_decompose(small_plant.R))
+        M_s = setpoint_matrix(modal_decompose(small_plant.R))
         assert np.allclose(M_s @ np.zeros(small_plant.n_y), 0.0)
 
     def test_residual_on_random_disturbances(self, small_plant, rng):
         ss = build_state_space(small_plant)
-        M_s = setpoint_matrix(ss, modal_decompose(ss.C))
+        M_s = setpoint_matrix(modal_decompose(ss.C))
         n_u, n_y = ss.n_u, ss.n_y
         S = np.zeros((n_u + n_y, 2 * n_u))
         S[:n_u, :n_u] = np.diag(1.0 - ss.A)
@@ -287,17 +286,21 @@ class TestSetpointMatrix:
 
     def test_steady_output_cancels_disturbance(self, small_plant, rng):
         ss = build_state_space(small_plant)
-        M_s = setpoint_matrix(ss, modal_decompose(ss.C))
+        M_s = setpoint_matrix(modal_decompose(ss.C))
         d = rng.standard_normal(ss.n_y)
         assert np.allclose(ss.C @ (M_s @ d), -d, atol=1e-8 * np.linalg.norm(d))
 
     def test_rank_deficient_warns(self):
-        # n_y > n_u makes the steady-state system overdetermined
-        rng = np.random.default_rng(0)
-        ss = StateSpace(A=np.array([0.5, 0.6]), B=np.array([0.5, 0.4]),
-                        C=rng.standard_normal((4, 2)), mu=1)
-        with pytest.warns(UserWarning, match="least-squares"):
-            setpoint_matrix(ss, modal_decompose(ss.C))
+        # n_y > n_u makes the steady-state system overdetermined: the design
+        # says so once, and forming the target map again stays silent
+        plant = synthetic_plant(4, 2, 10.0, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            b = design_controller(plant, 2)
+            setpoint_matrix(b.basis)
+        assert [str(w.message) for w in caught] == [
+            "response matrix has rank 2 < n_y = 4: the steady-state target takes least-squares semantics"]
+        assert caught[0].category is UserWarning and caught[0].filename == __file__
 
     @pytest.mark.parametrize("n_y, n_u, rank", [
         (6, 6, 6), (9, 5, 5), (5, 9, 5), (7, 7, 4), (8, 5, 2), (4, 9, 3),
@@ -308,11 +311,10 @@ class TestSetpointMatrix:
             a = rng.uniform(0.3, 0.9, n_u)
             C = rng.standard_normal((n_y, rank)) @ rng.standard_normal((rank, n_u))
             ss = StateSpace(A=a, B=1.0 - a, C=C, mu=1)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                M_s = setpoint_matrix(ss, modal_decompose(C))
+            basis = modal_decompose(C)
+            M_s = setpoint_matrix(basis)
             assert np.array_equal(M_s, -np.linalg.pinv(C))
-            assert len(caught) == int(np.linalg.matrix_rank(C) < n_y)
+            assert basis.rank == np.linalg.matrix_rank(C)
 
     def test_design_decomposes_the_response_matrix_once(self, small_plant, monkeypatch):
         def refuse(*args, **kwargs):

@@ -48,7 +48,7 @@ def design_parts(ss):
     basis = modal_decompose(ss.C)
     w = design_weights_saturated(basis, 1e-3, 1e3)
     terminal = solve_dare(ss.A, ss.B, w.Q, w.R_w)
-    M_s = setpoint_matrix(ss, basis)
+    M_s = setpoint_matrix(basis)
     return w, terminal, M_s
 
 
