@@ -21,7 +21,11 @@ Which loop runs depends only on whether the compiled kernel is built.
 projection, gradient step, finiteness check, the N = 1 and N = 2
 projections written step for step as `qp._project_stacked`, and momentum.
 It also holds the per-mode observer update and linear term that
-`sim.MpcController` runs on one-bandwidth plants (see observer.ModalRecord).
+`sim.MpcController` runs on one-bandwidth plants (see observer.ModalRecord),
+and `mpc_step`, which runs a whole control sample of that path in one
+call: the controller's untimed samples run it, and its timed ones (with
+`timers`) the staged calls, this module's `solve` among them, so that the
+benchmark's tracer can time and re-solve each stage.
 It is built with the system compiler (`$CC`, else `cc`) once per process,
 into a temporary directory removed once `ctypes` has loaded it:
 `sim.MpcController` builds it while it is set up, so no control sample
@@ -143,6 +147,24 @@ _KERNEL_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC"
 _BUILD_TIMEOUT_S = 120.0
 _POINTER, _INT = ctypes.c_void_p, ctypes.c_int64
 
+# fgm_kernel.c's struct context, field by field; addresses are uintp
+STEP_CONTEXT = np.dtype([("record", np.uintp), ("n_u", np.int64), ("n_y", np.int64),
+                         ("mu", np.int64), ("horizon", np.int64), ("state", np.uintp),
+                         ("w", np.uintp), ("n_k", np.int64), ("beta", np.float64),
+                         ("budget", np.int64), ("lambda_max", np.float64), ("data", np.uintp),
+                         ("set", np.uintp), ("alpha", np.uintp), ("rho", np.uintp),
+                         ("u_prev", np.uintp), ("y", np.uintp)], align=True)
+# mpc_step's refusals; a result >= 0 is fgm_solve's failing iteration
+MEASUREMENT_REFUSED, SET_REFUSED = -2, -3
+
+
+def step_context(**fields) -> np.ndarray:
+    """A STEP_CONTEXT record of every one of its fields, an array by its
+    address (checked as `_address` checks it), anything else as it is."""
+    values = (fields[name] for name in STEP_CONTEXT.names)
+    return np.array(tuple(_address(v) if isinstance(v, np.ndarray) else v for v in values),
+                    STEP_CONTEXT)
+
 _UNBUILT = object()
 _kernel = _UNBUILT
 _kernel_lock = threading.Lock()
@@ -173,10 +195,12 @@ def _build_kernel():
     kernel.fgm_solve.argtypes = [_POINTER, _INT, _INT, _INT, ctypes.c_double, _INT, _POINTER,
                                  _POINTER, _INT]
     kernel.fgm_solve.restype = _INT
-    kernel.modal_linear_term.argtypes = [_POINTER, _INT, _INT, _INT, _INT, _POINTER, _POINTER]
+    kernel.modal_linear_term.argtypes = [_POINTER, _POINTER]
     kernel.modal_linear_term.restype = None
-    kernel.modal_observe.argtypes = [_POINTER, _INT, _INT, _INT, _INT, _POINTER, _POINTER, _POINTER]
-    kernel.modal_observe.restype = _INT
+    kernel.modal_observe.argtypes = [_POINTER]
+    kernel.modal_observe.restype = None
+    kernel.mpc_step.argtypes = [_POINTER]
+    kernel.mpc_step.restype = _INT
     return kernel
 
 
@@ -442,27 +466,26 @@ class Workspace:
 
     `data` is the kernel's workspace, laid out as `fgm_solve` documents
     it: q / lambda_max, the iterate, the stage timers and the scratch.
-    The addresses of `data` and of the QP's step matrix (its factored form
-    where it has one, else W) are fetched here, so a solve fetches only
-    the constraint set's.  A solve writes all of `data`, so one workspace
-    serves one solve at a time; the iterate it returns is overwritten by
-    the next.
+    `matrix` is the QP's step matrix, its factored form over `n_k` modes
+    where it has one, else W with `n_k` -1.  Its address and that of
+    `data` are fetched here, so a solve fetches only the constraint set's.
+    A solve writes all of `data`, so one workspace serves one solve at a
+    time; the iterate it returns is overwritten by the next.
     """
 
     def __init__(self, qp: CondensedQP):
         n = qp.N * qp.n_u
         if qp.factors is None:
-            matrix, n_k, scratch = qp.W, -1, 4 * n
+            self.matrix, self.n_k, scratch = qp.W, -1, 4 * n
         else:
-            matrix, n_k = qp.factors, qp.factored_modes
-            scratch = 4 * n + 2 * qp.N * n_k
+            self.matrix, self.n_k = qp.factors, qp.factored_modes
+            scratch = 4 * n + 2 * qp.N * self.n_k
         self.qp = qp
         self.data = np.empty(2 * n + len(_KERNEL_STAGES) + scratch)
         self.q_scaled = self.data[:n]
         self.iterate = self.data[n:2 * n]
         self.stage_ns = self.data[2 * n:2 * n + len(_KERNEL_STAGES)]
-        self._matrix = matrix  # keeps the address below valid
-        self._head = (_address(matrix), n_k, qp.n_u, qp.N, qp.beta)
+        self._head = (_address(self.matrix), self.n_k, qp.n_u, qp.N, qp.beta)
         self._data_address = _address(self.data)
 
     def solve(self, kernel, q, cset: ConstraintSet, warm, budget: int,

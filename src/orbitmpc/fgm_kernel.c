@@ -1,12 +1,21 @@
 /*
  * Compiled fixed-budget fast-gradient solve of the condensed QP.
  *
- * fgm.py states the iteration, builds this file with the system compiler
- * once per process and calls its one entry point, fgm_solve, through
- * ctypes; its numpy loop stays the reference and the fallback.  fgm_solve
- * runs the whole loop: warm-start projection, then per iteration the
- * gradient step, its finiteness check, the exact N = 1 or N = 2
- * projection and the momentum update.
+ * fgm.py states the iteration and builds this file with the system
+ * compiler once per process; its numpy loop stays the reference and the
+ * fallback.  Python calls four entry points through ctypes:
+ *
+ *   fgm_solve          the whole fixed-budget loop (fgm.solve): warm-start
+ *                      projection, then per iteration the gradient step,
+ *                      its finiteness check, the exact N = 1 or N = 2
+ *                      projection and the momentum update;
+ *   modal_linear_term  the QP's linear term from estimates kept by mode;
+ *   modal_observe      the observer update of those estimates;
+ *   mpc_step           one whole control sample: the measurement check,
+ *                      the set recentring, the three above, and u_prev.
+ *
+ * sim.MpcController runs the last three on one-bandwidth plants: mpc_step
+ * on an untimed sample, the staged calls on a timed one (see sim.py).
  *
  * The gradient step t = W v - q / lambda_max, W = I - J / lambda_max,
  * takes one of two forms.
@@ -30,13 +39,12 @@
  * expansion the rows of V_K^T with a block of outputs in registers, so
  * both vectorize without reordering a sum, as the dense sweep does.
  *
- * Two more entry points run the rest of a control sample on one-bandwidth
- * plants, where the observer's estimates are kept by mode (see
- * observer.ModalRecord): modal_observe advances them with a measurement
- * and the applied input, and modal_linear_term forms the QP's linear
- * term from them.  Their three products, U^T y, [V, V_perp]^T u and
- * [V, V_perp] q~, run the dense gradient step's sweep (both stage columns
- * of q~ in one sweep where n_u >= 32); the rest is elementwise by mode.
+ * On one-bandwidth plants the observer's estimates are kept by mode (see
+ * observer.ModalRecord).  The three products of the observer and the
+ * linear term, U^T y, [V, V_perp]^T u and [V, V_perp] q~, run the dense
+ * gradient step's sweep; the rest is elementwise by mode.  All three
+ * modal entry points read one context block (struct context) that the
+ * controller builds once.
  *
  * Build with -ffp-contract=off and without -ffast-math: every operation
  * is then an IEEE double operation in the stated order, the projections
@@ -331,6 +339,34 @@ int64_t fgm_solve(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, do
     return -1;
 }
 
+/* The context one controller builds once (see sim.MpcController) for the
+   entry points below, the fields of fgm.STEP_CONTEXT in their order:
+
+     record, n_u, n_y, mu, horizon  the modal record and its sizes, below
+     state                          the estimates and their scratch, below
+     w, n_k, beta, budget           fgm_solve's step matrix, form, momentum
+                                    and iterations
+     lambda_max                     the largest eigenvalue of J
+     data                           fgm_solve's workspace (fgm.Workspace)
+     set                            the controller's set array (fgm_solve)
+     alpha, rho                     n_u each, the amplitude and slew limits
+     u_prev                         n_u, the input applied last
+     y                              n_y, the measurement */
+struct context {
+    const double *record;
+    int64_t n_u, n_y, mu, horizon;
+    double *state;
+    const double *w;
+    int64_t n_k;
+    double beta;
+    int64_t budget;
+    double lambda_max;
+    double *data, *set;
+    const double *alpha, *rho;
+    double *u_prev;
+    const double *y;
+};
+
 /* The record observer.ModalRecord packs, for n_u inputs, n_y outputs,
    r = min(n_u, n_y) modes of C, the delay mu and the horizon:
 
@@ -367,25 +403,25 @@ struct modal {
         *restrict dy, *restrict qt;
 };
 
-static struct modal unpack(const double *record, int64_t n_u, int64_t n_y, int64_t mu,
-                           int64_t horizon, double *state)
+static struct modal unpack(const struct context *c)
 {
+    const int64_t n_u = c->n_u, n_y = c->n_y, mu = c->mu;
     struct modal m;
     m.r = n_u < n_y ? n_u : n_y;
-    m.w = record;
+    m.w = c->record;
     m.wt = m.w + n_u * n_u;
     m.u = m.wt + n_u * n_u;
     m.sigma = m.u + n_y * m.r;
     m.k_z = m.sigma + m.r;
     m.k_d = m.k_z + m.r;
     m.alpha = m.k_d + m.r;
-    m.beta = m.alpha + horizon * n_u;
-    m.powers = m.beta + horizon * m.r;
+    m.beta = m.alpha + c->horizon * n_u;
+    m.powers = m.beta + c->horizon * m.r;
     m.a = m.powers[mu + 1];
     m.b = m.powers[mu + 2];
     m.k_0 = m.powers[mu + 3];
     m.zeros = m.powers + mu + 4;
-    m.x = state;
+    m.x = c->state;
     m.z = m.x + n_u;
     m.d = m.z + mu * n_u;
     m.s = m.d + m.r;
@@ -396,73 +432,170 @@ static struct modal unpack(const double *record, int64_t n_u, int64_t n_y, int64
     return m;
 }
 
-/*
- * q = [V, V_perp] q~_s stage by stage, with q~_s = alpha_s x~ + beta_s d~
- * mode by mode (alpha_s x~ alone on the n_u - r modes outside range(C^T)).
- * `q` receives horizon n_u values, stage-major.
- */
-void modal_linear_term(const double *record, int64_t n_u, int64_t n_y, int64_t mu,
-                       int64_t horizon, double *state, double *q)
+/* q = [V, V_perp] q~_s stage by stage, with q~_s = alpha_s x~ + beta_s d~
+   mode by mode (alpha_s x~ alone on the n_u - r modes outside
+   range(C^T)); `q` receives horizon n_u values, stage-major. */
+static void linear_term(const struct modal *m, const struct context *c, double *q)
 {
-    const struct modal m = unpack(record, n_u, n_y, mu, horizon, state);
-    for (int64_t s = 0; s < horizon; s++) {
-        const double *alpha = m.alpha + s * n_u, *beta = m.beta + s * m.r;
-        double *qt = m.qt + s * n_u;
-        for (int64_t i = 0; i < m.r; i++)
-            qt[i] = alpha[i] * m.x[i] + beta[i] * m.d[i];
-        for (int64_t i = m.r; i < n_u; i++)
-            qt[i] = alpha[i] * m.x[i];
+    const int64_t n_u = c->n_u;
+    for (int64_t s = 0; s < c->horizon; s++) {
+        const double *alpha = m->alpha + s * n_u, *beta = m->beta + s * m->r;
+        double *qt = m->qt + s * n_u;
+        for (int64_t i = 0; i < m->r; i++)
+            qt[i] = alpha[i] * m->x[i] + beta[i] * m->d[i];
+        for (int64_t i = m->r; i < n_u; i++)
+            qt[i] = alpha[i] * m->x[i];
     }
-    for (int64_t s = 0; s < horizon; s++)
-        gradient_step(m.wt, n_u, n_u, m.qt + s * n_u, m.zeros, q + s * n_u);
+    for (int64_t s = 0; s < c->horizon; s++)
+        gradient_step(m->wt, n_u, n_u, m->qt + s * n_u, m->zeros, q + s * n_u);
 }
 
-/*
- * One observer update by mode, observer.update_fast in the coordinates of
- * the state array: with y~ = U^T y the innovation of mode i < r is
- * y~_i - sigma_i z~_mu,i - d~_i (z~_mu is x~ for mu = 0); it corrects d~_i
- * by k_d,i times itself and, as dy_i = k_z,i times itself, the delay chain
- * and x~ through the powers of a:
- *
- *     z~_(l+1) = z~_l + a^(mu-1-l) dy   (z~_0 = x~),
- *     x~       = a x~ + b [V, V_perp]^T u + a^mu dy.
- *
- * On a tall plant s becomes (1 - k_0) s + k_0 y.  Returns -1, or the
- * index of the first non-finite entry of y, found when U^T y is not
- * finite; the estimates are then left as they were.
- */
-int64_t modal_observe(const double *record, int64_t n_u, int64_t n_y, int64_t mu,
-                      int64_t horizon, double *state, const double *u, const double *y)
+/* y~ = U^T y.  Returns -1, or the index of the first non-finite entry of
+   y, found when y~ is not finite: a non-finite y_j makes every entry of
+   y~ non-finite. */
+static int64_t measure(const struct modal *m, const struct context *c)
 {
-    const struct modal m = unpack(record, n_u, n_y, mu, horizon, state);
-    gradient_step(m.u, n_y, m.r, y, m.zeros, m.yt);
-    /* a non-finite y_j makes every U^T y entry non-finite */
-    if (!isfinite(m.yt[0]))
-        for (int64_t j = 0; j < n_y; j++)
-            if (!isfinite(y[j]))
+    gradient_step(m->u, c->n_y, m->r, c->y, m->zeros, m->yt);
+    if (!isfinite(m->yt[0]))
+        for (int64_t j = 0; j < c->n_y; j++)
+            if (!isfinite(c->y[j]))
                 return j;
-    if (n_y > m.r)
+    return -1;
+}
+
+/* The observer update after `measure`, observer.update_fast in the
+   coordinates of the state array: the innovation of mode i < r is
+   y~_i - sigma_i z~_mu,i - d~_i (z~_mu is x~ for mu = 0); it corrects
+   d~_i by k_d,i times itself and, as dy_i = k_z,i times itself, the delay
+   chain and x~ through the powers of a, with u = u_prev:
+
+       z~_(l+1) = z~_l + a^(mu-1-l) dy   (z~_0 = x~),
+       x~       = a x~ + b [V, V_perp]^T u + a^mu dy.
+
+   On a tall plant s becomes (1 - k_0) s + k_0 y. */
+static void observe(const struct modal *m, const struct context *c)
+{
+    const int64_t n_u = c->n_u, n_y = c->n_y, mu = c->mu;
+    if (n_y > m->r)
         for (int64_t j = 0; j < n_y; j++)
-            m.s[j] = (1.0 - m.k_0) * m.s[j] + m.k_0 * y[j];
-    gradient_step(m.w, n_u, n_u, u, m.zeros, m.ut);
-    const double *z_mu = mu ? m.z + (mu - 1) * n_u : m.x;
-    for (int64_t i = 0; i < m.r; i++) {
-        const double innovation = m.yt[i] - m.sigma[i] * z_mu[i] - m.d[i];
-        m.dy[i] = m.k_z[i] * innovation;
-        m.d[i] += m.k_d[i] * innovation;
+            m->s[j] = (1.0 - m->k_0) * m->s[j] + m->k_0 * c->y[j];
+    gradient_step(m->w, n_u, n_u, c->u_prev, m->zeros, m->ut);
+    const double *z_mu = mu ? m->z + (mu - 1) * n_u : m->x;
+    for (int64_t i = 0; i < m->r; i++) {
+        const double innovation = m->yt[i] - m->sigma[i] * z_mu[i] - m->d[i];
+        m->dy[i] = m->k_z[i] * innovation;
+        m->d[i] += m->k_d[i] * innovation;
     }
-    for (int64_t i = m.r; i < n_u; i++)
-        m.dy[i] = 0.0;
+    for (int64_t i = m->r; i < n_u; i++)
+        m->dy[i] = 0.0;
     for (int64_t l = mu - 1; l > 0; l--) {
-        double *z = m.z + l * n_u;
-        const double *prev = z - n_u, p = m.powers[1 + l];
+        double *z = m->z + l * n_u;
+        const double *prev = z - n_u, p = m->powers[1 + l];
         for (int64_t i = 0; i < n_u; i++)
-            z[i] = prev[i] + p * m.dy[i];
+            z[i] = prev[i] + p * m->dy[i];
     }
     if (mu)
         for (int64_t i = 0; i < n_u; i++)
-            m.z[i] = m.x[i] + m.powers[1] * m.dy[i];
+            m->z[i] = m->x[i] + m->powers[1] * m->dy[i];
     for (int64_t i = 0; i < n_u; i++)
-        m.x[i] = m.a * m.x[i] + m.b * m.ut[i] + m.powers[0] * m.dy[i];
+        m->x[i] = m->a * m->x[i] + m->b * m->ut[i] + m->powers[0] * m->dy[i];
+}
+
+/* np.maximum and np.minimum as numpy's SIMD loops compute them: a NaN on
+   either side is the result, and where the two compare equal the second
+   is (np.maximum(-0.0, 0.0) is 0.0). */
+static inline double np_max(double a, double b)
+{
+    return isnan(a) || a > b ? a : b;
+}
+
+static inline double np_min(double a, double b)
+{
+    return isnan(a) || a < b ? a : b;
+}
+
+/* qp.update_constraint_set on the set array, recentred on u = u_prev:
+   |u| - alpha <= 1e-9 and a non-empty stage-0 interval [max(-alpha,
+   u - rho), min(alpha, u + rho)] are checked first, then what
+   ConstraintSet._centre writes is written: the interval, and for
+   horizon 2 the band half-width where alpha is infinite and the segment
+   limits.  The entries that do not depend on u (the stage-1 box, the
+   other band half-widths and rho) are the caller's.  Returns 0, with
+   nothing written, where a check fails. */
+static int recentre(const struct context *c)
+{
+    const int64_t n = c->n_u;
+    const double *alpha = c->alpha, *rho = c->rho, *u = c->u_prev;
+    for (int64_t i = 0; i < n; i++)
+        if (!(fabs(u[i]) - alpha[i] <= 1e-9)
+            || !(np_max(-alpha[i], u[i] - rho[i]) <= np_min(alpha[i], u[i] + rho[i])))
+            return 0;
+    double *lo = c->set, *hi = c->set + c->horizon * n;
+    for (int64_t i = 0; i < n; i++) {
+        lo[i] = np_max(-alpha[i], u[i] - rho[i]);
+        hi[i] = np_min(alpha[i], u[i] + rho[i]);
+    }
+    if (c->horizon == 2) {
+        double *band = c->set + 4 * n, *seg_up = c->set + 6 * n, *seg_down = c->set + 8 * n;
+        for (int64_t i = 0; i < n; i++) {
+            if (isinf(alpha[i]))
+                band[i] = rho[i] + 1e-12 * (1.0 + (fabs(u[i]) + 2.0 * rho[i]) + rho[i]);
+            seg_up[i] = lo[i];
+            seg_up[n + i] = np_min(hi[i], alpha[i] - rho[i]);
+            seg_down[i] = np_max(lo[i], rho[i] - alpha[i]);
+            seg_down[n + i] = hi[i];
+        }
+    }
+    return 1;
+}
+
+/* The linear term from the estimates into `q` (horizon n_u values). */
+void modal_linear_term(const struct context *c, double *q)
+{
+    const struct modal m = unpack(c);
+    linear_term(&m, c, q);
+}
+
+/* The observer update with u = u_prev and y, both finite (the caller
+   checks y). */
+void modal_observe(const struct context *c)
+{
+    const struct modal m = unpack(c);
+    measure(&m, c);
+    observe(&m, c);
+}
+
+#define MEASUREMENT_REFUSED (-2)
+#define SET_REFUSED (-3)
+
+/*
+ * One whole control sample: the staged calls of sim.MpcController.step
+ * in one.  y~ = U^T y first, then the set recentred on u_prev, the linear
+ * term into the workspace, divided by lambda_max as fgm.Workspace
+ * divides it, the fixed-budget solve from the workspace's iterate, u_prev
+ * = u_k (the iterate's first stage) and the observer update with u_k and
+ * y.  Returns -1; or, with the estimates, u_prev and the iterate left as
+ * they were, MEASUREMENT_REFUSED where y is not finite, SET_REFUSED where
+ * recentre refuses u_prev, or the iteration whose gradient step has a
+ * non-finite element (fgm_solve).
+ */
+int64_t mpc_step(const struct context *c)
+{
+    const struct modal m = unpack(c);
+    const int64_t n = c->horizon * c->n_u;
+    if (measure(&m, c) >= 0)
+        return MEASUREMENT_REFUSED;
+    if (!recentre(c))
+        return SET_REFUSED;
+    double *q_scaled = c->data;
+    linear_term(&m, c, q_scaled);
+    for (int64_t i = 0; i < n; i++)
+        q_scaled[i] /= c->lambda_max;
+    const int64_t failed = fgm_solve(c->w, c->n_k, c->n_u, c->horizon, c->beta, c->budget,
+                                     c->set, c->data, 0);
+    if (failed >= 0)
+        return failed;
+    memcpy(c->u_prev, c->data + n, (size_t)c->n_u * sizeof *c->u_prev);
+    observe(&m, c);
     return -1;
 }

@@ -212,32 +212,42 @@ class ImcController:
 class MpcController:
     """The online predictive stack: observer, q update, set update, solve.
 
-    Per sample: build the QP linear term from the current state and
-    disturbance estimates, recentre the constraint set on the previously
-    applied input, run the fixed-budget fast-gradient solve warm-started
-    at the previous solution, apply the first stage, then advance the
-    observer with the applied input and this sample's measurement.  The
-    measurement is checked by `checked_measurement`: a float64 array of
-    shape (n_y,) (else DimensionError) and finite (else NumericalError
-    naming the monitor, with the estimates left as they were).
+    Per sample: check the measurement, build the QP linear term from the
+    current state and disturbance estimates, recentre the constraint set
+    on the previously applied input, run the fixed-budget fast-gradient
+    solve warm-started at the previous solution, apply the first stage,
+    then advance the observer with the applied input and this sample's
+    measurement.  The measurement must be a float64 array of shape
+    (n_y,) (else DimensionError) and finite (else NumericalError naming
+    the monitor); it is checked before anything is written, so a refused
+    sample leaves the controller as it was.
 
     The controller owns the compiled solve's `Workspace`, built once.
-    Each sample recentres the set into one new array, from the alpha- and
-    rho-only parts its first set computed, so no set is written after the
-    solve that took it.
+    `cset` is the set the last staged sample (below) solved over, each a
+    new one recentred from the alpha- and rho-only parts its first set
+    computed, so no set is written after the solve that took it.
 
     Given the `ModalRecord` of a one-bandwidth plant (`modes`) that is
     `within_tolerance`, and where the compiled kernel builds, the
-    estimates are kept by mode in one state array, and the kernel's
-    modal_observe and modal_linear_term advance them and form q into two
-    buffers, used in turn, so the q a sample passed to the solve is still
-    intact after the next sample (`observer_form` 'modal'); `observer`
-    forms the plant-coordinate estimates when read.  The applied inputs
-    agree with the dense reference functions to rounding.  Otherwise
-    (`observer_form` 'dense') each sample calls the reference functions
-    themselves (`linear_term`, `update_constraint_set`, `fgm.solve` and
-    `update_fast`), each of which returns new arrays, so the applied
-    inputs are bit for bit theirs.
+    estimates are kept by mode in one state array (`observer_form`
+    'modal'); `observer` forms the plant-coordinate estimates when read.
+    A sample then runs in the kernel, in one of two ways that share one
+    state: the estimates, `u_prev`, and the warm start `warm`, which is
+    the workspace's iterate.
+      - Without `timers`, one call of its `mpc_step` runs the whole
+        sample on a context block built here, recentring the
+        controller's own set array.
+      - With `timers`, the staged calls: modal_linear_term into one of
+        two q buffers, used in turn so the q a solve took is intact
+        after the next sample, `update_constraint_set`, `fgm.solve` and
+        modal_observe, each timed (the benchmark's tracer also wraps and
+        re-solves `fgm.solve`).
+    Both give the same bytes, which agree with the dense reference
+    functions to rounding.  Otherwise (`observer_form` 'dense') each
+    sample calls the reference functions themselves (`linear_term`,
+    `update_constraint_set`, `fgm.solve` and `update_fast`), each of
+    which returns new arrays, so the applied inputs are bit for bit
+    theirs.
 
     `n_workers` (>= 1) row-slices the gradient step of the numpy solve,
     which runs only where the compiled kernel cannot be built; the
@@ -268,14 +278,21 @@ class MpcController:
                 raise DimensionError("modal record does not match the plant and QP dimensions")
             self._initial = ObserverState.initial(ss, gain)  # checks the gain, as reset does
             self._modal_state = modes.new_state()
-            self._u, self._y = np.empty(ss.n_u), np.empty(ss.n_y)
+            self.u_prev, self._y = np.zeros(ss.n_u), np.empty(ss.n_y)
+            # u_prev-free entries (stage-1 box, finite-alpha band, rho) stay as set here
+            self._set = self._cset0._packed.copy()
             self._q_buffers = np.empty((2, condensed.N * ss.n_u))
             self._q_slots = [(q, fgm._address(q)) for q in self._q_buffers]
-            head = (fgm._address(modes.packed), ss.n_u, ss.n_y, ss.mu, condensed.N,
-                    fgm._address(self._modal_state))
-            self._modal_linear_term = functools.partial(kernel.modal_linear_term, *head)
-            self._modal_observe = functools.partial(kernel.modal_observe, *head)
-            self._observe_addresses = (fgm._address(self._u), fgm._address(self._y))
+            ws = self._workspace
+            self._context = fgm.step_context(
+                record=modes.packed, n_u=ss.n_u, n_y=ss.n_y, mu=ss.mu, horizon=condensed.N,
+                state=self._modal_state, w=ws.matrix, n_k=ws.n_k, beta=condensed.beta,
+                budget=self.i_max, lambda_max=condensed.lambda_max, data=ws.data, set=self._set,
+                alpha=self._cset0.alpha, rho=self._cset0.rho, u_prev=self.u_prev, y=self._y)
+            address = self._context.ctypes.data
+            self._mpc_step = functools.partial(kernel.mpc_step, address)
+            self._modal_linear_term = functools.partial(kernel.modal_linear_term, address)
+            self._modal_observe = functools.partial(kernel.modal_observe, address)
         self.reset()
 
     @property
@@ -292,17 +309,26 @@ class MpcController:
         return self._modes.plant_estimates(self._modal_state, self._initial)
 
     def reset(self):
+        self.cset = self._cset0
         if self._modes is None:
             self._observer = ObserverState.initial(self.ss, self.gain)
+            self.u_prev = self.cset.u_prev
+            self.warm = np.zeros(self.qp.N * self.ss.n_u)
         else:
             self._modal_state.fill(0.0)
-        self.cset = self._cset0
-        self.u_prev = self.cset.u_prev
-        self.warm = np.zeros(self.qp.N * self.ss.n_u)
+            self.u_prev.fill(0.0)
+            self.warm = self._workspace.iterate
+            self.warm.fill(0.0)
 
     def step(self, y_k: np.ndarray, timers: dict | None = None) -> np.ndarray:
-        # the modal kernel checks finiteness itself, in modal_observe
-        y_k = checked_measurement(y_k, self.ss.n_y, finite=self._modes is None)
+        if timers is None and self._modes is not None:
+            y_k = checked_measurement(y_k, self.ss.n_y, finite=False)  # mpc_step checks finiteness
+            np.copyto(self._y, y_k)
+            failed = self._mpc_step()
+            if failed != -1:
+                raise self._refusal(failed, y_k)
+            return self.u_prev.copy()
+        y_k = checked_measurement(y_k, self.ss.n_y)
         tic = time.perf_counter_ns() if timers is not None else 0
         if self._modes is None:
             q_vec = self.qp.linear_term(self._observer.x_hat, self._observer.d_hat)
@@ -312,7 +338,9 @@ class MpcController:
             self._modal_linear_term(address)
         if timers is not None:
             tic = fgm._add_ns(timers, "q_update", tic)
-        self.cset = qp.update_constraint_set(self.cset, self.u_prev)
+        # a set keeps the u_prev it is given, which the modal path overwrites
+        u_prev = self.u_prev if self._modes is None else self.u_prev.copy()
+        self.cset = qp.update_constraint_set(self.cset, u_prev)
         if timers is not None:
             fgm._add_ns(timers, "set_update", tic)
         u_plan = fgm.solve(self.qp, q_vec, self.cset, self.warm, i_max=self.i_max,
@@ -321,16 +349,25 @@ class MpcController:
         tic = time.perf_counter_ns() if timers is not None else 0
         if self._modes is None:
             self._observer = update_fast(self._observer, u_k, y_k)
+            self.u_prev = u_k
         else:
-            np.copyto(self._u, u_k)
+            np.copyto(self.u_prev, u_k)
             np.copyto(self._y, y_k)
-            if self._modal_observe(*self._observe_addresses) >= 0:
-                raise _non_finite_measurement(y_k)
+            self._modal_observe()
         if timers is not None:
             fgm._add_ns(timers, "observer", tic)
         self.warm = u_plan
-        self.u_prev = u_k
         return u_k
+
+    def _refusal(self, failed: int, y_k: np.ndarray) -> Exception:
+        """The error the staged path raises for what mpc_step refused."""
+        if failed == fgm.MEASUREMENT_REFUSED:
+            return _non_finite_measurement(y_k)
+        if failed == fgm.SET_REFUSED:
+            qp.update_constraint_set(self.cset, self.u_prev.copy())  # raises the reference's error
+            return NumericalError(f"compiled set recentring refused u_prev = {self.u_prev}, "
+                                  "which update_constraint_set accepts")
+        return NumericalError(f"non-finite iterate at iteration {failed}")
 
 
 # ---------------------------------------------------------------------------

@@ -814,6 +814,8 @@ class TestBenchRecordsTheSolveKernel:
             untimed = float(header[f"untimed_mean_us_workers_{workers}"])
             assert 0.0 < untimed < total
             assert untimed == pytest.approx(total - means[workers], rel=1e-9, abs=1e-6)
+            # the mean step without stage timers, the path a control loop runs
+            assert float(header[f"step_mean_us_workers_{workers}"]) > 0.0
 
     @pytest.mark.parametrize("force_numpy", [False, True])
     def test_timing_header_and_output_record_the_hessian_form(self, tmp_path, capsys, monkeypatch,

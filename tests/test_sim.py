@@ -397,9 +397,11 @@ BIT_IDENTICAL_CASES = [(shape, kernel_off) for shape in sorted(BUFFER_PLANTS)
 def owned_arrays(ctrl):
     """The arrays an MpcController writes or hands to the solve per sample;
     the dense path's estimates and q are new arrays each sample, the modal
-    path's live in its state array and its two q buffers."""
+    path's live in its state array, its two q buffers and its set array,
+    which its context block points at."""
     st, ws = ctrl.observer, ctrl._workspace
-    modal = (ctrl._modal_state, ctrl._u, ctrl._y, *ctrl._q_buffers) if ctrl.observer_form == "modal" else ()
+    modal = ((ctrl._modal_state, ctrl._y, *ctrl._q_buffers, ctrl._set, ctrl._context)
+             if ctrl.observer_form == "modal" else ())
     return [ctrl.alpha, ctrl.rho, ctrl.warm, ctrl.u_prev, st.x_hat, st.z_hat, st.d_hat,
             *modal, ws.data, ctrl.cset._packed, ctrl.cset.u_prev]
 
@@ -465,8 +467,8 @@ class TestControllerBuffers:
 
         monkeypatch.setattr(fgm, "solve", recording_solve)
         rng = np.random.default_rng(5)
-        for k in range(100):
-            ctrl.step(rng.normal(0.0, 2.0, b.ss.n_y))
+        for k in range(100):  # only a timed sample calls fgm.solve on the modal path
+            ctrl.step(rng.normal(0.0, 2.0, b.ss.n_y), timers={})
             if k:
                 arrays, copies = seen[k - 1]
                 for array, copy in zip(arrays, copies):
@@ -544,6 +546,121 @@ class TestModalController:
         assert np.array([ctrl.step(y_k) for y_k in y]).tobytes() == first.tobytes()
 
 
+def _controller_state(ctrl):
+    """The bytes of what a sample reads from the last one: the warm start,
+    u_prev, the set array(s) and the estimates."""
+    state = {"warm": ctrl.warm, "u_prev": ctrl.u_prev, "cset": ctrl.cset._packed}
+    if ctrl.observer_form == "modal":
+        state["set"] = ctrl._set
+    for name in ("x_hat", "z_hat", "d_hat"):
+        state[name] = getattr(ctrl.observer, name)
+    return {name: np.array(value).tobytes() for name, value in state.items()}
+
+
+class _Timers:
+    """Runs a controller with stage timers on every `every`-th sample (never
+    for 0), as the benchmark's traced run does for every = 2."""
+
+    def __init__(self, ctrl, every):
+        self.ctrl, self.every = ctrl, every
+
+    def reset(self):
+        self.ctrl.reset()
+        self.k = 0
+
+    def step(self, y_k):
+        timed = self.every and self.k % self.every == 0
+        self.k += 1
+        return self.ctrl.step(y_k, timers={} if timed else None)
+
+
+@pytest.mark.filterwarnings("ignore:response matrix has rank")
+@pytest.mark.parametrize("shape", sorted(MODAL_PLANTS))
+def test_timed_and_untimed_samples_interleave(shape):
+    """The staged (timed) and the one-call (untimed) samples share one
+    state, so any mix of them gives the same bytes."""
+    make, dist = MODAL_PLANTS[shape]
+    b = make()
+    for i_max in (0, 1, 20):
+        ctrl = b.mpc_controller(i_max=i_max)
+        assert ctrl.observer_form == ("modal" if fgm.solve_kernel() == "compiled" else "dense")
+        runs = []
+        for every in (2, 0, 1):
+            u = simulate(b.plant, _Timers(ctrl, every), dist, 400).u
+            state = _controller_state(ctrl)
+            del state["cset"]  # the set of the last timed sample
+            runs.append([u.tobytes(), *state.values()])
+        assert runs[0] == runs[1] == runs[2], f"i_max = {i_max}"
+
+
+def _recentring_controller(shape, alpha, rho):
+    """A modal controller of a BUFFER_PLANTS design with its own limits,
+    i_max = 0, so a step recentres the set and projects the warm start."""
+    b = BUFFER_PLANTS[shape]()
+    ctrl = sim_module.MpcController(b.ss, b.condensed, b.gain, alpha, rho, i_max=0,
+                                    modes=b.modal_record)
+    assert ctrl.observer_form == "modal"
+    return ctrl, np.zeros(b.ss.n_y)
+
+
+def _limits(n_u):
+    """alpha and rho with an infinite alpha (actuator 1), an infinite rho
+    (2) and a zero rho (0 and 3), whose stage-0 interval is one point."""
+    alpha, rho = np.full(n_u, 0.3), np.full(n_u, 0.05)
+    alpha[1], rho[2], rho[[0, 3]] = np.inf, np.inf, 0.0
+    return alpha, rho
+
+
+@pytest.mark.skipif(fgm.solve_kernel() != "compiled", reason="needs the compiled kernel")
+@pytest.mark.parametrize("shape", ["4x4-n1", "8x8-n2"])
+class TestCompiledRecentring:
+    """mpc_step recentres the controller's set array byte for byte as
+    update_constraint_set recentres a ConstraintSet, and refuses what it
+    refuses with the same error."""
+
+    @staticmethod
+    def _inputs(n_u, alpha):
+        inside = 0.1 * np.sin(np.arange(1.0, n_u + 1.0))
+        on_box = np.where(np.arange(n_u) % 2, -alpha, alpha)  # lo == hi where rho = 0
+        on_box[1] = 2.5  # alpha is infinite there
+        return {"inside": inside, "on the box": on_box}
+
+    def test_set_array_matches_the_numpy_recentring(self, shape):
+        n_u = 4 if shape == "4x4-n1" else 8
+        alpha, rho = _limits(n_u)
+        ctrl, y = _recentring_controller(shape, alpha, rho)
+        reference = ConstraintSet(alpha=alpha, rho=rho, u_prev=np.zeros(n_u), N=ctrl.qp.N)
+        for name, u in self._inputs(n_u, alpha).items():
+            np.copyto(ctrl.u_prev, u)
+            ctrl.step(y)
+            want = update_constraint_set(reference, u)
+            assert ctrl._set.tobytes() == want._packed.tobytes(), name
+        assert ctrl._set[3] == ctrl._set[ctrl.qp.N * n_u + 3] == -alpha[3]  # lo == hi
+
+    @pytest.mark.parametrize("case", ["amplitude", "nan", "empty"])
+    def test_refusal_matches_update_constraint_set(self, shape, case):
+        n_u = 4 if shape == "4x4-n1" else 8
+        alpha, rho = _limits(n_u)
+        ctrl, y = _recentring_controller(shape, alpha, rho)
+        u = np.zeros(n_u)
+        if case == "amplitude":
+            u[-1] = alpha[-1] + 1e-6
+        elif case == "nan":
+            u[2] = np.nan
+        else:  # within the amplitude check's 1e-9, outside the one-point interval
+            u[[0, 3]] = alpha[[0, 3]] + 5e-10
+        reference = ConstraintSet(alpha=alpha, rho=rho, u_prev=np.zeros(n_u), N=ctrl.qp.N)
+        with pytest.raises(InfeasibleError) as want:
+            update_constraint_set(reference, u)
+        np.copyto(ctrl.u_prev, u)
+        before = _controller_state(ctrl)
+        with pytest.raises(InfeasibleError) as got:
+            ctrl.step(y)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert _controller_state(ctrl) == before
+
+
 @pytest.mark.parametrize("kernel_off", [False, True], ids=["kernel", "kernel-off"])
 class TestMeasurementChecks:
     @pytest.fixture
@@ -572,6 +689,21 @@ class TestMeasurementChecks:
             ctrl.step(y)
         for name, was in zip(names, before):  # the estimates are left as they were
             assert getattr(ctrl.observer, name).tobytes() == was.tobytes(), name
+
+    @pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
+    def test_refused_measurement_changes_no_state(self, ctrl, timed):
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            ctrl.step(rng.normal(0.0, 1.0, 8))
+        before = _controller_state(ctrl)
+        y = rng.normal(0.0, 1.0, 8)
+        y[3] = np.nan
+        with pytest.raises(NumericalError, match="non-finite measurement nan at monitor 3"):
+            ctrl.step(y, timers={} if timed else None)
+        after = _controller_state(ctrl)
+        assert after.keys() == before.keys()
+        for name, was in before.items():
+            assert after[name] == was, name
 
     def test_strided_measurement_accepted(self, ctrl):
         y = np.random.default_rng(7).normal(0.0, 1.0, (8, 2))
