@@ -330,7 +330,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     rows = []
     # untimed: the timed step's time outside the six stages; steps: the
     # step without timers, which on the modal path runs another code path
-    totals, untimed, steps = {}, {}, {}
+    totals, untimed, steps, iterations = {}, {}, {}, {}
     for workers in range(1, cfg.n_workers + 1):
         ctrl = b.mpc_controller(cfg.i_max, workers)
         y_probe = rng.normal(0.0, 1.0, (64, b.ss.n_y))
@@ -352,12 +352,14 @@ def cmd_bench(cfg: RunConfig) -> int:
             stage_means += float(values.mean())
         totals[workers] = float(np.mean(cycle_totals) / 1e3)
         untimed[workers] = totals[workers] - stage_means
-        step_ns = []
+        step_ns, counts = [], []
         for k in range(cfg.bench_cycles):
             t0 = time.perf_counter_ns()
             ctrl.step(y_probe[k % 64])
             step_ns.append(time.perf_counter_ns() - t0)
+            counts.append(ctrl.iterations)
         steps[workers] = float(np.mean(step_ns) / 1e3)
+        iterations[workers] = float(np.mean(counts))
     header = {
         "schema_version": fileio.SCHEMA_VERSION,
         "seed": cfg.seed,
@@ -374,6 +376,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         header[f"total_mean_us_workers_{workers}"] = fileio.format_float(total)
         header[f"untimed_mean_us_workers_{workers}"] = fileio.format_float(untimed[workers])
         header[f"step_mean_us_workers_{workers}"] = fileio.format_float(steps[workers])
+        header[f"iterations_mean_workers_{workers}"] = fileio.format_float(iterations[workers])
     out_path = os.path.join(cfg.output_dir, "timing.csv")
     with open(out_path, "w") as fh:
         for key, value in header.items():
@@ -387,7 +390,8 @@ def cmd_bench(cfg: RunConfig) -> int:
     for workers, total in totals.items():
         print(f"  workers={workers}: total {total:.1f} us/sample, "
               f"{untimed[workers]:.1f} of it outside the six stages; "
-              f"{steps[workers]:.1f} us/sample without stage timers")
+              f"{steps[workers]:.1f} us/sample without stage timers, "
+              f"{iterations[workers]:.1f} iterations/solve")
     return 0
 
 

@@ -1,13 +1,18 @@
-"""Fast gradient method with a fixed iteration budget.
+"""Fast gradient method with an iteration budget.
 
-The real-time solve runs exactly I_max iterations of
+The real-time solve returns the projected iterate after I_max iterations
+of
 
     t   = (I - J / lambda_max) v - q / lambda_max
     p+  = proj_U(t)
     v+  = (1 + beta) p+ - beta p
 
-warm-started from the previous solution (projected onto the current set)
-and returns the final projected iterate.
+warm-started from the previous solution (projected onto the current set).
+I_max is the worst case: the compiled loop, untimed, stops once two
+iterations in a row leave p's bits unchanged, since every later one would
+repeat the same operations on the same bits, and so returns the bits of
+the whole budget (see `fgm_kernel.c`, fgm_solve).  A timed solve and the
+numpy loop run every iteration.
 
 The step matrix W = I - J / lambda_max lives on `CondensedQP` (built once,
 rows zero-padded to a multiple of ROW_BLOCK = 4), and so does its
@@ -17,7 +22,7 @@ builds once, or else a new one per call, so concurrent solves on one QP
 do not interfere; the numpy loop allocates its own scratch.
 
 Which loop runs depends only on whether the compiled kernel is built.
-`fgm_kernel.c` runs the whole fixed-budget solve in C: warm-start
+`fgm_kernel.c` runs the whole solve in C: warm-start
 projection, gradient step, finiteness check, the N = 1 and N = 2
 projections written step for step as `qp._project_stacked`, and momentum.
 It also holds the per-mode observer update and linear term that
@@ -197,6 +202,8 @@ def _build_kernel():
     kernel.fgm_solve.restype = _INT
     kernel.modal_linear_term.argtypes = [_POINTER, _POINTER]
     kernel.modal_linear_term.restype = None
+    kernel.modal_measure.argtypes = [_POINTER]
+    kernel.modal_measure.restype = _INT
     kernel.modal_observe.argtypes = [_POINTER]
     kernel.modal_observe.restype = None
     kernel.mpc_step.argtypes = [_POINTER]
@@ -465,7 +472,8 @@ class Workspace:
     """The compiled solve's buffers for one QP, built once.
 
     `data` is the kernel's workspace, laid out as `fgm_solve` documents
-    it: q / lambda_max, the iterate, the stage timers and the scratch.
+    it: q / lambda_max, the iterate, the stage timers, the iterations the
+    solve ran and the scratch.
     `matrix` is the QP's step matrix, its factored form over `n_k` modes
     where it has one, else W with `n_k` -1.  Its address and that of
     `data` are fetched here, so a solve fetches only the constraint set's.
@@ -481,17 +489,26 @@ class Workspace:
             self.matrix, self.n_k = qp.factors, qp.factored_modes
             scratch = 4 * n + 2 * qp.N * self.n_k
         self.qp = qp
-        self.data = np.empty(2 * n + len(_KERNEL_STAGES) + scratch)
+        stages = 2 * n + len(_KERNEL_STAGES)
+        self.data = np.empty(stages + 1 + scratch)
         self.q_scaled = self.data[:n]
         self.iterate = self.data[n:2 * n]
-        self.stage_ns = self.data[2 * n:2 * n + len(_KERNEL_STAGES)]
+        self.stage_ns = self.data[2 * n:stages]
+        self._iterations = self.data[stages:stages + 1]
+        self._iterations[0] = 0.0
         self._head = (_address(self.matrix), self.n_k, qp.n_u, qp.N, qp.beta)
         self._data_address = _address(self.data)
 
+    @property
+    def iterations(self) -> int:
+        """The iterations the last compiled solve in this workspace ran (0
+        before the first)."""
+        return int(self._iterations[0])
+
     def solve(self, kernel, q, cset: ConstraintSet, warm, budget: int,
               timers: dict | None) -> np.ndarray:
-        """The fixed-budget loop of `_iterate` in the compiled kernel; returns
-        the iterate, a view of `data`."""
+        """The loop of `_iterate` in the compiled kernel, with its exact
+        exit unless timed; returns the iterate, a view of `data`."""
         qp = self.qp
         q = _checked_linear_term(qp, q)
         if cset.N != qp.N or cset.n_u != qp.n_u:
@@ -545,10 +562,14 @@ def solve(
     timers: dict | None = None,
     workspace: Workspace | None = None,
 ) -> np.ndarray:
-    """Run exactly i_max fast-gradient iterations and return the final
-    projected iterate: in the compiled kernel where it builds, else in the
-    numpy loop, whose gradient step `n_workers` row-slices.  An i_max
-    below 0 or an n_workers below 1 is refused with a ConfigError.
+    """Return the projected iterate after i_max fast-gradient iterations:
+    in the compiled kernel where it builds, else in the numpy loop, whose
+    gradient step `n_workers` row-slices.  i_max is the worst case: the
+    compiled solve stops where the iterate has stopped changing bit for
+    bit, with the bits of the whole budget, unless `timers` is given (the
+    workspace's `iterations` says how many it ran); the numpy loop always
+    runs i_max.  An i_max below 0 or an n_workers below 1 is refused with
+    a ConfigError.
 
     The compiled solve runs in `workspace`, a `Workspace` of this QP, and
     returns a view of it that the next solve in it overwrites; without
@@ -585,9 +606,10 @@ def converged_iterations(
 ) -> ConvergenceResult:
     """Iterations until both ||p+ - p||_inf < eps and < eps ||p||_inf.
 
-    Benchmark-only diagnostic; the real-time path always runs the fixed
-    budget.  An exactly stationary iterate counts as converged even when
-    ||p||_inf is zero.
+    Benchmark-only diagnostic; the real-time path runs the budget, and
+    stops early only where the iterate no longer changes a bit.  An
+    exactly stationary iterate counts as converged even when ||p||_inf is
+    zero.
     """
     if epsilon <= 0.0:
         raise ConfigError("epsilon must be positive")

@@ -1,20 +1,26 @@
 /*
- * Compiled fixed-budget fast-gradient solve of the condensed QP.
+ * Compiled fast-gradient solve of the condensed QP: at most `budget`
+ * iterations, with an exact exit.
  *
  * fgm.py states the iteration and builds this file with the system
  * compiler once per process; its numpy loop stays the reference and the
- * fallback.  Python calls four entry points through ctypes:
+ * fallback.  Python calls five entry points through ctypes:
  *
- *   fgm_solve          the whole fixed-budget loop (fgm.solve): warm-start
- *                      projection, then per iteration the gradient step,
- *                      its finiteness check, the exact N = 1 or N = 2
- *                      projection and the momentum update;
+ *   fgm_solve          the whole loop (fgm.solve): warm-start projection,
+ *                      then per iteration the gradient step, its
+ *                      finiteness check, the exact N = 1 or N = 2
+ *                      projection and the momentum update, then whether
+ *                      the iterate moved; an untimed solve stops once it
+ *                      is a fixed point bit for bit, where the rest of
+ *                      the budget would not change a bit;
+ *   modal_measure      U^T y from a measurement, and its finiteness check;
  *   modal_linear_term  the QP's linear term from estimates kept by mode;
  *   modal_observe      the observer update of those estimates;
  *   mpc_step           one whole control sample: the measurement check,
- *                      the set recentring, the three above, and u_prev.
+ *                      the set recentring, the linear term, the solve,
+ *                      u_prev and the observer update.
  *
- * sim.MpcController runs the last three on one-bandwidth plants: mpc_step
+ * sim.MpcController runs the last four on one-bandwidth plants: mpc_step
  * on an untimed sample, the staged calls on a timed one (see sim.py).
  *
  * The gradient step t = W v - q / lambda_max, W = I - J / lambda_max,
@@ -37,7 +43,8 @@
  * ~2 N |K| n_u multiply-adds instead of (N n_u)^2.  The projection sweeps
  * the rows of V_K (n_u x |K|) with a block of modes in registers, the
  * expansion the rows of V_K^T with a block of outputs in registers, so
- * both vectorize without reordering a sum, as the dense sweep does.
+ * both vectorize without reordering a sum, as the dense sweep does; all
+ * three sweeps run full-width blocks only, once there is one (BLOCK).
  *
  * On one-bandwidth plants the observer's estimates are kept by mode (see
  * observer.ModalRecord).  The three products of the observer and the
@@ -62,11 +69,30 @@
 #include <string.h>
 #include <time.h>
 
-/* Output elements kept in registers per sweep over W, and modes
-   (projection) or output elements (expansion) per stage and sweep of the
-   factored step: at 16, gcc 12 -O3 ran the ring-size factored solve at
-   about half the speed. */
+/* Output elements kept in registers per sweep over W (BLOCK), and per
+   stage and sweep of the factored step the modes of its projection
+   (PROJECT_BLOCK) and the outputs of its expansion (EXPAND_BLOCK).  Past
+   the first block, each sweep's last block ends on its last element and
+   overlaps the one before, which it writes again with the same bits (see
+   gradient_step): blocks of 4 and 1, which the latency of their additions
+   bounds, would take its tail.  One ring-size factored iteration (n_k =
+   44, n_u = 173, N = 2; best of 3000 timed 20-iteration solves with
+   their ctypes call, gcc 12.2 -O3 on a 2-vCPU AVX-512 virtual machine)
+   took 4.1-4.3 us at 24/32, 4.2 at 24/24, 4.7 at 32/32 and 5.0 at 40/32,
+   but 8.0-9.1 us with a 16-wide block on either side, against 5.4-6.3 us
+   with 32-wide blocks and 4- and 1-wide tails; -mprefer-vector-width=512
+   made 24/32 slower (4.5 us). */
 #define BLOCK 32
+#define PROJECT_BLOCK 24
+#define EXPAND_BLOCK 32
+
+/* Where the `width`-wide block from element i of a sweep over `count`
+   elements starts: at i, or for a last block that would run past the
+   end, so that it ends on the last element. */
+static inline int64_t block_start(int64_t i, int64_t count, int width)
+{
+    return i + width <= count ? i : count - width;
+}
 
 static inline void row_block(const double *restrict w, int64_t rows, int64_t cols,
                              const double *restrict v, const double *restrict q_scaled,
@@ -98,13 +124,12 @@ __attribute__((noinline))
 static void gradient_step(const double *w, int64_t rows, int64_t cols, const double *v,
                           const double *q_scaled, double *t)
 {
-    int64_t i = 0;
-    for (; i + BLOCK <= cols; i += BLOCK)
-        row_block(w, rows, cols, v, q_scaled, t, i, BLOCK);
-    if (i < cols && i > 0) {
-        row_block(w, rows, cols, v, q_scaled, t, cols - BLOCK, BLOCK);
+    if (cols >= BLOCK) {
+        for (int64_t i = 0; i < cols; i += BLOCK)
+            row_block(w, rows, cols, v, q_scaled, t, block_start(i, cols, BLOCK), BLOCK);
         return;
     }
+    int64_t i = 0;
     for (; i + 4 <= cols; i += 4)
         row_block(w, rows, cols, v, q_scaled, t, i, 4);
     for (; i < cols; i++)
@@ -117,7 +142,7 @@ static inline __attribute__((always_inline))
 void project_modes(const double *restrict vk, int64_t n_k, int64_t n_u, int horizon,
                    const double *restrict v, double *restrict c, int64_t k0, int width)
 {
-    double acc[2][BLOCK];
+    double acc[2][PROJECT_BLOCK];
     for (int s = 0; s < horizon; s++)
         for (int m = 0; m < width; m++)
             acc[s][m] = 0.0;
@@ -142,7 +167,7 @@ void expand_modes(const double *restrict shared, const double *restrict vkt, int
                   int64_t n_u, int horizon, const double *restrict v, const double *restrict d,
                   const double *restrict q_scaled, double *restrict t, int64_t i0, int width)
 {
-    double acc[2][BLOCK];
+    double acc[2][EXPAND_BLOCK];
     for (int s = 0; s < horizon; s++)
         for (int m = 0; m < width; m++) {
             double sum = 0.0;
@@ -173,14 +198,18 @@ void factored_step_h(const double *factors, int64_t n_k, int64_t n_u, int horizo
     const double *shared = factors, *mix = factors + horizon * horizon;
     const double *vk = mix + n_k * horizon * horizon, *vkt = vk + n_u * n_k;
     double *c = scratch, *d = scratch + horizon * n_k;
-    int64_t k = 0;
-    for (; k + BLOCK <= n_k; k += BLOCK)
-        project_modes(vk, n_k, n_u, horizon, v, c, k, BLOCK);
-    for (; k + 4 <= n_k; k += 4)
-        project_modes(vk, n_k, n_u, horizon, v, c, k, 4);
-    for (; k < n_k; k++)
-        project_modes(vk, n_k, n_u, horizon, v, c, k, 1);
-    for (k = 0; k < n_k; k++) {
+    if (n_k >= PROJECT_BLOCK) {
+        for (int64_t k = 0; k < n_k; k += PROJECT_BLOCK)
+            project_modes(vk, n_k, n_u, horizon, v, c, block_start(k, n_k, PROJECT_BLOCK),
+                          PROJECT_BLOCK);
+    } else {
+        int64_t k = 0;
+        for (; k + 4 <= n_k; k += 4)
+            project_modes(vk, n_k, n_u, horizon, v, c, k, 4);
+        for (; k < n_k; k++)
+            project_modes(vk, n_k, n_u, horizon, v, c, k, 1);
+    }
+    for (int64_t k = 0; k < n_k; k++) {
         const double *m = mix + k * horizon * horizon;
         for (int s = 0; s < horizon; s++) {
             double sum = 0.0;
@@ -189,13 +218,17 @@ void factored_step_h(const double *factors, int64_t n_k, int64_t n_u, int horizo
             d[s * n_k + k] = sum;
         }
     }
-    int64_t i = 0;
-    for (; i + BLOCK <= n_u; i += BLOCK)
-        expand_modes(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t, i, BLOCK);
-    for (; i + 4 <= n_u; i += 4)
-        expand_modes(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t, i, 4);
-    for (; i < n_u; i++)
-        expand_modes(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t, i, 1);
+    if (n_u >= EXPAND_BLOCK) {
+        for (int64_t i = 0; i < n_u; i += EXPAND_BLOCK)
+            expand_modes(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t,
+                         block_start(i, n_u, EXPAND_BLOCK), EXPAND_BLOCK);
+    } else {
+        int64_t i = 0;
+        for (; i + 4 <= n_u; i += 4)
+            expand_modes(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t, i, 4);
+        for (; i < n_u; i++)
+            expand_modes(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t, i, 1);
+    }
 }
 
 /* t = W v - q / lambda_max in the factored form, specialized per horizon.
@@ -283,13 +316,25 @@ static void lap(double *stage, int64_t *tic)
  *   q_scaled          n      q / lambda_max
  *   iterate           n      the warm start; on return, the last projected iterate
  *   stage_ns          3      zeros
+ *   iterations        1      on return -1, the iterations run
  *   scratch           4 n, and 2 horizon n_k more for the factored form
  *
- * With `timed` non-zero, stage_ns accumulates the nanoseconds of the
- * gradient step (with its finiteness check), the projection and the
- * momentum update.  Returns -1, or the iteration whose gradient step has a
- * non-finite element; the projection would otherwise clip an infinity to
- * a bound.
+ * The exact exit: after the momentum update, memcmp tells whether p+
+ * equals p byte for byte (so -0.0 differs from 0.0).  Once two iterations
+ * in a row leave p unchanged, p_(k+1) = p_k = p_(k-1) with k >= 1, the
+ * momentum update has formed v_(k+1) from the same bits as v_k, so every
+ * later iteration repeats the same operations on the same bits, and the
+ * loop stops with the iterate the whole budget returns.  k >= 1 because
+ * v_0 is p_0 copied, not formed by the update.  `budget` stays the worst
+ * case.  memcmp, which stops at the first byte that differs, cost less
+ * than an OR of XORed bit patterns inside the momentum loop (by ~1% of a
+ * ring-size and of an 8x8 N = 2 solve).
+ *
+ * With `timed` non-zero the loop runs every iteration, and stage_ns
+ * accumulates the nanoseconds of the gradient step (with its finiteness
+ * check), the projection and the momentum update.  Returns -1, or the
+ * iteration whose gradient step has a non-finite element; the projection
+ * would otherwise clip an infinity to a bound.
  */
 int64_t fgm_solve(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, double beta,
                   int64_t budget, const double *set, double *data, int64_t timed)
@@ -304,15 +349,16 @@ int64_t fgm_solve(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, do
         s.seg_up = s.rho + n_u;
         s.seg_down = s.seg_up + 2 * n_u;
     }
-    double *stage_ns = data + 2 * n;
-    double *p = stage_ns + 3, *p_new = p + n, *v = p + 2 * n, *t = p + 3 * n;
+    double *stage_ns = data + 2 * n, *iterations = stage_ns + 3;
+    double *p = iterations + 1, *p_new = p + n, *v = p + 2 * n, *t = p + 3 * n;
     double *const modes = p + 4 * n;
     const double beta_1 = 1.0 + beta;
-    int64_t tic = 0;
+    int64_t tic = 0, it = 0;
+    int was_unchanged = 0;
 
     project(&s, iterate, p);
     memcpy(v, p, (size_t)n * sizeof *v);
-    for (int64_t it = 0; it < budget; it++) {
+    while (it < budget) {
         if (timed)
             tic = now_ns();
         if (n_k < 0)
@@ -329,13 +375,19 @@ int64_t fgm_solve(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, do
             lap(&stage_ns[1], &tic);
         for (int64_t i = 0; i < n; i++)
             v[i] = p_new[i] * beta_1 - p[i] * beta;
+        const int unchanged = !timed && memcmp(p_new, p, (size_t)n * sizeof *p) == 0;
         if (timed)
             lap(&stage_ns[2], &tic);
         double *swap = p;
         p = p_new;
         p_new = swap;
+        it++;
+        if (unchanged && was_unchanged)
+            break;
+        was_unchanged = unchanged;
     }
     memcpy(iterate, p, (size_t)n * sizeof *iterate);
+    *iterations = (double)it;
     return -1;
 }
 
@@ -345,7 +397,7 @@ int64_t fgm_solve(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, do
      record, n_u, n_y, mu, horizon  the modal record and its sizes, below
      state                          the estimates and their scratch, below
      w, n_k, beta, budget           fgm_solve's step matrix, form, momentum
-                                    and iterations
+                                    and iteration budget
      lambda_max                     the largest eigenvalue of J
      data                           fgm_solve's workspace (fgm.Workspace)
      set                            the controller's set array (fgm_solve)
@@ -450,17 +502,16 @@ static void linear_term(const struct modal *m, const struct context *c, double *
         gradient_step(m->wt, n_u, n_u, m->qt + s * n_u, m->zeros, q + s * n_u);
 }
 
-/* y~ = U^T y.  Returns -1, or the index of the first non-finite entry of
-   y, found when y~ is not finite: a non-finite y_j makes every entry of
-   y~ non-finite. */
-static int64_t measure(const struct modal *m, const struct context *c)
+/* y~ = U^T y.  Returns 0 where an entry of y~ is not finite: y has a
+   non-finite entry, which makes every entry non-finite, or a finite y
+   overflows in the product. */
+static int measure(const struct modal *m, const struct context *c)
 {
     gradient_step(m->u, c->n_y, m->r, c->y, m->zeros, m->yt);
-    if (!isfinite(m->yt[0]))
-        for (int64_t j = 0; j < c->n_y; j++)
-            if (!isfinite(c->y[j]))
-                return j;
-    return -1;
+    for (int64_t i = 0; i < m->r; i++)
+        if (!isfinite(m->yt[i]))
+            return 0;
+    return 1;
 }
 
 /* The observer update after `measure`, observer.update_fast in the
@@ -556,12 +607,18 @@ void modal_linear_term(const struct context *c, double *q)
     linear_term(&m, c, q);
 }
 
-/* The observer update with u = u_prev and y, both finite (the caller
-   checks y). */
+/* y~ = U^T y into the state array's scratch, which modal_observe reads;
+   returns 0, with no estimate written, where y~ is not finite. */
+int64_t modal_measure(const struct context *c)
+{
+    const struct modal m = unpack(c);
+    return measure(&m, c);
+}
+
+/* The observer update with u = u_prev and the y~ of modal_measure. */
 void modal_observe(const struct context *c)
 {
     const struct modal m = unpack(c);
-    measure(&m, c);
     observe(&m, c);
 }
 
@@ -572,10 +629,10 @@ void modal_observe(const struct context *c)
  * One whole control sample: the staged calls of sim.MpcController.step
  * in one.  y~ = U^T y first, then the set recentred on u_prev, the linear
  * term into the workspace, divided by lambda_max as fgm.Workspace
- * divides it, the fixed-budget solve from the workspace's iterate, u_prev
+ * divides it, the untimed solve from the workspace's iterate, u_prev
  * = u_k (the iterate's first stage) and the observer update with u_k and
  * y.  Returns -1; or, with the estimates, u_prev and the iterate left as
- * they were, MEASUREMENT_REFUSED where y is not finite, SET_REFUSED where
+ * they were, MEASUREMENT_REFUSED where y~ is not finite, SET_REFUSED where
  * recentre refuses u_prev, or the iteration whose gradient step has a
  * non-finite element (fgm_solve).
  */
@@ -583,7 +640,7 @@ int64_t mpc_step(const struct context *c)
 {
     const struct modal m = unpack(c);
     const int64_t n = c->horizon * c->n_u;
-    if (measure(&m, c) >= 0)
+    if (!measure(&m, c))
         return MEASUREMENT_REFUSED;
     if (!recentre(c))
         return SET_REFUSED;

@@ -149,6 +149,14 @@ def _non_finite_measurement(y: np.ndarray) -> NumericalError:
     return NumericalError(f"non-finite measurement {y[bad]} at monitor {bad}")
 
 
+def _overflowing_measurement(y: np.ndarray) -> NumericalError:
+    """The error for a finite measurement whose estimates, or the linear
+    term they give, would not be finite."""
+    return NumericalError(f"measurement overflows the observer update (largest |y| "
+                          f"{np.max(np.abs(y)):g}): the estimates or their linear term "
+                          "would not be finite")
+
+
 class ImcController:
     """Modal regularized-inverse controller with an integrating filter.
 
@@ -214,13 +222,18 @@ class MpcController:
 
     Per sample: check the measurement, build the QP linear term from the
     current state and disturbance estimates, recentre the constraint set
-    on the previously applied input, run the fixed-budget fast-gradient
-    solve warm-started at the previous solution, apply the first stage,
-    then advance the observer with the applied input and this sample's
-    measurement.  The measurement must be a float64 array of shape
-    (n_y,) (else DimensionError) and finite (else NumericalError naming
-    the monitor); it is checked before anything is written, so a refused
-    sample leaves the controller as it was.
+    on the previously applied input, run the fast-gradient solve
+    warm-started at the previous solution, apply the first stage, then
+    advance the observer with the applied input and this sample's
+    measurement.  The solve's budget i_max is a worst case: the compiled
+    solve of an untimed sample stops where the iterate has stopped
+    changing bit for bit, with the bits of the whole budget (see `fgm`);
+    `iterations` is the count the last solve ran.  The measurement must
+    be a float64 array of shape (n_y,) (else DimensionError) and finite
+    (else NumericalError naming the monitor); a finite one whose
+    estimates, or the linear term they give, overflow is refused with a
+    NumericalError too.  A refused sample leaves the controller as it
+    was.
 
     The controller owns the compiled solve's `Workspace`, built once.
     `cset` is the set the last staged sample (below) solved over, each a
@@ -237,17 +250,21 @@ class MpcController:
       - Without `timers`, one call of its `mpc_step` runs the whole
         sample on a context block built here, recentring the
         controller's own set array.
-      - With `timers`, the staged calls: modal_linear_term into one of
-        two q buffers, used in turn so the q a solve took is intact
-        after the next sample, `update_constraint_set`, `fgm.solve` and
-        modal_observe, each timed (the benchmark's tracer also wraps and
-        re-solves `fgm.solve`).
+      - With `timers`, the staged calls: modal_measure (U^T y, checked
+        first), modal_linear_term into one of two q buffers, used in
+        turn so the q a solve took is intact after the next sample,
+        `update_constraint_set`, `fgm.solve` and modal_observe, each
+        timed (the benchmark's tracer also wraps and re-solves
+        `fgm.solve`).
     Both give the same bytes, which agree with the dense reference
-    functions to rounding.  Otherwise (`observer_form` 'dense') each
-    sample calls the reference functions themselves (`linear_term`,
-    `update_constraint_set`, `fgm.solve` and `update_fast`), each of
-    which returns new arrays, so the applied inputs are bit for bit
-    theirs.
+    functions to rounding; both refuse a y whose U^T y is not finite.
+    Otherwise (`observer_form` 'dense') each sample calls the reference
+    functions themselves (`update_constraint_set`, `fgm.solve`,
+    `update_fast` and `linear_term`), each of which returns new arrays,
+    so the applied inputs are bit for bit theirs.  The dense path forms
+    the next sample's linear term with the new estimates and refuses the
+    measurement where either is not finite, so it keeps its warm start
+    apart from the workspace, whose solve has run by then.
 
     `n_workers` (>= 1) row-slices the gradient step of the numpy solve,
     which runs only where the compiled kernel cannot be built; the
@@ -271,6 +288,7 @@ class MpcController:
         self._cset0 = qp.ConstraintSet(alpha=self.alpha, rho=self.rho,
                                        u_prev=np.zeros(ss.n_u), N=condensed.N)
         self._workspace = fgm.Workspace(condensed)
+        self._compiled = kernel is not None
         usable = modes is not None and modes.within_tolerance
         self._modes = modes if kernel is not None and usable else None
         if self._modes is not None:
@@ -291,6 +309,7 @@ class MpcController:
                 alpha=self._cset0.alpha, rho=self._cset0.rho, u_prev=self.u_prev, y=self._y)
             address = self._context.ctypes.data
             self._mpc_step = functools.partial(kernel.mpc_step, address)
+            self._modal_measure = functools.partial(kernel.modal_measure, address)
             self._modal_linear_term = functools.partial(kernel.modal_linear_term, address)
             self._modal_observe = functools.partial(kernel.modal_observe, address)
         self.reset()
@@ -299,6 +318,13 @@ class MpcController:
     def observer_form(self) -> str:
         """'modal' where the estimates are kept by mode, else 'dense'."""
         return "dense" if self._modes is None else "modal"
+
+    @property
+    def iterations(self) -> int:
+        """The iterations the last solve ran: the compiled kernel's count,
+        at most i_max (see fgm.solve), else i_max, which the numpy loop
+        always runs."""
+        return self._workspace.iterations if self._compiled else self.i_max
 
     @property
     def observer(self) -> ObserverState:
@@ -312,6 +338,7 @@ class MpcController:
         self.cset = self._cset0
         if self._modes is None:
             self._observer = ObserverState.initial(self.ss, self.gain)
+            self._q = self.qp.linear_term(self._observer.x_hat, self._observer.d_hat)
             self.u_prev = self.cset.u_prev
             self.warm = np.zeros(self.qp.N * self.ss.n_u)
         else:
@@ -331,8 +358,12 @@ class MpcController:
         y_k = checked_measurement(y_k, self.ss.n_y)
         tic = time.perf_counter_ns() if timers is not None else 0
         if self._modes is None:
-            q_vec = self.qp.linear_term(self._observer.x_hat, self._observer.d_hat)
-        else:
+            q_vec = self._q  # formed, and checked, with the estimates
+        else:  # timed: U^T y, checked before anything is written, then the staged calls
+            np.copyto(self._y, y_k)
+            if not self._modal_measure():
+                raise _overflowing_measurement(y_k)
+            tic = fgm._add_ns(timers, "observer", tic)
             self._q_slots.reverse()
             q_vec, address = self._q_slots[0]
             self._modal_linear_term(address)
@@ -340,29 +371,43 @@ class MpcController:
             tic = fgm._add_ns(timers, "q_update", tic)
         # a set keeps the u_prev it is given, which the modal path overwrites
         u_prev = self.u_prev if self._modes is None else self.u_prev.copy()
-        self.cset = qp.update_constraint_set(self.cset, u_prev)
+        cset = qp.update_constraint_set(self.cset, u_prev)
         if timers is not None:
             fgm._add_ns(timers, "set_update", tic)
-        u_plan = fgm.solve(self.qp, q_vec, self.cset, self.warm, i_max=self.i_max,
+        u_plan = fgm.solve(self.qp, q_vec, cset, self.warm, i_max=self.i_max,
                            n_workers=self.n_workers, timers=timers, workspace=self._workspace)
         u_k = u_plan[: self.ss.n_u].copy()
         tic = time.perf_counter_ns() if timers is not None else 0
         if self._modes is None:
-            self._observer = update_fast(self._observer, u_k, y_k)
-            self.u_prev = u_k
+            # the next sample's linear term, so that a measurement whose
+            # estimates or linear term overflow is refused here
+            with np.errstate(over="ignore", invalid="ignore"):
+                observer = update_fast(self._observer, u_k, y_k)
+                if timers is not None:
+                    tic = fgm._add_ns(timers, "observer", tic)
+                q_next = self.qp.linear_term(observer.x_hat, observer.d_hat)
+            if timers is not None:
+                fgm._add_ns(timers, "q_update", tic)
+            if not all(np.isfinite(a).all() for a in (q_next, observer.x_hat, observer.z_hat,
+                                                      observer.d_hat)):
+                raise _overflowing_measurement(y_k)
+            self._observer, self._q, self.u_prev = observer, q_next, u_k
+            np.copyto(self.warm, u_plan)
         else:
             np.copyto(self.u_prev, u_k)
-            np.copyto(self._y, y_k)
             self._modal_observe()
-        if timers is not None:
-            fgm._add_ns(timers, "observer", tic)
-        self.warm = u_plan
+            if timers is not None:
+                fgm._add_ns(timers, "observer", tic)
+            self.warm = u_plan
+        self.cset = cset
         return u_k
 
     def _refusal(self, failed: int, y_k: np.ndarray) -> Exception:
         """The error the staged path raises for what mpc_step refused."""
         if failed == fgm.MEASUREMENT_REFUSED:
-            return _non_finite_measurement(y_k)
+            if np.count_nonzero(np.isfinite(y_k)) < y_k.size:
+                return _non_finite_measurement(y_k)
+            return _overflowing_measurement(y_k)
         if failed == fgm.SET_REFUSED:
             qp.update_constraint_set(self.cset, self.u_prev.copy())  # raises the reference's error
             return NumericalError(f"compiled set recentring refused u_prev = {self.u_prev}, "

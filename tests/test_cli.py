@@ -791,10 +791,16 @@ class TestBenchRecordsTheSolveKernel:
         assert kernel == "numpy" if force_numpy else kernel in ("compiled", "numpy")
         out = str(tmp_path / "bench")
         assert main(["bench", "--config", write_config(tmp_path), "--out", out]) == 0
-        assert f"solve_kernel={kernel}\n" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert f"solve_kernel={kernel}\n" in printed
         with open(os.path.join(out, "timing.csv")) as fh:
             header = [line for line in fh if line.startswith("#")]
         assert f"# solve_kernel={kernel}\n" in header
+        # the iterations of the untimed solves: the numpy loop runs every one
+        fields = dict(line[2:].strip().split("=", 1) for line in header)
+        iterations, i_max = float(fields["iterations_mean_workers_1"]), int(fields["i_max"])
+        assert iterations == i_max if force_numpy else 0.0 < iterations <= i_max
+        assert f"{iterations:.1f} iterations/solve" in printed
 
     def test_timing_header_records_the_time_outside_the_stages(self, tmp_path):
         out = str(tmp_path / "bench")

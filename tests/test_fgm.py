@@ -582,3 +582,98 @@ class TestWorkspace:
         other = qp_from_matrix(qp.J.copy(), N=1)
         with pytest.raises(DimensionError, match="another QP"):
             solve(qp, q, cset, warm, workspace=fgm.Workspace(other))
+
+
+class TestExactExit:
+    """An untimed compiled solve stops once two iterations in a row leave
+    the iterate's bits unchanged: every later one would repeat them.  It
+    returns the bytes of the full budget, which a timed solve runs."""
+
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("instance", [random_instance, ring_like_instance])
+    def test_untimed_solve_returns_the_full_budget_iterate(self, kernel, rng, N, instance):
+        qp, q, cset, _ = instance(rng, N, saturated=True)
+        assert qp.hessian_form == ("factored" if instance is ring_like_instance else "dense")
+        n_u, n = qp.n_u, N * qp.n_u
+        lo, hi = cset.stage0_bounds()
+        upper = rng.random(n_u) < 0.5
+        # a vertex of the set: each actuator at a corner of its stage pair
+        vertex = np.where(upper, hi, lo)
+        if N == 2:
+            alpha, rho = cset.alpha, cset.rho
+            vertex = np.concatenate([vertex, np.where(upper, np.minimum(alpha, hi + rho),
+                                                      np.maximum(-alpha, lo - rho))])
+        # a linear term far outside the set, one sign per actuator in every
+        # stage: its solution is a vertex, which the projection keeps bit for bit
+        far = np.tile(np.where(upper, -1.0, 1.0), N) * qp.lambda_max * 1e3
+        workspace = fgm.Workspace(qp)
+        solution = solve(qp, far, cset, np.zeros(n), i_max=200, workspace=workspace).copy()
+        cases = {"random": (q, rng.uniform(-1.0, 1.0, n)), "vertex": (q, vertex),
+                 "solution": (far, solution)}
+        for name, (linear, warm) in cases.items():
+            for budget in (0, 1, 2, 3, 20, 200):
+                timers = {}
+                want = solve(qp, linear, cset, warm, i_max=budget, timers=timers,
+                             workspace=workspace).tobytes()
+                assert workspace.iterations == budget
+                got = solve(qp, linear, cset, warm, i_max=budget, workspace=workspace).tobytes()
+                assert got == want, (name, budget)
+                assert workspace.iterations <= budget
+                if name == "solution":
+                    assert workspace.iterations == min(budget, 2), budget
+        nan_warm = np.zeros(n)
+        nan_warm[-1] = np.nan
+        with pytest.raises(NumericalError, match="iteration 0"):
+            solve(qp, q, cset, nan_warm, i_max=200, workspace=workspace)
+
+
+def _factored_oracle(shared, mix, vk, vkt, v, horizon):
+    """W v in the factored form (fgm_kernel.c, factored_step_h), every sum
+    over its contraction index in ascending order with elementwise float64
+    multiplies and adds."""
+    n_u, n_k = vk.shape
+    x = v.reshape(horizon, n_u)
+    c = np.zeros((horizon, n_k))
+    for i in range(n_u):
+        c = c + vk[i][None, :] * x[:, i][:, None]
+    d = np.zeros((horizon, n_k))
+    for u in range(horizon):
+        d = d + mix[:, :, u].T * c[u][None, :]
+    t = np.zeros((horizon, n_u))
+    for u in range(horizon):
+        t = t + shared[:, u][:, None] * x[u][None, :]
+    for k in range(n_k):
+        t = t + vkt[k][None, :] * d[:, k][:, None]
+    return t.ravel()
+
+
+TILE_SIZES = (1, 3, 4, 5, 23, 24, 25, 31, 32, 33, 44, 47, 48, 49, 64, 65)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_factored_tiles_keep_every_bit(kernel, rng, N):
+    """One iteration with q = 0 over an unbounded set returns W v itself;
+    at every mode count and width on both sides of a tile width it is the
+    oracle's, bit for bit."""
+    for n_k in TILE_SIZES:
+        for n_u in TILE_SIZES:
+            n = N * n_u
+            shared = rng.standard_normal((N, N))
+            mix = rng.standard_normal((n_k, N, N))
+            vk = rng.standard_normal((n_u, n_k))
+            vkt = np.ascontiguousarray(vk.T)
+            factors = np.concatenate([shared.ravel(), mix.ravel(), vk.ravel(), vkt.ravel()])
+            if N == 1:
+                packed = np.concatenate([np.full(n, -np.inf), np.full(n, np.inf)])
+            else:  # box, band half-width, rho, segment limits
+                packed = np.concatenate([np.full(n, -np.inf), np.full(n, np.inf),
+                                         np.full(n_u, np.inf), np.ones(n_u),
+                                         np.full(2 * n_u, -np.inf), np.full(2 * n_u, np.inf)])
+            v = rng.standard_normal(n)
+            data = np.zeros(2 * n + 4 + 4 * n + 2 * N * n_k)
+            data[n:2 * n] = v
+            failed = kernel.fgm_solve(fgm._address(factors), n_k, n_u, N, 0.5, 1,
+                                      fgm._address(packed), fgm._address(data), 0)
+            assert failed == -1
+            want = _factored_oracle(shared, mix, vk, vkt, v, N)
+            assert data[n:2 * n].tobytes() == want.tobytes(), (n_k, n_u)

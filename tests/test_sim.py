@@ -721,6 +721,37 @@ class TestMeasurementChecks:
             simulate(b.plant, ctrl, DisturbanceSpec(sigma=0.0), 20)
 
 
+# the modal path, and the dense one without and with the compiled kernel
+OVERFLOW_CASES = {"8x8-n2": ("8x8-n2", False), "8x8-n2-kernel-off": ("8x8-n2", True),
+                  "6x6-n2-mixed": ("6x6-n2-mixed", False)}
+
+
+@pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_overflowing_measurement_refused_before_any_state_changes(monkeypatch, case, timed):
+    """A finite measurement whose modal projection U^T y (modal path) or
+    next linear term (dense path) overflows is refused at its own sample,
+    with the controller left as it was."""
+    shape, kernel_off = OVERFLOW_CASES[case]
+    if kernel_off:
+        monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
+    b = BUFFER_PLANTS[shape]()
+    ctrl, clean = b.mpc_controller(i_max=20), b.mpc_controller(i_max=20)
+    modal = shape == "8x8-n2" and not kernel_off and fgm.solve_kernel() == "compiled"
+    assert ctrl.observer_form == ("modal" if modal else "dense")
+    ys = np.random.default_rng(9).normal(0.0, 1.0, (6, b.ss.n_y))
+    for y in ys[:5]:
+        ctrl.step(y)
+        clean.step(y)
+    before = _controller_state(ctrl)
+    refusal = r"measurement overflows the observer update \(largest \|y\| 1.7e\+308\)"
+    with pytest.raises(NumericalError, match=refusal):
+        ctrl.step(np.full(b.ss.n_y, 1.7e308), timers={} if timed else None)
+    assert _controller_state(ctrl) == before
+    # the next sample runs as if the refused one had not come
+    assert ctrl.step(ys[5]).tobytes() == clean.step(ys[5]).tobytes()
+
+
 class TestSimulateChecksTheControllerOutput:
     class _Fixed:
         def __init__(self, u):
