@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import difflib
 import math
 import os
 import shutil
@@ -77,18 +76,6 @@ def _parse_components(raw: str, n_y: int):
     return tuple(components)
 
 
-def _reject_unknown_keys(path, pairs: dict) -> None:
-    """A misspelled key would silently fall back to its default."""
-    unknown = [key for key in pairs if key not in CONFIG_KEYS]
-    if not unknown:
-        return
-    named = []
-    for key in unknown:
-        close = difflib.get_close_matches(key, CONFIG_KEYS, n=1)
-        named.append(f"'{key}'" + (f" (did you mean '{close[0]}'?)" if close else ""))
-    raise ConfigError(f"{path}: unknown config key {', '.join(named)}")
-
-
 def _auto_float(pairs: dict, key: str) -> float | None:
     """A float key whose absence or value 'auto' means None (derived by the design)."""
     if pairs.get(key, "auto") == "auto":
@@ -113,7 +100,7 @@ def _check_finite(key: str, value: float | None, positive: bool) -> None:
 
 def load_run_config(path, seed_override=None, workers_override=None, out_override=None) -> RunConfig:
     pairs = fileio.read_kv(path)
-    _reject_unknown_keys(path, pairs)
+    fileio.reject_unknown_keys(path, pairs, CONFIG_KEYS)
     version = fileio.kv_get(pairs, "schema_version", int, default=1)
     if version != 1:
         raise ConfigError(f"unsupported schema_version {version}")
@@ -187,6 +174,8 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
     nyquist_hz = 0.5 / plant.dt
     _require("imc_bandwidth_hz", imc_bandwidth_hz, 0.0 < imc_bandwidth_hz < nyquist_hz,
              f"positive and below the Nyquist frequency 0.5 / dt = {nyquist_hz:g} Hz")
+    observer_dump = fileio.kv_get(pairs, "observer_dump", int, default=0)
+    _require("observer_dump", observer_dump, observer_dump in (0, 1), "0 or 1")
     return RunConfig(
         plant=plant,
         weights_mode=fileio.kv_get(pairs, "weights", str, default="saturated"),
@@ -207,7 +196,7 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
         output_dir=out_override or fileio.kv_get(pairs, "output_dir", str, default="out"),
         imc_bandwidth_hz=imc_bandwidth_hz,
         bench_cycles=bench_cycles,
-        observer_dump=bool(fileio.kv_get(pairs, "observer_dump", int, default=0)),
+        observer_dump=observer_dump == 1,
     )
 
 

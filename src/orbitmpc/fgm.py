@@ -427,13 +427,13 @@ def _check_iterate_inputs(qp: CondensedQP, q, cset: ConstraintSet, warm):
 
 def _iterate(qp: CondensedQP, q: np.ndarray, cset: ConstraintSet, warm: np.ndarray,
              budget: int, n_workers: int = 1, timers: dict | None = None, stop=None):
-    """The numpy fast-gradient loop: run up to `budget` iterations.
+    """The numpy fast-gradient loop: run up to `budget` iterations on inputs
+    that `_check_iterate_inputs` has checked.
 
     `stop(p_new, p)`, when given, is asked after every iteration whether to
     end there.  Returns (p, count): the last projected iterate, and the
     number of iterations run if `stop` ended the loop, else None.
     """
-    q, warm = _check_iterate_inputs(qp, q, cset, warm)
     n = qp.N * qp.n_u
     p = cset.project(warm)
     v = np.array(p, dtype=float)
@@ -508,14 +508,9 @@ class Workspace:
     def solve(self, kernel, q, cset: ConstraintSet, warm, budget: int,
               timers: dict | None) -> np.ndarray:
         """The loop of `_iterate` in the compiled kernel, with its exact
-        exit unless timed; returns the iterate, a view of `data`."""
-        qp = self.qp
-        q = _checked_linear_term(qp, q)
-        if cset.N != qp.N or cset.n_u != qp.n_u:
-            raise DimensionError("constraint set does not match the QP dimensions")
-        if np.shape(warm) != self.iterate.shape:
-            raise DimensionError(f"iterate shape {np.shape(warm)} != {self.iterate.shape}")
-        np.divide(q, qp.lambda_max, out=self.q_scaled)
+        exit unless timed, on inputs that `solve` has checked; returns the
+        iterate, a view of `data`."""
+        np.divide(q, self.qp.lambda_max, out=self.q_scaled)
         if warm is not self.iterate:
             np.copyto(self.iterate, warm)
         if timers is not None:
@@ -583,6 +578,7 @@ def solve(
     n_workers = _worker_count(n_workers)
     if workspace is not None and workspace.qp is not qp:
         raise DimensionError("the workspace was built for another QP")
+    q, warm = _check_iterate_inputs(qp, q, cset, warm)
     kernel = _load_kernel()
     if kernel is not None:
         return (workspace or Workspace(qp)).solve(kernel, q, cset, warm, budget, timers)
@@ -619,6 +615,7 @@ def converged_iterations(
         scale = float(np.max(np.abs(p)))
         return diff < epsilon and (diff < epsilon * scale or diff == 0.0)
 
+    q, warm = _check_iterate_inputs(qp, q, cset, warm)
     _, count = _iterate(qp, q, cset, warm, cap, stop=converged)
     if count is None:
         return ConvergenceResult(iterations=cap, capped=True)

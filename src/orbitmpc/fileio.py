@@ -19,6 +19,7 @@ The design bundle stores its arrays as ``.npy`` files instead (see
 
 from __future__ import annotations
 
+import difflib
 import os
 import re
 
@@ -101,6 +102,20 @@ def read_kv(path) -> dict[str, str]:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return pairs
+
+
+def reject_unknown_keys(path, pairs: dict, known) -> None:
+    """Refuse a key outside `known`, naming the closest known key: a
+    misspelled key would otherwise be ignored, or fall back to its
+    default, without a word."""
+    unknown = [key for key in pairs if key not in known]
+    if not unknown:
+        return
+    named = []
+    for key in unknown:
+        close = difflib.get_close_matches(key, known, n=1)
+        named.append(f"'{key}'" + (f" (did you mean '{close[0]}'?)" if close else ""))
+    raise ConfigError(f"{path}: unknown config key {', '.join(named)}")
 
 
 def kv_get(pairs: dict, key: str, convert, default=None):

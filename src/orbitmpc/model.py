@@ -232,6 +232,9 @@ def synthetic_plant(
     return PlantConfig(R=R, bandwidths=bandwidth, dt=dt, mu=mu, alpha=alpha, rho=rho)
 
 
+PLANT_KEYS = ("n_y", "n_s", "n_f", "dt", "mu", "a_s", "a_f", "alpha", "rho", "R_path")
+
+
 def _fmt_vec(v: np.ndarray) -> str:
     return ",".join(fileio.format_float(x) for x in np.atleast_1d(v))
 
@@ -262,12 +265,17 @@ def save_plant_config(cfg: PlantConfig, path) -> None:
 def load_plant_config(path) -> PlantConfig:
     """Read a plant config.  The file lists its actuators in two blocks, n_s
     slow then n_f fast, with bandwidths a_s and a_f (a scalar or one value
-    per actuator of the block); R.csv's columns follow the same order."""
+    per actuator of the block); R.csv's columns follow the same order.  A
+    key outside PLANT_KEYS, and the bandwidths of an empty block, are
+    refused."""
     pairs = fileio.read_kv(path)
+    fileio.reject_unknown_keys(path, pairs, PLANT_KEYS)
     n_y, n_s, n_f = (fileio.kv_get(pairs, key, int) for key in ("n_y", "n_s", "n_f"))
-    for key, count in (("n_s", n_s), ("n_f", n_f)):
+    for key, count, bandwidths in (("n_s", n_s, "a_s"), ("n_f", n_f, "a_f")):
         if count < 0:
             raise ConfigError(f"{path}: {key} must be >= 0, got {count}")
+        if count == 0 and bandwidths in pairs:
+            raise ConfigError(f"{path}: {bandwidths} given for an empty block ({key} = 0)")
     r_path = fileio.resolve_path(path, fileio.kv_get(pairs, "R_path", str))
     if not os.path.exists(r_path):
         raise ConfigError(f"response matrix file not found: {r_path}")

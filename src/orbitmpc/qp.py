@@ -297,22 +297,6 @@ def build_condensed(ss: StateSpace, weights, terminal, M_s: np.ndarray, N: int,
 # Constraint sets and projections
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class _Recentring:
-    """What recentring a set on a new input needs that depends only on
-    alpha and rho: -alpha, alpha - rho and rho - alpha, and a set array
-    (see ConstraintSet) whose entries that do not depend on u_prev are
-    filled in: for N = 2 the stage-1 box, the band half-widths where alpha
-    is finite, and rho.  `infinite` lists the actuators whose alpha is
-    infinite, whose band half-width depends on u_prev."""
-
-    neg_alpha: np.ndarray
-    alpha_minus_rho: np.ndarray
-    rho_minus_alpha: np.ndarray
-    template: np.ndarray
-    infinite: np.ndarray
-
-
 def _band(alpha, rho, u_prev):
     """rho + tolerance; |u_prev| + 2 rho, the farthest u1 reaches, stands
     in for an infinite alpha."""
@@ -339,13 +323,14 @@ class ConstraintSet:
     - rho and alpha + rho, never bind, since fl(-alpha - rho) <= -alpha <=
     lo and hi <= alpha <= fl(alpha + rho).  `_lower`, `_upper`, `_band`
     and `_segments` are views of it, and nothing writes it after the set
-    is built.  A set whose stage-0 interval is empty or NaN for some
-    actuator cannot be built, so the projections and the diameter take
-    feasibility as given.
+    is built.  The set keeps a copy of the u_prev it is given.  A set
+    whose stage-0 interval is empty or NaN for some actuator cannot be
+    built, so the projections and the diameter take feasibility as given.
 
-    `update_constraint_set` recentres a set on a new input from the parts
-    that depend only on alpha and rho, computed once when the first set
-    of a sequence is built.
+    `update_constraint_set` recentres a set on a new input in a copy of
+    its array, whose stage-1 box, finite-alpha band half-widths and rho
+    depend only on the limits, so every set with the same limits shares
+    them; `_centre` writes the other entries.
     """
 
     alpha: np.ndarray
@@ -359,7 +344,6 @@ class ConstraintSet:
     # (2, n_u) u0 limits [lower; upper] of that side's segment inside the box
     _band: np.ndarray | None = dataclasses.field(init=False, repr=False)
     _segments: tuple | None = dataclasses.field(init=False, repr=False)
-    _recentring: _Recentring = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
@@ -370,27 +354,24 @@ class ConstraintSet:
         if not (alpha.shape == rho.shape == u_prev.shape) or alpha.ndim != 1:
             raise DimensionError("alpha, rho, u_prev must share one shape")
         n = alpha.shape[0]
-        template = np.zeros(2 * n if self.N == 1 else 10 * n)
-        infinite = np.flatnonzero(np.isinf(alpha))
+        packed = np.zeros(2 * n if self.N == 1 else 10 * n)
         if self.N == 2:
-            template[n:2 * n] = -alpha
-            template[3 * n:4 * n] = alpha
-            template[4 * n:5 * n] = _band(alpha, rho, np.zeros(n))
-            template[5 * n:6 * n] = rho
-        recentring = _Recentring(neg_alpha=-alpha, alpha_minus_rho=alpha - rho,
-                                 rho_minus_alpha=rho - alpha, template=template, infinite=infinite)
-        for name, value in (("alpha", alpha), ("rho", rho), ("_recentring", recentring)):
-            object.__setattr__(self, name, value)
-        self._centre(u_prev)
+            packed[n:2 * n] = -alpha
+            packed[3 * n:4 * n] = alpha
+            packed[4 * n:5 * n] = _band(alpha, rho, u_prev)
+            packed[5 * n:6 * n] = rho
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "rho", rho)
+        self._centre(packed, u_prev)
 
-    def _centre(self, u_prev: np.ndarray) -> None:
-        """Fill a new set array centred on u_prev and set the fields that
-        depend on it; raises InfeasibleError on an empty stage-0 interval."""
-        alpha, rho, r = self.alpha, self.rho, self._recentring
+    def _centre(self, packed: np.ndarray, u_prev: np.ndarray) -> None:
+        """Write the entries of the set array `packed` that depend on
+        u_prev, its others being filled in, and set the fields that depend
+        on it; raises InfeasibleError on an empty stage-0 interval."""
+        alpha, rho = self.alpha, self.rho
         n = alpha.shape[0]
-        packed = r.template.copy()
         lo, hi = packed[:n], packed[self.N * n:(self.N + 1) * n]
-        np.maximum(r.neg_alpha, np.subtract(u_prev, rho, out=lo), out=lo)
+        np.maximum(-alpha, np.subtract(u_prev, rho, out=lo), out=lo)
         np.minimum(alpha, np.add(u_prev, rho, out=hi), out=hi)
         if np.count_nonzero(lo <= hi) < n:  # NaN fails `<=` too
             bad = np.flatnonzero(~(lo <= hi))
@@ -401,27 +382,19 @@ class ConstraintSet:
         band = segments = None
         if self.N == 2:
             band = packed[4 * n:5 * n]
-            if r.infinite.size:
-                band[r.infinite] = _band(alpha, rho, u_prev)[r.infinite]
+            infinite = np.isinf(alpha)
+            if np.count_nonzero(infinite):  # the only band half-widths that depend on u_prev
+                band[infinite] = _band(alpha, rho, u_prev)[infinite]
             seg_up, seg_down = packed[6 * n:8 * n], packed[8 * n:]
             seg_up[:n] = lo
-            np.minimum(hi, r.alpha_minus_rho, out=seg_up[n:])
-            np.maximum(lo, r.rho_minus_alpha, out=seg_down[:n])
+            np.minimum(hi, alpha - rho, out=seg_up[n:])
+            np.maximum(lo, rho - alpha, out=seg_down[:n])
             seg_down[n:] = hi
             segments = (seg_up.reshape(2, n), seg_down.reshape(2, n))
-        for name, value in (("u_prev", u_prev), ("_packed", packed),
+        for name, value in (("u_prev", u_prev.copy()), ("_packed", packed),
                             ("_lower", packed[:self.N * n]), ("_upper", packed[self.N * n:2 * self.N * n]),
                             ("_band", band), ("_segments", segments)):
             object.__setattr__(self, name, value)
-
-    def _recentred(self, u_prev: np.ndarray) -> "ConstraintSet":
-        """The set with the same limits centred on u_prev (a float array of
-        shape (n_u,)), built from this one's alpha- and rho-only parts."""
-        new = object.__new__(ConstraintSet)
-        for name in ("alpha", "rho", "N", "_recentring"):
-            object.__setattr__(new, name, getattr(self, name))
-        new._centre(u_prev)
-        return new
 
     @property
     def n_u(self) -> int:
@@ -524,8 +497,9 @@ def project_stage_n2(t_pairs: np.ndarray, cset: ConstraintSet) -> np.ndarray:
 
 
 def update_constraint_set(cset: ConstraintSet, u_applied: np.ndarray) -> ConstraintSet:
-    """New set centred on the applied input, which must be finite and within
-    the amplitude limits (up to 1e-9)."""
+    """New set with cset's limits centred on the applied input, which must
+    be finite and within the amplitude limits (up to 1e-9); its array is
+    a copy of cset's with the entries that depend on the input rewritten."""
     u_applied = np.asarray(u_applied, dtype=float)
     if u_applied.shape != (cset.n_u,):
         raise DimensionError(f"applied input shape {u_applied.shape} != {(cset.n_u,)}")
@@ -536,7 +510,11 @@ def update_constraint_set(cset: ConstraintSet, u_applied: np.ndarray) -> Constra
             f"applied input {u_applied[worst]:.6g} outside amplitude limit "
             f"{cset.alpha[worst]:.6g} on actuator {worst}"
         )
-    return cset._recentred(u_applied)
+    new = object.__new__(ConstraintSet)
+    for name in ("alpha", "rho", "N"):
+        object.__setattr__(new, name, getattr(cset, name))
+    new._centre(cset._packed.copy(), u_applied)
+    return new
 
 
 def default_delta(lambda_max: float, cset: ConstraintSet) -> float:

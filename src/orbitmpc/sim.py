@@ -237,8 +237,8 @@ class MpcController:
 
     The controller owns the compiled solve's `Workspace`, built once.
     `cset` is the set the last staged sample (below) solved over, each a
-    new one recentred from the alpha- and rho-only parts its first set
-    computed, so no set is written after the solve that took it.
+    new one from `update_constraint_set`, so no set is written after the
+    solve that took it.
 
     Given the `ModalRecord` of a one-bandwidth plant (`modes`) that is
     `within_tolerance`, and where the compiled kernel builds, the
@@ -251,11 +251,9 @@ class MpcController:
         sample on a context block built here, recentring the
         controller's own set array.
       - With `timers`, the staged calls: modal_measure (U^T y, checked
-        first), modal_linear_term into one of two q buffers, used in
-        turn so the q a solve took is intact after the next sample,
-        `update_constraint_set`, `fgm.solve` and modal_observe, each
-        timed (the benchmark's tracer also wraps and re-solves
-        `fgm.solve`).
+        first), modal_linear_term into a new q, `update_constraint_set`,
+        `fgm.solve` and modal_observe, each timed (the benchmark's
+        tracer also wraps and re-solves `fgm.solve`).
     Both give the same bytes, which agree with the dense reference
     functions to rounding; both refuse a y whose U^T y is not finite.
     Otherwise (`observer_form` 'dense') each sample calls the reference
@@ -299,8 +297,6 @@ class MpcController:
             self.u_prev, self._y = np.zeros(ss.n_u), np.empty(ss.n_y)
             # u_prev-free entries (stage-1 box, finite-alpha band, rho) stay as set here
             self._set = self._cset0._packed.copy()
-            self._q_buffers = np.empty((2, condensed.N * ss.n_u))
-            self._q_slots = [(q, fgm._address(q)) for q in self._q_buffers]
             ws = self._workspace
             self._context = fgm.step_context(
                 record=modes.packed, n_u=ss.n_u, n_y=ss.n_y, mu=ss.mu, horizon=condensed.N,
@@ -364,14 +360,11 @@ class MpcController:
             if not self._modal_measure():
                 raise _overflowing_measurement(y_k)
             tic = fgm._add_ns(timers, "observer", tic)
-            self._q_slots.reverse()
-            q_vec, address = self._q_slots[0]
-            self._modal_linear_term(address)
+            q_vec = np.empty(self.qp.N * self.ss.n_u)
+            self._modal_linear_term(fgm._address(q_vec))
         if timers is not None:
             tic = fgm._add_ns(timers, "q_update", tic)
-        # a set keeps the u_prev it is given, which the modal path overwrites
-        u_prev = self.u_prev if self._modes is None else self.u_prev.copy()
-        cset = qp.update_constraint_set(self.cset, u_prev)
+        cset = qp.update_constraint_set(self.cset, self.u_prev)
         if timers is not None:
             fgm._add_ns(timers, "set_update", tic)
         u_plan = fgm.solve(self.qp, q_vec, cset, self.warm, i_max=self.i_max,
@@ -409,7 +402,7 @@ class MpcController:
                 return _non_finite_measurement(y_k)
             return _overflowing_measurement(y_k)
         if failed == fgm.SET_REFUSED:
-            qp.update_constraint_set(self.cset, self.u_prev.copy())  # raises the reference's error
+            qp.update_constraint_set(self.cset, self.u_prev)  # raises the reference's error
             return NumericalError(f"compiled set recentring refused u_prev = {self.u_prev}, "
                                   "which update_constraint_set accepts")
         return NumericalError(f"non-finite iterate at iteration {failed}")

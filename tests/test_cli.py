@@ -583,6 +583,23 @@ class TestConfigValidation:
         assert main(["design", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "dt must be finite and positive, got inf" in capsys.readouterr().err
 
+    def test_unknown_plant_file_key_rejected(self, tmp_path, capsys):
+        save_plant_config(synthetic_plant(4, 4, 10.0, seed=0), str(tmp_path / "plant.cfg"))
+        with open(tmp_path / "plant.cfg", "a") as fh:
+            fh.write("rhoo = 5\n")
+        cfg = write_config(tmp_path, body=f"plant = {tmp_path / 'plant.cfg'}\n")
+        assert main(["design", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown config key 'rhoo' (did you mean 'rho'?)" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("value", ["2", "-1"])
+    def test_observer_dump_other_than_0_or_1_rejected(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, extra=f"observer_dump = {value}\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config key 'observer_dump' must be 0 or 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infinite_synthetic_kappa_rejected(self, tmp_path, capsys):
         # an infinite spread would design a rank-deficient plant
         cfg = write_config(tmp_path, extra="synthetic_kappa = inf\n")

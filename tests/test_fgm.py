@@ -583,6 +583,32 @@ class TestWorkspace:
         with pytest.raises(DimensionError, match="another QP"):
             solve(qp, q, cset, warm, workspace=fgm.Workspace(other))
 
+    @pytest.mark.parametrize("kernel_off", [False, True], ids=["kernel", "kernel-off"])
+    @pytest.mark.parametrize("bad", ["q", "cset size", "cset horizon", "warm"])
+    def test_inputs_of_another_size_refused_before_any_write(self, rng, monkeypatch, kernel_off, bad):
+        if kernel_off:
+            monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
+        qp, q, cset, warm = random_instance(rng, 2, saturated=True)
+        n_u = qp.n_u
+        inputs = {"q": q, "cset": cset, "warm": warm}
+        if bad == "q":
+            inputs["q"], message = q[:-1], r"linear term shape"
+        elif bad == "warm":
+            inputs["warm"], message = np.zeros(2 * n_u + 1), r"iterate shape"
+        else:
+            size, N = (n_u + 1, 2) if bad == "cset size" else (2 * n_u, 1)
+            inputs["cset"] = ConstraintSet(alpha=np.ones(size), rho=np.ones(size),
+                                           u_prev=np.zeros(size), N=N)
+            message = "constraint set does not match the QP dimensions"
+        workspace = fgm.Workspace(qp)
+        before = workspace.data.tobytes()
+        for ws in (workspace, None):
+            with pytest.raises(DimensionError, match=message):
+                solve(qp, inputs["q"], inputs["cset"], inputs["warm"], workspace=ws)
+        assert workspace.data.tobytes() == before
+        with pytest.raises(DimensionError, match=message):
+            converged_iterations(qp, inputs["q"], inputs["cset"], inputs["warm"], 1e-6)
+
 
 class TestExactExit:
     """An untimed compiled solve stops once two iterations in a row leave

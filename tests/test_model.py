@@ -229,6 +229,24 @@ class TestPlantConfigIO:
         with pytest.raises(ConfigError, match=message):
             load_plant_config(write_plant_file(tmp_path, text, rng.standard_normal((5, 5))))
 
+    @pytest.mark.parametrize("line, message", [
+        pytest.param("rhoo = 5", r"unknown config key 'rhoo' \(did you mean 'rho'\?\)", id="misspelled"),
+        pytest.param("horizon = 2", "unknown config key 'horizon'", id="run-config-key"),
+    ])
+    def test_unknown_key_refused_naming_the_closest(self, tmp_path, rng, line, message):
+        path = write_plant_file(tmp_path, TWO_BLOCKS + line + "\n", rng.standard_normal((5, 5)))
+        with pytest.raises(ConfigError, match=f"plant.cfg: {message}"):
+            load_plant_config(path)
+
+    @pytest.mark.parametrize("sizes, message", [
+        pytest.param("n_s = 5\nn_f = 0", r"a_f given for an empty block \(n_f = 0\)", id="a_f"),
+        pytest.param("n_s = 0\nn_f = 5", r"a_s given for an empty block \(n_s = 0\)", id="a_s"),
+    ])
+    def test_bandwidths_of_an_empty_block_refused(self, tmp_path, rng, sizes, message):
+        text = TWO_BLOCKS.replace("n_s = 3\nn_f = 2", sizes)
+        with pytest.raises(ConfigError, match=message):
+            load_plant_config(write_plant_file(tmp_path, text, rng.standard_normal((5, 5))))
+
     def test_save_writes_every_actuator_in_the_slow_block(self, tmp_path, mixed_plant):
         path = str(tmp_path / "plant.cfg")
         save_plant_config(mixed_plant, path)

@@ -440,10 +440,22 @@ class TestConstraintSetRecentring:
 
     @pytest.mark.parametrize("N", [1, 2])
     def test_recentring_keeps_the_empty_set_check(self, N):
-        # recentring skips update_constraint_set's amplitude check, not this one
-        cset = ConstraintSet(alpha=np.ones(3), rho=np.full(3, 0.1), u_prev=np.zeros(3), N=N)
+        # within the amplitude check's 1e-9, outside a one-point interval
+        cset = ConstraintSet(alpha=np.ones(3), rho=np.array([0.1, 0.0, 0.1]), u_prev=np.zeros(3), N=N)
         with pytest.raises(InfeasibleError, match=r"actuator\(s\) \[1\]"):
-            cset._recentred(np.array([0.0, 1.5, 0.0]))
+            update_constraint_set(cset, np.array([0.0, 1.0 + 5e-10, 0.0]))
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_set_keeps_a_copy_of_its_centre(self, N):
+        u = np.array([0.2, -0.3, 0.0])
+        first = ConstraintSet(alpha=np.ones(3), rho=np.full(3, 0.5), u_prev=u, N=N)
+        cset = update_constraint_set(first, u)
+        packed = cset._packed.copy()
+        u[:] = 0.9
+        for s in (first, cset):
+            assert s.u_prev.tolist() == [0.2, -0.3, 0.0]
+            assert not np.shares_memory(s.u_prev, u)
+        assert cset._packed.tobytes() == packed.tobytes() == first._packed.tobytes()
 
 class TestConstraintSetUpdates:
     def test_same_input_keeps_bounds(self, rng):

@@ -396,11 +396,11 @@ BIT_IDENTICAL_CASES = [(shape, kernel_off) for shape in sorted(BUFFER_PLANTS)
 
 def owned_arrays(ctrl):
     """The arrays an MpcController writes or hands to the solve per sample;
-    the dense path's estimates and q are new arrays each sample, the modal
-    path's live in its state array, its two q buffers and its set array,
-    which its context block points at."""
+    the dense path's estimates and q are new arrays each sample, and so is
+    the modal path's timed q, its estimates live in its state array and
+    its set array, which its context block points at."""
     st, ws = ctrl.observer, ctrl._workspace
-    modal = ((ctrl._modal_state, ctrl._y, *ctrl._q_buffers, ctrl._set, ctrl._context)
+    modal = ((ctrl._modal_state, ctrl._y, ctrl._set, ctrl._context)
              if ctrl.observer_form == "modal" else ())
     return [ctrl.alpha, ctrl.rho, ctrl.warm, ctrl.u_prev, st.x_hat, st.z_hat, st.d_hat,
             *modal, ws.data, ctrl.cset._packed, ctrl.cset.u_prev]
@@ -659,6 +659,30 @@ class TestCompiledRecentring:
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
         assert _controller_state(ctrl) == before
+
+
+@pytest.mark.skipif(fgm.solve_kernel() != "compiled", reason="needs the compiled kernel")
+@pytest.mark.parametrize("shape", ["4x4-n1", "8x8-n2"])
+def test_untimed_modal_samples_run_no_python_set_update_or_solve(monkeypatch, shape):
+    """mpc_step runs the whole untimed sample: no Python constraint set is
+    built or recentred and no Python solve runs, while a timed sample
+    still reaches them."""
+    b = BUFFER_PLANTS[shape]()
+    ctrl = b.mpc_controller(i_max=20)
+    assert ctrl.observer_form == "modal"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Python set update or solve ran")
+
+    monkeypatch.setattr(sim_module.qp, "update_constraint_set", refuse)
+    monkeypatch.setattr(sim_module.qp.ConstraintSet, "__post_init__", refuse)
+    monkeypatch.setattr(fgm, "solve", refuse)
+    monkeypatch.setattr(fgm.Workspace, "solve", refuse)
+    y = np.random.default_rng(9).normal(0.0, 2.0, (200, b.ss.n_y))
+    u = np.array([ctrl.step(y_k) for y_k in y])
+    assert np.any(np.abs(u) >= b.plant.alpha - 1e-12)  # the solve ran, and saturated
+    with pytest.raises(AssertionError, match="Python set update or solve ran"):
+        ctrl.step(y[0], timers={})
 
 
 @pytest.mark.parametrize("kernel_off", [False, True], ids=["kernel", "kernel-off"])
