@@ -46,6 +46,15 @@ SCHEMA_VERSION = 7
 # design had just written.
 LAMBDA_MIN_ROUNDING = 4
 
+# meta.txt's keys, as save_bundle writes them: the design record
+# (DesignBundle.meta), then _scalars.  The load refuses any other.
+META_KEYS = ("schema_version", "design_fingerprint", "weights_mode", "horizon", "q_min", "q_max",
+             "imc_lambda", "sigma_v", "sigma_w", "sigma_m", "modal_a", "modal_b", "riccati_form",
+             "delta_is_default", "dare_doublings", "dare_residual", "kalman_doublings",
+             "kalman_residual",
+             "n_y", "n_u", "dt", "mu", "lambda_min", "lambda_max", "beta", "kappa", "i_max_bound",
+             "epsilon", "delta", "hessian_form", "hessian_distinct_modes")
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DesignBundle:
@@ -325,8 +334,9 @@ def save_bundle(bundle: DesignBundle, directory) -> None:
 
 
 def load_bundle(directory, diagnose: bool = False) -> DesignBundle:
-    """Read a bundle written by `save_bundle`, checking its schema version
-    and the dtype and shape of every array, and rebuild the rest with the
+    """Read a bundle written by `save_bundle`, checking its schema version,
+    that meta.txt holds no key outside META_KEYS, and the dtype and shape
+    of every array, and rebuild the rest with the
     design's own last step (_assemble): the plant (a plant that a plant
     config would refuse fails the load), the target map, the condensed QP
     (on a one-bandwidth plant its J, from P, Q and R_w, must agree with the
@@ -339,13 +349,15 @@ def load_bundle(directory, diagnose: bool = False) -> DesignBundle:
     is not diagonal by mode (see observer.modal_record); with `diagnose`,
     as the check command loads, such a bundle is returned for run_checks to
     report instead."""
-    meta = fileio.read_kv(os.path.join(directory, "meta.txt"))
+    meta_path = os.path.join(directory, "meta.txt")
+    meta = fileio.read_kv(meta_path)
     version = meta.get("schema_version", "none")
     if version != str(SCHEMA_VERSION):
         raise ConfigError(
             f"{directory}: design bundle schema_version {version} is not {SCHEMA_VERSION}; "
             "design it again"
         )
+    fileio.reject_unknown_keys(meta_path, meta, META_KEYS)
     n_y, n_u, mu, horizon = (fileio.kv_get(meta, key, int) for key in ("n_y", "n_u", "mu", "horizon"))
     arrays = {name: _read_array(os.path.join(directory, f"{name}.npy"), shape)
               for name, shape in _array_shapes(n_y, n_u, mu).items()}

@@ -186,6 +186,9 @@ def _build_kernel():
                            check=True, capture_output=True, text=True, errors="replace",
                            timeout=_BUILD_TIMEOUT_S)
             kernel = ctypes.CDLL(library)
+            # one control sample per call: kept under the GIL, which it is
+            # too short to release and take back for
+            step = ctypes.PyDLL(library).mpc_step
         except subprocess.CalledProcessError as exc:
             lines = exc.stderr.strip().splitlines() or [f"exit status {exc.returncode}"]
             reason = next((line for line in lines if "error" in line), lines[0])
@@ -200,14 +203,13 @@ def _build_kernel():
     kernel.fgm_solve.argtypes = [_POINTER, _INT, _INT, _INT, ctypes.c_double, _INT, _POINTER,
                                  _POINTER, _INT]
     kernel.fgm_solve.restype = _INT
-    kernel.modal_linear_term.argtypes = [_POINTER, _POINTER]
-    kernel.modal_linear_term.restype = None
     kernel.modal_measure.argtypes = [_POINTER]
     kernel.modal_measure.restype = _INT
-    kernel.modal_observe.argtypes = [_POINTER]
-    kernel.modal_observe.restype = None
-    kernel.mpc_step.argtypes = [_POINTER]
-    kernel.mpc_step.restype = _INT
+    kernel.modal_observe.argtypes = [_POINTER, _POINTER]
+    kernel.modal_observe.restype = _INT
+    step.argtypes = [_POINTER, ctypes.c_char_p]  # y as bytes, passed without a copy
+    step.restype = _INT
+    kernel.mpc_step = step
     return kernel
 
 

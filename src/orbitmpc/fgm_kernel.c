@@ -4,7 +4,7 @@
  *
  * fgm.py states the iteration and builds this file with the system
  * compiler once per process; its numpy loop stays the reference and the
- * fallback.  Python calls five entry points through ctypes:
+ * fallback.  Python calls four entry points through ctypes:
  *
  *   fgm_solve          the whole loop (fgm.solve): warm-start projection,
  *                      then per iteration the gradient step, its
@@ -13,14 +13,18 @@
  *                      the iterate moved; an untimed solve stops once it
  *                      is a fixed point bit for bit, where the rest of
  *                      the budget would not change a bit;
- *   modal_measure      U^T y from a measurement, and its finiteness check;
- *   modal_linear_term  the QP's linear term from estimates kept by mode;
- *   modal_observe      the observer update of those estimates;
- *   mpc_step           one whole control sample: the measurement check,
- *                      the set recentring, the linear term, the solve,
- *                      u_prev and the observer update.
+ *   modal_measure      U^T y from the context's measurement, and its
+ *                      finiteness check;
+ *   modal_observe      the observer update of the estimates kept by mode
+ *                      and the next sample's linear term, committed only
+ *                      where both are finite;
+ *   mpc_step(ctx, y)   one whole control sample on the measurement y:
+ *                      the measurement check, the set recentring, the
+ *                      solve on the linear term the last sample formed,
+ *                      then the observer update and the next linear term,
+ *                      u_prev and the warm start, committed together.
  *
- * sim.MpcController runs the last four on one-bandwidth plants: mpc_step
+ * sim.MpcController runs the last three on one-bandwidth plants: mpc_step
  * on an untimed sample, the staged calls on a timed one (see sim.py).
  *
  * The gradient step t = W v - q / lambda_max, W = I - J / lambda_max,
@@ -337,11 +341,17 @@ static void lap(double *stage, int64_t *tic)
  * would otherwise clip an infinity to a bound.
  */
 int64_t fgm_solve(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, double beta,
-                  int64_t budget, const double *set, double *data, int64_t timed)
+                  int64_t budget, const double *set, double *data, int64_t timed);
+
+/* fgm_solve, leaving the last projected iterate in the scratch, where
+   *result points, and the workspace's iterate as it was. */
+static int64_t run(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, double beta,
+                   int64_t budget, const double *set, double *data, int64_t timed,
+                   const double **result)
 {
     const int64_t n = horizon * n_u;
     const double *q_scaled = data;
-    double *iterate = data + n;
+    const double *iterate = data + n;
     struct set s = {n_u, horizon, set, set + n, NULL, NULL, NULL, NULL};
     if (horizon == 2) {
         s.band = set + 2 * n;
@@ -386,9 +396,19 @@ int64_t fgm_solve(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, do
             break;
         was_unchanged = unchanged;
     }
-    memcpy(iterate, p, (size_t)n * sizeof *iterate);
     *iterations = (double)it;
+    *result = p;
     return -1;
+}
+
+int64_t fgm_solve(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, double beta,
+                  int64_t budget, const double *set, double *data, int64_t timed)
+{
+    const double *p;
+    const int64_t failed = run(w, n_k, n_u, horizon, beta, budget, set, data, timed, &p);
+    if (failed < 0)
+        memcpy(data + horizon * n_u, p, (size_t)(horizon * n_u) * sizeof *p);
+    return failed;
 }
 
 /* The context one controller builds once (see sim.MpcController) for the
@@ -400,10 +420,12 @@ int64_t fgm_solve(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, do
                                     and iteration budget
      lambda_max                     the largest eigenvalue of J
      data                           fgm_solve's workspace (fgm.Workspace)
-     set                            the controller's set array (fgm_solve)
+     set                            the controller's set array (fgm_solve),
+                                    followed by room for a copy of it
      alpha, rho                     n_u each, the amplitude and slew limits
      u_prev                         n_u, the input applied last
-     y                              n_y, the measurement */
+     y                              n_y, the measurement of a timed sample
+                                    (mpc_step takes its own) */
 struct context {
     const double *record;
     int64_t n_u, n_y, mu, horizon;
@@ -442,18 +464,38 @@ struct context {
      d       r           d~ = U^T d^
      s       n_y         tall plants only: (I - U U^T) s is d^'s part
                          outside range(U)
+     q       horizon n_u the linear term of these estimates, which the
+                         next sample solves with
+     next                the same five again: the observer update forms
+                         the new ones here before they replace these
      y~      r           scratch: U^T y
      u~      n_u         scratch: [V, V_perp]^T u
      dy      n_u         scratch: the delayed state's correction
      q~      horizon n_u scratch: the linear term by mode */
+/* Not restrict: `advance` checks and copies the whole block through x. */
+struct estimates {
+    double *x, *z, *d, *s, *q;
+};
+
 struct modal {
-    int64_t r;
+    int64_t r, block; /* block: the length of one struct estimates */
     const double *restrict w, *restrict wt, *restrict u, *restrict sigma, *restrict k_z,
         *restrict k_d, *restrict alpha, *restrict beta, *restrict powers, *restrict zeros;
     double a, b, k_0;
-    double *restrict x, *restrict z, *restrict d, *restrict s, *restrict yt, *restrict ut,
-        *restrict dy, *restrict qt;
+    struct estimates now, next;
+    double *restrict yt, *restrict ut, *restrict dy, *restrict qt;
 };
+
+static struct estimates estimates_at(double *base, const struct context *c, int64_t r)
+{
+    struct estimates e;
+    e.x = base;
+    e.z = e.x + c->n_u;
+    e.d = e.z + c->mu * c->n_u;
+    e.s = e.d + r;
+    e.q = e.s + (c->n_y > r ? c->n_y : 0);
+    return e;
+}
 
 static struct modal unpack(const struct context *c)
 {
@@ -473,83 +515,101 @@ static struct modal unpack(const struct context *c)
     m.b = m.powers[mu + 2];
     m.k_0 = m.powers[mu + 3];
     m.zeros = m.powers + mu + 4;
-    m.x = c->state;
-    m.z = m.x + n_u;
-    m.d = m.z + mu * n_u;
-    m.s = m.d + m.r;
-    m.yt = m.s + (n_y > m.r ? n_y : 0);
+    m.now = estimates_at(c->state, c, m.r);
+    m.block = m.now.q + c->horizon * n_u - m.now.x;
+    m.next = estimates_at(c->state + m.block, c, m.r);
+    m.yt = c->state + 2 * m.block;
     m.ut = m.yt + m.r;
     m.dy = m.ut + n_u;
     m.qt = m.dy + n_u;
     return m;
 }
 
-/* q = [V, V_perp] q~_s stage by stage, with q~_s = alpha_s x~ + beta_s d~
-   mode by mode (alpha_s x~ alone on the n_u - r modes outside
-   range(C^T)); `q` receives horizon n_u values, stage-major. */
-static void linear_term(const struct modal *m, const struct context *c, double *q)
+/* e->q = [V, V_perp] q~_s stage by stage, with q~_s = alpha_s x~ + beta_s
+   d~ from e's estimates mode by mode (alpha_s x~ alone on the n_u - r
+   modes outside range(C^T)); horizon n_u values, stage-major. */
+static void linear_term(const struct modal *m, const struct context *c, const struct estimates *e)
 {
     const int64_t n_u = c->n_u;
     for (int64_t s = 0; s < c->horizon; s++) {
         const double *alpha = m->alpha + s * n_u, *beta = m->beta + s * m->r;
         double *qt = m->qt + s * n_u;
         for (int64_t i = 0; i < m->r; i++)
-            qt[i] = alpha[i] * m->x[i] + beta[i] * m->d[i];
+            qt[i] = alpha[i] * e->x[i] + beta[i] * e->d[i];
         for (int64_t i = m->r; i < n_u; i++)
-            qt[i] = alpha[i] * m->x[i];
+            qt[i] = alpha[i] * e->x[i];
     }
     for (int64_t s = 0; s < c->horizon; s++)
-        gradient_step(m->wt, n_u, n_u, m->qt + s * n_u, m->zeros, q + s * n_u);
+        gradient_step(m->wt, n_u, n_u, m->qt + s * n_u, m->zeros, e->q + s * n_u);
 }
 
 /* y~ = U^T y.  Returns 0 where an entry of y~ is not finite: y has a
    non-finite entry, which makes every entry non-finite, or a finite y
    overflows in the product. */
-static int measure(const struct modal *m, const struct context *c)
+static int measure(const struct modal *m, const struct context *c, const double *y)
 {
-    gradient_step(m->u, c->n_y, m->r, c->y, m->zeros, m->yt);
+    gradient_step(m->u, c->n_y, m->r, y, m->zeros, m->yt);
     for (int64_t i = 0; i < m->r; i++)
         if (!isfinite(m->yt[i]))
             return 0;
     return 1;
 }
 
-/* The observer update after `measure`, observer.update_fast in the
-   coordinates of the state array: the innovation of mode i < r is
+/* The observer update with the input u after `measure`,
+   observer.update_fast in the coordinates of the state array, from the
+   estimates into the next block: the innovation of mode i < r is
    y~_i - sigma_i z~_mu,i - d~_i (z~_mu is x~ for mu = 0); it corrects
    d~_i by k_d,i times itself and, as dy_i = k_z,i times itself, the delay
-   chain and x~ through the powers of a, with u = u_prev:
+   chain and x~ through the powers of a:
 
        z~_(l+1) = z~_l + a^(mu-1-l) dy   (z~_0 = x~),
        x~       = a x~ + b [V, V_perp]^T u + a^mu dy.
 
    On a tall plant s becomes (1 - k_0) s + k_0 y. */
-static void observe(const struct modal *m, const struct context *c)
+static void observe(const struct modal *m, const struct context *c, const double *y,
+                    const double *u)
 {
     const int64_t n_u = c->n_u, n_y = c->n_y, mu = c->mu;
+    const struct estimates *e = &m->now, *next = &m->next;
     if (n_y > m->r)
         for (int64_t j = 0; j < n_y; j++)
-            m->s[j] = (1.0 - m->k_0) * m->s[j] + m->k_0 * c->y[j];
-    gradient_step(m->w, n_u, n_u, c->u_prev, m->zeros, m->ut);
-    const double *z_mu = mu ? m->z + (mu - 1) * n_u : m->x;
+            next->s[j] = (1.0 - m->k_0) * e->s[j] + m->k_0 * y[j];
+    gradient_step(m->w, n_u, n_u, u, m->zeros, m->ut);
+    const double *z_mu = mu ? e->z + (mu - 1) * n_u : e->x;
     for (int64_t i = 0; i < m->r; i++) {
-        const double innovation = m->yt[i] - m->sigma[i] * z_mu[i] - m->d[i];
+        const double innovation = m->yt[i] - m->sigma[i] * z_mu[i] - e->d[i];
         m->dy[i] = m->k_z[i] * innovation;
-        m->d[i] += m->k_d[i] * innovation;
+        next->d[i] = e->d[i] + m->k_d[i] * innovation;
     }
     for (int64_t i = m->r; i < n_u; i++)
         m->dy[i] = 0.0;
     for (int64_t l = mu - 1; l > 0; l--) {
-        double *z = m->z + l * n_u;
-        const double *prev = z - n_u, p = m->powers[1 + l];
+        const double p = m->powers[1 + l];
         for (int64_t i = 0; i < n_u; i++)
-            z[i] = prev[i] + p * m->dy[i];
+            next->z[l * n_u + i] = e->z[(l - 1) * n_u + i] + p * m->dy[i];
     }
     if (mu)
         for (int64_t i = 0; i < n_u; i++)
-            m->z[i] = m->x[i] + m->powers[1] * m->dy[i];
+            next->z[i] = e->x[i] + m->powers[1] * m->dy[i];
     for (int64_t i = 0; i < n_u; i++)
-        m->x[i] = m->a * m->x[i] + m->b * m->ut[i] + m->powers[0] * m->dy[i];
+        next->x[i] = m->a * e->x[i] + m->b * m->ut[i] + m->powers[0] * m->dy[i];
+}
+
+/* The observer update with u and y and the linear term of the new
+   estimates, both formed into the next block, replace the estimates and
+   their linear term only where every value is finite: a finite y whose
+   U^T y is finite can still overflow them.  Returns 0, with nothing
+   replaced, where one is not. */
+static int advance(const struct modal *m, const struct context *c, const double *y,
+                   const double *u)
+{
+    observe(m, c, y, u);
+    linear_term(m, c, &m->next);
+    for (int64_t i = 0; i < m->block; i++)
+        if (!isfinite(m->next.x[i]))
+            return 0;
+    memcpy(m->now.x, m->next.x, (size_t)m->block * sizeof *m->now.x);
+    return 1;
 }
 
 /* np.maximum and np.minimum as numpy's SIMD loops compute them: a NaN on
@@ -600,59 +660,63 @@ static int recentre(const struct context *c)
     return 1;
 }
 
-/* The linear term from the estimates into `q` (horizon n_u values). */
-void modal_linear_term(const struct context *c, double *q)
-{
-    const struct modal m = unpack(c);
-    linear_term(&m, c, q);
-}
-
-/* y~ = U^T y into the state array's scratch, which modal_observe reads;
-   returns 0, with no estimate written, where y~ is not finite. */
+/* y~ = U^T y of the context's y into the state array's scratch, which
+   modal_observe reads; returns 0, with no estimate written, where y~ is
+   not finite. */
 int64_t modal_measure(const struct context *c)
 {
     const struct modal m = unpack(c);
-    return measure(&m, c);
+    return measure(&m, c, c->y);
 }
 
-/* The observer update with u = u_prev and the y~ of modal_measure. */
-void modal_observe(const struct context *c)
+/* `advance` with the input u and the context's y after modal_measure:
+   returns 1, or 0 with the estimates and their linear term left as they
+   were. */
+int64_t modal_observe(const struct context *c, const double *u)
 {
     const struct modal m = unpack(c);
-    observe(&m, c);
+    return advance(&m, c, c->y, u);
 }
 
 #define MEASUREMENT_REFUSED (-2)
 #define SET_REFUSED (-3)
 
 /*
- * One whole control sample: the staged calls of sim.MpcController.step
- * in one.  y~ = U^T y first, then the set recentred on u_prev, the linear
- * term into the workspace, divided by lambda_max as fgm.Workspace
- * divides it, the untimed solve from the workspace's iterate, u_prev
- * = u_k (the iterate's first stage) and the observer update with u_k and
- * y.  Returns -1; or, with the estimates, u_prev and the iterate left as
- * they were, MEASUREMENT_REFUSED where y~ is not finite, SET_REFUSED where
- * recentre refuses u_prev, or the iteration whose gradient step has a
- * non-finite element (fgm_solve).
+ * One whole control sample on the measurement y (n_y values): the staged
+ * calls of sim.MpcController.step in one.  y~ = U^T y first, then the set
+ * recentred on u_prev, the linear term the last sample formed divided by
+ * lambda_max into the workspace, as fgm.Workspace divides it, the
+ * untimed solve from the workspace's iterate, and `advance` with u_k (the
+ * solution's first stage) and y; only then are u_prev and the iterate
+ * set to the solution.  Returns -1; or, with the estimates, their linear
+ * term, u_prev, the iterate and the set array left as they were,
+ * MEASUREMENT_REFUSED where y~, the new estimates or their linear term
+ * are not finite, SET_REFUSED where recentre refuses u_prev, or the
+ * iteration whose gradient step has a non-finite element (fgm_solve).
+ * The set array is restored from the copy kept after it.
  */
-int64_t mpc_step(const struct context *c)
+int64_t mpc_step(const struct context *c, const double *y)
 {
     const struct modal m = unpack(c);
-    const int64_t n = c->horizon * c->n_u;
-    if (!measure(&m, c))
+    const int64_t n = c->horizon * c->n_u, set_size = c->horizon == 1 ? 2 * n : 5 * n;
+    double *const saved = c->set + set_size;
+    if (!measure(&m, c, y))
         return MEASUREMENT_REFUSED;
+    memcpy(saved, c->set, (size_t)set_size * sizeof *saved);
     if (!recentre(c))
         return SET_REFUSED;
-    double *q_scaled = c->data;
-    linear_term(&m, c, q_scaled);
     for (int64_t i = 0; i < n; i++)
-        q_scaled[i] /= c->lambda_max;
-    const int64_t failed = fgm_solve(c->w, c->n_k, c->n_u, c->horizon, c->beta, c->budget,
-                                     c->set, c->data, 0);
-    if (failed >= 0)
+        c->data[i] = m.now.q[i] / c->lambda_max;
+    const double *p;
+    int64_t failed = run(c->w, c->n_k, c->n_u, c->horizon, c->beta, c->budget, c->set, c->data,
+                         0, &p);
+    if (failed < 0 && !advance(&m, c, y, p))
+        failed = MEASUREMENT_REFUSED;
+    if (failed != -1) {
+        memcpy(c->set, saved, (size_t)set_size * sizeof *saved);
         return failed;
-    memcpy(c->u_prev, c->data + n, (size_t)c->n_u * sizeof *c->u_prev);
-    observe(&m, c);
+    }
+    memcpy(c->data + n, p, (size_t)n * sizeof *p);
+    memcpy(c->u_prev, p, (size_t)c->n_u * sizeof *p);
     return -1;
 }

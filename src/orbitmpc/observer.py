@@ -20,7 +20,7 @@ U diag(k_d) U^T + k_0 (I - U U^T), and the linear-term maps (see
 design.modal_linear_term).  `ModalRecord` holds them by mode, checked
 against the dense maps, for the compiled kernel, which keeps the
 estimates in the coordinates x~ = [V, V_perp]^T x, z~ = [V, V_perp]^T z
-and d~ = U^T d (see `fgm_kernel.c`, modal_observe).  On a tall plant
+and d~ = U^T d (see `fgm_kernel.c`, observe).  On a tall plant
 (n_y > r) the part of d outside range(U) never reaches the inputs; the
 kernel carries it as s <- (1 - k_0) s + k_0 y, whose projection
 (I - U U^T) s it is exactly.
@@ -201,13 +201,24 @@ class ModalRecord:
 
     def _sizes(self) -> tuple[int, ...]:
         """Lengths of the state array's parts, in the kernel's order: x~, the
-        mu z~, d~, s (tall plants only), and the scratch U^T y, u~, dy, q~."""
+        mu z~, d~, s (tall plants only) and their linear term q, the same
+        five again for the update to form, and the scratch U^T y, u~, dy,
+        q~."""
         n_u, n_y, r = self.n_u, self.n_y, self.sigma.shape[0]
-        return (n_u, self.mu * n_u, r, n_y if n_y > r else 0, r, n_u, n_u, self.N * n_u)
+        estimates = (n_u, self.mu * n_u, r, n_y if n_y > r else 0, self.N * n_u)
+        return (*estimates, *estimates, r, n_u, n_u, self.N * n_u)
 
     def new_state(self) -> np.ndarray:
-        """A zero state array: every estimate of a quiescent beam."""
+        """A zero state array: every estimate of a quiescent beam, and their
+        linear term, which is zero too."""
         return np.zeros(sum(self._sizes()))
+
+    def linear_term(self, state: np.ndarray) -> np.ndarray:
+        """The linear term of the estimates of `state`, which the next
+        sample solves with: a view of `state`."""
+        sizes = self._sizes()
+        start = sum(sizes[:4])
+        return state[start:start + sizes[4]]
 
     def plant_estimates(self, state: np.ndarray, initial: ObserverState) -> ObserverState:
         """The estimates of `state` in plant coordinates, as `initial` (a

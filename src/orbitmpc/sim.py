@@ -32,6 +32,7 @@ from .model import PlantConfig, StateSpace, build_state_space
 from .observer import ModalRecord, ObserverState, update_fast
 
 DISTURBANCE_KINDS = ("white", "random_walk", "sinusoid_mix", "file")
+_FLOAT64 = np.dtype(np.float64)  # numpy's one native float64 descriptor
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -245,17 +246,23 @@ class MpcController:
     estimates are kept by mode in one state array (`observer_form`
     'modal'); `observer` forms the plant-coordinate estimates when read.
     A sample then runs in the kernel, in one of two ways that share one
-    state: the estimates, `u_prev`, and the warm start `warm`, which is
-    the workspace's iterate.
+    state: the estimates with the linear term the next sample solves
+    with, `u_prev`, and the warm start `warm`, which is the workspace's
+    iterate.
       - Without `timers`, one call of its `mpc_step` runs the whole
         sample on a context block built here, recentring the
-        controller's own set array.
+        controller's own set array.  In Python that is a test that y is
+        a native float64 ndarray of shape (n_y,) (anything else goes
+        through `checked_measurement`, which accepts or refuses it),
+        the call with y's bytes, and a copy of the applied input.
       - With `timers`, the staged calls: modal_measure (U^T y, checked
-        first), modal_linear_term into a new q, `update_constraint_set`,
+        first), a copy of the linear term, `update_constraint_set`,
         `fgm.solve` and modal_observe, each timed (the benchmark's
         tracer also wraps and re-solves `fgm.solve`).
     Both give the same bytes, which agree with the dense reference
-    functions to rounding; both refuse a y whose U^T y is not finite.
+    functions to rounding.  Both refuse a y whose U^T y is not finite
+    before the solve, and one whose new estimates or next linear term
+    are not finite after it.
     Otherwise (`observer_form` 'dense') each sample calls the reference
     functions themselves (`update_constraint_set`, `fgm.solve`,
     `update_fast` and `linear_term`), each of which returns new arrays,
@@ -294,9 +301,12 @@ class MpcController:
                 raise DimensionError("modal record does not match the plant and QP dimensions")
             self._initial = ObserverState.initial(ss, gain)  # checks the gain, as reset does
             self._modal_state = modes.new_state()
+            self._q = modes.linear_term(self._modal_state)
             self.u_prev, self._y = np.zeros(ss.n_u), np.empty(ss.n_y)
-            # u_prev-free entries (stage-1 box, finite-alpha band, rho) stay as set here
-            self._set = self._cset0._packed.copy()
+            # the set array, then room for mpc_step's copy of it; the entries
+            # free of u_prev (stage-1 box, finite-alpha band, rho) stay as set here
+            packed = self._cset0._packed
+            self._set = np.concatenate([packed, packed])[:packed.size]
             ws = self._workspace
             self._context = fgm.step_context(
                 record=modes.packed, n_u=ss.n_u, n_y=ss.n_y, mu=ss.mu, horizon=condensed.N,
@@ -306,7 +316,6 @@ class MpcController:
             address = self._context.ctypes.data
             self._mpc_step = functools.partial(kernel.mpc_step, address)
             self._modal_measure = functools.partial(kernel.modal_measure, address)
-            self._modal_linear_term = functools.partial(kernel.modal_linear_term, address)
             self._modal_observe = functools.partial(kernel.modal_observe, address)
         self.reset()
 
@@ -345,9 +354,9 @@ class MpcController:
 
     def step(self, y_k: np.ndarray, timers: dict | None = None) -> np.ndarray:
         if timers is None and self._modes is not None:
-            y_k = checked_measurement(y_k, self.ss.n_y, finite=False)  # mpc_step checks finiteness
-            np.copyto(self._y, y_k)
-            failed = self._mpc_step()
+            if not (type(y_k) is np.ndarray and y_k.dtype is _FLOAT64 and y_k.shape == self._y.shape):
+                y_k = checked_measurement(y_k, self.ss.n_y, finite=False)  # accepts or refuses the rest
+            failed = self._mpc_step(y_k.tobytes())  # which checks finiteness
             if failed != -1:
                 raise self._refusal(failed, y_k)
             return self.u_prev.copy()
@@ -360,8 +369,8 @@ class MpcController:
             if not self._modal_measure():
                 raise _overflowing_measurement(y_k)
             tic = fgm._add_ns(timers, "observer", tic)
-            q_vec = np.empty(self.qp.N * self.ss.n_u)
-            self._modal_linear_term(fgm._address(q_vec))
+            q_vec = self._q.copy()  # formed with the estimates; the observe below overwrites it
+            warm = self.warm.copy()  # the workspace's iterate, which the solve overwrites
         if timers is not None:
             tic = fgm._add_ns(timers, "q_update", tic)
         cset = qp.update_constraint_set(self.cset, self.u_prev)
@@ -386,11 +395,13 @@ class MpcController:
                 raise _overflowing_measurement(y_k)
             self._observer, self._q, self.u_prev = observer, q_next, u_k
             np.copyto(self.warm, u_plan)
-        else:
-            np.copyto(self.u_prev, u_k)
-            self._modal_observe()
+        else:  # the new estimates and the next linear term, kept only where finite
+            if not self._modal_observe(fgm._address(u_k)):
+                np.copyto(self.warm, warm)
+                raise _overflowing_measurement(y_k)
             if timers is not None:
                 fgm._add_ns(timers, "observer", tic)
+            np.copyto(self.u_prev, u_k)
             self.warm = u_plan
         self.cset = cset
         return u_k

@@ -18,6 +18,7 @@ from orbitmpc import (
     save_bundle,
     synthetic_plant,
 )
+from orbitmpc.bundle import META_KEYS
 from orbitmpc.fileio import read_kv, write_kv
 from orbitmpc.observer import MODAL_RECORD_TOLERANCE, Q_MAP_D_ROUNDING
 
@@ -175,6 +176,29 @@ def test_edited_iteration_bookkeeping_names_the_key(saved, key, value):
     edit_meta(saved, **{key: value})
     with pytest.raises(ConfigError, match=rf"(?i){re.escape(str(saved))}: .*\b{key}\b"):
         load_bundle(saved)
+
+
+@pytest.mark.parametrize("plant, horizon", [
+    pytest.param(wide_plant(2), 2, id="wide-2"),
+    pytest.param(mixed_plant(), 1, id="mixed-1"),
+    pytest.param(tall_plant(), 2, id="tall-2"),
+])
+def test_meta_txt_holds_exactly_the_known_keys(tmp_path, plant, horizon):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # tall: least-squares target
+        save_bundle(design_controller(plant, horizon), tmp_path)
+    assert sorted(read_kv(tmp_path / "meta.txt")) == sorted(META_KEYS)
+
+
+def test_unknown_meta_key_refused_naming_the_nearest(tmp_path):
+    # a misspelled key is refused, not ignored
+    save_bundle(design_controller(synthetic_plant(4, 4, 50.0, seed=5, mu=3), horizon=1), tmp_path)
+    with open(tmp_path / "meta.txt", "a") as meta:
+        meta.write("epsilonn = 5\n")
+    refusal = (rf"{re.escape(str(tmp_path / 'meta.txt'))}: unknown config key 'epsilonn' "
+               r"\(did you mean 'epsilon'\?\)")
+    with pytest.raises(ConfigError, match=refusal):
+        load_bundle(tmp_path)
 
 
 def test_zero_delta_round_trips(tmp_path):

@@ -548,8 +548,9 @@ class TestModalController:
 
 def _controller_state(ctrl):
     """The bytes of what a sample reads from the last one: the warm start,
-    u_prev, the set array(s) and the estimates."""
-    state = {"warm": ctrl.warm, "u_prev": ctrl.u_prev, "cset": ctrl.cset._packed}
+    u_prev, the set array(s), the estimates and the linear term formed
+    with them."""
+    state = {"warm": ctrl.warm, "u_prev": ctrl.u_prev, "cset": ctrl.cset._packed, "q": ctrl._q}
     if ctrl.observer_form == "modal":
         state["set"] = ctrl._set
     for name in ("x_hat", "z_hat", "d_hat"):
@@ -745,9 +746,91 @@ class TestMeasurementChecks:
             simulate(b.plant, ctrl, DisturbanceSpec(sigma=0.0), 20)
 
 
+class _Measurement(np.ndarray):
+    """An ndarray subclass, which the untimed modal path's fast check
+    hands to checked_measurement."""
+
+
+def _measurement_forms(n_y):
+    """name -> (a measurement of n_y monitors in that form, whether
+    checked_measurement accepts it)."""
+    y = np.random.default_rng(3).normal(0.0, 1.0, n_y)
+    read_only = y.copy()
+    read_only.flags.writeable = False
+    return {
+        "list": (list(y), True),
+        "float32": (y.astype(np.float32), False),
+        "big-endian": (y.astype(">f8"), False),
+        "column": (y.reshape(n_y, 1), False),
+        "0-d": (np.array(y[0]), False),
+        "strided": (np.arange(2.0 * n_y)[::2], True),
+        "read-only": (read_only, True),
+        "subclass": (y.view(_Measurement), True),
+    }
+
+
+@pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
+@pytest.mark.parametrize("form", sorted(_measurement_forms(8)))
+def test_measurement_forms_accepted_or_refused_as_checked_measurement_does(form, timed):
+    """Each form is accepted with the bytes of the float64 array it holds,
+    or refused with checked_measurement's error, state unchanged."""
+    b = BUFFER_PLANTS["8x8-n2"]()
+    y, accepted = _measurement_forms(b.ss.n_y)[form]
+    ctrl, twin = b.mpc_controller(i_max=20), b.mpc_controller(i_max=20)
+    assert ctrl.observer_form == ("modal" if fgm.solve_kernel() == "compiled" else "dense")
+    for y_k in np.random.default_rng(4).normal(0.0, 1.0, (5, b.ss.n_y)):
+        ctrl.step(y_k)
+        twin.step(y_k)
+    timers = {} if timed else None
+    if accepted:
+        want = twin.step(np.array(y, dtype=np.float64), timers=timers)
+        assert ctrl.step(y, timers=timers).tobytes() == want.tobytes()
+        assert _controller_state(ctrl) == _controller_state(twin)
+        return
+    with pytest.raises(DimensionError) as want:
+        sim_module.checked_measurement(y, b.ss.n_y)
+    before = _controller_state(ctrl)
+    with pytest.raises(DimensionError) as got:
+        ctrl.step(y, timers=timers)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert _controller_state(ctrl) == before
+
+
 # the modal path, and the dense one without and with the compiled kernel
 OVERFLOW_CASES = {"8x8-n2": ("8x8-n2", False), "8x8-n2-kernel-off": ("8x8-n2", True),
                   "6x6-n2-mixed": ("6x6-n2-mixed", False)}
+
+
+def _refused_overflow(monkeypatch, case, timed, estimates):
+    """Steps a controller of OVERFLOW_CASES[case] five samples, asserts
+    that an overflowing y is refused with the controller left as it was,
+    and that the next sample runs as if it had not come.  y is 1.7e308 on
+    every monitor, whose U^T y overflows, or with `estimates` 1e307 on
+    monitor 0, whose U^T y is finite."""
+    shape, kernel_off = OVERFLOW_CASES[case]
+    if kernel_off:
+        monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
+    b = BUFFER_PLANTS[shape]()
+    ctrl, clean = b.mpc_controller(i_max=20), b.mpc_controller(i_max=20)
+    modal = shape == "8x8-n2" and not kernel_off and fgm.solve_kernel() == "compiled"
+    assert ctrl.observer_form == ("modal" if modal else "dense")
+    if estimates:
+        y, largest = np.zeros(b.ss.n_y), r"1e\+307"
+        y[0] = 1e307
+        assert np.all(np.isfinite(b.basis.U.T @ y))
+    else:
+        y, largest = np.full(b.ss.n_y, 1.7e308), r"1.7e\+308"
+    ys = np.random.default_rng(9).normal(0.0, 1.0, (6, b.ss.n_y))
+    for y_k in ys[:5]:
+        ctrl.step(y_k)
+        clean.step(y_k)
+    before = _controller_state(ctrl)
+    refusal = rf"measurement overflows the observer update \(largest \|y\| {largest}\)"
+    with pytest.raises(NumericalError, match=refusal):
+        ctrl.step(y, timers={} if timed else None)
+    assert _controller_state(ctrl) == before
+    assert ctrl.step(ys[5]).tobytes() == clean.step(ys[5]).tobytes()
 
 
 @pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
@@ -756,24 +839,17 @@ def test_overflowing_measurement_refused_before_any_state_changes(monkeypatch, c
     """A finite measurement whose modal projection U^T y (modal path) or
     next linear term (dense path) overflows is refused at its own sample,
     with the controller left as it was."""
-    shape, kernel_off = OVERFLOW_CASES[case]
-    if kernel_off:
-        monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
-    b = BUFFER_PLANTS[shape]()
-    ctrl, clean = b.mpc_controller(i_max=20), b.mpc_controller(i_max=20)
-    modal = shape == "8x8-n2" and not kernel_off and fgm.solve_kernel() == "compiled"
-    assert ctrl.observer_form == ("modal" if modal else "dense")
-    ys = np.random.default_rng(9).normal(0.0, 1.0, (6, b.ss.n_y))
-    for y in ys[:5]:
-        ctrl.step(y)
-        clean.step(y)
-    before = _controller_state(ctrl)
-    refusal = r"measurement overflows the observer update \(largest \|y\| 1.7e\+308\)"
-    with pytest.raises(NumericalError, match=refusal):
-        ctrl.step(np.full(b.ss.n_y, 1.7e308), timers={} if timed else None)
-    assert _controller_state(ctrl) == before
-    # the next sample runs as if the refused one had not come
-    assert ctrl.step(ys[5]).tobytes() == clean.step(ys[5]).tobytes()
+    _refused_overflow(monkeypatch, case, timed, estimates=False)
+
+
+@pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_measurement_overflowing_the_estimates_refused(monkeypatch, case, timed):
+    """A finite measurement whose U^T y is finite, but whose new estimates
+    or the next linear term they give overflow, is refused at its own
+    sample too: on the modal path after the solve, with the estimates,
+    the linear term, u_prev, the warm start and the set array kept."""
+    _refused_overflow(monkeypatch, case, timed, estimates=True)
 
 
 class TestSimulateChecksTheControllerOutput:
