@@ -29,8 +29,9 @@ It also holds the per-mode observer update and linear term that
 `sim.MpcController` runs on one-bandwidth plants (see observer.ModalRecord),
 and `mpc_step`, which runs a whole control sample of that path in one
 call: the controller's untimed samples run it, and its timed ones (with
-`timers`) the staged calls, this module's `solve` among them, so that the
-benchmark's tracer can time and re-solve each stage.
+`timers`) the staged calls, this module's `solve` among them and the
+kernel's `modal_observe(ctx, y, u)` last, so that the benchmark's tracer
+can time and re-solve each stage.
 It is built with the system compiler (`$CC`, else `cc`) once per process,
 into a temporary directory removed once `ctypes` has loaded it:
 `sim.MpcController` builds it while it is set up, so no control sample
@@ -158,7 +159,7 @@ STEP_CONTEXT = np.dtype([("record", np.uintp), ("n_u", np.int64), ("n_y", np.int
                          ("w", np.uintp), ("n_k", np.int64), ("beta", np.float64),
                          ("budget", np.int64), ("lambda_max", np.float64), ("data", np.uintp),
                          ("set", np.uintp), ("alpha", np.uintp), ("rho", np.uintp),
-                         ("u_prev", np.uintp), ("y", np.uintp)], align=True)
+                         ("u_prev", np.uintp)], align=True)
 # mpc_step's refusals; a result >= 0 is fgm_solve's failing iteration
 MEASUREMENT_REFUSED, SET_REFUSED = -2, -3
 
@@ -203,11 +204,10 @@ def _build_kernel():
     kernel.fgm_solve.argtypes = [_POINTER, _INT, _INT, _INT, ctypes.c_double, _INT, _POINTER,
                                  _POINTER, _INT]
     kernel.fgm_solve.restype = _INT
-    kernel.modal_measure.argtypes = [_POINTER]
-    kernel.modal_measure.restype = _INT
-    kernel.modal_observe.argtypes = [_POINTER, _POINTER]
+    # y as bytes, passed without a copy
+    kernel.modal_observe.argtypes = [_POINTER, ctypes.c_char_p, _POINTER]
     kernel.modal_observe.restype = _INT
-    step.argtypes = [_POINTER, ctypes.c_char_p]  # y as bytes, passed without a copy
+    step.argtypes = [_POINTER, ctypes.c_char_p]
     step.restype = _INT
     kernel.mpc_step = step
     return kernel

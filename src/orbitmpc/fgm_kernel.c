@@ -4,7 +4,7 @@
  *
  * fgm.py states the iteration and builds this file with the system
  * compiler once per process; its numpy loop stays the reference and the
- * fallback.  Python calls four entry points through ctypes:
+ * fallback.  Python calls three entry points through ctypes:
  *
  *   fgm_solve          the whole loop (fgm.solve): warm-start projection,
  *                      then per iteration the gradient step, its
@@ -13,19 +13,20 @@
  *                      the iterate moved; an untimed solve stops once it
  *                      is a fixed point bit for bit, where the rest of
  *                      the budget would not change a bit;
- *   modal_measure      U^T y from the context's measurement, and its
- *                      finiteness check;
- *   modal_observe      the observer update of the estimates kept by mode
- *                      and the next sample's linear term, committed only
- *                      where both are finite;
+ *   modal_observe(ctx, y, u)
+ *                      U^T y and its finiteness check, then the observer
+ *                      update of the estimates kept by mode with y and
+ *                      the input u and the next sample's linear term,
+ *                      committed only where both are finite;
  *   mpc_step(ctx, y)   one whole control sample on the measurement y:
  *                      the measurement check, the set recentring, the
  *                      solve on the linear term the last sample formed,
  *                      then the observer update and the next linear term,
  *                      u_prev and the warm start, committed together.
  *
- * sim.MpcController runs the last three on one-bandwidth plants: mpc_step
- * on an untimed sample, the staged calls on a timed one (see sim.py).
+ * sim.MpcController runs the last two on one-bandwidth plants: mpc_step
+ * on an untimed sample, modal_observe after the staged set update and
+ * fgm_solve on a timed one (see sim.py).
  *
  * The gradient step t = W v - q / lambda_max, W = I - J / lambda_max,
  * takes one of two forms.
@@ -53,8 +54,8 @@
  * On one-bandwidth plants the observer's estimates are kept by mode (see
  * observer.ModalRecord).  The three products of the observer and the
  * linear term, U^T y, [V, V_perp]^T u and [V, V_perp] q~, run the dense
- * gradient step's sweep; the rest is elementwise by mode.  All three
- * modal entry points read one context block (struct context) that the
+ * gradient step's sweep; the rest is elementwise by mode.  Both modal
+ * entry points read one context block (struct context) that the
  * controller builds once.
  *
  * Build with -ffp-contract=off and without -ffast-math: every operation
@@ -255,12 +256,24 @@ static inline double clip(double x, double lo, double hi)
     return x > hi ? hi : x;
 }
 
+/* np.maximum and np.minimum as numpy's SIMD loops compute them: a NaN on
+   either side is the result, and where the two compare equal the second
+   is (np.maximum(-0.0, 0.0) is 0.0). */
+static inline double np_max(double a, double b)
+{
+    return isnan(a) || a > b ? a : b;
+}
+
+static inline double np_min(double a, double b)
+{
+    return isnan(a) || a < b ? a : b;
+}
+
 /* The constraint set as qp.ConstraintSet holds it: box bounds of the
-   stacked iterate and, for N = 2, the band half-widths, rho and the u0
-   limits [lower; upper] of the segments u1 = u0 + rho and u1 = u0 - rho. */
+   stacked iterate and, for N = 2, the band half-widths and rho. */
 struct set {
     int64_t n_u, horizon;
-    const double *lower, *upper, *band, *rho, *seg_up, *seg_down;
+    const double *lower, *upper, *band, *rho;
 };
 
 static void project(const struct set *s, const double *t, double *out)
@@ -271,19 +284,23 @@ static void project(const struct set *s, const double *t, double *out)
             out[i] = clip(t[i], s->lower[i], s->upper[i]);
         return;
     }
-    /* qp._project_stacked, one actuator's pair at a time */
+    /* qp._project_stacked, one actuator's pair at a time; alpha is the
+       stage-1 upper bound */
     for (int64_t i = 0; i < n; i++) {
-        double u0 = clip(t[i], s->lower[i], s->upper[i]);
-        double u1 = clip(t[n + i], s->lower[n + i], s->upper[n + i]);
+        const double lo = s->lower[i], hi = s->upper[i], alpha = s->upper[n + i];
+        double u0 = clip(t[i], lo, hi);
+        double u1 = clip(t[n + i], s->lower[n + i], alpha);
         const double gap = u1 - u0;
         if (fabs(gap) > s->band[i]) {
-            const double *seg = signbit(gap) ? s->seg_down : s->seg_up;
-            const double shift = copysign(s->rho[i], gap);
+            const double rho = s->rho[i], shift = copysign(rho, gap);
             double s0 = t[i] + t[n + i];
             s0 -= shift;
             s0 *= 0.5;
-            u0 = clip(s0, seg[i], seg[n + i]);
-            u1 = clip(u0 + shift, s->lower[n + i], s->upper[n + i]);
+            if (signbit(gap))
+                u0 = clip(s0, np_max(lo, rho - alpha), hi);
+            else
+                u0 = clip(s0, lo, np_min(hi, alpha - rho));
+            u1 = clip(u0 + shift, s->lower[n + i], alpha);
         }
         out[i] = u0;
         out[n + i] = u1;
@@ -311,9 +328,8 @@ static void lap(double *stage, int64_t *tic)
  * n columns; otherwise it is the factored form over n_k modes, laid out
  * as factored_step_h states.  `set` is the array qp.ConstraintSet packs:
  *
- *   lower, upper      n each the box bounds of the stacked iterate
- *   band, rho         n_u each                   (horizon 2 only)
- *   seg_up, seg_down  2 n_u each, [lower; upper] (horizon 2 only)
+ *   lower, upper      n each     the box bounds of the stacked iterate
+ *   band, rho         n_u each   (horizon 2 only)
  *
  * `data` is the caller's workspace; it holds, in order:
  *
@@ -352,12 +368,10 @@ static int64_t run(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, d
     const int64_t n = horizon * n_u;
     const double *q_scaled = data;
     const double *iterate = data + n;
-    struct set s = {n_u, horizon, set, set + n, NULL, NULL, NULL, NULL};
+    struct set s = {n_u, horizon, set, set + n, NULL, NULL};
     if (horizon == 2) {
         s.band = set + 2 * n;
         s.rho = s.band + n_u;
-        s.seg_up = s.rho + n_u;
-        s.seg_down = s.seg_up + 2 * n_u;
     }
     double *stage_ns = data + 2 * n, *iterations = stage_ns + 3;
     double *p = iterations + 1, *p_new = p + n, *v = p + 2 * n, *t = p + 3 * n;
@@ -423,9 +437,7 @@ int64_t fgm_solve(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, do
      set                            the controller's set array (fgm_solve),
                                     followed by room for a copy of it
      alpha, rho                     n_u each, the amplitude and slew limits
-     u_prev                         n_u, the input applied last
-     y                              n_y, the measurement of a timed sample
-                                    (mpc_step takes its own) */
+     u_prev                         n_u, the input applied last */
 struct context {
     const double *record;
     int64_t n_u, n_y, mu, horizon;
@@ -438,7 +450,6 @@ struct context {
     double *data, *set;
     const double *alpha, *rho;
     double *u_prev;
-    const double *y;
 };
 
 /* The record observer.ModalRecord packs, for n_u inputs, n_y outputs,
@@ -612,27 +623,14 @@ static int advance(const struct modal *m, const struct context *c, const double 
     return 1;
 }
 
-/* np.maximum and np.minimum as numpy's SIMD loops compute them: a NaN on
-   either side is the result, and where the two compare equal the second
-   is (np.maximum(-0.0, 0.0) is 0.0). */
-static inline double np_max(double a, double b)
-{
-    return isnan(a) || a > b ? a : b;
-}
-
-static inline double np_min(double a, double b)
-{
-    return isnan(a) || a < b ? a : b;
-}
-
 /* qp.update_constraint_set on the set array, recentred on u = u_prev:
    |u| - alpha <= 1e-9 and a non-empty stage-0 interval [max(-alpha,
    u - rho), min(alpha, u + rho)] are checked first, then what
    ConstraintSet._centre writes is written: the interval, and for
-   horizon 2 the band half-width where alpha is infinite and the segment
-   limits.  The entries that do not depend on u (the stage-1 box, the
-   other band half-widths and rho) are the caller's.  Returns 0, with
-   nothing written, where a check fails. */
+   horizon 2 the band half-width where alpha is infinite.  The entries
+   that do not depend on u (the stage-1 box, the other band half-widths
+   and rho) are the caller's.  Returns 0, with nothing written, where a
+   check fails. */
 static int recentre(const struct context *c)
 {
     const int64_t n = c->n_u;
@@ -647,35 +645,21 @@ static int recentre(const struct context *c)
         hi[i] = np_min(alpha[i], u[i] + rho[i]);
     }
     if (c->horizon == 2) {
-        double *band = c->set + 4 * n, *seg_up = c->set + 6 * n, *seg_down = c->set + 8 * n;
-        for (int64_t i = 0; i < n; i++) {
+        double *band = c->set + 4 * n;
+        for (int64_t i = 0; i < n; i++)
             if (isinf(alpha[i]))
                 band[i] = rho[i] + 1e-12 * (1.0 + (fabs(u[i]) + 2.0 * rho[i]) + rho[i]);
-            seg_up[i] = lo[i];
-            seg_up[n + i] = np_min(hi[i], alpha[i] - rho[i]);
-            seg_down[i] = np_max(lo[i], rho[i] - alpha[i]);
-            seg_down[n + i] = hi[i];
-        }
     }
     return 1;
 }
 
-/* y~ = U^T y of the context's y into the state array's scratch, which
-   modal_observe reads; returns 0, with no estimate written, where y~ is
-   not finite. */
-int64_t modal_measure(const struct context *c)
-{
-    const struct modal m = unpack(c);
-    return measure(&m, c, c->y);
-}
-
-/* `advance` with the input u and the context's y after modal_measure:
+/* `measure` of y (n_y values), then `advance` with y and the input u:
    returns 1, or 0 with the estimates and their linear term left as they
    were. */
-int64_t modal_observe(const struct context *c, const double *u)
+int64_t modal_observe(const struct context *c, const double *y, const double *u)
 {
     const struct modal m = unpack(c);
-    return advance(&m, c, c->y, u);
+    return measure(&m, c, y) && advance(&m, c, y, u);
 }
 
 #define MEASUREMENT_REFUSED (-2)
@@ -698,7 +682,7 @@ int64_t modal_observe(const struct context *c, const double *u)
 int64_t mpc_step(const struct context *c, const double *y)
 {
     const struct modal m = unpack(c);
-    const int64_t n = c->horizon * c->n_u, set_size = c->horizon == 1 ? 2 * n : 5 * n;
+    const int64_t n = c->horizon * c->n_u, set_size = c->horizon == 1 ? 2 * n : 3 * n;
     double *const saved = c->set + set_size;
     if (!measure(&m, c, y))
         return MEASUREMENT_REFUSED;

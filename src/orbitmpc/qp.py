@@ -313,19 +313,15 @@ class ConstraintSet:
     |u1 - u0| <= rho and |u1| <= alpha.  The set is laid out stage-major:
     a horizon-N iterate stacks N blocks of n_u entries.
 
-    Everything the projection needs is computed here, once per set, into
+    The data the projection reads is computed here, once per set, into
     one array, `_packed`, in the layout `fgm_kernel.c` reads: the box
     bounds of the stacked iterate, lower then upper (stage-0 interval, and
     [-alpha, alpha] for stage 1), and for N = 2 the widened band
-    half-width, rho, and the u0 limits [lower; upper] of the segments
-    u1 = u0 + rho and u1 = u0 - rho inside the box: [lo, min(hi, alpha -
-    rho)] and [max(lo, rho - alpha), hi].  Their other two limits, -alpha
-    - rho and alpha + rho, never bind, since fl(-alpha - rho) <= -alpha <=
-    lo and hi <= alpha <= fl(alpha + rho).  `_lower`, `_upper`, `_band`
-    and `_segments` are views of it, and nothing writes it after the set
-    is built.  The set keeps a copy of the u_prev it is given.  A set
-    whose stage-0 interval is empty or NaN for some actuator cannot be
-    built, so the projections and the diameter take feasibility as given.
+    half-width and rho, 6 n_u values.  `_lower`, `_upper` and `_band` are
+    views of it, and nothing writes it after the set is built.  The set
+    keeps a copy of the u_prev it is given.  A set whose stage-0 interval
+    is empty or NaN for some actuator cannot be built, so the projections
+    and the diameter take feasibility as given.
 
     `update_constraint_set` recentres a set on a new input in a copy of
     its array, whose stage-1 box, finite-alpha band half-widths and rho
@@ -340,10 +336,8 @@ class ConstraintSet:
     _packed: np.ndarray = dataclasses.field(init=False, repr=False)
     _lower: np.ndarray = dataclasses.field(init=False, repr=False)
     _upper: np.ndarray = dataclasses.field(init=False, repr=False)
-    # N = 2 only: rho + tolerance, and per band side (+rho, -rho) the
-    # (2, n_u) u0 limits [lower; upper] of that side's segment inside the box
+    # N = 2 only: rho + tolerance
     _band: np.ndarray | None = dataclasses.field(init=False, repr=False)
-    _segments: tuple | None = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
@@ -354,7 +348,7 @@ class ConstraintSet:
         if not (alpha.shape == rho.shape == u_prev.shape) or alpha.ndim != 1:
             raise DimensionError("alpha, rho, u_prev must share one shape")
         n = alpha.shape[0]
-        packed = np.zeros(2 * n if self.N == 1 else 10 * n)
+        packed = np.zeros(2 * n if self.N == 1 else 6 * n)
         if self.N == 2:
             packed[n:2 * n] = -alpha
             packed[3 * n:4 * n] = alpha
@@ -379,21 +373,15 @@ class ConstraintSet:
                 f"empty stage set for actuator(s) {bad.tolist()}: "
                 "|u_prev| exceeds alpha + rho, or a limit or u_prev is NaN"
             )
-        band = segments = None
+        band = None
         if self.N == 2:
             band = packed[4 * n:5 * n]
             infinite = np.isinf(alpha)
             if np.count_nonzero(infinite):  # the only band half-widths that depend on u_prev
                 band[infinite] = _band(alpha, rho, u_prev)[infinite]
-            seg_up, seg_down = packed[6 * n:8 * n], packed[8 * n:]
-            seg_up[:n] = lo
-            np.minimum(hi, alpha - rho, out=seg_up[n:])
-            np.maximum(lo, rho - alpha, out=seg_down[:n])
-            seg_down[n:] = hi
-            segments = (seg_up.reshape(2, n), seg_down.reshape(2, n))
         for name, value in (("u_prev", u_prev.copy()), ("_packed", packed),
                             ("_lower", packed[:self.N * n]), ("_upper", packed[self.N * n:2 * self.N * n]),
-                            ("_band", band), ("_segments", segments)):
+                            ("_band", band)):
             object.__setattr__(self, name, value)
 
     @property
@@ -446,25 +434,32 @@ def _project_stacked(t: np.ndarray, cset: ConstraintSet) -> np.ndarray:
     Step 1 clips to the box [lo, hi] x [-alpha, alpha]; a clipped pair
     with |u1 - u0| <= rho + tol is the answer.  Otherwise the band side
     s = sign(u1 - u0) of the clipped pair is active, and step 2 projects
-    onto the segment of the line u1 = u0 + s rho inside the box.
+    onto the segment of the line u1 = u0 + s rho inside the box, whose
+    u0 limits are [max(lo, rho - alpha), hi] for s = -1 and [lo, min(hi,
+    alpha - rho)] for s = +1.  Its other two limits, -alpha - rho and
+    alpha + rho, never bind, since fl(-alpha - rho) <= -alpha <= lo and
+    hi <= alpha <= fl(alpha + rho).  Step 2 runs on the actuators it
+    applies to only: on another one an infinite rho would make
+    -inf + inf.
     """
     n = cset.n_u
     out = _clip(t, cset._lower, cset._upper)
     u0, u1 = out[:n], out[n:]
     gap = u1 - u0
-    outside = np.abs(gap) > cset._band
-    if not np.count_nonzero(outside):
+    (outside,) = np.nonzero(np.abs(gap) > cset._band)
+    if not outside.size:
         return out
-    seg_up, seg_down = cset._segments
-    seg = np.where(np.signbit(gap), seg_down, seg_up)
-    shift = np.copysign(cset.rho, gap)
-    s0 = t[:n] + t[n:]
+    lo, hi, rho = cset._lower[outside], cset._upper[outside], cset.rho[outside]
+    alpha = cset._upper[n + outside]
+    down = np.signbit(gap[outside])
+    shift = np.copysign(rho, gap[outside])
+    s0 = t[outside] + t[n + outside]
     s0 -= shift
     s0 *= 0.5
-    _clip(s0, seg[0], seg[1], out=s0)
-    s1 = _clip(s0 + shift, cset._lower[n:], cset._upper[n:])
-    np.copyto(u0, s0, where=outside)
-    np.copyto(u1, s1, where=outside)
+    _clip(s0, np.where(down, np.maximum(lo, rho - alpha), lo),
+          np.where(down, hi, np.minimum(hi, alpha - rho)), out=s0)
+    u0[outside] = s0
+    u1[outside] = _clip(s0 + shift, cset._lower[n + outside], alpha)
     return out
 
 

@@ -255,14 +255,16 @@ class MpcController:
         a native float64 ndarray of shape (n_y,) (anything else goes
         through `checked_measurement`, which accepts or refuses it),
         the call with y's bytes, and a copy of the applied input.
-      - With `timers`, the staged calls: modal_measure (U^T y, checked
-        first), a copy of the linear term, `update_constraint_set`,
-        `fgm.solve` and modal_observe, each timed (the benchmark's
-        tracer also wraps and re-solves `fgm.solve`).
+      - With `timers`, the staged calls: a copy of the linear term,
+        `update_constraint_set`, `fgm.solve`, and the kernel's
+        modal_observe with y's bytes and the applied input, each timed
+        (the benchmark's tracer also wraps and re-solves `fgm.solve`).
     Both give the same bytes, which agree with the dense reference
-    functions to rounding.  Both refuse a y whose U^T y is not finite
-    before the solve, and one whose new estimates or next linear term
-    are not finite after it.
+    functions to rounding.  Both refuse a y whose U^T y, new estimates
+    or next linear term are not finite: mpc_step checks U^T y before
+    the solve, modal_observe after it, which reads only the linear term
+    of the last sample; the timed path then puts back the warm start
+    that the solve overwrote.
     Otherwise (`observer_form` 'dense') each sample calls the reference
     functions themselves (`update_constraint_set`, `fgm.solve`,
     `update_fast` and `linear_term`), each of which returns new arrays,
@@ -302,7 +304,7 @@ class MpcController:
             self._initial = ObserverState.initial(ss, gain)  # checks the gain, as reset does
             self._modal_state = modes.new_state()
             self._q = modes.linear_term(self._modal_state)
-            self.u_prev, self._y = np.zeros(ss.n_u), np.empty(ss.n_y)
+            self.u_prev, self._y_shape = np.zeros(ss.n_u), (ss.n_y,)
             # the set array, then room for mpc_step's copy of it; the entries
             # free of u_prev (stage-1 box, finite-alpha band, rho) stay as set here
             packed = self._cset0._packed
@@ -312,10 +314,9 @@ class MpcController:
                 record=modes.packed, n_u=ss.n_u, n_y=ss.n_y, mu=ss.mu, horizon=condensed.N,
                 state=self._modal_state, w=ws.matrix, n_k=ws.n_k, beta=condensed.beta,
                 budget=self.i_max, lambda_max=condensed.lambda_max, data=ws.data, set=self._set,
-                alpha=self._cset0.alpha, rho=self._cset0.rho, u_prev=self.u_prev, y=self._y)
+                alpha=self._cset0.alpha, rho=self._cset0.rho, u_prev=self.u_prev)
             address = self._context.ctypes.data
             self._mpc_step = functools.partial(kernel.mpc_step, address)
-            self._modal_measure = functools.partial(kernel.modal_measure, address)
             self._modal_observe = functools.partial(kernel.modal_observe, address)
         self.reset()
 
@@ -354,7 +355,7 @@ class MpcController:
 
     def step(self, y_k: np.ndarray, timers: dict | None = None) -> np.ndarray:
         if timers is None and self._modes is not None:
-            if not (type(y_k) is np.ndarray and y_k.dtype is _FLOAT64 and y_k.shape == self._y.shape):
+            if not (type(y_k) is np.ndarray and y_k.dtype is _FLOAT64 and y_k.shape == self._y_shape):
                 y_k = checked_measurement(y_k, self.ss.n_y, finite=False)  # accepts or refuses the rest
             failed = self._mpc_step(y_k.tobytes())  # which checks finiteness
             if failed != -1:
@@ -364,11 +365,7 @@ class MpcController:
         tic = time.perf_counter_ns() if timers is not None else 0
         if self._modes is None:
             q_vec = self._q  # formed, and checked, with the estimates
-        else:  # timed: U^T y, checked before anything is written, then the staged calls
-            np.copyto(self._y, y_k)
-            if not self._modal_measure():
-                raise _overflowing_measurement(y_k)
-            tic = fgm._add_ns(timers, "observer", tic)
+        else:  # timed: the staged calls
             q_vec = self._q.copy()  # formed with the estimates; the observe below overwrites it
             warm = self.warm.copy()  # the workspace's iterate, which the solve overwrites
         if timers is not None:
@@ -395,8 +392,8 @@ class MpcController:
                 raise _overflowing_measurement(y_k)
             self._observer, self._q, self.u_prev = observer, q_next, u_k
             np.copyto(self.warm, u_plan)
-        else:  # the new estimates and the next linear term, kept only where finite
-            if not self._modal_observe(fgm._address(u_k)):
+        else:  # U^T y, the new estimates and the next linear term, kept only where finite
+            if not self._modal_observe(y_k.tobytes(), fgm._address(u_k)):
                 np.copyto(self.warm, warm)
                 raise _overflowing_measurement(y_k)
             if timers is not None:

@@ -189,12 +189,22 @@ class TestSolve:
         assert np.allclose(u, -q, atol=1e-15)
 
     def test_zero_budget_returns_projected_warm(self, rng):
-        qp = qp_from_matrix(random_spd(rng, 4))
-        cset = ConstraintSet(alpha=np.ones(4), rho=np.full(4, 0.5),
-                             u_prev=np.zeros(4), N=1)
-        warm = rng.uniform(-3, 3, 4)
-        u = solve(qp, rng.standard_normal(4), cset, warm, i_max=0)
-        assert np.array_equal(u, cset.project(warm))
+        # an infinite alpha (actuator 1), an infinite rho (2), rho = 0 with
+        # a one-point stage-0 interval (3), u_prev on alpha (0, 3) and on
+        # -alpha (4); warm starts on either band side, and of +-0.0
+        alpha = np.array([1.0, np.inf, 1.0, 1.0, 1.0, 1.0])
+        rho = np.array([0.5, 0.5, np.inf, 0.0, 0.5, 0.5])
+        u_prev = np.array([1.0, 2.5, 0.3, 1.0, -1.0, 0.0])
+        far, zero = np.full(6, 3.0), np.zeros(6)
+        pairs = [(far, -far), (-far, far), (zero, -zero), (-zero, zero),
+                 tuple(rng.uniform(-3, 3, (2, 6)))]
+        for N in (1, 2):
+            cset = ConstraintSet(alpha=alpha, rho=rho, u_prev=u_prev, N=N)
+            qp = qp_from_matrix(random_spd(rng, 6 * N), N=N)
+            for t0, t1 in pairs:
+                warm = np.concatenate([t0, t1][:N])
+                u = solve(qp, rng.standard_normal(6 * N), cset, warm, i_max=0)
+                assert u.tobytes() == cset.project(warm).tobytes(), (N, t0, t1)
 
     def test_fixed_point_at_optimum(self, rng):
         J = random_spd(rng, 5)

@@ -406,11 +406,9 @@ def set_arrays_by_formula(alpha, rho, u_prev, N):
         return {"_lower": lo, "_upper": hi, "_packed": np.concatenate([lo, hi])}
     scale = np.where(np.isinf(alpha), np.abs(u_prev) + 2.0 * rho, alpha)
     band = rho + 1e-12 * (1.0 + scale + rho)
-    seg_up = np.stack([lo, np.minimum(hi, alpha - rho)])
-    seg_down = np.stack([np.maximum(lo, rho - alpha), hi])
     lower, upper = np.concatenate([lo, -alpha]), np.concatenate([hi, alpha])
-    return {"_lower": lower, "_upper": upper, "_band": band, "seg_up": seg_up, "seg_down": seg_down,
-            "_packed": np.concatenate([lower, upper, band, rho, seg_up.ravel(), seg_down.ravel()])}
+    return {"_lower": lower, "_upper": upper, "_band": band,
+            "_packed": np.concatenate([lower, upper, band, rho])}
 
 
 class TestConstraintSetRecentring:
@@ -429,8 +427,8 @@ class TestConstraintSetRecentring:
             want = set_arrays_by_formula(alpha, rho, u, N)
             got = {"_lower": cset._lower, "_upper": cset._upper, "_packed": cset._packed}
             if N == 2:
-                got.update(_band=cset._band, seg_up=cset._segments[0], seg_down=cset._segments[1])
-                for name in ("_lower", "_upper", "_band", "seg_up", "seg_down"):
+                got.update(_band=cset._band)
+                for name in ("_lower", "_upper", "_band"):
                     assert np.shares_memory(got[name], cset._packed)
             assert got.keys() == want.keys()
             for name in want:

@@ -400,7 +400,7 @@ def owned_arrays(ctrl):
     the modal path's timed q, its estimates live in its state array and
     its set array, which its context block points at."""
     st, ws = ctrl.observer, ctrl._workspace
-    modal = ((ctrl._modal_state, ctrl._y, ctrl._set, ctrl._context)
+    modal = ((ctrl._modal_state, ctrl._set, ctrl._context)
              if ctrl.observer_form == "modal" else ())
     return [ctrl.alpha, ctrl.rho, ctrl.warm, ctrl.u_prev, st.x_hat, st.z_hat, st.d_hat,
             *modal, ws.data, ctrl.cset._packed, ctrl.cset.u_prev]
@@ -461,7 +461,7 @@ class TestControllerBuffers:
         solve = fgm.solve
 
         def recording_solve(qp_, q, cset, warm, **kwargs):
-            arrays = (q, cset.u_prev, cset._packed, *cset._segments)
+            arrays = (q, cset.u_prev, cset._packed)
             seen.append((arrays, [np.array(a) for a in arrays]))
             return solve(qp_, q, cset, warm, **kwargs)
 
@@ -579,7 +579,9 @@ class _Timers:
 @pytest.mark.parametrize("shape", sorted(MODAL_PLANTS))
 def test_timed_and_untimed_samples_interleave(shape):
     """The staged (timed) and the one-call (untimed) samples share one
-    state, so any mix of them gives the same bytes."""
+    state, so any mix of them gives the same bytes; the set a timed
+    sample recentres in Python is, sample by sample, the set array that
+    an untimed sample recentres in the kernel."""
     make, dist = MODAL_PLANTS[shape]
     b = make()
     for i_max in (0, 1, 20):
@@ -587,11 +589,20 @@ def test_timed_and_untimed_samples_interleave(shape):
         assert ctrl.observer_form == ("modal" if fgm.solve_kernel() == "compiled" else "dense")
         runs = []
         for every in (2, 0, 1):
-            u = simulate(b.plant, _Timers(ctrl, every), dist, 400).u
+            trace = simulate(b.plant, _Timers(ctrl, every), dist, 400)
             state = _controller_state(ctrl)
             del state["cset"]  # the set of the last timed sample
-            runs.append([u.tobytes(), *state.values()])
+            runs.append([trace.u.tobytes(), *state.values()])
         assert runs[0] == runs[1] == runs[2], f"i_max = {i_max}"
+        if ctrl.observer_form == "modal":
+            untimed = b.mpc_controller(i_max=i_max)
+            ctrl.reset()
+            for k, y_k in enumerate(trace.y):  # the history every run above had
+                ctrl.step(y_k, timers={} if k % 2 == 0 else None)
+                untimed.step(y_k)
+                if k % 2 == 0:
+                    assert ctrl.cset._packed.tobytes() == untimed._set.tobytes(), \
+                        f"i_max = {i_max}, sample {k}"
 
 
 def _recentring_controller(shape, alpha, rho):
