@@ -32,17 +32,24 @@ call: the controller's untimed samples run it, and its timed ones (with
 `timers`) the staged calls, this module's `solve` among them and the
 kernel's `modal_observe(ctx, y, u)` last, so that the benchmark's tracer
 can time and re-solve each stage.
-It is built with the system compiler (`$CC`, else `cc`) once per process,
-into a temporary directory removed once `ctypes` has loaded it:
+The kernel stays plain C.  `fgm_binding.c` wraps it as a CPython
+extension module: its entry points as functions, and `Step`, a callable
+bound to one controller's context that runs `mpc_step` on the
+measurement's own buffer.  The build needs a C compiler (`$CC`, else
+`cc`) and the interpreter's `Python.h`; numpy's headers ship with numpy.
+It compiles the two files as two objects in two concurrent compiler
+processes, links them once per process into a temporary directory, and
+removes that once the module is loaded:
 `sim.MpcController` builds it while it is set up, so no control sample
 pays for the build, and otherwise the first solve does.  Where it is
 built, every `solve` runs it, whatever `n_workers` is, so results do not
-depend on the worker count.  Where it cannot be built, which one line on
-stderr reports, every solve runs the numpy loop below, which stays the
-reference and also runs `converged_iterations`.  The kernel's gradient
-step runs on the factored form of J where `CondensedQP` holds one
-(`hessian_form` 'factored'), else on the dense W, which the numpy loop
-always runs (see `hessian_form`).
+depend on the worker count.  Where it cannot be built (no compiler, or
+no `Python.h`), which one line on stderr reports, every solve runs the
+numpy loop below, which stays the reference and also runs
+`converged_iterations`, and every controller runs the dense path.  The
+kernel's gradient step runs on the factored form of J where
+`CondensedQP` holds one (`hessian_form` 'factored'), else on the dense
+W, which the numpy loop always runs (see `hessian_form`).
 
 In the numpy loop the gradient step is the one parallelized operation.
 Each block of rows is one BLAS gemv, `np.dot(W[start:end4], v)` with
@@ -66,11 +73,14 @@ from __future__ import annotations
 import concurrent.futures
 import ctypes
 import dataclasses
+import importlib.machinery
+import importlib.util
 import operator
 import os
 import shlex
 import subprocess
 import sys
+import sysconfig
 import tempfile
 import threading
 import time
@@ -148,10 +158,11 @@ def make_worker_plan(rows: int, n_workers: int) -> WorkerPlan:
 # ---------------------------------------------------------------------------
 
 _KERNEL_SOURCE = Path(__file__).with_name("fgm_kernel.c")
+# the CPython module around the kernel, compiled beside it (see _build_kernel)
+_BINDING_SOURCE = Path(__file__).with_name("fgm_binding.c")
 # IEEE rounding: no contraction into fused multiply-adds, no -ffast-math
 _KERNEL_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 _BUILD_TIMEOUT_S = 120.0
-_POINTER, _INT = ctypes.c_void_p, ctypes.c_int64
 
 # fgm_kernel.c's struct context, field by field; addresses are uintp
 STEP_CONTEXT = np.dtype([("record", np.uintp), ("n_u", np.int64), ("n_y", np.int64),
@@ -176,24 +187,55 @@ _kernel = _UNBUILT
 _kernel_lock = threading.Lock()
 
 
+def _run_together(commands) -> None:
+    """Run the commands as concurrent processes; raise CalledProcessError,
+    with its output as `stderr`, for the first that fails, or
+    TimeoutExpired, with every process ended, past _BUILD_TIMEOUT_S."""
+    deadline = time.monotonic() + _BUILD_TIMEOUT_S
+    processes = []
+    try:
+        for command in commands:
+            processes.append(subprocess.Popen(command, stdout=subprocess.PIPE,
+                                              stderr=subprocess.STDOUT, text=True,
+                                              errors="replace"))
+        outputs = [process.communicate(timeout=max(0.0, deadline - time.monotonic()))[0]
+                   for process in processes]
+    finally:
+        for process in processes:
+            if process.poll() is None:  # timed out, or a later command could not start
+                process.kill()
+                process.wait()
+            process.stdout.close()
+    for command, process, output in zip(commands, processes, outputs):
+        if process.returncode:
+            raise subprocess.CalledProcessError(process.returncode, command, stderr=output)
+
+
 def _build_kernel():
-    """Compile fgm_kernel.c with `$CC` (else `cc`) and load it; None, with
-    one line on stderr, when that fails."""
+    """Compile fgm_kernel.c and its CPython binding with `$CC` (else `cc`),
+    as two objects in two concurrent processes, link them into one
+    extension module and load it; None, with one line on stderr, when that
+    fails (no compiler, or no Python.h)."""
     cc = shlex.split(os.environ.get("CC") or "cc")
+    includes = [f"-I{sysconfig.get_paths()['include']}", f"-I{np.get_include()}"]
     with tempfile.TemporaryDirectory(prefix="orbitmpc-fgm-") as tmp:
+        kernel_object = os.path.join(tmp, "fgm_kernel.o")
+        binding_object = os.path.join(tmp, "fgm_binding.o")
         library = os.path.join(tmp, "fgm_kernel.so")
         try:
-            subprocess.run([*cc, *_KERNEL_FLAGS, "-o", library, str(_KERNEL_SOURCE), "-lm"],
-                           check=True, capture_output=True, text=True, errors="replace",
-                           timeout=_BUILD_TIMEOUT_S)
-            kernel = ctypes.CDLL(library)
-            # one control sample per call: kept under the GIL, which it is
-            # too short to release and take back for
-            step = ctypes.PyDLL(library).mpc_step
+            _run_together([
+                [*cc, *_KERNEL_FLAGS, "-c", "-o", kernel_object, str(_KERNEL_SOURCE)],
+                [*cc, *_KERNEL_FLAGS, *includes, "-c", "-o", binding_object, str(_BINDING_SOURCE)]])
+            _run_together([[*cc, *_KERNEL_FLAGS, "-o", library, kernel_object, binding_object,
+                             "-lm"]])
+            loader = importlib.machinery.ExtensionFileLoader("fgm_kernel", library)
+            kernel = importlib.util.module_from_spec(importlib.util.spec_from_loader("fgm_kernel",
+                                                                                   loader))
+            loader.exec_module(kernel)
         except subprocess.CalledProcessError as exc:
             lines = exc.stderr.strip().splitlines() or [f"exit status {exc.returncode}"]
             reason = next((line for line in lines if "error" in line), lines[0])
-        except (OSError, subprocess.TimeoutExpired) as exc:
+        except (OSError, ImportError, subprocess.TimeoutExpired) as exc:
             reason = str(exc)
         else:
             reason = None
@@ -201,15 +243,6 @@ def _build_kernel():
         print(f"orbitmpc: cannot build the compiled FGM kernel with {' '.join(cc)} ({reason}); "
               "solving with numpy", file=sys.stderr)
         return None
-    kernel.fgm_solve.argtypes = [_POINTER, _INT, _INT, _INT, ctypes.c_double, _INT, _POINTER,
-                                 _POINTER, _INT]
-    kernel.fgm_solve.restype = _INT
-    # y as bytes, passed without a copy
-    kernel.modal_observe.argtypes = [_POINTER, ctypes.c_char_p, _POINTER]
-    kernel.modal_observe.restype = _INT
-    step.argtypes = [_POINTER, ctypes.c_char_p]
-    step.restype = _INT
-    kernel.mpc_step = step
     return kernel
 
 

@@ -4,7 +4,12 @@
  *
  * fgm.py states the iteration and builds this file with the system
  * compiler once per process; its numpy loop stays the reference and the
- * fallback.  Python calls three entry points through ctypes:
+ * fallback.  This file is plain C and includes no Python header:
+ * fgm_binding.c, compiled beside it as a second object, makes the two one
+ * CPython extension module, which needs a C compiler and Python.h (numpy's
+ * headers ship with numpy).  Where either is missing the build fails, one
+ * line on stderr says so, and the numpy loop runs.  Python calls three
+ * entry points through that module:
  *
  *   fgm_solve          the whole loop (fgm.solve): warm-start projection,
  *                      then per iteration the gradient step, its
@@ -25,8 +30,9 @@
  *                      u_prev and the warm start, committed together.
  *
  * sim.MpcController runs the last two on one-bandwidth plants: mpc_step
- * on an untimed sample, modal_observe after the staged set update and
- * fgm_solve on a timed one (see sim.py).
+ * on an untimed sample, through the binding's Step, which reads y in
+ * place; modal_observe after the staged set update and fgm_solve on a
+ * timed one (see sim.py).
  *
  * The gradient step t = W v - q / lambda_max, W = I - J / lambda_max,
  * takes one of two forms.

@@ -21,7 +21,6 @@ full curve endpoint then equals the time-domain RMS, by Parseval).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import time
 
 import numpy as np
@@ -32,7 +31,6 @@ from .model import PlantConfig, StateSpace, build_state_space
 from .observer import ModalRecord, ObserverState, update_fast
 
 DISTURBANCE_KINDS = ("white", "random_walk", "sinusoid_mix", "file")
-_FLOAT64 = np.dtype(np.float64)  # numpy's one native float64 descriptor
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -249,12 +247,14 @@ class MpcController:
     state: the estimates with the linear term the next sample solves
     with, `u_prev`, and the warm start `warm`, which is the workspace's
     iterate.
-      - Without `timers`, one call of its `mpc_step` runs the whole
-        sample on a context block built here, recentring the
-        controller's own set array.  In Python that is a test that y is
-        a native float64 ndarray of shape (n_y,) (anything else goes
-        through `checked_measurement`, which accepts or refuses it),
-        the call with y's bytes, and a copy of the applied input.
+      - Without `timers`, one call of the kernel module's `Step`, bound
+        here to a context block, runs its `mpc_step` on the whole
+        sample, recentring the controller's own set array, and returns
+        a new array of the applied input.  It reads y in place where y
+        is an aligned, C-contiguous, native float64 ndarray of shape
+        (n_y,); anything else it hands back (NotImplemented) to
+        `checked_measurement`, which accepts or refuses it, and an
+        accepted y is passed again as such an array.
       - With `timers`, the staged calls: a copy of the linear term,
         `update_constraint_set`, `fgm.solve`, and the kernel's
         modal_observe with y's bytes and the applied input, each timed
@@ -304,7 +304,7 @@ class MpcController:
             self._initial = ObserverState.initial(ss, gain)  # checks the gain, as reset does
             self._modal_state = modes.new_state()
             self._q = modes.linear_term(self._modal_state)
-            self.u_prev, self._y_shape = np.zeros(ss.n_u), (ss.n_y,)
+            self.u_prev = np.zeros(ss.n_u)
             # the set array, then room for mpc_step's copy of it; the entries
             # free of u_prev (stage-1 box, finite-alpha band, rho) stay as set here
             packed = self._cset0._packed
@@ -315,9 +315,9 @@ class MpcController:
                 state=self._modal_state, w=ws.matrix, n_k=ws.n_k, beta=condensed.beta,
                 budget=self.i_max, lambda_max=condensed.lambda_max, data=ws.data, set=self._set,
                 alpha=self._cset0.alpha, rho=self._cset0.rho, u_prev=self.u_prev)
-            address = self._context.ctypes.data
-            self._mpc_step = functools.partial(kernel.mpc_step, address)
-            self._modal_observe = functools.partial(kernel.modal_observe, address)
+            self._step = kernel.Step(self._context, self.u_prev, ss.n_y)
+            self._modal_observe = kernel.modal_observe
+            self._context_address = self._context.ctypes.data
         self.reset()
 
     @property
@@ -355,12 +355,14 @@ class MpcController:
 
     def step(self, y_k: np.ndarray, timers: dict | None = None) -> np.ndarray:
         if timers is None and self._modes is not None:
-            if not (type(y_k) is np.ndarray and y_k.dtype is _FLOAT64 and y_k.shape == self._y_shape):
-                y_k = checked_measurement(y_k, self.ss.n_y, finite=False)  # accepts or refuses the rest
-            failed = self._mpc_step(y_k.tobytes())  # which checks finiteness
-            if failed != -1:
-                raise self._refusal(failed, y_k)
-            return self.u_prev.copy()
+            u_k = self._step(y_k)  # which checks finiteness
+            if u_k is NotImplemented:  # not a native float64 (n_y,) array that C can read in place
+                y_k = np.require(checked_measurement(y_k, self.ss.n_y, finite=False),
+                                 requirements="CA")
+                u_k = self._step(y_k)
+            if type(u_k) is int:
+                raise self._refusal(u_k, y_k)
+            return u_k
         y_k = checked_measurement(y_k, self.ss.n_y)
         tic = time.perf_counter_ns() if timers is not None else 0
         if self._modes is None:
@@ -393,7 +395,7 @@ class MpcController:
             self._observer, self._q, self.u_prev = observer, q_next, u_k
             np.copyto(self.warm, u_plan)
         else:  # U^T y, the new estimates and the next linear term, kept only where finite
-            if not self._modal_observe(y_k.tobytes(), fgm._address(u_k)):
+            if not self._modal_observe(self._context_address, y_k.tobytes(), fgm._address(u_k)):
                 np.copyto(self.warm, warm)
                 raise _overflowing_measurement(y_k)
             if timers is not None:

@@ -546,6 +546,26 @@ class TestCompiledKernel:
         assert "cannot build the compiled FGM kernel with /bin/false" in err
         assert err.endswith("solving with numpy\n")
 
+    def test_build_without_python_h_reported_and_falls_back(self, monkeypatch, capsys, tmp_path):
+        compiler = tmp_path / "cc"
+        compiler.write_text("#!/bin/sh\n"
+                            "echo 'fatal error: Python.h: No such file or directory' >&2\n"
+                            "exit 1\n")
+        compiler.chmod(0o755)
+        monkeypatch.setenv("CC", str(compiler))
+        monkeypatch.setattr(fgm, "_kernel", fgm._UNBUILT)
+        capsys.readouterr()
+        assert fgm.solve_kernel() == "numpy"
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "(fatal error: Python.h: No such file or directory); solving with numpy" in err
+        b = design_controller(synthetic_plant(8, 8, 1e3, seed=2, mu=2, alpha=0.3, rho=0.05),
+                              horizon=2)
+        ctrl = b.mpc_controller(20)
+        assert ctrl.observer_form == "dense"
+        u = np.array([ctrl.step(y) for y in np.random.default_rng(1).normal(0.0, 1.0, (5, 8))])
+        assert np.all(np.isfinite(u)) and np.any(u != 0.0)
+
     def test_controller_set_up_builds_the_kernel(self, monkeypatch):
         # the build happens while the controller is set up, not in its first sample
         b = design_controller(synthetic_plant(4, 4, 30.0, seed=1), horizon=2)

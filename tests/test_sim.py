@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -806,6 +807,87 @@ def test_measurement_forms_accepted_or_refused_as_checked_measurement_does(form,
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
     assert _controller_state(ctrl) == before
+
+
+@pytest.mark.skipif(fgm.solve_kernel() != "compiled", reason="needs the compiled kernel")
+class TestUntimedStepCall:
+    """The untimed modal sample is one call of the kernel module's `Step`,
+    which reads y in place and returns a new array of the applied input."""
+
+    @staticmethod
+    def _pair(shape):
+        b = BUFFER_PLANTS[shape]() if shape in BUFFER_PLANTS else design_controller(
+            synthetic_plant(6, 4, 50.0, seed=5, mu=2, alpha=0.3, rho=0.05), horizon=2)
+        ctrl, twin = b.mpc_controller(i_max=20), b.mpc_controller(i_max=20)
+        assert ctrl.observer_form == "modal"
+        return b, ctrl, twin
+
+    def test_no_reference_leaks_accepted_or_refused(self):
+        b, ctrl, _ = self._pair("8x8-n2")
+        y = np.random.default_rng(1).normal(0.0, 1.0, b.ss.n_y)
+        held = [y, ctrl._context, ctrl.u_prev, ctrl.warm, ctrl._set, ctrl._modal_state,
+                ctrl._workspace.data, ctrl._step]
+
+        def counts():
+            return [sys.getrefcount(obj) for obj in held]
+
+        def run(y_k, error, count):
+            for _ in range(count):
+                if error is None:
+                    ctrl.step(y_k)
+                else:
+                    with pytest.raises(error):
+                        ctrl.step(y_k)
+
+        non_finite, strided = y.copy(), np.repeat(y, 2)[::2]
+        non_finite[2] = np.nan
+        cases = [("accepted", y, None, 1000),
+                 ("int code (measurement)", non_finite, NumericalError, 100),
+                 ("NotImplemented, refused", y.astype(np.float32), DimensionError, 100),
+                 ("NotImplemented, accepted", strided, None, 100),
+                 ("NotImplemented, accepted list", list(y), None, 100),
+                 ("int code (set)", y, InfeasibleError, 100)]
+        for name, y_k, error, count in cases:
+            if name == "int code (set)":
+                ctrl.u_prev[0] = np.inf  # the set recentring refuses it
+            held[0] = y_k
+            run(y_k, error, 1)  # anything cached at a first call, outside the count
+            before = counts()
+            run(y_k, error, count)
+            assert counts() == before, name
+
+    def test_returned_input_is_owned(self):
+        b, ctrl, twin = self._pair("8x8-n2")
+        for y_k in np.random.default_rng(2).normal(0.0, 2.0, (50, b.ss.n_y)):
+            u = ctrl.step(y_k)
+            assert u.flags.owndata and u.base is None and u.dtype == np.float64
+            assert u.shape == (b.ss.n_u,)
+            for theirs in (ctrl.u_prev, ctrl.warm, ctrl._workspace.data, ctrl._context):
+                assert not np.shares_memory(u, theirs)
+            assert u.tobytes() == twin.step(y_k).tobytes()
+            u.fill(1e3)  # changes nothing in the next sample
+
+    @pytest.mark.filterwarnings("ignore:response matrix has rank")
+    @pytest.mark.parametrize("shape", ["8x8-n2", "tall-6x4-n2"])
+    def test_measurement_read_in_place(self, shape):
+        """mpc_step writes u_prev and the warm start only after its last
+        read of y, which on a tall plant comes after the solve: y as a
+        view of either gives the bytes of a twin fed copies."""
+        b, ctrl, twin = self._pair(shape)
+        n_y = b.ss.n_y
+        for y_k in np.random.default_rng(3).normal(0.0, 2.0, (5, n_y)):
+            ctrl.step(y_k)
+            twin.step(y_k)
+        views = [lambda: ctrl.warm[:n_y]]
+        if n_y == b.ss.n_u:
+            views.append(lambda: ctrl.u_prev)
+        for k in range(60):
+            y = views[k % len(views)]()
+            assert np.shares_memory(y, ctrl.warm) or np.shares_memory(y, ctrl.u_prev)
+            want = twin.step(y.copy())
+            assert ctrl.step(y).tobytes() == want.tobytes(), k
+            assert _controller_state(ctrl) == _controller_state(twin), k
+        assert np.any(ctrl.u_prev != 0.0)
 
 
 # the modal path, and the dense one without and with the compiled kernel
