@@ -87,7 +87,7 @@ class DesignBundle:
             return None
         return modal_record(self.ss, self.basis, self.gain, self.condensed)
 
-    def mpc_controller(self, i_max: int, n_workers: int = 1) -> MpcController:
+    def mpc_controller(self, i_max: int) -> MpcController:
         return MpcController(
             ss=self.ss,
             condensed=self.condensed,
@@ -95,7 +95,6 @@ class DesignBundle:
             alpha=self.plant.alpha,
             rho=self.plant.rho,
             i_max=i_max,
-            n_workers=n_workers,
             modes=self.modal_record,
         )
 

@@ -30,7 +30,7 @@ CONFIG_KEYS = (
     "weights", "q_min", "q_max", "lambda", "horizon", "i_max",
     "sigma_v", "sigma_w", "sigma_m", "epsilon", "delta",
     "dist_kind", "dist_sigma", "dist_components", "dist_path",
-    "T", "n_workers", "output_dir", "imc_bandwidth_hz", "bench_cycles", "observer_dump",
+    "T", "output_dir", "imc_bandwidth_hz", "bench_cycles", "observer_dump",
 )
 
 
@@ -50,7 +50,6 @@ class RunConfig:
     delta: float | None
     dist: sim.DisturbanceSpec
     T: int
-    n_workers: int
     seed: int
     output_dir: str
     imc_bandwidth_hz: float
@@ -98,7 +97,7 @@ def _check_finite(key: str, value: float | None, positive: bool) -> None:
              f"finite and {'positive' if positive else 'non-negative'}")
 
 
-def load_run_config(path, seed_override=None, workers_override=None, out_override=None) -> RunConfig:
+def load_run_config(path, seed_override=None, out_override=None) -> RunConfig:
     pairs = fileio.read_kv(path)
     fileio.reject_unknown_keys(path, pairs, CONFIG_KEYS)
     version = fileio.kv_get(pairs, "schema_version", int, default=1)
@@ -107,14 +106,13 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
     seed = seed_override if seed_override is not None else fileio.kv_get(pairs, "seed", int, default=0)
     _require("seed", seed, seed >= 0, "non-negative")
 
-    n_workers = workers_override if workers_override is not None else fileio.kv_get(pairs, "n_workers", int, default=1)
     i_max = fileio.kv_get(pairs, "i_max", int, default=fgm.DEFAULT_I_MAX)
     bench_cycles = fileio.kv_get(pairs, "bench_cycles", int, default=1000)
     T = fileio.kv_get(pairs, "T", int, default=65536)  # 2**16 for spectral runs
     n_y, n_u, mu = (fileio.kv_get(pairs, key, int, default=default)
                     for key, default in (("synthetic_n_y", 8), ("synthetic_n_u", 8), ("synthetic_mu", 3)))
     # T >= 2: a run's integrated-motion spectrum needs two samples
-    for key, value, least in (("n_workers", n_workers, 1), ("i_max", i_max, 0),
+    for key, value, least in (("i_max", i_max, 0),
                               ("bench_cycles", bench_cycles, 1), ("T", T, 2),
                               ("synthetic_n_y", n_y, 1), ("synthetic_n_u", n_u, 1), ("synthetic_mu", mu, 0)):
         if value < least:
@@ -191,7 +189,6 @@ def load_run_config(path, seed_override=None, workers_override=None, out_overrid
         delta=floats["delta"],
         dist=dist,
         T=T,
-        n_workers=n_workers,
         seed=seed,
         output_dir=out_override or fileio.kv_get(pairs, "output_dir", str, default="out"),
         imc_bandwidth_hz=imc_bandwidth_hz,
@@ -270,7 +267,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     runs["imc_constr"] = sim.simulate(cfg.plant, imc_c, cfg.dist, cfg.T)
     mpc_ctrls = {}
     for n in (1, 2):
-        mpc_ctrls[n] = bundles[n].mpc_controller(cfg.i_max, cfg.n_workers)
+        mpc_ctrls[n] = bundles[n].mpc_controller(cfg.i_max)
         runs[f"mpc_n{n}"] = sim.simulate(cfg.plant, mpc_ctrls[n], cfg.dist, cfg.T)
 
     _write_trace(os.path.join(cfg.output_dir, "trace.csv"), runs[f"mpc_n{cfg.horizon}"], cfg.seed, {
@@ -316,43 +313,39 @@ def cmd_bench(cfg: RunConfig) -> int:
         print(f"design bundle written to {bundle_dir}")
     _notice_i_max(cfg.i_max, [b])
     rng = np.random.default_rng(cfg.seed)
-    rows = []
-    # untimed: the timed step's time outside the six stages; steps: the
-    # step without timers, which on the modal path runs another code path
-    totals, untimed, steps, iterations = {}, {}, {}, {}
-    for workers in range(1, cfg.n_workers + 1):
-        ctrl = b.mpc_controller(cfg.i_max, workers)
-        y_probe = rng.normal(0.0, 1.0, (64, b.ss.n_y))
-        for k in range(50):  # warm-up: pools, caches, branch predictors
-            ctrl.step(y_probe[k % 64])
-        per_stage = {stage: [] for stage in fgm.SOLVE_STAGES}
-        cycle_totals = []
-        for k in range(cfg.bench_cycles):
-            timers: dict = {}
-            t0 = time.perf_counter_ns()
-            ctrl.step(y_probe[k % 64], timers=timers)
-            cycle_totals.append(time.perf_counter_ns() - t0)
-            for stage in fgm.SOLVE_STAGES:
-                per_stage[stage].append(timers.get(stage, 0))
-        stage_means = 0.0
+    ctrl = b.mpc_controller(cfg.i_max)
+    y_probe = rng.normal(0.0, 1.0, (64, b.ss.n_y))
+    for k in range(50):  # warm-up: caches, branch predictors
+        ctrl.step(y_probe[k % 64])
+    per_stage = {stage: [] for stage in fgm.SOLVE_STAGES}
+    cycle_totals = []
+    for k in range(cfg.bench_cycles):
+        timers: dict = {}
+        t0 = time.perf_counter_ns()
+        ctrl.step(y_probe[k % 64], timers=timers)
+        cycle_totals.append(time.perf_counter_ns() - t0)
         for stage in fgm.SOLVE_STAGES:
-            values = np.asarray(per_stage[stage], dtype=float) / 1e3
-            rows.append((workers, stage, float(values.mean()), float(values.max())))
-            stage_means += float(values.mean())
-        totals[workers] = float(np.mean(cycle_totals) / 1e3)
-        untimed[workers] = totals[workers] - stage_means
-        step_ns, counts = [], []
-        for k in range(cfg.bench_cycles):
-            t0 = time.perf_counter_ns()
-            ctrl.step(y_probe[k % 64])
-            step_ns.append(time.perf_counter_ns() - t0)
-            counts.append(ctrl.iterations)
-        steps[workers] = float(np.mean(step_ns) / 1e3)
-        iterations[workers] = float(np.mean(counts))
+            per_stage[stage].append(timers.get(stage, 0))
+    rows = []
+    for stage in fgm.SOLVE_STAGES:
+        values = np.asarray(per_stage[stage], dtype=float) / 1e3
+        rows.append((stage, float(values.mean()), float(values.max())))
+    total = float(np.mean(cycle_totals) / 1e3)
+    # untimed: the timed step's time outside the six stages; step: the
+    # step without timers, which on the modal path runs another code path
+    untimed = total - sum(mean_us for _, mean_us, _ in rows)
+    step_ns, counts = [], []
+    for k in range(cfg.bench_cycles):
+        t0 = time.perf_counter_ns()
+        ctrl.step(y_probe[k % 64])
+        step_ns.append(time.perf_counter_ns() - t0)
+        counts.append(ctrl.iterations)
+    step = float(np.mean(step_ns) / 1e3)
+    iterations = float(np.mean(counts))
     header = {
         "schema_version": fileio.SCHEMA_VERSION,
         "seed": cfg.seed,
-        "columns": "workers,stage,mean_us,max_us",
+        "columns": "stage,mean_us,max_us",
         "i_max": cfg.i_max,
         "i_max_bound": b.i_max_bound,
         "horizon": b.condensed.N,
@@ -360,27 +353,23 @@ def cmd_bench(cfg: RunConfig) -> int:
         "solve_kernel": fgm.solve_kernel(),
         "hessian_form": fgm.hessian_form(b.condensed),
         "observer_form": ctrl.observer_form,
+        "total_mean_us": fileio.format_float(total),
+        "untimed_mean_us": fileio.format_float(untimed),
+        "step_mean_us": fileio.format_float(step),
+        "iterations_mean": fileio.format_float(iterations),
     }
-    for workers, total in totals.items():
-        header[f"total_mean_us_workers_{workers}"] = fileio.format_float(total)
-        header[f"untimed_mean_us_workers_{workers}"] = fileio.format_float(untimed[workers])
-        header[f"step_mean_us_workers_{workers}"] = fileio.format_float(steps[workers])
-        header[f"iterations_mean_workers_{workers}"] = fileio.format_float(iterations[workers])
     out_path = os.path.join(cfg.output_dir, "timing.csv")
     with open(out_path, "w") as fh:
         for key, value in header.items():
             fh.write(f"# {key}={value}\n")
-        for workers, stage, mean_us, max_us in rows:
-            fh.write(f"{workers},{stage},{fileio.format_float(mean_us)},{fileio.format_float(max_us)}\n")
+        for stage, mean_us, max_us in rows:
+            fh.write(f"{stage},{fileio.format_float(mean_us)},{fileio.format_float(max_us)}\n")
     print(f"timing.csv written to {cfg.output_dir}")
     print(f"  solve_kernel={header['solve_kernel']}")
     print(f"  hessian_form={header['hessian_form']}")
     print(f"  observer_form={header['observer_form']}")
-    for workers, total in totals.items():
-        print(f"  workers={workers}: total {total:.1f} us/sample, "
-              f"{untimed[workers]:.1f} of it outside the six stages; "
-              f"{steps[workers]:.1f} us/sample without stage timers, "
-              f"{iterations[workers]:.1f} iterations/solve")
+    print(f"  total {total:.1f} us/sample, {untimed:.1f} of it outside the six stages; "
+          f"{step:.1f} us/sample without stage timers, {iterations:.1f} iterations/solve")
     return 0
 
 
@@ -438,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="flat key=value run config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--workers", type=int, default=None, help="solver worker count (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
         if name == "check":
             p.add_argument("--bundle", default=None, help="bundle directory (defaults to output_dir)")
@@ -448,8 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_run_config(args.config, seed_override=args.seed,
-                              workers_override=args.workers, out_override=args.out)
+        cfg = load_run_config(args.config, seed_override=args.seed, out_override=args.out)
         if args.command == "design":
             return cmd_design(cfg)
         if args.command == "simulate":

@@ -42,30 +42,28 @@ processes, links them once per process into a temporary directory, and
 removes that once the module is loaded:
 `sim.MpcController` builds it while it is set up, so no control sample
 pays for the build, and otherwise the first solve does.  Where it is
-built, every `solve` runs it, whatever `n_workers` is, so results do not
-depend on the worker count.  Where it cannot be built (no compiler, or
+built, every `solve` runs it.  Where it cannot be built (no compiler, or
 no `Python.h`), which one line on stderr reports, every solve runs the
 numpy loop below, which stays the reference and also runs
 `converged_iterations`, and every controller runs the dense path.  The
 kernel's gradient step runs on the factored form of J where
 `CondensedQP` holds one (`hessian_form` 'factored'), else on the dense
-W, which the numpy loop always runs (see `hessian_form`).
+W, which the numpy loop always runs (see `hessian_form`).  Both loops
+are serial.
 
-In the numpy loop the gradient step is the one parallelized operation.
-Each block of rows is one BLAS gemv, `np.dot(W[start:end4], v)` with
-`end4` the slice end rounded up to ROW_BLOCK, then an in-place shift by
-q / lambda_max.  Worker slices start on multiples of ROW_BLOCK, so every
-row runs through the same 4-row gemv kernel path as in the full product;
-that is a property of the BLAS build, not a guarantee (with OpenBLAS
-running its own threads, the full gemv at 700 or 1000 rows splits its
-rows differently).  So every numpy solve or `gradient_step_parallel` call
-with more than one worker first compares its slices with the full
-product on the actual W, and on a mismatch raises `NumericalError` naming
-the BLAS and the first differing slice; it never falls back silently.
-
-The slices run on a standard `concurrent.futures` thread pool, one per
-worker count, which every solve in the process shares and which is safe
-for concurrent solves.
+The numpy loop's gradient step is one BLAS gemv, `np.dot(W[:n4], v)`
+with `n4` the row count rounded up to ROW_BLOCK, then an in-place shift
+by q / lambda_max.  `gradient_step_parallel` models the paper's split of
+each iteration across DSP cores: it runs the same product as row slices on
+a standard `concurrent.futures` thread pool, one per worker count,
+shared by every caller in the process.  No solve runs it.  Its slices
+start on multiples of ROW_BLOCK, so every row runs through the same
+4-row gemv kernel path as in the full product; that is a property of
+the BLAS build, not a guarantee (with OpenBLAS running its own threads,
+the full gemv at 700 or 1000 rows splits its rows differently).  So a
+call with more than one worker first compares its slices with the full
+product on the actual W, and on a mismatch raises `NumericalError`
+naming the BLAS and the first differing slice.
 """
 
 from __future__ import annotations
@@ -78,6 +76,7 @@ import importlib.util
 import operator
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import sysconfig
@@ -190,21 +189,29 @@ _kernel_lock = threading.Lock()
 def _run_together(commands) -> None:
     """Run the commands as concurrent processes; raise CalledProcessError,
     with its output as `stderr`, for the first that fails, or
-    TimeoutExpired, with every process ended, past _BUILD_TIMEOUT_S."""
+    TimeoutExpired past _BUILD_TIMEOUT_S.  Each command runs in a process
+    group of its own, which is killed whole if the command has not
+    finished (timed out, or a later command could not start), so no
+    compiler child outlives the build."""
     deadline = time.monotonic() + _BUILD_TIMEOUT_S
-    processes = []
+    processes, outputs = [], []
     try:
         for command in commands:
             processes.append(subprocess.Popen(command, stdout=subprocess.PIPE,
                                               stderr=subprocess.STDOUT, text=True,
-                                              errors="replace"))
-        outputs = [process.communicate(timeout=max(0.0, deadline - time.monotonic()))[0]
-                   for process in processes]
-    finally:
+                                              errors="replace", start_new_session=True))
         for process in processes:
-            if process.poll() is None:  # timed out, or a later command could not start
-                process.kill()
-                process.wait()
+            outputs.append(process.communicate(
+                timeout=max(0.0, deadline - time.monotonic()))[0])
+    finally:
+        # an unfinished process is not reaped yet, so its group id is still its own
+        for process in processes[len(outputs):]:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            process.wait()
+        for process in processes:
             process.stdout.close()
     for command, process, output in zip(commands, processes, outputs):
         if process.returncode:
@@ -398,28 +405,7 @@ def _check_slices(qp: CondensedQP, v: np.ndarray, q_scaled: np.ndarray,
             raise NumericalError(
                 f"{plan.n_workers}-worker gradient: rows {start}:{start + count} of "
                 f"{v.shape[0]} differ from the full product under BLAS {_blas_name()}; "
-                "run with n_workers = 1, or single-threaded BLAS (OPENBLAS_NUM_THREADS=1)")
-
-
-def _gradient(qp: CondensedQP, v: np.ndarray, q_scaled: np.ndarray,
-              t_pad: np.ndarray, plan: WorkerPlan):
-    """Callable writing the gradient step for the iterate v into t_pad, one
-    plan slice per worker of the shared pool (serial for one).  A plan with
-    more than one worker is checked against the full product first."""
-    parts = [_row_product(qp.W, v, q_scaled, t_pad, start, start + count)
-             for start, count in plan.row_slices]
-    if plan.n_workers == 1:
-        return parts[0]
-    pool = get_pool(plan.n_workers)
-
-    def task(index: int) -> None:
-        parts[index]()
-
-    def gradient() -> None:
-        pool.run(task)
-
-    _check_slices(qp, v, q_scaled, t_pad, gradient, plan)
-    return gradient
+                "use gradient_step, or single-threaded BLAS (OPENBLAS_NUM_THREADS=1)")
 
 
 def gradient_step(qp: CondensedQP, v: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -428,15 +414,27 @@ def gradient_step(qp: CondensedQP, v: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def gradient_step_parallel(qp: CondensedQP, v: np.ndarray, q: np.ndarray, plan: WorkerPlan) -> np.ndarray:
-    """Row-sliced gradient step, bit-identical to the serial reference;
-    raises NumericalError where the BLAS breaks that (see _check_slices)."""
+    """Row-sliced gradient step, one plan slice per worker of the shared
+    pool (serial for one), bit-identical to the serial reference; raises
+    NumericalError where the BLAS breaks that (see _check_slices)."""
     v = np.ascontiguousarray(v, dtype=float)
     _check_solve_inputs(qp, v)
     q = _checked_linear_term(qp, q)
     if plan.rows != v.shape[0]:
         raise DimensionError(f"plan covers {plan.rows} rows, matrix has {v.shape[0]}")
     t_pad = np.empty(qp.W.shape[0])
-    _gradient(qp, v, q / qp.lambda_max, t_pad, plan)()
+    q_scaled = q / qp.lambda_max
+    parts = [_row_product(qp.W, v, q_scaled, t_pad, start, start + count)
+             for start, count in plan.row_slices]
+    if plan.n_workers == 1:
+        parts[0]()
+    else:
+        pool = get_pool(plan.n_workers)
+
+        def gradient() -> None:
+            pool.run(lambda index: parts[index]())
+
+        _check_slices(qp, v, q_scaled, t_pad, gradient, plan)
     return t_pad[: v.shape[0]]
 
 
@@ -461,7 +459,7 @@ def _check_iterate_inputs(qp: CondensedQP, q, cset: ConstraintSet, warm):
 
 
 def _iterate(qp: CondensedQP, q: np.ndarray, cset: ConstraintSet, warm: np.ndarray,
-             budget: int, n_workers: int = 1, timers: dict | None = None, stop=None):
+             budget: int, timers: dict | None = None, stop=None):
     """The numpy fast-gradient loop: run up to `budget` iterations on inputs
     that `_check_iterate_inputs` has checked.
 
@@ -475,7 +473,7 @@ def _iterate(qp: CondensedQP, q: np.ndarray, cset: ConstraintSet, warm: np.ndarr
     # t_pad matches the padded rows of W; the step itself is its first n rows
     t_pad = np.empty(qp.W.shape[0])
     t = t_pad[:n]
-    gradient = _gradient(qp, v, q / qp.lambda_max, t_pad, make_worker_plan(n, n_workers))
+    gradient = _row_product(qp.W, v, q / qp.lambda_max, t_pad, 0, n)
     beta, beta_1 = qp.beta, 1.0 + qp.beta
     beta_p = np.empty(n)
     for i in range(budget):
@@ -560,14 +558,6 @@ class Workspace:
         return self.iterate
 
 
-def _worker_count(n_workers) -> int:
-    """n_workers as an int, refused below 1 with a ConfigError naming it."""
-    count = operator.index(n_workers)
-    if count < 1:
-        raise ConfigError(f"n_workers must be >= 1, got {count}")
-    return count
-
-
 def _iteration_budget(i_max) -> int:
     """i_max as an int, refused below 0 with a ConfigError naming it."""
     budget = operator.index(i_max)
@@ -588,18 +578,16 @@ def solve(
     cset: ConstraintSet,
     warm: np.ndarray,
     i_max: int = DEFAULT_I_MAX,
-    n_workers: int = 1,
     timers: dict | None = None,
     workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Return the projected iterate after i_max fast-gradient iterations:
-    in the compiled kernel where it builds, else in the numpy loop, whose
-    gradient step `n_workers` row-slices.  i_max is the worst case: the
-    compiled solve stops where the iterate has stopped changing bit for
-    bit, with the bits of the whole budget, unless `timers` is given (the
-    workspace's `iterations` says how many it ran); the numpy loop always
-    runs i_max.  An i_max below 0 or an n_workers below 1 is refused with
-    a ConfigError.
+    in the compiled kernel where it builds, else in the numpy loop; both
+    run serially.  i_max is the worst case: the compiled solve stops where
+    the iterate has stopped changing bit for bit, with the bits of the
+    whole budget, unless `timers` is given (the workspace's `iterations`
+    says how many it ran); the numpy loop always runs i_max.  An i_max
+    below 0 is refused with a ConfigError.
 
     The compiled solve runs in `workspace`, a `Workspace` of this QP, and
     returns a view of it that the next solve in it overwrites; without
@@ -610,14 +598,13 @@ def solve(
     'gradient', 'projection' and 'momentum' (used by the benchmark).
     """
     budget = _iteration_budget(i_max)
-    n_workers = _worker_count(n_workers)
     if workspace is not None and workspace.qp is not qp:
         raise DimensionError("the workspace was built for another QP")
     q, warm = _check_iterate_inputs(qp, q, cset, warm)
     kernel = _load_kernel()
     if kernel is not None:
         return (workspace or Workspace(qp)).solve(kernel, q, cset, warm, budget, timers)
-    p, _ = _iterate(qp, q, cset, warm, budget, n_workers=n_workers, timers=timers)
+    p, _ = _iterate(qp, q, cset, warm, budget, timers=timers)
     return p
 
 

@@ -271,16 +271,12 @@ class MpcController:
     so the applied inputs are bit for bit theirs.  The dense path forms
     the next sample's linear term with the new estimates and refuses the
     measurement where either is not finite, so it keeps its warm start
-    apart from the workspace, whose solve has run by then.
-
-    `n_workers` (>= 1) row-slices the gradient step of the numpy solve,
-    which runs only where the compiled kernel cannot be built; the
-    compiled solve is one serial loop whatever it is.  Either way the
-    applied inputs do not depend on it (see `fgm`).
+    apart from the workspace, whose solve has run by then.  Both paths
+    solve in one serial loop (see `fgm`).
     """
 
     def __init__(self, ss: StateSpace, condensed: qp.CondensedQP, gain,
-                 alpha, rho, i_max: int = fgm.DEFAULT_I_MAX, n_workers: int = 1,
+                 alpha, rho, i_max: int = fgm.DEFAULT_I_MAX,
                  modes: ModalRecord | None = None):
         if condensed.n_u != ss.n_u:
             raise DimensionError("condensed QP does not match the plant dimensions")
@@ -290,7 +286,6 @@ class MpcController:
         self.alpha = np.array(alpha, dtype=float)
         self.rho = np.array(rho, dtype=float)
         self.i_max = fgm._iteration_budget(i_max)
-        self.n_workers = fgm._worker_count(n_workers)
         kernel = fgm._load_kernel()  # builds the compiled kernel here, not inside the first sample
         self._cset0 = qp.ConstraintSet(alpha=self.alpha, rho=self.rho,
                                        u_prev=np.zeros(ss.n_u), N=condensed.N)
@@ -376,7 +371,7 @@ class MpcController:
         if timers is not None:
             fgm._add_ns(timers, "set_update", tic)
         u_plan = fgm.solve(self.qp, q_vec, cset, self.warm, i_max=self.i_max,
-                           n_workers=self.n_workers, timers=timers, workspace=self._workspace)
+                           timers=timers, workspace=self._workspace)
         u_k = u_plan[: self.ss.n_u].copy()
         tic = time.perf_counter_ns() if timers is not None else 0
         if self._modes is None:

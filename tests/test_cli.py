@@ -27,7 +27,6 @@ T = 256
 dist_kind = white
 dist_sigma = 0.2
 seed = 11
-n_workers = 1
 bench_cycles = 30
 """
 
@@ -210,7 +209,7 @@ class TestSimulateCommand:
 
 class TestBenchCommand:
     def test_stage_schema(self, tmp_path):
-        cfg = write_config(tmp_path, extra="n_workers = 2\n")
+        cfg = write_config(tmp_path)
         out = str(tmp_path / "bench")
         assert main(["bench", "--config", cfg, "--out", out]) == 0
         stages = set()
@@ -220,13 +219,13 @@ class TestBenchCommand:
                 if line.startswith("#"):
                     totals += line.count("total_mean_us")
                     continue
-                workers, stage, mean_us, max_us = line.strip().split(",")
+                stage, mean_us, max_us = line.strip().split(",")
                 stages.add(stage)
                 assert float(mean_us) >= 0.0
                 assert float(max_us) >= float(mean_us) - 1e-9
         assert stages == {"observer", "q_update", "set_update", "gradient",
                           "projection", "momentum"}
-        assert totals == 2  # one total per worker count
+        assert totals == 1
 
     def test_gradient_dominates_at_storage_ring_size(self, tmp_path):
         body = """
@@ -242,7 +241,6 @@ weights = saturated
 horizon = 2
 i_max = 20
 seed = 1
-n_workers = 1
 bench_cycles = 20
 """
         cfg = write_config(tmp_path, body=body)
@@ -254,7 +252,7 @@ bench_cycles = 20
                 if line.startswith("#"):
                     header.append(line)
                     continue
-                _, stage, mean_us, _ = line.strip().split(",")
+                stage, mean_us, _ = line.strip().split(",")
                 means[stage] = float(mean_us)
         # the compiled solve iterates on the factored Hessian at ring size,
         # where the gradient step still outweighs the other iteration
@@ -663,6 +661,25 @@ class TestConfigKeys:
         assert f"{cfg}:4: key 'horizon' given twice" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("command", ["design", "check", "simulate", "bench"])
+    def test_worker_count_key_rejected(self, tmp_path, capsys, command):
+        # every solve is one serial loop: a worker count is not a config key
+        cfg = write_config(tmp_path, extra="n_workers = 2\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "unknown config key 'n_workers'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["design", "check", "simulate", "bench"])
+    def test_worker_count_flag_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", write_config(tmp_path), "--out", str(out),
+                  "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unrelated_key_rejected_without_suggestion(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra="zzz = 1\n")
         assert main(["design", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -815,30 +832,28 @@ class TestBenchRecordsTheSolveKernel:
         assert f"# solve_kernel={kernel}\n" in header
         # the iterations of the untimed solves: the numpy loop runs every one
         fields = dict(line[2:].strip().split("=", 1) for line in header)
-        iterations, i_max = float(fields["iterations_mean_workers_1"]), int(fields["i_max"])
+        iterations, i_max = float(fields["iterations_mean"]), int(fields["i_max"])
         assert iterations == i_max if force_numpy else 0.0 < iterations <= i_max
         assert f"{iterations:.1f} iterations/solve" in printed
 
     def test_timing_header_records_the_time_outside_the_stages(self, tmp_path):
         out = str(tmp_path / "bench")
-        cfg = write_config(tmp_path, extra="n_workers = 2\n")
-        assert main(["bench", "--config", cfg, "--out", out]) == 0
-        header, means = {}, {1: 0.0, 2: 0.0}
+        assert main(["bench", "--config", write_config(tmp_path), "--out", out]) == 0
+        header, means = {}, 0.0
         with open(os.path.join(out, "timing.csv")) as fh:
             for line in fh:
                 if line.startswith("# "):
                     key, _, value = line[2:].strip().partition("=")
                     header[key] = value
                 else:
-                    workers, _, mean_us, _ = line.strip().split(",")
-                    means[int(workers)] += float(mean_us)
-        for workers in (1, 2):
-            total = float(header[f"total_mean_us_workers_{workers}"])
-            untimed = float(header[f"untimed_mean_us_workers_{workers}"])
-            assert 0.0 < untimed < total
-            assert untimed == pytest.approx(total - means[workers], rel=1e-9, abs=1e-6)
-            # the mean step without stage timers, the path a control loop runs
-            assert float(header[f"step_mean_us_workers_{workers}"]) > 0.0
+                    _, mean_us, _ = line.strip().split(",")
+                    means += float(mean_us)
+        assert header["columns"] == "stage,mean_us,max_us"
+        total, untimed = float(header["total_mean_us"]), float(header["untimed_mean_us"])
+        assert 0.0 < untimed < total
+        assert untimed == pytest.approx(total - means, rel=1e-9, abs=1e-6)
+        # the mean step without stage timers, the path a control loop runs
+        assert float(header["step_mean_us"]) > 0.0
 
     @pytest.mark.parametrize("force_numpy", [False, True])
     def test_timing_header_and_output_record_the_hessian_form(self, tmp_path, capsys, monkeypatch,

@@ -287,12 +287,6 @@ class TestClosedLoopMpc:
         du = np.diff(tr.u, axis=0)
         assert np.all(np.abs(du) <= plant.rho + 1e-9)
 
-    @pytest.mark.parametrize("n_workers", [0, -1])
-    def test_worker_count_below_one_refused_at_construction(self, plant, n_workers):
-        b = design_controller(plant, horizon=1)
-        with pytest.raises(ConfigError, match="n_workers"):
-            b.mpc_controller(20, n_workers=n_workers)
-
     @pytest.mark.parametrize("i_max", [-1, -3])
     def test_negative_budget_refused_at_construction(self, plant, i_max):
         b = design_controller(plant, horizon=1)
