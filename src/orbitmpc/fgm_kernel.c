@@ -55,7 +55,8 @@
  * the rows of V_K (n_u x |K|) with a block of modes in registers, the
  * expansion the rows of V_K^T with a block of outputs in registers, so
  * both vectorize without reordering a sum, as the dense sweep does; all
- * three sweeps run full-width blocks only, once there is one (BLOCK).
+ * three sweeps run full-width blocks only, once there is one (BLOCK), and
+ * below that blocks of whole 4-double vectors (narrow_vectors).
  *
  * On one-bandwidth plants the observer's estimates are kept by mode (see
  * observer.ModalRecord).  The three products of the observer and the
@@ -85,17 +86,47 @@
    (PROJECT_BLOCK) and the outputs of its expansion (EXPAND_BLOCK).  Past
    the first block, each sweep's last block ends on its last element and
    overlaps the one before, which it writes again with the same bits (see
-   gradient_step): blocks of 4 and 1, which the latency of their additions
-   bounds, would take its tail.  One ring-size factored iteration (n_k =
-   44, n_u = 173, N = 2; best of 3000 timed 20-iteration solves with
-   their ctypes call, gcc 12.2 -O3 on a 2-vCPU AVX-512 virtual machine)
-   took 4.1-4.3 us at 24/32, 4.2 at 24/24, 4.7 at 32/32 and 5.0 at 40/32,
-   but 8.0-9.1 us with a 16-wide block on either side, against 5.4-6.3 us
-   with 32-wide blocks and 4- and 1-wide tails; -mprefer-vector-width=512
-   made 24/32 slower (4.5 us). */
+   block_start).  One ring-size factored iteration (n_k = 44, n_u = 173,
+   N = 2; best of 3000 timed 20-iteration solves with their ctypes call,
+   gcc 12.2 -O3 on a 2-vCPU AVX-512 virtual machine) took 4.1-4.3 us at
+   24/32, 4.2 at 24/24, 4.7 at 32/32 and 5.0 at 40/32, but 8.0-9.1 us with
+   a 16-wide block on either side, against 5.4-6.3 us with 32-wide blocks
+   and 4- and 1-wide tails; -mprefer-vector-width=512 made 24/32 slower
+   (4.5 us).  A sweep narrower than its block runs NARROW_VECTORS, 2 or 1
+   vectors of 4 (16, 8 or 4 outputs) per block, the widest that fits, and
+   1-wide blocks only below 4 (see narrow_vectors). */
 #define BLOCK 32
 #define PROJECT_BLOCK 24
 #define EXPAND_BLOCK 32
+#define NARROW_VECTORS 4
+
+/* Four doubles as one vector (GCC's vector extension); -ffp-contract=off
+   keeps its multiplies and adds separate, lane by lane the scalar ones. */
+typedef double vd4 __attribute__((vector_size(4 * sizeof(double))));
+
+static inline vd4 load4(const double *p)
+{
+    vd4 x;
+    memcpy(&x, p, sizeof x);
+    return x;
+}
+
+static inline void store4(double *p, vd4 x)
+{
+    memcpy(p, &x, sizeof x);
+}
+
+/* The vectors per block of a sweep over `count` elements narrower than
+   its full-width block: the most, of NARROW_VECTORS, 2 and 1, whose
+   outputs fit in it; 0 below 4 elements, where the sweep runs 1-wide
+   blocks. */
+static inline int narrow_vectors(int64_t count)
+{
+    int vectors = NARROW_VECTORS;
+    while (vectors && 4 * vectors > count)
+        vectors /= 2;
+    return vectors;
+}
 
 /* Where the `width`-wide block from element i of a sweep over `count`
    elements starts: at i, or for a last block that would run past the
@@ -122,13 +153,39 @@ static inline void row_block(const double *restrict w, int64_t rows, int64_t col
         t[i + k] = acc[k] - q_scaled[i + k];
 }
 
+/* gradient_step's sweep in blocks of 4 `vectors` outputs, each block
+   row_block's operations on the same operands, lane by lane. */
+static inline __attribute__((always_inline))
+void narrow_rows(const double *restrict w, int64_t rows, int64_t cols,
+                 const double *restrict v, const double *restrict q_scaled,
+                 double *restrict t, int vectors)
+{
+    for (int64_t b = 0; b < cols; b += 4 * vectors) {
+        const int64_t i = block_start(b, cols, 4 * vectors);
+        vd4 acc[NARROW_VECTORS];
+        for (int k = 0; k < vectors; k++)
+            acc[k] = (vd4){0.0, 0.0, 0.0, 0.0};
+        for (int64_t j = 0; j < rows; j++) {
+            const double *restrict row = w + j * cols + i;
+            const double vj = v[j];
+            for (int k = 0; k < vectors; k++)
+                acc[k] += load4(row + 4 * k) * vj;
+        }
+        for (int k = 0; k < vectors; k++)
+            store4(t + i + 4 * k, acc[k] - load4(q_scaled + i + 4 * k));
+    }
+}
+
 /* t = W^T v - q for the row-major rows x cols matrix W, one block of
    outputs per sweep over its rows: with W = I - J / lambda_max (square and
    symmetric) and q / lambda_max, the gradient step; the modal entry
    points pass q = 0.  Past the first block, the last one ends on the last
    output and overlaps the one before, whose outputs it writes again with
-   the same bits: one sweep, where blocks of 4 and 1, each bound by the
-   latency of its additions, would take up to 3 + 3.  Kept out of line:
+   the same bits.  Below BLOCK columns the blocks are whole vectors
+   (narrow_vectors): gcc 12.2 -O3 -march=native (AVX-512) compiles a
+   row_block of 4 outputs into 2-double multiplies over pairs of rows,
+   each followed by a chain of scalar vaddsd, where narrow_rows is one
+   256-bit multiply and add per vector and row.  Kept out of line:
    inlined into fgm_solve, gcc 12 -O3 makes the ring-size (346-row) solve
    ~15% slower. */
 __attribute__((noinline))
@@ -140,11 +197,16 @@ static void gradient_step(const double *w, int64_t rows, int64_t cols, const dou
             row_block(w, rows, cols, v, q_scaled, t, block_start(i, cols, BLOCK), BLOCK);
         return;
     }
-    int64_t i = 0;
-    for (; i + 4 <= cols; i += 4)
-        row_block(w, rows, cols, v, q_scaled, t, i, 4);
-    for (; i < cols; i++)
-        row_block(w, rows, cols, v, q_scaled, t, i, 1);
+    const int vectors = narrow_vectors(cols);
+    if (vectors == 4)
+        narrow_rows(w, rows, cols, v, q_scaled, t, 4);
+    else if (vectors == 2)
+        narrow_rows(w, rows, cols, v, q_scaled, t, 2);
+    else if (vectors == 1)
+        narrow_rows(w, rows, cols, v, q_scaled, t, 1);
+    else
+        for (int64_t i = 0; i < cols; i++)
+            row_block(w, rows, cols, v, q_scaled, t, i, 1);
 }
 
 /* c[s n_k + k0 + m] = v_(k0 + m) . x_s for the `width` modes from k0:
@@ -199,6 +261,64 @@ void expand_modes(const double *restrict shared, const double *restrict vkt, int
             t[s * n_u + i0 + m] = acc[s][m] - q_scaled[s * n_u + i0 + m];
 }
 
+/* The projection's sweep below PROJECT_BLOCK modes and the expansion's
+   below EXPAND_BLOCK outputs, as gradient_step's below BLOCK columns:
+   blocks of 4 `vectors` modes or outputs, each project_modes' or
+   expand_modes' operations on the same operands, lane by lane. */
+static inline __attribute__((always_inline))
+void narrow_project(const double *restrict vk, int64_t n_k, int64_t n_u, int horizon,
+                    const double *restrict v, double *restrict c, int vectors)
+{
+    for (int64_t b = 0; b < n_k; b += 4 * vectors) {
+        const int64_t k0 = block_start(b, n_k, 4 * vectors);
+        vd4 acc[2][NARROW_VECTORS];
+        for (int s = 0; s < horizon; s++)
+            for (int m = 0; m < vectors; m++)
+                acc[s][m] = (vd4){0.0, 0.0, 0.0, 0.0};
+        for (int64_t i = 0; i < n_u; i++) {
+            const double *restrict row = vk + i * n_k + k0;
+            for (int s = 0; s < horizon; s++) {
+                const double x = v[s * n_u + i];
+                for (int m = 0; m < vectors; m++)
+                    acc[s][m] += load4(row + 4 * m) * x;
+            }
+        }
+        for (int s = 0; s < horizon; s++)
+            for (int m = 0; m < vectors; m++)
+                store4(c + s * n_k + k0 + 4 * m, acc[s][m]);
+    }
+}
+
+static inline __attribute__((always_inline))
+void narrow_expand(const double *restrict shared, const double *restrict vkt, int64_t n_k,
+                   int64_t n_u, int horizon, const double *restrict v, const double *restrict d,
+                   const double *restrict q_scaled, double *restrict t, int vectors)
+{
+    for (int64_t b = 0; b < n_u; b += 4 * vectors) {
+        const int64_t i0 = block_start(b, n_u, 4 * vectors);
+        vd4 acc[2][NARROW_VECTORS];
+        for (int s = 0; s < horizon; s++)
+            for (int m = 0; m < vectors; m++) {
+                vd4 sum = {0.0, 0.0, 0.0, 0.0};
+                for (int u = 0; u < horizon; u++)
+                    sum += shared[s * horizon + u] * load4(v + u * n_u + i0 + 4 * m);
+                acc[s][m] = sum;
+            }
+        for (int64_t k = 0; k < n_k; k++) {
+            const double *restrict row = vkt + k * n_u + i0;
+            for (int s = 0; s < horizon; s++) {
+                const double dk = d[s * n_k + k];
+                for (int m = 0; m < vectors; m++)
+                    acc[s][m] += load4(row + 4 * m) * dk;
+            }
+        }
+        for (int s = 0; s < horizon; s++)
+            for (int m = 0; m < vectors; m++)
+                store4(t + s * n_u + i0 + 4 * m,
+                       acc[s][m] - load4(q_scaled + s * n_u + i0 + 4 * m));
+    }
+}
+
 /* The factored step for one horizon; `factors` holds W_s (horizon^2),
    the M_k (n_k horizon^2), V_K (n_u n_k) and V_K^T (n_k n_u), row-major;
    `scratch` 2 horizon n_k doubles. */
@@ -214,11 +334,16 @@ void factored_step_h(const double *factors, int64_t n_k, int64_t n_u, int horizo
             project_modes(vk, n_k, n_u, horizon, v, c, block_start(k, n_k, PROJECT_BLOCK),
                           PROJECT_BLOCK);
     } else {
-        int64_t k = 0;
-        for (; k + 4 <= n_k; k += 4)
-            project_modes(vk, n_k, n_u, horizon, v, c, k, 4);
-        for (; k < n_k; k++)
-            project_modes(vk, n_k, n_u, horizon, v, c, k, 1);
+        const int vectors = narrow_vectors(n_k);
+        if (vectors == 4)
+            narrow_project(vk, n_k, n_u, horizon, v, c, 4);
+        else if (vectors == 2)
+            narrow_project(vk, n_k, n_u, horizon, v, c, 2);
+        else if (vectors == 1)
+            narrow_project(vk, n_k, n_u, horizon, v, c, 1);
+        else
+            for (int64_t k = 0; k < n_k; k++)
+                project_modes(vk, n_k, n_u, horizon, v, c, k, 1);
     }
     for (int64_t k = 0; k < n_k; k++) {
         const double *m = mix + k * horizon * horizon;
@@ -234,11 +359,16 @@ void factored_step_h(const double *factors, int64_t n_k, int64_t n_u, int horizo
             expand_modes(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t,
                          block_start(i, n_u, EXPAND_BLOCK), EXPAND_BLOCK);
     } else {
-        int64_t i = 0;
-        for (; i + 4 <= n_u; i += 4)
-            expand_modes(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t, i, 4);
-        for (; i < n_u; i++)
-            expand_modes(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t, i, 1);
+        const int vectors = narrow_vectors(n_u);
+        if (vectors == 4)
+            narrow_expand(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t, 4);
+        else if (vectors == 2)
+            narrow_expand(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t, 2);
+        else if (vectors == 1)
+            narrow_expand(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t, 1);
+        else
+            for (int64_t i = 0; i < n_u; i++)
+                expand_modes(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t, i, 1);
     }
 }
 

@@ -675,7 +675,20 @@ def _factored_oracle(shared, mix, vk, vkt, v, horizon):
     return t.ravel()
 
 
-TILE_SIZES = (1, 3, 4, 5, 23, 24, 25, 31, 32, 33, 44, 47, 48, 49, 64, 65)
+# both sides of every block width: the 4-, 8- and 16-wide narrow blocks,
+# PROJECT_BLOCK (24) and BLOCK = EXPAND_BLOCK (32)
+TILE_SIZES = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 23, 24, 25, 31, 32, 33, 44, 47, 48, 49,
+              64, 65)
+
+
+def _unbounded_set(n_u, N):
+    """The set array of qp.ConstraintSet, [lower; upper] and for N = 2
+    [band; rho] after them, for a set that every point is in."""
+    n = N * n_u
+    box = [np.full(n, -np.inf), np.full(n, np.inf)]
+    if N == 1:
+        return np.concatenate(box)
+    return np.concatenate([*box, np.full(n_u, np.inf), np.ones(n_u)])
 
 
 @pytest.mark.parametrize("N", [1, 2])
@@ -691,12 +704,7 @@ def test_factored_tiles_keep_every_bit(kernel, rng, N):
             vk = rng.standard_normal((n_u, n_k))
             vkt = np.ascontiguousarray(vk.T)
             factors = np.concatenate([shared.ravel(), mix.ravel(), vk.ravel(), vkt.ravel()])
-            if N == 1:
-                packed = np.concatenate([np.full(n, -np.inf), np.full(n, np.inf)])
-            else:  # box, band half-width, rho, segment limits
-                packed = np.concatenate([np.full(n, -np.inf), np.full(n, np.inf),
-                                         np.full(n_u, np.inf), np.ones(n_u),
-                                         np.full(2 * n_u, -np.inf), np.full(2 * n_u, np.inf)])
+            packed = _unbounded_set(n_u, N)
             v = rng.standard_normal(n)
             data = np.zeros(2 * n + 4 + 4 * n + 2 * N * n_k)
             data[n:2 * n] = v
@@ -705,3 +713,25 @@ def test_factored_tiles_keep_every_bit(kernel, rng, N):
             assert failed == -1
             want = _factored_oracle(shared, mix, vk, vkt, v, N)
             assert data[n:2 * n].tobytes() == want.tobytes(), (n_k, n_u)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_dense_sweep_keeps_every_bit(kernel, rng, N):
+    """One dense iteration with q = 0 over an unbounded set returns W v
+    itself: at every width on both sides of a block width it sums
+    W[j] * v[j] elementwise in ascending j, bit for bit."""
+    for n_u in (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 31, 32, 33, 47, 48, 65):
+        n = N * n_u
+        a = rng.standard_normal((n, n))
+        w = a + a.T
+        v = rng.standard_normal(n)
+        packed = _unbounded_set(n_u, N)
+        data = np.zeros(2 * n + 4 + 4 * n)
+        data[n:2 * n] = v
+        failed = kernel.fgm_solve(fgm._address(w), -1, n_u, N, 0.5, 1, fgm._address(packed),
+                                  fgm._address(data), 0)
+        assert failed == -1
+        want = np.zeros(n)
+        for j in range(n):
+            want = want + w[j] * v[j]
+        assert data[n:2 * n].tobytes() == want.tobytes(), n_u
