@@ -55,8 +55,8 @@
  * the rows of V_K (n_u x |K|) with a block of modes in registers, the
  * expansion the rows of V_K^T with a block of outputs in registers, so
  * both vectorize without reordering a sum, as the dense sweep does; all
- * three sweeps run full-width blocks only, once there is one (BLOCK), and
- * below that blocks of whole 4-double vectors (narrow_vectors).
+ * three sweeps run full-width blocks only, once there is one (BLOCK); a
+ * dense sweep narrower than BLOCK runs blocks of whole 4-double vectors.
  *
  * On one-bandwidth plants the observer's estimates are kept by mode (see
  * observer.ModalRecord).  The three products of the observer and the
@@ -86,19 +86,21 @@
    (PROJECT_BLOCK) and the outputs of its expansion (EXPAND_BLOCK).  Past
    the first block, each sweep's last block ends on its last element and
    overlaps the one before, which it writes again with the same bits (see
-   block_start).  One ring-size factored iteration (n_k = 44, n_u = 173,
-   N = 2; best of 3000 timed 20-iteration solves with their ctypes call,
-   gcc 12.2 -O3 on a 2-vCPU AVX-512 virtual machine) took 4.1-4.3 us at
-   24/32, 4.2 at 24/24, 4.7 at 32/32 and 5.0 at 40/32, but 8.0-9.1 us with
-   a 16-wide block on either side, against 5.4-6.3 us with 32-wide blocks
-   and 4- and 1-wide tails; -mprefer-vector-width=512 made 24/32 slower
-   (4.5 us).  A sweep narrower than its block runs NARROW_VECTORS, 2 or 1
-   vectors of 4 (16, 8 or 4 outputs) per block, the widest that fits, and
-   1-wide blocks only below 4 (see narrow_vectors). */
+   block_start), where blocks of 4 and 1, which the latency of their
+   additions bounds, would take its tail.  One ring-size factored
+   iteration (n_k = 44, n_u = 173, N = 2; best of 3000 timed 20-iteration
+   solves with their ctypes call, gcc 12.2 -O3 on a 2-vCPU AVX-512
+   virtual machine) took 4.1-4.3 us at 24/32, 4.2 at 24/24, 4.7 at 32/32
+   and 5.0 at 40/32, but 8.0-9.1 us with a 16-wide block on either side,
+   against 5.4-6.3 us with 32-wide blocks and 4- and 1-wide tails;
+   -mprefer-vector-width=512 made 24/32 slower (4.5 us).  Below BLOCK
+   columns the dense sweep runs blocks of whole 4-double vectors (see
+   gradient_step); the factored sweeps below PROJECT_BLOCK modes or
+   EXPAND_BLOCK outputs still run blocks of 4 and 1, a shape no benchmark
+   workload has. */
 #define BLOCK 32
 #define PROJECT_BLOCK 24
 #define EXPAND_BLOCK 32
-#define NARROW_VECTORS 4
 
 /* Four doubles as one vector (GCC's vector extension); -ffp-contract=off
    keeps its multiplies and adds separate, lane by lane the scalar ones. */
@@ -114,18 +116,6 @@ static inline vd4 load4(const double *p)
 static inline void store4(double *p, vd4 x)
 {
     memcpy(p, &x, sizeof x);
-}
-
-/* The vectors per block of a sweep over `count` elements narrower than
-   its full-width block: the most, of NARROW_VECTORS, 2 and 1, whose
-   outputs fit in it; 0 below 4 elements, where the sweep runs 1-wide
-   blocks. */
-static inline int narrow_vectors(int64_t count)
-{
-    int vectors = NARROW_VECTORS;
-    while (vectors && 4 * vectors > count)
-        vectors /= 2;
-    return vectors;
 }
 
 /* Where the `width`-wide block from element i of a sweep over `count`
@@ -153,8 +143,10 @@ static inline void row_block(const double *restrict w, int64_t rows, int64_t col
         t[i + k] = acc[k] - q_scaled[i + k];
 }
 
-/* gradient_step's sweep in blocks of 4 `vectors` outputs, each block
-   row_block's operations on the same operands, lane by lane. */
+/* gradient_step's sweep below BLOCK columns, in blocks of 4 `vectors`
+   outputs held as whole vectors, the last block overlapping the one
+   before (block_start): in each block row_block's operations on the same
+   operands, lane by lane. */
 static inline __attribute__((always_inline))
 void narrow_rows(const double *restrict w, int64_t rows, int64_t cols,
                  const double *restrict v, const double *restrict q_scaled,
@@ -162,7 +154,7 @@ void narrow_rows(const double *restrict w, int64_t rows, int64_t cols,
 {
     for (int64_t b = 0; b < cols; b += 4 * vectors) {
         const int64_t i = block_start(b, cols, 4 * vectors);
-        vd4 acc[NARROW_VECTORS];
+        vd4 acc[4];
         for (int k = 0; k < vectors; k++)
             acc[k] = (vd4){0.0, 0.0, 0.0, 0.0};
         for (int64_t j = 0; j < rows; j++) {
@@ -181,13 +173,17 @@ void narrow_rows(const double *restrict w, int64_t rows, int64_t cols,
    symmetric) and q / lambda_max, the gradient step; the modal entry
    points pass q = 0.  Past the first block, the last one ends on the last
    output and overlaps the one before, whose outputs it writes again with
-   the same bits.  Below BLOCK columns the blocks are whole vectors
-   (narrow_vectors): gcc 12.2 -O3 -march=native (AVX-512) compiles a
-   row_block of 4 outputs into 2-double multiplies over pairs of rows,
-   each followed by a chain of scalar vaddsd, where narrow_rows is one
-   256-bit multiply and add per vector and row.  Kept out of line:
-   inlined into fgm_solve, gcc 12 -O3 makes the ring-size (346-row) solve
-   ~15% slower. */
+   the same bits.  Below BLOCK columns the blocks are 16, 8 or 4 outputs,
+   the widest that fits, held as 4, 2 or 1 explicit 4-double vectors;
+   1-wide blocks run only below 4 columns.  gcc 12.2 -O3 -march=native
+   (AVX-512) compiles a row_block of 16, 8 or 4 outputs into 2-double
+   multiplies over pairs of rows, each followed by a chain of scalar
+   vaddsd, where narrow_rows is one 256-bit multiply and add per vector
+   and row: a call took 30 ns against 120 ns with 4-wide blocks at
+   16 x 16, and 60 ns at 17 x 17 (two overlapping 16-blocks) against
+   152 ns (four 4-wide blocks and a 1-wide one).  Kept out of line:
+   inlined into fgm_solve, gcc 12 -O3 makes the ring-size (346-row)
+   solve ~15% slower. */
 __attribute__((noinline))
 static void gradient_step(const double *w, int64_t rows, int64_t cols, const double *v,
                           const double *q_scaled, double *t)
@@ -195,18 +191,16 @@ static void gradient_step(const double *w, int64_t rows, int64_t cols, const dou
     if (cols >= BLOCK) {
         for (int64_t i = 0; i < cols; i += BLOCK)
             row_block(w, rows, cols, v, q_scaled, t, block_start(i, cols, BLOCK), BLOCK);
-        return;
-    }
-    const int vectors = narrow_vectors(cols);
-    if (vectors == 4)
+    } else if (cols >= 16) {
         narrow_rows(w, rows, cols, v, q_scaled, t, 4);
-    else if (vectors == 2)
+    } else if (cols >= 8) {
         narrow_rows(w, rows, cols, v, q_scaled, t, 2);
-    else if (vectors == 1)
+    } else if (cols >= 4) {
         narrow_rows(w, rows, cols, v, q_scaled, t, 1);
-    else
+    } else {
         for (int64_t i = 0; i < cols; i++)
             row_block(w, rows, cols, v, q_scaled, t, i, 1);
+    }
 }
 
 /* c[s n_k + k0 + m] = v_(k0 + m) . x_s for the `width` modes from k0:
@@ -261,64 +255,6 @@ void expand_modes(const double *restrict shared, const double *restrict vkt, int
             t[s * n_u + i0 + m] = acc[s][m] - q_scaled[s * n_u + i0 + m];
 }
 
-/* The projection's sweep below PROJECT_BLOCK modes and the expansion's
-   below EXPAND_BLOCK outputs, as gradient_step's below BLOCK columns:
-   blocks of 4 `vectors` modes or outputs, each project_modes' or
-   expand_modes' operations on the same operands, lane by lane. */
-static inline __attribute__((always_inline))
-void narrow_project(const double *restrict vk, int64_t n_k, int64_t n_u, int horizon,
-                    const double *restrict v, double *restrict c, int vectors)
-{
-    for (int64_t b = 0; b < n_k; b += 4 * vectors) {
-        const int64_t k0 = block_start(b, n_k, 4 * vectors);
-        vd4 acc[2][NARROW_VECTORS];
-        for (int s = 0; s < horizon; s++)
-            for (int m = 0; m < vectors; m++)
-                acc[s][m] = (vd4){0.0, 0.0, 0.0, 0.0};
-        for (int64_t i = 0; i < n_u; i++) {
-            const double *restrict row = vk + i * n_k + k0;
-            for (int s = 0; s < horizon; s++) {
-                const double x = v[s * n_u + i];
-                for (int m = 0; m < vectors; m++)
-                    acc[s][m] += load4(row + 4 * m) * x;
-            }
-        }
-        for (int s = 0; s < horizon; s++)
-            for (int m = 0; m < vectors; m++)
-                store4(c + s * n_k + k0 + 4 * m, acc[s][m]);
-    }
-}
-
-static inline __attribute__((always_inline))
-void narrow_expand(const double *restrict shared, const double *restrict vkt, int64_t n_k,
-                   int64_t n_u, int horizon, const double *restrict v, const double *restrict d,
-                   const double *restrict q_scaled, double *restrict t, int vectors)
-{
-    for (int64_t b = 0; b < n_u; b += 4 * vectors) {
-        const int64_t i0 = block_start(b, n_u, 4 * vectors);
-        vd4 acc[2][NARROW_VECTORS];
-        for (int s = 0; s < horizon; s++)
-            for (int m = 0; m < vectors; m++) {
-                vd4 sum = {0.0, 0.0, 0.0, 0.0};
-                for (int u = 0; u < horizon; u++)
-                    sum += shared[s * horizon + u] * load4(v + u * n_u + i0 + 4 * m);
-                acc[s][m] = sum;
-            }
-        for (int64_t k = 0; k < n_k; k++) {
-            const double *restrict row = vkt + k * n_u + i0;
-            for (int s = 0; s < horizon; s++) {
-                const double dk = d[s * n_k + k];
-                for (int m = 0; m < vectors; m++)
-                    acc[s][m] += load4(row + 4 * m) * dk;
-            }
-        }
-        for (int s = 0; s < horizon; s++)
-            for (int m = 0; m < vectors; m++)
-                store4(t + s * n_u + i0 + 4 * m,
-                       acc[s][m] - load4(q_scaled + s * n_u + i0 + 4 * m));
-    }
-}
-
 /* The factored step for one horizon; `factors` holds W_s (horizon^2),
    the M_k (n_k horizon^2), V_K (n_u n_k) and V_K^T (n_k n_u), row-major;
    `scratch` 2 horizon n_k doubles. */
@@ -334,16 +270,11 @@ void factored_step_h(const double *factors, int64_t n_k, int64_t n_u, int horizo
             project_modes(vk, n_k, n_u, horizon, v, c, block_start(k, n_k, PROJECT_BLOCK),
                           PROJECT_BLOCK);
     } else {
-        const int vectors = narrow_vectors(n_k);
-        if (vectors == 4)
-            narrow_project(vk, n_k, n_u, horizon, v, c, 4);
-        else if (vectors == 2)
-            narrow_project(vk, n_k, n_u, horizon, v, c, 2);
-        else if (vectors == 1)
-            narrow_project(vk, n_k, n_u, horizon, v, c, 1);
-        else
-            for (int64_t k = 0; k < n_k; k++)
-                project_modes(vk, n_k, n_u, horizon, v, c, k, 1);
+        int64_t k = 0;
+        for (; k + 4 <= n_k; k += 4)
+            project_modes(vk, n_k, n_u, horizon, v, c, k, 4);
+        for (; k < n_k; k++)
+            project_modes(vk, n_k, n_u, horizon, v, c, k, 1);
     }
     for (int64_t k = 0; k < n_k; k++) {
         const double *m = mix + k * horizon * horizon;
@@ -359,16 +290,11 @@ void factored_step_h(const double *factors, int64_t n_k, int64_t n_u, int horizo
             expand_modes(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t,
                          block_start(i, n_u, EXPAND_BLOCK), EXPAND_BLOCK);
     } else {
-        const int vectors = narrow_vectors(n_u);
-        if (vectors == 4)
-            narrow_expand(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t, 4);
-        else if (vectors == 2)
-            narrow_expand(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t, 2);
-        else if (vectors == 1)
-            narrow_expand(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t, 1);
-        else
-            for (int64_t i = 0; i < n_u; i++)
-                expand_modes(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t, i, 1);
+        int64_t i = 0;
+        for (; i + 4 <= n_u; i += 4)
+            expand_modes(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t, i, 4);
+        for (; i < n_u; i++)
+            expand_modes(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t, i, 1);
     }
 }
 

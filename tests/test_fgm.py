@@ -675,10 +675,7 @@ def _factored_oracle(shared, mix, vk, vkt, v, horizon):
     return t.ravel()
 
 
-# both sides of every block width: the 4-, 8- and 16-wide narrow blocks,
-# PROJECT_BLOCK (24) and BLOCK = EXPAND_BLOCK (32)
-TILE_SIZES = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 23, 24, 25, 31, 32, 33, 44, 47, 48, 49,
-              64, 65)
+TILE_SIZES = (1, 3, 4, 5, 23, 24, 25, 31, 32, 33, 44, 47, 48, 49, 64, 65)
 
 
 def _unbounded_set(n_u, N):
