@@ -2,9 +2,9 @@
 
 Offline design (modal weights, DARE terminal cost, delayed-measurement
 observer gain, setpoint folding), an online fast-gradient QP solver with
-exact amplitude/slew-rate projections and a deterministic parallel
-gradient engine, and a closed-loop simulator with a modal baseline
-controller and integrated-motion spectra.
+exact amplitude/slew-rate projections that runs one serial loop (compiled
+where a C compiler is available, numpy otherwise), and a closed-loop
+simulator with a modal baseline controller and integrated-motion spectra.
 """
 
 from .bundle import DesignBundle, design_controller, load_bundle, run_checks, save_bundle

@@ -5,14 +5,15 @@ horizon: modal decomposition, weight design (saturated or baseline-gain
 matched), DARE terminal cost, observer gain, and then `_assemble`: the
 steady-state target map, condensed QP and iteration-bound bookkeeping.
 The result round-trips through a bundle directory that the simulate, bench
-and check commands consume: one `.npy` file per array the design solves
-for (the plant's among them) and every scalar in `meta.txt` as key=value
-text.  The load repeats `_assemble` on the arrays it reads, so the
-condensed QP is stored nowhere, and refuses recorded scalars it derives
-otherwise.  On a one-bandwidth plant it also builds the observer's and
-linear term's modal record.  `meta.txt` carries the bundle's schema version
-and a fingerprint of the design inputs, so a bundle designed from other
-inputs or in another layout is never mistaken for a fresh one.
+and check commands consume: every array the design solves for (the
+plant's among them) raveled into one vector in `arrays.npy`, and every
+scalar in `meta.txt` as key=value text.  The load repeats `_assemble` on
+the arrays it reads, so the condensed QP is stored nowhere, and refuses
+recorded scalars it derives otherwise.  On a one-bandwidth plant it also
+builds the observer's and linear term's modal record.  `meta.txt` carries
+the bundle's schema version and a fingerprint of the design inputs, so a
+bundle designed from other inputs or in another layout is never mistaken
+for a fresh one.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import math
 import os
 import warnings
 
@@ -35,7 +37,7 @@ from .sim import ImcController, MpcController
 # Version of the bundle layout, separate from fileio.SCHEMA_VERSION of the
 # text outputs; design_fingerprint hashes it, so bench redesigns a bundle of
 # another layout instead of loading it.
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 # A dense eigensolve of the n x n Hessian finds lambda_min only to within a
 # few eps lambda_max (up to 5.9 eps lambda_max, and 1.05 n eps lambda_max
@@ -248,32 +250,18 @@ def _assemble(plant: PlantConfig, ss: StateSpace, basis: ModalBasis, weights: de
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _gain_file(mu: int) -> str:
-    return "L_zmu" if mu else "L_x"
+ARRAY_FILE = "arrays.npy"
 
 
-def _arrays(b: DesignBundle) -> dict[str, np.ndarray]:
-    """The bundle's arrays by file stem, the plant's first; the observer
-    gain is stored as its measured block and L_d, from which the load
-    rebuilds the rest."""
-    return {
-        "R": b.plant.R, "bandwidths": b.plant.bandwidths, "alpha": b.plant.alpha, "rho": b.plant.rho,
-        "U": b.basis.U, "S": b.basis.S, "V": b.basis.V_full,
-        "Q": b.weights.Q, "R_w": b.weights.R_w, "q_hat": b.weights.q_hat, "r_hat": b.weights.r_hat,
-        "P": b.terminal.P,
-        _gain_file(b.ss.mu): b.gain.measured, "L_d": b.gain.L_d,
-    }
-
-
-def _array_shapes(n_y: int, n_u: int, mu: int) -> dict[str, tuple[int, ...]]:
-    """The shape of every bundle array, from the plant's sizes."""
+def _array_shapes(n_y: int, n_u: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every bundle array, from the plant's sizes, in the order
+    ARRAY_FILE holds them raveled, the plant's first."""
     r = min(n_u, n_y)
     return {
         "R": (n_y, n_u), "bandwidths": (n_u,), "alpha": (n_u,), "rho": (n_u,),
         "U": (n_y, r), "S": (r,), "V": (n_u, n_u),
         "Q": (n_u, n_u), "R_w": (n_u, n_u), "q_hat": (r,), "r_hat": (n_u,),
-        "P": (n_u, n_u),
-        _gain_file(mu): (n_u, n_y), "L_d": (n_y, n_y),
+        "P": (n_u, n_u), "measured": (n_u, n_y), "L_d": (n_y, n_y),
     }
 
 
@@ -304,40 +292,36 @@ def _derived_from(b: DesignBundle) -> dict[str, str]:
     return {**sources, "i_max_bound": "epsilon, delta and kappa"}
 
 
-def _read_array(path, shape: tuple[int, ...]) -> np.ndarray:
-    try:
-        array = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read bundle array {path}: {exc}") from exc
-    if array.dtype != np.float64:
-        raise ConfigError(f"{path}: dtype {array.dtype}, expected float64")
-    if array.shape != shape:
-        raise DimensionError(f"{path}: shape {array.shape}, expected {shape}")
-    return array
-
-
 def save_bundle(bundle: DesignBundle, directory) -> None:
-    """Write the bundle: one .npy file per array and every scalar in
-    meta.txt.  A directory holding any entry the bundle would not write is
-    refused before any write."""
-    arrays = _arrays(bundle)
+    """Write the bundle: every array raveled into ARRAY_FILE, one float64
+    vector in the order of _array_shapes (the observer gain as its measured
+    block and L_d, from which the load rebuilds the rest), and every scalar
+    in meta.txt.  A directory holding any other entry is refused before any
+    write."""
     if os.path.isdir(directory):
-        foreign = sorted(set(os.listdir(directory)) - {"meta.txt"} - {f"{name}.npy" for name in arrays})
+        foreign = sorted(set(os.listdir(directory)) - {"meta.txt", ARRAY_FILE})
         if foreign:
             raise ConfigError(f"{directory} holds entries that are not part of this design bundle: "
                               f"{', '.join(foreign)}; write it to an empty directory")
     os.makedirs(directory, exist_ok=True)
-    for name, array in arrays.items():
-        np.save(os.path.join(directory, f"{name}.npy"), array, allow_pickle=False)
-    fileio.write_kv(os.path.join(directory, "meta.txt"), {**bundle.meta, **_scalars(bundle)})
+    b = bundle
+    arrays = {
+        "R": b.plant.R, "bandwidths": b.plant.bandwidths, "alpha": b.plant.alpha, "rho": b.plant.rho,
+        "U": b.basis.U, "S": b.basis.S, "V": b.basis.V_full,
+        "Q": b.weights.Q, "R_w": b.weights.R_w, "q_hat": b.weights.q_hat, "r_hat": b.weights.r_hat,
+        "P": b.terminal.P, "measured": b.gain.measured, "L_d": b.gain.L_d,
+    }
+    vector = np.concatenate([np.ravel(arrays[name]) for name in _array_shapes(b.plant.n_y, b.plant.n_u)])
+    np.save(os.path.join(directory, ARRAY_FILE), vector, allow_pickle=False)
+    fileio.write_kv(os.path.join(directory, "meta.txt"), {**b.meta, **_scalars(b)})
 
 
 def load_bundle(directory, diagnose: bool = False) -> DesignBundle:
     """Read a bundle written by `save_bundle`, checking its schema version,
-    that meta.txt holds no key outside META_KEYS, and the dtype and shape
-    of every array, and rebuild the rest with the
-    design's own last step (_assemble): the plant (a plant that a plant
-    config would refuse fails the load), the target map, the condensed QP
+    that meta.txt holds no key outside META_KEYS, and that ARRAY_FILE is a
+    float64 vector as long as _array_shapes asks for, and rebuild the rest
+    with the design's own last step (_assemble): the plant (a plant that a
+    plant config would refuse fails the load), the target map, the condensed QP
     (on a one-bandwidth plant its J, from P, Q and R_w, must agree with the
     modal form rebuilt from q_hat, r_hat and V), the Hessian bounds, the
     default delta and the iteration bound.  epsilon and a given delta must
@@ -358,11 +342,24 @@ def load_bundle(directory, diagnose: bool = False) -> DesignBundle:
         )
     fileio.reject_unknown_keys(meta_path, meta, META_KEYS)
     n_y, n_u, mu, horizon = (fileio.kv_get(meta, key, int) for key in ("n_y", "n_u", "mu", "horizon"))
-    arrays = {name: _read_array(os.path.join(directory, f"{name}.npy"), shape)
-              for name, shape in _array_shapes(n_y, n_u, mu).items()}
+    path, shapes = os.path.join(directory, ARRAY_FILE), _array_shapes(n_y, n_u)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    try:
+        with open(path, "rb") as file:
+            vector = np.lib.format.read_array(file, allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read bundle array file {path}: {exc}") from exc
+    if vector.dtype != np.float64:
+        raise ConfigError(f"{path}: dtype {vector.dtype}, expected float64")
+    if vector.shape != (sum(sizes),):
+        raise DimensionError(f"{path}: shape {vector.shape}, expected ({sum(sizes)},), the bundle arrays "
+                             f"of n_y = {n_y} and n_u = {n_u}")
+    arrays = {name: part.reshape(shape)
+              for (name, shape), part in zip(shapes.items(), np.split(vector, np.cumsum(sizes)[:-1]))}
     epsilon = fileio.kv_get(meta, "epsilon", float)
     delta = None if fileio.kv_get(meta, "delta_is_default", int, 0) else fileio.kv_get(meta, "delta", float)
     r = min(n_y, n_u)
+    V_full = np.asfortranarray(arrays["V"])  # column-major as designed, so products round alike
     try:
         plant = PlantConfig(R=arrays["R"], bandwidths=arrays["bandwidths"],
                             dt=fileio.kv_get(meta, "dt", float), mu=mu,
@@ -370,10 +367,10 @@ def load_bundle(directory, diagnose: bool = False) -> DesignBundle:
         ss = build_state_space(plant)
         loaded = _assemble(
             plant, ss,
-            ModalBasis(U=arrays["U"], S=arrays["S"], V=arrays["V"][:, :r], V_perp=arrays["V"][:, r:]),
+            ModalBasis(U=arrays["U"], S=arrays["S"], V=V_full[:, :r], V_perp=V_full[:, r:]),
             design.Weights(q_hat=arrays["q_hat"], r_hat=arrays["r_hat"], Q=arrays["Q"], R_w=arrays["R_w"]),
             design.TerminalCost(P=arrays["P"]),
-            design.PartitionedGain(arrays[_gain_file(mu)], arrays["L_d"], ss.A, mu),
+            design.PartitionedGain(arrays["measured"], arrays["L_d"], ss.A, mu),
             horizon, epsilon, delta, meta,
         )
     except (ConfigError, NumericalError) as exc:

@@ -13,7 +13,7 @@ Two formats only:
   A line starting with ``#`` is a comment, and so is the rest of a line
   from a ``#`` that follows whitespace.  A key may appear only once.
 
-The design bundle stores its arrays as ``.npy`` files instead (see
+The design bundle stores its arrays in one ``.npy`` file instead (see
 ``bundle``).
 """
 

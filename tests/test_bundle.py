@@ -18,12 +18,11 @@ from orbitmpc import (
     save_bundle,
     synthetic_plant,
 )
-from orbitmpc.bundle import META_KEYS
+from orbitmpc.bundle import ARRAY_FILE, META_KEYS, _array_shapes
 from orbitmpc.fileio import read_kv, write_kv
 from orbitmpc.observer import MODAL_RECORD_TOLERANCE, Q_MAP_D_ROUNDING
 
-ARRAY_FILES = {"R", "bandwidths", "alpha", "rho",
-               "U", "S", "V", "P", "Q", "R_w", "q_hat", "r_hat", "L_d"}
+from bundle_arrays import bundle_array
 
 
 def wide_plant(mu):
@@ -81,9 +80,7 @@ def test_round_trip_is_bit_exact(tmp_path, plant, horizon, weights):
         warnings.simplefilter("ignore", UserWarning)  # tall: least-squares target
         ours = design_controller(plant, horizon, weights_mode=weights)
     save_bundle(ours, tmp_path)
-    gain_file = "L_zmu" if plant.mu else "L_x"
-    assert set(os.listdir(tmp_path)) == {"meta.txt"} | {f"{name}.npy" for name in ARRAY_FILES | {gain_file}}
-    assert len(os.listdir(tmp_path)) == 15
+    assert set(os.listdir(tmp_path)) == {"meta.txt", ARRAY_FILE}
     theirs = load_bundle(tmp_path)
 
     want, got = arrays(ours), arrays(theirs)
@@ -120,34 +117,64 @@ def test_other_schema_version_rejected(saved):
 
 
 def test_wrong_shape_names_the_file(saved):
-    Q = np.load(saved / "Q.npy")
-    np.save(saved / "Q.npy", Q[:-1])
-    with pytest.raises(DimensionError, match=r"Q\.npy.*shape"):
-        load_bundle(saved)
+    # one value short and one value long: the 5x6 plant's arrays are 288 values
+    vector = np.load(saved / ARRAY_FILE)
+    assert vector.shape == (288,)
+    for edited in (vector[:-1], np.append(vector, 0.0)):
+        np.save(saved / ARRAY_FILE, edited)
+        refusal = rf"arrays\.npy: shape \({edited.size},\), expected \(288,\), .*n_y = 5 and n_u = 6$"
+        with pytest.raises(DimensionError, match=refusal):
+            load_bundle(saved)
 
 
 def test_wrong_dtype_names_the_file(saved):
-    P = np.load(saved / "P.npy")
-    np.save(saved / "P.npy", P.astype(np.float32))
-    with pytest.raises(ConfigError, match=r"P\.npy.*float32"):
+    vector = np.load(saved / ARRAY_FILE)
+    np.save(saved / ARRAY_FILE, vector.astype(np.float32))
+    with pytest.raises(ConfigError, match=r"arrays\.npy: dtype float32, expected float64"):
         load_bundle(saved)
 
+
+@pytest.mark.filterwarnings("ignore:response matrix has rank")
+@pytest.mark.parametrize("plant", [pytest.param(wide_plant(0), id="wide-mu0"),
+                                   pytest.param(synthetic_plant(6, 4, 50.0, seed=3, mu=3), id="tall-mu3")])
+def test_array_file_layout(tmp_path, plant):
+    # arrays.npy is the file format: these arrays raveled, in this order,
+    # with these shapes; the measured gain block (L_x at mu = 0) has one name
+    b = design_controller(plant, 2)
+    save_bundle(b, tmp_path)
+    n_y, n_u = plant.n_y, plant.n_u
+    r = min(n_y, n_u)
+    layout = [
+        ("R", (n_y, n_u), b.plant.R), ("bandwidths", (n_u,), b.plant.bandwidths),
+        ("alpha", (n_u,), b.plant.alpha), ("rho", (n_u,), b.plant.rho),
+        ("U", (n_y, r), b.basis.U), ("S", (r,), b.basis.S), ("V", (n_u, n_u), b.basis.V_full),
+        ("Q", (n_u, n_u), b.weights.Q), ("R_w", (n_u, n_u), b.weights.R_w),
+        ("q_hat", (r,), b.weights.q_hat), ("r_hat", (n_u,), b.weights.r_hat),
+        ("P", (n_u, n_u), b.terminal.P), ("measured", (n_u, n_y), b.gain.measured),
+        ("L_d", (n_y, n_y), b.gain.L_d),
+    ]
+    assert list(_array_shapes(n_y, n_u).items()) == [(name, shape) for name, shape, _ in layout]
+    vector = np.load(tmp_path / ARRAY_FILE)
+    assert vector.dtype == np.float64
+    assert vector.tobytes() == np.concatenate([np.ravel(array) for _, _, array in layout]).tobytes()
 
 
 def test_zero_limit_names_the_actuator(saved):
     # the load builds the plant, so a limit no design could have used fails it
-    alpha = np.load(saved / "alpha.npy")
+    alpha = bundle_array(saved, "alpha")
     alpha[3] = 0.0
-    np.save(saved / "alpha.npy", alpha)
+    bundle_array(saved, "alpha", alpha)
     with pytest.raises(ConfigError, match=rf"{re.escape(str(saved))}.*alpha\[3\] = 0\.0"):
         load_bundle(saved)
 
 
-def test_edited_size_names_the_response_matrix(saved):
+def test_edited_size_names_the_array_file(saved):
+    # n_y = 6 on the 5x6 plant's 288 values, where 6x6 arrays are 324
     meta = read_kv(saved / "meta.txt")
     meta["n_y"] = "6"
     write_kv(saved / "meta.txt", meta)
-    with pytest.raises(DimensionError, match=r"R\.npy: shape \(5, 6\), expected \(6, 6\)"):
+    refusal = r"arrays\.npy: shape \(288,\), expected \(324,\), the bundle arrays of n_y = 6 and n_u = 6$"
+    with pytest.raises(DimensionError, match=refusal):
         load_bundle(saved)
 
 
@@ -222,11 +249,11 @@ def test_hessian_bound_out_of_range_names_the_key(saved, key, value):
 
 @pytest.mark.parametrize("horizon", [1, 2])
 def test_null_space_completion_and_modal_form_round_trip(tmp_path, horizon):
-    # V.npy holds the square [V, V_perp]; the load rebuilds the form from it,
+    # V holds the square [V, V_perp]; the load rebuilds the form from it,
     # q_hat and r_hat with the function the design uses
     ours = design_controller(synthetic_plant(20, 23, 1e3, seed=4), horizon)
     save_bundle(ours, tmp_path)
-    assert np.load(tmp_path / "V.npy").shape == (23, 23)
+    assert bundle_array(tmp_path, "V").shape == (23, 23)
     theirs = load_bundle(tmp_path)
     assert ours.basis.V_perp.shape == (23, 3)
     assert theirs.basis.V_perp.tobytes() == ours.basis.V_perp.tobytes()
@@ -250,9 +277,9 @@ def test_mixed_bandwidth_bundle_records_the_dense_form(tmp_path):
 
 @pytest.mark.parametrize("name", ["q_hat", "r_hat"])
 def test_edited_modal_weight_refused_naming_the_array(saved, name):
-    weight = np.load(saved / f"{name}.npy")
+    weight = bundle_array(saved, name)
     weight[1] *= 1.5
-    np.save(saved / f"{name}.npy", weight)
+    bundle_array(saved, name, weight)
     with pytest.raises(ConfigError, match=rf"{re.escape(str(saved))}: .*disagrees with .*\b{name}\b"):
         load_bundle(saved)
 
@@ -266,13 +293,14 @@ def test_edited_hessian_record_names_the_key(saved, key, value):
         load_bundle(saved)
 
 
-@pytest.mark.parametrize("name", ["L_d", "L_zmu"])
-def test_edited_online_map_refused_naming_it(saved, name):
+@pytest.mark.parametrize("stored, name", [pytest.param("L_d", "L_d", id="L_d"),
+                                          pytest.param("measured", "L_zmu", id="L_zmu")])
+def test_edited_online_map_refused_naming_it(saved, stored, name):
     # one off-diagonal entry added, 1e-6 of the map's largest: the map is no
     # longer diagonal by mode, and its probe product shows it
-    array = np.load(saved / f"{name}.npy")
+    array = bundle_array(saved, stored)
     array[0, 1] += 1e-6 * np.max(np.abs(array))
-    np.save(saved / f"{name}.npy", array)
+    bundle_array(saved, stored, array)
     refusal = rf"{re.escape(str(saved))}: {name} disagrees with its modal record"
     with pytest.raises(ConfigError, match=refusal):
         load_bundle(saved)
@@ -283,9 +311,9 @@ def test_edited_online_map_refused_naming_it(saved, name):
 def test_edited_hessian_array_refused_naming_it(saved, name):
     # J and both linear-term maps are rebuilt from these on load; an edit
     # moves J off the modal blocks, which the check command's load refuses too
-    array = np.load(saved / f"{name}.npy")
+    array = bundle_array(saved, name)
     array[0, 1] += 1e-6 * np.max(np.abs(array))
-    np.save(saved / f"{name}.npy", array)
+    bundle_array(saved, name, array)
     refusal = rf"{re.escape(str(saved))}: Hessian J disagrees with its modal blocks: .*\b{name}\b"
     for diagnose in (False, True):
         with pytest.raises(ConfigError, match=refusal):
@@ -296,9 +324,9 @@ def test_edited_weight_on_a_mixed_plant_refused_naming_the_bound(tmp_path):
     # without a modal form the bounds are J's eigensolve, which the load
     # repeats on the J it rebuilds
     save_bundle(design_controller(mixed_plant(), 2), tmp_path)
-    R_w = np.load(tmp_path / "R_w.npy")
+    R_w = bundle_array(tmp_path, "R_w")
     R_w[0, 1] += 1e-6 * np.max(np.abs(R_w))
-    np.save(tmp_path / "R_w.npy", R_w)
+    bundle_array(tmp_path, "R_w", R_w)
     with pytest.raises(ConfigError, match=r"meta.txt key 'lambda_min' = \S+ is not \S+, derived from "
                                           r"the Hessian J, built from P, Q, R_w and the plant$"):
         load_bundle(tmp_path)
@@ -345,19 +373,17 @@ def test_ill_conditioned_design_runs_the_dense_maps(tmp_path, horizon):
 
 
 @pytest.mark.parametrize("name, refusal", [
-    pytest.param(name, refusal, id=name) for name, refusal in [
-        ("L_d", "L_d disagrees with its modal record"), ("L_zmu", "L_zmu disagrees with its modal record"),
-        ("P", r"disagrees with its modal blocks: .*\bP\b"), ("Q", r"disagrees with its modal blocks: .*\bQ\b"),
-        ("R_w", r"disagrees with its modal blocks: .*\bR_w\b"),
-    ]
+    pytest.param("L_d", "L_d disagrees with its modal record", id="L_d"),
+    pytest.param("measured", "L_zmu disagrees with its modal record", id="L_zmu"),
+    *(pytest.param(name, rf"disagrees with its modal blocks: .*\b{name}\b", id=name) for name in ("P", "Q", "R_w")),
 ])
 def test_ill_conditioned_design_with_an_edited_map_refused(tmp_path, name, refusal):
     # q_map_d's rounding allowance at kappa(C) = 1e8 (1.4e-6) covers no
     # edit: the maps are rebuilt from P, Q, R_w and the basis, and an edit
     # of 1e-6 of the largest entry shows against the modal forms
     save_bundle(ill_conditioned(2), tmp_path)
-    array = np.load(tmp_path / f"{name}.npy")
+    array = bundle_array(tmp_path, name)
     array[0, 1] += 1e-6 * np.max(np.abs(array))
-    np.save(tmp_path / f"{name}.npy", array)
+    bundle_array(tmp_path, name, array)
     with pytest.raises(ConfigError, match=refusal):
         load_bundle(tmp_path)

@@ -1,7 +1,6 @@
 import hashlib
 import os
 import re
-import shutil
 import warnings
 from pathlib import Path
 
@@ -12,6 +11,8 @@ from orbitmpc import bundle as bundle_mod
 from orbitmpc import ConfigError, fgm, load_bundle, save_plant_config, synthetic_plant
 from orbitmpc.cli import CONFIG_KEYS, load_run_config, main
 from orbitmpc.fileio import read_kv, read_matrix, write_kv, write_matrix
+
+from bundle_arrays import bundle_array
 
 BASE_CONFIG = """
 schema_version = 1
@@ -67,12 +68,10 @@ class TestDesignCommand:
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")
         assert main(["design", "--config", cfg, "--out", out]) == 0
-        for name in ("R.npy", "bandwidths.npy", "alpha.npy", "rho.npy", "P.npy", "Q.npy",
-                     "q_hat.npy", "r_hat.npy", "L_zmu.npy", "L_d.npy", "meta.txt"):
-            assert os.path.exists(os.path.join(out, name)), name
-        assert len(os.listdir(out)) == 15
-        for name in ("J.npy", "q_map_x0.npy", "q_map_d.npy"):  # rebuilt on load
-            assert not os.path.exists(os.path.join(out, name)), name
+        assert set(os.listdir(out)) == {"arrays.npy", "meta.txt"}
+        # the arrays of the table only: J, q_map_x0 and q_map_d are rebuilt on load
+        shapes = bundle_mod._array_shapes(5, 5).values()
+        assert np.load(os.path.join(out, "arrays.npy")).shape == (sum(np.prod(shape) for shape in shapes),)
         meta = read_kv(os.path.join(out, "meta.txt"))
         assert {"n_y", "n_u", "dt", "mu", "lambda_min", "lambda_max", "beta", "kappa",
                 "i_max_bound", "epsilon", "delta"} <= meta.keys()
@@ -355,10 +354,9 @@ class TestCheckCommand:
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")
         main(["design", "--config", cfg, "--out", out])
-        path = os.path.join(out, "L_d.npy")
-        L_d = np.load(path)
+        L_d = bundle_array(out, "L_d")
         L_d[0, 1] += 1e-6 * np.max(np.abs(L_d))
-        np.save(path, L_d)
+        bundle_array(out, "L_d", L_d)
         capsys.readouterr()
         assert main(["check", "--config", cfg, "--bundle", out]) == 3
         assert "[FAIL] modal_record: L_d disagrees with its modal record" in capsys.readouterr().out
@@ -369,10 +367,9 @@ class TestCheckCommand:
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")
         main(["design", "--config", cfg, "--out", out])
-        p_path = os.path.join(out, "P.npy")
-        P = np.load(p_path)
+        P = bundle_array(out, "P")
         P[0, 0] *= 3.0
-        np.save(p_path, P)
+        bundle_array(out, "P", P)
         assert main(["check", "--config", cfg, "--bundle", out]) == 2
         assert re.search(r"Hessian J disagrees with its modal blocks: .*the terminal cost P\b",
                          capsys.readouterr().err)
@@ -383,9 +380,9 @@ class TestCheckCommand:
         cfg = self.mixed_bandwidth_config(tmp_path)
         out = tmp_path / "out"
         assert main(["design", "--config", cfg, "--out", str(out)]) == 0
-        P = np.load(out / "P.npy")
+        P = bundle_array(out, "P")
         P[0, 0] *= 3.0
-        np.save(out / "P.npy", P)
+        bundle_array(out, "P", P)
         capsys.readouterr()
         assert main(["check", "--config", cfg, "--bundle", str(out)]) == 2
         assert re.search(r"meta.txt key 'lambda_min' = \S+ is not \S+, derived from the Hessian J, "
@@ -434,7 +431,7 @@ class TestCheckCommand:
         out, other = str(tmp_path / "out"), str(tmp_path / "other")
         main(["design", "--config", cfg, "--out", out])
         main(["design", "--config", cfg, "--out", other, "--seed", "12"])
-        shutil.copyfile(os.path.join(other, "U.npy"), os.path.join(out, "U.npy"))
+        bundle_array(out, "U", bundle_array(other, "U"))
         capsys.readouterr()
         assert main(["check", "--config", cfg, "--bundle", out]) == 3
         assert "[FAIL] setpoint_residual" in capsys.readouterr().out
@@ -444,11 +441,21 @@ class TestCheckCommand:
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")
         main(["design", "--config", cfg, "--out", out])
-        s_path = os.path.join(out, "S.npy")
-        np.save(s_path, 1e9 * np.load(s_path))
+        bundle_array(out, "S", 1e9 * bundle_array(out, "S"))
         capsys.readouterr()
         assert main(["check", "--config", cfg, "--bundle", out]) == 3
         assert "[FAIL] setpoint_residual" in capsys.readouterr().out
+
+    def test_zip_archive_in_the_array_file_exit_2(self, tmp_path, capsys):
+        # np.load reads zip content as an NpzFile; the load takes .npy only
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        main(["design", "--config", cfg, "--out", str(out)])
+        np.savez(tmp_path / "arrays.npz", arrays=np.load(out / "arrays.npy"))
+        os.replace(tmp_path / "arrays.npz", out / "arrays.npy")
+        capsys.readouterr()
+        assert main(["check", "--config", cfg, "--bundle", str(out)]) == 2
+        assert f"cannot read bundle array file {out / 'arrays.npy'}" in capsys.readouterr().err
 
     def test_dimension_mismatch_exit_3(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -540,11 +547,11 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["design", "--config", cfg, "--out", str(out)]) == 0
         meta = read_kv(out / "meta.txt")
-        sigma_0_sq = float(np.load(out / "S.npy")[0]) ** 2
+        sigma_0_sq = float(bundle_array(out, "S")[0]) ** 2
         q_max = value if key == "q_max" else sigma_0_sq
         q_min = value if key == "q_min" else q_max / 100.0
         assert float(meta["q_min"]) == q_min and float(meta["q_max"]) == q_max
-        q_hat = np.load(out / "q_hat.npy")
+        q_hat = bundle_array(out, "q_hat")
         assert q_hat.min() == q_min and q_hat.max() <= q_max
 
     @pytest.mark.parametrize("extra, argv", [("seed = -1\n", []), ("", ["--seed", "-3"])])
@@ -614,8 +621,7 @@ class TestConfigValidation:
         out_b = str(tmp_path / "b")
         main(["design", "--config", cfg, "--out", out_a])
         main(["design", "--config", cfg, "--out", out_b, "--seed", "99"])
-        assert not np.array_equal(np.load(os.path.join(out_a, "R.npy")),
-                                  np.load(os.path.join(out_b, "R.npy")))
+        assert not np.array_equal(bundle_array(out_a, "R"), bundle_array(out_b, "R"))
 
     def test_bundle_round_trip_drives_controller(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -738,7 +744,7 @@ class TestDesignFingerprint:
         assert "design bundle written" in capsys.readouterr().out
         assert read_kv(os.path.join(bundle_dir, "meta.txt"))["schema_version"] == str(bundle_mod.SCHEMA_VERSION)
         assert set(os.listdir(bundle_dir)) == fresh
-        assert len(fresh) == 15
+        assert fresh == {"arrays.npy", "meta.txt"}
 
     def test_bench_refuses_a_bundle_with_an_edited_hessian_bound(self, tmp_path, capsys):
         out = str(tmp_path / "bench")
