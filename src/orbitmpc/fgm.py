@@ -30,16 +30,17 @@ It also holds the per-mode observer update and linear term that
 and `mpc_step`, which runs a whole control sample of that path in one
 call: the controller's untimed samples run it, and its timed ones (with
 `timers`) the staged calls, this module's `solve` among them and the
-kernel's `modal_observe(ctx, y, u)` last, so that the benchmark's tracer
-can time and re-solve each stage.
+kernel's modal_observe last, so that the benchmark's tracer can time
+and re-solve each stage.
 The kernel stays plain C.  `fgm_binding.c` wraps it as a CPython
-extension module: its entry points as functions, and `Step`, a callable
-bound to one controller's context that runs `mpc_step` on the
-measurement's own buffer.  The build needs a C compiler (`$CC`, else
-`cc`) and the interpreter's `Python.h`; numpy's headers ship with numpy.
-It compiles the two files as two objects in two concurrent compiler
-processes, links them once per process into a temporary directory, and
-removes that once the module is loaded:
+extension module: `fgm_solve` as a function that reads its arrays in
+place, and `Step`, a callable bound to one controller's context that
+runs `mpc_step` on the measurement's own buffer, and whose
+`observe(y, u)` runs modal_observe.  The build needs a C compiler
+(`$CC`, else `cc`) and the interpreter's `Python.h`; numpy's headers
+ship with numpy.  One compiler call compiles and links the two files,
+once per process, into a temporary directory, which is removed once the
+module is loaded:
 `sim.MpcController` builds it while it is set up, so no control sample
 pays for the build, and otherwise the first solve does.  Where it is
 built, every `solve` runs it.  Where it cannot be built (no compiler, or
@@ -69,7 +70,6 @@ naming the BLAS and the first differing slice.
 from __future__ import annotations
 
 import concurrent.futures
-import ctypes
 import dataclasses
 import importlib.machinery
 import importlib.util
@@ -176,76 +176,56 @@ MEASUREMENT_REFUSED, SET_REFUSED = -2, -3
 
 def step_context(**fields) -> np.ndarray:
     """A STEP_CONTEXT record of every one of its fields, an array by its
-    address (checked as `_address` checks it), anything else as it is."""
-    values = (fields[name] for name in STEP_CONTEXT.names)
-    return np.array(tuple(_address(v) if isinstance(v, np.ndarray) else v for v in values),
-                    STEP_CONTEXT)
+    address, anything else as it is.  An array must be C-contiguous
+    float64 data, which the kernel reads through the address."""
+    values = []
+    for name in STEP_CONTEXT.names:
+        value = fields[name]
+        if isinstance(value, np.ndarray):
+            if value.dtype != np.float64 or not value.flags.c_contiguous:
+                raise DimensionError(f"compiled kernel needs C-contiguous float64 data for "
+                                     f"{name}, got {value.dtype}")
+            value = value.__array_interface__["data"][0]
+        values.append(value)
+    return np.array(tuple(values), STEP_CONTEXT)
 
 _UNBUILT = object()
 _kernel = _UNBUILT
 _kernel_lock = threading.Lock()
 
 
-def _run_together(commands) -> None:
-    """Run the commands as concurrent processes; raise CalledProcessError,
-    with its output as `stderr`, for the first that fails, or
-    TimeoutExpired past _BUILD_TIMEOUT_S.  Each command runs in a process
-    group of its own, which is killed whole if the command has not
-    finished (timed out, or a later command could not start), so no
-    compiler child outlives the build."""
-    deadline = time.monotonic() + _BUILD_TIMEOUT_S
-    processes, outputs = [], []
-    try:
-        for command in commands:
-            processes.append(subprocess.Popen(command, stdout=subprocess.PIPE,
-                                              stderr=subprocess.STDOUT, text=True,
-                                              errors="replace", start_new_session=True))
-        for process in processes:
-            outputs.append(process.communicate(
-                timeout=max(0.0, deadline - time.monotonic()))[0])
-    finally:
-        # an unfinished process is not reaped yet, so its group id is still its own
-        for process in processes[len(outputs):]:
-            try:
-                os.killpg(process.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            process.wait()
-        for process in processes:
-            process.stdout.close()
-    for command, process, output in zip(commands, processes, outputs):
-        if process.returncode:
-            raise subprocess.CalledProcessError(process.returncode, command, stderr=output)
-
-
 def _build_kernel():
-    """Compile fgm_kernel.c and its CPython binding with `$CC` (else `cc`),
-    as two objects in two concurrent processes, link them into one
-    extension module and load it; None, with one line on stderr, when that
-    fails (no compiler, or no Python.h)."""
+    """Compile and link fgm_kernel.c and its CPython binding into one
+    extension module in one `$CC` (else `cc`) process and load it; None,
+    with one line on stderr, when that fails (no compiler, or no
+    Python.h)."""
     cc = shlex.split(os.environ.get("CC") or "cc")
     includes = [f"-I{sysconfig.get_paths()['include']}", f"-I{np.get_include()}"]
     with tempfile.TemporaryDirectory(prefix="orbitmpc-fgm-") as tmp:
-        kernel_object = os.path.join(tmp, "fgm_kernel.o")
-        binding_object = os.path.join(tmp, "fgm_binding.o")
         library = os.path.join(tmp, "fgm_kernel.so")
         try:
-            _run_together([
-                [*cc, *_KERNEL_FLAGS, "-c", "-o", kernel_object, str(_KERNEL_SOURCE)],
-                [*cc, *_KERNEL_FLAGS, *includes, "-c", "-o", binding_object, str(_BINDING_SOURCE)]])
-            _run_together([[*cc, *_KERNEL_FLAGS, "-o", library, kernel_object, binding_object,
-                             "-lm"]])
-            loader = importlib.machinery.ExtensionFileLoader("fgm_kernel", library)
-            kernel = importlib.util.module_from_spec(importlib.util.spec_from_loader("fgm_kernel",
-                                                                                   loader))
-            loader.exec_module(kernel)
-        except subprocess.CalledProcessError as exc:
-            lines = exc.stderr.strip().splitlines() or [f"exit status {exc.returncode}"]
-            reason = next((line for line in lines if "error" in line), lines[0])
+            # a process group of its own, killed whole if the compiler has not
+            # finished, so no compiler child outlives the build
+            with subprocess.Popen([*cc, *_KERNEL_FLAGS, *includes, "-o", library,
+                                   str(_KERNEL_SOURCE), str(_BINDING_SOURCE), "-lm"],
+                                  stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+                                  errors="replace", start_new_session=True) as compiler:
+                try:
+                    output = compiler.communicate(timeout=_BUILD_TIMEOUT_S)[0]
+                finally:
+                    if compiler.returncode is None:  # not reaped, so its group id is its own
+                        os.killpg(compiler.pid, signal.SIGKILL)
+            if compiler.returncode:
+                lines = output.strip().splitlines() or [f"exit status {compiler.returncode}"]
+                reason = next((line for line in lines if "error" in line), lines[0])
+            else:
+                loader = importlib.machinery.ExtensionFileLoader("fgm_kernel", library)
+                kernel = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader("fgm_kernel", loader))
+                loader.exec_module(kernel)
+                reason = None
         except (OSError, ImportError, subprocess.TimeoutExpired) as exc:
             reason = str(exc)
-        else:
-            reason = None
     if reason is not None:
         print(f"orbitmpc: cannot build the compiled FGM kernel with {' '.join(cc)} ({reason}); "
               "solving with numpy", file=sys.stderr)
@@ -267,18 +247,6 @@ def solve_kernel() -> str:
     """'compiled' when `solve` runs the compiled kernel, else 'numpy';
     builds the kernel if it is not built yet."""
     return "numpy" if _load_kernel() is None else "compiled"
-
-
-def _address(array: np.ndarray) -> int:
-    """Address of a C-contiguous float64 array, checked before C reads it.
-
-    A writable array's comes through the buffer protocol, about three
-    times cheaper than `array.ctypes.data`."""
-    if array.dtype != np.float64 or not array.flags.c_contiguous:
-        raise DimensionError(f"compiled kernel needs C-contiguous float64 data, got {array.dtype}")
-    if array.flags.writeable and array.size:
-        return ctypes.addressof(ctypes.c_char.from_buffer(array))
-    return array.ctypes.data
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +333,17 @@ def shutdown_pools() -> None:
 # Gradient step
 # ---------------------------------------------------------------------------
 
-def _check_solve_inputs(qp: CondensedQP, v: np.ndarray) -> None:
+def _checked_vectors(qp: CondensedQP, q, v) -> tuple[np.ndarray, np.ndarray]:
+    """(q, v), a linear term and an iterate, as float arrays of the QP's
+    size, v C-contiguous."""
     n = qp.N * qp.n_u
+    v = np.ascontiguousarray(v, dtype=float)
     if v.shape != (n,):
         raise DimensionError(f"iterate shape {v.shape} != {(n,)}")
-
-
-def _checked_linear_term(qp: CondensedQP, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    n = qp.N * qp.n_u
     if q.shape != (n,):
         raise DimensionError(f"linear term shape {q.shape} != {(n,)}")
-    return q
+    return q, v
 
 
 def _blas_name() -> str:
@@ -417,9 +384,7 @@ def gradient_step_parallel(qp: CondensedQP, v: np.ndarray, q: np.ndarray, plan: 
     """Row-sliced gradient step, one plan slice per worker of the shared
     pool (serial for one), bit-identical to the serial reference; raises
     NumericalError where the BLAS breaks that (see _check_slices)."""
-    v = np.ascontiguousarray(v, dtype=float)
-    _check_solve_inputs(qp, v)
-    q = _checked_linear_term(qp, q)
+    q, v = _checked_vectors(qp, q, v)
     if plan.rows != v.shape[0]:
         raise DimensionError(f"plan covers {plan.rows} rows, matrix has {v.shape[0]}")
     t_pad = np.empty(qp.W.shape[0])
@@ -450,12 +415,9 @@ def _add_ns(timers: dict, stage: str, tic: int) -> int:
 
 def _check_iterate_inputs(qp: CondensedQP, q, cset: ConstraintSet, warm):
     """(q, warm) as float arrays of the QP's size, warm C-contiguous."""
-    q = _checked_linear_term(qp, q)
-    warm = np.ascontiguousarray(warm, dtype=float)
     if cset.N != qp.N or cset.n_u != qp.n_u:
         raise DimensionError("constraint set does not match the QP dimensions")
-    _check_solve_inputs(qp, warm)
-    return q, warm
+    return _checked_vectors(qp, q, warm)
 
 
 def _iterate(qp: CondensedQP, q: np.ndarray, cset: ConstraintSet, warm: np.ndarray,
@@ -508,10 +470,10 @@ class Workspace:
     it: q / lambda_max, the iterate, the stage timers, the iterations the
     solve ran and the scratch.
     `matrix` is the QP's step matrix, its factored form over `n_k` modes
-    where it has one, else W with `n_k` -1.  Its address and that of
-    `data` are fetched here, so a solve fetches only the constraint set's.
-    A solve writes all of `data`, so one workspace serves one solve at a
-    time; the iterate it returns is overwritten by the next.
+    where it has one, else W with `n_k` -1.  The kernel reads both, and
+    the constraint set's array, in place.  A solve writes all of `data`,
+    so one workspace serves one solve at a time; the iterate it returns
+    is overwritten by the next.
     """
 
     def __init__(self, qp: CondensedQP):
@@ -529,8 +491,6 @@ class Workspace:
         self.stage_ns = self.data[2 * n:stages]
         self._iterations = self.data[stages:stages + 1]
         self._iterations[0] = 0.0
-        self._head = (_address(self.matrix), self.n_k, qp.n_u, qp.N, qp.beta)
-        self._data_address = _address(self.data)
 
     @property
     def iterations(self) -> int:
@@ -548,8 +508,9 @@ class Workspace:
             np.copyto(self.iterate, warm)
         if timers is not None:
             self.stage_ns.fill(0.0)
-        failed = kernel.fgm_solve(*self._head, budget, _address(cset._packed),
-                                  self._data_address, timers is not None)
+        qp = self.qp
+        failed = kernel.fgm_solve(self.matrix, self.n_k, qp.n_u, qp.N, qp.beta, budget,
+                                  cset._packed, self.data, timers is not None)
         if failed >= 0:
             raise NumericalError(f"non-finite iterate at iteration {failed}")
         if timers is not None:

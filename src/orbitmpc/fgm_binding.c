@@ -1,14 +1,14 @@
 /*
- * The CPython module around fgm_kernel.c: fgm.py compiles the two files
- * as two objects and links them into one extension module, `fgm_kernel`,
- * which it loads once per process (see fgm._build_kernel).  The kernel
- * stays plain C; this file holds everything that touches Python objects.
+ * The CPython module around fgm_kernel.c: fgm.py compiles and links the
+ * two files into one extension module, `fgm_kernel`, in one compiler
+ * call, and loads it once per process (see fgm._build_kernel).  The
+ * kernel stays plain C; this file holds everything that touches Python
+ * objects.
  *
  *   fgm_solve(w, n_k, n_u, horizon, beta, budget, set, data, timed)
- *   modal_observe(context, y, u)
- *                      the kernel's entry points with their argument
- *                      lists: addresses as ints, y as a buffer of n_y
- *                      doubles (bytes); each returns the kernel's int
+ *                      the kernel's entry point with its argument list,
+ *                      w, set and data as float64 ndarrays that it reads
+ *                      in place; returns the kernel's int
  *   Step(context, u_prev, n_y)
  *                      a callable bound to one controller's context (a
  *                      STEP_CONTEXT array, fgm.step_context) and to its
@@ -19,7 +19,13 @@
  *                      native-float64, aligned, C-contiguous ndarray of
  *                      shape (n_y,) it returns NotImplemented and runs
  *                      nothing, so the caller checks y and passes it again.
+ *                      step.observe(y, u) runs modal_observe on the
+ *                      context, with y (n_y values) and u (n_u) read in
+ *                      place, and returns its int.
  *
+ * An array argument must be a native float64 ndarray, aligned and
+ * C-contiguous, and writeable where the kernel writes it (`data`); any
+ * other is refused with a TypeError naming it, before the kernel runs.
  * Every call holds the interpreter lock: one control sample is too short
  * to release it and take it back for.
  */
@@ -41,34 +47,41 @@ int64_t fgm_solve(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, do
 int64_t modal_observe(const struct context *c, const double *y, const double *u);
 int64_t mpc_step(const struct context *c, const double *y);
 
-/* PyArg converter ("O&"): the address the int `obj` holds. */
-static int address(PyObject *obj, void *out)
+/* An array argument whose data the kernel reads in place, named for its
+   refusal.  The PyArg converter ("O&") `doubles` accepts a native float64
+   ndarray that is aligned, C-contiguous and, where `writeable` is set,
+   writeable. */
+struct doubles {
+    const char *name;
+    int writeable;
+    PyArrayObject *array;
+};
+
+static int doubles(PyObject *obj, void *out)
 {
-    void *pointer = PyLong_AsVoidPtr(obj);
-    *(void **)out = pointer;
-    return !(pointer == NULL && PyErr_Occurred());
+    struct doubles *arg = out;
+    PyArrayObject *array = (PyArrayObject *)obj;
+    if (!PyArray_Check(obj) || PyArray_TYPE(array) != NPY_DOUBLE
+        || !(arg->writeable ? PyArray_ISCARRAY(array) : PyArray_ISCARRAY_RO(array))) {
+        PyErr_Format(PyExc_TypeError, "%s must be an aligned, C-contiguous%s float64 array",
+                     arg->name, arg->writeable ? ", writeable" : "");
+        return 0;
+    }
+    arg->array = array;
+    return 1;
 }
 
 static PyObject *py_fgm_solve(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    void *w, *set, *data;
+    struct doubles w = {"w", 0, NULL}, set = {"set", 0, NULL}, data = {"data", 1, NULL};
     long long n_k, n_u, horizon, budget, timed;
     double beta;
-    if (!PyArg_ParseTuple(args, "O&LLLdLO&O&L:fgm_solve", address, &w, &n_k, &n_u, &horizon,
-                          &beta, &budget, address, &set, address, &data, &timed))
+    if (!PyArg_ParseTuple(args, "O&LLLdLO&O&L:fgm_solve", doubles, &w, &n_k, &n_u, &horizon,
+                          &beta, &budget, doubles, &set, doubles, &data, &timed))
         return NULL;
-    return PyLong_FromLongLong(fgm_solve(w, n_k, n_u, horizon, beta, budget, set, data, timed));
-}
-
-static PyObject *py_modal_observe(PyObject *Py_UNUSED(module), PyObject *args)
-{
-    void *context, *u;
-    Py_buffer y;
-    if (!PyArg_ParseTuple(args, "O&y*O&:modal_observe", address, &context, &y, address, &u))
-        return NULL;
-    const int64_t done = modal_observe(context, y.buf, u);
-    PyBuffer_Release(&y);
-    return PyLong_FromLongLong(done);
+    return PyLong_FromLongLong(fgm_solve(PyArray_DATA(w.array), n_k, n_u, horizon, beta, budget,
+                                         PyArray_DATA(set.array), PyArray_DATA(data.array),
+                                         timed));
 }
 
 typedef struct {
@@ -102,6 +115,22 @@ static PyObject *step_call(PyObject *self, PyObject *const *args, size_t nargsf,
         memcpy(PyArray_DATA((PyArrayObject *)u), PyArray_DATA(step->u_prev),
                (size_t)PyArray_NBYTES(step->u_prev));
     return u;
+}
+
+static PyObject *step_observe(PyObject *self, PyObject *args)
+{
+    const Step *step = (const Step *)self;
+    struct doubles y = {"y", 0, NULL}, u = {"u", 0, NULL};
+    if (!PyArg_ParseTuple(args, "O&O&:observe", doubles, &y, doubles, &u))
+        return NULL;
+    const npy_intp n_u = PyArray_SIZE(step->u_prev);
+    if (PyArray_SIZE(y.array) != step->n_y || PyArray_SIZE(u.array) != n_u) {
+        PyErr_Format(PyExc_ValueError, "observe(): y must hold %zd values and u %zd",
+                     (Py_ssize_t)step->n_y, (Py_ssize_t)n_u);
+        return NULL;
+    }
+    return PyLong_FromLongLong(modal_observe(PyArray_DATA(step->context), PyArray_DATA(y.array),
+                                             PyArray_DATA(u.array)));
 }
 
 /* An aligned, C-contiguous array whose data the kernel reads in place. */
@@ -148,6 +177,12 @@ static void step_dealloc(PyObject *self)
     Py_TYPE(self)->tp_free(self);
 }
 
+static PyMethodDef step_methods[] = {
+    {"observe", step_observe, METH_VARARGS,
+     "observe(y, u) -> int: modal_observe on the step's context"},
+    {NULL, NULL, 0, NULL},
+};
+
 static PyTypeObject StepType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "fgm_kernel.Step",
@@ -156,6 +191,7 @@ static PyTypeObject StepType = {
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_VECTORCALL,
     .tp_vectorcall_offset = offsetof(Step, vectorcall),
     .tp_call = PyVectorcall_Call,
+    .tp_methods = step_methods,
     .tp_new = step_new,
     .tp_dealloc = step_dealloc,
 };
@@ -163,8 +199,6 @@ static PyTypeObject StepType = {
 static PyMethodDef methods[] = {
     {"fgm_solve", py_fgm_solve, METH_VARARGS,
      "fgm_solve(w, n_k, n_u, horizon, beta, budget, set, data, timed) -> int"},
-    {"modal_observe", py_modal_observe, METH_VARARGS,
-     "modal_observe(context, y, u) -> int"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -5,11 +5,12 @@
  * fgm.py states the iteration and builds this file with the system
  * compiler once per process; its numpy loop stays the reference and the
  * fallback.  This file is plain C and includes no Python header:
- * fgm_binding.c, compiled beside it as a second object, makes the two one
- * CPython extension module, which needs a C compiler and Python.h (numpy's
- * headers ship with numpy).  Where either is missing the build fails, one
- * line on stderr says so, and the numpy loop runs.  Python calls three
- * entry points through that module:
+ * fgm_binding.c, compiled and linked with it in one compiler call, makes
+ * the two one CPython extension module, which needs a C compiler and
+ * Python.h (numpy's headers ship with numpy).  Where either is missing
+ * the build fails, one line on stderr says so, and the numpy loop runs.
+ * Python calls three entry points through that module, which hands them
+ * its arrays' own buffers:
  *
  *   fgm_solve          the whole loop (fgm.solve): warm-start projection,
  *                      then per iteration the gradient step, its
@@ -29,10 +30,10 @@
  *                      then the observer update and the next linear term,
  *                      u_prev and the warm start, committed together.
  *
- * sim.MpcController runs the last two on one-bandwidth plants: mpc_step
- * on an untimed sample, through the binding's Step, which reads y in
- * place; modal_observe after the staged set update and fgm_solve on a
- * timed one (see sim.py).
+ * sim.MpcController runs the last two on one-bandwidth plants, both
+ * through the binding's Step: mpc_step on an untimed sample;
+ * modal_observe, as Step's observe, after the staged set update and
+ * fgm_solve on a timed one (see sim.py).
  *
  * The gradient step t = W v - q / lambda_max, W = I - J / lambda_max,
  * takes one of two forms.

@@ -256,13 +256,14 @@ class MpcController:
         `checked_measurement`, which accepts or refuses it, and an
         accepted y is passed again as such an array.
       - With `timers`, the staged calls: a copy of the linear term,
-        `update_constraint_set`, `fgm.solve`, and the kernel's
-        modal_observe with y's bytes and the applied input, each timed
-        (the benchmark's tracer also wraps and re-solves `fgm.solve`).
+        `update_constraint_set`, `fgm.solve`, and `Step`'s observe, which
+        runs the kernel's modal_observe on y, made aligned and
+        C-contiguous, and the applied input, each timed (the benchmark's
+        tracer also wraps and re-solves `fgm.solve`).
     Both give the same bytes, which agree with the dense reference
     functions to rounding.  Both refuse a y whose U^T y, new estimates
     or next linear term are not finite: mpc_step checks U^T y before
-    the solve, modal_observe after it, which reads only the linear term
+    the solve, observe after it, which reads only the linear term
     of the last sample; the timed path then puts back the warm start
     that the solve overwrote.
     Otherwise (`observer_form` 'dense') each sample calls the reference
@@ -311,8 +312,6 @@ class MpcController:
                 budget=self.i_max, lambda_max=condensed.lambda_max, data=ws.data, set=self._set,
                 alpha=self._cset0.alpha, rho=self._cset0.rho, u_prev=self.u_prev)
             self._step = kernel.Step(self._context, self.u_prev, ss.n_y)
-            self._modal_observe = kernel.modal_observe
-            self._context_address = self._context.ctypes.data
         self.reset()
 
     @property
@@ -390,7 +389,7 @@ class MpcController:
             self._observer, self._q, self.u_prev = observer, q_next, u_k
             np.copyto(self.warm, u_plan)
         else:  # U^T y, the new estimates and the next linear term, kept only where finite
-            if not self._modal_observe(self._context_address, y_k.tobytes(), fgm._address(u_k)):
+            if not self._step.observe(np.require(y_k, requirements="CA"), u_k):
                 np.copyto(self.warm, warm)
                 raise _overflowing_measurement(y_k)
             if timers is not None:

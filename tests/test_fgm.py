@@ -532,7 +532,7 @@ class TestCompiledKernel:
             return stat.rpartition(")")[2].split()[0] not in ("Z", "X")  # a zombie has ended
 
         children = [int(line) for line in pids.read_text().split()]
-        assert len(children) == 2  # the kernel's and the binding's compile
+        assert len(children) == 1  # one compiler call builds the kernel and its binding
         deadline = time.monotonic() + 5.0
         while any(running(pid) for pid in children) and time.monotonic() < deadline:
             time.sleep(0.05)
@@ -705,8 +705,7 @@ def test_factored_tiles_keep_every_bit(kernel, rng, N):
             v = rng.standard_normal(n)
             data = np.zeros(2 * n + 4 + 4 * n + 2 * N * n_k)
             data[n:2 * n] = v
-            failed = kernel.fgm_solve(fgm._address(factors), n_k, n_u, N, 0.5, 1,
-                                      fgm._address(packed), fgm._address(data), 0)
+            failed = kernel.fgm_solve(factors, n_k, n_u, N, 0.5, 1, packed, data, 0)
             assert failed == -1
             want = _factored_oracle(shared, mix, vk, vkt, v, N)
             assert data[n:2 * n].tobytes() == want.tobytes(), (n_k, n_u)
@@ -725,10 +724,47 @@ def test_dense_sweep_keeps_every_bit(kernel, rng, N):
         packed = _unbounded_set(n_u, N)
         data = np.zeros(2 * n + 4 + 4 * n)
         data[n:2 * n] = v
-        failed = kernel.fgm_solve(fgm._address(w), -1, n_u, N, 0.5, 1, fgm._address(packed),
-                                  fgm._address(data), 0)
+        failed = kernel.fgm_solve(w, -1, n_u, N, 0.5, 1, packed, data, 0)
         assert failed == -1
         want = np.zeros(n)
         for j in range(n):
             want = want + w[j] * v[j]
         assert data[n:2 * n].tobytes() == want.tobytes(), n_u
+
+
+def _refused_form(array, form):
+    """`array` as one of the forms the binding refuses to read in place."""
+    if form == "float32":
+        return array.astype(np.float32)
+    if form == "strided":
+        return np.repeat(array.ravel(), 2)[::2]
+    read_only = array.copy()
+    read_only.flags.writeable = False
+    return read_only
+
+
+@pytest.mark.parametrize("argument, form", [*((argument, form) for argument in ("w", "set", "data")
+                                              for form in ("float32", "strided")),
+                                            ("data", "read-only")])
+def test_fgm_solve_refuses_arrays_it_cannot_read_in_place(kernel, rng, argument, form):
+    """w, set and data are read in place: each must be an aligned,
+    C-contiguous float64 array, data writeable too.  Any other is refused,
+    naming it, before the kernel writes anything."""
+    n_u, N = 3, 2
+    n = N * n_u
+    a = rng.standard_normal((n, n))
+    arrays = {"w": a + a.T, "set": _unbounded_set(n_u, N), "data": np.zeros(2 * n + 4 + 4 * n)}
+    arrays["data"][n:2 * n] = rng.standard_normal(n)
+    arrays[argument] = _refused_form(arrays[argument], form)
+    before = {name: array.tobytes() for name, array in arrays.items()}
+    with pytest.raises(TypeError, match=f"^{argument} must be an aligned, C-contiguous"):
+        kernel.fgm_solve(arrays["w"], -1, n_u, N, 0.5, 1, arrays["set"], arrays["data"], 0)
+    assert {name: array.tobytes() for name, array in arrays.items()} == before
+
+
+@pytest.mark.parametrize("form", ["float32", "strided"])
+def test_step_context_refuses_arrays_the_kernel_cannot_read(form):
+    fields = dict.fromkeys(fgm.STEP_CONTEXT.names, 0)
+    fields["state"] = _refused_form(np.zeros(4), form)
+    with pytest.raises(DimensionError, match="C-contiguous float64 data for state"):
+        fgm.step_context(**fields)

@@ -644,6 +644,15 @@ class TestCompiledRecentring:
             assert ctrl._set.tobytes() == want._packed.tobytes(), name
         assert ctrl._set[3] == ctrl._set[ctrl.qp.N * n_u + 3] == -alpha[3]  # lo == hi
 
+    def test_set_array_has_room_for_mpc_steps_copy(self, shape):
+        """mpc_step saves the set array just past its end before recentring
+        it, so the array is the first half of a buffer twice its size."""
+        ctrl = BUFFER_PLANTS[shape]().mpc_controller(i_max=20)
+        assert ctrl.observer_form == "modal"
+        spare = ctrl._set.base
+        assert spare.size >= 2 * ctrl._set.size
+        assert ctrl._set.__array_interface__["data"] == spare.__array_interface__["data"]
+
     @pytest.mark.parametrize("case", ["amplitude", "nan", "empty"])
     def test_refusal_matches_update_constraint_set(self, shape, case):
         n_u = 4 if shape == "4x4-n1" else 8
@@ -692,6 +701,33 @@ def test_untimed_modal_samples_run_no_python_set_update_or_solve(monkeypatch, sh
         ctrl.step(y[0], timers={})
 
 
+@pytest.mark.skipif(fgm.solve_kernel() != "compiled", reason="needs the compiled kernel")
+@pytest.mark.parametrize("argument", ["y", "u"])
+@pytest.mark.parametrize("form", ["float32", "strided", "short"])
+def test_observe_refuses_arrays_it_cannot_read_in_place(argument, form):
+    """A timed sample's observe reads y and u in place: each must be an
+    aligned, C-contiguous float64 array of its size.  Any other is
+    refused, naming it, before the kernel writes anything."""
+    ctrl = BUFFER_PLANTS["8x8-n2"]().mpc_controller(i_max=20)
+    assert ctrl.observer_form == "modal"
+    rng = np.random.default_rng(5)
+    for y_k in rng.normal(0.0, 1.0, (5, 8)):
+        ctrl.step(y_k)
+    arrays = {"y": rng.normal(0.0, 1.0, 8), "u": ctrl.u_prev.copy()}
+    if form == "float32":
+        arrays[argument] = arrays[argument].astype(np.float32)
+    elif form == "strided":
+        arrays[argument] = np.repeat(arrays[argument], 2)[::2]
+    else:
+        arrays[argument] = arrays[argument][:-1]
+    error, message = ((ValueError, r"y must hold 8 values and u 8") if form == "short" else
+                      (TypeError, f"^{argument} must be an aligned, C-contiguous float64 array"))
+    before = _controller_state(ctrl)
+    with pytest.raises(error, match=message):
+        ctrl._step.observe(arrays["y"], arrays["u"])
+    assert _controller_state(ctrl) == before
+
+
 @pytest.mark.parametrize("kernel_off", [False, True], ids=["kernel", "kernel-off"])
 class TestMeasurementChecks:
     @pytest.fixture
@@ -736,11 +772,14 @@ class TestMeasurementChecks:
         for name, was in before.items():
             assert after[name] == was, name
 
-    def test_strided_measurement_accepted(self, ctrl):
-        y = np.random.default_rng(7).normal(0.0, 1.0, (8, 2))
-        u = ctrl.step(y[:, 0])
+    @pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
+    def test_strided_measurement_accepted(self, ctrl, timed):
+        # a sample's y reaches its input only through the next sample's q
+        y = np.repeat(np.random.default_rng(7).normal(0.0, 1.0, 8), 2)[::2]
+        got = [ctrl.step(y, timers={} if timed else None).tobytes() for _ in range(2)]
         ctrl.reset()
-        assert ctrl.step(np.ascontiguousarray(y[:, 0])).tobytes() == u.tobytes()
+        y = np.ascontiguousarray(y)
+        assert [ctrl.step(y, timers={} if timed else None).tobytes() for _ in range(2)] == got
 
     def test_simulate_names_the_step(self, ctrl, monkeypatch):
         b = BUFFER_PLANTS["8x8-n2"]()
