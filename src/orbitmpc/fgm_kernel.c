@@ -55,16 +55,17 @@
  * ~2 N |K| n_u multiply-adds instead of (N n_u)^2.  The projection sweeps
  * the rows of V_K (n_u x |K|) with a block of modes in registers, the
  * expansion the rows of V_K^T with a block of outputs in registers, so
- * both vectorize without reordering a sum, as the dense sweep does; all
- * three sweeps run full-width blocks only, once there is one (BLOCK); a
- * dense sweep narrower than BLOCK runs blocks of whole 4-double vectors.
+ * both vectorize without reordering a sum, as the dense sweep does.  All
+ * three run blocks of whole 4-double vectors (see `sweep`), the dense
+ * sweep narrower than BLOCK columns its own (narrow_rows).  Each checks
+ * the gradient step's outputs for finiteness as it stores them.
  *
  * On one-bandwidth plants the observer's estimates are kept by mode (see
  * observer.ModalRecord).  The three products of the observer and the
- * linear term, U^T y, [V, V_perp]^T u and [V, V_perp] q~, run the dense
- * gradient step's sweep; the rest is elementwise by mode.  Both modal
- * entry points read one context block (struct context) that the
- * controller builds once.
+ * linear term, U^T y, [V, V_perp]^T u and [V, V_perp] q~_s, run the same
+ * sweeps, the last for both stages in one sweep from BLOCK inputs; the
+ * rest is elementwise by mode.  Both modal entry points read one context
+ * block (struct context) that the controller builds once.
  *
  * Build with -ffp-contract=off and without -ffast-math: every operation
  * is then an IEEE double operation in the stated order, the projections
@@ -82,30 +83,33 @@
 #include <string.h>
 #include <time.h>
 
-/* Output elements kept in registers per sweep over W (BLOCK), and per
-   stage and sweep of the factored step the modes of its projection
-   (PROJECT_BLOCK) and the outputs of its expansion (EXPAND_BLOCK).  Past
-   the first block, each sweep's last block ends on its last element and
-   overlaps the one before, which it writes again with the same bits (see
-   block_start), where blocks of 4 and 1, which the latency of their
-   additions bounds, would take its tail.  One ring-size factored
-   iteration (n_k = 44, n_u = 173, N = 2; best of 3000 timed 20-iteration
-   solves with their ctypes call, gcc 12.2 -O3 on a 2-vCPU AVX-512
-   virtual machine) took 4.1-4.3 us at 24/32, 4.2 at 24/24, 4.7 at 32/32
-   and 5.0 at 40/32, but 8.0-9.1 us with a 16-wide block on either side,
-   against 5.4-6.3 us with 32-wide blocks and 4- and 1-wide tails;
-   -mprefer-vector-width=512 made 24/32 slower (4.5 us).  Below BLOCK
-   columns the dense sweep runs blocks of whole 4-double vectors (see
-   gradient_step); the factored sweeps below PROJECT_BLOCK modes or
-   EXPAND_BLOCK outputs still run blocks of 4 and 1, a shape no benchmark
-   workload has. */
+/* Dense sweeps of BLOCK or more columns and the factored step's sweeps
+   (`sweep`) run blocks of whole 4-double vectors of outputs, at most
+   VECTORS of them per right-hand side with every accumulator in a
+   register: 22 at two right-hand sides, of the 32 ymm registers of
+   AVX-512.  Each block is as wide as what is left allows,
+   VECTORS, 4, 2 or 1 vectors, and no wider than the sweep, so past the
+   first the last block ends on the last output and overlaps the one
+   before by less than a vector, writing its outputs again with the same
+   bits (block_start).  At the ring size (n_k = 44 modes, n_u = 173
+   outputs, N = 2) the projection is one 11-vector block and the expansion
+   four, where blocks of 24 modes and 32 outputs that ended on an
+   overlapping full block ran 9% and 11% more multiply-adds: the factored
+   step went from 3.5-4.1 to 3.0-3.8 us per iteration in closed-loop
+   solves, and from 4.2-4.5 to 2.6-3.1 us in a loop of steps alone (gcc
+   12.2 -O3 -fPIC, 2-vCPU AVX-512 virtual machine; BENCH_36.json).  No
+   block is 8 vectors wide: at the ring size only the remainder of U^T y
+   would take one, and each width is one more body to compile, which the
+   first controller in a process waits for.  Narrower dense sweeps keep
+   blocks of 16, 8 or 4 outputs (narrow_rows). */
 #define BLOCK 32
-#define PROJECT_BLOCK 24
-#define EXPAND_BLOCK 32
+#define VECTORS 11
 
 /* Four doubles as one vector (GCC's vector extension); -ffp-contract=off
    keeps its multiplies and adds separate, lane by lane the scalar ones. */
 typedef double vd4 __attribute__((vector_size(4 * sizeof(double))));
+/* A vector comparison's lanes: all ones where it holds, else zero. */
+typedef int64_t vi4 __attribute__((vector_size(4 * sizeof(int64_t))));
 
 static inline vd4 load4(const double *p)
 {
@@ -127,27 +131,10 @@ static inline int64_t block_start(int64_t i, int64_t count, int width)
     return i + width <= count ? i : count - width;
 }
 
-static inline void row_block(const double *restrict w, int64_t rows, int64_t cols,
-                             const double *restrict v, const double *restrict q_scaled,
-                             double *restrict t, int64_t i, int width)
-{
-    double acc[BLOCK];
-    for (int k = 0; k < width; k++)
-        acc[k] = 0.0;
-    for (int64_t j = 0; j < rows; j++) {
-        const double *restrict row = w + j * cols + i;
-        const double vj = v[j];
-        for (int k = 0; k < width; k++)
-            acc[k] += row[k] * vj;
-    }
-    for (int k = 0; k < width; k++)
-        t[i + k] = acc[k] - q_scaled[i + k];
-}
-
 /* gradient_step's sweep below BLOCK columns, in blocks of 4 `vectors`
    outputs held as whole vectors, the last block overlapping the one
-   before (block_start): in each block row_block's operations on the same
-   operands, lane by lane. */
+   before (block_start): t = W^T v - q, each output an ascending sum over
+   the rows. */
 static inline __attribute__((always_inline))
 void narrow_rows(const double *restrict w, int64_t rows, int64_t cols,
                  const double *restrict v, const double *restrict q_scaled,
@@ -169,147 +156,205 @@ void narrow_rows(const double *restrict w, int64_t rows, int64_t cols,
     }
 }
 
+/* `count` rows, `stride` apart from `at`, with the weight coef[s
+   coef_stride + j] of row j for right-hand side s. */
+struct rows {
+    const double *at;
+    int64_t count, stride;
+    const double *coef;
+    int64_t coef_stride;
+};
+
+/* out[s out_stride + i] for the `count` outputs i of every right-hand side
+   s: 0.0 plus row j's element i times its weight for s, over the rows of
+   `first` and then of `rows`, each in ascending j, minus shift[s
+   shift_stride + i] (where shift is not NULL). */
+struct sweep {
+    struct rows first, rows;
+    const double *shift;
+    int64_t shift_stride;
+    double *out;
+    int64_t out_stride, count;
+};
+
+/* acc[s][k] += the terms of r's rows on vector k of the block from
+   output i, in ascending j. */
+static inline __attribute__((always_inline))
+void accumulate(vd4 acc[2][VECTORS], struct rows r, int64_t i, int rhs, int vectors)
+{
+    for (int64_t j = 0; j < r.count; j++) {
+        const double *restrict row = r.at + j * r.stride + i;
+#pragma GCC unroll 2
+        for (int s = 0; s < rhs; s++) {
+            const double x = r.coef[s * r.coef_stride + j];
+#pragma GCC unroll 11
+            for (int k = 0; k < vectors; k++)
+                acc[s][k] += load4(row + 4 * k) * x;
+        }
+    }
+}
+
+/* The sweep's outputs from i, `vectors` whole vectors of every right-hand
+   side, each stored as it is finished, minus `shift` at its place (or,
+   with `step` 0, minus shift's first vector).  Returns the lanes that are not
+   finite (x - x is NaN exactly there). */
+static inline __attribute__((always_inline))
+vi4 sweep_block(const struct sweep *w, const double *shift, int64_t step, int64_t i, int rhs,
+                int vectors)
+{
+    vd4 acc[2][VECTORS];
+#pragma GCC unroll 2
+    for (int s = 0; s < rhs; s++)
+#pragma GCC unroll 11
+        for (int k = 0; k < vectors; k++)
+            acc[s][k] = (vd4){0.0, 0.0, 0.0, 0.0};
+    accumulate(acc, w->first, i, rhs, vectors);
+    accumulate(acc, w->rows, i, rhs, vectors);
+    vi4 bad = {0, 0, 0, 0};
+#pragma GCC unroll 2
+    for (int s = 0; s < rhs; s++)
+#pragma GCC unroll 11
+        for (int k = 0; k < vectors; k++) {
+            const int64_t at = i + 4 * k;
+            const vd4 x = acc[s][k] - load4(shift + (s * w->shift_stride + at) * step);
+            store4(w->out + s * w->out_stride + at, x);
+            const vd4 zero = x - x;
+            bad |= (vi4)(zero != zero);
+        }
+    return bad;
+}
+
+/* The sweep's output i of right-hand side s, one at a time. */
+static double sweep_one(const struct sweep *w, int64_t i, int s)
+{
+    const struct rows *phase[2] = {&w->first, &w->rows};
+    double sum = 0.0;
+    for (int p = 0; p < 2; p++)
+        for (int64_t j = 0; j < phase[p]->count; j++)
+            sum += phase[p]->at[j * phase[p]->stride + i]
+                   * phase[p]->coef[s * phase[p]->coef_stride + j];
+    return w->shift ? sum - w->shift[s * w->shift_stride + i] : sum;
+}
+
+/* `sweep` for a constant number of right-hand sides. */
+static inline __attribute__((always_inline))
+int sweep_rhs(const struct sweep *w, int rhs)
+{
+    const int64_t count = w->count;
+    if (count < 4) {
+        int finite = 1;
+        for (int64_t i = 0; i < count; i++)
+            for (int s = 0; s < rhs; s++) {
+                const double x = sweep_one(w, i, s);
+                w->out[s * w->out_stride + i] = x;
+                finite &= isfinite(x) != 0;
+            }
+        return finite;
+    }
+    /* without a shift, x - 0.0: x itself, bit for bit */
+    static const double zeros[4] = {0.0, 0.0, 0.0, 0.0};
+    const double *shift = w->shift ? w->shift : zeros;
+    const int64_t step = w->shift != NULL;
+    vi4 bad = {0, 0, 0, 0};
+    for (int64_t i = 0; i < count;) {
+        /* the vectors left to cover, but no block wider than the sweep */
+        const int64_t left = (count - i + 3) / 4, most = left < count / 4 ? left : count / 4;
+        const int vectors = most >= VECTORS ? VECTORS : most >= 4 ? 4
+                            : most >= 2 ? 2 : 1;
+        const int64_t at = block_start(i, count, 4 * vectors);
+        switch (vectors) {
+        case VECTORS:
+            bad |= sweep_block(w, shift, step, at, rhs, VECTORS);
+            break;
+        case 4:
+            bad |= sweep_block(w, shift, step, at, rhs, 4);
+            break;
+        case 2:
+            bad |= sweep_block(w, shift, step, at, rhs, 2);
+            break;
+        default:
+            bad |= sweep_block(w, shift, step, at, rhs, 1);
+        }
+        i = at + 4 * vectors;
+    }
+    return !(bad[0] | bad[1] | bad[2] | bad[3]);
+}
+
+/* Runs the sweep with `rhs` (1 or 2) right-hand sides.  Returns 1, or 0
+   where an output is not finite. */
+__attribute__((noinline))
+static int sweep(const struct sweep *w, int rhs)
+{
+    return rhs == 1 ? sweep_rhs(w, 1) : sweep_rhs(w, 2);
+}
+
 /* t = W^T v - q for the row-major rows x cols matrix W, one block of
    outputs per sweep over its rows: with W = I - J / lambda_max (square and
    symmetric) and q / lambda_max, the gradient step; the modal entry
-   points pass q = 0.  Past the first block, the last one ends on the last
-   output and overlaps the one before, whose outputs it writes again with
-   the same bits.  Below BLOCK columns the blocks are 16, 8 or 4 outputs,
-   the widest that fits, held as 4, 2 or 1 explicit 4-double vectors;
-   1-wide blocks run only below 4 columns.  gcc 12.2 -O3 -march=native
-   (AVX-512) compiles a row_block of 16, 8 or 4 outputs into 2-double
+   points pass q = 0.  Returns 1, or 0 where an element of t is not
+   finite.  Below BLOCK columns (but from 4) the blocks are 16, 8 or 4
+   outputs, the widest that fits, held as 4, 2 or 1 explicit 4-double
+   vectors, and an early-exit pass checks t: gcc 12.2 -O3 -march=native
+   (AVX-512) compiles a plain-C block of 16, 8 or 4 outputs into 2-double
    multiplies over pairs of rows, each followed by a chain of scalar
    vaddsd, where narrow_rows is one 256-bit multiply and add per vector
    and row: a call took 30 ns against 120 ns with 4-wide blocks at
    16 x 16, and 60 ns at 17 x 17 (two overlapping 16-blocks) against
    152 ns (four 4-wide blocks and a 1-wide one).  Kept out of line:
-   inlined into fgm_solve, gcc 12 -O3 makes the ring-size (346-row)
-   solve ~15% slower. */
+   inlined into fgm_solve, gcc 12 -O3 makes the ring-size (346-row) solve
+   ~15% slower. */
 __attribute__((noinline))
-static void gradient_step(const double *w, int64_t rows, int64_t cols, const double *v,
-                          const double *q_scaled, double *t)
+static int gradient_step(const double *w, int64_t rows, int64_t cols, const double *v,
+                         const double *q_scaled, double *t)
 {
-    if (cols >= BLOCK) {
-        for (int64_t i = 0; i < cols; i += BLOCK)
-            row_block(w, rows, cols, v, q_scaled, t, block_start(i, cols, BLOCK), BLOCK);
-    } else if (cols >= 16) {
+    if (cols >= BLOCK || cols < 4) {
+        const struct sweep s = {{NULL, 0, 0, NULL, 0}, {w, rows, cols, v, 0},
+                                q_scaled, 0, t, 0, cols};
+        return sweep(&s, 1);
+    }
+    if (cols >= 16)
         narrow_rows(w, rows, cols, v, q_scaled, t, 4);
-    } else if (cols >= 8) {
+    else if (cols >= 8)
         narrow_rows(w, rows, cols, v, q_scaled, t, 2);
-    } else if (cols >= 4) {
+    else
         narrow_rows(w, rows, cols, v, q_scaled, t, 1);
-    } else {
-        for (int64_t i = 0; i < cols; i++)
-            row_block(w, rows, cols, v, q_scaled, t, i, 1);
-    }
+    for (int64_t i = 0; i < cols; i++)
+        if (!isfinite(t[i]))
+            return 0;
+    return 1;
 }
 
-/* c[s n_k + k0 + m] = v_(k0 + m) . x_s for the `width` modes from k0:
-   sums over the rows of the row-major V_K (n_u x n_k). */
-static inline __attribute__((always_inline))
-void project_modes(const double *restrict vk, int64_t n_k, int64_t n_u, int horizon,
-                   const double *restrict v, double *restrict c, int64_t k0, int width)
-{
-    double acc[2][PROJECT_BLOCK];
-    for (int s = 0; s < horizon; s++)
-        for (int m = 0; m < width; m++)
-            acc[s][m] = 0.0;
-    for (int64_t i = 0; i < n_u; i++) {
-        const double *restrict row = vk + i * n_k + k0;
-        for (int s = 0; s < horizon; s++) {
-            const double x = v[s * n_u + i];
-            for (int m = 0; m < width; m++)
-                acc[s][m] += row[m] * x;
-        }
-    }
-    for (int s = 0; s < horizon; s++)
-        for (int m = 0; m < width; m++)
-            c[s * n_k + k0 + m] = acc[s][m];
-}
-
-/* t_s[i0 + m] for the `width` outputs from i0 of every stage s: the shared
-   block on x, then the modes' terms d[s n_k + k] v_k in ascending k (rows
-   of the row-major V_K^T, n_k x n_u), then the shift. */
-static inline __attribute__((always_inline))
-void expand_modes(const double *restrict shared, const double *restrict vkt, int64_t n_k,
-                  int64_t n_u, int horizon, const double *restrict v, const double *restrict d,
-                  const double *restrict q_scaled, double *restrict t, int64_t i0, int width)
-{
-    double acc[2][EXPAND_BLOCK];
-    for (int s = 0; s < horizon; s++)
-        for (int m = 0; m < width; m++) {
-            double sum = 0.0;
-            for (int u = 0; u < horizon; u++)
-                sum += shared[s * horizon + u] * v[u * n_u + i0 + m];
-            acc[s][m] = sum;
-        }
-    for (int64_t k = 0; k < n_k; k++) {
-        const double *restrict row = vkt + k * n_u + i0;
-        for (int s = 0; s < horizon; s++) {
-            const double dk = d[s * n_k + k];
-            for (int m = 0; m < width; m++)
-                acc[s][m] += row[m] * dk;
-        }
-    }
-    for (int s = 0; s < horizon; s++)
-        for (int m = 0; m < width; m++)
-            t[s * n_u + i0 + m] = acc[s][m] - q_scaled[s * n_u + i0 + m];
-}
-
-/* The factored step for one horizon; `factors` holds W_s (horizon^2),
-   the M_k (n_k horizon^2), V_K (n_u n_k) and V_K^T (n_k n_u), row-major;
-   `scratch` 2 horizon n_k doubles. */
-static inline __attribute__((always_inline))
-void factored_step_h(const double *factors, int64_t n_k, int64_t n_u, int horizon,
-                     const double *v, const double *q_scaled, double *t, double *scratch)
+/* t = W v - q / lambda_max in the factored form; `factors` holds W_s
+   (horizon^2), the M_k (n_k horizon^2), V_K (n_u n_k) and V_K^T (n_k n_u),
+   row-major; `scratch` 2 horizon n_k doubles.  The projection c[s n_k +
+   k] = v_k . x_s sums over the rows of V_K, d_k = M_k c_k mixes each
+   mode's stages, and the expansion t_s[i] sums the shared block on x and
+   then the modes' terms d[s n_k + k] v_k in ascending k over the rows of
+   V_K^T, then takes the shift.  Returns 1, or 0 where an element of t is
+   not finite.  Out of line like gradient_step. */
+__attribute__((noinline))
+static int factored_step(const double *factors, int64_t n_k, int64_t n_u, int64_t horizon,
+                         const double *v, const double *q_scaled, double *t, double *scratch)
 {
     const double *shared = factors, *mix = factors + horizon * horizon;
     const double *vk = mix + n_k * horizon * horizon, *vkt = vk + n_u * n_k;
     double *c = scratch, *d = scratch + horizon * n_k;
-    if (n_k >= PROJECT_BLOCK) {
-        for (int64_t k = 0; k < n_k; k += PROJECT_BLOCK)
-            project_modes(vk, n_k, n_u, horizon, v, c, block_start(k, n_k, PROJECT_BLOCK),
-                          PROJECT_BLOCK);
+    const struct sweep project = {{NULL, 0, 0, NULL, 0}, {vk, n_u, n_k, v, n_u},
+                                  NULL, 0, c, n_k, n_k};
+    sweep(&project, (int)horizon);
+    if (horizon == 1) {
+        for (int64_t k = 0; k < n_k; k++)
+            d[k] = 0.0 + mix[k] * c[k];
     } else {
-        int64_t k = 0;
-        for (; k + 4 <= n_k; k += 4)
-            project_modes(vk, n_k, n_u, horizon, v, c, k, 4);
-        for (; k < n_k; k++)
-            project_modes(vk, n_k, n_u, horizon, v, c, k, 1);
-    }
-    for (int64_t k = 0; k < n_k; k++) {
-        const double *m = mix + k * horizon * horizon;
-        for (int s = 0; s < horizon; s++) {
-            double sum = 0.0;
-            for (int u = 0; u < horizon; u++)
-                sum += m[s * horizon + u] * c[u * n_k + k];
-            d[s * n_k + k] = sum;
+        for (int64_t k = 0; k < n_k; k++) {
+            const double *m = mix + 4 * k, c0 = c[k], c1 = c[n_k + k];
+            d[k] = 0.0 + m[0] * c0 + m[1] * c1;
+            d[n_k + k] = 0.0 + m[2] * c0 + m[3] * c1;
         }
     }
-    if (n_u >= EXPAND_BLOCK) {
-        for (int64_t i = 0; i < n_u; i += EXPAND_BLOCK)
-            expand_modes(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t,
-                         block_start(i, n_u, EXPAND_BLOCK), EXPAND_BLOCK);
-    } else {
-        int64_t i = 0;
-        for (; i + 4 <= n_u; i += 4)
-            expand_modes(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t, i, 4);
-        for (; i < n_u; i++)
-            expand_modes(shared, vkt, n_k, n_u, horizon, v, d, q_scaled, t, i, 1);
-    }
-}
-
-/* t = W v - q / lambda_max in the factored form, specialized per horizon.
-   Out of line like gradient_step; inlined, the ring-size solve measured
-   no faster. */
-__attribute__((noinline))
-static void factored_step(const double *factors, int64_t n_k, int64_t n_u, int64_t horizon,
-                          const double *v, const double *q_scaled, double *t, double *scratch)
-{
-    if (horizon == 1)
-        factored_step_h(factors, n_k, n_u, 1, v, q_scaled, t, scratch);
-    else
-        factored_step_h(factors, n_k, n_u, 2, v, q_scaled, t, scratch);
+    const struct sweep expand = {{v, horizon, n_u, shared, horizon}, {vkt, n_k, n_u, d, n_k},
+                                 q_scaled, n_u, t, n_u, n_u};
+    return sweep(&expand, (int)horizon);
 }
 
 /* np.minimum(np.maximum(x, lo), hi): a NaN x stays NaN. */
@@ -424,6 +469,7 @@ int64_t fgm_solve(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, do
 
 /* fgm_solve, leaving the last projected iterate in the scratch, where
    *result points, and the workspace's iterate as it was. */
+__attribute__((noinline))
 static int64_t run(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, double beta,
                    int64_t budget, const double *set, double *data, int64_t timed,
                    const double **result)
@@ -448,13 +494,10 @@ static int64_t run(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, d
     while (it < budget) {
         if (timed)
             tic = now_ns();
-        if (n_k < 0)
-            gradient_step(w, n, n, v, q_scaled, t);
-        else
-            factored_step(w, n_k, n_u, horizon, v, q_scaled, t, modes);
-        for (int64_t i = 0; i < n; i++)
-            if (!isfinite(t[i]))
-                return it;
+        const int finite = n_k < 0 ? gradient_step(w, n, n, v, q_scaled, t)
+                                   : factored_step(w, n_k, n_u, horizon, v, q_scaled, t, modes);
+        if (!finite)
+            return it;
         if (timed)
             lap(&stage_ns[0], &tic);
         project(&s, t, p_new);
@@ -599,9 +642,11 @@ static struct modal unpack(const struct context *c)
     return m;
 }
 
-/* e->q = [V, V_perp] q~_s stage by stage, with q~_s = alpha_s x~ + beta_s
-   d~ from e's estimates mode by mode (alpha_s x~ alone on the n_u - r
-   modes outside range(C^T)); horizon n_u values, stage-major. */
+/* e->q = [V, V_perp] q~_s for each stage s, with q~_s = alpha_s x~ +
+   beta_s d~ from e's estimates mode by mode (alpha_s x~ alone on the
+   n_u - r modes outside range(C^T)); horizon n_u values, stage-major.
+   From BLOCK inputs both stages take one sweep over the rows of
+   [V, V_perp]^T, which then is read once. */
 static void linear_term(const struct modal *m, const struct context *c, const struct estimates *e)
 {
     const int64_t n_u = c->n_u;
@@ -613,8 +658,14 @@ static void linear_term(const struct modal *m, const struct context *c, const st
         for (int64_t i = m->r; i < n_u; i++)
             qt[i] = alpha[i] * e->x[i];
     }
-    for (int64_t s = 0; s < c->horizon; s++)
-        gradient_step(m->wt, n_u, n_u, m->qt + s * n_u, m->zeros, e->q + s * n_u);
+    if (n_u >= BLOCK) {
+        const struct sweep both = {{NULL, 0, 0, NULL, 0}, {m->wt, n_u, n_u, m->qt, n_u},
+                                   m->zeros, 0, e->q, n_u, n_u};
+        sweep(&both, (int)c->horizon);
+    } else {
+        for (int64_t s = 0; s < c->horizon; s++)
+            gradient_step(m->wt, n_u, n_u, m->qt + s * n_u, m->zeros, e->q + s * n_u);
+    }
 }
 
 /* y~ = U^T y.  Returns 0 where an entry of y~ is not finite: y has a
@@ -622,11 +673,7 @@ static void linear_term(const struct modal *m, const struct context *c, const st
    overflows in the product. */
 static int measure(const struct modal *m, const struct context *c, const double *y)
 {
-    gradient_step(m->u, c->n_y, m->r, y, m->zeros, m->yt);
-    for (int64_t i = 0; i < m->r; i++)
-        if (!isfinite(m->yt[i]))
-            return 0;
-    return 1;
+    return gradient_step(m->u, c->n_y, m->r, y, m->zeros, m->yt);
 }
 
 /* The observer update with the input u after `measure`,

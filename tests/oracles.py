@@ -153,6 +153,62 @@ def projected_gradient_qp(J, q, projector, x0, max_iter=60_000, tol=1e-13):
     return x, float(residual)
 
 
+def stacked_halfplanes(u_prev, alpha, rho, N):
+    """A x <= b rows of U_N for the stage-major stacked iterate: per
+    actuator |u0 - u_prev| <= rho and |u0| <= alpha, and for N = 2 also
+    stage_halfplanes' rows on (u0, u1)."""
+    n_u = len(u_prev)
+    rows, rhs = [], []
+    for i in range(n_u):
+        if N == 1:
+            A = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+            b = np.array([u_prev[i] + rho[i], rho[i] - u_prev[i], alpha[i], alpha[i]])
+        else:
+            A, b = stage_halfplanes(u_prev[i], alpha[i], rho[i])
+        full = np.zeros((A.shape[0], N * n_u))
+        for stage in range(N):
+            full[:, stage * n_u + i] = A[:, stage]
+        rows.append(full)
+        rhs.append(b)
+    return np.vstack(rows), np.concatenate(rhs)
+
+
+def active_set_qp(J, q, A, b, x0, max_iter=10_000):
+    """Minimize 0.5 x'Jx + q'x subject to A x <= b from a feasible x0 by the
+    primal active-set method (Nocedal and Wright, Algorithm 16.3), starting
+    from an empty working set.  Each step solves the KKT system of the
+    working set exactly, so the result is the minimizer to rounding however
+    ill-conditioned J is; returns it."""
+    x = np.array(x0, dtype=float)
+    n = x.size
+    working: list[int] = []
+    at_minimum = False
+    for _ in range(max_iter):
+        m = len(working)
+        Aw = A[working].reshape(m, n)
+        kkt = np.block([[J, Aw.T], [Aw, np.zeros((m, m))]])
+        step = np.linalg.solve(kkt, np.concatenate([-(J @ x + q), np.zeros(m)]))
+        p, lam = step[:n], step[n:]
+        if at_minimum or np.max(np.abs(p)) <= 1e-12 * (1.0 + np.max(np.abs(x))):
+            # J x + q + Aw' lam = 0: optimal once every multiplier is >= 0
+            if m == 0 or lam.min() >= -1e-12:
+                return x
+            working.pop(int(np.argmin(lam)))
+            at_minimum = False
+            continue
+        Ap, slack = A @ p, b - A @ x
+        length, blocking = 1.0, None
+        for i in np.nonzero(Ap > 0.0)[0]:
+            if i not in working and slack[i] / Ap[i] < length:
+                length, blocking = max(slack[i] / Ap[i], 0.0), int(i)
+        x = x + length * p
+        if blocking is None:
+            at_minimum = True
+        else:
+            working.append(blocking)
+    raise RuntimeError("active-set QP did not stop")
+
+
 # ---------------------------------------------------------------------------
 # Dense references for the structured pieces
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from orbitmpc import fgm
 from orbitmpc.fgm import WorkerPool, get_pool
 from orbitmpc.qp import ROW_BLOCK, CondensedQP
 
-from oracles import OracleStageProjector, projected_gradient_qp
+from oracles import OracleStageProjector, active_set_qp, projected_gradient_qp, stacked_halfplanes
 
 
 def qp_from_matrix(J, N=1):
@@ -366,6 +366,52 @@ class TestConvergedIterations:
         assert wins >= 0.90 * trials
 
 
+# A factored ring-like design (saturated weights, kappa ~1.2-1.3) and a
+# small dense matched-weight one (kappa ~1e3-1e4)
+CERTIFIED_DESIGNS = {
+    "ring-like": lambda N: design_controller(synthetic_plant(40, 41, 1e4, seed=3), horizon=N),
+    "matched": lambda N: design_controller(synthetic_plant(8, 8, 1e3, seed=2, alpha=0.3, rho=0.05),
+                                           horizon=N, weights_mode="imc_matched"),
+}
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("case", sorted(CERTIFIED_DESIGNS))
+def test_certified_budget_reaches_epsilon(rng, capsys, case, N):
+    """The design's i_max_bound certifies f - f* <= epsilon from any warm
+    start in U_N (Delta = lambda_max D^2 / 2 over the widest set, u_prev =
+    0).  Over 100 random linear terms, last inputs and warm starts in U_N,
+    the solve after i_max_bound iterations is within epsilon of the
+    oracle's optimum: plain projected gradient for the well-conditioned
+    factored design, an exact active-set solve for the matched one."""
+    b = CERTIFIED_DESIGNS[case](N)
+    qp, alpha, rho = b.condensed, b.plant.alpha, b.plant.rho
+    assert qp.hessian_form == ("factored" if case == "ring-like" else "dense")
+    n = N * qp.n_u
+    worst = -np.inf
+    for _ in range(100):
+        u_prev = rng.uniform(-1.0, 1.0, qp.n_u) * alpha
+        cset = ConstraintSet(alpha=alpha, rho=rho, u_prev=u_prev, N=N)
+        q = rng.standard_normal(n) * qp.lambda_max * 10.0 ** rng.uniform(-2.0, 1.0)
+        warm = cset.project(rng.uniform(-2.0, 2.0, n) * np.tile(alpha, N))
+        u = solve(qp, q, cset, warm, i_max=b.i_max_bound)
+        if case == "ring-like":
+            u_star, residual = projected_gradient_qp(qp.J, q, cset, warm)
+            assert residual < 1e-12
+        else:
+            A, bounds = stacked_halfplanes(u_prev, alpha, rho, N)
+            u_star = active_set_qp(qp.J, q, A, bounds, warm)
+            assert np.all(A @ u_star <= bounds + 1e-12)
+        objective = lambda x: 0.5 * x @ qp.J @ x + q @ x
+        gap = objective(u) - objective(u_star)
+        assert gap >= -1e-12  # u is feasible, so no lower than the optimum
+        worst = max(worst, gap)
+    with capsys.disabled():
+        print(f"\n[certified budget] {case} N={N}: i_max_bound {b.i_max_bound}, "
+              f"worst f - f* {worst:.2e} against epsilon {b.epsilon:g}")
+    assert worst <= b.epsilon
+
+
 class TestPoolLifecycle:
     def test_get_pool_reuses_workers(self):
         pool_a = get_pool(3)
@@ -675,7 +721,10 @@ def _factored_oracle(shared, mix, vk, vkt, v, horizon):
     return t.ravel()
 
 
-TILE_SIZES = (1, 3, 4, 5, 23, 24, 25, 31, 32, 33, 44, 47, 48, 49, 64, 65)
+# both sides of each block width (4 and 44 outputs: one and eleven vectors)
+# and of each remainder edge, up to the ring size's 44 modes and 173 outputs
+TILE_SIZES = (1, 3, 4, 5, 23, 24, 25, 31, 32, 33, 43, 44, 45, 47, 48, 49, 64, 65, 95, 96, 97,
+              172, 173)
 
 
 def _unbounded_set(n_u, N):
@@ -716,7 +765,8 @@ def test_dense_sweep_keeps_every_bit(kernel, rng, N):
     """One dense iteration with q = 0 over an unbounded set returns W v
     itself: at every width on both sides of a block width it sums
     W[j] * v[j] elementwise in ascending j, bit for bit."""
-    for n_u in (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 31, 32, 33, 47, 48, 65):
+    for n_u in (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 31, 32, 33, 43, 44, 45, 47, 48, 49, 65,
+                95, 96, 97, 172, 173):
         n = N * n_u
         a = rng.standard_normal((n, n))
         w = a + a.T
@@ -730,6 +780,85 @@ def test_dense_sweep_keeps_every_bit(kernel, rng, N):
         for j in range(n):
             want = want + w[j] * v[j]
         assert data[n:2 * n].tobytes() == want.tobytes(), n_u
+
+
+def _three_blocks(n):
+    """An output in the first, a middle and the last block of a sweep over
+    n outputs (at 101 outputs: blocks from 0, 44 and 85)."""
+    return sorted({1, n // 2, n - 1})
+
+
+def _growing_instance(form, n_u, N, e, kind, at):
+    """Step matrix and iterate of a solve over an unbounded set, with beta
+    0 and q 0, whose gradient step has exactly one non-finite output: e
+    (of the stacked iterate for the dense form, of each stage for the
+    factored one), `kind` inf or NaN, first at iteration `at`.  Output a
+    doubles every iteration, and e's terms are G v_a and, for NaN, -G
+    times an equal value, with G = 2^(1024 - at): they overflow at
+    iteration `at`.
+    Every other output stays finite.  The kernel reads W, V_K and V_K^T
+    as given, so none needs to be symmetric or a transpose."""
+    big = 2.0 ** (1024 - at)
+    n = N * n_u
+    if form == "dense":
+        a, b = [j for j in range(n) if j != e][:2]
+        w = np.zeros((n, n))
+        w[a, a] = w[b, b] = 2.0  # output i sums w[j, i] v[j] over j
+        w[a, e] = big
+        w[b, e] = -big if kind == "nan" else 0.0
+        return w.ravel(), -1, np.zeros(2 * n + 4 + 4 * n)
+    n_k = 5
+    a = 0 if e else 1
+    shared = np.zeros((N, N))
+    mix = np.broadcast_to(np.eye(N), (n_k, N, N))
+    vk = np.zeros((n_u, n_k))
+    vk[a, :2] = 1.0  # modes 0 and 1 each project output a
+    vkt = np.zeros((n_k, n_u))
+    vkt[0, a] = 2.0
+    vkt[0, e] = big
+    vkt[1, e] = -big if kind == "nan" else 0.0
+    factors = np.concatenate([shared.ravel(), mix.ravel(), vk.ravel(), vkt.ravel()])
+    return factors, n_k, np.zeros(2 * n + 4 + 4 * n + 2 * N * n_k)
+
+
+@pytest.mark.parametrize("form", ["dense", "factored"])
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("timed", [0, 1])
+def test_non_finite_gradient_output_fails_at_its_iteration(kernel, form, N, timed):
+    """The gradient step checks its outputs as it stores them: one inf or
+    NaN output, in the first, a middle or the last block of a sweep of
+    scalar, narrow or whole-vector blocks, fails the solve at the
+    iteration that formed it, timed or not."""
+    for n_u in (3, 7, 101):
+        n = N * n_u
+        for e in _three_blocks(n if form == "dense" else n_u):
+            for kind in ("inf", "nan"):
+                for at in (1, 3):
+                    matrix, n_k, data = _growing_instance(form, n_u, N, e, kind, at)
+                    data[n:2 * n] = 1.0
+                    failed = kernel.fgm_solve(matrix, n_k, n_u, N, 0.0, 10, _unbounded_set(n_u, N),
+                                              data, timed)
+                    assert failed == at, (n_u, e, kind)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("timed", [False, True])
+def test_non_finite_linear_term_output_raises_at_iteration_0(rng, N, timed):
+    """One inf or NaN entry of q, in the first, a middle or the last block
+    of the dense and of the factored sweep, raises NumericalError naming
+    iteration 0."""
+    dense_n_u = 101
+    qps = {"dense": qp_from_matrix(random_spd(rng, N * dense_n_u), N=N),
+           "factored": ring_like_instance(rng, N, saturated=True)[0]}
+    for form, qp in qps.items():
+        n_u, n = qp.n_u, N * qp.n_u
+        cset = ConstraintSet(alpha=np.ones(n_u), rho=np.full(n_u, 0.2), u_prev=np.zeros(n_u), N=N)
+        for e in _three_blocks(n):
+            for bad in (np.inf, np.nan):
+                q = rng.standard_normal(n)
+                q[e] = bad
+                with pytest.raises(NumericalError, match="iteration 0$"):
+                    solve(qp, q, cset, np.zeros(n), i_max=5, timers={} if timed else None)
 
 
 def _refused_form(array, form):

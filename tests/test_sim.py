@@ -702,6 +702,36 @@ def test_untimed_modal_samples_run_no_python_set_update_or_solve(monkeypatch, sh
 
 
 @pytest.mark.skipif(fgm.solve_kernel() != "compiled", reason="needs the compiled kernel")
+@pytest.mark.parametrize("n_u", [31, 32, 33, 40, 173])
+def test_linear_term_is_each_stages_ascending_sum(n_u):
+    """From 32 inputs the kernel forms both stages of the linear term
+    [V, V_perp] q~_s in one sweep over the rows of [V, V_perp]^T, below
+    that stage by stage.  After an untimed sample (Step) and a timed one
+    (Step.observe) each stage is, bit for bit, 0.0 plus row j of
+    [V, V_perp]^T times q~_s[j] in ascending j, with q~_s = alpha_s x~ +
+    beta_s d~ (alpha_s x~ alone past the r modes of C)."""
+    b = design_controller(synthetic_plant(n_u - 1, n_u, 1e3, seed=n_u, alpha=0.3, rho=0.05),
+                          horizon=2)
+    ctrl = b.mpc_controller(i_max=20)
+    assert ctrl.observer_form == "modal"
+    record, state = ctrl._modes, ctrl._modal_state
+    r = record.sigma.size
+    x, d = state[:n_u], state[(1 + record.mu) * n_u:(1 + record.mu) * n_u + r]
+    for k, y_k in enumerate(np.random.default_rng(n_u).normal(0.0, 1.0, (6, n_u - 1))):
+        ctrl.step(y_k, timers={} if k % 2 else None)
+        assert np.any(x != 0.0) and np.any(d != 0.0)
+        want = []
+        for s in range(2):
+            q_tilde = record.alpha[s] * x
+            q_tilde[:r] = record.alpha[s][:r] * x[:r] + record.beta[s] * d
+            stage = np.zeros(n_u)
+            for j in range(n_u):
+                stage = stage + record.W.T[j] * q_tilde[j]
+            want.append(stage)
+        assert record.linear_term(state).tobytes() == np.concatenate(want).tobytes(), k
+
+
+@pytest.mark.skipif(fgm.solve_kernel() != "compiled", reason="needs the compiled kernel")
 @pytest.mark.parametrize("argument", ["y", "u"])
 @pytest.mark.parametrize("form", ["float32", "strided", "short"])
 def test_observe_refuses_arrays_it_cannot_read_in_place(argument, form):
