@@ -15,11 +15,13 @@ the whole budget (see `fgm_kernel.c`, fgm_solve).  A timed solve and the
 numpy loop run every iteration.
 
 The step matrix W = I - J / lambda_max lives on `CondensedQP` (built once,
-rows zero-padded to a multiple of ROW_BLOCK = 4), and so does its
-factored form where the QP's flop rule picks it (see qp).  The compiled
-solve runs in a `Workspace` of the QP: the caller's, which a controller
-builds once, or else a new one per call, so concurrent solves on one QP
-do not interfere; the numpy loop allocates its own scratch.
+rows zero-padded to a multiple of ROW_BLOCK = 4; the kernel reads its
+rows padded to a multiple of qp.ROW_PAD = 8 doubles from 64-byte
+boundaries), and so does its factored form where the QP's flop rule picks
+it (see qp).  The compiled solve runs in a `Workspace` of the QP: the
+caller's, which a controller builds once, or else a new one per call, so
+concurrent solves on one QP do not interfere; the numpy loop allocates its
+own scratch.
 
 Which loop runs depends only on whether the compiled kernel is built.
 `fgm_kernel.c` runs the whole solve in C: warm-start
@@ -88,7 +90,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericalError
-from .qp import ROW_BLOCK, CondensedQP, ConstraintSet
+from .qp import ROW_BLOCK, CondensedQP, ConstraintSet, aligned_zeros, padded
 
 DEFAULT_I_MAX = 20
 CONVERGENCE_CAP = 100_000
@@ -463,15 +465,31 @@ def _iterate(qp: CondensedQP, q: np.ndarray, cset: ConstraintSet, warm: np.ndarr
 _KERNEL_STAGES = ("gradient", "projection", "momentum")
 
 
+def workspace_size(n_k: int, n_u: int, horizon: int) -> int:
+    """The doubles of a compiled solve's workspace (`fgm_solve`'s data) for
+    the factored form over n_k modes, or for the dense W with n_k -1:
+    q / lambda_max, the iterate, the stage timers, the iterations and 4 n
+    of scratch, n = horizon n_u, then from a multiple of qp.ROW_PAD the
+    sweeps' sums, and for the factored form the expansion's seed and the
+    mixed projections."""
+    n = horizon * n_u
+    if n_k < 0:
+        sweeps = padded(n)
+    else:
+        sweeps = horizon * (max(padded(n_k), padded(n_u)) + padded(n_u) + n_k)
+    return padded(6 * n + len(_KERNEL_STAGES) + 1) + sweeps
+
+
 class Workspace:
     """The compiled solve's buffers for one QP, built once.
 
     `data` is the kernel's workspace, laid out as `fgm_solve` documents
-    it: q / lambda_max, the iterate, the stage timers, the iterations the
-    solve ran and the scratch.
+    it (see workspace_size): q / lambda_max, the iterate, the stage
+    timers, the iterations the solve ran and the scratch, in one 64-byte
+    aligned array.
     `matrix` is the QP's step matrix, its factored form over `n_k` modes
-    where it has one, else W with `n_k` -1.  The kernel reads both, and
-    the constraint set's array, in place.  A solve writes all of `data`,
+    where it has one, else W's padded rows (`W_rows`) with `n_k` -1.  The
+    kernel reads both, and the constraint set's array, in place.  A solve writes all of `data`,
     so one workspace serves one solve at a time; the iterate it returns
     is overwritten by the next.
     """
@@ -479,18 +497,16 @@ class Workspace:
     def __init__(self, qp: CondensedQP):
         n = qp.N * qp.n_u
         if qp.factors is None:
-            self.matrix, self.n_k, scratch = qp.W, -1, 4 * n
+            self.matrix, self.n_k = qp.W_rows, -1
         else:
             self.matrix, self.n_k = qp.factors, qp.factored_modes
-            scratch = 4 * n + 2 * qp.N * self.n_k
         self.qp = qp
         stages = 2 * n + len(_KERNEL_STAGES)
-        self.data = np.empty(stages + 1 + scratch)
+        self.data = aligned_zeros(workspace_size(self.n_k, qp.n_u, qp.N))
         self.q_scaled = self.data[:n]
         self.iterate = self.data[n:2 * n]
         self.stage_ns = self.data[2 * n:stages]
         self._iterations = self.data[stages:stages + 1]
-        self._iterations[0] = 0.0
 
     @property
     def iterations(self) -> int:

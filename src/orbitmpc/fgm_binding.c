@@ -26,6 +26,10 @@
  * An array argument must be a native float64 ndarray, aligned and
  * C-contiguous, and writeable where the kernel writes it (`data`); any
  * other is refused with a TypeError naming it, before the kernel runs.
+ * fgm_solve's w, set and data must each hold at least the values the
+ * kernel's layout reads for its n_k, n_u and horizon (fgm_sizes), with a
+ * horizon of 1 or 2, n_u >= 1 and n_k >= -1; anything else is refused
+ * with a ValueError naming it, before the kernel runs.
  * Every call holds the interpreter lock: one control sample is too short
  * to release it and take it back for.
  */
@@ -44,6 +48,7 @@ struct context;
 
 int64_t fgm_solve(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, double beta,
                   int64_t budget, const double *set, double *data, int64_t timed);
+void fgm_sizes(int64_t n_k, int64_t n_u, int64_t horizon, int64_t sizes[3]);
 int64_t modal_observe(const struct context *c, const double *y, const double *u);
 int64_t mpc_step(const struct context *c, const double *y);
 
@@ -79,6 +84,25 @@ static PyObject *py_fgm_solve(PyObject *Py_UNUSED(module), PyObject *args)
     if (!PyArg_ParseTuple(args, "O&LLLdLO&O&L:fgm_solve", doubles, &w, &n_k, &n_u, &horizon,
                           &beta, &budget, doubles, &set, doubles, &data, &timed))
         return NULL;
+    /* bounded, so that no size below overflows */
+    if (horizon < 1 || horizon > 2 || n_u < 1 || n_u > (1LL << 24) || n_k < -1
+        || n_k > (1LL << 24)) {
+        PyErr_Format(PyExc_ValueError,
+                     "fgm_solve: horizon must be 1 or 2, n_u in [1, 2^24] and n_k in [-1, 2^24], "
+                     "got %lld, %lld and %lld", horizon, n_u, n_k);
+        return NULL;
+    }
+    int64_t sizes[3];
+    fgm_sizes(n_k, n_u, horizon, sizes);
+    const struct doubles *arrays[3] = {&w, &set, &data};
+    for (int i = 0; i < 3; i++)
+        if (PyArray_SIZE(arrays[i]->array) < sizes[i]) {
+            PyErr_Format(PyExc_ValueError,
+                         "%s must hold at least %lld values for n_k %lld, n_u %lld and horizon "
+                         "%lld, got %zd", arrays[i]->name, (long long)sizes[i], n_k, n_u, horizon,
+                         (Py_ssize_t)PyArray_SIZE(arrays[i]->array));
+            return NULL;
+        }
     return PyLong_FromLongLong(fgm_solve(PyArray_DATA(w.array), n_k, n_u, horizon, beta, budget,
                                          PyArray_DATA(set.array), PyArray_DATA(data.array),
                                          timed));

@@ -56,9 +56,10 @@
  * the rows of V_K (n_u x |K|) with a block of modes in registers, the
  * expansion the rows of V_K^T with a block of outputs in registers, so
  * both vectorize without reordering a sum, as the dense sweep does.  All
- * three run blocks of whole 4-double vectors (see `sweep`), the dense
- * sweep narrower than BLOCK columns its own (narrow_rows).  Each checks
- * the gradient step's outputs for finiteness as it stores them.
+ * three run one `sweep` of whole vectors over padded, aligned rows, the
+ * dense sweep of 4 to BLOCK - 1 columns its own (narrow_rows).  `finish`
+ * then takes the shift and checks the gradient step's outputs for
+ * finiteness.
  *
  * On one-bandwidth plants the observer's estimates are kept by mode (see
  * observer.ModalRecord).  The three products of the observer and the
@@ -83,33 +84,51 @@
 #include <string.h>
 #include <time.h>
 
-/* Dense sweeps of BLOCK or more columns and the factored step's sweeps
-   (`sweep`) run blocks of whole 4-double vectors of outputs, at most
-   VECTORS of them per right-hand side with every accumulator in a
-   register: 22 at two right-hand sides, of the 32 ymm registers of
-   AVX-512.  Each block is as wide as what is left allows,
-   VECTORS, 4, 2 or 1 vectors, and no wider than the sweep, so past the
-   first the last block ends on the last output and overlaps the one
-   before by less than a vector, writing its outputs again with the same
-   bits (block_start).  At the ring size (n_k = 44 modes, n_u = 173
-   outputs, N = 2) the projection is one 11-vector block and the expansion
-   four, where blocks of 24 modes and 32 outputs that ended on an
-   overlapping full block ran 9% and 11% more multiply-adds: the factored
-   step went from 3.5-4.1 to 3.0-3.8 us per iteration in closed-loop
-   solves, and from 4.2-4.5 to 2.6-3.1 us in a loop of steps alone (gcc
-   12.2 -O3 -fPIC, 2-vCPU AVX-512 virtual machine; BENCH_36.json).  No
-   block is 8 vectors wide: at the ring size only the remainder of U^T y
-   would take one, and each width is one more body to compile, which the
-   first controller in a process waits for.  Narrower dense sweeps keep
-   blocks of 16, 8 or 4 outputs (narrow_rows). */
+/* Dense sweeps of BLOCK or more columns, the dense sweep below 4 and the
+   factored step's sweeps run one `sweep` over matrices whose rows start on
+   a 64-byte boundary and hold a multiple of PAD doubles, zero-padded (see
+   qp.pack): the factored form's V_K and V_K^T, the modal record's
+   [V, V_perp], its transpose and U, and the dense W.  A sweep's vector
+   holds LANES doubles, 8 where the compiler targets AVX-512 and else 4,
+   and its blocks of whole vectors, at most VECTORS per right-hand side
+   with every accumulator in a register (22 at two right-hand sides, of the
+   32 zmm registers), start on multiples of PAD and never overlap: 11, 6 or
+   1 vectors, the widest that what is left of the padded row holds.  It
+   stores whole vectors into padded scratch, and `finish` then copies the
+   real outputs out.  At the ring size (n_k = 44 modes, n_u = 173 outputs,
+   N = 2) the projection is one 6-vector block and every other sweep two
+   11-vector blocks.  With rows padded and aligned no vector load splits a
+   cache line, and no block is swept twice.  The timed gradient stage of
+   20-iteration ring-size solves went from a median 2639 to 1976 ns per
+   iteration against 4-double blocks over unpadded rows, lower in every
+   one of 1,980 alternating calls on the same operands (gcc 12.2 -O3
+   -march=native, 2-vCPU AVX-512 virtual machine; BENCH_37.json).  Each
+   vector width compiles its own bodies only, and no 2-vector block is
+   kept: the build, which the first controller in a process waits for,
+   stays no slower.  Dense sweeps of 4 to BLOCK - 1 columns keep blocks of
+   16, 8 or 4 outputs (narrow_rows). */
 #define BLOCK 32
 #define VECTORS 11
+#define PAD 8
+#ifdef __AVX512F__
+#define LANES 8
+#else
+#define LANES 4
+#endif
 
-/* Four doubles as one vector (GCC's vector extension); -ffp-contract=off
-   keeps its multiplies and adds separate, lane by lane the scalar ones. */
+/* n rounded up to a multiple of PAD: a padded row's length. */
+static inline int64_t padded(int64_t n)
+{
+    return (n + PAD - 1) & -(int64_t)PAD;
+}
+
+/* Vectors of four and of LANES doubles (GCC's vector extension);
+   -ffp-contract=off keeps their multiplies and adds separate, lane by lane
+   the scalar ones. */
 typedef double vd4 __attribute__((vector_size(4 * sizeof(double))));
+typedef double vd __attribute__((vector_size(LANES * sizeof(double))));
 /* A vector comparison's lanes: all ones where it holds, else zero. */
-typedef int64_t vi4 __attribute__((vector_size(4 * sizeof(int64_t))));
+typedef int64_t vi __attribute__((vector_size(LANES * sizeof(int64_t))));
 
 static inline vd4 load4(const double *p)
 {
@@ -123,30 +142,34 @@ static inline void store4(double *p, vd4 x)
     memcpy(p, &x, sizeof x);
 }
 
-/* Where the `width`-wide block from element i of a sweep over `count`
-   elements starts: at i, or for a last block that would run past the
-   end, so that it ends on the last element. */
-static inline int64_t block_start(int64_t i, int64_t count, int width)
+static inline vd load(const double *p)
 {
-    return i + width <= count ? i : count - width;
+    vd x;
+    memcpy(&x, p, sizeof x);
+    return x;
+}
+
+static inline void store(double *p, vd x)
+{
+    memcpy(p, &x, sizeof x);
 }
 
 /* gradient_step's sweep below BLOCK columns, in blocks of 4 `vectors`
    outputs held as whole vectors, the last block overlapping the one
-   before (block_start): t = W^T v - q, each output an ascending sum over
-   the rows. */
+   before: t = W^T v - q, each output an ascending sum over the rows, which
+   are `stride` doubles apart. */
 static inline __attribute__((always_inline))
-void narrow_rows(const double *restrict w, int64_t rows, int64_t cols,
+void narrow_rows(const double *restrict w, int64_t rows, int64_t cols, int64_t stride,
                  const double *restrict v, const double *restrict q_scaled,
                  double *restrict t, int vectors)
 {
     for (int64_t b = 0; b < cols; b += 4 * vectors) {
-        const int64_t i = block_start(b, cols, 4 * vectors);
+        const int64_t i = b + 4 * vectors <= cols ? b : cols - 4 * vectors;
         vd4 acc[4];
         for (int k = 0; k < vectors; k++)
             acc[k] = (vd4){0.0, 0.0, 0.0, 0.0};
         for (int64_t j = 0; j < rows; j++) {
-            const double *restrict row = w + j * cols + i;
+            const double *restrict row = w + j * stride + i;
             const double vj = v[j];
             for (int k = 0; k < vectors; k++)
                 acc[k] += load4(row + 4 * k) * vj;
@@ -156,205 +179,204 @@ void narrow_rows(const double *restrict w, int64_t rows, int64_t cols,
     }
 }
 
-/* `count` rows, `stride` apart from `at`, with the weight coef[s
-   coef_stride + j] of row j for right-hand side s. */
-struct rows {
+/* sums[s stride + i] for every right-hand side s and every lane i of the
+   padded rows: seed[s stride + i] (0.0 where seed is NULL) plus row j's
+   element i times coef[s coef_stride + j], over the `rows` rows in
+   ascending j.  The rows are `stride` doubles apart, a multiple of PAD;
+   sums and seed hold `stride` doubles per right-hand side. */
+struct sweep {
     const double *at;
-    int64_t count, stride;
+    int64_t rows, stride;
     const double *coef;
     int64_t coef_stride;
+    const double *seed;
+    double *sums;
 };
 
-/* out[s out_stride + i] for the `count` outputs i of every right-hand side
-   s: 0.0 plus row j's element i times its weight for s, over the rows of
-   `first` and then of `rows`, each in ascending j, minus shift[s
-   shift_stride + i] (where shift is not NULL). */
-struct sweep {
-    struct rows first, rows;
-    const double *shift;
-    int64_t shift_stride;
-    double *out;
-    int64_t out_stride, count;
-};
-
-/* acc[s][k] += the terms of r's rows on vector k of the block from
-   output i, in ascending j. */
+/* The sweep's lanes from i, `vectors` whole vectors of every right-hand
+   side, stored whole. */
 static inline __attribute__((always_inline))
-void accumulate(vd4 acc[2][VECTORS], struct rows r, int64_t i, int rhs, int vectors)
+void sweep_block(const struct sweep *w, int64_t i, int rhs, int vectors)
 {
-    for (int64_t j = 0; j < r.count; j++) {
-        const double *restrict row = r.at + j * r.stride + i;
-#pragma GCC unroll 2
-        for (int s = 0; s < rhs; s++) {
-            const double x = r.coef[s * r.coef_stride + j];
-#pragma GCC unroll 11
-            for (int k = 0; k < vectors; k++)
-                acc[s][k] += load4(row + 4 * k) * x;
-        }
-    }
-}
-
-/* The sweep's outputs from i, `vectors` whole vectors of every right-hand
-   side, each stored as it is finished, minus `shift` at its place (or,
-   with `step` 0, minus shift's first vector).  Returns the lanes that are not
-   finite (x - x is NaN exactly there). */
-static inline __attribute__((always_inline))
-vi4 sweep_block(const struct sweep *w, const double *shift, int64_t step, int64_t i, int rhs,
-                int vectors)
-{
-    vd4 acc[2][VECTORS];
+    vd acc[2][VECTORS];
 #pragma GCC unroll 2
     for (int s = 0; s < rhs; s++)
 #pragma GCC unroll 11
         for (int k = 0; k < vectors; k++)
-            acc[s][k] = (vd4){0.0, 0.0, 0.0, 0.0};
-    accumulate(acc, w->first, i, rhs, vectors);
-    accumulate(acc, w->rows, i, rhs, vectors);
-    vi4 bad = {0, 0, 0, 0};
+            acc[s][k] = w->seed ? load(w->seed + s * w->stride + i + LANES * k) : (vd){0.0};
+    for (int64_t j = 0; j < w->rows; j++) {
+        const double *restrict row = w->at + j * w->stride + i;
+#pragma GCC unroll 2
+        for (int s = 0; s < rhs; s++) {
+            const double x = w->coef[s * w->coef_stride + j];
+#pragma GCC unroll 11
+            for (int k = 0; k < vectors; k++)
+                acc[s][k] += load(row + LANES * k) * x;
+        }
+    }
 #pragma GCC unroll 2
     for (int s = 0; s < rhs; s++)
 #pragma GCC unroll 11
-        for (int k = 0; k < vectors; k++) {
-            const int64_t at = i + 4 * k;
-            const vd4 x = acc[s][k] - load4(shift + (s * w->shift_stride + at) * step);
-            store4(w->out + s * w->out_stride + at, x);
-            const vd4 zero = x - x;
-            bad |= (vi4)(zero != zero);
-        }
-    return bad;
-}
-
-/* The sweep's output i of right-hand side s, one at a time. */
-static double sweep_one(const struct sweep *w, int64_t i, int s)
-{
-    const struct rows *phase[2] = {&w->first, &w->rows};
-    double sum = 0.0;
-    for (int p = 0; p < 2; p++)
-        for (int64_t j = 0; j < phase[p]->count; j++)
-            sum += phase[p]->at[j * phase[p]->stride + i]
-                   * phase[p]->coef[s * phase[p]->coef_stride + j];
-    return w->shift ? sum - w->shift[s * w->shift_stride + i] : sum;
+        for (int k = 0; k < vectors; k++)
+            store(w->sums + s * w->stride + i + LANES * k, acc[s][k]);
 }
 
 /* `sweep` for a constant number of right-hand sides. */
 static inline __attribute__((always_inline))
-int sweep_rhs(const struct sweep *w, int rhs)
+void sweep_rhs(const struct sweep *w, int rhs)
 {
-    const int64_t count = w->count;
-    if (count < 4) {
-        int finite = 1;
-        for (int64_t i = 0; i < count; i++)
-            for (int s = 0; s < rhs; s++) {
-                const double x = sweep_one(w, i, s);
-                w->out[s * w->out_stride + i] = x;
-                finite &= isfinite(x) != 0;
-            }
-        return finite;
-    }
-    /* without a shift, x - 0.0: x itself, bit for bit */
-    static const double zeros[4] = {0.0, 0.0, 0.0, 0.0};
-    const double *shift = w->shift ? w->shift : zeros;
-    const int64_t step = w->shift != NULL;
-    vi4 bad = {0, 0, 0, 0};
-    for (int64_t i = 0; i < count;) {
-        /* the vectors left to cover, but no block wider than the sweep */
-        const int64_t left = (count - i + 3) / 4, most = left < count / 4 ? left : count / 4;
-        const int vectors = most >= VECTORS ? VECTORS : most >= 4 ? 4
-                            : most >= 2 ? 2 : 1;
-        const int64_t at = block_start(i, count, 4 * vectors);
-        switch (vectors) {
-        case VECTORS:
-            bad |= sweep_block(w, shift, step, at, rhs, VECTORS);
-            break;
-        case 4:
-            bad |= sweep_block(w, shift, step, at, rhs, 4);
-            break;
-        case 2:
-            bad |= sweep_block(w, shift, step, at, rhs, 2);
-            break;
-        default:
-            bad |= sweep_block(w, shift, step, at, rhs, 1);
+    for (int64_t i = 0; i < w->stride;) {
+        const int64_t left = (w->stride - i) / LANES;
+        if (left >= VECTORS) {
+            sweep_block(w, i, rhs, VECTORS);
+            i += LANES * VECTORS;
+        } else if (left >= 6) {
+            sweep_block(w, i, rhs, 6);
+            i += LANES * 6;
+        } else {
+            sweep_block(w, i, rhs, 1);
+            i += LANES;
         }
-        i = at + 4 * vectors;
     }
-    return !(bad[0] | bad[1] | bad[2] | bad[3]);
 }
 
-/* Runs the sweep with `rhs` (1 or 2) right-hand sides.  Returns 1, or 0
-   where an output is not finite. */
+/* Runs the sweep with `rhs` (1 or 2) right-hand sides. */
 __attribute__((noinline))
-static int sweep(const struct sweep *w, int rhs)
+static void sweep(const struct sweep *w, int rhs)
 {
-    return rhs == 1 ? sweep_rhs(w, 1) : sweep_rhs(w, 2);
+    if (rhs == 1)
+        sweep_rhs(w, 1);
+    else
+        sweep_rhs(w, 2);
 }
 
-/* t = W^T v - q for the row-major rows x cols matrix W, one block of
-   outputs per sweep over its rows: with W = I - J / lambda_max (square and
-   symmetric) and q / lambda_max, the gradient step; the modal entry
-   points pass q = 0.  Returns 1, or 0 where an element of t is not
-   finite.  Below BLOCK columns (but from 4) the blocks are 16, 8 or 4
-   outputs, the widest that fits, held as 4, 2 or 1 explicit 4-double
-   vectors, and an early-exit pass checks t: gcc 12.2 -O3 -march=native
-   (AVX-512) compiles a plain-C block of 16, 8 or 4 outputs into 2-double
-   multiplies over pairs of rows, each followed by a chain of scalar
-   vaddsd, where narrow_rows is one 256-bit multiply and add per vector
-   and row: a call took 30 ns against 120 ns with 4-wide blocks at
+/* out[s out_stride + i] = sums[s stride + i] - shift[s shift_stride + i]
+   for the `count` outputs i of each of the `rhs` right-hand sides (x - 0.0
+   is x bit for bit).  Returns 1, or 0 where one is not finite (x - x is
+   NaN exactly there). */
+__attribute__((noinline))
+static int finish(const double *sums, int64_t stride, int64_t count, int64_t rhs,
+                  const double *shift, int64_t shift_stride, double *out, int64_t out_stride)
+{
+    vi bad = {0};
+    int finite = 1;
+    for (int64_t s = 0; s < rhs; s++) {
+        const double *sum = sums + s * stride, *q = shift + s * shift_stride;
+        double *o = out + s * out_stride;
+        int64_t i = 0;
+        for (; i + LANES <= count; i += LANES) {
+            const vd x = load(sum + i) - load(q + i);
+            store(o + i, x);
+            const vd zero = x - x;
+            bad |= (vi)(zero != zero);
+        }
+        for (; i < count; i++) {
+            o[i] = sum[i] - q[i];
+            finite &= isfinite(o[i]) != 0;
+        }
+    }
+    for (int k = 0; k < LANES; k++)
+        finite &= !bad[k];
+    return finite;
+}
+
+/* t = W^T v - q for the rows x cols matrix W, whose rows are padded(cols)
+   doubles apart, one block of outputs per sweep over its rows: with W = I
+   - J / lambda_max (square and symmetric) and q / lambda_max, the gradient
+   step; the modal entry points pass q = 0.  Returns 1, or 0 where an
+   element of t is not finite.  From BLOCK columns, and below 4, one `sweep`
+   into `sums` (padded(cols) doubles) and `finish`.  Between, the blocks are 16,
+   8 or 4 outputs, the widest that fits, held as 4, 2 or 1 explicit
+   4-double vectors, and an early-exit pass checks t: gcc 12.2 -O3
+   -march=native (AVX-512) compiles a plain-C block of 16, 8 or 4 outputs
+   into 2-double multiplies over pairs of rows, each followed by a chain of
+   scalar vaddsd, where narrow_rows is one 256-bit multiply and add per
+   vector and row: a call took 30 ns against 120 ns with 4-wide blocks at
    16 x 16, and 60 ns at 17 x 17 (two overlapping 16-blocks) against
    152 ns (four 4-wide blocks and a 1-wide one).  Kept out of line:
    inlined into fgm_solve, gcc 12 -O3 makes the ring-size (346-row) solve
    ~15% slower. */
 __attribute__((noinline))
 static int gradient_step(const double *w, int64_t rows, int64_t cols, const double *v,
-                         const double *q_scaled, double *t)
+                         const double *q_scaled, double *t, double *sums)
 {
+    const int64_t stride = padded(cols);
     if (cols >= BLOCK || cols < 4) {
-        const struct sweep s = {{NULL, 0, 0, NULL, 0}, {w, rows, cols, v, 0},
-                                q_scaled, 0, t, 0, cols};
-        return sweep(&s, 1);
+        const struct sweep s = {w, rows, stride, v, 0, NULL, sums};
+        sweep(&s, 1);
+        return finish(sums, stride, cols, 1, q_scaled, 0, t, 0);
     }
     if (cols >= 16)
-        narrow_rows(w, rows, cols, v, q_scaled, t, 4);
+        narrow_rows(w, rows, cols, stride, v, q_scaled, t, 4);
     else if (cols >= 8)
-        narrow_rows(w, rows, cols, v, q_scaled, t, 2);
+        narrow_rows(w, rows, cols, stride, v, q_scaled, t, 2);
     else
-        narrow_rows(w, rows, cols, v, q_scaled, t, 1);
+        narrow_rows(w, rows, cols, stride, v, q_scaled, t, 1);
     for (int64_t i = 0; i < cols; i++)
         if (!isfinite(t[i]))
             return 0;
     return 1;
 }
 
-/* t = W v - q / lambda_max in the factored form; `factors` holds W_s
-   (horizon^2), the M_k (n_k horizon^2), V_K (n_u n_k) and V_K^T (n_k n_u),
-   row-major; `scratch` 2 horizon n_k doubles.  The projection c[s n_k +
-   k] = v_k . x_s sums over the rows of V_K, d_k = M_k c_k mixes each
-   mode's stages, and the expansion t_s[i] sums the shared block on x and
-   then the modes' terms d[s n_k + k] v_k in ascending k over the rows of
-   V_K^T, then takes the shift.  Returns 1, or 0 where an element of t is
-   not finite.  Out of line like gradient_step. */
+/* t = W v - q / lambda_max in the factored form over n_k modes, laid out
+   in `factors` (qp.pack_factors) as
+
+     V_K     n_u rows of padded(n_k)
+     V_K^T   n_k rows of padded(n_u)
+     W_s     horizon^2          I - B_s / lambda_max, row-major
+     M_k     n_k horizon^2      -(B_k - B_s) / lambda_max, row-major
+
+   with `scratch`, from a multiple of PAD, holding the sums (horizon
+   max(padded(n_k), padded(n_u))), the seed (horizon padded(n_u)) and d
+   (horizon n_k).  The projection c[s pk + k] = v_k . x_s sums over the
+   rows of V_K into the sums, d_k = M_k c_k mixes each mode's stages, and
+   the expansion t_s[i] sums the shared block on x (the seed, formed first)
+   and then the modes' terms d[s n_k + k] v_k in ascending k over the rows
+   of V_K^T, then takes the shift.  Returns 1, or 0 where an element of t
+   is not finite.  Out of line like gradient_step. */
 __attribute__((noinline))
 static int factored_step(const double *factors, int64_t n_k, int64_t n_u, int64_t horizon,
-                         const double *v, const double *q_scaled, double *t, double *scratch)
+                         const double *restrict v, const double *q_scaled, double *t,
+                         double *scratch)
 {
-    const double *shared = factors, *mix = factors + horizon * horizon;
-    const double *vk = mix + n_k * horizon * horizon, *vkt = vk + n_u * n_k;
-    double *c = scratch, *d = scratch + horizon * n_k;
-    const struct sweep project = {{NULL, 0, 0, NULL, 0}, {vk, n_u, n_k, v, n_u},
-                                  NULL, 0, c, n_k, n_k};
+    const int64_t pk = padded(n_k), pu = padded(n_u);
+    const double *vk = factors, *vkt = vk + n_u * pk, *shared = vkt + n_k * pu;
+    const double *mix = shared + horizon * horizon;
+    double *sums = scratch, *seed = sums + horizon * (pk > pu ? pk : pu);
+    double *restrict d = seed + horizon * pu;
+    const struct sweep project = {vk, n_u, pk, v, n_u, NULL, sums};
     sweep(&project, (int)horizon);
+    const double *c = sums;
     if (horizon == 1) {
         for (int64_t k = 0; k < n_k; k++)
             d[k] = 0.0 + mix[k] * c[k];
     } else {
         for (int64_t k = 0; k < n_k; k++) {
-            const double *m = mix + 4 * k, c0 = c[k], c1 = c[n_k + k];
+            const double *m = mix + 4 * k, c0 = c[k], c1 = c[pk + k];
             d[k] = 0.0 + m[0] * c0 + m[1] * c1;
             d[n_k + k] = 0.0 + m[2] * c0 + m[3] * c1;
         }
     }
-    const struct sweep expand = {{v, horizon, n_u, shared, horizon}, {vkt, n_k, n_u, d, n_k},
-                                 q_scaled, n_u, t, n_u, n_u};
-    return sweep(&expand, (int)horizon);
+    for (int64_t s = 0; s < horizon; s++) {
+        double *restrict out = seed + s * pu;
+        const double *w = shared + s * horizon;
+        int64_t i = 0;
+        for (; i + LANES <= n_u; i += LANES) {
+            vd x = (vd){0.0};
+            for (int64_t u = 0; u < horizon; u++)
+                x += load(v + u * n_u + i) * w[u];
+            store(out + i, x);
+        }
+        for (; i < n_u; i++) {
+            double x = 0.0;
+            for (int64_t u = 0; u < horizon; u++)
+                x += v[u * n_u + i] * w[u];
+            out[i] = x;
+        }
+    }
+    const struct sweep expand = {vkt, n_k, pu, d, n_k, seed, sums};
+    sweep(&expand, (int)horizon);
+    return finish(sums, pu, n_u, horizon, q_scaled, n_u, t, n_u);
 }
 
 /* np.minimum(np.maximum(x, lo), hi): a NaN x stays NaN. */
@@ -432,9 +454,10 @@ static void lap(double *stage, int64_t *tic)
 
 /*
  * Runs `budget` iterations from the projection of the warm start onto the
- * set, n = horizon n_u.  With n_k < 0, `w` is the dense W, row-major with
- * n columns; otherwise it is the factored form over n_k modes, laid out
- * as factored_step_h states.  `set` is the array qp.ConstraintSet packs:
+ * set, n = horizon n_u.  With n_k < 0, `w` is the dense W, n rows of
+ * padded(n) doubles; otherwise it is the factored form over n_k modes,
+ * laid out as factored_step states.  `set` is the array qp.ConstraintSet
+ * packs:
  *
  *   lower, upper      n each     the box bounds of the stacked iterate
  *   band, rho         n_u each   (horizon 2 only)
@@ -445,7 +468,13 @@ static void lap(double *stage, int64_t *tic)
  *   iterate           n      the warm start; on return, the last projected iterate
  *   stage_ns          3      zeros
  *   iterations        1      on return -1, the iterations run
- *   scratch           4 n, and 2 horizon n_k more for the factored form
+ *   scratch           4 n
+ *   sums              from padded(6 n + 4): padded(n) for the dense W; for
+ *                     the factored form horizon max(padded(n_k),
+ *                     padded(n_u)), then the seed, horizon padded(n_u),
+ *                     and d, horizon n_k
+ *
+ * fgm_sizes gives the lengths of w, set and data that this layout reads.
  *
  * The exact exit: after the momentum update, memcmp tells whether p+
  * equals p byte for byte (so -0.0 differs from 0.0).  Once two iterations
@@ -467,6 +496,22 @@ static void lap(double *stage, int64_t *tic)
 int64_t fgm_solve(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, double beta,
                   int64_t budget, const double *set, double *data, int64_t timed);
 
+/* The doubles fgm_solve reads from w, set and data, in that order, for a
+   horizon of 1 or 2, n_u >= 1 and n_k >= -1. */
+void fgm_sizes(int64_t n_k, int64_t n_u, int64_t horizon, int64_t sizes[3])
+{
+    const int64_t n = horizon * n_u, fixed = padded(6 * n + 4);
+    if (n_k < 0) {
+        sizes[0] = n * padded(n);
+        sizes[2] = fixed + padded(n);
+    } else {
+        const int64_t pk = padded(n_k), pu = padded(n_u);
+        sizes[0] = n_u * pk + n_k * pu + (n_k + 1) * horizon * horizon;
+        sizes[2] = fixed + horizon * ((pk > pu ? pk : pu) + pu + n_k);
+    }
+    sizes[1] = horizon == 1 ? 2 * n : 3 * n;
+}
+
 /* fgm_solve, leaving the last projected iterate in the scratch, where
    *result points, and the workspace's iterate as it was. */
 __attribute__((noinline))
@@ -484,7 +529,7 @@ static int64_t run(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, d
     }
     double *stage_ns = data + 2 * n, *iterations = stage_ns + 3;
     double *p = iterations + 1, *p_new = p + n, *v = p + 2 * n, *t = p + 3 * n;
-    double *const modes = p + 4 * n;
+    double *const sums = data + padded(6 * n + 4);
     const double beta_1 = 1.0 + beta;
     int64_t tic = 0, it = 0;
     int was_unchanged = 0;
@@ -494,8 +539,8 @@ static int64_t run(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, d
     while (it < budget) {
         if (timed)
             tic = now_ns();
-        const int finite = n_k < 0 ? gradient_step(w, n, n, v, q_scaled, t)
-                                   : factored_step(w, n_k, n_u, horizon, v, q_scaled, t, modes);
+        const int finite = n_k < 0 ? gradient_step(w, n, n, v, q_scaled, t, sums)
+                                   : factored_step(w, n_k, n_u, horizon, v, q_scaled, t, sums);
         if (!finite)
             return it;
         if (timed)
@@ -561,9 +606,9 @@ struct context {
 /* The record observer.ModalRecord packs, for n_u inputs, n_y outputs,
    r = min(n_u, n_y) modes of C, the delay mu and the horizon:
 
-     w       n_u n_u     [V, V_perp], row-major
-     wt      n_u n_u     its transpose, row-major
-     u       n_y r       U, row-major
+     w       n_u rows of padded(n_u)   [V, V_perp]
+     wt      n_u rows of padded(n_u)   its transpose
+     u       n_y rows of padded(r)     U
      sigma   r           singular values of C
      k_z     r           gain of the delayed state, mode by mode
      k_d     r           gain of the disturbance, mode by mode
@@ -588,7 +633,9 @@ struct context {
      y~      r           scratch: U^T y
      u~      n_u         scratch: [V, V_perp]^T u
      dy      n_u         scratch: the delayed state's correction
-     q~      horizon n_u scratch: the linear term by mode */
+     q~      horizon n_u scratch: the linear term by mode
+     sums    horizon padded(n_u), from a multiple of PAD: the sweeps'
+                         scratch */
 /* Not restrict: `advance` checks and copies the whole block through x. */
 struct estimates {
     double *x, *z, *d, *s, *q;
@@ -596,11 +643,12 @@ struct estimates {
 
 struct modal {
     int64_t r, block; /* block: the length of one struct estimates */
+    int64_t pu;       /* padded(n_u): the length of a row of w and wt */
     const double *restrict w, *restrict wt, *restrict u, *restrict sigma, *restrict k_z,
         *restrict k_d, *restrict alpha, *restrict beta, *restrict powers, *restrict zeros;
     double a, b, k_0;
     struct estimates now, next;
-    double *restrict yt, *restrict ut, *restrict dy, *restrict qt;
+    double *restrict yt, *restrict ut, *restrict dy, *restrict qt, *restrict sums;
 };
 
 static struct estimates estimates_at(double *base, const struct context *c, int64_t r)
@@ -619,10 +667,11 @@ static struct modal unpack(const struct context *c)
     const int64_t n_u = c->n_u, n_y = c->n_y, mu = c->mu;
     struct modal m;
     m.r = n_u < n_y ? n_u : n_y;
+    m.pu = padded(n_u);
     m.w = c->record;
-    m.wt = m.w + n_u * n_u;
-    m.u = m.wt + n_u * n_u;
-    m.sigma = m.u + n_y * m.r;
+    m.wt = m.w + n_u * m.pu;
+    m.u = m.wt + n_u * m.pu;
+    m.sigma = m.u + n_y * padded(m.r);
     m.k_z = m.sigma + m.r;
     m.k_d = m.k_z + m.r;
     m.alpha = m.k_d + m.r;
@@ -639,6 +688,7 @@ static struct modal unpack(const struct context *c)
     m.ut = m.yt + m.r;
     m.dy = m.ut + n_u;
     m.qt = m.dy + n_u;
+    m.sums = c->state + padded(m.qt + c->horizon * n_u - c->state);
     return m;
 }
 
@@ -659,12 +709,12 @@ static void linear_term(const struct modal *m, const struct context *c, const st
             qt[i] = alpha[i] * e->x[i];
     }
     if (n_u >= BLOCK) {
-        const struct sweep both = {{NULL, 0, 0, NULL, 0}, {m->wt, n_u, n_u, m->qt, n_u},
-                                   m->zeros, 0, e->q, n_u, n_u};
+        const struct sweep both = {m->wt, n_u, m->pu, m->qt, n_u, NULL, m->sums};
         sweep(&both, (int)c->horizon);
+        finish(m->sums, m->pu, n_u, c->horizon, m->zeros, 0, e->q, n_u);
     } else {
         for (int64_t s = 0; s < c->horizon; s++)
-            gradient_step(m->wt, n_u, n_u, m->qt + s * n_u, m->zeros, e->q + s * n_u);
+            gradient_step(m->wt, n_u, n_u, m->qt + s * n_u, m->zeros, e->q + s * n_u, m->sums);
     }
 }
 
@@ -673,7 +723,7 @@ static void linear_term(const struct modal *m, const struct context *c, const st
    overflows in the product. */
 static int measure(const struct modal *m, const struct context *c, const double *y)
 {
-    return gradient_step(m->u, c->n_y, m->r, y, m->zeros, m->yt);
+    return gradient_step(m->u, c->n_y, m->r, y, m->zeros, m->yt, m->sums);
 }
 
 /* The observer update with the input u after `measure`,
@@ -695,7 +745,7 @@ static void observe(const struct modal *m, const struct context *c, const double
     if (n_y > m->r)
         for (int64_t j = 0; j < n_y; j++)
             next->s[j] = (1.0 - m->k_0) * e->s[j] + m->k_0 * y[j];
-    gradient_step(m->w, n_u, n_u, u, m->zeros, m->ut);
+    gradient_step(m->w, n_u, n_u, u, m->zeros, m->ut, m->sums);
     const double *z_mu = mu ? e->z + (mu - 1) * n_u : e->x;
     for (int64_t i = 0; i < m->r; i++) {
         const double innovation = m->yt[i] - m->sigma[i] * z_mu[i] - e->d[i];

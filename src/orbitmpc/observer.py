@@ -36,7 +36,7 @@ from . import design, fileio
 from .design import PartitionedGain
 from .errors import DimensionError, NumericalError
 from .model import ModalBasis, StateSpace
-from .qp import CondensedQP
+from .qp import CondensedQP, aligned_zeros, pack, padded
 
 # Largest relative gap allowed between a dense online map and its modal
 # record in one probe product for the compiled kernel to run the record.
@@ -154,9 +154,12 @@ class ModalRecord:
     the gains k_z and k_d (and k_0 on a tall plant), the linear-term
     coefficients `alpha` (N, n_u) and `beta` (N, r), and the plant's pole
     a and input gain b.  `packed` lays them out as `fgm_kernel.c` reads
-    them; `probe_gap` is the largest relative gap its maps showed against
-    the dense ones (see `modal_record`), and the kernel runs the record
-    only when it is `within_tolerance`.  W and U are views of `packed`."""
+    them, in one 64-byte-aligned array (qp.pack): the rows of W, of W^T
+    and of U, each zero-padded to a multiple of qp.ROW_PAD doubles, then
+    the rest; `probe_gap` is the largest relative gap its maps showed
+    against the dense ones (see `modal_record`), and the kernel runs the
+    record only when it is `within_tolerance`.  W and U are views of
+    `packed`."""
 
     W: np.ndarray
     U: np.ndarray
@@ -175,11 +178,13 @@ class ModalRecord:
     def __post_init__(self):
         n_u, n_y, r = self.W.shape[0], self.U.shape[0], self.U.shape[1]
         powers = self.a ** np.arange(self.mu, -1, -1)
-        packed = np.concatenate([self.W.ravel(), self.W.T.ravel(), self.U.ravel(), self.sigma,
-                                 self.k_z, self.k_d, self.alpha.ravel(), self.beta.ravel(), powers,
-                                 [self.a, self.b, self.k_0], np.zeros(n_u)])
-        for name, value in (("packed", packed), ("W", packed[:n_u * n_u].reshape(n_u, n_u)),
-                            ("U", packed[2 * n_u * n_u:2 * n_u * n_u + n_y * r].reshape(n_y, r))):
+        packed = pack([self.W, self.W.T, self.U, self.sigma, self.k_z, self.k_d, self.alpha.ravel(),
+                       self.beta.ravel(), powers, np.array([self.a, self.b, self.k_0]),
+                       np.zeros(n_u)])
+        w_size, u_size = n_u * padded(n_u), n_y * padded(r)
+        for name, value in (("packed", packed),
+                            ("W", packed[:w_size].reshape(n_u, -1)[:, :n_u]),
+                            ("U", packed[2 * w_size:2 * w_size + u_size].reshape(n_y, -1)[:, :r])):
             object.__setattr__(self, name, value)
 
     @property
@@ -203,15 +208,17 @@ class ModalRecord:
         """Lengths of the state array's parts, in the kernel's order: x~, the
         mu z~, d~, s (tall plants only) and their linear term q, the same
         five again for the update to form, and the scratch U^T y, u~, dy,
-        q~."""
+        q~.  The kernel's sweeps keep N padded(n_u) more after them, from a
+        multiple of qp.ROW_PAD (see new_state)."""
         n_u, n_y, r = self.n_u, self.n_y, self.sigma.shape[0]
         estimates = (n_u, self.mu * n_u, r, n_y if n_y > r else 0, self.N * n_u)
         return (*estimates, *estimates, r, n_u, n_u, self.N * n_u)
 
     def new_state(self) -> np.ndarray:
-        """A zero state array: every estimate of a quiescent beam, and their
-        linear term, which is zero too."""
-        return np.zeros(sum(self._sizes()))
+        """A zero state array, 64-byte aligned: every estimate of a
+        quiescent beam, and their linear term, which is zero too; then the
+        sweeps' scratch."""
+        return aligned_zeros(padded(sum(self._sizes())) + self.N * padded(self.n_u))
 
     def linear_term(self, state: np.ndarray) -> np.ndarray:
         """The linear term of the estimates of `state`, which the next

@@ -69,8 +69,52 @@ SUPPORTED_HORIZONS = (1, 2)
 # of W at a time): the rows of CondensedQP.W are zero-padded to a multiple
 # of this, and every worker slice starts on one.
 ROW_BLOCK = 4
+# The compiled kernel's matrices (CondensedQP.W_rows and .factors, the
+# modal record's maps) hold each row from a 64-byte boundary, zero-padded
+# to a multiple of this many doubles, so its sweeps run whole aligned
+# vectors (see fgm_kernel.c).
+ROW_PAD = 8
 # Largest relative gap allowed between J and its modal form in one probe product
 MODAL_FORM_TOLERANCE = 1e-13
+
+
+def padded(n: int) -> int:
+    """n rounded up to a multiple of ROW_PAD: a padded row's length."""
+    return -(-n // ROW_PAD) * ROW_PAD
+
+
+def aligned_zeros(size: int) -> np.ndarray:
+    """A zeroed float64 array of `size` values whose data starts on a
+    64-byte boundary (numpy's own allocations start on 16)."""
+    raw = np.zeros(size + ROW_PAD)
+    start = -raw.ctypes.data % 64 // raw.itemsize
+    return raw[start:start + size]
+
+
+def pack(parts) -> np.ndarray:
+    """The arrays `parts` in one aligned_zeros array, in order: each 2-d
+    one as its rows zero-padded to padded(columns) doubles, any other
+    raveled."""
+    sizes = [a.shape[0] * padded(a.shape[1]) if a.ndim == 2 else a.size for a in parts]
+    out = aligned_zeros(sum(sizes))
+    at = 0
+    for a, size in zip(parts, sizes):
+        block = out[at:at + size]
+        if a.ndim == 2:
+            block.reshape(a.shape[0], -1)[:, :a.shape[1]] = a
+        else:
+            block[:] = a.ravel()
+        at += size
+    return out
+
+
+def pack_factors(shared: np.ndarray, mix: np.ndarray, V_K: np.ndarray,
+                 V_K_T: np.ndarray) -> np.ndarray:
+    """The factored form as `fgm_kernel.c` reads it (factored_step): the
+    padded rows of V_K (n_u, |K|) and V_K_T (|K|, n_u), then the shared
+    block (N, N) and the mixing blocks (|K|, N, N), in one aligned
+    array."""
+    return pack([V_K, V_K_T, shared.ravel(), mix.ravel()])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -149,18 +193,20 @@ class CondensedQP:
 
     `W` is the fast-gradient step matrix I - J / lambda_max, built once
     here with its rows zero-padded to a multiple of ROW_BLOCK, shape
-    (n + (-n) % ROW_BLOCK, n).  `fgm` multiplies it by the iterate in its
-    compiled kernel, which reads column i of W as row i, or else with one
-    BLAS gemv per block of rows starting on a multiple of ROW_BLOCK, so
-    every row runs through the same 4-row kernel path.  So `J` must be
+    (n + (-n) % ROW_BLOCK, n).  It is the first n columns of `W_rows`,
+    whose rows are padded to padded(n) doubles from 64-byte boundaries
+    (see pack).  `fgm` multiplies it by the iterate in its compiled
+    kernel, which reads `W_rows` and column i of W as row i, or else with
+    one BLAS gemv per block of rows starting on a multiple of ROW_BLOCK,
+    so every row runs through the same 4-row kernel path.  So `J` must be
     exactly symmetric, as `build_condensed` makes it; any other is refused.
 
     `modal`, on one-bandwidth plants, is J by mode.  A form whose product
     with a fixed probe vector differs from J's by more than
     MODAL_FORM_TOLERANCE relative is refused.  Where the factored product
     needs fewer multiplies than the dense one, `factors` holds it for the
-    compiled kernel, laid out as `fgm_kernel.c` documents: I - B_s /
-    lambda_max, the -(B_k - B_s) / lambda_max, V_K and V_K^T.
+    compiled kernel, laid out as `pack_factors` packs it: V_K and V_K^T,
+    I - B_s / lambda_max and the -(B_k - B_s) / lambda_max.
     """
 
     J: np.ndarray
@@ -173,6 +219,7 @@ class CondensedQP:
     n_u: int
     modal: ModalHessian | None = None
     W: np.ndarray = dataclasses.field(init=False, repr=False)
+    W_rows: np.ndarray = dataclasses.field(init=False, repr=False)
     factors: np.ndarray | None = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
@@ -184,10 +231,12 @@ class CondensedQP:
             i, j = np.unravel_index(np.argmax(np.nan_to_num(gap, nan=np.inf)), gap.shape)
             raise NumericalError(f"Hessian not exactly symmetric: J[{i}, {j}] = {self.J[i, j]!r} "
                                  f"but J[{j}, {i}] = {self.J[j, i]!r}")
-        w = np.zeros((n + (-n) % ROW_BLOCK, n))
-        w[:n] = -(self.J / self.lambda_max)
+        rows = aligned_zeros((n + (-n) % ROW_BLOCK) * padded(n)).reshape(-1, padded(n))
+        w = rows[:n, :n]
+        np.negative(np.divide(self.J, self.lambda_max, out=w), out=w)
         w[np.arange(n), np.arange(n)] += 1.0
-        object.__setattr__(self, "W", w)
+        object.__setattr__(self, "W_rows", rows)
+        object.__setattr__(self, "W", rows[:, :n])
         object.__setattr__(self, "factors", None if self.modal is None else self._factor())
 
     def _factor(self) -> np.ndarray | None:
@@ -209,9 +258,8 @@ class CondensedQP:
         if modal.multiplies() >= n * n:
             return None
         lam = self.lambda_max
-        return np.concatenate([(np.eye(self.N) - modal.shared / lam).ravel(),
-                               (-(modal.deltas / lam)).ravel(),
-                               modal.V_K.ravel(), modal.V_K.T.ravel()])
+        return pack_factors(np.eye(self.N) - modal.shared / lam, -(modal.deltas / lam),
+                            modal.V_K, modal.V_K.T)
 
     @property
     def hessian_form(self) -> str:

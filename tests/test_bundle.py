@@ -340,8 +340,11 @@ def test_modal_record_round_trips(tmp_path, n_y, n_u, mu, horizon):
     mine, yours = ours.modal_record, load_bundle(tmp_path).modal_record
     assert mine.packed.tobytes() == yours.packed.tobytes()
     assert mine.probe_gap == yours.probe_gap <= 1e-12
-    r = min(n_y, n_u)  # [V, V_perp] twice, U, sigma, k_z, k_d, alpha, beta, powers, a, b, k_0, zeros
-    assert mine.packed.shape == (2 * n_u * n_u + n_y * r + 3 * r + horizon * (n_u + r) + mu + 4 + n_u,)
+    # [V, V_perp] twice and U, their rows padded to a multiple of 8, then sigma, k_z, k_d,
+    # alpha, beta, powers, a, b, k_0, zeros
+    r, pad = min(n_y, n_u), lambda n: -(-n // 8) * 8
+    assert mine.packed.shape == (2 * n_u * pad(n_u) + n_y * pad(r) + 3 * r + horizon * (n_u + r)
+                                 + mu + 4 + n_u,)
 
 
 def test_mixed_bandwidth_bundle_has_no_modal_record(tmp_path):

@@ -22,7 +22,7 @@ from orbitmpc import (
 )
 from orbitmpc import fgm
 from orbitmpc.fgm import WorkerPool, get_pool
-from orbitmpc.qp import ROW_BLOCK, CondensedQP
+from orbitmpc.qp import ROW_BLOCK, CondensedQP, pack, pack_factors
 
 from oracles import OracleStageProjector, active_set_qp, projected_gradient_qp, stacked_halfplanes
 
@@ -702,7 +702,7 @@ class TestExactExit:
 
 
 def _factored_oracle(shared, mix, vk, vkt, v, horizon):
-    """W v in the factored form (fgm_kernel.c, factored_step_h), every sum
+    """W v in the factored form (fgm_kernel.c, factored_step), every sum
     over its contraction index in ascending order with elementwise float64
     multiplies and adds."""
     n_u, n_k = vk.shape
@@ -721,10 +721,11 @@ def _factored_oracle(shared, mix, vk, vkt, v, horizon):
     return t.ravel()
 
 
-# both sides of each block width (4 and 44 outputs: one and eleven vectors)
-# and of each remainder edge, up to the ring size's 44 modes and 173 outputs
-TILE_SIZES = (1, 3, 4, 5, 23, 24, 25, 31, 32, 33, 43, 44, 45, 47, 48, 49, 64, 65, 95, 96, 97,
-              172, 173)
+# both sides of each block width (1, 2, 6 and 11 vectors: 8, 16, 48 and 88
+# outputs of 8 lanes, 4, 8, 24 and 44 of 4) and every residue mod 8 from 32,
+# up to the ring size's 44 modes and 173 outputs and past its padded 176
+TILE_SIZES = (1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, *range(32, 42), 43, 44, 45, 47,
+              48, 49, 64, 65, 87, 88, 89, 95, 96, 97, 172, 173, 176, 177)
 
 
 def _unbounded_set(n_u, N):
@@ -749,10 +750,10 @@ def test_factored_tiles_keep_every_bit(kernel, rng, N):
             mix = rng.standard_normal((n_k, N, N))
             vk = rng.standard_normal((n_u, n_k))
             vkt = np.ascontiguousarray(vk.T)
-            factors = np.concatenate([shared.ravel(), mix.ravel(), vk.ravel(), vkt.ravel()])
+            factors = pack_factors(shared, mix, vk, vkt)
             packed = _unbounded_set(n_u, N)
             v = rng.standard_normal(n)
-            data = np.zeros(2 * n + 4 + 4 * n + 2 * N * n_k)
+            data = np.zeros(fgm.workspace_size(n_k, n_u, N))
             data[n:2 * n] = v
             failed = kernel.fgm_solve(factors, n_k, n_u, N, 0.5, 1, packed, data, 0)
             assert failed == -1
@@ -765,16 +766,16 @@ def test_dense_sweep_keeps_every_bit(kernel, rng, N):
     """One dense iteration with q = 0 over an unbounded set returns W v
     itself: at every width on both sides of a block width it sums
     W[j] * v[j] elementwise in ascending j, bit for bit."""
-    for n_u in (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 31, 32, 33, 43, 44, 45, 47, 48, 49, 65,
-                95, 96, 97, 172, 173):
+    for n_u in (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 31, *range(32, 42), 43, 44, 45, 47, 48,
+                49, 65, 87, 88, 89, 95, 96, 97, 172, 173, 176):
         n = N * n_u
         a = rng.standard_normal((n, n))
         w = a + a.T
         v = rng.standard_normal(n)
         packed = _unbounded_set(n_u, N)
-        data = np.zeros(2 * n + 4 + 4 * n)
+        data = np.zeros(fgm.workspace_size(-1, n_u, N))
         data[n:2 * n] = v
-        failed = kernel.fgm_solve(w, -1, n_u, N, 0.5, 1, packed, data, 0)
+        failed = kernel.fgm_solve(pack([w]), -1, n_u, N, 0.5, 1, packed, data, 0)
         assert failed == -1
         want = np.zeros(n)
         for j in range(n):
@@ -782,10 +783,12 @@ def test_dense_sweep_keeps_every_bit(kernel, rng, N):
         assert data[n:2 * n].tobytes() == want.tobytes(), n_u
 
 
-def _three_blocks(n):
+def _checked_outputs(n):
     """An output in the first, a middle and the last block of a sweep over
-    n outputs (at 101 outputs: blocks from 0, 44 and 85)."""
-    return sorted({1, n // 2, n - 1})
+    n outputs, and the first and the last in its last, partial 8-double
+    vector (at 101 outputs: 96 and 100, past the finish pass's whole
+    vectors of 8 or 4)."""
+    return sorted({1, n // 2, n - n % 8 if n % 8 else n - 1, n - 1})
 
 
 def _growing_instance(form, n_u, N, e, kind, at):
@@ -806,7 +809,7 @@ def _growing_instance(form, n_u, N, e, kind, at):
         w[a, a] = w[b, b] = 2.0  # output i sums w[j, i] v[j] over j
         w[a, e] = big
         w[b, e] = -big if kind == "nan" else 0.0
-        return w.ravel(), -1, np.zeros(2 * n + 4 + 4 * n)
+        return pack([w]), -1, np.zeros(fgm.workspace_size(-1, n_u, N))
     n_k = 5
     a = 0 if e else 1
     shared = np.zeros((N, N))
@@ -817,21 +820,20 @@ def _growing_instance(form, n_u, N, e, kind, at):
     vkt[0, a] = 2.0
     vkt[0, e] = big
     vkt[1, e] = -big if kind == "nan" else 0.0
-    factors = np.concatenate([shared.ravel(), mix.ravel(), vk.ravel(), vkt.ravel()])
-    return factors, n_k, np.zeros(2 * n + 4 + 4 * n + 2 * N * n_k)
+    return pack_factors(shared, mix, vk, vkt), n_k, np.zeros(fgm.workspace_size(n_k, n_u, N))
 
 
 @pytest.mark.parametrize("form", ["dense", "factored"])
 @pytest.mark.parametrize("N", [1, 2])
 @pytest.mark.parametrize("timed", [0, 1])
 def test_non_finite_gradient_output_fails_at_its_iteration(kernel, form, N, timed):
-    """The gradient step checks its outputs as it stores them: one inf or
-    NaN output, in the first, a middle or the last block of a sweep of
-    scalar, narrow or whole-vector blocks, fails the solve at the
-    iteration that formed it, timed or not."""
-    for n_u in (3, 7, 101):
+    """The gradient step checks its outputs as it takes the shift: one inf
+    or NaN output, in the first, a middle or the last block of a sweep of
+    narrow or whole-vector blocks, or in its last, partial vector, fails
+    the solve at the iteration that formed it, timed or not."""
+    for n_u in (3, 7, 45, 101):
         n = N * n_u
-        for e in _three_blocks(n if form == "dense" else n_u):
+        for e in _checked_outputs(n if form == "dense" else n_u):
             for kind in ("inf", "nan"):
                 for at in (1, 3):
                     matrix, n_k, data = _growing_instance(form, n_u, N, e, kind, at)
@@ -853,7 +855,7 @@ def test_non_finite_linear_term_output_raises_at_iteration_0(rng, N, timed):
     for form, qp in qps.items():
         n_u, n = qp.n_u, N * qp.n_u
         cset = ConstraintSet(alpha=np.ones(n_u), rho=np.full(n_u, 0.2), u_prev=np.zeros(n_u), N=N)
-        for e in _three_blocks(n):
+        for e in _checked_outputs(n):
             for bad in (np.inf, np.nan):
                 q = rng.standard_normal(n)
                 q[e] = bad
@@ -880,15 +882,92 @@ def test_fgm_solve_refuses_arrays_it_cannot_read_in_place(kernel, rng, argument,
     C-contiguous float64 array, data writeable too.  Any other is refused,
     naming it, before the kernel writes anything."""
     n_u, N = 3, 2
-    n = N * n_u
-    a = rng.standard_normal((n, n))
-    arrays = {"w": a + a.T, "set": _unbounded_set(n_u, N), "data": np.zeros(2 * n + 4 + 4 * n)}
-    arrays["data"][n:2 * n] = rng.standard_normal(n)
+    arrays = _solve_arrays(rng, "dense", n_u, N)
     arrays[argument] = _refused_form(arrays[argument], form)
     before = {name: array.tobytes() for name, array in arrays.items()}
     with pytest.raises(TypeError, match=f"^{argument} must be an aligned, C-contiguous"):
         kernel.fgm_solve(arrays["w"], -1, n_u, N, 0.5, 1, arrays["set"], arrays["data"], 0)
     assert {name: array.tobytes() for name, array in arrays.items()} == before
+
+
+def _solve_arrays(rng, form, n_u, N, n_k=5):
+    """fgm_solve's w, set and data for a dense or a factored step matrix
+    (n_k modes), each of the length its layout reads, and a random
+    iterate."""
+    n = N * n_u
+    if form == "dense":
+        a = rng.standard_normal((n, n))
+        w = pack([a + a.T])
+    else:
+        vk = rng.standard_normal((n_u, n_k))
+        w = pack_factors(rng.standard_normal((N, N)), rng.standard_normal((n_k, N, N)), vk,
+                         np.ascontiguousarray(vk.T))
+    data = np.zeros(fgm.workspace_size(-1 if form == "dense" else n_k, n_u, N))
+    data[n:2 * n] = rng.standard_normal(n)
+    return {"w": w, "set": _unbounded_set(n_u, N), "data": data}
+
+
+@pytest.mark.parametrize("argument", ["w", "set", "data"])
+@pytest.mark.parametrize("form", ["dense", "factored"])
+@pytest.mark.parametrize("N", [1, 2])
+def test_fgm_solve_refuses_arrays_too_short_for_their_layout(kernel, rng, argument, form, N):
+    """w, set and data must each hold the values the kernel's layout reads
+    for n_k, n_u and the horizon: one value short is refused with a
+    ValueError naming it, before the kernel writes anything; at full
+    length the solve runs."""
+    n_u, n_k = 41, (-1 if form == "dense" else 5)
+    arrays = _solve_arrays(rng, form, n_u, N)
+    assert kernel.fgm_solve(arrays["w"], n_k, n_u, N, 0.5, 1, arrays["set"],
+                            arrays["data"].copy(), 0) == -1
+    arrays[argument] = arrays[argument].ravel()[:-1].copy()
+    before = {name: array.tobytes() for name, array in arrays.items()}
+    with pytest.raises(ValueError, match=f"^{argument} must hold at least "
+                                         f"{arrays[argument].size + 1} values"):
+        kernel.fgm_solve(arrays["w"], n_k, n_u, N, 0.5, 1, arrays["set"], arrays["data"], 0)
+    assert {name: array.tobytes() for name, array in arrays.items()} == before
+
+
+@pytest.mark.parametrize("sizes", [(-1, 3, 3), (-1, 0, 2), (-2, 3, 2)])
+def test_fgm_solve_refuses_sizes_outside_its_layouts(kernel, rng, sizes):
+    n_k, n_u, N = sizes
+    arrays = _solve_arrays(rng, "dense", 3, 2)
+    with pytest.raises(ValueError, match="^fgm_solve: horizon must be 1 or 2"):
+        kernel.fgm_solve(arrays["w"], n_k, n_u, N, 0.5, 1, arrays["set"], arrays["data"], 0)
+
+
+def _padded_rows_of(flat, offset, rows, cols):
+    """The `rows` rows of `cols` values from `offset` of the flat array, as
+    padded to a multiple of 8, and whether each row starts on a 64-byte
+    boundary."""
+    stride = -(-cols // 8) * 8
+    block = flat[offset:offset + rows * stride].reshape(rows, stride)
+    aligned = all((flat.ctypes.data + 8 * (offset + j * stride)) % 64 == 0 for j in range(rows))
+    return block, aligned
+
+
+def test_kernel_matrices_are_aligned_and_zero_padded():
+    """Every matrix the kernel's sweeps read, on a 40x41 one-bandwidth
+    design of horizon 2 (factored, like the ring) and on its dense W, holds
+    each row from a 64-byte boundary, zero-padded to a multiple of 8
+    doubles; the workspace and the modal state start on one."""
+    b = design_controller(synthetic_plant(40, 41, 1e4, seed=4), horizon=2)
+    qp, record = b.condensed, b.modal_record
+    n_u, n_y, r, N = 41, 40, 40, 2
+    n_k = qp.factored_modes
+    assert qp.hessian_form == "factored" and 0 < n_k < n_u
+    vk, aligned = _padded_rows_of(qp.factors, 0, n_u, n_k)
+    assert aligned and np.array_equal(vk[:, :n_k], qp.modal.V_K) and not vk[:, n_k:].any()
+    vkt, aligned = _padded_rows_of(qp.factors, vk.size, n_k, n_u)
+    assert aligned and np.array_equal(vkt[:, :n_u], qp.modal.V_K.T) and not vkt[:, n_u:].any()
+    w, aligned = _padded_rows_of(qp.W_rows.ravel(), 0, N * n_u, N * n_u)
+    assert aligned and np.array_equal(w[:, :N * n_u], qp.W[:N * n_u]) and not w[:, N * n_u:].any()
+    packed, pu, basis = record.packed, 48, qp.modal.basis
+    for at, rows, cols, want in ((0, n_u, n_u, basis), (n_u * pu, n_u, n_u, basis.T),
+                                 (2 * n_u * pu, n_y, r, record.U)):
+        block, aligned = _padded_rows_of(packed, at, rows, cols)
+        assert aligned and np.array_equal(block[:, :cols], want) and not block[:, cols:].any()
+    for array in (fgm.Workspace(qp).data, record.new_state()):
+        assert array.ctypes.data % 64 == 0
 
 
 @pytest.mark.parametrize("form", ["float32", "strided"])

@@ -702,7 +702,8 @@ def test_untimed_modal_samples_run_no_python_set_update_or_solve(monkeypatch, sh
 
 
 @pytest.mark.skipif(fgm.solve_kernel() != "compiled", reason="needs the compiled kernel")
-@pytest.mark.parametrize("n_u", [31, 32, 33, 40, 173])
+# every residue mod 8 around the block widths (1, 2, 6 and 11 vectors of 8 or 4)
+@pytest.mark.parametrize("n_u", [31, *range(32, 42), 44, 47, 88, 89, 172, 173, 176])
 def test_linear_term_is_each_stages_ascending_sum(n_u):
     """From 32 inputs the kernel forms both stages of the linear term
     [V, V_perp] q~_s in one sweep over the rows of [V, V_perp]^T, below
