@@ -26,7 +26,9 @@ own scratch.
 Which loop runs depends only on whether the compiled kernel is built.
 `fgm_kernel.c` runs the whole solve in C: warm-start
 projection, gradient step, finiteness check, the N = 1 and N = 2
-projections written step for step as `qp._project_stacked`, and momentum.
+projections, and momentum.  The projections give `ConstraintSet.project`'s
+bits: the N = 2 one forms both of its steps in every lane of a 4-double
+vector of actuators and keeps one lane by lane, without a branch.
 It also holds the per-mode observer update and linear term that
 `sim.MpcController` runs on one-bandwidth plants (see observer.ModalRecord),
 and `mpc_step`, which runs a whole control sample of that path in one

@@ -106,7 +106,24 @@
    vector width compiles its own bodies only, and no 2-vector block is
    kept: the build, which the first controller in a process waits for,
    stays no slower.  Dense sweeps of 4 to BLOCK - 1 columns keep blocks of
-   16, 8 or 4 outputs (narrow_rows). */
+   16, 8 or 4 outputs (narrow_rows).
+
+   Only `sweep`, `finish` and `factored_step` hold 8-double vectors: every
+   other function, the whole iteration of a QP below BLOCK columns among
+   them, compiles for 256-bit vectors (the pragma below).  Without it gcc
+   12 -O3 -march=native vectorizes the loops of the set, the momentum
+   update, the copies and the observer over 512-bit registers, which cost
+   more than they gain at these lengths.  In one process, the builds
+   alternating on the same measurements of the 8x8, N = 2 workload, the
+   p90 of the raw untimed sample went from 3.54 to 2.05 us and, in a run
+   on a slower host state, from 4.27 to 2.86 us with this pragma, the
+   branch-free projection and narrow_rows' check together; the pragma
+   alone read x0.90 and x1.07 of the parent, with the projection x0.62
+   and x0.73.  The ring-size sample stayed level (BENCH_38.json).  The
+   pragma is GCC's; clang has no prefer-vector-width target. */
+#if defined(__AVX512F__) && defined(__GNUC__) && !defined(__clang__)
+#pragma GCC target("prefer-vector-width=256")
+#endif
 #define BLOCK 32
 #define VECTORS 11
 #define PAD 8
@@ -128,6 +145,7 @@ static inline int64_t padded(int64_t n)
 typedef double vd4 __attribute__((vector_size(4 * sizeof(double))));
 typedef double vd __attribute__((vector_size(LANES * sizeof(double))));
 /* A vector comparison's lanes: all ones where it holds, else zero. */
+typedef int64_t vi4 __attribute__((vector_size(4 * sizeof(int64_t))));
 typedef int64_t vi __attribute__((vector_size(LANES * sizeof(int64_t))));
 
 static inline vd4 load4(const double *p)
@@ -157,12 +175,14 @@ static inline void store(double *p, vd x)
 /* gradient_step's sweep below BLOCK columns, in blocks of 4 `vectors`
    outputs held as whole vectors, the last block overlapping the one
    before: t = W^T v - q, each output an ascending sum over the rows, which
-   are `stride` doubles apart. */
+   are `stride` doubles apart.  Returns 1, or 0 where an element of t is
+   not finite, checked as `finish` checks it on the stored vectors. */
 static inline __attribute__((always_inline))
-void narrow_rows(const double *restrict w, int64_t rows, int64_t cols, int64_t stride,
-                 const double *restrict v, const double *restrict q_scaled,
-                 double *restrict t, int vectors)
+int narrow_rows(const double *restrict w, int64_t rows, int64_t cols, int64_t stride,
+                const double *restrict v, const double *restrict q_scaled,
+                double *restrict t, int vectors)
 {
+    vi4 bad = {0};
     for (int64_t b = 0; b < cols; b += 4 * vectors) {
         const int64_t i = b + 4 * vectors <= cols ? b : cols - 4 * vectors;
         vd4 acc[4];
@@ -174,9 +194,14 @@ void narrow_rows(const double *restrict w, int64_t rows, int64_t cols, int64_t s
             for (int k = 0; k < vectors; k++)
                 acc[k] += load4(row + 4 * k) * vj;
         }
-        for (int k = 0; k < vectors; k++)
-            store4(t + i + 4 * k, acc[k] - load4(q_scaled + i + 4 * k));
+        for (int k = 0; k < vectors; k++) {
+            const vd4 x = acc[k] - load4(q_scaled + i + 4 * k);
+            store4(t + i + 4 * k, x);
+            const vd4 zero = x - x;
+            bad |= (vi4)(zero != zero);
+        }
     }
+    return !(bad[0] | bad[1] | bad[2] | bad[3]);
 }
 
 /* sums[s stride + i] for every right-hand side s and every lane i of the
@@ -287,13 +312,16 @@ static int finish(const double *sums, int64_t stride, int64_t count, int64_t rhs
    element of t is not finite.  From BLOCK columns, and below 4, one `sweep`
    into `sums` (padded(cols) doubles) and `finish`.  Between, the blocks are 16,
    8 or 4 outputs, the widest that fits, held as 4, 2 or 1 explicit
-   4-double vectors, and an early-exit pass checks t: gcc 12.2 -O3
-   -march=native (AVX-512) compiles a plain-C block of 16, 8 or 4 outputs
-   into 2-double multiplies over pairs of rows, each followed by a chain of
-   scalar vaddsd, where narrow_rows is one 256-bit multiply and add per
-   vector and row: a call took 30 ns against 120 ns with 4-wide blocks at
-   16 x 16, and 60 ns at 17 x 17 (two overlapping 16-blocks) against
-   152 ns (four 4-wide blocks and a 1-wide one).  Kept out of line:
+   4-double vectors, which narrow_rows checks for finiteness as it stores
+   them: gcc 12.2 -O3 -march=native (AVX-512) compiles a plain-C block of
+   16, 8 or 4 outputs into 2-double multiplies over pairs of rows, each
+   followed by a chain of scalar vaddsd, where narrow_rows is one 256-bit
+   multiply and add per vector and row: a call took 30 ns against 120 ns
+   with 4-wide blocks at 16 x 16, and 60 ns at 17 x 17 (two overlapping
+   16-blocks) against 152 ns (four 4-wide blocks and a 1-wide one).  The
+   check on the stores replaced a scalar early-exit pass over t: in one
+   process it took the p90 of the 8x8, N = 2 workload's raw untimed
+   sample from 3.10 to 2.86 us (BENCH_38.json).  Kept out of line:
    inlined into fgm_solve, gcc 12 -O3 makes the ring-size (346-row) solve
    ~15% slower. */
 __attribute__((noinline))
@@ -307,15 +335,10 @@ static int gradient_step(const double *w, int64_t rows, int64_t cols, const doub
         return finish(sums, stride, cols, 1, q_scaled, 0, t, 0);
     }
     if (cols >= 16)
-        narrow_rows(w, rows, cols, stride, v, q_scaled, t, 4);
-    else if (cols >= 8)
-        narrow_rows(w, rows, cols, stride, v, q_scaled, t, 2);
-    else
-        narrow_rows(w, rows, cols, stride, v, q_scaled, t, 1);
-    for (int64_t i = 0; i < cols; i++)
-        if (!isfinite(t[i]))
-            return 0;
-    return 1;
+        return narrow_rows(w, rows, cols, stride, v, q_scaled, t, 4);
+    if (cols >= 8)
+        return narrow_rows(w, rows, cols, stride, v, q_scaled, t, 2);
+    return narrow_rows(w, rows, cols, stride, v, q_scaled, t, 1);
 }
 
 /* t = W v - q / lambda_max in the factored form over n_k modes, laid out
@@ -379,13 +402,6 @@ static int factored_step(const double *factors, int64_t n_k, int64_t n_u, int64_
     return finish(sums, pu, n_u, horizon, q_scaled, n_u, t, n_u);
 }
 
-/* np.minimum(np.maximum(x, lo), hi): a NaN x stays NaN. */
-static inline double clip(double x, double lo, double hi)
-{
-    x = x < lo ? lo : x;
-    return x > hi ? hi : x;
-}
-
 /* np.maximum and np.minimum as numpy's SIMD loops compute them: a NaN on
    either side is the result, and where the two compare equal the second
    is (np.maximum(-0.0, 0.0) is 0.0). */
@@ -399,6 +415,40 @@ static inline double np_min(double a, double b)
     return isnan(a) || a < b ? a : b;
 }
 
+/* qp._clip, np.minimum(np.maximum(x, lo), hi): a NaN x stays NaN, and an x
+   equal to a bound is that bound (-0.0 clipped to [0.0, 1.0] is 0.0). */
+static inline double clip(double x, double lo, double hi)
+{
+    return np_min(np_max(x, lo), hi);
+}
+
+/* np_max, np_min and clip lane by lane over 4-double vectors, for a b
+   (a bound) that is not NaN: a NaN a is the result, and where the two
+   compare equal b is.  Each is one comparison, !(a <= b) or !(a >= b),
+   and `pick`, which takes a where the mask m is set and b elsewhere, bit
+   for bit.  No lane that `project` keeps has a NaN bound: a set's bounds
+   are not NaN, and the band case's rho - alpha and alpha - rho are NaN
+   only where rho is infinite, whose lanes keep the clipped pair. */
+static inline vd4 pick(vi4 m, vd4 a, vd4 b)
+{
+    return (vd4)((m & (vi4)a) | (~m & (vi4)b));
+}
+
+static inline vd4 max4(vd4 a, vd4 b)
+{
+    return pick(~(a <= b), a, b);
+}
+
+static inline vd4 min4(vd4 a, vd4 b)
+{
+    return pick(~(a >= b), a, b);
+}
+
+static inline vd4 clip4(vd4 x, vd4 lo, vd4 hi)
+{
+    return min4(max4(x, lo), hi);
+}
+
 /* The constraint set as qp.ConstraintSet holds it: box bounds of the
    stacked iterate and, for N = 2, the band half-widths and rho. */
 struct set {
@@ -406,6 +456,42 @@ struct set {
     const double *lower, *upper, *band, *rho;
 };
 
+/* qp._project_stacked for actuator i alone; alpha is the stage-1 upper
+   bound. */
+static void project_pair(const struct set *s, const double *t, double *out, int64_t i)
+{
+    const int64_t n = s->n_u;
+    const double lo = s->lower[i], hi = s->upper[i], alpha = s->upper[n + i];
+    double u0 = clip(t[i], lo, hi);
+    double u1 = clip(t[n + i], s->lower[n + i], alpha);
+    const double gap = u1 - u0;
+    if (fabs(gap) > s->band[i]) {
+        const double rho = s->rho[i], shift = copysign(rho, gap);
+        double s0 = t[i] + t[n + i];
+        s0 -= shift;
+        s0 *= 0.5;
+        if (signbit(gap))
+            u0 = clip(s0, np_max(lo, rho - alpha), hi);
+        else
+            u0 = clip(s0, lo, np_min(hi, alpha - rho));
+        u1 = clip(u0 + shift, s->lower[n + i], alpha);
+    }
+    out[i] = u0;
+    out[n + i] = u1;
+}
+
+/* The N = 1 clip, or qp._project_stacked on whole 4-double vectors of
+   actuators and project_pair on the last n_u mod 4.  A vector forms both
+   the clipped pair and the band case (step 2) in every lane and keeps the
+   band case where |u1 - u0| exceeds the band, with fabs, copysign and
+   signbit as operations on the sign bit: no lane's choice is a branch.  A
+   lane that keeps its clipped pair throws away a band case that an
+   infinite rho makes -inf + inf.  In one process on the 8x8, N = 2
+   workload this projection alone took the p90 of the raw untimed sample
+   to x0.77 of the parent's, and in 20-iteration timed ring-size samples
+   the projection stage from 722 to 522 ns per iteration, where the same
+   vectors with two comparisons per max4 took 670 ns against the
+   parent's 594 (BENCH_38.json). */
 static void project(const struct set *s, const double *t, double *out)
 {
     const int64_t n = s->n_u;
@@ -414,27 +500,30 @@ static void project(const struct set *s, const double *t, double *out)
             out[i] = clip(t[i], s->lower[i], s->upper[i]);
         return;
     }
-    /* qp._project_stacked, one actuator's pair at a time; alpha is the
-       stage-1 upper bound */
-    for (int64_t i = 0; i < n; i++) {
-        const double lo = s->lower[i], hi = s->upper[i], alpha = s->upper[n + i];
-        double u0 = clip(t[i], lo, hi);
-        double u1 = clip(t[n + i], s->lower[n + i], alpha);
-        const double gap = u1 - u0;
-        if (fabs(gap) > s->band[i]) {
-            const double rho = s->rho[i], shift = copysign(rho, gap);
-            double s0 = t[i] + t[n + i];
-            s0 -= shift;
-            s0 *= 0.5;
-            if (signbit(gap))
-                u0 = clip(s0, np_max(lo, rho - alpha), hi);
-            else
-                u0 = clip(s0, lo, np_min(hi, alpha - rho));
-            u1 = clip(u0 + shift, s->lower[n + i], alpha);
-        }
-        out[i] = u0;
-        out[n + i] = u1;
+    const double *lower = s->lower, *upper = s->upper, *band = s->band, *rhos = s->rho;
+    const vi4 sign = {INT64_MIN, INT64_MIN, INT64_MIN, INT64_MIN};
+    int64_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const vd4 t0 = load4(t + i), t1 = load4(t + n + i);
+        const vd4 lo = load4(lower + i), hi = load4(upper + i);
+        const vd4 lo1 = load4(lower + n + i), alpha = load4(upper + n + i);
+        const vd4 rho = load4(rhos + i);
+        const vd4 u0 = clip4(t0, lo, hi), u1 = clip4(t1, lo1, alpha);
+        const vd4 gap = u1 - u0;
+        const vi4 outside = (vd4)((vi4)gap & ~sign) > load4(band + i);
+        const vi4 down = (vi4)gap < 0;
+        const vd4 shift = (vd4)(((vi4)rho & ~sign) | ((vi4)gap & sign));
+        vd4 s0 = t0 + t1;
+        s0 -= shift;
+        s0 *= 0.5;
+        const vd4 b0 = clip4(s0, pick(down, max4(lo, rho - alpha), lo),
+                             pick(down, hi, min4(hi, alpha - rho)));
+        const vd4 b1 = clip4(b0 + shift, lo1, alpha);
+        store4(out + i, pick(outside, b0, u0));
+        store4(out + n + i, pick(outside, b1, u1));
     }
+    for (; i < n; i++)
+        project_pair(s, t, out, i);
 }
 
 static int64_t now_ns(void)

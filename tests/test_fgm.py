@@ -830,8 +830,10 @@ def test_non_finite_gradient_output_fails_at_its_iteration(kernel, form, N, time
     """The gradient step checks its outputs as it takes the shift: one inf
     or NaN output, in the first, a middle or the last block of a sweep of
     narrow or whole-vector blocks, or in its last, partial vector, fails
-    the solve at the iteration that formed it, timed or not."""
-    for n_u in (3, 7, 45, 101):
+    the solve at the iteration that formed it, timed or not.  At N = 1,
+    n_u = 23 is a dense sweep of 16-output narrow blocks, the last
+    overlapping the first."""
+    for n_u in (3, 7, 23, 45, 101):
         n = N * n_u
         for e in _checked_outputs(n if form == "dense" else n_u):
             for kind in ("inf", "nan"):
@@ -976,3 +978,52 @@ def test_step_context_refuses_arrays_the_kernel_cannot_read(form):
     fields["state"] = _refused_form(np.zeros(4), form)
     with pytest.raises(DimensionError, match="C-contiguous float64 data for state"):
         fgm.step_context(**fields)
+
+
+# every residue of n_u mod 4, n_u below one 4-lane vector (a tail only),
+# and the ring size
+PROJECTION_SIZES = (*range(1, 10), 12, 13, 173)
+
+# (alpha, rho, u_prev) cycled over the actuators: an ordinary actuator, an
+# infinite alpha, an infinite rho, rho = 0 with a one-point stage-0
+# interval, u_prev on alpha and on -alpha, u_prev = rho and -rho, whose
+# stage-0 interval starts or ends on 0.0, and u_prev = -0.0
+PROJECTION_LIMITS = ((1.0, 0.5, 0.2), (np.inf, 0.5, 2.5), (1.0, np.inf, 0.3), (1.0, 0.0, 0.3),
+                     (1.0, 0.5, 1.0), (1.0, 0.5, -1.0), (1.0, 0.5, 0.5), (1.0, 0.5, -0.5),
+                     (1.0, 0.5, -0.0))
+
+# entries of t: inside and far outside either band side, and +-0.0
+PROJECTION_VALUES = (3.0, -3.0, 0.0, -0.0, 0.25, -0.25, 0.75, -0.75)
+
+
+def _compiled_projection(kernel, cset, t):
+    """The kernel's projection of the stacked iterate t onto cset: a solve
+    with budget 0 returns the projected warm start."""
+    n = cset.N * cset.n_u
+    data = np.zeros(fgm.workspace_size(-1, cset.n_u, cset.N))
+    data[n:2 * n] = t
+    assert kernel.fgm_solve(pack([np.zeros((n, n))]), -1, cset.n_u, cset.N, 0.5, 0, cset._packed,
+                            data, 0) == -1
+    return data[n:2 * n]
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_compiled_projection_is_constraint_sets_bit_for_bit(kernel, rng, N):
+    """The kernel's N = 1 and N = 2 projections give ConstraintSet.project's
+    bits at every residue of n_u mod 4, on every kind of limit and on
+    iterates inside, on and past both band sides, of either zero; a NaN
+    entry of t comes out NaN."""
+    for n_u in PROJECTION_SIZES:
+        for shift in range(len(PROJECTION_LIMITS)):
+            limits = np.array([PROJECTION_LIMITS[(i + shift) % len(PROJECTION_LIMITS)]
+                               for i in range(n_u)])
+            cset = ConstraintSet(alpha=limits[:, 0], rho=limits[:, 1], u_prev=limits[:, 2], N=N)
+            draws = [rng.choice(PROJECTION_VALUES, N * n_u), rng.uniform(-3.0, 3.0, N * n_u)]
+            for t in draws:
+                got = _compiled_projection(kernel, cset, t)
+                assert got.tobytes() == cset.project(t).tobytes(), (n_u, shift, t)
+            t = draws[0].copy()
+            at = int(rng.integers(N * n_u))
+            t[at] = np.nan
+            got = _compiled_projection(kernel, cset, t)
+            assert np.isnan(got[at]) and got.tobytes() == cset.project(t).tobytes(), (n_u, at)
