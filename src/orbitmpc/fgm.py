@@ -163,8 +163,14 @@ def make_worker_plan(rows: int, n_workers: int) -> WorkerPlan:
 _KERNEL_SOURCE = Path(__file__).with_name("fgm_kernel.c")
 # the CPython module around the kernel, compiled beside it (see _build_kernel)
 _BINDING_SOURCE = Path(__file__).with_name("fgm_binding.c")
-# IEEE rounding: no contraction into fused multiply-adds, no -ffast-math
-_KERNEL_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+# IEEE rounding: no contraction into fused multiply-adds, no -ffast-math.
+# The compiler's own vectorizer is off: it took a third of the kernel's
+# compile time, and the loops where it paid at the benchmark's shapes (the
+# sweeps, the momentum update, the factored step's mixing, the small-QP
+# solve) hold explicit vectors (see fgm_kernel.c); -pipe lets the
+# assembler run beside the compiler
+_KERNEL_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-tree-vectorize", "-pipe",
+                 "-shared", "-fPIC")
 _BUILD_TIMEOUT_S = 120.0
 
 # fgm_kernel.c's struct context, field by field; addresses are uintp

@@ -61,6 +61,23 @@
  * then takes the shift and checks the gradient step's outputs for
  * finiteness.
  *
+ * An untimed solve of a dense QP of at most SMALL = 16 variables, any
+ * n_u at N = 1 and up to 8 at N = 2 (both small benchmark shapes), keeps
+ * its whole state in 1 or 4 vectors of 4 doubles from the first
+ * iteration to the last (small_solve): the iterate, the momentum point,
+ * the shift q / lambda_max and the set's bounds.  An iteration sweeps W's
+ * rows into registers and takes the shift, the finiteness check, the
+ * projection, the momentum update and the exact exit's compare there;
+ * nothing is stored until the solve ends.  Every operation, and its
+ * order, is the generic loop's, and so are the bits, the exit and the
+ * index of a failing iteration.  A timed solve, and every larger or
+ * factored QP, runs the generic loop.  The QP's size picks the path and
+ * the vector count.  In process, an iteration of the 4x4, N = 1 QP takes
+ * 13.2 ns against 20.4 ns in the generic loop, and of the 8x8, N = 2 one
+ * 42.8 against 44.8 ns: its 16-row ascending sums are chains of
+ * dependent adds (gcc 12.2, 2-vCPU AVX-512 virtual machine;
+ * BENCH_39.json).
+ *
  * On one-bandwidth plants the observer's estimates are kept by mode (see
  * observer.ModalRecord).  The three products of the observer and the
  * linear term, U^T y, [V, V_perp]^T u and [V, V_perp] q~_s, run the same
@@ -125,6 +142,7 @@
 #pragma GCC target("prefer-vector-width=256")
 #endif
 #define BLOCK 32
+#define SMALL 16
 #define VECTORS 11
 #define PAD 8
 #ifdef __AVX512F__
@@ -347,12 +365,14 @@ static int gradient_step(const double *w, int64_t rows, int64_t cols, const doub
      V_K     n_u rows of padded(n_k)
      V_K^T   n_k rows of padded(n_u)
      W_s     horizon^2          I - B_s / lambda_max, row-major
-     M_k     n_k horizon^2      -(B_k - B_s) / lambda_max, row-major
+     M       horizon^2 n_k      entry (s, u) of every M_k = -(B_k - B_s) /
+                                lambda_max, in rows of n_k by (s, u)
 
    with `scratch`, from a multiple of PAD, holding the sums (horizon
    max(padded(n_k), padded(n_u))), the seed (horizon padded(n_u)) and d
    (horizon n_k).  The projection c[s pk + k] = v_k . x_s sums over the
-   rows of V_K into the sums, d_k = M_k c_k mixes each mode's stages, and
+   rows of V_K into the sums, d_k = M_k c_k mixes each mode's stages, 0.0
+   + M_k[s][0] c_0 + ... in ascending u, over vectors of 4 modes, and
    the expansion t_s[i] sums the shared block on x (the seed, formed first)
    and then the modes' terms d[s n_k + k] v_k in ascending k over the rows
    of V_K^T, then takes the shift.  Returns 1, or 0 where an element of t
@@ -370,14 +390,21 @@ static int factored_step(const double *factors, int64_t n_k, int64_t n_u, int64_
     const struct sweep project = {vk, n_u, pk, v, n_u, NULL, sums};
     sweep(&project, (int)horizon);
     const double *c = sums;
-    if (horizon == 1) {
-        for (int64_t k = 0; k < n_k; k++)
-            d[k] = 0.0 + mix[k] * c[k];
-    } else {
-        for (int64_t k = 0; k < n_k; k++) {
-            const double *m = mix + 4 * k, c0 = c[k], c1 = c[pk + k];
-            d[k] = 0.0 + m[0] * c0 + m[1] * c1;
-            d[n_k + k] = 0.0 + m[2] * c0 + m[3] * c1;
+    for (int64_t s = 0; s < horizon; s++) {
+        const double *m = mix + s * horizon * n_k;
+        double *restrict d_s = d + s * n_k;
+        int64_t k = 0;
+        for (; k + 4 <= n_k; k += 4) {
+            vd4 x = {0.0, 0.0, 0.0, 0.0};
+            for (int64_t u = 0; u < horizon; u++)
+                x += load4(m + u * n_k + k) * load4(c + u * pk + k);
+            store4(d_s + k, x);
+        }
+        for (; k < n_k; k++) {
+            double x = 0.0;
+            for (int64_t u = 0; u < horizon; u++)
+                x += m[u * n_k + k] * c[u * pk + k];
+            d_s[k] = x;
         }
     }
     for (int64_t s = 0; s < horizon; s++) {
@@ -526,6 +553,226 @@ static void project(const struct set *s, const double *t, double *out)
         project_pair(s, t, out, i);
 }
 
+/* An untimed solve of a dense QP of at most SMALL variables keeps its
+   state in 1 or 4 vectors of 4 doubles, by stage: vector m holds
+   count[m] (0 to 4) stacked values from base[m], stage s's from vector
+   s vectors / N on, so at N = 2 actuator i's two stages sit in one lane
+   of vectors m and m + vectors / 2.  small_gather lays the solve's inputs
+   out so, zero in the other lanes, and small_scatter stores the iterate
+   back. */
+struct small_state {
+    double q[SMALL], lower[SMALL], upper[SMALL], p[SMALL];
+    double band[SMALL / 2], rho[SMALL / 2]; /* N = 2: by stage-0 vector */
+    int64_t base[SMALL / 4];
+    int count[SMALL / 4];
+};
+
+/* x[0], ..., x[count - 1] (count 0 to 4), zero in the other lanes. */
+static inline vd4 load_part(const double *x, int count)
+{
+    switch (count) {
+    case 4:
+        return load4(x);
+    case 3:
+        return (vd4){x[0], x[1], x[2], 0.0};
+    case 2:
+        return (vd4){x[0], x[1], 0.0, 0.0};
+    case 1:
+        return (vd4){x[0], 0.0, 0.0, 0.0};
+    default:
+        return (vd4){0.0, 0.0, 0.0, 0.0};
+    }
+}
+
+__attribute__((noinline))
+static void small_gather(struct small_state *st, int64_t n_u, int64_t horizon, int vectors,
+                         const double *set, const double *q_scaled, const double *p)
+{
+    const int64_t n = horizon * n_u, lanes = 4 * vectors / horizon;
+#pragma GCC unroll 1
+    for (int m = 0; m < vectors; m++) {
+        const int64_t i = 4 * m % lanes, left = n_u - i;
+        const int count = left <= 0 ? 0 : left >= 4 ? 4 : (int)left;
+        const int64_t base = count ? 4 * m / lanes * n_u + i : 0;
+        /* the band half-widths and rho by stage-0 vector */
+        const int arrays = horizon == 2 && m < vectors / 2 ? 6 : 4;
+        const double *from[6] = {q_scaled, p, set, set + n, set + 2 * n, set + 2 * n + n_u};
+        double *to[6] = {st->q, st->p, st->lower, st->upper, st->band, st->rho};
+        st->count[m] = count;
+        st->base[m] = base;
+#pragma GCC unroll 1
+        for (int k = 0; k < arrays; k++)
+            store4(to[k] + 4 * m, load_part(from[k] + base, count));
+    }
+}
+
+/* The iterate's values out of the state, into out. */
+__attribute__((noinline))
+static void small_scatter(const struct small_state *st, int vectors, double *out)
+{
+#pragma GCC unroll 1
+    for (int m = 0; m < vectors; m++) {
+        const double *x = st->p + 4 * m;
+        double *o = out + st->base[m];
+        switch (st->count[m]) {
+        case 4:
+            o[3] = x[3];
+            /* fall through */
+        case 3:
+            o[2] = x[2];
+            /* fall through */
+        case 2:
+            o[1] = x[1];
+            /* fall through */
+        case 1:
+            o[0] = x[0];
+        }
+    }
+}
+
+static inline int any4(vi4 m)
+{
+    return (m[0] | m[1] | m[2] | m[3]) != 0;
+}
+
+/* `run` for an untimed solve of a dense QP of at most SMALL variables, on
+   the first `vectors` (1 or 4) of small_state's vectors, which
+   hold the whole state in registers for the whole solve: the iterate p,
+   the momentum point v, the shift q / lambda_max and the set's bounds.
+   Lanes past count[m] are masked out of the check and the compare.  An
+   iteration is narrow_rows into registers, the rows in ascending order
+   and each lane an ascending sum, its check on the outputs, `project`,
+   the momentum update and a bit compare equal to memcmp's, on those
+   registers; so the bits, the exit and a failing iteration are the
+   generic loop's.  The projection's band case is formed for both signs
+   of gap (shift +|rho| and -|rho|) and picked by gap's sign, each lane
+   the same operations as `project`'s on the one it keeps; its clipped
+   bounds max(lo, rho - alpha) and min(hi, alpha - rho) are formed once.
+   Its vector max and min agree with np_max and np_min on bounds that are
+   not NaN, which every set the package builds holds.  p is stored back
+   into the state when the solve ends. */
+static inline __attribute__((always_inline))
+int64_t small_solve(const double *w, int64_t n_u, int64_t horizon, double beta, int64_t budget,
+                    struct small_state *st, int64_t *iterations, int vectors)
+{
+    const int64_t stride = padded(horizon * n_u);
+    const int pairs = vectors / 2;
+    const vi4 lane = {0, 1, 2, 3}, sign = {INT64_MIN, INT64_MIN, INT64_MIN, INT64_MIN};
+    const double beta_1 = 1.0 + beta;
+    int64_t base[4];
+    int count[4];
+    vi4 valid[4];
+    vd4 q[4], lo[4], hi[4], p[4], v[4];
+    /* N = 2: the band half-width, +|rho| and the band case's clipped
+       bounds, by actuator (stage-0 vector) */
+    vd4 band[2], up[2], lo_down[2], hi_up[2];
+#pragma GCC unroll 4
+    for (int m = 0; m < vectors; m++) {
+        base[m] = st->base[m];
+        count[m] = st->count[m];
+        valid[m] = lane < count[m];
+        q[m] = load4(st->q + 4 * m);
+        lo[m] = load4(st->lower + 4 * m);
+        hi[m] = load4(st->upper + 4 * m);
+        p[m] = load4(st->p + 4 * m);
+    }
+#pragma GCC unroll 2
+    for (int m = 0; m < pairs; m++) {
+        const vd4 rho = load4(st->rho + 4 * m), alpha = hi[m + pairs];
+        band[m] = load4(st->band + 4 * m);
+        up[m] = (vd4)((vi4)rho & ~sign);
+        lo_down[m] = max4(lo[m], rho - alpha);
+        hi_up[m] = min4(hi[m], alpha - rho);
+    }
+#pragma GCC unroll 4
+    for (int m = 0; m < vectors; m++)
+        v[m] = p[m];
+    int64_t it = 0;
+    int was_unchanged = 0;
+    while (it < budget) {
+        vd4 t[4];
+#pragma GCC unroll 4
+        for (int o = 0; o < vectors; o++)
+            t[o] = (vd4){0.0, 0.0, 0.0, 0.0};
+#pragma GCC unroll 4
+        for (int m = 0; m < vectors; m++)
+#pragma GCC unroll 4
+            for (int l = 0; l < 4; l++)
+                if (l < count[m]) {
+                    const double *restrict row = w + (base[m] + l) * stride;
+                    const double vj = v[m][l];
+#pragma GCC unroll 4
+                    for (int o = 0; o < vectors; o++)
+                        t[o] += load4(row + base[o]) * vj;
+                }
+        vi4 bad = {0, 0, 0, 0};
+#pragma GCC unroll 4
+        for (int o = 0; o < vectors; o++) {
+            t[o] -= q[o];
+            const vd4 zero = t[o] - t[o];
+            bad |= valid[o] & (zero != zero);
+        }
+        if (any4(bad))
+            return it;
+        vd4 p_new[4];
+        if (horizon == 1) {
+#pragma GCC unroll 4
+            for (int m = 0; m < vectors; m++)
+                p_new[m] = clip4(t[m], lo[m], hi[m]);
+        } else {
+#pragma GCC unroll 2
+            for (int m = 0; m < pairs; m++) {
+                const vd4 t0 = t[m], t1 = t[m + pairs], lo1 = lo[m + pairs], alpha = hi[m + pairs];
+                const vd4 u0 = clip4(t0, lo[m], hi[m]), u1 = clip4(t1, lo1, alpha);
+                const vd4 gap = u1 - u0;
+                const vi4 outside = (vd4)((vi4)gap & ~sign) > band[m];
+                const vi4 down = (vi4)gap < 0;
+                const vd4 sum = t0 + t1, down_shift = (vd4)((vi4)up[m] | sign);
+                vd4 s_up = sum - up[m], s_down = sum - down_shift;
+                s_up *= 0.5;
+                s_down *= 0.5;
+                const vd4 b0_up = clip4(s_up, lo[m], hi_up[m]);
+                const vd4 b0_down = clip4(s_down, lo_down[m], hi[m]);
+                const vd4 b1_up = clip4(b0_up + up[m], lo1, alpha);
+                const vd4 b1_down = clip4(b0_down + down_shift, lo1, alpha);
+                p_new[m] = pick(outside, pick(down, b0_down, b0_up), u0);
+                p_new[m + pairs] = pick(outside, pick(down, b1_down, b1_up), u1);
+            }
+        }
+        vi4 moved = {0, 0, 0, 0};
+#pragma GCC unroll 4
+        for (int m = 0; m < vectors; m++) {
+            v[m] = p_new[m] * beta_1 - p[m] * beta;
+            moved |= valid[m] & ((vi4)p_new[m] != (vi4)p[m]);
+            p[m] = p_new[m];
+        }
+        it++;
+        const int unchanged = !any4(moved);
+        if (unchanged && was_unchanged)
+            break;
+        was_unchanged = unchanged;
+    }
+#pragma GCC unroll 4
+    for (int m = 0; m < vectors; m++)
+        store4(st->p + 4 * m, p[m]);
+    *iterations = it;
+    return -1;
+}
+
+__attribute__((noinline))
+static int64_t small_solve_1(const double *w, int64_t n_u, double beta, int64_t budget,
+                             struct small_state *st, int64_t *iterations)
+{
+    return small_solve(w, n_u, 1, beta, budget, st, iterations, 1);
+}
+
+__attribute__((noinline))
+static int64_t small_solve_4(const double *w, int64_t n_u, int64_t horizon, double beta,
+                             int64_t budget, struct small_state *st, int64_t *iterations)
+{
+    return small_solve(w, n_u, horizon, beta, budget, st, iterations, 4);
+}
+
 static int64_t now_ns(void)
 {
     struct timespec ts;
@@ -576,6 +823,9 @@ static void lap(double *stage, int64_t *tic)
  * than an OR of XORed bit patterns inside the momentum loop (by ~1% of a
  * ring-size and of an 8x8 N = 2 solve).
  *
+ * An untimed dense solve of at most SMALL variables runs the same
+ * iteration in registers (small_solve), with a compare equal to memcmp's.
+ *
  * With `timed` non-zero the loop runs every iteration, and stage_ns
  * accumulates the nanoseconds of the gradient step (with its finiteness
  * check), the projection and the momentum update.  Returns -1, or the
@@ -624,6 +874,19 @@ static int64_t run(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, d
     int was_unchanged = 0;
 
     project(&s, iterate, p);
+    if (!timed && n_k < 0 && n <= SMALL) {
+        const int vectors = horizon == 1 && n <= 4 ? 1 : 4;
+        struct small_state st;
+        small_gather(&st, n_u, horizon, vectors, set, q_scaled, p);
+        const int64_t failed = vectors == 1 ? small_solve_1(w, n_u, beta, budget, &st, &it)
+                                            : small_solve_4(w, n_u, horizon, beta, budget, &st, &it);
+        if (failed >= 0)
+            return failed;
+        small_scatter(&st, vectors, p);
+        *iterations = (double)it;
+        *result = p;
+        return -1;
+    }
     memcpy(v, p, (size_t)n * sizeof *v);
     while (it < budget) {
         if (timed)
@@ -637,7 +900,10 @@ static int64_t run(const double *w, int64_t n_k, int64_t n_u, int64_t horizon, d
         project(&s, t, p_new);
         if (timed)
             lap(&stage_ns[1], &tic);
-        for (int64_t i = 0; i < n; i++)
+        int64_t i = 0;
+        for (; i + 4 <= n; i += 4)
+            store4(v + i, load4(p_new + i) * beta_1 - load4(p + i) * beta);
+        for (; i < n; i++)
             v[i] = p_new[i] * beta_1 - p[i] * beta;
         const int unchanged = !timed && memcmp(p_new, p, (size_t)n * sizeof *p) == 0;
         if (timed)
@@ -938,7 +1204,10 @@ int64_t mpc_step(const struct context *c, const double *y)
     memcpy(saved, c->set, (size_t)set_size * sizeof *saved);
     if (!recentre(c))
         return SET_REFUSED;
-    for (int64_t i = 0; i < n; i++)
+    int64_t i = 0;
+    for (; i + 4 <= n; i += 4)
+        store4(c->data + i, load4(m.now.q + i) / c->lambda_max);
+    for (; i < n; i++)
         c->data[i] = m.now.q[i] / c->lambda_max;
     const double *p;
     int64_t failed = run(c->w, c->n_k, c->n_u, c->horizon, c->beta, c->budget, c->set, c->data,

@@ -112,9 +112,10 @@ def pack_factors(shared: np.ndarray, mix: np.ndarray, V_K: np.ndarray,
                  V_K_T: np.ndarray) -> np.ndarray:
     """The factored form as `fgm_kernel.c` reads it (factored_step): the
     padded rows of V_K (n_u, |K|) and V_K_T (|K|, n_u), then the shared
-    block (N, N) and the mixing blocks (|K|, N, N), in one aligned
+    block (N, N) and the mixing blocks (|K|, N, N) entry by entry, N^2
+    rows of |K| (the kernel mixes four modes per vector), in one aligned
     array."""
-    return pack([V_K, V_K_T, shared.ravel(), mix.ravel()])
+    return pack([V_K, V_K_T, shared.ravel(), np.moveaxis(mix, 0, -1).ravel()])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -1027,3 +1027,91 @@ def test_compiled_projection_is_constraint_sets_bit_for_bit(kernel, rng, N):
             t[at] = np.nan
             got = _compiled_projection(kernel, cset, t)
             assert np.isnan(got[at]) and got.tobytes() == cset.project(t).tobytes(), (n_u, at)
+
+
+# every dense QP whose untimed solve keeps its whole state in vectors: at
+# most 16 variables, n_u 1-16 at N = 1 and 1-8 at N = 2
+SMALL_SHAPES = (*((n_u, 1) for n_u in range(1, 17)), *((n_u, 2) for n_u in range(1, 9)))
+SMALL_BUDGETS = (0, 1, 2, 3, 20, 200)
+
+
+def _small_step_matrices(rng, n_u, N):
+    """(W's padded rows, beta, q) triples for a solve of n = N n_u
+    variables: a random QP's with a linear term that saturates most inputs,
+    the same with one that leaves them inside and with NaN in the rows'
+    padding (which no output reads, so no check may see it), and a
+    symmetric contraction with a zero row and column at every third
+    variable and q = +-0.0 there, so those gradient outputs are 0.0 -
+    (+-0.0) = 0.0 in every iteration."""
+    n = N * n_u
+    qp = qp_from_matrix(random_spd(rng, n), N=N)
+    nan_padded = qp.W_rows.copy()
+    nan_padded.reshape(-1, -(-n // 8) * 8)[:, n:] = np.nan
+    a = rng.standard_normal((n, n))
+    w = a + a.T
+    w /= np.abs(w).sum(axis=1).max() + 1.0
+    zero = np.arange(0, n, 3)
+    w[zero, :] = w[:, zero] = 0.0
+    q = rng.standard_normal(n)
+    q[zero] = np.where(np.arange(zero.size) % 2, -0.0, 0.0)
+    return [(qp.W_rows, qp.beta, rng.standard_normal(n) * 30.0 * qp.lambda_max),
+            (nan_padded, qp.beta, rng.standard_normal(n) * 1e-3 * qp.lambda_max),
+            (pack([w]), 0.5, q)]
+
+
+@pytest.mark.parametrize("n_u, N", SMALL_SHAPES)
+def test_small_untimed_solve_is_the_generic_loops_bit_for_bit(kernel, rng, n_u, N):
+    """An untimed dense solve of at most 16 variables keeps its whole state
+    in vectors; a timed one runs the generic loop.  On every such shape,
+    over sets with every kind of limit (infinite alpha and rho, a
+    one-point stage-0 interval, bounds of -0.0), with band cases active,
+    from warm starts inside and outside the set, with +-0.0 entries, and at
+    every budget, both return the same iterate, byte for byte, and the
+    untimed one runs no more iterations."""
+    n = N * n_u
+    for shift in (0, 4):
+        limits = np.array([PROJECTION_LIMITS[(i + shift) % len(PROJECTION_LIMITS)]
+                           for i in range(n_u)])
+        cset = ConstraintSet(alpha=limits[:, 0], rho=limits[:, 1], u_prev=limits[:, 2], N=N)
+        warm_starts = (cset.project(rng.uniform(-3.0, 3.0, n)), rng.choice(PROJECTION_VALUES, n))
+        for w, beta, q in _small_step_matrices(rng, n_u, N):
+            for warm in warm_starts:
+                for budget in SMALL_BUDGETS:
+                    got = []
+                    for timed in (0, 1):
+                        data = np.zeros(fgm.workspace_size(-1, n_u, N))
+                        data[:n] = q
+                        data[n:2 * n] = warm
+                        failed = kernel.fgm_solve(w, -1, n_u, N, beta, budget, cset._packed,
+                                                  data, timed)
+                        iterations = data[2 * n + len(fgm._KERNEL_STAGES)]
+                        got.append((failed, data[n:2 * n].tobytes(), iterations))
+                    (failed, untimed, ran), (timed_failed, timed_p, timed_ran) = got
+                    assert failed == timed_failed == -1, (shift, budget)
+                    assert untimed == timed_p, (shift, budget)
+                    assert ran <= timed_ran == budget, (shift, budget)
+
+
+@pytest.mark.parametrize("timed", [0, 1])
+def test_small_solve_fails_at_the_iteration_of_a_non_finite_output(kernel, timed):
+    """On every small shape, an output that overflows to inf at iteration
+    1 or 3, in any lane, fails the solve at that iteration, untimed (the
+    vector path) and timed (the generic loop); from 3 variables on, so
+    does one that becomes inf - inf = NaN there."""
+    for n_u, N in SMALL_SHAPES:
+        n = N * n_u
+        unbounded = _unbounded_set(n_u, N)
+        for e in range(n):
+            for at in (1, 3):
+                # W = 2 I doubles every output; output e reaches 2^1024 at `at`
+                data = np.zeros(fgm.workspace_size(-1, n_u, N))
+                data[n:2 * n] = 1.0
+                data[n + e] = 2.0 ** (1023 - at)
+                assert kernel.fgm_solve(pack([2.0 * np.eye(n)]), -1, n_u, N, 0.0, 10, unbounded,
+                                        data, timed) == at, (n_u, N, e)
+                if n < 3:
+                    continue
+                matrix, n_k, data = _growing_instance("dense", n_u, N, e, "nan", at)
+                data[n:2 * n] = 1.0
+                assert kernel.fgm_solve(matrix, n_k, n_u, N, 0.0, 10, unbounded, data,
+                                        timed) == at, (n_u, N, e)
