@@ -217,6 +217,14 @@ def _build_bundle(cfg: RunConfig, horizon: int) -> bundle_mod.DesignBundle:
     return bundle_mod.design_controller(cfg.plant, **_design_inputs(cfg, horizon))
 
 
+def _host() -> dict:
+    """Where a run's numbers come from: the numpy and BLAS builds, the cores
+    this process may run on, and the solve kernel."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"numpy": np.__version__, "blas": fgm._blas_name(), "cores": cores,
+            "solve_kernel": fgm.solve_kernel()}
+
+
 def _notice_i_max(i_max: int, bundles) -> None:
     """One stdout line when the fixed budget is below a design's iteration bound."""
     short = [b for b in bundles if i_max < b.i_max_bound]
@@ -274,6 +282,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "i_max": cfg.i_max,
         "i_max_bound": bundles[cfg.horizon].i_max_bound,
         "design_fingerprint": bundles[cfg.horizon].meta["design_fingerprint"],
+        **_host(),
     })
     if cfg.observer_dump:
         mpc_ctrls[cfg.horizon].observer.to_csv(os.path.join(cfg.output_dir, "observer_state.csv"))
@@ -292,6 +301,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "i_max": cfg.i_max,
         "i_max_bound_n1": bundles[1].i_max_bound,
         "i_max_bound_n2": bundles[2].i_max_bound,
+        **_host(),
     })
     print(f"trace.csv and ibm.csv written to {cfg.output_dir}")
     return 0
@@ -332,7 +342,9 @@ def cmd_bench(cfg: RunConfig) -> int:
         rows.append((stage, float(values.mean()), float(values.max())))
     total = float(np.mean(cycle_totals) / 1e3)
     # untimed: the timed step's time outside the six stages; step: the
-    # step without timers, which on the modal path runs another code path
+    # step without timers, which on the modal path is one C call (the
+    # kernel module's Step is the controller's step; a call with timers,
+    # as above, it forwards to the class's staged Python method)
     untimed = total - sum(mean_us for _, mean_us, _ in rows)
     step_ns, counts = [], []
     for k in range(cfg.bench_cycles):
@@ -350,7 +362,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         "i_max_bound": b.i_max_bound,
         "horizon": b.condensed.N,
         "design_fingerprint": fingerprint,
-        "solve_kernel": fgm.solve_kernel(),
+        **_host(),
         "hessian_form": fgm.hessian_form(b.condensed),
         "observer_form": ctrl.observer_form,
         "total_mean_us": fileio.format_float(total),

@@ -39,8 +39,9 @@ and re-solve each stage.
 The kernel stays plain C.  `fgm_binding.c` wraps it as a CPython
 extension module: `fgm_solve` as a function that reads its arrays in
 place, and `Step`, a callable bound to one controller's context that
-runs `mpc_step` on the measurement's own buffer, and whose
-`observe(y, u)` runs modal_observe.  The build needs a C compiler
+the controller sets as its `step`: it runs `mpc_step` on the
+measurement's own buffer, forwards any other call to the class's
+`step`, and its `observe(y, u)` runs modal_observe.  The build needs a C compiler
 (`$CC`, else `cc`) and the interpreter's `Python.h`; numpy's headers
 ship with numpy.  One compiler call compiles and links the two files,
 once per process, into a temporary directory, which is removed once the

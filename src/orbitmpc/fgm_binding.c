@@ -9,16 +9,30 @@
  *                      the kernel's entry point with its argument list,
  *                      w, set and data as float64 ndarrays that it reads
  *                      in place; returns the kernel's int
- *   Step(context, u_prev, n_y)
- *                      a callable bound to one controller's context (a
- *                      STEP_CONTEXT array, fgm.step_context) and to its
- *                      u_prev, whose address the context holds.  step(y)
- *                      runs mpc_step on y's own buffer and returns a new
- *                      float64 array of u_prev's bytes, or mpc_step's
- *                      refusal as an int; for a y that is not an exact,
+ *   Step(context, u_prev, n_y, method, owner)
+ *                      a controller's step: a callable bound to its context
+ *                      (a STEP_CONTEXT array, fgm.step_context) and to its
+ *                      u_prev, whose address the context holds, that
+ *                      sim.MpcController sets as its instance's `step`.
+ *                      step(y) and step(y, timers=None) run mpc_step on
+ *                      y's own buffer, where y is an exact,
  *                      native-float64, aligned, C-contiguous ndarray of
- *                      shape (n_y,) it returns NotImplemented and runs
- *                      nothing, so the caller checks y and passes it again.
+ *                      shape (n_y,), and return a new float64 array of
+ *                      u_prev's bytes.  Every other call, any other y and
+ *                      every refusal are forwarded unchanged, as
+ *                      method(owner, *args, **kwargs), to the class's
+ *                      Python step, which times, converts and refuses
+ *                      (a refused sample changes no state, so that
+ *                      method's own mpc_step refuses it alike).
+ *                      The Step holds owner by a weak reference, so the
+ *                      controller and its Step form no reference cycle
+ *                      and are freed once the controller is dropped; a
+ *                      Step kept past its controller raises ReferenceError
+ *                      at every call, as its context's arrays are gone.
+ *                      step.run(y) is the untimed sample as that method
+ *                      runs it: the new input array, NotImplemented
+ *                      (running nothing) for a y it cannot read in place,
+ *                      or mpc_step's refusal as an int.
  *                      step.observe(y, u) runs modal_observe on the
  *                      context, with y (n_y values) and u (n_u) read in
  *                      place, and returns its int.
@@ -113,27 +127,59 @@ typedef struct {
     vectorcallfunc vectorcall;
     PyArrayObject *context, *u_prev;
     npy_intp n_y;
+    PyObject *method; /* the class's step, which the calls Step does not run go to */
+    PyObject *owner;  /* a weak reference to the controller */
 } Step;
 
-static PyObject *step_call(PyObject *self, PyObject *const *args, size_t nargsf,
-                           PyObject *kwnames)
+/* "timers", interned, which an untimed call's keyword name is */
+static PyObject *timers_name;
+
+/* The controller, a new reference, or NULL with a ReferenceError once it is
+   gone: the context holds the addresses of its arrays, which die with it. */
+static PyObject *controller(const Step *step)
 {
-    const Step *step = (const Step *)self;
-    if (PyVectorcall_NARGS(nargsf) != 1 || kwnames != NULL) {
-        PyErr_SetString(PyExc_TypeError, "Step() takes one measurement");
+#if PY_VERSION_HEX >= 0x030D0000
+    PyObject *owner = NULL;
+    if (PyWeakref_GetRef(step->owner, &owner) == 0)
+        PyErr_SetString(PyExc_ReferenceError, "Step: its controller is gone");
+    return owner;
+#else
+    PyObject *owner = PyWeakref_GET_OBJECT(step->owner);
+    if (owner == Py_None) {
+        PyErr_SetString(PyExc_ReferenceError, "Step: its controller is gone");
         return NULL;
     }
-    PyObject *obj = args[0];
+    return Py_NewRef(owner);
+#endif
+}
+
+/* 1 while the controller lives, else 0 with controller()'s error */
+static int alive(const Step *step)
+{
+    PyObject *owner = controller(step);
+    Py_XDECREF(owner);
+    return owner != NULL;
+}
+
+#define UNREAD INT64_MIN
+
+/* mpc_step on y: -1, or its refusal; UNREAD, running nothing, where y is not
+   an exact, native-float64, aligned, C-contiguous ndarray of shape (n_y,). */
+static int64_t sample(const Step *step, PyObject *obj)
+{
     if (!PyArray_CheckExact(obj))
-        Py_RETURN_NOTIMPLEMENTED;
+        return UNREAD;
     PyArrayObject *y = (PyArrayObject *)obj;
     /* ISCARRAY_RO: aligned, C-contiguous and in native byte order */
     if (PyArray_TYPE(y) != NPY_DOUBLE || PyArray_NDIM(y) != 1 || PyArray_DIM(y, 0) != step->n_y
         || !PyArray_ISCARRAY_RO(y))
-        Py_RETURN_NOTIMPLEMENTED;
-    const int64_t failed = mpc_step(PyArray_DATA(step->context), PyArray_DATA(y));
-    if (failed != -1)
-        return PyLong_FromLongLong(failed);
+        return UNREAD;
+    return mpc_step(PyArray_DATA(step->context), PyArray_DATA(y));
+}
+
+/* A new float64 array of u_prev's bytes: the input a sample applied. */
+static PyObject *applied(const Step *step)
+{
     PyObject *u = PyArray_SimpleNew(1, PyArray_DIMS(step->u_prev), NPY_DOUBLE);
     if (u != NULL)
         memcpy(PyArray_DATA((PyArrayObject *)u), PyArray_DATA(step->u_prev),
@@ -141,11 +187,74 @@ static PyObject *step_call(PyObject *self, PyObject *const *args, size_t nargsf,
     return u;
 }
 
+/* method(owner, *args, **kwargs), the call as it came with the controller
+   in front */
+static PyObject *forward(const Step *step, PyObject *const *args, size_t nargsf,
+                         PyObject *kwnames)
+{
+    PyObject *owner = controller(step);
+    if (owner == NULL)
+        return NULL;
+    const Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
+    const Py_ssize_t total = nargs + (kwnames == NULL ? 0 : PyTuple_GET_SIZE(kwnames));
+    PyObject *few[8], **call = few;
+    if (total >= 8 && (call = PyMem_Malloc((size_t)(total + 1) * sizeof *call)) == NULL) {
+        Py_DECREF(owner);
+        return PyErr_NoMemory();
+    }
+    call[0] = owner;
+    if (total > 0)
+        memcpy(call + 1, args, (size_t)total * sizeof *call);
+    PyObject *result = PyObject_Vectorcall(step->method, call, (size_t)nargs + 1, kwnames);
+    if (call != few)
+        PyMem_Free(call);
+    Py_DECREF(owner);
+    return result;
+}
+
+/* step(y) and step(y, timers=None): the untimed sample in C
+   where sample() runs and accepts y; any other call, y or refusal is
+   forwarded unchanged. */
+static PyObject *step_call(PyObject *self, PyObject *const *args, size_t nargsf,
+                           PyObject *kwnames)
+{
+    const Step *step = (const Step *)self;
+    const Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
+    int untimed = nargs == 1 && kwnames == NULL;
+    if (nargs == 1 && kwnames != NULL && PyTuple_GET_SIZE(kwnames) == 1) {
+        PyObject *name = PyTuple_GET_ITEM(kwnames, 0);
+        untimed = args[1] == Py_None
+                  && (name == timers_name || PyUnicode_Compare(name, timers_name) == 0);
+    }
+    if (untimed) {
+        if (!alive(step))
+            return NULL;
+        if (sample(step, args[0]) == -1)
+            return applied(step);
+    }
+    return forward(step, args, nargsf, kwnames);
+}
+
+/* step.run(y): sample() as the new input array, NotImplemented or the
+   refusal as an int */
+static PyObject *step_run(PyObject *self, PyObject *y)
+{
+    const Step *step = (const Step *)self;
+    if (!alive(step))
+        return NULL;
+    const int64_t failed = sample(step, y);
+    if (failed == -1)
+        return applied(step);
+    if (failed == UNREAD)
+        Py_RETURN_NOTIMPLEMENTED;
+    return PyLong_FromLongLong(failed);
+}
+
 static PyObject *step_observe(PyObject *self, PyObject *args)
 {
     const Step *step = (const Step *)self;
     struct doubles y = {"y", 0, NULL}, u = {"u", 0, NULL};
-    if (!PyArg_ParseTuple(args, "O&O&:observe", doubles, &y, doubles, &u))
+    if (!PyArg_ParseTuple(args, "O&O&:observe", doubles, &y, doubles, &u) || !alive(step))
         return NULL;
     const npy_intp n_u = PyArray_SIZE(step->u_prev);
     if (PyArray_SIZE(y.array) != step->n_y || PyArray_SIZE(u.array) != n_u) {
@@ -170,10 +279,11 @@ static PyArrayObject *held_array(PyObject *obj, const char *name)
 
 static PyObject *step_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
-    PyObject *context, *u_prev;
+    PyObject *context, *u_prev, *method, *owner;
     Py_ssize_t n_y;
-    static char *names[] = {"context", "u_prev", "n_y", NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOn:Step", names, &context, &u_prev, &n_y))
+    static char *names[] = {"context", "u_prev", "n_y", "method", "owner", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOnOO:Step", names, &context, &u_prev, &n_y,
+                                     &method, &owner))
         return NULL;
     if (!PyArray_Check(u_prev) || PyArray_TYPE((PyArrayObject *)u_prev) != NPY_DOUBLE
         || PyArray_NDIM((PyArrayObject *)u_prev) != 1) {
@@ -186,10 +296,12 @@ static PyObject *step_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     step->vectorcall = step_call;
     step->n_y = n_y;
     if ((step->context = held_array(context, "context")) == NULL
-        || (step->u_prev = held_array(u_prev, "u_prev")) == NULL) {
+        || (step->u_prev = held_array(u_prev, "u_prev")) == NULL
+        || (step->owner = PyWeakref_NewRef(owner, NULL)) == NULL) {
         Py_DECREF(step);
         return NULL;
     }
+    step->method = Py_NewRef(method);
     return (PyObject *)step;
 }
 
@@ -198,10 +310,15 @@ static void step_dealloc(PyObject *self)
     Step *step = (Step *)self;
     Py_XDECREF(step->context);
     Py_XDECREF(step->u_prev);
+    Py_XDECREF(step->method);
+    Py_XDECREF(step->owner);
     Py_TYPE(self)->tp_free(self);
 }
 
 static PyMethodDef step_methods[] = {
+    {"run", step_run, METH_O,
+     "run(y) -> the new input array, NotImplemented where y is not read in place, or "
+     "mpc_step's refusal as an int"},
     {"observe", step_observe, METH_VARARGS,
      "observe(y, u) -> int: modal_observe on the step's context"},
     {NULL, NULL, 0, NULL},
@@ -210,7 +327,8 @@ static PyMethodDef step_methods[] = {
 static PyTypeObject StepType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "fgm_kernel.Step",
-    .tp_doc = "Step(context, u_prev, n_y): step(y) runs mpc_step on y's buffer",
+    .tp_doc = "Step(context, u_prev, n_y, method, owner): step(y) runs mpc_step on y's buffer; "
+              "any call it does not run is method(owner, ...)",
     .tp_basicsize = sizeof(Step),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_VECTORCALL,
     .tp_vectorcall_offset = offsetof(Step, vectorcall),
@@ -237,6 +355,8 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC PyInit_fgm_kernel(void)
 {
     import_array();
+    if ((timers_name = PyUnicode_InternFromString("timers")) == NULL)
+        return NULL;
     if (PyType_Ready(&StepType) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&module);

@@ -252,9 +252,17 @@ class MpcController:
         sample, recentring the controller's own set array, and returns
         a new array of the applied input.  It reads y in place where y
         is an aligned, C-contiguous, native float64 ndarray of shape
-        (n_y,); anything else it hands back (NotImplemented) to
-        `checked_measurement`, which accepts or refuses it, and an
-        accepted y is passed again as such an array.
+        (n_y,).  The Step is the instance's `step`: `step(y)` and
+        `step(y, timers=None)` with such a y are one C call, which no
+        Python frame wraps.  It forwards every other
+        call unchanged to this class's `step` (which the dense path runs
+        always), as it does a y it cannot read in place and a refusal:
+        that method runs the sample through the Step's `run`, which
+        hands such a y back (NotImplemented) to `checked_measurement`,
+        which accepts or refuses it, and an accepted y is passed again
+        as such an array; a refusal, which changes no state, is refused
+        alike and raised as the error below.  The Step holds the
+        controller by a weak reference, so the two form no cycle.
       - With `timers`, the staged calls: a copy of the linear term,
         `update_constraint_set`, `fgm.solve`, and `Step`'s observe, which
         runs the kernel's modal_observe on y, made aligned and
@@ -311,7 +319,10 @@ class MpcController:
                 state=self._modal_state, w=ws.matrix, n_k=ws.n_k, beta=condensed.beta,
                 budget=self.i_max, lambda_max=condensed.lambda_max, data=ws.data, set=self._set,
                 alpha=self._cset0.alpha, rho=self._cset0.rho, u_prev=self.u_prev)
-            self._step = kernel.Step(self._context, self.u_prev, ss.n_y)
+            # the untimed sample in C; any other call comes back to the class's
+            # step, which the Step holds with a weak reference to this controller
+            self._step = self.step = kernel.Step(self._context, self.u_prev, ss.n_y,
+                                                 type(self).step, self)
         self.reset()
 
     @property
@@ -349,11 +360,11 @@ class MpcController:
 
     def step(self, y_k: np.ndarray, timers: dict | None = None) -> np.ndarray:
         if timers is None and self._modes is not None:
-            u_k = self._step(y_k)  # which checks finiteness
+            u_k = self._step.run(y_k)  # which checks finiteness
             if u_k is NotImplemented:  # not a native float64 (n_y,) array that C can read in place
                 y_k = np.require(checked_measurement(y_k, self.ss.n_y, finite=False),
                                  requirements="CA")
-                u_k = self._step(y_k)
+                u_k = self._step.run(y_k)
             if type(u_k) is int:
                 raise self._refusal(u_k, y_k)
             return u_k

@@ -189,14 +189,15 @@ class TestSimulateCommand:
 
         trace = header("trace.csv")
         assert [key for key, _ in trace[:3]] == ["schema_version", "seed", "columns"]
+        host = [(key, str(value)) for key, value in _host_keys().items()]
         assert trace[3:] == [("i_max", "15"),
                              ("i_max_bound", str(bundles[1].i_max_bound)),
-                             ("design_fingerprint", bundles[1].meta["design_fingerprint"])]
+                             ("design_fingerprint", bundles[1].meta["design_fingerprint"]), *host]
         ibm = header("ibm.csv")
         assert [key for key, _ in ibm[:4]] == ["schema_version", "seed", "columns", "normalization"]
         assert ibm[4:] == [("i_max", "15"),
                            ("i_max_bound_n1", str(bundles[1].i_max_bound)),
-                           ("i_max_bound_n2", str(bundles[2].i_max_bound))]
+                           ("i_max_bound_n2", str(bundles[2].i_max_bound)), *host]
 
     def test_observer_dump_flag(self, tmp_path):
         cfg = write_config(tmp_path, extra="observer_dump = 1\n")
@@ -204,6 +205,33 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
         dump = read_matrix(os.path.join(out, "observer_state.csv"))
         assert dump.shape[0] == 1 + 2 + 1  # x, z1..z_mu (mu = 2), d
+
+
+def _host_keys() -> dict:
+    """The host keys every output header records, as this process sees them."""
+    return {"numpy": np.__version__, "blas": fgm._blas_name(),
+            "cores": len(os.sched_getaffinity(0)), "solve_kernel": fgm.solve_kernel()}
+
+
+@pytest.mark.parametrize("force_numpy", [False, True])
+def test_output_headers_record_the_host(tmp_path, monkeypatch, force_numpy):
+    """trace.csv and ibm.csv record numpy's version, its BLAS, the cores
+    the process may run on and the solve kernel; timing.csv the first
+    three beside its own solve_kernel."""
+    if force_numpy:
+        monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
+    want = {key: str(value) for key, value in _host_keys().items()}
+    assert want["solve_kernel"] == "numpy" if force_numpy else want["solve_kernel"] in (
+        "compiled", "numpy")
+    assert int(want["cores"]) >= 1 and want["numpy"] and want["blas"]
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    assert main(["bench", "--config", cfg, "--out", out]) == 0
+    for name in ("trace.csv", "ibm.csv", "timing.csv"):
+        with open(os.path.join(out, name)) as fh:
+            header = dict(line[2:].rstrip("\n").split("=", 1) for line in fh if line.startswith("# "))
+        assert {key: header.get(key) for key in want} == want, name
 
 
 class TestBenchCommand:

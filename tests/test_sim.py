@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -887,38 +889,79 @@ class TestUntimedStepCall:
         return b, ctrl, twin
 
     def test_no_reference_leaks_accepted_or_refused(self):
+        """No call form, run in C or forwarded to the class's step, accepted
+        or refused, leaves a reference behind, to its arguments, the
+        controller or its arrays."""
         b, ctrl, _ = self._pair("8x8-n2")
         y = np.random.default_rng(1).normal(0.0, 1.0, b.ss.n_y)
+        timers = {}
         held = [y, ctrl._context, ctrl.u_prev, ctrl.warm, ctrl._set, ctrl._modal_state,
-                ctrl._workspace.data, ctrl._step]
+                ctrl._workspace.data, ctrl._step, ctrl, None, timers]
 
         def counts():
+            gc.collect()  # pytest.raises' tracebacks are cycles, not references a call keeps
             return [sys.getrefcount(obj) for obj in held]
 
-        def run(y_k, error, count):
+        def run(call, y_k, error, count):
             for _ in range(count):
                 if error is None:
-                    ctrl.step(y_k)
+                    call(y_k)
                 else:
                     with pytest.raises(error):
-                        ctrl.step(y_k)
+                        call(y_k)
 
         non_finite, strided = y.copy(), np.repeat(y, 2)[::2]
         non_finite[2] = np.nan
-        cases = [("accepted", y, None, 1000),
-                 ("int code (measurement)", non_finite, NumericalError, 100),
-                 ("NotImplemented, refused", y.astype(np.float32), DimensionError, 100),
-                 ("NotImplemented, accepted", strided, None, 100),
-                 ("NotImplemented, accepted list", list(y), None, 100),
-                 ("int code (set)", y, InfeasibleError, 100)]
-        for name, y_k, error, count in cases:
-            if name == "int code (set)":
+        step = ctrl.step
+        cases = [("accepted", step, y, None),
+                 ("forwarded, None", lambda y_k: step(y_k, None), y, None),
+                 ("accepted, timers=None", lambda y_k: step(y_k, timers=None), y, None),
+                 ("forwarded, timers dict", lambda y_k: step(y_k, timers=timers), y, None),
+                 ("forwarded, keyword y", lambda y_k: step(y_k=y_k), y, None),
+                 ("int code (measurement)", step, non_finite, NumericalError),
+                 ("int code (measurement), timers=None", lambda y_k: step(y_k, timers=None),
+                  non_finite, NumericalError),
+                 ("NotImplemented, refused", step, y.astype(np.float32), DimensionError),
+                 ("NotImplemented, big-endian", step, y.astype(">f8"), DimensionError),
+                 ("NotImplemented, accepted", step, strided, None),
+                 ("NotImplemented, accepted list", step, list(y), None),
+                 ("forwarded, too many arguments", lambda y_k: step(y_k, None, 1, 2, 3, 4, 5, 6, 7),
+                  y, TypeError),
+                 ("int code (set)", step, y, InfeasibleError),
+                 ("int code (set), timers dict", lambda y_k: step(y_k, timers=timers), y,
+                  InfeasibleError)]
+        for name, call, y_k, error in cases:
+            if name.startswith("int code (set)"):
                 ctrl.u_prev[0] = np.inf  # the set recentring refuses it
             held[0] = y_k
-            run(y_k, error, 1)  # anything cached at a first call, outside the count
+            run(call, y_k, error, 1)  # anything cached at a first call, outside the count
             before = counts()
-            run(y_k, error, count)
+            run(call, y_k, error, 1000)
             assert counts() == before, name
+
+    def test_dropped_controller_is_freed_at_once(self):
+        """The Step holds its controller by a weak reference, so dropping
+        the controller frees it without the cyclic collector; a Step kept
+        past it refuses every call, as the arrays its context addresses
+        are gone."""
+        b = BUFFER_PLANTS["8x8-n2"]()
+        y = np.zeros(b.ss.n_y)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ctrl = b.mpc_controller(i_max=20)
+            ctrl.step(y)
+            ctrl.step(y, timers={})
+            step, dropped = ctrl.step, weakref.ref(ctrl)
+            del ctrl
+            assert dropped() is None
+        finally:
+            if enabled:
+                gc.enable()
+        for call in (lambda: step(y), lambda: step(y, timers={}), lambda: step.run(y),
+                     lambda: step.observe(y, np.zeros(b.ss.n_u))):
+            with pytest.raises(ReferenceError, match="its controller is gone"):
+                call()
 
     def test_returned_input_is_owned(self):
         b, ctrl, twin = self._pair("8x8-n2")
@@ -952,6 +995,87 @@ class TestUntimedStepCall:
             assert ctrl.step(y).tobytes() == want.tobytes(), k
             assert _controller_state(ctrl) == _controller_state(twin), k
         assert np.any(ctrl.u_prev != 0.0)
+
+
+def _call_forms(n_y):
+    """name -> (args, kwargs) of a call of a controller's step, and whether
+    the call sets u_prev to what the set recentring refuses first.  Each
+    call takes a new timers dict, so a timed call's stages can be compared."""
+    y = np.random.default_rng(11).normal(0.0, 1.0, n_y)
+    nan, huge = y.copy(), np.full(n_y, 1e308)
+    nan[n_y // 2] = np.nan
+    return {
+        "y": (lambda: ((y,), {}), False),
+        "y, None": (lambda: ((y, None), {}), False),
+        "y, timers=None": (lambda: ((y,), {"timers": None}), False),
+        "y_k=y": (lambda: ((), {"y_k": y}), False),
+        "y_k=y, timers=None": (lambda: ((), {"y_k": y, "timers": None}), False),
+        "y, timers={}": (lambda: ((y,), {"timers": {}}), False),
+        "y, {}": (lambda: ((y, {}), {}), False),
+        "list": (lambda: ((list(y),), {}), False),
+        "float32": (lambda: ((y.astype(np.float32),), {}), False),
+        "strided": (lambda: ((np.repeat(y, 2)[::2],), {}), False),
+        "column": (lambda: ((y.reshape(n_y, 1),), {}), False),
+        "wrong length": (lambda: ((y[:-1],), {}), False),
+        "nan": (lambda: ((nan,), {}), False),
+        "all 1e308": (lambda: ((huge,), {}), False),
+        "all 1e308, timers=None": (lambda: ((huge,), {"timers": None}), False),
+        "u_prev refused": (lambda: ((y,), {}), True),
+        "u_prev refused, timers={}": (lambda: ((y,), {"timers": {}}), True),
+        "no measurement": (lambda: ((), {}), False),
+        "unknown keyword": (lambda: ((y,), {"timer": None}), False),
+        "nine arguments": (lambda: ((y, None, 1, 2, 3, 4, 5, 6, 7), {}), False),
+    }
+
+
+@pytest.mark.skipif(fgm.solve_kernel() != "compiled", reason="needs the compiled kernel")
+@pytest.mark.parametrize("form", sorted(_call_forms(8)))
+def test_step_dispatch_matches_the_class_method(form):
+    """A modal controller's step is the kernel module's Step, which runs
+    step(y) and step(y, timers=None) in C and forwards every
+    other call to the class's step.  Each call form gives what the class
+    method gives on a twin: the same bytes, state and timed stages, or the
+    same error, with the state left as it was."""
+    b = BUFFER_PLANTS["8x8-n2"]()
+    ctrl, twin = b.mpc_controller(i_max=20), b.mpc_controller(i_max=20)
+    assert type(ctrl.step).__name__ == "Step" and ctrl.step is ctrl._step
+    for y_k in np.random.default_rng(12).normal(0.0, 1.0, (5, b.ss.n_y)):
+        ctrl.step(y_k)
+        twin.step(y_k)
+    call, refused_u_prev = _call_forms(b.ss.n_y)[form]
+    if refused_u_prev:
+        ctrl.u_prev[0] = twin.u_prev[0] = b.plant.alpha[0] + 1e-6
+    before = _controller_state(ctrl)
+    (args, kwargs), (twin_args, twin_kwargs) = call(), call()
+    try:
+        want = sim_module.MpcController.step(twin, *twin_args, **twin_kwargs)
+    except Exception as exc:  # the error itself is compared below
+        with pytest.raises(type(exc)) as got:
+            ctrl.step(*args, **kwargs)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        assert _controller_state(ctrl) == before
+    else:
+        assert ctrl.step(*args, **kwargs).tobytes() == want.tobytes()
+    assert _controller_state(ctrl) == _controller_state(twin)
+    stages = [sorted(timers) for timers in (*args, *kwargs.values()) if isinstance(timers, dict)]
+    assert stages == [sorted(timers) for timers in (*twin_args, *twin_kwargs.values())
+                      if isinstance(timers, dict)]
+
+
+@pytest.mark.parametrize("kernel_off", [False, True], ids=["kernel", "kernel-off"])
+@pytest.mark.parametrize("shape", ["8x8-n2", "6x6-n2-mixed"])
+def test_only_a_modal_compiled_controller_steps_in_c(monkeypatch, shape, kernel_off):
+    """The kernel's Step is the step of a modal controller; a dense one,
+    or one without a compiler, keeps the class's method."""
+    if kernel_off:
+        monkeypatch.setattr(fgm, "_load_kernel", lambda: None)
+    ctrl = BUFFER_PLANTS[shape]().mpc_controller(i_max=20)
+    if ctrl.observer_form == "modal":
+        assert type(ctrl.step).__name__ == "Step"
+    else:
+        assert ctrl.step.__func__ is sim_module.MpcController.step
+    assert ctrl.observer_form == ("modal" if shape == "8x8-n2" and not kernel_off
+                                  and fgm.solve_kernel() == "compiled" else "dense")
 
 
 # the modal path, and the dense one without and with the compiled kernel
